@@ -7,9 +7,13 @@ from dataclasses import dataclass, field
 from repro.util.units import bytes_to_mb
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyticsTiming:
-    """One analytics variant's per-timestep costs (a Table II row)."""
+    """One analytics variant's per-timestep costs (a Table II row).
+
+    Frozen: :class:`~repro.core.runner.ScaledExperiment` hands the same
+    instance to every caller.
+    """
 
     name: str
     insitu_time: float = 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.vmpi.decomp import BlockDecomposition3D
 
@@ -53,7 +54,12 @@ TOPO_STREAM_ELEMENT_BYTES = 24
 
 @dataclass(frozen=True)
 class ScaledWorkload:
-    """Per-analysis workload quantities for one experiment configuration."""
+    """Per-analysis workload quantities for one experiment configuration.
+
+    Frozen, so the derived geometry below is computed once per instance
+    (``cached_property`` stores outside the dataclass fields: equality,
+    hashing and ``replace`` see the fields only).
+    """
 
     global_shape: tuple[int, int, int]
     proc_grid: tuple[int, int, int]
@@ -73,16 +79,16 @@ class ScaledWorkload:
 
     # -- geometry ------------------------------------------------------------
 
-    @property
+    @cached_property
     def n_ranks(self) -> int:
         px, py, pz = self.proc_grid
         return px * py * pz
 
-    @property
+    @cached_property
     def block_shape(self) -> tuple[int, int, int]:
         return tuple(n // p for n, p in zip(self.global_shape, self.proc_grid))  # type: ignore[return-value]
 
-    @property
+    @cached_property
     def block_cells(self) -> int:
         sx, sy, sz = self.block_shape
         return sx * sy * sz
@@ -97,17 +103,17 @@ class ScaledWorkload:
         """Table I's "Data size": all variables, double precision."""
         return self.total_cells * self.n_vars * self.itemsize
 
-    @property
+    @cached_property
     def block_surface_vertices(self) -> int:
         sx, sy, sz = self.block_shape
         return 2 * (sx * sy + sy * sz + sx * sz)
 
-    @property
+    @cached_property
     def downsampled_block_cells(self) -> int:
         return math.prod(math.ceil(s / self.downsample_stride)
                          for s in self.block_shape)
 
-    @property
+    @cached_property
     def topo_nodes_per_rank(self) -> int:
         """Subtree size: interior criticals + boundary-restricted maxima +
         the 8 sub-domain corners (§III's ghost-cell-equivalent set)."""

@@ -59,10 +59,16 @@ class JobExecutor:
         #: Probe sampling period for executed replays. Deliberately NOT
         #: part of the cache key: sampling never changes the schedule.
         self.probe_interval = probe_interval
+        self._experiments: dict[str, ScaledExperiment] = {}
 
     def _experiment(self, spec: JobSpec) -> ScaledExperiment:
-        return ScaledExperiment(spec.experiment_config(),
-                                machine=self.machine)
+        """The one experiment every job of ``spec.config`` shares (its
+        closed-form costs depend on nothing else in the spec)."""
+        exp = self._experiments.get(spec.config)
+        if exp is None:
+            exp = self._experiments[spec.config] = ScaledExperiment(
+                spec.experiment_config(), machine=self.machine)
+        return exp
 
     def cache_key(self, spec: JobSpec) -> str:
         exp = self._experiment(spec)
@@ -77,7 +83,7 @@ class JobExecutor:
         return JobDemand(
             staging_bytes=exp.staging_memory_needed(
                 spec.analysis_interval, spec.n_buckets),
-            cores=spec.experiment_config().n_cores)
+            cores=exp.config.n_cores)
 
     def execute(self, spec: JobSpec) -> tuple[ScheduleResult, bool]:
         """``(result, cache_hit)`` for one job."""

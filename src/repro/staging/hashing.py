@@ -9,7 +9,11 @@ order.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
+import operator
+from array import array
 
 
 def _stable_hash(key: str) -> int:
@@ -18,10 +22,28 @@ def _stable_hash(key: str) -> int:
                           "big")
 
 
+@functools.lru_cache(maxsize=32)
+def _ring_geometry(n_servers: int,
+                   virtual_nodes: int) -> tuple[memoryview, memoryview]:
+    """Sorted ring points ``(hashes, owning servers)`` of one ring shape.
+
+    A pure function of the shape, so it is built once per process and
+    shared by every :class:`ServiceRing` of that shape: read-only views
+    of packed arrays (8 + 4 bytes a point, not a 36-byte int object).
+    """
+    hashes, servers = zip(*sorted(
+        (_stable_hash(f"server-{server}#vn{v}"), server)
+        for server in range(n_servers) for v in range(virtual_nodes)))
+    return (memoryview(array("Q", hashes)).toreadonly(),
+            memoryview(array("I", servers)).toreadonly())
+
+
 class ServiceRing:
     """Consistent-hash ring over ``n_servers`` service cores.
 
     Virtual nodes smooth the distribution; ``server_for`` is O(log V).
+    The ring points are shared, immutable, process-wide state per
+    ``(n_servers, virtual_nodes)``; a ring instance owns nothing mutable.
     """
 
     def __init__(self, n_servers: int, virtual_nodes: int = 64) -> None:
@@ -31,27 +53,16 @@ class ServiceRing:
             raise ValueError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
         self.n_servers = n_servers
         self.virtual_nodes = virtual_nodes
-        points: list[tuple[int, int]] = []
-        for server in range(n_servers):
-            for v in range(virtual_nodes):
-                points.append((_stable_hash(f"server-{server}#vn{v}"), server))
-        points.sort()
-        self._ring_keys = [p[0] for p in points]
-        self._ring_servers = [p[1] for p in points]
+        # operator.index rejects non-integers as range() did when the points
+        # were built here, before 4.0 could alias the memo's entry for 4.
+        self._ring_keys, self._ring_servers = _ring_geometry(
+            operator.index(n_servers), operator.index(virtual_nodes))
 
     def server_for(self, key: str) -> int:
         """Service core responsible for ``key``."""
-        h = _stable_hash(key)
-        # Binary search for the first ring point >= h (wrap to 0).
-        lo, hi = 0, len(self._ring_keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring_keys[mid] < h:
-                lo = mid + 1
-            else:
-                hi = mid
-        idx = lo % len(self._ring_keys)
-        return self._ring_servers[idx]
+        # First ring point >= the key's hash, wrapping past the last to 0.
+        idx = bisect.bisect_left(self._ring_keys, _stable_hash(key))
+        return self._ring_servers[idx % len(self._ring_keys)]
 
     def load_histogram(self, keys: list[str]) -> list[int]:
         """Number of keys landing on each server (for balance tests)."""

@@ -94,6 +94,28 @@ class TestBreakdownTable1:
         assert b1.io_read_time == pytest.approx(b2.io_read_time, rel=1e-6)
 
 
+class TestClosedFormMemo:
+    def test_rows_computed_once_frozen_and_equal_to_fresh(self):
+        import dataclasses
+
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        for v in AnalyticsVariant:
+            row = exp.analytics_timing(v)
+            assert exp.analytics_timing(v) is row
+            assert exp.movement_time(v) == row.movement_time
+            assert row == ScaledExperiment(
+                ExperimentConfig.paper_4896()).analytics_timing(v)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                row.movement_time = 0.0
+        # Warm and cold experiments agree on everything derived from them.
+        cold = ScaledExperiment(ExperimentConfig.paper_4896())
+        assert (exp.staging_memory_needed(1, 8)
+                == cold.staging_memory_needed(1, 8))
+        assert exp.expected_stage_totals(6) == cold.expected_stage_totals(6)
+        assert (repr(exp.run_schedule(n_steps=3, n_buckets=4).makespan)
+                == repr(cold.run_schedule(n_steps=3, n_buckets=4).makespan))
+
+
 class TestBreakdownTable2:
     def setup_method(self):
         self.b = ScaledExperiment(ExperimentConfig.paper_4896()).breakdown()

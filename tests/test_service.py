@@ -323,6 +323,39 @@ class TestCampaignService:
         assert len(recs) == 6
         assert {r.meta["tenant"] for r in recs} == {"alpha", "beta", "gamma"}
 
+    def test_executor_builds_one_experiment_per_config(self, monkeypatch):
+        """cache_key / demand / execute share one ScaledExperiment per
+        distinct config, and a warm executor (experiment and its closed
+        forms already memoised) still replays bit-identically."""
+        from repro.service import api
+
+        built = []
+
+        class Counting(ScaledExperiment):
+            def __init__(self, config, **kw):
+                built.append(config.name)
+                super().__init__(config, **kw)
+
+        monkeypatch.setattr(api, "ScaledExperiment", Counting)
+        executor = api.JobExecutor(ScheduleCache())
+        specs = [_spec(name="a", n_steps=2), _spec(name="b", n_steps=3),
+                 _spec(name="c", n_steps=2, config="paper_9440", n_buckets=4)]
+        for spec in specs + specs:  # second pass: warm executor, cache hits
+            executor.cache_key(spec)
+            demand = executor.demand(spec)
+            sched, _ = executor.execute(spec)
+            serial = _serial(spec)
+            assert sched.results == serial.results, spec.name
+            assert repr(sched.makespan) == repr(serial.makespan)
+            assert demand.staging_bytes == ScaledExperiment(
+                spec.experiment_config()).staging_memory_needed(
+                    spec.analysis_interval, spec.n_buckets)
+        assert sorted(built) == ["4896 cores", "9440 cores"]
+        # A warm executor replaying a *new* spec of a known config.
+        fresh = _spec(name="d", n_steps=4)
+        assert executor.execute(fresh)[0].results == _serial(fresh).results
+        assert len(built) == 2
+
     def test_queue_wait_accounting(self):
         """With one worker, job 2's queue wait equals job 1's makespan."""
         svc = CampaignService(workers=1)

@@ -33,10 +33,76 @@ class TestServiceRing:
         assert ring.server_for("anything") == 0
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            ServiceRing(0)
-        with pytest.raises(ValueError):
-            ServiceRing(2, virtual_nodes=0)
+        """Errors stay outside the shared-geometry memo: a warm (4, 64)
+        entry must not let 4.0 through, and a bad call raises each time."""
+        ServiceRing(4)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                ServiceRing(4.0)
+            with pytest.raises(TypeError):
+                ServiceRing(4, virtual_nodes=64.0)
+            with pytest.raises(TypeError):
+                ServiceRing("4")
+            with pytest.raises(ValueError):
+                ServiceRing(0)
+            with pytest.raises(ValueError):
+                ServiceRing(2, virtual_nodes=0)
+
+    GOLDEN_KEYS = ([f"region-{i}" for i in range(6)]
+                   + [f"topo/t{i}/sim-agg-{i}" for i in range(3)]
+                   + ["", "task-42", "ünïcode"])
+
+    def test_golden_assignment(self):
+        """Pinned at the pre-sharing implementation: the key -> server
+        mapping is part of every replay's RPC counts and shard routing,
+        so no refactor of the ring may move it."""
+        big = ServiceRing(160)
+        assert [big.server_for(k) for k in self.GOLDEN_KEYS] == [
+            47, 4, 91, 93, 154, 48, 139, 20, 1, 78, 25, 63]
+        hist = big.load_histogram([f"key-{i}" for i in range(1000)])
+        assert hist[:12] == [2, 9, 2, 3, 5, 10, 9, 5, 8, 2, 4, 7]
+        assert (min(hist), max(hist), sum(hist)) == (1, 14, 1000)
+        small = ServiceRing(3, virtual_nodes=16)
+        assert [small.server_for(k) for k in self.GOLDEN_KEYS] == [
+            0, 1, 1, 0, 2, 1, 1, 1, 2, 1, 1, 2]
+        assert small.load_histogram(
+            [f"key-{i}" for i in range(1000)]) == [343, 473, 184]
+
+    def test_geometry_built_once_shared_and_immutable(self, monkeypatch):
+        from repro.staging import hashing
+
+        def make():
+            eng = Engine()
+            return DataSpaces(eng, DartTransport(eng), n_servers=23)
+
+        first = make()
+        calls = []
+        real = hashing._stable_hash
+        monkeypatch.setattr(hashing, "_stable_hash",
+                            lambda key: calls.append(key) or real(key))
+        second = make()
+        assert calls == []  # no ring point re-hashed for a known shape
+        assert second.ring._ring_keys is first.ring._ring_keys
+        assert second.ring._ring_servers is first.ring._ring_servers
+        with pytest.raises(TypeError):
+            second.ring._ring_keys[0] = 0
+        with pytest.raises(TypeError):
+            second.ring._ring_servers[0] = 0
+        # Per-instance state stays per instance.
+        first.put("model", 0, 1.0)
+        assert sum(first.server_rpc_counts) > 0
+        assert second.server_rpc_counts == [0] * 23
+
+    def test_moved_fraction_across_cached_sizes(self):
+        """The ~1/(N+1) contract holds between shared geometries of
+        neighbouring sizes, whichever was built (and cached) first."""
+        keys = [f"region-{i}" for i in range(4000)]
+        rings = {n: ServiceRing(n, virtual_nodes=128) for n in (9, 6, 8, 7)}
+        for n in (6, 7, 8):
+            again = ServiceRing(n, virtual_nodes=128)  # served from the memo
+            frac = again.moved_fraction(keys, rings[n + 1])
+            assert 0.5 / (n + 1) < frac < 2.0 / (n + 1)
+            assert rings[n + 1].moved_fraction(keys, again) == frac
 
     @given(st.integers(2, 16))
     @settings(max_examples=10, deadline=None)
