@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import splev, splrep
 
 
 @dataclass
@@ -88,6 +87,7 @@ def compress(field: np.ndarray, window_size: int = 256,
     flat = np.asarray(field, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("cannot compress an empty field")
+    from scipy.interpolate import splrep  # kept off the package import path
     windows: list[CompressedWindow] = []
     x_full = None
     for start in range(0, flat.size, window_size):
@@ -116,6 +116,7 @@ def compress(field: np.ndarray, window_size: int = 256,
 
 def decompress(compressed: CompressedField) -> np.ndarray:
     """Reconstruct the field (values approximate, positions exact)."""
+    from scipy.interpolate import splev
     out = np.empty(int(np.prod(compressed.shape)), dtype=np.float64)
     pos = 0
     for w in compressed.windows:
@@ -160,6 +161,7 @@ def query_values(compressed: CompressedField, lo: float, hi: float
     Decompresses only the candidate windows selected by
     :func:`query_range`.
     """
+    from scipy.interpolate import splev
     mask = query_range(compressed, lo, hi)
     hits: list[np.ndarray] = []
     pos = 0

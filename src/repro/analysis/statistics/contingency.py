@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.backend import kernel
 
@@ -112,7 +111,8 @@ class ContingencyTable:
         if reduced.shape[0] < 2 or reduced.shape[1] < 2:
             chi2, p, dof = 0.0, 1.0, 0
         else:
-            chi2, p, dof, _ = scipy_stats.chi2_contingency(reduced)
+            from scipy import stats  # ~0.9 s import, paid only here
+            chi2, p, dof, _ = stats.chi2_contingency(reduced)
         k = min(reduced.shape) if reduced.size else 1
         cramers_v = (math.sqrt(chi2 / (n * (k - 1)))
                      if n > 0 and k > 1 and chi2 > 0 else 0.0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -374,7 +375,7 @@ class ScaledExperiment:
             from repro.obs.capacity import CapacityLedger
             ledger = (capacity if isinstance(capacity, CapacityLedger)
                       else CapacityLedger())
-            ledger.bind_clock(lambda: engine.now)
+            ledger.bind_clock(partial(getattr, engine, "now"))
             ledger.analytic_bound_bytes = self.staging_memory_needed(
                 analysis_interval, n_buckets)
             if n_shards == 1:

@@ -109,14 +109,14 @@ class EventHandle:
             raise RuntimeError("event already triggered")
         self.triggered = True
         self.value = value
-        tracer = self.engine._tracer
-        if tracer.enabled:
-            tracer.counter("des.event_trigger")
+        engine = self.engine
+        if engine._traced:
+            engine._count_trigger()
         for cb in self.callbacks:
             cb(value)
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
-            self.engine._schedule(0.0, proc._resume, value)
+            engine._schedule(0.0, proc._resume, value)
         return self
 
     def cancel(self) -> bool:
@@ -164,9 +164,9 @@ class ProcessHandle:
     def _resume(self, value: Any = None) -> None:
         if self.finished:
             return
-        tracer = self.engine._tracer
-        if tracer.enabled:
-            tracer.counter("des.process_resume")
+        engine = self.engine
+        if engine._traced:
+            engine._count_resume()
         try:
             target = self.generator.send(value)
         except StopIteration as stop:
@@ -223,10 +223,18 @@ class Engine:
         #: notified via ``on_advance(now)`` as the clock advances.
         self._probe: Any = None
         # Capture the active tracer once; when tracing is enabled the
-        # engine's clock becomes the tracer's trace clock.
+        # engine's clock becomes the tracer's trace clock and the des.*
+        # counters are bound here, so an increment is one call.
         self._tracer = get_tracer()
-        if self._tracer.enabled:
+        self._traced = self._tracer.enabled
+        if self._traced:
             self._tracer.attach_engine(self)
+            counter = self._tracer.metrics.counter
+            self._count_dispatch = counter("des.dispatch").inc
+            self._count_resume = counter("des.process_resume").inc
+            self._count_trigger = counter("des.event_trigger").inc
+            self._count_timeout = counter("des.timeout").inc
+            self._count_started = counter("des.process_started").inc
 
     def attach_probe(self, sampler: Any) -> None:
         """Install a periodic sampler; it sees every clock advance.
@@ -265,8 +273,8 @@ class Engine:
 
     def timeout(self, delay: float, value: Any = None) -> EventHandle:
         """Event that triggers ``delay`` simulated seconds from now."""
-        if self._tracer.enabled:
-            self._tracer.counter("des.timeout")
+        if self._traced:
+            self._count_timeout()
         ev = EventHandle(self)
         self._schedule(delay, ev.succeed, value)
         return ev
@@ -309,8 +317,8 @@ class Engine:
         """Register and start a generator process at the current time."""
         proc = ProcessHandle(self, generator, name)
         self._processes.append(proc)
-        if self._tracer.enabled:
-            self._tracer.counter("des.process_started")
+        if self._traced:
+            self._count_started()
             self._tracer.instant("process.start", lane="des",
                                  process=proc.name)
         self._schedule(0.0, proc._resume, None)
@@ -329,7 +337,7 @@ class Engine:
 
         Returns the final simulated time.
         """
-        traced = self._tracer.enabled
+        count_dispatch = self._count_dispatch if self._traced else None
         probe = self._probe
         queue = self._queue
         while True:
@@ -340,6 +348,11 @@ class Engine:
                 self.now = until
                 return self.now
             self.now = when
+            # The sampler sees the state as it stood before this
+            # timestamp's first event; later events at the same time
+            # have nothing left to back-fill.
+            if probe is not None:
+                probe.on_advance(when)
             # Drain the whole same-timestamp run (events scheduled *during*
             # the run at the same time carry larger seqs and are picked up
             # by subsequent pop_due calls, preserving (when, seq) order).
@@ -348,10 +361,8 @@ class Engine:
                 if item is None:
                     break
                 fn, arg = item
-                if probe is not None:
-                    probe.on_advance(when)
-                if traced:
-                    self._tracer.counter("des.dispatch")
+                if count_dispatch is not None:
+                    count_dispatch()
                 fn(arg)
         if until is not None:
             self.now = max(self.now, until)

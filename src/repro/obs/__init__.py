@@ -1,6 +1,9 @@
 """repro.obs — unified tracing, metrics, and critical-path observability.
 
-The observability subsystem for the hybrid pipeline:
+The observability subsystem for the hybrid pipeline. Instrumentation
+sites append one record to the tracer's event log (:mod:`repro.obs.events`)
+and every view below is a fold over it, run on read, ``poll()`` or
+``finalize()``:
 
 * :class:`Tracer` — span/instant/counter recording against both the DES
   simulated clock and the wall clock, with per-actor lanes and nesting;
@@ -70,11 +73,10 @@ from repro.obs.blame import (
 from repro.obs.capacity import (
     CapacityLedger,
     CapacityReport,
-    LedgerEntry,
-    TransferEntry,
     capacity_objectives,
     run_capacity_scenario,
 )
+from repro.obs.events import LedgerEntry, SampleRow, TransferEntry
 from repro.obs.export import (
     lane_summary,
     load_trace,
@@ -166,6 +168,7 @@ __all__ = [
     "CapacityLedger",
     "CapacityReport",
     "LedgerEntry",
+    "SampleRow",
     "TransferEntry",
     "capacity_objectives",
     "run_capacity_scenario",

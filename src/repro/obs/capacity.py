@@ -40,11 +40,12 @@ and all timestamps are DES seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.obs.events import UNATTRIBUTED, LedgerEntry, TransferEntry
 from repro.obs.live import KIND_CAPACITY, SloObjective
-from repro.obs.metrics import Gauge
 from repro.obs.tracer import get_tracer
 from repro.util.tables import TextTable
 
@@ -61,82 +62,9 @@ __all__ = [
     "run_capacity_scenario",
 ]
 
-#: Attribution key used when no tenant/job context tag is in effect.
-UNATTRIBUTED = "-"
-
 #: Source-node name the synthetic retention fault registers under (the
 #: ``--inject-leak`` leg of the capacity smoke gate).
 LEAK_INJECTOR_NODE = "fault-injector"
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One staging-memory ledger transition (register / release / leak)."""
-
-    t: float
-    op: str  # "register" | "release" | "leak"
-    region_id: str
-    nbytes: int
-    #: Global resident bytes immediately after this transition.
-    resident: int
-    shard: str
-    source: str
-    tenant: str
-    job: str
-    analysis: str | None = None
-    timestep: int | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"t": self.t, "op": self.op, "region_id": self.region_id,
-                "nbytes": self.nbytes, "resident": self.resident,
-                "shard": self.shard, "source": self.source,
-                "tenant": self.tenant, "job": self.job,
-                "analysis": self.analysis, "timestep": self.timestep}
-
-
-@dataclass(frozen=True)
-class TransferEntry:
-    """One granted-bytes NIC interval (the wire time of an RDMA pull)."""
-
-    t_start: float
-    t_end: float
-    nbytes: int
-    protocol: str
-    src: str
-    dest: str
-    shard: str
-    tenant: str
-    job: str
-    analysis: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"t_start": self.t_start, "t_end": self.t_end,
-                "nbytes": self.nbytes, "protocol": self.protocol,
-                "src": self.src, "dest": self.dest, "shard": self.shard,
-                "tenant": self.tenant, "job": self.job,
-                "analysis": self.analysis}
-
-
-class _ScopeAccount:
-    """Integer resident-bytes accounting for one attribution scope."""
-
-    __slots__ = ("resident", "registered", "released", "nic_bytes", "gauge")
-
-    def __init__(self, name: str, clock: Callable[[], float]) -> None:
-        self.resident = 0
-        self.registered = 0
-        self.released = 0
-        self.nic_bytes = 0
-        self.gauge = Gauge(name, clock=clock)
-
-    def to_dict(self) -> dict[str, Any]:
-        wm = self.gauge.watermark()
-        return {"resident_bytes": self.resident,
-                "registered_bytes": self.registered,
-                "released_bytes": self.released,
-                "nic_bytes": self.nic_bytes,
-                "peak_bytes": int(wm["max"]) if wm["max"] is not None else 0,
-                "peak_t": wm["max_t"]}
 
 
 @dataclass
@@ -189,29 +117,9 @@ class CapacityReport:
                 and len(series) > series_cap:
             stride = len(series) / series_cap
             series = [series[int(i * stride)] for i in range(series_cap)]
-        return {
-            "analytic_bound_bytes": self.analytic_bound_bytes,
-            "peak_resident_bytes": self.peak_resident_bytes,
-            "peak_t": self.peak_t,
-            "headroom_bytes": self.headroom_bytes,
-            "headroom_violations": self.headroom_violations,
-            "final_resident_bytes": self.final_resident_bytes,
-            "registered_bytes_total": self.registered_bytes_total,
-            "released_bytes_total": self.released_bytes_total,
-            "n_registers": self.n_registers,
-            "n_releases": self.n_releases,
-            "nic_peak_bytes": self.nic_peak_bytes,
-            "nic_peak_t": self.nic_peak_t,
-            "nic_bytes_total": self.nic_bytes_total,
-            "nic_busy_seconds": self.nic_busy_seconds,
-            "n_transfers": self.n_transfers,
-            "by_tenant": self.by_tenant,
-            "by_shard": self.by_shard,
-            "by_source": self.by_source,
-            "by_analysis": self.by_analysis,
-            "leaks": self.leaks,
-            "resident_series": series,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "headroom_bytes": self.headroom_bytes,
+                "resident_series": series}
 
     def watermark_table(self) -> str:
         """Aligned per-scope watermark table (the `repro capacity` view)."""
@@ -250,30 +158,11 @@ class CapacityReport:
         """Rebuild a report from :meth:`to_dict` output (the schedule
         cache round-trip; pass ``series_cap=None`` when serializing for
         an exact rebuild)."""
-        series = d.get("resident_series")
-        return cls(
-            analytic_bound_bytes=d.get("analytic_bound_bytes"),
-            peak_resident_bytes=d["peak_resident_bytes"],
-            peak_t=d.get("peak_t"),
-            final_resident_bytes=d["final_resident_bytes"],
-            registered_bytes_total=d["registered_bytes_total"],
-            released_bytes_total=d["released_bytes_total"],
-            n_registers=d["n_registers"],
-            n_releases=d["n_releases"],
-            nic_peak_bytes=d["nic_peak_bytes"],
-            nic_peak_t=d.get("nic_peak_t"),
-            nic_bytes_total=d["nic_bytes_total"],
-            nic_busy_seconds=d["nic_busy_seconds"],
-            n_transfers=d["n_transfers"],
-            by_tenant=d.get("by_tenant", {}),
-            by_shard=d.get("by_shard", {}),
-            by_source=d.get("by_source", {}),
-            by_analysis=d.get("by_analysis", {}),
-            leaks=d.get("leaks", []),
-            resident_series=([(p[0], p[1]) for p in series]
-                             if series is not None else None),
-            headroom_violations=d.get("headroom_violations", 0),
-        )
+        known = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        if known.get("resident_series") is not None:
+            known["resident_series"] = [(p[0], p[1])
+                                        for p in known["resident_series"]]
+        return cls(**known)
 
     @classmethod
     def merge(cls, reports: list["CapacityReport"]) -> "CapacityReport":
@@ -310,26 +199,17 @@ class CapacityReport:
             analytic_bound_bytes=None,
             peak_resident_bytes=peak.peak_resident_bytes,
             peak_t=peak.peak_t,
-            final_resident_bytes=sum(r.final_resident_bytes
-                                     for r in reports),
-            registered_bytes_total=sum(r.registered_bytes_total
-                                       for r in reports),
-            released_bytes_total=sum(r.released_bytes_total
-                                     for r in reports),
-            n_registers=sum(r.n_registers for r in reports),
-            n_releases=sum(r.n_releases for r in reports),
             nic_peak_bytes=nic_peak.nic_peak_bytes,
             nic_peak_t=nic_peak.nic_peak_t,
-            nic_bytes_total=sum(r.nic_bytes_total for r in reports),
-            nic_busy_seconds=sum(r.nic_busy_seconds for r in reports),
-            n_transfers=sum(r.n_transfers for r in reports),
-            by_tenant=merge_scopes("by_tenant"),
-            by_shard=merge_scopes("by_shard"),
-            by_source=merge_scopes("by_source"),
-            by_analysis=merge_scopes("by_analysis"),
             leaks=[leak for r in reports for leak in r.leaks],
             resident_series=None,
-            headroom_violations=sum(r.headroom_violations for r in reports),
+            **{f: sum(getattr(r, f) for r in reports)
+               for f in ("final_resident_bytes", "registered_bytes_total",
+                         "released_bytes_total", "n_registers", "n_releases",
+                         "nic_bytes_total", "nic_busy_seconds", "n_transfers",
+                         "headroom_violations")},
+            **{key: merge_scopes(key) for key in
+               ("by_tenant", "by_shard", "by_source", "by_analysis")},
         )
 
 
@@ -340,8 +220,15 @@ class CapacityLedger:
     bind the run's DES clock (:meth:`bind_clock`); the registry and
     transport hot paths call :meth:`on_register` / :meth:`on_release` /
     :meth:`on_transfer` behind a single ``ledger is not None`` check.
-    After the run drains, :meth:`finalize` scans the registries for
-    leaked regions and assembles the :class:`CapacityReport`.
+    Each call appends one attributed delta
+    (:class:`~repro.obs.events.LedgerEntry` /
+    :class:`~repro.obs.events.TransferEntry`) to the run's event log — the
+    tracer's, or a private list on an untraced replay — and keeps only
+    the global resident bytes and their peak live, because the placement
+    controller reads them every window. After the run drains,
+    :meth:`finalize` scans the registries for leaked regions and folds
+    the deltas into the :class:`CapacityReport`: totals, per-scope
+    accounts with watermarks, the resident series, NIC occupancy.
     """
 
     def __init__(self, clock: Callable[[], float] | None = None,
@@ -349,22 +236,18 @@ class CapacityLedger:
         self._clock: Callable[[], float] = clock or (lambda: 0.0)
         self.analytic_bound_bytes = analytic_bound_bytes
         self._tracer = get_tracer()
-        self.entries: list[LedgerEntry] = []
-        self.transfers: list[TransferEntry] = []
+        self._log: list[Any] = (self._tracer.log if self._tracer.enabled
+                                else [])
+        #: Log position this ledger started at (its deltas lie beyond).
+        self._mark = len(self._log)
         self.resident_bytes = 0
-        self.registered_bytes_total = 0
-        self.released_bytes_total = 0
-        self.n_registers = 0
-        self.n_releases = 0
-        self._resident_gauge = Gauge("capacity.resident_bytes",
-                                     clock=self.now, record_series=True)
-        self._scopes: dict[str, dict[str, _ScopeAccount]] = {
-            "tenant": {}, "shard": {}, "source": {}, "analysis": {}}
-        #: (shard, region_id) -> attribution captured at register time, so
-        #: a release (or leak scan) outside the allocating context still
-        #: credits the right tenant/shard. Keyed by shard too: region ids
-        #: are minted per registry, so distinct shards can reuse one id.
-        self._attribution: dict[tuple[str, str], dict[str, Any]] = {}
+        self._peak: int | None = None
+        self._peak_t: float | None = None
+        #: (shard, region_id) -> the register delta, so a release (or leak
+        #: scan) outside the allocating context still credits the right
+        #: tenant/shard. Keyed by shard too: region ids are minted per
+        #: registry, so distinct shards can reuse one id.
+        self._attribution: dict[tuple[str, str], LedgerEntry] = {}
         self._registries: list[tuple[str, "RdmaRegistry"]] = []
         self._pending_leak_bytes: int | None = None
         self._report: CapacityReport | None = None
@@ -377,8 +260,7 @@ class CapacityLedger:
     @property
     def peak_resident_bytes(self) -> int:
         """Running high-water mark of global resident staging bytes."""
-        wm = self._resident_gauge.watermark()
-        return int(wm["max"]) if wm["max"] is not None else 0
+        return self._peak if self._peak is not None else 0
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Use the run's DES clock (``lambda: engine.now``)."""
@@ -415,125 +297,78 @@ class CapacityLedger:
 
     # -- ledger transitions ---------------------------------------------------
 
-    def _scope(self, kind: str, name: str) -> _ScopeAccount:
-        scopes = self._scopes[kind]
-        acct = scopes.get(name)
-        if acct is None:
-            acct = scopes[name] = _ScopeAccount(
-                f"capacity.{kind}.{name}", clock=self.now)
-        return acct
-
-    def _attr_tags(self) -> tuple[str, str]:
-        tags = self._tracer.context_tags()
-        return (tags.get("tenant") or UNATTRIBUTED,
-                tags.get("job") or UNATTRIBUTED)
-
     def on_register(self, region: "RdmaRegion", shard: str) -> None:
-        t = self.now()
-        tenant, job = self._attr_tags()
+        t = self._clock()
+        ctx = self._tracer.ctx
+        meta = region.meta
         nbytes = int(region.nbytes)
-        analysis = region.meta.get("analysis")
-        timestep = region.meta.get("timestep")
-        self.resident_bytes += nbytes
-        self.registered_bytes_total += nbytes
-        self.n_registers += 1
-        self._resident_gauge.set(self.resident_bytes)
-        attribution = {"tenant": tenant, "job": job, "shard": shard,
-                       "source": region.source_node, "analysis": analysis,
-                       "timestep": timestep, "nbytes": nbytes}
-        self._attribution[(shard, region.region_id)] = attribution
-        for kind, name in (("tenant", tenant), ("shard", shard),
-                           ("source", region.source_node),
-                           ("analysis", analysis or UNATTRIBUTED)):
-            acct = self._scope(kind, name)
-            acct.resident += nbytes
-            acct.registered += nbytes
-            acct.gauge.set(acct.resident)
-        self.entries.append(LedgerEntry(
-            t=t, op="register", region_id=region.region_id, nbytes=nbytes,
-            resident=self.resident_bytes, shard=shard,
-            source=region.source_node, tenant=tenant, job=job,
-            analysis=analysis, timestep=timestep))
-        self._publish("capacity.register", t, shard, tenant, job,
-                      region=region.region_id, nbytes=nbytes,
-                      resident=self.resident_bytes, analysis=analysis,
-                      step=timestep)
+        resident = self.resident_bytes = self.resident_bytes + nbytes
+        if self._peak is None or resident > self._peak:
+            self._peak = resident
+            self._peak_t = t
+        entry = LedgerEntry(
+            self, t, "register", region.region_id, nbytes, resident, shard,
+            region.source_node, ctx.get("tenant") or UNATTRIBUTED,
+            ctx.get("job") or UNATTRIBUTED, meta.get("analysis"),
+            meta.get("timestep"))
+        self._attribution[(shard, region.region_id)] = entry
+        self._log.append(entry)
 
     def on_release(self, region: "RdmaRegion", shard: str) -> None:
-        t = self.now()
-        attribution = self._attribution.pop((shard, region.region_id), None)
-        if attribution is None:
+        t = self._clock()
+        reg = self._attribution.pop((shard, region.region_id), None)
+        if reg is None:
             # Registered before the ledger attached: attribute to the
-            # releasing context so the books still balance.
-            tenant, job = self._attr_tags()
-            attribution = {"tenant": tenant, "job": job, "shard": shard,
-                           "source": region.source_node,
-                           "analysis": region.meta.get("analysis"),
-                           "timestep": region.meta.get("timestep"),
-                           "nbytes": int(region.nbytes)}
-            self.resident_bytes += attribution["nbytes"]
-            self.registered_bytes_total += attribution["nbytes"]
-            for kind, name in self._scope_keys(attribution):
-                acct = self._scope(kind, name)
-                acct.resident += attribution["nbytes"]
-                acct.registered += attribution["nbytes"]
-        nbytes = attribution["nbytes"]
-        self.resident_bytes -= nbytes
-        self.released_bytes_total += nbytes
-        self.n_releases += 1
-        self._resident_gauge.set(self.resident_bytes)
-        for kind, name in self._scope_keys(attribution):
-            acct = self._scope(kind, name)
-            acct.resident -= nbytes
-            acct.released += nbytes
-            acct.gauge.set(acct.resident)
-        self.entries.append(LedgerEntry(
-            t=t, op="release", region_id=region.region_id, nbytes=nbytes,
-            resident=self.resident_bytes, shard=attribution["shard"],
-            source=attribution["source"], tenant=attribution["tenant"],
-            job=attribution["job"], analysis=attribution["analysis"],
-            timestep=attribution["timestep"]))
-        self._publish("capacity.release", t, attribution["shard"],
-                      attribution["tenant"], attribution["job"],
-                      region=region.region_id, nbytes=nbytes,
-                      resident=self.resident_bytes,
-                      analysis=attribution["analysis"],
-                      step=attribution["timestep"])
-
-    @staticmethod
-    def _scope_keys(attribution: dict[str, Any]
-                    ) -> tuple[tuple[str, str], ...]:
-        return (("tenant", attribution["tenant"]),
-                ("shard", attribution["shard"]),
-                ("source", attribution["source"]),
-                ("analysis", attribution["analysis"] or UNATTRIBUTED))
+            # releasing context. The region was never booked, so resident
+            # stays put; the fold books it in and out so totals balance.
+            ctx = self._tracer.ctx
+            meta = region.meta
+            resident = self.resident_bytes
+            entry = LedgerEntry(
+                self, t, "release", region.region_id, int(region.nbytes),
+                resident, shard, region.source_node,
+                ctx.get("tenant") or UNATTRIBUTED,
+                ctx.get("job") or UNATTRIBUTED,
+                meta.get("analysis"), meta.get("timestep"))
+        else:
+            resident = self.resident_bytes = self.resident_bytes - reg.nbytes
+            entry = LedgerEntry(
+                self, t, "release", reg.region_id, reg.nbytes, resident,
+                reg.shard, reg.source, reg.tenant, reg.job, reg.analysis,
+                reg.timestep)
+        if self._peak is None or resident > self._peak:
+            self._peak = resident
+            self._peak_t = t
+        self._log.append(entry)
 
     def on_transfer(self, t_start: float, t_end: float, nbytes: int,
                     protocol: str, src: str, dest: str, shard: str,
                     analysis: str | None = None) -> None:
         """Record one granted-bytes NIC interval (the wire time of a
         pull, excluding NIC-channel queueing)."""
-        tenant, job = self._attr_tags()
-        nbytes = int(nbytes)
-        self.transfers.append(TransferEntry(
-            t_start=t_start, t_end=t_end, nbytes=nbytes, protocol=protocol,
-            src=src, dest=dest, shard=shard, tenant=tenant, job=job,
-            analysis=analysis))
-        for kind, name in (("tenant", tenant), ("shard", shard),
-                           ("source", src),
-                           ("analysis", analysis or UNATTRIBUTED)):
-            self._scope(kind, name).nic_bytes += nbytes
-        self._publish("capacity.transfer", t_end, shard, tenant, job,
-                      nbytes=nbytes, protocol=protocol, src=src, dest=dest,
-                      t_start=t_start, analysis=analysis)
+        ctx = self._tracer.ctx
+        self._log.append(TransferEntry(
+            self, t_start, t_end, int(nbytes), protocol, src, dest, shard,
+            ctx.get("tenant") or UNATTRIBUTED, ctx.get("job") or UNATTRIBUTED,
+            analysis))
 
-    def _publish(self, name: str, t: float, shard: str, tenant: str,
-                 job: str, **data: Any) -> None:
-        bus = self._tracer.bus
-        if bus is not None:
-            bus.publish(KIND_CAPACITY, name, t=t, lane=shard,
-                        tenant=None if tenant == UNATTRIBUTED else tenant,
-                        job_id=None if job == UNATTRIBUTED else job, **data)
+    # -- folds over the ledger's deltas ---------------------------------------
+
+    def _deltas(self) -> list[LedgerEntry | TransferEntry]:
+        """This ledger's records, in emit order."""
+        return [rec for rec in self._log[self._mark:]
+                if type(rec) in (LedgerEntry, TransferEntry)
+                and rec.ledger is self]
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        """Every staging-memory transition (register/release/leak)."""
+        return [d for d in self._deltas() if type(d) is LedgerEntry]
+
+    @property
+    def transfers(self) -> list[TransferEntry]:
+        """Every granted-bytes NIC interval."""
+        return [d for d in self._deltas() if type(d) is TransferEntry]
 
     # -- leak detection & the report -----------------------------------------
 
@@ -546,42 +381,39 @@ class CapacityLedger:
         for shard, registry in self._registries:
             for region_id in sorted(registry.region_ids()):
                 region = registry.lookup(region_id)
-                attribution = self._attribution.get((shard, region_id), {})
+                reg = self._attribution.get((shard, region_id))
                 leaks.append({
                     "region_id": region_id,
                     "nbytes": int(region.nbytes),
-                    "shard": attribution.get("shard", shard),
+                    "shard": reg.shard if reg is not None else shard,
                     "source": region.source_node,
                     "analysis": region.meta.get("analysis"),
                     "timestep": region.meta.get("timestep"),
-                    "tenant": attribution.get("tenant", UNATTRIBUTED),
-                    "job": attribution.get("job", UNATTRIBUTED),
+                    "tenant": reg.tenant if reg is not None
+                    else UNATTRIBUTED,
+                    "job": reg.job if reg is not None else UNATTRIBUTED,
                     "pull_count": region.pull_count,
                 })
         return leaks
 
     def finalize(self) -> CapacityReport:
-        """Scan for leaks and assemble the report (idempotent)."""
+        """Scan for leaks and fold the deltas into the report
+        (idempotent)."""
         if self._report is not None:
             return self._report
         leaks = self.scan_leaks()
         t = self.now()
         for leak in leaks:
-            self.entries.append(LedgerEntry(
-                t=t, op="leak", region_id=leak["region_id"],
-                nbytes=leak["nbytes"], resident=self.resident_bytes,
-                shard=leak["shard"], source=leak["source"],
-                tenant=leak["tenant"], job=leak["job"],
-                analysis=leak["analysis"], timestep=leak["timestep"]))
-            self._publish("capacity.leak", t, leak["shard"], leak["tenant"],
-                          leak["job"], region=leak["region_id"],
-                          nbytes=leak["nbytes"], analysis=leak["analysis"],
-                          step=leak["timestep"])
-        nic_peak, nic_peak_t, nic_busy = self._nic_occupancy()
-        wm = self._resident_gauge.watermark()
-        peak = int(wm["max"]) if wm["max"] is not None else 0
+            self._log.append(LedgerEntry(
+                self, t, "leak", leak["region_id"], leak["nbytes"],
+                self.resident_bytes, leak["shard"], leak["source"],
+                leak["tenant"], leak["job"], leak["analysis"],
+                leak["timestep"]))
+        deltas = self._deltas()
+        nic_peak, nic_peak_t, nic_busy = _nic_occupancy(
+            [d for d in deltas if type(d) is TransferEntry])
+        peak = self.peak_resident_bytes
         bound = self.analytic_bound_bytes
-        violations = int(bound is not None and peak > bound)
         if self._tracer.enabled:
             metrics = self._tracer.metrics
             metrics.gauge("capacity.peak_resident_bytes").set(peak)
@@ -592,60 +424,121 @@ class CapacityLedger:
         self._report = CapacityReport(
             analytic_bound_bytes=bound,
             peak_resident_bytes=peak,
-            peak_t=wm["max_t"],
+            peak_t=self._peak_t,
             final_resident_bytes=self.resident_bytes,
-            registered_bytes_total=self.registered_bytes_total,
-            released_bytes_total=self.released_bytes_total,
-            n_registers=self.n_registers,
-            n_releases=self.n_releases,
             nic_peak_bytes=nic_peak,
             nic_peak_t=nic_peak_t,
-            nic_bytes_total=sum(tr.nbytes for tr in self.transfers),
             nic_busy_seconds=nic_busy,
-            n_transfers=len(self.transfers),
-            by_tenant={k: v.to_dict()
-                       for k, v in self._scopes["tenant"].items()},
-            by_shard={k: v.to_dict()
-                      for k, v in self._scopes["shard"].items()},
-            by_source={k: v.to_dict()
-                       for k, v in self._scopes["source"].items()},
-            by_analysis={k: v.to_dict()
-                         for k, v in self._scopes["analysis"].items()},
             leaks=leaks,
-            resident_series=list(self._resident_gauge.series or []),
-            headroom_violations=violations,
+            headroom_violations=int(bound is not None and peak > bound),
+            **_fold_deltas(deltas),
         )
         return self._report
 
-    def _nic_occupancy(self) -> tuple[int, float | None, float]:
-        """Peak concurrent granted bytes, when it was reached, and total
-        seconds any transfer occupied the wire (interval sweep)."""
-        if not self.transfers:
-            return 0, None, 0.0
-        events: list[tuple[float, int, int]] = []
-        for tr in self.transfers:
-            # At equal times, releases (order 0) precede grants (order 1)
-            # so back-to-back transfers do not count as concurrent.
-            events.append((tr.t_start, 1, tr.nbytes))
-            events.append((tr.t_end, 0, -tr.nbytes))
-        events.sort(key=lambda e: (e[0], e[1]))
-        active = 0
-        peak = 0
-        peak_t: float | None = None
-        busy = 0.0
-        busy_since: float | None = None
-        for t, _order, delta in events:
-            prev = active
-            active += delta
-            if prev == 0 and active > 0:
-                busy_since = t
-            elif prev > 0 and active == 0 and busy_since is not None:
-                busy += t - busy_since
-                busy_since = None
-            if active > peak:
-                peak = active
-                peak_t = t
-        return peak, peak_t, busy
+
+def _fold_deltas(deltas: list[LedgerEntry | TransferEntry]) -> dict[str, Any]:
+    """One pass over a ledger's deltas: the report's totals, resident
+    series and per-scope accounts (tenant / shard / source / analysis).
+
+    A scope account is integer resident-bytes accounting with the
+    watermark a live gauge would have kept: ``peak_bytes`` is the highest
+    resident value right after a register or release and ``peak_t`` the
+    first time it was reached. A release whose region was registered
+    before the ledger attached is booked in and out in one step: it moves
+    the registered/released totals, not the resident count.
+    """
+    # Per scope kind: name -> [resident, registered, released, nic,
+    # peak, peak_t].
+    accounts: tuple[dict[str, list[Any]], ...] = ({}, {}, {}, {})
+    series: list[tuple[float, int]] = []
+    live: set[tuple[str, str]] = set()
+    registered = released = n_registers = n_releases = 0
+    nic_bytes = n_transfers = 0
+    for d in deltas:
+        n = d.nbytes
+        resident = booked_in = booked_out = wire = 0
+        moves = type(d) is LedgerEntry  # a transfer moves no watermark
+        if not moves:
+            n_transfers += 1
+            nic_bytes += n
+            wire = n
+            names = (d.tenant, d.shard, d.src, d.analysis or UNATTRIBUTED)
+        elif d.op == "leak":
+            continue
+        else:
+            series.append((d.t, d.resident))
+            names = (d.tenant, d.shard, d.source, d.analysis or UNATTRIBUTED)
+            region = (d.shard, d.region_id)
+            if d.op == "register":
+                live.add(region)
+                n_registers += 1
+                resident = booked_in = n
+            elif region in live:
+                live.discard(region)
+                n_releases += 1
+                resident, booked_out = -n, n
+            else:  # registered before the ledger attached
+                n_releases += 1
+                booked_in = booked_out = n
+            registered += booked_in
+            released += booked_out
+        for scope, name in zip(accounts, names):
+            acct = scope.get(name)
+            if acct is None:
+                acct = scope[name] = [0, 0, 0, 0, None, None]
+            acct[0] += resident
+            acct[1] += booked_in
+            acct[2] += booked_out
+            acct[3] += wire
+            if moves and (acct[4] is None or acct[0] > acct[4]):
+                acct[4] = acct[0]
+                acct[5] = d.t
+    fold: dict[str, Any] = {
+        "by_" + kind: {name: {"resident_bytes": a[0],
+                              "registered_bytes": a[1],
+                              "released_bytes": a[2], "nic_bytes": a[3],
+                              "peak_bytes": a[4] if a[4] is not None else 0,
+                              "peak_t": a[5]}
+                       for name, a in scope.items()}
+        for kind, scope in zip(("tenant", "shard", "source", "analysis"),
+                               accounts)}
+    fold.update(resident_series=series, registered_bytes_total=registered,
+                released_bytes_total=released, n_registers=n_registers,
+                n_releases=n_releases, nic_bytes_total=nic_bytes,
+                n_transfers=n_transfers)
+    return fold
+
+
+def _nic_occupancy(transfers: list[TransferEntry]
+                   ) -> tuple[int, float | None, float]:
+    """Peak concurrent granted bytes, when it was reached, and total
+    seconds any transfer occupied the wire (interval sweep)."""
+    if not transfers:
+        return 0, None, 0.0
+    events: list[tuple[float, int, int]] = []
+    for tr in transfers:
+        # At equal times, releases (order 0) precede grants (order 1)
+        # so back-to-back transfers do not count as concurrent.
+        events.append((tr.t_start, 1, tr.nbytes))
+        events.append((tr.t_end, 0, -tr.nbytes))
+    events.sort(key=itemgetter(0, 1))
+    active = 0
+    peak = 0
+    peak_t: float | None = None
+    busy = 0.0
+    busy_since: float | None = None
+    for t, _order, delta in events:
+        prev = active
+        active += delta
+        if prev == 0 and active > 0:
+            busy_since = t
+        elif prev > 0 and active == 0 and busy_since is not None:
+            busy += t - busy_since
+            busy_since = None
+        if active > peak:
+            peak = active
+            peak_t = t
+    return peak, peak_t, busy
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
+from operator import itemgetter
 from typing import Any
 
 from repro.obs.flow import FlowContext, FlowHop
@@ -71,13 +72,11 @@ def _assign_rows(spans: list[SpanRecord], clock: str
                  ) -> list[list[SpanRecord]]:
     """Pack a lane's spans onto rows where spans are disjoint or properly
     nested — the invariant that makes ``B``/``E`` emission balance."""
-    ordered = sorted(spans, key=lambda s: (_span_times(s, clock)[0],
-                                           -_span_times(s, clock)[1],
-                                           s.span_id))
+    timed = [(*_span_times(span, clock), span) for span in spans]
+    timed.sort(key=lambda item: (item[0], -item[1], item[2].span_id))
     rows: list[list[SpanRecord]] = []
     open_ends: list[list[float]] = []  # per row, stack of open end times
-    for span in ordered:
-        start, end = _span_times(span, clock)
+    for start, end, span in timed:
         placed = False
         for row, ends in zip(rows, open_ends):
             while ends and ends[-1] <= start:
@@ -204,25 +203,19 @@ def to_chrome_trace(trace: Trace, metrics: MetricsRegistry | None = None,
 
     if metrics is not None:
         metrics_pid = len(lanes) + 1
-        emitted_meta = False
-        for name, counter in sorted(metrics.counters.items()):
-            for t, value in counter.series or []:
-                events.append({"name": name, "ph": "C", "ts": t * _US,
-                               "pid": metrics_pid, "tid": 0,
-                               "args": {"value": value}})
-                emitted_meta = True
-        for name, gauge in sorted(metrics.gauges.items()):
-            for t, value in gauge.series or []:
-                events.append({"name": name, "ph": "C", "ts": t * _US,
-                               "pid": metrics_pid, "tid": 0,
-                               "args": {"value": value}})
-                emitted_meta = True
-        if emitted_meta:
+        n_before = len(events)
+        for group in (metrics.counters, metrics.gauges):
+            for name, inst in sorted(group.items()):
+                events.extend([
+                    {"name": name, "ph": "C", "ts": t * _US,
+                     "pid": metrics_pid, "tid": 0, "args": {"value": value}}
+                    for t, value in inst.series or ()])
+        if len(events) > n_before:
             events.append({"name": "process_name", "ph": "M", "ts": 0,
                            "pid": metrics_pid, "tid": 0,
                            "args": {"name": "metrics"}})
 
-    events.sort(key=lambda e: e["ts"])  # stable: preserves B/E order at ties
+    events.sort(key=itemgetter("ts"))  # stable: preserves B/E order at ties
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -374,7 +367,7 @@ def load_trace_jsonl(path: str) -> Trace:
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
             kind = rec.get("type")
             if kind == "span":
-                trace.spans.append(SpanRecord(
+                trace.log.append(SpanRecord(
                     name=rec["name"], lane=rec["lane"],
                     span_id=rec["span_id"], parent_id=rec.get("parent_id"),
                     t_start=rec["t_start"],
@@ -388,7 +381,7 @@ def load_trace_jsonl(path: str) -> Trace:
                               else math.nan),
                 ))
             elif kind == "instant":
-                trace.instants.append(InstantRecord(
+                trace.log.append(InstantRecord(
                     name=rec["name"], lane=rec["lane"], t=rec["t"],
                     wall_t=rec.get("wall_t", rec["t"]),
                     tags=rec.get("tags") or {}))
@@ -404,7 +397,6 @@ def load_trace_jsonl(path: str) -> Trace:
                                   span_id=h.get("span_id"),
                                   tags=h.get("tags") or {})
                           for h in rec.get("hops", [])]))
-    trace.version = len(trace.spans)
     return trace
 
 
@@ -452,7 +444,7 @@ def load_trace(path: str) -> Trace:
                 t_start=t, wall_start=t,
                 category=event.get("cat"),
                 tags=event.get("args") or {})
-            trace.spans.append(span)
+            trace.log.append(span)
             stack.append(span)
         elif ph == "E":
             stack = stacks.get((pid, event.get("tid")))
@@ -461,10 +453,9 @@ def load_trace(path: str) -> Trace:
                 span.t_end = t
                 span.wall_end = t
         elif ph == "i":
-            trace.instants.append(InstantRecord(
+            trace.log.append(InstantRecord(
                 name=event["name"], lane=lane, t=t, wall_t=t,
                 tags=event.get("args") or {}))
-    trace.version = len(trace.spans)
     return trace
 
 

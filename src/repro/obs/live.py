@@ -4,15 +4,17 @@ Everything else in :mod:`repro.obs` is post-hoc: traces, metrics and
 blame reports only exist once a replay has drained. This module turns the
 same probe/metric/flow machinery into a *live*, per-tenant ops surface:
 
-* :class:`TelemetryBus` — an in-process bounded ring of
-  :class:`BusEvent` records with subscriber cursors and drop-counting
-  backpressure. Tracer spans (on close), instants, probe samples, SLO
-  alerts, controller decisions and service job-lifecycle transitions
-  publish onto the bus *as they happen in DES time*. The bus attaches to
-  a recording :class:`~repro.obs.tracer.Tracer`
-  (``tracer.attach_bus(bus)``); under the shared
-  :data:`~repro.obs.tracer.NULL_TRACER` every publish site compiles out
-  to the existing ``tracer.enabled`` check, so the <5% disabled-tracer
+* :class:`TelemetryBus` — a bounded cursor window on the run's event
+  log (:mod:`repro.obs.events`) with subscriber cursors and
+  drop-counting backpressure. Closed spans, instants, probe samples and
+  ledger deltas are already in the log — the sites that emit them never
+  touch the bus — and SLO alerts, controller decisions and service
+  job-lifecycle transitions are published onto it *as they happen in
+  DES time*. The bus attaches to a recording
+  :class:`~repro.obs.tracer.Tracer` (``tracer.attach_bus(bus)``);
+  :class:`BusEvent` objects are built when a subscriber polls, never
+  per emit, and under the shared :data:`~repro.obs.tracer.NULL_TRACER`
+  there is no log and nothing to window, so the <5% disabled-tracer
   overhead guard is untouched.
 * :class:`SloObjective` + :class:`BurnRateMonitor` — tenant-scoped SLO
   objectives with rolling burn-rate evaluation over fast and slow
@@ -38,6 +40,14 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
+
+from repro.obs.events import (
+    UNATTRIBUTED,
+    LedgerEntry,
+    SampleRow,
+    TransferEntry,
+)
+from repro.obs.tracer import InstantRecord, SpanRecord
 
 __all__ = [
     "Alert",
@@ -66,7 +76,7 @@ KIND_CAPACITY = "capacity"
 
 @dataclass(frozen=True)
 class BusEvent:
-    """One telemetry event on the bus (immutable once published).
+    """One telemetry event on the bus (immutable).
 
     ``t`` is the publishing clock's time: service-engine seconds for
     service-layer events, job-local replay seconds for events published
@@ -98,8 +108,62 @@ def event_to_json(event: BusEvent) -> str:
                       separators=(",", ":"))
 
 
+def _attributed(owner: str) -> str | None:
+    return None if owner == UNATTRIBUTED else owner
+
+
+def _fold_events(log: list[Any], lo: int, hi: int, offset: int
+                 ) -> list[BusEvent]:
+    """The bus events of log slots ``[lo, hi)``; slot ``i`` is sequence
+    number ``i + offset``."""
+    events: list[BusEvent] = []
+    for i in range(lo, hi):
+        rec = log[i]
+        cls = type(rec)
+        if cls is BusEvent:
+            events.append(rec)
+            continue
+        if cls is SpanRecord:
+            tags = rec.tags
+            fields = (rec.t_end, rec.name, rec.lane,
+                      tags.get("tenant"), tags.get("job"),
+                      {"t_start": rec.t_start,
+                       "duration": rec.t_end - rec.t_start,
+                       "stage": tags.get("stage"), "category": rec.category})
+        elif cls is InstantRecord:
+            tags = rec.tags
+            fields = (rec.t, rec.name, rec.lane,
+                      tags.get("tenant"), tags.get("job"),
+                      {k: v for k, v in tags.items()
+                       if k != "tenant" and k != "job"})
+        elif cls is SampleRow:
+            k = i - rec.pos0
+            fields = (rec.t, rec.names[k], "probe", rec.tenant, rec.job,
+                      {"value": rec.values[k]})
+        elif cls is TransferEntry:
+            fields = (rec.t_end, "capacity.transfer", rec.shard,
+                      _attributed(rec.tenant), _attributed(rec.job),
+                      {"nbytes": rec.nbytes, "protocol": rec.protocol,
+                       "src": rec.src, "dest": rec.dest,
+                       "t_start": rec.t_start, "analysis": rec.analysis})
+        elif cls is LedgerEntry:
+            data = {"region": rec.region_id, "nbytes": rec.nbytes,
+                    "resident": rec.resident, "analysis": rec.analysis,
+                    "step": rec.timestep}
+            if rec.op == "leak":
+                del data["resident"]
+            fields = (rec.t, "capacity." + rec.op, rec.shard,
+                      _attributed(rec.tenant), _attributed(rec.job), data)
+        else:
+            raise TypeError(f"log slot {i} holds no event record: {rec!r}")
+        t, name, lane, tenant, job, data = fields
+        events.append(BusEvent(i + offset, t, rec.kind, name, lane, tenant,
+                               job, data))
+    return events
+
+
 class BusSubscriber:
-    """A cursor over the bus. Falling behind the ring loses the oldest
+    """A cursor over the bus. Falling behind the window loses the oldest
     events — :attr:`dropped` counts them; the cursor never goes
     backwards."""
 
@@ -110,25 +174,27 @@ class BusSubscriber:
         self.name = name
         #: Next sequence number this subscriber will read.
         self.cursor = bus.start_seq
-        #: Events this subscriber lost to ring overflow.
+        #: Events this subscriber lost to window overflow.
         self.dropped = 0
 
     def poll(self, max_events: int | None = None) -> list[BusEvent]:
         """Events published since the last poll (oldest first).
 
-        If the ring overflowed past the cursor, the lost events are
+        If the window overflowed past the cursor, the lost events are
         added to :attr:`dropped` and the cursor jumps forward to the
-        oldest retained event — it never moves backwards.
+        oldest retained event — it never moves backwards. The cost is
+        the events returned, not the window size.
         """
         bus = self.bus
-        if self.cursor < bus.start_seq:
-            self.dropped += bus.start_seq - self.cursor
-            self.cursor = bus.start_seq
-        lo = self.cursor - bus.start_seq
-        events = list(bus.ring)[lo:]
-        if max_events is not None and len(events) > max_events:
-            events = events[:max_events]
-        self.cursor += len(events)
+        start = bus.start_seq
+        if self.cursor < start:
+            self.dropped += start - self.cursor
+            self.cursor = start
+        head = bus.published
+        if max_events is not None:
+            head = min(head, self.cursor + max(max_events, 0))
+        events = bus.events(self.cursor, head)
+        self.cursor = head
         return events
 
     @property
@@ -139,11 +205,15 @@ class BusSubscriber:
 
 
 class TelemetryBus:
-    """Bounded in-process event ring with independent subscriber cursors.
+    """A bounded cursor window on an event log.
 
-    ``publish`` is an O(1) append; once ``capacity`` events are retained
-    the oldest is evicted (``dropped_total`` counts evictions — the
-    backpressure signal). Subscribers each hold their own cursor and
+    The bus stores nothing per event. Its log is the attached tracer's
+    (:meth:`Tracer.attach_bus <repro.obs.tracer.Tracer.attach_bus>`) or,
+    standalone, a private list; either way one log slot is one event and
+    ``seq = slot + offset``, so :attr:`published`, :attr:`start_seq` and
+    :attr:`dropped_total` are arithmetic on positions. The window holds
+    the newest ``capacity`` events; older ones are *dropped* — the
+    backpressure signal — and subscribers, each with their own cursor,
     observe their personal losses via :attr:`BusSubscriber.dropped`.
     """
 
@@ -151,41 +221,105 @@ class TelemetryBus:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.ring: deque[BusEvent] = deque()
-        #: Total events ever published (the next event's seq).
-        self.published = 0
-        #: Sequence number of the oldest retained event.
-        self.start_seq = 0
-        #: Events evicted from the ring (ring overflow backpressure).
-        self.dropped_total = 0
-        #: Evictions broken down by the evicted event's ``kind`` — loss
-        #: of any one stream (e.g. ``capacity``) stays attributable even
-        #: when another kind dominates the churn.
-        self.dropped_by_kind: dict[str, int] = {}
+        self._log: list[Any] = []
+        #: Sequence number of ``_log[0]``.
+        self._offset = 0
+        #: A tracer's log is shared and never trimmed; a private one is
+        #: cut back to the window as it moves.
+        self._shared = False
+        self._dropped_by_kind: dict[str, int] = {}
+        #: Evictions below this sequence number are counted already.
+        self._drops_folded = 0
         self.subscribers: list[BusSubscriber] = []
+
+    @property
+    def published(self) -> int:
+        """Total events ever published (the next event's seq)."""
+        return len(self._log) + self._offset
+
+    @property
+    def start_seq(self) -> int:
+        """Sequence number of the oldest retained event."""
+        return max(0, self.published - self.capacity)
+
+    @property
+    def dropped_total(self) -> int:
+        """Events evicted from the window (overflow backpressure)."""
+        return self.start_seq
+
+    @property
+    def dropped_by_kind(self) -> dict[str, int]:
+        """Evictions broken down by the evicted event's ``kind`` — loss
+        of any one stream (e.g. ``capacity``) stays attributable even
+        when another kind dominates the churn."""
+        self._fold_drops()
+        return self._dropped_by_kind
+
+    def _fold_drops(self) -> None:
+        """Count the kinds of the events evicted since the last fold
+        (run before their slots go out of reach)."""
+        counts, log, offset = self._dropped_by_kind, self._log, self._offset
+        for seq in range(self._drops_folded, self.start_seq):
+            kind = log[seq - offset].kind
+            counts[kind] = counts.get(kind, 0) + 1
+        self._drops_folded = self.start_seq
+
+    def __len__(self) -> int:
+        return self.published - self.start_seq
+
+    def attach(self, log: list[Any]) -> None:
+        """Window ``log`` from its current end on (the tracer calls this).
+        Events already on the bus are carried over, sequence intact."""
+        if log is not self._log:
+            self.detach()
+            self._offset -= len(log)
+            log.extend(self._log)
+            self._log, self._shared = log, True
+
+    def detach(self) -> None:
+        """Stop following a shared log: keep the retained window as
+        built events (independent of the tracer's positions) and carry
+        on from the same sequence."""
+        if self._shared:
+            self._fold_drops()
+            start = self.start_seq
+            self._log = self.events(start, self.published)
+            self._offset, self._shared = start, False
 
     def publish(self, kind: str, name: str, *, t: float, lane: str = "bus",
                 tenant: str | None = None, job_id: str | None = None,
                 **data: Any) -> BusEvent:
-        event = BusEvent(seq=self.published, t=t, kind=kind, name=name,
-                         lane=lane, tenant=tenant, job_id=job_id, data=data)
-        self.ring.append(event)
-        self.published += 1
-        if len(self.ring) > self.capacity:
-            evicted = self.ring.popleft()
-            self.start_seq += 1
-            self.dropped_total += 1
-            self.dropped_by_kind[evicted.kind] = (
-                self.dropped_by_kind.get(evicted.kind, 0) + 1)
+        log = self._log
+        event = BusEvent(len(log) + self._offset, t, kind, name, lane,
+                         tenant, job_id, data)
+        log.append(event)
+        if not self._shared and len(log) > 2 * self.capacity:
+            self._fold_drops()
+            trimmed = len(log) - self.capacity
+            del log[:trimmed]
+            self._offset += trimmed
         return event
+
+    def events(self, lo: int, hi: int) -> list[BusEvent]:
+        """The retained events with ``lo <= seq < hi``, oldest first."""
+        lo = max(lo, self.start_seq)
+        hi = min(hi, self.published)
+        return _fold_events(self._log, lo - self._offset, hi - self._offset,
+                            self._offset)
+
+    def latest(self, kinds: tuple[str, ...], n: int) -> list[BusEvent]:
+        """The newest ``n`` retained events of the given kinds, oldest
+        first (only the matches are built)."""
+        log, offset = self._log, self._offset
+        seqs = [seq for seq in range(self.start_seq, self.published)
+                if log[seq - offset].kind in kinds]
+        return [event for seq in seqs[max(len(seqs) - n, 0):]
+                for event in self.events(seq, seq + 1)]
 
     def subscribe(self, name: str = "subscriber") -> BusSubscriber:
         sub = BusSubscriber(self, name)
         self.subscribers.append(sub)
         return sub
-
-    def __len__(self) -> int:
-        return len(self.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +549,7 @@ def render_top(service: "CampaignService", bus: TelemetryBus | None = None,
         f"{pool.n_workers - pool.idle_count()}/{pool.n_workers} busy")
     if bus is not None:
         lines.append(
-            f"bus: {bus.published} events published, {len(bus.ring)} "
+            f"bus: {bus.published} events published, {len(bus)} "
             f"retained, {bus.dropped_total} dropped "
             f"({len(bus.subscribers)} subscriber(s))")
         if bus.dropped_by_kind:
@@ -454,8 +588,7 @@ def render_top(service: "CampaignService", bus: TelemetryBus | None = None,
         for alert in monitor.active():
             lines.append(f"  [{alert.severity}] {alert.message}")
     if bus is not None and ticker > 0:
-        recent = [e for e in bus.ring
-                  if e.kind in (KIND_DECISION, KIND_ALERT)][-ticker:]
+        recent = bus.latest((KIND_DECISION, KIND_ALERT), ticker)
         if recent:
             lines.append("ticker (decisions & alerts):")
             for e in recent:

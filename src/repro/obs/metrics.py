@@ -49,9 +49,10 @@ class Counter:
         if delta < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease "
                              f"(delta={delta})")
-        self.value += delta
-        if self.series is not None:
-            self.series.append((self._clock(), self.value))
+        value = self.value = self.value + delta
+        series = self.series
+        if series is not None:
+            series.append((self._clock(), value))
 
 
 class Gauge:
@@ -109,31 +110,6 @@ class Gauge:
                 "min": self.vmin,
                 "min_t": None if math.isnan(self.t_vmin) else self.t_vmin,
                 "samples": self.n_samples}
-
-    def mirror(self, samples: list[tuple[float, float]]) -> None:
-        """Bulk-replay a ``(time, value)`` series into the gauge.
-
-        Produces the exact end-state of calling :meth:`set` once per
-        sample at its recorded time — last value, min/max envelope,
-        sample count, and (when the registry records series) the
-        timestamped series itself — without touching the live clock, so
-        post-run mirrors (e.g. :meth:`repro.obs.probes.ProbeSampler.finalize`)
-        keep the samples' original timestamps.
-        """
-        if not samples:
-            return
-        values = [v for _t, v in samples]
-        self.value = values[-1]
-        lo, hi = min(values), max(values)
-        if lo < self.vmin:
-            self.vmin = lo
-            self.t_vmin = next(t for t, v in samples if v == lo)
-        if hi > self.vmax:
-            self.vmax = hi
-            self.t_vmax = next(t for t, v in samples if v == hi)
-        self.n_samples += len(samples)
-        if self.series is not None:
-            self.series.extend(samples)
 
 
 class Histogram:
@@ -233,9 +209,6 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         pass
 
-    def mirror(self, samples: list[tuple[float, float]]) -> None:
-        pass
-
     def watermark(self) -> dict[str, float | int | None]:
         return {"last": None, "max": None, "max_t": None,
                 "min": None, "min_t": None, "samples": 0}
@@ -259,6 +232,17 @@ class MetricsRegistry:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
+
+    def rebind_clock(self, clock: Callable[[], float]) -> None:
+        """Stamp every instrument, present and future, from ``clock``.
+
+        Instruments call their clock directly, so a tracer whose trace
+        clock moves to a new engine re-points them here, once, instead
+        of routing every update through an indirection.
+        """
+        self._clock = clock
+        for inst in (*self.counters.values(), *self.gauges.values()):
+            inst._clock = clock
 
     def counter(self, name: str) -> Counter:
         inst = self.counters.get(name)
@@ -286,9 +270,11 @@ class MetricsRegistry:
         return inst
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
-        """All current values as plain (JSON-safe) data."""
+        """All current values as plain (JSON-safe) data; instruments
+        that were created (bound by a site) but never updated stay out."""
         return {
-            "counters": {n: c.value for n, c in sorted(self.counters.items())},
+            "counters": {n: c.value for n, c in sorted(self.counters.items())
+                         if c.value or c.series},
             "gauges": {n: {"last": g.value, "min": g.vmin, "max": g.vmax,
                            "samples": g.n_samples}
                        for n, g in sorted(self.gauges.items())

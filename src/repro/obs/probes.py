@@ -1,4 +1,4 @@
-"""Live probes: periodic DES-clock sampling of gauges plus SLO rules.
+"""Live probes: periodic DES-clock sampling of live state plus SLO rules.
 
 A :class:`ProbeSampler` attaches to a :class:`~repro.des.engine.Engine`
 (``engine.attach_probe``) and is driven by the event loop itself: every
@@ -9,6 +9,12 @@ bucket utilisation, RDMA-registered bytes). Because DES state only
 changes at events, sampling at dispatch granularity reproduces exactly
 what a real periodic sampler would have seen, without keeping the event
 heap alive or perturbing the schedule.
+
+Each tick appends one :class:`~repro.obs.events.SampleRow` — every
+probe's value at that instant — to the run's event log and does nothing
+else. The per-probe :attr:`ProbeSampler.series`, the ``probe.<name>``
+gauges behind the Chrome counter track, and the ``kind=probe`` bus
+events are all folds over those rows, computed when read.
 
 Two kinds of SLO rule ride on the sampler:
 
@@ -26,10 +32,12 @@ one per sample.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.obs.events import SampleRow
 from repro.obs.tracer import NullTracer, Tracer, get_tracer
 
 __all__ = [
@@ -43,10 +51,10 @@ __all__ = [
 ]
 
 _OPS: dict[str, Callable[[float, float], bool]] = {
-    "<": lambda v, t: v < t,
-    "<=": lambda v, t: v <= t,
-    ">": lambda v, t: v > t,
-    ">=": lambda v, t: v >= t,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -136,13 +144,15 @@ def insitu_share_slo(budget: float = 0.05) -> SummarySlo:
 
 
 class ProbeSampler:
-    """Periodic sampler over live gauges, driven by the DES clock.
+    """Periodic sampler over live state, driven by the DES clock.
 
     Attach with ``engine.attach_probe(sampler)`` *before* ``engine.run``.
-    Samples land in :attr:`series` (``name -> [(t, value), ...]``), are
-    mirrored into the tracer's ``probe.<name>`` gauges (so they reach the
-    Chrome counter track), and feed the sampled SLO rules. Call
-    :meth:`finalize` once the run has drained to evaluate summary rules.
+    Each tick is one :class:`~repro.obs.events.SampleRow` in the tracer's
+    event log (a private list under the null tracer) and feeds the
+    sampled SLO rules; :attr:`series` folds the rows per probe. Call
+    :meth:`finalize` once the run has drained to fold them into the
+    tracer's ``probe.<name>`` gauges (so they reach the Chrome counter
+    track) and evaluate the summary rules.
     """
 
     def __init__(self, interval: float,
@@ -159,86 +169,98 @@ class ProbeSampler:
         self.probes = dict(probes)
         self.rules: tuple[SloRule | SummarySlo, ...] = tuple(slos)
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.series: dict[str, list[tuple[float, float]]] = {
-            name: [] for name in self.probes}
         self.alerts: list[SloAlert] = []
         self.n_samples = 0
         self.max_samples = max_samples
+        self._log: list[Any] = self.tracer.log if self.tracer.enabled else []
+        #: Log position of this sampler's first row (its rows lie beyond).
+        self._mark = len(self._log)
         self._next = start
         self._breached: set[str] = set()
         #: (rule id, instant) pairs already alerted — a sampled rule and
         #: a summary rule sharing a name must not double-fire one window.
         self._alerted: set[tuple[str, float]] = set()
-        self._sampled_rules = [r for r in self.rules
-                               if isinstance(r, SloRule)]
+        #: Probe names: shared by every row, and what marks a row as ours.
+        self._names = tuple(self.probes)
+        self._fns = tuple(self.probes.values())
+        self._checks = [(r, self._names.index(r.probe), _OPS[r.op])
+                        for r in self.rules
+                        if isinstance(r, SloRule) and r.probe in self.probes]
         self._summary_rules = [r for r in self.rules
                                if isinstance(r, SummarySlo)]
-        # Bound once, lazily: (name, fn, series list, gauge) per probe —
-        # the per-sample loop must not re-do registry/dict lookups.
-        self._rows: list[tuple[str, Callable[[], float], list, Any]] | None \
-            = None
+        self._series: dict[str, list[tuple[float, float]]] = {}
+        self._series_ticks = -1
 
     # -- engine hook ---------------------------------------------------------
 
     def on_advance(self, now: float) -> None:
         """Called by the engine whenever the simulated clock advances."""
+        log, names = self._log, self._names
         while self._next <= now + 1e-12 and self.n_samples < self.max_samples:
-            self._sample(self._next)
+            t = self._next
             self._next += self.interval
+            self.n_samples += 1
+            values = []
+            for fn in self._fns:  # a comprehension would be one more frame
+                values.append(fn())
+            ctx = self.tracer.ctx
+            # One row, one slot per probe: log position stays bus sequence.
+            log.extend((SampleRow(t, len(log), names, tuple(values),
+                                  ctx.get("tenant"), ctx.get("job")),)
+                       * len(names))
+            for rule, i, healthy in self._checks:
+                if healthy(values[i], rule.threshold):
+                    self._breached.discard(rule.name)
+                elif rule.name not in self._breached:
+                    self._breached.add(rule.name)
+                    self._alert(rule.name, t, values[i], rule.threshold,
+                                rule.description or
+                                f"{rule.probe} {rule.op} {rule.threshold} "
+                                f"violated")
 
-    def _sample(self, t: float) -> None:
-        self.n_samples += 1
-        rows = self._rows
-        if rows is None:
-            metrics = self.tracer.metrics
-            rows = self._rows = [
-                (name, fn, self.series[name], metrics.gauge("probe." + name))
-                for name, fn in self.probes.items()]
-        check_rules = bool(self._sampled_rules)
-        bus = getattr(self.tracer, "bus", None)
-        ctx = self.tracer.context_tags() if bus is not None else {}
-        values: dict[str, float] = {}
-        for name, fn, series, _gauge in rows:
-            value = fn()
-            series.append((t, value))
-            if bus is not None:
-                bus.publish("probe", name, t=t, lane="probe",
-                            tenant=ctx.get("tenant"), job_id=ctx.get("job"),
-                            value=value)
-            if check_rules:
-                values[name] = value
-        for rule in self._sampled_rules:
-            value = values.get(rule.probe)
-            if value is None:
-                continue
-            if rule.healthy(value):
-                self._breached.discard(rule.name)
-            elif rule.name not in self._breached:
-                self._breached.add(rule.name)
-                self._alert(rule.name, t, value, rule.threshold,
-                            rule.description or
-                            f"{rule.probe} {rule.op} {rule.threshold} "
-                            f"violated")
+    # -- folds ---------------------------------------------------------------
 
-    # -- summary rules -------------------------------------------------------
+    @property
+    def series(self) -> dict[str, list[tuple[float, float]]]:
+        """``name -> [(t, value), ...]`` per probe, folded from this
+        sampler's rows in the log (cached until the next tick)."""
+        if self._series_ticks != self.n_samples:
+            names = self._names
+            rows = [rec for pos, rec in enumerate(self._log[self._mark:],
+                                                  self._mark)
+                    if type(rec) is SampleRow and rec.names is names
+                    and rec.pos0 == pos]
+            self._series = {name: [(row.t, row.values[i]) for row in rows]
+                            for i, name in enumerate(names)}
+            self._series_ticks = self.n_samples
+        return self._series
 
     def finalize(self, trace: Any) -> list[SloAlert]:
-        """Evaluate summary SLOs over the finished trace's stage totals
-        and mirror the sampled series into the ``probe.<name>`` gauges.
+        """Fold the rows into the ``probe.<name>`` gauges and evaluate
+        summary SLOs over the finished trace's stage totals.
 
-        The mirror happens here, not per sample — the sampler sits on
-        the engine's dispatch path, so the hot loop records into its own
-        lists only; gauges get the identical end-state (last value,
-        min/max, sample count) in one pass after the run drains.
+        A tick only appends its row; here, once, each gauge is brought to
+        the end-state of a ``set()`` per sample at the sample's own time
+        (last value, min/max envelope with first-reached timestamps,
+        sample count, series), on top of whatever an earlier sampler of
+        the same tracer left in it.
         """
-        if self._rows is not None:
-            for _name, _fn, series, gauge in self._rows:
-                # One bulk mirror replays the whole series: envelope,
-                # sample count, and timestamped samples all match a
-                # per-sample gauge.set() exactly.
-                gauge.mirror(series)
+        metrics = self.tracer.metrics
+        for name, samples in self.series.items():
+            if not samples:
+                continue
+            gauge = metrics.gauge("probe." + name)
+            for t, value in samples:
+                if value < gauge.vmin:
+                    gauge.vmin, gauge.t_vmin = value, t
+                if value > gauge.vmax:
+                    gauge.vmax, gauge.t_vmax = value, t
+            gauge.value = samples[-1][1]
+            gauge.n_samples += len(samples)
+            if gauge.series is not None:
+                gauge.series.extend(samples)
         totals = trace.stage_totals()
-        end = max((s.t_end for s in trace.closed_spans()), default=0.0)
+        end = max([s.t_end for s in trace.closed_spans()], default=0.0)
         for rule in self._summary_rules:
             value = rule.value_of(totals)
             if not rule.healthy(value):

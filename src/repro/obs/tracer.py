@@ -15,6 +15,13 @@ is open on the same lane records it as its parent. Overlapping,
 non-nesting spans on one lane (streaming prefetch pulls) are legal; the
 Chrome exporter splits them onto sub-rows.
 
+Storage is one append-only event log (``tracer.log``, see
+:mod:`repro.obs.events`): a span is appended when it closes, an instant
+when it fires, and the probe sampler and capacity ledger of the run
+append their records to the same list. :class:`Trace` — the span and
+instant lists, the tag index — is a fold over that log, and an attached
+:class:`~repro.obs.live.TelemetryBus` is a cursor window on it.
+
 Tracing is off by default and *near-zero cost* when off: the module-level
 singleton is a :class:`NullTracer` whose ``enabled`` flag instrument sites
 check once (or whose methods are shared no-ops). Enable it for a run with
@@ -31,6 +38,9 @@ import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Any
 
 from repro.obs.flow import FlowContext, FlowHop
@@ -51,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SpanRecord:
     """One traced activity on a lane, timed against both clocks."""
 
@@ -70,9 +80,12 @@ class SpanRecord:
     flow_in: list[int] | None = None
     flow_out: list[int] | None = None
 
+    #: Bus kind of this record class (see :mod:`repro.obs.events`).
+    kind = "span"
+
     @property
     def closed(self) -> bool:
-        return not math.isnan(self.t_end)
+        return self.t_end == self.t_end  # NaN until the span ends
 
     @property
     def duration(self) -> float:
@@ -89,7 +102,7 @@ class SpanRecord:
         return self.tags.get("stage")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class InstantRecord:
     """A point event on a lane (data-ready, assignment, notification)."""
 
@@ -99,56 +112,96 @@ class InstantRecord:
     wall_t: float
     tags: dict[str, Any] = field(default_factory=dict)
 
+    kind = "instant"
 
-@dataclass
+
+_SPAN_ID = attrgetter("span_id")
+
+
 class Trace:
-    """Everything one tracer recorded."""
+    """Everything one tracer recorded, folded from its event log.
 
-    spans: list[SpanRecord] = field(default_factory=list)
-    instants: list[InstantRecord] = field(default_factory=list)
-    flows: list[FlowContext] = field(default_factory=list)
-    #: Bumped by the tracer whenever a span closes (the set that feeds
-    #: :meth:`spans_with` changed) — invalidates the lazy tag index.
-    version: int = 0
-    _tag_index: dict[tuple[str, Any], list[SpanRecord]] | None = field(
-        default=None, repr=False, compare=False)
-    _tag_index_key: tuple[int, int] | None = field(
-        default=None, repr=False, compare=False)
+    ``log`` is the tracer's append-only record list; ``stacks`` are its
+    per-lane open spans, which reach the log only when they close. The
+    span and instant lists are folded incrementally (only records
+    appended since the last read are visited) and kept in ``span_id``
+    (begin) order. They are the fold's own: read them, do not mutate.
+    """
+
+    def __init__(self, log: list[Any] | None = None,
+                 stacks: dict[str, list[SpanRecord]] | None = None) -> None:
+        self.log: list[Any] = [] if log is None else log
+        self.flows: list[FlowContext] = []
+        self._stacks = {} if stacks is None else stacks
+        self._folded = 0
+        self._spans: list[SpanRecord] = []
+        self._instants: list[InstantRecord] = []
+        self._span_map: dict[int, SpanRecord] | None = None
+        self._tag_index: dict[tuple[str, Any], list[SpanRecord]] | None = None
+
+    def _fold(self) -> None:
+        log = self.log
+        if len(log) == self._folded:
+            return
+        for rec in log[self._folded:]:
+            if type(rec) is SpanRecord:
+                self._spans.append(rec)
+            elif type(rec) is InstantRecord:
+                self._instants.append(rec)
+        # Spans reach the log in close order; the view is begin-ordered.
+        self._spans.sort(key=_SPAN_ID)
+        self._folded = len(log)
+        self._span_map = self._tag_index = None
+
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """Every span, open ones included, in begin order."""
+        self._fold()
+        still_open = [s for stack in self._stacks.values() for s in stack]
+        if not still_open:
+            return self._spans
+        return sorted(self._spans + still_open, key=_SPAN_ID)
+
+    @property
+    def instants(self) -> list[InstantRecord]:
+        self._fold()
+        return self._instants
 
     def lanes(self) -> list[str]:
         seen = {s.lane for s in self.spans} | {i.lane for i in self.instants}
         return sorted(seen)
 
     def closed_spans(self) -> list[SpanRecord]:
-        return [s for s in self.spans if s.closed]
-
-    def open_spans(self) -> list[SpanRecord]:
-        return [s for s in self.spans if not s.closed]
+        self._fold()
+        return [s for s in self._spans if s.t_end == s.t_end]  # not NaN
 
     def span_map(self) -> dict[int, SpanRecord]:
-        """Span id -> span, for resolving flow chains."""
-        return {s.span_id: s for s in self.spans}
+        """Span id -> span, for resolving flow chains (cached until the
+        log grows; never while spans are still open)."""
+        spans = self.spans
+        if spans is not self._spans:
+            return {s.span_id: s for s in spans}
+        if self._span_map is None:
+            self._span_map = {s.span_id: s for s in spans}
+        return self._span_map
 
     def _index(self) -> dict[tuple[str, Any], list[SpanRecord]]:
-        """(key, value) -> closed spans, rebuilt when the trace changed.
+        """(key, value) -> closed spans, rebuilt when the log has grown.
 
         Unhashable tag *values* are left out of the index; they are only
         reachable through the linear fallback in :meth:`spans_with`
         (which an unhashable *query* value triggers).
         """
-        key = (self.version, len(self.spans))
-        if self._tag_index is None or self._tag_index_key != key:
+        self._fold()
+        if self._tag_index is None:
             index: dict[tuple[str, Any], list[SpanRecord]] = {}
-            for s in self.spans:
-                if not s.closed:
-                    continue
+            for s in self.closed_spans():
                 for k, v in s.tags.items():
                     try:
                         index.setdefault((k, v), []).append(s)
                     except TypeError:
                         pass
             self._tag_index = index
-            self._tag_index_key = key
         return self._tag_index
 
     def spans_with(self, **tags: Any) -> list[SpanRecord]:
@@ -185,7 +238,8 @@ class Trace:
             stage = s.tags.get("stage")
             if stage is None:
                 continue
-            dur = s.duration if clock == "trace" else s.wall_duration
+            dur = (s.t_end - s.t_start if clock == "trace"
+                   else s.wall_end - s.wall_start)
             out[stage] = out.get(stage, 0.0) + dur
         return out
 
@@ -198,17 +252,23 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._wall_epoch = time.perf_counter()
         self._clock = clock or (lambda: time.perf_counter() - self._wall_epoch)
-        self.metrics = MetricsRegistry(clock=self.now, record_series=True)
-        self.trace = Trace()
+        self.metrics = MetricsRegistry(clock=self._clock, record_series=True)
+        #: The run's event log (:mod:`repro.obs.events`): closed spans,
+        #: instants, sample rows, ledger deltas and bus events, in emit
+        #: order. Append-only; never trimmed.
+        self.log: list[Any] = []
+        self._emit = self.log.append
         self._stacks: dict[str, list[SpanRecord]] = {}
+        self.trace = Trace(self.log, self._stacks)
         self._ids = itertools.count(1)
         self._flow_ids = itertools.count(1)
-        #: Live telemetry bus (:class:`repro.obs.live.TelemetryBus`), or
-        #: None — every publish site is behind an ``is not None`` check.
+        #: Live telemetry bus (:class:`repro.obs.live.TelemetryBus`)
+        #: windowing the log, or None.
         self.bus: Any = None
         #: Ambient tags (tenant/job ids) merged into every span/instant
-        #: opened while a :meth:`context` block is active.
-        self._ctx: dict[str, Any] = {}
+        #: opened while a :meth:`context` block is active. Replaced, never
+        #: mutated, so observers may read it without copying.
+        self.ctx: dict[str, Any] = {}
 
     # -- clocks --------------------------------------------------------------
 
@@ -218,18 +278,24 @@ class Tracer:
 
     def attach_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
+        self.metrics.rebind_clock(clock)
 
     def attach_engine(self, engine: Any) -> None:
         """Use ``engine.now`` as the trace clock (the DES engine calls this
         from its constructor when tracing is enabled; last engine wins)."""
-        self.attach_clock(lambda: engine.now)
+        self.attach_clock(partial(getattr, engine, "now"))
 
     # -- live bus & ambient context ------------------------------------------
 
     def attach_bus(self, bus: Any) -> Any:
-        """Stream closed spans and instants onto a live
-        :class:`~repro.obs.live.TelemetryBus` (pass None to detach)."""
+        """Open a live :class:`~repro.obs.live.TelemetryBus` window on the
+        log: every record appended from now on is one of its events
+        (pass None to detach; a detached bus keeps what it had seen)."""
+        if self.bus is not None and self.bus is not bus:
+            self.bus.detach()
         self.bus = bus
+        if bus is not None:
+            bus.attach(self.log)
         return bus
 
     @contextmanager
@@ -243,24 +309,18 @@ class Tracer:
         None-valued tags are skipped; inner contexts shadow outer ones
         and the previous context is restored on exit.
         """
-        previous = self._ctx
+        previous = self.ctx
         merged = dict(previous)
         merged.update((k, v) for k, v in tags.items() if v is not None)
-        self._ctx = merged
+        self.ctx = merged
         try:
             yield merged
         finally:
-            self._ctx = previous
+            self.ctx = previous
 
     def context_tags(self) -> dict[str, Any]:
         """A copy of the ambient context tags currently in effect."""
-        return dict(self._ctx)
-
-    def _publish(self, kind: str, name: str, lane: str, t: float,
-                 tags: dict[str, Any], data: dict[str, Any]) -> None:
-        self.bus.publish(kind, name, t=t, lane=lane,
-                         tenant=tags.get("tenant"), job_id=tags.get("job"),
-                         **data)
+        return dict(self.ctx)
 
     # -- spans ---------------------------------------------------------------
 
@@ -268,35 +328,28 @@ class Tracer:
               category: str | None = None, **tags: Any) -> SpanRecord:
         """Open a span on ``lane``; the open span below it (if any) becomes
         its parent. Close it with :meth:`end` (LIFO order not required)."""
-        stack = self._stacks.setdefault(lane, [])
-        if self._ctx:
-            tags = {**self._ctx, **tags}
-        rec = SpanRecord(
-            name=name, lane=lane, span_id=next(self._ids),
-            parent_id=stack[-1].span_id if stack else None,
-            t_start=self.now(), wall_start=time.perf_counter(),
-            category=category, tags=tags,
-        )
+        stack = self._stacks.get(lane)
+        if stack is None:
+            stack = self._stacks[lane] = []
+        if self.ctx:
+            tags = {**self.ctx, **tags}
+        rec = SpanRecord(name, lane, next(self._ids),
+                         stack[-1].span_id if stack else None,
+                         self._clock(), time.perf_counter(), category, tags)
         stack.append(rec)
-        self.trace.spans.append(rec)
         return rec
 
     def end(self, span: SpanRecord, **tags: Any) -> SpanRecord:
-        if span.closed:
+        if span.t_end == span.t_end:  # not NaN
             raise RuntimeError(f"span {span.name!r} already ended")
-        span.t_end = self.now()
+        span.t_end = self._clock()
         span.wall_end = time.perf_counter()
-        span.tags.update(tags)
+        if tags:
+            span.tags.update(tags)
         stack = self._stacks.get(span.lane)
         if stack and span in stack:
             stack.remove(span)
-        self.trace.version += 1
-        if self.bus is not None:
-            self._publish("span", span.name, span.lane, span.t_end, span.tags,
-                          {"t_start": span.t_start,
-                           "duration": span.duration,
-                           "stage": span.tags.get("stage"),
-                           "category": span.category})
+        self._emit(span)
         return span
 
     @contextmanager
@@ -316,19 +369,12 @@ class Tracer:
         if t_end < t_start:
             raise ValueError(f"span ends ({t_end}) before it starts "
                              f"({t_start})")
-        if self._ctx:
-            tags = {**self._ctx, **tags}
+        if self.ctx:
+            tags = {**self.ctx, **tags}
         wall = time.perf_counter()
-        rec = SpanRecord(name=name, lane=lane, span_id=next(self._ids),
-                         parent_id=parent_id, t_start=t_start,
-                         wall_start=wall, category=category, tags=tags,
-                         t_end=t_end, wall_end=wall)
-        self.trace.spans.append(rec)
-        self.trace.version += 1
-        if self.bus is not None:
-            self._publish("span", name, lane, t_end, tags,
-                          {"t_start": t_start, "duration": t_end - t_start,
-                           "stage": tags.get("stage"), "category": category})
+        rec = SpanRecord(name, lane, next(self._ids), parent_id, t_start,
+                         wall, category, tags, t_end, wall)
+        self._emit(rec)
         return rec
 
     # -- causal flows --------------------------------------------------------
@@ -342,11 +388,8 @@ class Tracer:
         :meth:`flow_through` and close it with :meth:`flow_end`.
         """
         flow = FlowContext(
-            flow_id=next(self._flow_ids), kind=kind,
-            t_begin=self.now() if t is None else t,
-            src_span_id=src_span.span_id if src_span is not None else None,
-            tags=tags,
-        )
+            next(self._flow_ids), kind, self._clock() if t is None else t,
+            src_span.span_id if src_span is not None else None, tags=tags)
         if src_span is not None:
             if src_span.flow_out is None:
                 src_span.flow_out = []
@@ -360,8 +403,8 @@ class Tracer:
         and the time since the previous hop is explained by ``kind``."""
         if flow is None:
             return None
-        hop = FlowHop(t=self.now() if t is None else t, kind=kind,
-                      lane=lane, tags=tags)
+        hop = FlowHop(self._clock() if t is None else t, kind, lane, None,
+                      tags)
         flow.hops.append(hop)
         return hop
 
@@ -372,8 +415,7 @@ class Tracer:
         the flow id both in and out."""
         if flow is None:
             return None
-        hop = FlowHop(t=span.t_start, kind=kind, lane=span.lane,
-                      span_id=span.span_id, tags=tags)
+        hop = FlowHop(span.t_start, kind, span.lane, span.span_id, tags)
         flow.hops.append(hop)
         if span.flow_in is None:
             span.flow_in = []
@@ -389,8 +431,8 @@ class Tracer:
         span that consumed the work)."""
         if flow is None:
             return None
-        flow.hops.append(FlowHop(t=span.t_start, kind=kind, lane=span.lane,
-                                 span_id=span.span_id, tags=tags))
+        flow.hops.append(FlowHop(span.t_start, kind, span.lane,
+                                 span.span_id, tags))
         flow.dst_span_id = span.span_id
         if span.flow_in is None:
             span.flow_in = []
@@ -401,15 +443,11 @@ class Tracer:
 
     def instant(self, name: str, lane: str = "main", **tags: Any
                 ) -> InstantRecord:
-        if self._ctx:
-            tags = {**self._ctx, **tags}
-        rec = InstantRecord(name=name, lane=lane, t=self.now(),
-                            wall_t=time.perf_counter(), tags=tags)
-        self.trace.instants.append(rec)
-        if self.bus is not None:
-            data = {k: v for k, v in tags.items()
-                    if k not in ("tenant", "job")}
-            self._publish("instant", name, lane, rec.t, tags, data)
+        if self.ctx:
+            tags = {**self.ctx, **tags}
+        rec = InstantRecord(name, lane, self._clock(), time.perf_counter(),
+                            tags)
+        self._emit(rec)
         return rec
 
     def counter(self, name: str, delta: float = 1) -> None:
@@ -462,9 +500,9 @@ class NullTracer:
 
     enabled = False
     metrics = NULL_METRICS
-    #: No bus under the null tracer: every publish site checks
-    #: ``bus is not None`` (or ``enabled``) and compiles out.
+    #: No bus and no ambient context under the null tracer.
     bus = None
+    ctx: Any = MappingProxyType({})
 
     @property
     def trace(self) -> Trace:

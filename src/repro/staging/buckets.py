@@ -92,6 +92,14 @@ class StagingBucket:
         #: The task currently being executed (None while idle).
         self.current_task: TaskDescriptor | None = None
         self._tracer = get_tracer()
+        if self._tracer.enabled:
+            # Per-task instruments are bound once: an update is one call.
+            metrics = self._tracer.metrics
+            self._count_tasks_done = metrics.counter("bucket.tasks_done").inc
+            self._count_bytes_consumed = metrics.counter(
+                "bucket.bytes_consumed").inc
+            self._observe_task_time = metrics.histogram(
+                "bucket.task_time").observe
 
     def run(self) -> Generator[Any, Any, None]:
         """The bucket's DES process body."""
@@ -190,10 +198,9 @@ class StagingBucket:
                                        task_id=task.task_id)
             if task.flow is not None:
                 self._tracer.flow_end(task.flow, EDGE_SERVICE, sp)
-            self._tracer.counter("bucket.tasks_done")
-            self._tracer.counter("bucket.bytes_consumed", task.total_bytes)
-            self._tracer.metrics.histogram("bucket.task_time").observe(
-                finish_t - assign_t)
+            self._count_tasks_done()
+            self._count_bytes_consumed(task.total_bytes)
+            self._observe_task_time(finish_t - assign_t)
 
         self.busy_time += finish_t - assign_t
         result = TaskResult(

@@ -86,6 +86,17 @@ class TaskScheduler:
         #: and DataSpaces runs tasks in-situ instead).
         self.task_sink: Callable[[TaskDescriptor], None] | None = None
         self._tracer = get_tracer()
+        if self._tracer.enabled:
+            # Per-task instruments are bound once: an update is one call.
+            metrics = self._tracer.metrics
+            self._count_data_ready = metrics.counter("sched.data_ready").inc
+            self._count_bucket_ready = metrics.counter(
+                "sched.bucket_ready").inc
+            self._count_assign = metrics.counter("sched.assign").inc
+            self._observe_queue_wait = metrics.histogram(
+                "sched.queue_wait").observe
+            self._set_queue_depth = metrics.gauge("sched.queue_depth").set
+            self._set_idle_buckets = metrics.gauge("sched.idle_buckets").set
 
     # -- events -------------------------------------------------------------
 
@@ -93,7 +104,7 @@ class TaskScheduler:
         """An in-situ stage published a task (descriptor insert RPC)."""
         now = self.engine.now
         if self._tracer.enabled:
-            self._tracer.counter("sched.data_ready")
+            self._count_data_ready()
             self._tracer.instant("sched.data_ready", lane=self.lane,
                                  task_id=task.task_id, analysis=task.analysis,
                                  step=task.timestep)
@@ -122,7 +133,7 @@ class TaskScheduler:
         ev = self.engine.event()
         now = self.engine.now
         if self._tracer.enabled:
-            self._tracer.counter("sched.bucket_ready")
+            self._count_bucket_ready()
             self._tracer.instant("sched.bucket_ready", lane=self.lane,
                                  bucket=bucket)
         if bucket in self._retiring:
@@ -148,12 +159,11 @@ class TaskScheduler:
             assign_time=self.engine.now,
         ))
         if self._tracer.enabled:
-            self._tracer.counter("sched.assign")
+            self._count_assign()
             self._tracer.instant("sched.assign", lane=self.lane,
                                  task_id=task.task_id, bucket=bucket,
                                  queue_wait=self.engine.now - data_t)
-            self._tracer.metrics.histogram("sched.queue_wait").observe(
-                self.engine.now - data_t)
+            self._observe_queue_wait(self.engine.now - data_t)
         if task.flow is not None:
             self._tracer.flow_step(task.flow, EDGE_QUEUE, self.lane,
                                    bucket=bucket)
@@ -253,10 +263,8 @@ class TaskScheduler:
     def _sample(self) -> None:
         self.queue_trace.append((self.engine.now, len(self._task_queue)))
         if self._tracer.enabled:
-            self._tracer.metrics.gauge("sched.queue_depth").set(
-                len(self._task_queue))
-            self._tracer.metrics.gauge("sched.idle_buckets").set(
-                len(self._free_buckets))
+            self._set_queue_depth(len(self._task_queue))
+            self._set_idle_buckets(len(self._free_buckets))
 
     # -- introspection --------------------------------------------------------
 

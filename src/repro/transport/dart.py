@@ -51,6 +51,16 @@ class DartTransport:
         self._nic_channels = nic_channels
         self._nics: dict[str, Resource] = {}
         self._tracer = get_tracer()
+        if self._tracer.enabled:
+            # Per-message instruments are bound once: an update is one call.
+            metrics = self._tracer.metrics
+            self._count_notify = metrics.counter("dart.notify").inc
+            self._count_notify_bytes = metrics.counter(
+                "dart.notify_bytes").inc
+            self._count_bytes_pulled = metrics.counter(
+                "dart.bytes_pulled").inc
+            self._observe_pull_bytes = metrics.histogram(
+                "dart.pull_bytes").observe
         self.pull_max_attempts = pull_max_attempts
         self.pull_backoff_base = pull_backoff_base
         self.pull_backoff_factor = pull_backoff_factor
@@ -90,8 +100,8 @@ class DartTransport:
         size = nbytes if nbytes is not None else 256
         delay = self.network.transfer_time(size)
         if self._tracer.enabled:
-            self._tracer.counter("dart.notify")
-            self._tracer.counter("dart.notify_bytes", size)
+            self._count_notify()
+            self._count_notify_bytes(size)
             self._tracer.instant("dart.notify", lane=dest_node, nbytes=size)
         ev = self.engine.event()
         if on_delivery is not None:
@@ -215,21 +225,23 @@ class DartTransport:
                         tags["analysis"] = region.meta["analysis"]
                     if "timestep" in region.meta:
                         tags["step"] = region.meta["timestep"]
-                    with tracer.span("rdma.pull", lane=dest_node,
-                                     category="transfer", stage="movement",
-                                     protocol=protocol, nbytes=region.nbytes,
-                                     src=region.source_node, **tags) as sp:
+                    sp = tracer.begin("rdma.pull", lane=dest_node,
+                                      category="transfer", stage="movement",
+                                      protocol=protocol, nbytes=region.nbytes,
+                                      src=region.source_node, **tags)
+                    try:
                         if flow is not None:
                             # Gap since the previous hop is NIC queueing
                             # (both endpoints' channel grants).
                             tracer.flow_through(flow, EDGE_GRANT, sp,
                                                 region=region.region_id)
                         yield self.engine.timeout(wire)
-                    proto_name = getattr(protocol, "name", str(protocol))
+                    finally:
+                        tracer.end(sp)
+                    proto_name = getattr(protocol, "name", None) or str(protocol)
                     tracer.counter(f"dart.pull.{proto_name.lower()}")
-                    tracer.counter("dart.bytes_pulled", region.nbytes)
-                    tracer.metrics.histogram("dart.pull_bytes").observe(
-                        region.nbytes)
+                    self._count_bytes_pulled(region.nbytes)
+                    self._observe_pull_bytes(region.nbytes)
                 else:
                     yield self.engine.timeout(wire)
             finally:
@@ -241,7 +253,7 @@ class DartTransport:
             # The granted-bytes interval is the wire time only — NIC
             # channel queueing shows up as idle, not occupancy.
             end = self.engine.now
-            proto_name = getattr(protocol, "name", str(protocol))
+            proto_name = getattr(protocol, "name", None) or str(protocol)
             self.ledger.on_transfer(end - wire, end, region.nbytes,
                                     proto_name, region.source_node,
                                     dest_node, self.ledger_shard,

@@ -65,17 +65,6 @@ class TestGaugeWatermark:
         assert wm["max"] == 3.0
         assert wm["max_t"] is None and wm["min_t"] is None
 
-    def test_mirror_reproduces_watermarks(self):
-        samples = [(0.5, 2.0), (1.5, 8.0), (2.5, 1.0), (3.5, 8.0)]
-        t = {"now": 0.0}
-        live = Gauge("g", clock=lambda: t["now"])
-        for when, value in samples:
-            t["now"] = when
-            live.set(value)
-        mirrored = Gauge("m", clock=lambda: 0.0)
-        mirrored.mirror(samples)
-        assert mirrored.watermark() == {**live.watermark()}
-
 
 class TestLedgerAccounting:
     def test_register_release_books_balance(self):

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -397,3 +401,20 @@ class TestTopCli:
         assert rc == 0
         assert (tmp_path / "artifacts" / "repro_control.json").exists()
         assert not (tmp_path / "repro_control.json").exists()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """Cold start: ``scipy.stats`` (~0.9 s) and ``scipy.interpolate`` are
+    imported by the one function each that needs them, not by
+    ``import repro.cli``. Checked in a fresh interpreter, no timing."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; "
+         "print([m for m in ('scipy.stats', 'scipy.interpolate') "
+         "if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

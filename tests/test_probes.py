@@ -104,23 +104,6 @@ class TestProbeSampler:
         assert gauge.n_samples == len(sampler.series["v"]) == 3
         assert gauge.series == sampler.series["v"]
 
-    def test_gauge_bulk_mirror_matches_per_sample_sets(self):
-        from repro.obs.metrics import MetricsRegistry
-        clock = [0.0]
-        reg_a = MetricsRegistry(clock=lambda: clock[0], record_series=True)
-        reg_b = MetricsRegistry(clock=lambda: clock[0], record_series=True)
-        samples = [(0.0, 4.0), (1.0, 2.0), (2.0, 7.0), (3.0, 7.0)]
-        for t, v in samples:
-            clock[0] = t
-            reg_a.gauge("g").set(v)
-        reg_b.gauge("g").mirror(samples)
-        a, b = reg_a.gauge("g"), reg_b.gauge("g")
-        assert (a.value, a.vmin, a.vmax, a.n_samples, a.series) == \
-               (b.value, b.vmin, b.vmax, b.n_samples, b.series)
-        # Empty mirror is a no-op (gauge stays unreported).
-        reg_b.gauge("empty").mirror([])
-        assert reg_b.gauge("empty").n_samples == 0
-
     def test_summary_slo_evaluated_at_finalize(self):
         tracer = Tracer(clock=lambda: 0.0)
         span = tracer.begin("sim", lane="x", stage="simulation")
