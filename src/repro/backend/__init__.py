@@ -1,16 +1,14 @@
 """``repro.backend`` — swappable kernel backends for the hot paths.
 
-The four hot paths identified by ``repro blame`` makespan share (DES
-event dispatch, vmpi collectives, merge-tree union-find/glue, and the
-statistics engine's learn/merge kernels) dispatch through this package.
-Two backends ship:
+The three hot paths identified by ``repro blame`` makespan share (vmpi
+collectives, merge-tree union-find/glue, and the statistics engine's
+learn/merge kernels) dispatch through this package. Two backends ship:
 
 * ``reference`` — the original pure-python implementations, unchanged,
   living at their original sites as the bodies of ``@kernel`` functions;
-* ``numpy`` — vectorized kernels (batched event-queue, stacked
-  collective folds, array union-find sweeps, single-pass vectorized
-  moments) validated *bit-identically* against the reference by
-  ``tests/test_backends.py``.
+* ``numpy`` — vectorized kernels (stacked collective folds, array
+  union-find sweeps, single-pass vectorized moments) validated
+  *bit-identically* against the reference by ``tests/test_backends.py``.
 
 Select a backend with the ``REPRO_BACKEND`` environment variable, the
 ``python -m repro --backend`` CLI flag, or programmatically::

@@ -1,4 +1,4 @@
-"""The ``numpy`` backend: vectorized kernels for the four hot paths.
+"""The ``numpy`` backend: vectorized kernels for the three hot paths.
 
 Every kernel here is **bit-identical** to its reference implementation on
 the outputs the analyses consume — the equivalence contract of DESIGN.md
@@ -26,7 +26,6 @@ falls back to ``reference`` with a single warning.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from collections.abc import Callable
 from typing import Any
@@ -42,162 +41,7 @@ def _ref(name: str) -> Callable[..., Any]:
 
 
 # ---------------------------------------------------------------------------
-# (1) DES event dispatch: calendar/batched-heap event queue
-# ---------------------------------------------------------------------------
-
-
-class ArrayEventQueue:
-    """Batched-heap event queue with bit-identical ``(when, seq)`` order.
-
-    Freshly pushed events land in a binary heap identical to the
-    reference's; once it outgrows ``FLUSH_THRESHOLD`` the whole heap is
-    flushed into ``when`` / ``seq`` arrays sorted by one lexsort (the
-    payloads move to a seq-keyed dict). Same-timestamp runs in the
-    sorted arrays are then located with ``searchsorted`` and extracted
-    in one slice — "pop all same-timestamp events in one array
-    operation" — so event storms (a timestep's worth of simultaneous
-    completions) are sorted and batched vectorially, while a
-    steady-state trickle stays on the plain-heap fast path.
-    """
-
-    FLUSH_THRESHOLD = 256
-
-    __slots__ = ("_pending", "_times", "_seqs", "_lo", "_hi", "_head",
-                 "_payload", "_batch", "_batch_when", "_mixed", "_flush_at")
-
-    def __init__(self) -> None:
-        # heapq of (when, seq, fn, arg) — the reference representation.
-        self._pending: list[tuple[float, int, Callable[[Any], None], Any]] = []
-        self._times = np.empty(0, dtype=np.float64)
-        self._seqs = np.empty(0, dtype=np.int64)
-        self._lo = 0       # cursor into the sorted arrays
-        self._hi = 0       # their length, as a plain int (hot-path compare)
-        self._head = 0.0   # float(self._times[self._lo]) — cached scalar
-        self._payload: dict[int, tuple[Callable[[Any], None], Any]] = {}
-        #: Current same-timestamp run, reversed so pop() yields seq order.
-        self._batch: list[tuple[int, Callable[[Any], None], Any]] = []
-        self._batch_when: float | None = None
-        #: False while no flushed events or batch exist — then the pop
-        #: and peek paths are byte-for-byte the reference heap's, so a
-        #: steady-state trickle pays one flag test for the machinery.
-        self._mixed = False
-        #: Flush once pending outgrows max(threshold, flushed remainder):
-        #: merging equal-or-larger runs keeps the re-sorts amortised
-        #: O(log n) per event instead of quadratic under monotonic fill.
-        self._flush_at = self.FLUSH_THRESHOLD
-
-    def push(self, when: float, seq: int, fn: Callable[[Any], None],
-             arg: Any) -> None:
-        heapq.heappush(self._pending, (when, seq, fn, arg))
-        if len(self._pending) >= self._flush_at:
-            self._flush()
-
-    def _flush(self) -> None:
-        pending = self._pending
-        pt = np.fromiter((e[0] for e in pending), dtype=np.float64,
-                         count=len(pending))
-        ps = np.fromiter((e[1] for e in pending), dtype=np.int64,
-                         count=len(pending))
-        payload = self._payload
-        for e in pending:
-            payload[e[1]] = (e[2], e[3])
-        pending.clear()
-        if self._lo < self._hi:
-            pt = np.concatenate([self._times[self._lo:], pt])
-            ps = np.concatenate([self._seqs[self._lo:], ps])
-        order = np.lexsort((ps, pt))
-        self._times = pt[order]
-        self._seqs = ps[order]
-        self._lo = 0
-        self._hi = int(pt.size)
-        self._head = float(self._times[0])
-        self._mixed = True
-        self._flush_at = max(self.FLUSH_THRESHOLD, self._hi)
-
-    def next_time(self) -> float | None:
-        if not self._mixed:
-            pending = self._pending
-            return pending[0][0] if pending else None
-        best: float | None = self._batch_when if self._batch else None
-        if self._pending:
-            t = self._pending[0][0]
-            if best is None or t < best:
-                best = t
-        if self._lo < self._hi:
-            t = self._head
-            if best is None or t < best:
-                best = t
-        return best
-
-    def pop_due(self, when: float
-                ) -> tuple[Callable[[Any], None], Any] | None:
-        if not self._mixed:
-            pending = self._pending
-            if pending and pending[0][0] == when:
-                _when, _seq, fn, arg = heapq.heappop(pending)
-                return fn, arg
-            return None
-        batch = self._batch
-        if batch:
-            if self._batch_when == when:
-                _seq, fn, arg = batch.pop()
-                if not batch and self._lo == self._hi:
-                    self._mixed = False
-                    self._flush_at = self.FLUSH_THRESHOLD
-                return fn, arg
-            # Out-of-band pop: an event earlier than the current batch
-            # was pushed after the batch was cut. The engine never does
-            # this (simulated time is monotone) but the reference heap
-            # supports it, so spill the batch back into the pending heap
-            # and fall through to the uniform paths.
-            bw = self._batch_when
-            for s, fn, arg in batch:
-                heapq.heappush(self._pending, (bw, s, fn, arg))
-            batch.clear()
-            self._batch_when = None
-        if self._lo < self._hi and self._head == when:
-            self._extract_batch(when)
-            return self.pop_due(when)
-        pending = self._pending
-        if pending and pending[0][0] == when:
-            _when, _seq, fn, arg = heapq.heappop(pending)
-            return fn, arg
-        return None
-
-    def _extract_batch(self, when: float) -> None:
-        # The whole same-timestamp run of the sorted arrays, in one slice.
-        payload = self._payload
-        hi = int(np.searchsorted(self._times, when, side="right"))
-        entries = [(s, *payload.pop(s))
-                   for s in self._seqs[self._lo:hi].tolist()]
-        self._lo = hi
-        if hi < self._hi:
-            self._head = float(self._times[hi])
-        # Merge in pending events at the same timestamp (scheduled since
-        # the last flush; their seqs interleave with the array run's).
-        pending = self._pending
-        while pending and pending[0][0] == when:
-            _when, s, fn, arg = heapq.heappop(pending)
-            entries.append((s, fn, arg))
-            entries.sort(key=lambda e: e[0])
-        entries.reverse()  # list.pop() then yields ascending seq
-        self._batch = entries
-        self._batch_when = when
-
-    def __len__(self) -> int:
-        return (len(self._batch) + len(self._pending)
-                + self._hi - self._lo)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-
-def make_event_queue_numpy() -> ArrayEventQueue:
-    return ArrayEventQueue()
-
-
-# ---------------------------------------------------------------------------
-# (2) vmpi collectives: stacked whole-level folds
+# (1) vmpi collectives: stacked whole-level folds
 # ---------------------------------------------------------------------------
 
 _UFUNC_BY_OP: dict[Any, np.ufunc] = {
@@ -296,7 +140,7 @@ def scan_numpy(values: list[Any], op: Callable[[Any, Any], Any]) -> list[Any]:
 
 
 # ---------------------------------------------------------------------------
-# (3) topology: vectorized precompute + list-based union-find sweeps
+# (2) topology: vectorized precompute + list-based union-find sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -519,7 +363,7 @@ def glue_batch_numpy(boundary_trees, cross_edges):
 
 
 # ---------------------------------------------------------------------------
-# (4) statistics: batched single-pass moments / contingency / autocorrelation
+# (3) statistics: batched single-pass moments / contingency / autocorrelation
 # ---------------------------------------------------------------------------
 
 
@@ -692,7 +536,6 @@ def autocorr_merge_numpy(packed_partials, max_lag: int):
 
 
 KERNELS: dict[str, Callable[..., Any]] = {
-    "des.event_queue": make_event_queue_numpy,
     "vmpi.pairwise_reduce": pairwise_reduce_numpy,
     "vmpi.scan": scan_numpy,
     "topology.merge_tree": merge_tree_numpy,

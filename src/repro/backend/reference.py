@@ -1,8 +1,8 @@
 """The reference backend, as a backend table.
 
 The reference implementations are the decorated ``@kernel`` bodies and
-live at their original sites (``des/engine.py``, ``vmpi/comm.py``,
-``analysis/topology/*.py``, ``analysis/statistics/*.py``); dispatch
+live at their original sites (``vmpi/comm.py``, ``analysis/topology/*.py``,
+``analysis/statistics/*.py``); dispatch
 falls through to them whenever no override exists, so this table is
 intentionally empty. It exists so tooling can treat ``reference``
 uniformly with every other backend and so :func:`reference_kernels`

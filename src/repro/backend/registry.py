@@ -22,13 +22,13 @@ plus an environment lookup):
 
 Every override implementation is required to be *bit-identical* to its
 reference kernel on the outputs the analyses consume (merge-tree arcs,
-statistics moments, collective results, DES replay digests) — enforced
-by ``tests/test_backends.py``.
+statistics moments, collective results) — enforced by
+``tests/test_backends.py``.
 
 When tracing is enabled, each dispatched kernel call is recorded as a
-``kernel.<name>`` span tagged ``kernel=<name>`` and ``backend=<active>``
-(factory kernels opt out with ``traced=False``), which is what lets
-``repro blame --top-kernels`` rank kernels by makespan share.
+``kernel.<name>`` span tagged ``kernel=<name>`` and ``backend=<active>``,
+which is what lets ``repro blame --top-kernels`` rank kernels by
+makespan share.
 """
 
 from __future__ import annotations
@@ -170,15 +170,12 @@ def kernel_names() -> list[str]:
     return sorted(_REFERENCE)
 
 
-def kernel(name: str, traced: bool = True) -> Callable[[Callable[..., Any]],
-                                                       Callable[..., Any]]:
+def kernel(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Declare a hot-path kernel; the decorated body is the reference.
 
     The wrapper dispatches each call to the active backend's override
     (falling back to the reference body when the backend does not
-    provide this kernel). ``traced=False`` suppresses the per-call
-    ``kernel.<name>`` span — used for factory kernels whose cost is
-    construction, not compute.
+    provide this kernel).
     """
     if name in _REFERENCE:
         raise ValueError(f"kernel {name!r} already declared")
@@ -194,12 +191,11 @@ def kernel(name: str, traced: bool = True) -> Callable[[Callable[..., Any]],
             else:
                 table = _load(backend)
                 fn = table.get(name, ref) if table else ref
-            if traced:
-                tracer = get_tracer()
-                if tracer.enabled:
-                    with tracer.span(f"kernel.{name}", lane="kernel",
-                                     kernel=name, backend=backend):
-                        return fn(*args, **kwargs)
+            tracer = get_tracer()
+            if tracer.enabled:
+                with tracer.span(f"kernel.{name}", lane="kernel",
+                                 kernel=name, backend=backend):
+                    return fn(*args, **kwargs)
             return fn(*args, **kwargs)
 
         dispatch.kernel_name = name

@@ -7,62 +7,12 @@ notifications, data-ready/bucket-ready messages), and process join.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from collections.abc import Callable, Generator
+from heapq import heappop, heappush
 from typing import Any
 
-from repro.backend import kernel
 from repro.obs.tracer import get_tracer
-
-
-class HeapEventQueue:
-    """The reference event queue: a binary heap ordered by ``(when, seq)``.
-
-    ``seq`` is the engine's monotone schedule counter, so equal-timestamp
-    events always dispatch in the order they were scheduled — the
-    determinism contract every backend's queue must preserve.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
-
-    def push(self, when: float, seq: int, fn: Callable[[Any], None],
-             arg: Any) -> None:
-        heapq.heappush(self._heap, (when, seq, fn, arg))
-
-    def next_time(self) -> float | None:
-        """Earliest pending timestamp (``None`` when empty)."""
-        return self._heap[0][0] if self._heap else None
-
-    def pop_due(self, when: float
-                ) -> tuple[Callable[[Any], None], Any] | None:
-        """Pop the next event scheduled at exactly ``when`` in ``seq``
-        order, or ``None`` once no event remains at that timestamp."""
-        heap = self._heap
-        if heap and heap[0][0] == when:
-            _when, _seq, fn, arg = heapq.heappop(heap)
-            return fn, arg
-        return None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
-@kernel("des.event_queue", traced=False)
-def make_event_queue() -> HeapEventQueue:
-    """Create the engine's pending-event queue (backend seam).
-
-    The reference implementation is the binary heap above; the numpy
-    backend substitutes a calendar/batched-heap queue that extracts whole
-    same-timestamp runs in one array operation while preserving exact
-    ``(when, seq)`` dispatch order.
-    """
-    return HeapEventQueue()
 
 
 class Interrupt(Exception):
@@ -94,7 +44,8 @@ class EventHandle:
         self.triggered = False
         self.cancelled = False
         self.value: Any = None
-        self._waiters: list[ProcessHandle] = []
+        #: Allocated by the first waiter: most events have one or none.
+        self._waiters: list[ProcessHandle] | None = None
         self.callbacks: list[Callable[[Any], None]] = []
 
     def succeed(self, value: Any = None) -> "EventHandle":
@@ -112,11 +63,15 @@ class EventHandle:
         engine = self.engine
         if engine._traced:
             engine._count_trigger()
-        for cb in self.callbacks:
-            cb(value)
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            engine._schedule(0.0, proc._resume, value)
+        callbacks = self.callbacks
+        if callbacks:
+            for cb in callbacks:
+                cb(value)
+        waiters = self._waiters
+        if waiters is not None:
+            self._waiters = None
+            for proc in waiters:
+                engine._schedule(0.0, proc._resume, value)
         return self
 
     def cancel(self) -> bool:
@@ -130,12 +85,14 @@ class EventHandle:
             return False
         if not self.cancelled:
             self.cancelled = True
-            self._waiters.clear()
+            self._waiters = None
         return True
 
     def _add_waiter(self, proc: "ProcessHandle") -> None:
         if self.triggered:
             self.engine._schedule(0.0, proc._resume, self.value)
+        elif self._waiters is None:
+            self._waiters = [proc]
         else:
             self._waiters.append(proc)
 
@@ -172,7 +129,17 @@ class ProcessHandle:
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._wait_on(target)
+        # The common target, inline: _wait_on -> _add_waiter is two calls
+        # on every resume of the replay loop.
+        if type(target) is EventHandle:
+            if target.triggered:
+                engine._schedule(0.0, self._resume, target.value)
+            elif target._waiters is None:
+                target._waiters = [self]
+            else:
+                target._waiters.append(self)
+        else:
+            self._wait_on(target)
 
     def _throw(self, exc: BaseException) -> None:
         if self.finished:
@@ -212,13 +179,30 @@ class ProcessHandle:
 
 
 class Engine:
-    """Deterministic discrete-event engine with a float-seconds clock."""
+    """Deterministic discrete-event engine with a float-seconds clock.
+
+    Events dispatch in ``(when, seq)`` order, ``seq`` being the count of
+    events scheduled so far: equal timestamps fire in the order they were
+    scheduled. Two containers hold that order between them. A future
+    event goes on a heap keyed ``(when, seq)``; an event due at the
+    current timestamp (a triggered event waking its waiter, a process
+    start) goes on a FIFO and never touches the heap. Every heap entry
+    at time ``T`` was pushed while ``now < T``, so it carries a smaller
+    ``seq`` than anything scheduled once the clock reached ``T``, and all
+    of that lands on the FIFO in ``seq`` order; the heap's entries at
+    ``T`` followed by the FIFO front to back is therefore exactly
+    ``(when, seq)`` order. The argument needs a clock that never goes
+    backwards, which :meth:`run` enforces.
+    """
 
     def __init__(self) -> None:
-        self._queue = make_event_queue()
+        #: Future events, a ``heapq`` of ``(when, seq, fn, arg)``.
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
+        #: Events due at ``now``, ``(fn, arg)`` in ``seq`` order.
+        self._due: deque[tuple[Callable[[Any], None], Any]] = deque()
+        #: Every event ever scheduled, FIFO ones included.
         self._seq = 0
         self.now: float = 0.0
-        self._processes: list[ProcessHandle] = []
         #: Optional live sampler (``repro.obs.probes.ProbeSampler``):
         #: notified via ``on_advance(now)`` as the clock advances.
         self._probe: Any = None
@@ -251,13 +235,15 @@ class Engine:
         — ``run(until=...)`` — and use this to know when the batch has
         fully drained.
         """
-        return self._queue.next_time() is None
+        return not self._due and not self._heap
 
     def next_event_time(self) -> float | None:
         """Earliest pending timestamp (None when idle). ``run(until=
         next_event_time())`` processes exactly that timestamp's events
         and leaves the clock there — no overshoot past the drain."""
-        return self._queue.next_time()
+        if self._due:
+            return self.now
+        return self._heap[0][0] if self._heap else None
 
     # -- scheduling primitives ----------------------------------------------
 
@@ -265,7 +251,14 @@ class Engine:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        self._queue.push(self.now + delay, self._seq, fn, arg)
+        now = self.now
+        when = now + delay
+        # ``when == now``, not ``delay == 0``: a positive delay below one
+        # ulp of the clock is due now as well.
+        if when == now:
+            self._due.append((fn, arg))
+        else:
+            heappush(self._heap, (when, self._seq, fn, arg))
 
     def event(self) -> EventHandle:
         """Create an untriggered one-shot event."""
@@ -316,7 +309,6 @@ class Engine:
     def process(self, generator: Generator, name: str = "") -> ProcessHandle:
         """Register and start a generator process at the current time."""
         proc = ProcessHandle(self, generator, name)
-        self._processes.append(proc)
         if self._traced:
             self._count_started()
             self._tracer.instant("process.start", lane="des",
@@ -333,58 +325,56 @@ class Engine:
     # -- main loop -----------------------------------------------------------
 
     def run(self, until: float | None = None) -> float:
-        """Run until the heap drains or the clock reaches ``until``.
+        """Run until no event remains or the clock reaches ``until``.
 
-        Returns the final simulated time.
+        Returns the final simulated time. ``until`` may not lie before
+        ``now``: the clock never goes backwards.
         """
+        if until is not None and until < self.now:
+            raise ValueError(f"run(until={until}) is before now ({self.now})")
         count_dispatch = self._count_dispatch if self._traced else None
         probe = self._probe
-        queue = self._queue
+        heap, due = self._heap, self._due
+        popleft = due.popleft
         while True:
-            when = queue.next_time()
-            if when is None:
+            if due:
+                when = self.now
+            elif heap and (until is None or heap[0][0] <= until):
+                self.now = when = heap[0][0]
+            else:
                 break
-            if until is not None and when > until:
-                self.now = until
-                return self.now
-            self.now = when
             # The sampler sees the state as it stood before this
             # timestamp's first event; later events at the same time
             # have nothing left to back-fill.
             if probe is not None:
                 probe.on_advance(when)
-            # Drain the whole same-timestamp run (events scheduled *during*
-            # the run at the same time carry larger seqs and are picked up
-            # by subsequent pop_due calls, preserving (when, seq) order).
-            while True:
-                item = queue.pop_due(when)
-                if item is None:
-                    break
-                fn, arg = item
+            # The heap's entries at this timestamp precede everything
+            # scheduled since the clock got here (class docstring).
+            while heap and heap[0][0] == when:
+                _when, _seq, fn, arg = heappop(heap)
+                if count_dispatch is not None:
+                    count_dispatch()
+                fn(arg)
+            while due:
+                fn, arg = popleft()
                 if count_dispatch is not None:
                     count_dispatch()
                 fn(arg)
         if until is not None:
-            self.now = max(self.now, until)
+            self.now = until
         return self.now
 
     def run_until_done(self, proc: ProcessHandle, limit: float = 1e12) -> Any:
-        """Run until ``proc`` completes; returns its result.
+        """Run whole timestamps until ``proc`` completes; returns its result.
 
-        Raises ``RuntimeError`` if the event heap drains first (deadlock) or
-        the clock passes ``limit``.
+        Raises ``RuntimeError`` if no event remains first (deadlock) or
+        the next event lies past ``limit``.
         """
-        probe = self._probe
-        queue = self._queue
         while not proc.finished:
-            when = queue.next_time()
+            when = self.next_event_time()
             if when is None:
                 raise RuntimeError(f"deadlock: process {proc.name!r} never finished")
-            if self.now > limit:
+            if when > limit:
                 raise RuntimeError(f"time limit {limit} exceeded waiting for {proc.name!r}")
-            fn, arg = queue.pop_due(when)
-            self.now = when
-            if probe is not None:
-                probe.on_advance(when)
-            fn(arg)
+            self.run(until=when)
         return proc.result

@@ -39,7 +39,7 @@ class Store:
 
     def get(self) -> EventHandle:
         """Return an event that triggers with the next available item."""
-        ev = self.engine.event()
+        ev = EventHandle(self.engine)
         if self._items:
             ev.succeed(self._items.popleft())
         else:
@@ -72,7 +72,7 @@ class Resource:
 
     def acquire(self) -> EventHandle:
         """Event that triggers once a unit of capacity is granted."""
-        ev = self.engine.event()
+        ev = EventHandle(self.engine)
         if self.in_use < self.capacity:
             self.in_use += 1
             ev.succeed(self)

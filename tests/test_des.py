@@ -1,6 +1,9 @@
 """Tests for the discrete-event engine and its resources."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.des import Engine, Interrupt, Resource, Store
 
@@ -433,3 +436,244 @@ class TestResourceCancel:
         res.cancel(grants[0])
         res.cancel(grants[1])
         assert res.in_use == 0
+
+
+# ---------------------------------------------------------------------------
+# The ordering contract: dispatch is (when, seq) order
+# ---------------------------------------------------------------------------
+
+
+class OracleEngine(Engine):
+    """The contract stated directly: one list, always dispatch the pending
+    event with the least ``(when, seq)``. Events, processes, stores and
+    resources are the real ones; only the containers differ."""
+
+    def __init__(self):
+        super().__init__()
+        self._pending = []
+
+    def _schedule(self, delay, fn, arg):
+        if delay < 0:
+            raise ValueError(delay)
+        self._seq += 1
+        self._pending.append((self.now + delay, self._seq, fn, arg))
+
+    def idle(self):
+        return not self._pending
+
+    def next_event_time(self):
+        return min(e[0] for e in self._pending) if self._pending else None
+
+    def run(self, until=None):
+        while self._pending:
+            self._pending.sort(key=lambda e: e[:2])
+            if until is not None and self._pending[0][0] > until:
+                break
+            self.now, _seq, fn, arg = self._pending.pop(0)
+            fn(arg)
+        if until is not None:
+            self.now = until
+        return self.now
+
+
+#: Few distinct values, so timestamps collide; 1e-18 is below one ulp of
+#: any clock value >= 0.25 and positive before that.
+DELAYS = st.sampled_from([0.0, 0.0, 1e-18, 0.25, 0.5, 1.0, 1.0, 2.0])
+SLOTS = st.integers(0, 2)
+
+ACTION = st.one_of(
+    st.tuples(st.just("timeout"), DELAYS),
+    st.tuples(st.just("yield")),
+    st.tuples(st.just("cascade"), st.integers(1, 4)),
+    st.tuples(st.just("race"), DELAYS, DELAYS),
+    st.tuples(st.just("revoke"), DELAYS, DELAYS),
+    st.tuples(st.just("put")),
+    st.tuples(st.just("get")),
+    st.tuples(st.just("hold"), DELAYS),
+    st.tuples(st.just("hold_or_quit"), DELAYS, DELAYS),
+    st.tuples(st.just("signal"), SLOTS),
+    st.tuples(st.just("wait"), SLOTS),
+    st.tuples(st.just("fork"), DELAYS),
+)
+SCRIPT = st.lists(ACTION, max_size=6)
+STEP = st.one_of(
+    st.tuples(st.just("spawn"), SCRIPT),
+    st.tuples(st.just("slice"), DELAYS),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("until_done"), st.integers(0, 7)),
+)
+
+
+def execute(engine, scripts, steps):
+    """Start ``scripts`` together, then interpret ``steps`` on ``engine``;
+    the log is everything observable."""
+    log = []
+    store, nic = Store(engine), Resource(engine, capacity=1)
+    signals = [engine.event() for _ in range(3)]
+    procs = []
+
+    def note(*what):
+        log.append((engine.now, *what))
+
+    def cascade(tag, depth):
+        note(tag, "cascade", depth)
+        if depth:
+            engine.call_at(engine.now, lambda: cascade(tag, depth - 1))
+
+    def child(tag, delay):
+        yield engine.timeout(delay)
+        note(tag, "child")
+        return tag
+
+    def script(tag, actions):
+        for n, (kind, *args) in enumerate(actions):
+            if kind == "timeout":
+                yield engine.timeout(args[0])
+            elif kind == "yield":
+                yield None
+            elif kind == "cascade":
+                cascade(tag, args[0])
+            elif kind == "race":
+                note(tag, "race", (yield engine.any_of(
+                    engine.timeout(args[0], "a"), engine.timeout(args[1], "b"))))
+            elif kind == "revoke":
+                loser = engine.timeout(args[0])
+                engine.call_at(engine.now + args[1], loser.cancel)
+                note(tag, "revoke", (yield engine.any_of(
+                    loser, engine.timeout(args[0] + 1.0))))
+            elif kind == "put":
+                store.put((tag, n))
+            elif kind == "get":
+                note(tag, "got", (yield engine.any_of(
+                    store.get(), engine.timeout(2.0)))[1])
+            elif kind == "hold":
+                yield nic.acquire()
+                note(tag, "granted")
+                yield engine.timeout(args[0])
+                nic.release()
+            elif kind == "hold_or_quit":
+                grant = nic.acquire()
+                won, _ = yield engine.any_of(grant, engine.timeout(args[0]))
+                note(tag, "grant" if won == 0 else "quit")
+                if won == 0:
+                    yield engine.timeout(args[1])
+                nic.cancel(grant)
+            elif kind == "signal":
+                if not signals[args[0]].triggered:
+                    signals[args[0]].succeed(tag)
+            elif kind == "wait":
+                note(tag, "woke", (yield signals[args[0]]))
+            elif kind == "fork":
+                note(tag, "joined",
+                     (yield engine.process(child((tag, n), args[0]))))
+            note(tag, n, kind)
+        return tag
+
+    for kind, *args in [("spawn", actions) for actions in scripts] + steps:
+        if kind == "spawn":
+            procs.append(engine.process(script(len(procs), args[0])))
+        elif kind == "slice":
+            engine.run(until=engine.now + args[0])
+        elif kind == "step" and not engine.idle():
+            engine.run(until=engine.next_event_time())
+        elif kind == "until_done" and procs:
+            try:
+                note("done", engine.run_until_done(procs[args[0] % len(procs)]))
+            except RuntimeError:
+                note("deadlock")
+        note(kind, engine.idle(), engine.next_event_time(), engine._seq)
+    engine.run()
+    note("end", engine._seq, [p.finished for p in procs])
+    return log
+
+
+class TestOrderContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SCRIPT, min_size=1, max_size=4),
+           st.lists(STEP, max_size=10))
+    def test_engine_matches_when_seq_oracle(self, scripts, steps):
+        assert (execute(Engine(), scripts, steps)
+                == execute(OracleEngine(), scripts, steps))
+
+    def test_delay_below_one_ulp_is_due_now(self):
+        eng = Engine()
+        eng.run(until=1e6)
+        fired = []
+        eng._schedule(1.0, fired.append, "later")
+        eng._schedule(1e-12, fired.append, "sub-ulp")  # 1e6 + 1e-12 == 1e6
+        eng._schedule(0.0, fired.append, "zero")
+        assert eng.next_event_time() == 1e6
+        eng.run(until=1e6)
+        assert fired == ["sub-ulp", "zero"]
+        eng.run()
+        assert fired == ["sub-ulp", "zero", "later"]
+
+    def test_seq_counts_fifo_events(self):
+        eng = Engine()
+        eng._schedule(0.0, lambda _: eng._schedule(0.0, lambda _: None, None),
+                      None)
+        eng._schedule(1.0, lambda _: None, None)
+        eng.run()
+        assert eng._seq == 3
+
+    def test_idle_and_next_event_time_see_the_fifo(self):
+        eng = Engine()
+        assert eng.idle() and eng.next_event_time() is None
+        eng.run(until=2.0)
+        eng.event().succeed()  # no waiter: nothing scheduled
+        assert eng.idle()
+        eng.process(_ for _ in ())  # a process start is due now
+        assert not eng._heap
+        assert not eng.idle()
+        assert eng.next_event_time() == 2.0
+        eng.run(until=2.0)
+        assert eng.idle() and eng.now == 2.0
+
+
+class TestStepping:
+    def test_run_until_before_now_raises(self):
+        """The clock never rewinds: until < now used to set now = until."""
+        eng = Engine()
+        fired = []
+        eng._schedule(5.0, fired.append, 5.0)
+        eng._schedule(9.0, fired.append, 9.0)
+        eng.run(until=6.0)
+        with pytest.raises(ValueError, match="before now"):
+            eng.run(until=2.0)
+        assert eng.now == 6.0
+        eng._schedule(1.0, fired.append, 7.0)
+        eng.run()
+        assert fired == [5.0, 7.0, 9.0]
+
+    def test_run_until_done_advances_probe_once_per_timestamp(self):
+        eng = Engine()
+        advances = []
+        eng.attach_probe(SimpleNamespace(on_advance=advances.append))
+
+        def ticker():
+            for _ in range(3):
+                yield eng.timeout(1.0)
+
+        procs = [eng.process(ticker()) for _ in range(4)]
+        eng.run_until_done(procs[-1])
+        assert advances == [0.0, 1.0, 2.0, 3.0]
+        assert all(p.finished for p in procs)
+
+    def test_run_until_done_limit_stops_before_the_late_event(self):
+        eng = Engine()
+        advances = []
+        eng.attach_probe(SimpleNamespace(on_advance=advances.append))
+        fired = []
+
+        def proc():
+            yield eng.timeout(1.0)
+            fired.append(eng.now)
+            yield eng.timeout(10.0)
+            fired.append(eng.now)
+
+        p = eng.process(proc())
+        with pytest.raises(RuntimeError, match="time limit"):
+            eng.run_until_done(p, limit=5.0)
+        assert fired == [1.0]
+        assert eng.now == 1.0
+        assert advances == [0.0, 1.0]
