@@ -41,13 +41,6 @@ from repro.analysis.topology.distributed import (
 from repro.analysis.topology.simplify import persistence_pairs, simplify
 from repro.analysis.topology.segmentation import segment_superlevel
 from repro.analysis.topology.tracking import FeatureTrack, overlap_matrix, track_features
-from repro.analysis.topology.branches import (
-    Branch,
-    branch_decomposition,
-    diagram_distance,
-    persistence_diagram,
-)
-from repro.analysis.topology.events import Event, EventKind, detect_events, event_counts
 
 __all__ = [
     "DisjointSet",
@@ -66,12 +59,4 @@ __all__ = [
     "FeatureTrack",
     "overlap_matrix",
     "track_features",
-    "Branch",
-    "branch_decomposition",
-    "persistence_diagram",
-    "diagram_distance",
-    "Event",
-    "EventKind",
-    "detect_events",
-    "event_counts",
 ]

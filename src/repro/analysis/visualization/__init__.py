@@ -26,12 +26,6 @@ from repro.analysis.visualization.downsample import (
     downsample_decomposed,
     render_intransit,
 )
-from repro.analysis.visualization.parallel_compositing import (
-    binary_swap_composite,
-    binary_swap_time,
-    direct_send_time,
-    pad_to_power_of_two,
-)
 from repro.analysis.visualization.views import ViewSession, ViewSpec
 
 __all__ = [
@@ -44,10 +38,6 @@ __all__ = [
     "downsample_block",
     "downsample_decomposed",
     "render_intransit",
-    "binary_swap_composite",
-    "binary_swap_time",
-    "direct_send_time",
-    "pad_to_power_of_two",
     "ViewSession",
     "ViewSpec",
 ]

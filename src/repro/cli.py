@@ -11,10 +11,10 @@ Commands:
 * ``schedule``  — replay the full-scale staging schedule and report
   queue behaviour for a bucket count;
 * ``trace``     — replay the schedule under the tracer and emit a
-  Chrome/Perfetto trace (with causal flow arrows), causal-vs-heuristic
-  critical-path reconciliation, and model reconciliation; ``--diff``
-  aligns the run against a previously exported trace and reports
-  per-bucket/per-stage/per-flow deltas (text + HTML);
+  Chrome/Perfetto trace (with causal flow arrows), the critical path,
+  and model reconciliation; ``--diff`` aligns the run against a
+  previously exported trace and reports per-bucket/per-stage/per-flow
+  deltas (text + HTML);
 * ``blame``     — decompose the traced run's makespan (and each
   timestep's end-to-end latency) into compute / transport / queue-wait /
   retry-and-backoff / scheduler-idle buckets that sum exactly to the
@@ -226,8 +226,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core import ExperimentConfig, ScaledExperiment
     from repro.obs import (
+        critical_path,
         lane_summary,
-        reconcile_paths,
         reconcile_table,
         reconcile_totals,
         validate_chrome_trace,
@@ -282,13 +282,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     print(lane_summary(tracer.trace, clock=clock))
     print()
-    paths = reconcile_paths(tracer.trace)
-    print(paths.table())
+    print(critical_path(tracer.trace).table())
     print()
-    if not paths.ok:
-        print("critical-path reconciliation FAILED: the heuristic path "
-              "claims more time than recorded causality supports")
-        return 1
 
     if args.diff:
         from repro.obs import diff_traces, load_trace
@@ -573,6 +568,12 @@ def _parse_kv_floats(pairs: list[str], option: str) -> dict[str, float]:
     return out
 
 
+def _report_skipped(store) -> None:
+    """Say so when the last ``store.records()`` read stepped over lines."""
+    if store.skipped:
+        print(f"skipped {store.skipped} unreadable line(s) in {store.path}")
+
+
 def _cmd_perf(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -617,6 +618,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     if args.action == "compare":
         base_records = baseline_store.records()
+        _report_skipped(baseline_store)
         if not base_records:
             print(f"no baseline records in {baseline_store.path} — run "
                   f"`python -m repro perf record --store "
@@ -935,6 +937,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     state = _service_state(args)
     store = RunStore(state / "jobs")
     records = [r for r in store.records() if r.source == JOBS_SOURCE]
+    _report_skipped(store)
     if args.tenant:
         records = [r for r in records
                    if r.meta.get("tenant") == args.tenant]

@@ -9,13 +9,10 @@ calibration provenance.
 
 from repro.costmodel.models import CostModel, OpDescriptor
 from repro.costmodel.jaguar import jaguar_cost_model, JAGUAR_RATES
-from repro.costmodel.calibration import calibrate_rate, fit_linear_rate
 
 __all__ = [
     "CostModel",
     "OpDescriptor",
     "jaguar_cost_model",
     "JAGUAR_RATES",
-    "calibrate_rate",
-    "fit_linear_rate",
 ]

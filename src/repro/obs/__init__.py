@@ -17,7 +17,7 @@ and every view below is a fold over it, run on read, ``poll()`` or
   :func:`reconcile_totals` against :mod:`repro.core.breakdown` figures.
 * Causal flows — :class:`FlowContext` hand-off edges recorded through
   every pipeline boundary (submit → scheduler → bucket → pull →
-  in-transit), driving the exact :func:`causal_critical_path`, the
+  in-transit), which make :func:`critical_path` exact and drive the
   :func:`blame` attribution (five buckets summing exactly to the
   makespan), and :func:`diff_traces` run-vs-run comparison
   (``python -m repro blame``, ``python -m repro trace --diff``).
@@ -50,11 +50,8 @@ Or drive the packaged campaign: ``python -m repro trace``.
 
 from repro.obs.analysis import (
     CriticalPath,
-    PathReconcile,
     ReconcileRow,
-    causal_critical_path,
     critical_path,
-    reconcile_paths,
     reconcile_table,
     reconcile_totals,
 )
@@ -148,11 +145,8 @@ from repro.obs.tracer import (
 
 __all__ = [
     "CriticalPath",
-    "PathReconcile",
     "ReconcileRow",
-    "causal_critical_path",
     "critical_path",
-    "reconcile_paths",
     "reconcile_table",
     "reconcile_totals",
     "BlameBreakdown",

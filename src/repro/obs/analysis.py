@@ -6,13 +6,18 @@ cores, the RDMA movement, or the in-transit glue? It is extracted over the
 recorded span DAG, whose edges are
 
 * **lane order** — a span is preceded by the latest span on the same lane
-  that ended before it started (a bucket finishing one task before the
-  next);
-* **link tags** — spans sharing a tag value (``step`` by default) are
-  causally ordered by time (the sim span of step *n* releases step *n*'s
-  movement and in-transit spans);
+  that ended before it started, exact for single-actor lanes (a bucket
+  cannot start a task before finishing the previous one);
 * **explicit ``follows`` tags** — a span carrying ``follows=<span_id>``
-  (or a list of ids) names its producers directly.
+  (or a list of ids) names its producers directly;
+* **flow edges** — consecutive spans on one
+  :class:`~repro.obs.flow.FlowContext` chain (producer span → wire
+  transfer(s) → in-transit consumer), recorded at every hand-off.
+
+A trace without flows (loaded from Chrome JSON, or built by hand) has no
+recorded hand-offs, so there spans sharing a ``step`` tag are linked by
+time order instead (the sim span of step *n* releases step *n*'s movement
+and in-transit spans); :attr:`CriticalPath.method` says which applied.
 
 Walking back from the last-finishing span and always choosing the
 *latest-ending* predecessor yields the blocking chain; gaps between
@@ -34,9 +39,6 @@ from repro.util.tables import TextTable
 __all__ = [
     "CriticalPath",
     "critical_path",
-    "causal_critical_path",
-    "PathReconcile",
-    "reconcile_paths",
     "ReconcileRow",
     "reconcile_totals",
     "reconcile_table",
@@ -56,8 +58,8 @@ class CriticalPath:
     wait_time: float = 0.0
     #: Path busy time attributed per ``stage`` tag.
     stage_totals: dict[str, float] = field(default_factory=dict)
-    #: How the path's edges were derived: ``"heuristic"`` (time-ordering
-    #: guesses) or ``"causal"`` (recorded flow edges).
+    #: How hand-offs were linked: ``"causal"`` (recorded flow edges) or
+    #: ``"heuristic"`` (``step``-tag time order, flow-less traces only).
     method: str = "heuristic"
 
     @property
@@ -97,15 +99,29 @@ class CriticalPath:
         return "\n\n".join(lines)
 
 
-def _predecessor(candidates: list[SpanRecord], ends: list[float],
+def _by_end(spans: list[SpanRecord], key
+            ) -> dict[object, tuple[list[SpanRecord], list[float]]]:
+    """Group spans by ``key(span)``; each group sorted by finish time and
+    paired with its ``t_end`` list (the bisect index of :func:`_predecessor`)."""
+    groups: dict[object, list[SpanRecord]] = {}
+    for s in spans:
+        groups.setdefault(key(s), []).append(s)
+    out = {}
+    for k, group in groups.items():
+        group.sort(key=lambda s: (s.t_end, s.span_id))
+        out[k] = (group, [s.t_end for s in group])
+    return out
+
+
+def _predecessor(group: tuple[list[SpanRecord], list[float]],
                  before: float) -> SpanRecord | None:
-    """Latest-ending span in a (t_end-sorted) list with t_end <= before."""
+    """Latest-ending span in a :func:`_by_end` group with t_end <= before."""
+    candidates, ends = group
     i = bisect.bisect_right(ends, before)
     return candidates[i - 1] if i else None
 
 
 def critical_path(trace: Trace, spans: list[SpanRecord] | None = None,
-                  link_tags: tuple[str, ...] = ("step",),
                   sink: SpanRecord | None = None,
                   eps: float = 1e-9) -> CriticalPath:
     """Extract the blocking chain ending at ``sink`` (default: the span
@@ -114,137 +130,47 @@ def critical_path(trace: Trace, spans: list[SpanRecord] | None = None,
     By default the DAG is built over stage-tagged spans — the disjoint
     per-stage activities — so parents that merely wrap children do not
     double count. Pass ``spans`` to analyse a custom subset.
+
+    The trace decides how hand-offs are linked: recorded flow edges when
+    it has any (``method == "causal"``), the ``step`` tag otherwise
+    (``method == "heuristic"``).
     """
+    method = "causal" if trace.flows else "heuristic"
     if spans is None:
         spans = [s for s in trace.closed_spans() if "stage" in s.tags]
     if not spans:
-        return CriticalPath()
+        return CriticalPath(method=method)
 
     by_id = {s.span_id: s for s in spans}
-    by_lane: dict[str, list[SpanRecord]] = {}
-    by_link: dict[tuple[str, object], list[SpanRecord]] = {}
-    for s in spans:
-        by_lane.setdefault(s.lane, []).append(s)
-        for tag in link_tags:
-            if tag in s.tags:
-                by_link.setdefault((tag, s.tags[tag]), []).append(s)
-    lane_ends: dict[str, list[float]] = {}
-    for lane, group in by_lane.items():
-        group.sort(key=lambda s: (s.t_end, s.span_id))
-        lane_ends[lane] = [s.t_end for s in group]
-    link_ends: dict[tuple[str, object], list[float]] = {}
-    for key, group in by_link.items():
-        group.sort(key=lambda s: (s.t_end, s.span_id))
-        link_ends[key] = [s.t_end for s in group]
-
-    current = sink or max(spans, key=lambda s: (s.t_end, s.span_id))
-    path = [current]
-    visited = {current.span_id}
-    while True:
-        cutoff = current.t_start + eps
-        candidates: list[SpanRecord] = []
-        pred = _predecessor(by_lane[current.lane], lane_ends[current.lane],
-                            cutoff)
-        if pred is not None:
-            candidates.append(pred)
-        for tag in link_tags:
-            if tag in current.tags:
-                key = (tag, current.tags[tag])
-                pred = _predecessor(by_link[key], link_ends[key], cutoff)
-                if pred is not None:
-                    candidates.append(pred)
-        follows = current.tags.get("follows")
-        if follows is not None:
-            ids = follows if isinstance(follows, (list, tuple)) else (follows,)
-            for span_id in ids:
-                producer = by_id.get(span_id)
-                if producer is not None and producer.t_end <= cutoff:
-                    candidates.append(producer)
-        candidates = [c for c in candidates if c.span_id not in visited]
-        if not candidates:
-            break
-        current = max(candidates, key=lambda s: (s.t_end, s.span_id))
-        visited.add(current.span_id)
-        path.append(current)
-    path.reverse()
-
-    busy = sum(s.duration for s in path)
-    makespan = path[-1].t_end - path[0].t_start
-    stage_totals: dict[str, float] = {}
-    for s in path:
-        stage = s.tags.get("stage")
-        if stage is not None:
-            stage_totals[stage] = stage_totals.get(stage, 0.0) + s.duration
-    return CriticalPath(spans=path, makespan=makespan, busy_time=busy,
-                        wait_time=max(0.0, makespan - busy),
-                        stage_totals=stage_totals)
-
-
-def causal_critical_path(trace: Trace,
-                         spans: list[SpanRecord] | None = None,
-                         sink: SpanRecord | None = None,
-                         eps: float = 1e-9) -> CriticalPath:
-    """Exact critical path over the recorded causal-flow DAG.
-
-    Edges are what the pipeline *recorded* rather than what time ordering
-    suggests:
-
-    * **flow edges** — consecutive spans on one
-      :class:`~repro.obs.flow.FlowContext` chain (producer span → wire
-      transfer(s) → in-transit consumer), recorded at every hand-off;
-    * **lane order** — the serial predecessor on the same lane, exact
-      for single-actor lanes (a bucket cannot start a task before
-      finishing the previous one);
-    * **explicit ``follows`` tags**, as in :func:`critical_path`.
-
-    The per-``link_tags`` guessing of the heuristic path is *not* used.
-    Traces recorded without flows fall back to :func:`critical_path`
-    (the result's ``method`` says which ran).
-    """
-    if not trace.flows:
-        return critical_path(trace, spans=spans, sink=sink, eps=eps)
-    if spans is None:
-        spans = [s for s in trace.closed_spans() if "stage" in s.tags]
-    if not spans:
-        return CriticalPath(method="causal")
-
-    by_id = {s.span_id: s for s in spans}
+    by_lane = _by_end(spans, lambda s: s.lane)
     producers: dict[int, list[SpanRecord]] = {}
     for flow in trace.flows:
         chain = flow.span_ids()
         for a, b in zip(chain, chain[1:]):
             if a in by_id and b in by_id:
                 producers.setdefault(b, []).append(by_id[a])
-    by_lane: dict[str, list[SpanRecord]] = {}
-    for s in spans:
-        by_lane.setdefault(s.lane, []).append(s)
-    lane_ends: dict[str, list[float]] = {}
-    for lane, group in by_lane.items():
-        group.sort(key=lambda s: (s.t_end, s.span_id))
-        lane_ends[lane] = [s.t_end for s in group]
+    by_step = ({} if trace.flows else
+               _by_end([s for s in spans if "step" in s.tags],
+                       lambda s: s.tags["step"]))
 
     current = sink or max(spans, key=lambda s: (s.t_end, s.span_id))
     path = [current]
     visited = {current.span_id}
     while True:
         cutoff = current.t_start + eps
-        candidates: list[SpanRecord] = []
-        pred = _predecessor(by_lane[current.lane], lane_ends[current.lane],
-                            cutoff)
-        if pred is not None:
-            candidates.append(pred)
-        for producer in producers.get(current.span_id, ()):
-            # Overlapping producers (streaming prefetch) are not blocking.
-            if producer.t_end <= cutoff:
-                candidates.append(producer)
+        candidates = [_predecessor(by_lane[current.lane], cutoff)]
+        if by_step and "step" in current.tags:
+            candidates.append(
+                _predecessor(by_step[current.tags["step"]], cutoff))
+        named = list(producers.get(current.span_id, ()))
         follows = current.tags.get("follows")
         if follows is not None:
             ids = follows if isinstance(follows, (list, tuple)) else (follows,)
-            for span_id in ids:
-                producer = by_id.get(span_id)
-                if producer is not None and producer.t_end <= cutoff:
-                    candidates.append(producer)
-        candidates = [c for c in candidates if c.span_id not in visited]
+            named += [by_id[i] for i in ids if i in by_id]
+        # Overlapping producers (streaming prefetch) are not blocking.
+        candidates += [p for p in named if p.t_end <= cutoff]
+        candidates = [c for c in candidates
+                      if c is not None and c.span_id not in visited]
         if not candidates:
             break
         current = max(candidates, key=lambda s: (s.t_end, s.span_id))
@@ -261,55 +187,7 @@ def causal_critical_path(trace: Trace,
             stage_totals[stage] = stage_totals.get(stage, 0.0) + s.duration
     return CriticalPath(spans=path, makespan=makespan, busy_time=busy,
                         wait_time=max(0.0, makespan - busy),
-                        stage_totals=stage_totals, method="causal")
-
-
-@dataclass
-class PathReconcile:
-    """Causal vs heuristic critical path, side by side.
-
-    The heuristic can only *under*-link (it misses hand-offs that leave
-    no shared tag), so the causal path must explain at least as large a
-    window: ``ok`` checks ``causal.makespan >= heuristic.makespan`` (and
-    that both end on the same sink time) within ``eps``.
-    """
-
-    causal: CriticalPath
-    heuristic: CriticalPath
-    eps: float = 1e-9
-
-    @property
-    def makespan_delta(self) -> float:
-        return self.causal.makespan - self.heuristic.makespan
-
-    @property
-    def busy_delta(self) -> float:
-        return self.causal.busy_time - self.heuristic.busy_time
-
-    @property
-    def ok(self) -> bool:
-        return self.causal.makespan >= self.heuristic.makespan - self.eps
-
-    def table(self) -> str:
-        t = TextTable(["path", "spans", "makespan (s)", "busy (s)",
-                       "wait (s)", "bounded by"],
-                      title="causal vs heuristic critical path")
-        for cp in (self.causal, self.heuristic):
-            t.add_row([cp.method, len(cp.spans), round(cp.makespan, 4),
-                       round(cp.busy_time, 4), round(cp.wait_time, 4),
-                       cp.bounding_stage or "n/a"])
-        verdict = ("agree" if abs(self.makespan_delta) <= self.eps else
-                   f"causal explains {self.makespan_delta:+.4f} s more"
-                   if self.ok else
-                   f"HEURISTIC OVER-LINKS by {-self.makespan_delta:.4f} s")
-        return t.render() + f"\nreconcile: {verdict}"
-
-
-def reconcile_paths(trace: Trace, eps: float = 1e-9) -> PathReconcile:
-    """Extract both paths from one trace and pair them for comparison."""
-    return PathReconcile(causal=causal_critical_path(trace, eps=eps),
-                         heuristic=critical_path(trace, eps=eps),
-                         eps=eps)
+                        stage_totals=stage_totals, method=method)
 
 
 @dataclass

@@ -13,7 +13,7 @@ between a window's start and end lands in exactly one of the five
   (pull faults, lease expiries);
 * **scheduler_idle** — time no recorded span or edge explains.
 
-The decomposition walks a causal chain (the whole-run causal critical
+The decomposition walks a causal chain (the whole-run critical
 path, or one timestep's flow chain) with a **cursor**: each gap before a
 span is partitioned by the flow hops that arrived in it, each span
 residency is charged to its stage's bucket, and the cursor only moves
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.analysis import causal_critical_path
+from repro.obs.analysis import critical_path
 from repro.obs.flow import (
     BLAME_BUCKETS,
     BLAME_SCHEDULER_IDLE,
@@ -137,8 +137,7 @@ def _decompose(chain: list[SpanRecord], arrival: dict[int, list],
 
 def flow_edge_totals(trace: Trace, flow: FlowContext) -> dict[str, float]:
     """Exact per-edge-kind time along one flow (span residencies jump
-    the cursor, so — unlike :meth:`FlowContext.edge_totals` — wire and
-    compute time never leak into edge buckets)."""
+    the cursor, so wire and compute time never leak into edge buckets)."""
     smap = trace.span_map()
     out: dict[str, float] = {}
     cursor = flow.t_begin
@@ -248,7 +247,7 @@ def _step_chains(trace: Trace) -> list[tuple[Any, FlowContext, int]]:
 def blame(trace: Trace, per_step: bool = True) -> BlameReport:
     """Decompose the trace's makespan (and each step's latency) into the
     five blame buckets, exactly."""
-    path = causal_critical_path(trace)
+    path = critical_path(trace)
     arrival = _arrival_hops(trace)
     overall = _decompose(path.spans, arrival)
 

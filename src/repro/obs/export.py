@@ -348,12 +348,49 @@ def write_jsonl(path: str, trace: Trace,
     return n
 
 
+def _append_jsonl_record(trace: Trace, rec: dict[str, Any]) -> None:
+    """Add one decoded JSONL line to ``trace`` (metrics lines are skipped)."""
+    kind = rec.get("type")
+    if kind == "span":
+        trace.log.append(SpanRecord(
+            name=rec["name"], lane=rec["lane"],
+            span_id=rec["span_id"], parent_id=rec.get("parent_id"),
+            t_start=rec["t_start"],
+            wall_start=rec.get("wall_start", rec["t_start"]),
+            category=rec.get("category"),
+            tags=rec.get("tags") or {},
+            t_end=(rec["t_end"] if rec.get("t_end") is not None
+                   else math.nan),
+            wall_end=(rec["wall_end"]
+                      if rec.get("wall_end") is not None
+                      else math.nan),
+        ))
+    elif kind == "instant":
+        trace.log.append(InstantRecord(
+            name=rec["name"], lane=rec["lane"], t=rec["t"],
+            wall_t=rec.get("wall_t", rec["t"]),
+            tags=rec.get("tags") or {}))
+    elif kind == "flow":
+        trace.flows.append(FlowContext(
+            flow_id=rec["flow_id"], kind=rec["kind"],
+            t_begin=rec["t_begin"],
+            src_span_id=rec.get("src_span_id"),
+            dst_span_id=rec.get("dst_span_id"),
+            tags=rec.get("tags") or {},
+            hops=[FlowHop(t=h["t"], kind=h["kind"],
+                          lane=h["lane"],
+                          span_id=h.get("span_id"),
+                          tags=h.get("tags") or {})
+                  for h in rec.get("hops", [])]))
+
+
 def load_trace_jsonl(path: str) -> Trace:
     """Reconstruct a :class:`Trace` from a JSON-lines export.
 
     Full fidelity: spans (with ids and tags), instants, and flows with
     their complete hop chains — everything :func:`repro.obs.blame.blame`
-    and ``repro trace --diff`` need. Metrics lines are skipped.
+    and ``repro trace --diff`` need. Metrics lines are skipped. A damaged
+    line raises ``ValueError`` naming ``path:lineno``.
     """
     trace = Trace()
     with open(path, encoding="utf-8") as fh:
@@ -362,41 +399,15 @@ def load_trace_jsonl(path: str) -> Trace:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                _append_jsonl_record(trace, json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            kind = rec.get("type")
-            if kind == "span":
-                trace.log.append(SpanRecord(
-                    name=rec["name"], lane=rec["lane"],
-                    span_id=rec["span_id"], parent_id=rec.get("parent_id"),
-                    t_start=rec["t_start"],
-                    wall_start=rec.get("wall_start", rec["t_start"]),
-                    category=rec.get("category"),
-                    tags=rec.get("tags") or {},
-                    t_end=(rec["t_end"] if rec.get("t_end") is not None
-                           else math.nan),
-                    wall_end=(rec["wall_end"]
-                              if rec.get("wall_end") is not None
-                              else math.nan),
-                ))
-            elif kind == "instant":
-                trace.log.append(InstantRecord(
-                    name=rec["name"], lane=rec["lane"], t=rec["t"],
-                    wall_t=rec.get("wall_t", rec["t"]),
-                    tags=rec.get("tags") or {}))
-            elif kind == "flow":
-                trace.flows.append(FlowContext(
-                    flow_id=rec["flow_id"], kind=rec["kind"],
-                    t_begin=rec["t_begin"],
-                    src_span_id=rec.get("src_span_id"),
-                    dst_span_id=rec.get("dst_span_id"),
-                    tags=rec.get("tags") or {},
-                    hops=[FlowHop(t=h["t"], kind=h["kind"],
-                                  lane=h["lane"],
-                                  span_id=h.get("span_id"),
-                                  tags=h.get("tags") or {})
-                          for h in rec.get("hops", [])]))
+            except KeyError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: record is missing field {exc}") from exc
+            except (AttributeError, TypeError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: not a trace record: {exc}") from exc
     return trace
 
 

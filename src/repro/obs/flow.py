@@ -2,11 +2,10 @@
 
 A **flow** is the recorded journey of one unit of work (an in-transit
 task, a pulled region, a collective) through the pipeline's hand-off
-points. Where :func:`repro.obs.analysis.critical_path` *guesses*
-causality from time ordering, a flow *records* it: each hand-off appends
-a :class:`FlowHop` carrying the trace-clock time the work arrived at the
-next actor and the **edge kind** that explains the segment of time since
-the previous hop.
+points. Rather than leaving causality to be guessed from time ordering,
+a flow *records* it: each hand-off appends a :class:`FlowHop` carrying
+the trace-clock time the work arrived at the next actor and the **edge
+kind** that explains the segment of time since the previous hop.
 
 The hop chain reads as alternating residencies and edges::
 
@@ -167,21 +166,3 @@ class FlowContext:
         if self.dst_span_id is not None and self.dst_span_id not in ids:
             ids.append(self.dst_span_id)
         return ids
-
-    def edge_totals(self) -> dict[str, float]:
-        """Time per edge kind along the chain: each hop charges the gap
-        since the previous hop (or ``t_begin``) to its kind.
-
-        This is the *naive* hop-gap view: the residency of a span the
-        flow entered lands in the **next** edge's gap, because hop times
-        mark span starts. For the exact decomposition that charges span
-        residencies to their stage buckets, use
-        :func:`repro.obs.blame.blame` (cursor discipline over the trace).
-        """
-        out: dict[str, float] = {}
-        cursor = self.t_begin
-        for hop in self.hops:
-            seg = max(0.0, hop.t - cursor)
-            out[hop.kind] = out.get(hop.kind, 0.0) + seg
-            cursor = max(cursor, hop.t)
-        return out

@@ -159,6 +159,8 @@ class RunStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        #: Torn/foreign lines the last :meth:`records` read stepped over.
+        self.skipped = 0
 
     @property
     def path(self) -> Path:
@@ -173,6 +175,7 @@ class RunStore:
 
     def records(self) -> list[RunRecord]:
         """All records, oldest first (file order; ties keep file order)."""
+        self.skipped = 0
         if not self.path.exists():
             return []
         out: list[RunRecord] = []
@@ -183,8 +186,11 @@ class RunStore:
                     continue
                 try:
                     out.append(RunRecord.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, TypeError, ValueError):
-                    continue  # a torn/foreign line never poisons the store
+                except (json.JSONDecodeError, AttributeError, TypeError,
+                        ValueError):
+                    # A torn/foreign line (AttributeError: valid JSON that
+                    # is not an object) never poisons the store.
+                    self.skipped += 1
         return out
 
     def last(self, n: int) -> list[RunRecord]:

@@ -15,6 +15,7 @@ candidate and skips (holding) or fails (permanent denial) accordingly.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable
@@ -29,6 +30,16 @@ CONFIGS: dict[str, Callable[[], ExperimentConfig]] = {
 }
 
 _DEFAULT_ANALYSES = ("VIS_HYBRID", "TOPO_HYBRID", "STATS_HYBRID")
+
+# Every :class:`JobSpec` field belongs to exactly one of three groups: who
+# asked and when (never part of a cache key), what is replayed, and where
+# and under which faults it runs. A new field must join one of them.
+IDENTITY_FIELDS = ("tenant", "name", "submit_at")
+WORKLOAD_FIELDS = ("config", "n_steps", "analysis_interval", "analyses")
+PLACEMENT_FIELDS = (
+    "n_buckets", "n_shards", "lease_timeout", "bucket_restart_delay",
+    "max_bucket_restarts", "fault_seed", "crash_times", "pull_failure_rate",
+    "pull_stall_rate", "pull_stall_seconds")
 
 
 class JobState(Enum):
@@ -137,52 +148,26 @@ class JobSpec:
                            pull_stall_rate=self.pull_stall_rate,
                            pull_stall_seconds=self.pull_stall_seconds)
 
+    # -- serialization -------------------------------------------------------
+
+    def _pick(self, names: Iterable[str]) -> dict[str, Any]:
+        """JSON-ready view of the named fields (tuples become lists)."""
+        out = {}
+        for name in names:
+            value = getattr(self, name)
+            out[name] = list(value) if type(value) is tuple else value
+        return out
+
     def workload_dict(self) -> dict[str, Any]:
         """The workload half of the schedule-cache key: what is replayed."""
-        return {
-            "config": self.config,
-            "n_steps": self.n_steps,
-            "analysis_interval": self.analysis_interval,
-            "analyses": list(self.analyses),
-        }
+        return self._pick(WORKLOAD_FIELDS)
 
     def placement_dict(self) -> dict[str, Any]:
         """The placement half of the schedule-cache key: where it runs."""
-        return {
-            "n_buckets": self.n_buckets,
-            "n_shards": self.n_shards,
-            "lease_timeout": self.lease_timeout,
-            "bucket_restart_delay": self.bucket_restart_delay,
-            "max_bucket_restarts": self.max_bucket_restarts,
-            "fault_seed": self.fault_seed,
-            "crash_times": list(self.crash_times),
-            "pull_failure_rate": self.pull_failure_rate,
-            "pull_stall_rate": self.pull_stall_rate,
-            "pull_stall_seconds": self.pull_stall_seconds,
-        }
-
-    # -- serialization -------------------------------------------------------
+        return self._pick(PLACEMENT_FIELDS)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "tenant": self.tenant,
-            "name": self.name,
-            "config": self.config,
-            "n_steps": self.n_steps,
-            "n_buckets": self.n_buckets,
-            "analysis_interval": self.analysis_interval,
-            "analyses": list(self.analyses),
-            "n_shards": self.n_shards,
-            "submit_at": self.submit_at,
-            "lease_timeout": self.lease_timeout,
-            "bucket_restart_delay": self.bucket_restart_delay,
-            "max_bucket_restarts": self.max_bucket_restarts,
-            "fault_seed": self.fault_seed,
-            "crash_times": list(self.crash_times),
-            "pull_failure_rate": self.pull_failure_rate,
-            "pull_stall_rate": self.pull_stall_rate,
-            "pull_stall_seconds": self.pull_stall_seconds,
-        }
+        return self._pick(self.__dataclass_fields__)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "JobSpec":

@@ -30,24 +30,9 @@ from repro.sim.chemistry import ArrheniusChemistry
 from repro.sim.turbulence import synthetic_turbulence
 from repro.sim.lifted_flame import LiftedFlameCase
 from repro.sim.s3d import DecomposedS3D, S3DProxy, SolverParams
-from repro.sim.checkpoint import restore_checkpoint, save_checkpoint
-from repro.sim.diagnostics import (
-    add_diagnostics,
-    heat_release_rate,
-    mixture_fraction,
-    scalar_dissipation,
-    takeno_flame_index,
-)
 
 __all__ = [
     "SolverParams",
-    "save_checkpoint",
-    "restore_checkpoint",
-    "add_diagnostics",
-    "heat_release_rate",
-    "mixture_fraction",
-    "scalar_dissipation",
-    "takeno_flame_index",
     "StructuredGrid3D",
     "FieldSet",
     "SPECIES_NAMES",

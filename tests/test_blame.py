@@ -21,6 +21,7 @@ from repro.obs.flow import (
     BLAME_RETRY_BACKOFF,
     BLAME_SCHEDULER_IDLE,
     BLAME_TRANSPORT,
+    EDGE_GRANT,
     EDGE_NOTIFY,
     EDGE_QUEUE,
     EDGE_RETRY,
@@ -122,14 +123,20 @@ class TestBlameBreakdown:
         assert len(d["steps"]) == len(report.steps)
 
     def test_flow_edge_totals_excludes_span_residency(self):
-        trace = _traced_schedule()
-        flow = trace.flows[0]
-        exact = flow_edge_totals(trace, flow)
-        naive = flow.edge_totals()
-        # The wire span's residency leaks into the naive service figure
-        # but must not appear in the exact decomposition.
-        assert exact.get(EDGE_SERVICE, 0.0) <= naive.get(EDGE_SERVICE, 0.0)
-        assert all(v >= 0.0 for v in exact.values())
+        tracer = Tracer()
+        flow = tracer.flow_begin("task", t=0.0)
+        tracer.flow_step(flow, EDGE_NOTIFY, "s", t=0.5)
+        tracer.flow_step(flow, EDGE_QUEUE, "s", t=2.0)
+        wire = tracer.add_span("pull", lane="b", t_start=2.0, t_end=3.0,
+                               stage="movement")
+        tracer.flow_through(flow, EDGE_GRANT, wire)
+        dst = tracer.add_span("consume", lane="b", t_start=3.0, t_end=5.0,
+                              stage="intransit")
+        tracer.flow_end(flow, EDGE_SERVICE, dst)
+        # Hop gaps are charged to their edge kind; the wire span's
+        # residency jumps the cursor, so nothing leaks into ``service``.
+        assert flow_edge_totals(tracer.trace, flow) == {
+            EDGE_NOTIFY: pytest.approx(0.5), EDGE_QUEUE: pytest.approx(1.5)}
 
 
 class TestRetryBlame:

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.costmodel import (
-    CostModel,
-    OpDescriptor,
-    calibrate_rate,
-    fit_linear_rate,
-    jaguar_cost_model,
-)
+from repro.costmodel import CostModel, OpDescriptor, jaguar_cost_model
 
 BLOCK_CELLS = 100 * 49 * 43  # per-rank block in the 4896-core run
 BLOCK_CELLS_9440 = 50 * 49 * 43
@@ -88,36 +82,3 @@ class TestJaguarCalibration:
         """§V: in-situ statistics is ~9.73% of simulation time."""
         frac = self.m.time("stats.learn", 14 * BLOCK_CELLS) / self.m.time("s3d.step", BLOCK_CELLS)
         assert frac == pytest.approx(0.0973, abs=0.001)
-
-
-class TestCalibration:
-    def test_calibrate_rate_positive(self):
-        def kernel(n):
-            sum(range(n))
-
-        assert calibrate_rate(kernel, 10000) > 0
-
-    def test_calibrate_rate_validates(self):
-        with pytest.raises(ValueError):
-            calibrate_rate(lambda n: None, 0)
-        with pytest.raises(ValueError):
-            calibrate_rate(lambda n: None, 10, repeats=0)
-
-    def test_fit_linear_recovers_rate(self):
-        sizes = [100, 200, 400, 800]
-        times = [0.5 + 0.01 * n for n in sizes]
-        rate, overhead = fit_linear_rate(sizes, times)
-        assert rate == pytest.approx(0.01, rel=1e-6)
-        assert overhead == pytest.approx(0.5, rel=1e-6)
-
-    def test_fit_clamps_negative_overhead(self):
-        rate, overhead = fit_linear_rate([10, 20, 30], [0.09, 0.21, 0.28])
-        assert overhead >= 0.0
-
-    def test_fit_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            fit_linear_rate([10, 20], [1.0, 0.5])
-
-    def test_fit_needs_two_points(self):
-        with pytest.raises(ValueError):
-            fit_linear_rate([10], [1.0])

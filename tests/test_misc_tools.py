@@ -1,10 +1,7 @@
-"""Tests for the Gantt renderer, merge-tree I/O, and compressed trade-off."""
+"""Tests for the Gantt renderer and the compressed trade-off."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.topology import compute_merge_tree
-from repro.analysis.topology.tree_io import load_tree, save_tree, tree_nbytes
 from repro.core import ExperimentConfig, ScaledExperiment, TradeoffModel
 from repro.util.gantt import Span, render_gantt, utilisation
 
@@ -59,37 +56,6 @@ class TestGantt:
         assert out.count("|") >= 2 * 4  # one row per bucket
         u = utilisation(spans, 0.0, sched.makespan)
         assert all(0.0 < v <= 1.0 for v in u.values())
-
-
-class TestTreeIO:
-    def test_roundtrip(self, tmp_path):
-        f = np.random.default_rng(7).random((6, 6, 5))
-        tree, _ = compute_merge_tree(f)
-        path = tmp_path / "tree.bp"
-        nbytes = save_tree(tree, path, attrs={"step": 9})
-        assert nbytes > 0
-        again = load_tree(path)
-        assert again.signature() == tree.signature()
-        assert sorted(again.value) == sorted(tree.value)
-
-    def test_attrs_preserved(self, tmp_path):
-        from repro.io.bp import BPFile
-        f = np.random.default_rng(8).random((4, 4, 4))
-        tree, _ = compute_merge_tree(f)
-        save_tree(tree, tmp_path / "t.bp", attrs={"step": 3})
-        assert BPFile.open(tmp_path / "t.bp").attrs["step"] == 3
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        from repro.io.bp import BPFile
-        with BPFile.create(tmp_path / "x.bp", attrs={"kind": "other"}) as bp:
-            bp.write("a", np.zeros(3))
-        with pytest.raises(ValueError, match="not a merge-tree"):
-            load_tree(tmp_path / "x.bp")
-
-    def test_nbytes_estimate(self):
-        f = np.random.default_rng(9).random((5, 5, 4))
-        tree, _ = compute_merge_tree(f)
-        assert tree_nbytes(tree) == 24 * len(tree)
 
 
 class TestCompressedPostprocessing:

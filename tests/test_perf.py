@@ -48,9 +48,10 @@ class TestRunStore:
         store = RunStore(tmp_path / "store")
         store.append(_record({"v": 1.0}))
         with open(store.path, "a") as fh:
-            fh.write("{not json\n\n")
+            fh.write("{not json\n\n[1, 2]\n")
         store.append(_record({"v": 2.0}))
         assert [r.metrics["v"] for r in store.records()] == [1.0, 2.0]
+        assert store.skipped == 2
 
     def test_empty_store(self, tmp_path):
         store = RunStore(tmp_path / "nothing")

@@ -42,6 +42,32 @@ class TestJobSpec:
         again = JobSpec.from_dict(spec.to_dict())
         assert again == spec
 
+    def test_every_field_is_in_exactly_one_group(self):
+        from repro.service.queue import (
+            IDENTITY_FIELDS,
+            PLACEMENT_FIELDS,
+            WORKLOAD_FIELDS,
+        )
+        grouped = IDENTITY_FIELDS + WORKLOAD_FIELDS + PLACEMENT_FIELDS
+        assert sorted(grouped) == sorted(JobSpec.__dataclass_fields__)
+
+    @pytest.mark.parametrize("spec, digest", [
+        (JobSpec(tenant="a", name="j"),
+         "21284eca5330ccb19e47c3c989dc55c47fdcbeb3eb0ec554ac569239d2bbe47f"),
+        (JobSpec(tenant="b", name="k", config="paper_9440", n_steps=6,
+                 n_buckets=5, analysis_interval=2, analyses=("TOPO_HYBRID",),
+                 lease_timeout=30.0, bucket_restart_delay=2.0,
+                 max_bucket_restarts=1, fault_seed=3, crash_times=(12.5,),
+                 pull_failure_rate=0.1, pull_stall_rate=0.2,
+                 pull_stall_seconds=0.5),
+         "821ac43b1ca4a24eda4947bcc9efff1f9210b5ee8348083c1220002c461a08f1"),
+    ], ids=["clean", "faulted"])
+    def test_cache_key_is_pinned(self, spec, digest):
+        """On-disk schedule caches stay valid: a clean spec and a faulted,
+        unsharded one keep the keys they have always had."""
+        assert schedule_cache_key({"name": "m"}, spec.workload_dict(),
+                                  spec.placement_dict()) == digest
+
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown job fields"):
             JobSpec.from_dict({**_spec().to_dict(), "bogus": 1})

@@ -1,4 +1,4 @@
-"""Tests for the RK2 integrator and checkpoint/restart."""
+"""Tests for the RK2 integrator."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.sim import (
     SolverParams,
     StructuredGrid3D,
     VARIABLE_NAMES,
-    restore_checkpoint,
-    save_checkpoint,
 )
 from repro.vmpi import BlockDecomposition3D
 
@@ -79,58 +77,3 @@ class TestRK2:
             np.testing.assert_array_equal(assembled[name],
                                           global_solver.fields[name],
                                           err_msg=f"variable {name}")
-
-
-class TestCheckpointRestart:
-    def test_roundtrip_bitwise_identical_run(self, tmp_path):
-        """checkpoint at step 5, run to 8; restore and run to 8 — equal."""
-        path = tmp_path / "ckpt.bp"
-        a = S3DProxy(_case(kernel_rate=2.0))
-        a.step(5)
-        save_checkpoint(a, path)
-        a.step(3)
-
-        b = S3DProxy(_case(seed=123, kernel_rate=2.0))  # different history
-        b.step(2)
-        restore_checkpoint(b, path)
-        assert b.step_count == 5
-        b.step(3)
-        for name in VARIABLE_NAMES:
-            np.testing.assert_array_equal(a.fields[name], b.fields[name],
-                                          err_msg=f"variable {name}")
-        assert a.kernel_history == b.kernel_history
-
-    def test_restores_counters_and_dt(self, tmp_path):
-        path = tmp_path / "c.bp"
-        a = S3DProxy(_case())
-        a.step(4)
-        save_checkpoint(a, path)
-        b = S3DProxy(_case())
-        restore_checkpoint(b, path)
-        assert b.step_count == 4
-        assert b.dt == a.dt
-
-    def test_grid_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "c.bp"
-        save_checkpoint(S3DProxy(_case((12, 10, 8))), path)
-        other = S3DProxy(_case((10, 10, 8)))
-        with pytest.raises(ValueError, match="grid"):
-            restore_checkpoint(other, path)
-
-    def test_checkpoint_size_matches_state(self, tmp_path):
-        path = tmp_path / "c.bp"
-        s = S3DProxy(_case())
-        nbytes = save_checkpoint(s, path)
-        assert nbytes >= s.fields.nbytes  # payload + header
-
-    def test_rng_state_restored(self, tmp_path):
-        """Kernel seeding after restore matches the original run."""
-        path = tmp_path / "c.bp"
-        a = S3DProxy(_case(kernel_rate=5.0))
-        a.step(3)
-        save_checkpoint(a, path)
-        a.step(2)
-        b = S3DProxy(_case(kernel_rate=5.0))
-        restore_checkpoint(b, path)
-        b.step(2)
-        assert a.kernel_history == b.kernel_history
