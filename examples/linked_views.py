@@ -59,8 +59,8 @@ def main() -> None:
         print("\nno features above threshold; rendering unlinked")
         linked = plain
 
-    outdir = pathlib.Path("linked_views")
-    outdir.mkdir(exist_ok=True)
+    outdir = pathlib.Path("repro_out") / "linked_views"
+    outdir.mkdir(parents=True, exist_ok=True)
     for name in session.view_names:
         write_ppm(outdir / f"{name}.ppm", plain[name])
         write_ppm(outdir / f"{name}_linked.ppm", linked[name])

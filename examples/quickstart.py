@@ -45,7 +45,8 @@ def main() -> None:
                        round(stats.std, 4), len(tree.leaves())])
     print(table)
 
-    out = pathlib.Path("quickstart_render.ppm")
+    out = pathlib.Path("repro_out") / "quickstart_render.ppm"
+    out.parent.mkdir(exist_ok=True)
     write_ppm(out, result.hybrid_images[result.analysed_steps[-1]])
     print(f"\nin-transit rendered frame written to {out}")
     print(f"intermediate data moved through staging: {fmt_bytes(result.bytes_moved)}")

@@ -45,8 +45,8 @@ def main() -> None:
                        zoom=2.5, center=(10.0, 12.0, 8.0)),
     }
 
-    outdir = pathlib.Path("fig2_images")
-    outdir.mkdir(exist_ok=True)
+    outdir = pathlib.Path("repro_out") / "fig2_images"
+    outdir.mkdir(parents=True, exist_ok=True)
     table = TextTable(["view", "mode", "payload", "RMSE vs in-situ"],
                       title="\nFig. 2 comparison")
 

@@ -36,15 +36,6 @@ from repro.analysis.statistics.autocorrelation import (
     derive_autocorrelation,
     reference_autocorrelation,
 )
-from repro.analysis.statistics.multivariate import (
-    CovarianceAccumulator,
-    merge_covariances,
-)
-from repro.analysis.statistics.contingency import (
-    ContingencyStatistics,
-    ContingencyTable,
-    global_edges,
-)
 
 __all__ = [
     "MomentAccumulator",
@@ -61,9 +52,4 @@ __all__ = [
     "LagAccumulator",
     "derive_autocorrelation",
     "reference_autocorrelation",
-    "CovarianceAccumulator",
-    "merge_covariances",
-    "ContingencyStatistics",
-    "ContingencyTable",
-    "global_edges",
 ]

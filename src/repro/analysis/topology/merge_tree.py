@@ -203,20 +203,6 @@ class MergeTree:
             node = p
 
 
-def grid_neighbor_offsets(shape: tuple[int, ...]) -> list[int]:
-    """Linear-index offsets of the 2*ndim face neighbours of a C-order grid."""
-    strides = []
-    s = 1
-    for extent in reversed(shape):
-        strides.append(s)
-        s *= extent
-    strides.reverse()
-    out = []
-    for st in strides:
-        out.extend((st, -st))
-    return out
-
-
 def _iter_grid_neighbors(flat_index: int, shape: tuple[int, ...],
                          strides: list[int]) -> Iterable[int]:
     """Face neighbours with bounds checks (non-periodic)."""

@@ -109,10 +109,6 @@ class StreamingGlue:
 
     # -- output ------------------------------------------------------------------
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self._value)
-
     def all_finalized(self) -> bool:
         """True when every declared edge budget has been consumed."""
         return all(b in (None, 0) for b in self._remaining_edges.values())

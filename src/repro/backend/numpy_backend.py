@@ -58,31 +58,15 @@ def _resolve_ufunc(op: Callable[[Any, Any], Any]) -> np.ufunc | None:
     return _UFUNC_BY_OP.get(op)
 
 
-def _stackable(vals: list[Any]) -> bool:
-    return (all(isinstance(v, np.ndarray) for v in vals)
-            and len({(v.shape, v.dtype) for v in vals}) == 1)
-
-
-#: Stack ndarray contributions only in the many-small-buffers regime —
-#: measured: for large per-rank buffers the reference loop already runs
-#: one ufunc per pair and is memory-bound, so stacking merely adds the
-#: conversion cost, while thousands of small partials (the per-rank
-#: model exchanges of the paper) amortise it severalfold. Module-level
-#: so tests can force either path.
-PAIRWISE_STACK_MIN_RANKS = 512
-PAIRWISE_STACK_MAX_ELEMS = 64
-SCAN_STACK_MIN_RANKS = 512
-SCAN_STACK_MAX_ELEMS = 32
-
-
 def pairwise_reduce_numpy(values: list[Any],
                           op: Callable[[Any, Any], Any]) -> Any:
-    """Tree reduction folding whole levels in single array operations.
+    """Tree reduction of float contributions, folding whole levels in
+    single array operations.
 
     Identical pairing to the reference ((0,1), (2,3), …, odd tail
     carried), so every elementwise IEEE operation sees the same operands
-    — bit-identical results. Non-array payloads or unrecognised
-    operators fall back to the reference loop.
+    — bit-identical results. Any other payload (ndarrays included) or an
+    unrecognised operator falls back to the reference loop.
     """
     vals = list(values)
     if not vals:
@@ -92,22 +76,10 @@ def pairwise_reduce_numpy(values: list[Any],
         # whole reduction runs through the vectorized Pébay formulas.
         return merge_moments_numpy(vals)
     ufunc = _resolve_ufunc(op)
-    if ufunc is None or len(vals) < 2:
+    if (ufunc is None or len(vals) < 2
+            or not all(isinstance(v, float) for v in vals)):
         return _ref("vmpi.pairwise_reduce")(vals, op)
-    first = vals[0]
-    if isinstance(first, np.ndarray):
-        if (len(vals) >= PAIRWISE_STACK_MIN_RANKS
-                and first.size <= PAIRWISE_STACK_MAX_ELEMS
-                and _stackable(vals)):
-            stack = np.asarray(vals)
-            scalar = False
-        else:
-            return _ref("vmpi.pairwise_reduce")(vals, op)
-    elif all(isinstance(v, float) for v in vals):
-        stack = np.array(vals, dtype=np.float64)
-        scalar = True
-    else:
-        return _ref("vmpi.pairwise_reduce")(vals, op)
+    stack = np.array(vals, dtype=np.float64)
     while stack.shape[0] > 1:
         m = stack.shape[0]
         even = m - (m % 2)
@@ -115,28 +87,7 @@ def pairwise_reduce_numpy(values: list[Any],
         if m % 2:
             merged = np.concatenate([merged, stack[-1:]])
         stack = merged
-    return float(stack[0]) if scalar else stack[0]
-
-
-def scan_numpy(values: list[Any], op: Callable[[Any, Any], Any]) -> list[Any]:
-    """Inclusive prefix fold via ``ufunc.accumulate`` (sequential, the
-    identical left-to-right order) over the stacked contributions.
-
-    Gated to the many-small-contributions regime: accumulate along the
-    rank axis strides across rows, so for large payloads the reference's
-    sequential adds are faster.
-    """
-    vals = list(values)
-    ufunc = _resolve_ufunc(op)
-    if (ufunc is None or len(vals) < SCAN_STACK_MIN_RANKS
-            or not isinstance(vals[0], np.ndarray)
-            or vals[0].size > SCAN_STACK_MAX_ELEMS
-            or not _stackable(vals)):
-        return _ref("vmpi.scan")(vals, op)
-    acc = ufunc.accumulate(np.asarray(vals), axis=0)
-    out = list(acc)
-    out[0] = vals[0]  # reference hands rank 0 its own contribution back
-    return out
+    return float(stack[0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +314,7 @@ def glue_batch_numpy(boundary_trees, cross_edges):
 
 
 # ---------------------------------------------------------------------------
-# (3) statistics: batched single-pass moments / contingency / autocorrelation
+# (3) statistics: batched single-pass moments / autocorrelation
 # ---------------------------------------------------------------------------
 
 
@@ -489,16 +440,6 @@ def merge_packed_moments_numpy(packed, n_vars: int):
     return [_unpack_moments(merged[i]) for i in range(n_vars)]
 
 
-def bivariate_histogram_numpy(x, y, x_edges, y_edges, shape):
-    """Joint histogram as one ``bincount`` over linearised cell indices
-    (identical integer counts to the scatter-add reference)."""
-    nx, ny = shape
-    xi = np.clip(np.searchsorted(x_edges, x, side="right") - 1, 0, nx - 1)
-    yi = np.clip(np.searchsorted(y_edges, y, side="right") - 1, 0, ny - 1)
-    flat = np.bincount(xi * ny + yi, minlength=nx * ny)
-    return flat.astype(np.int64).reshape(nx, ny)
-
-
 def autocorr_cross_sums_numpy(current, history):
     """All lags' cross sums in batched axis-wise passes; the current
     field's own sums are computed once instead of once per lag."""
@@ -537,14 +478,12 @@ def autocorr_merge_numpy(packed_partials, max_lag: int):
 
 KERNELS: dict[str, Callable[..., Any]] = {
     "vmpi.pairwise_reduce": pairwise_reduce_numpy,
-    "vmpi.scan": scan_numpy,
     "topology.merge_tree": merge_tree_numpy,
     "topology.graph_merge_tree": graph_merge_tree_numpy,
     "topology.glue_batch": glue_batch_numpy,
     "statistics.learn_blocks": learn_blocks_numpy,
     "statistics.merge_moments": merge_moments_numpy,
     "statistics.merge_packed_moments": merge_packed_moments_numpy,
-    "statistics.bivariate_histogram": bivariate_histogram_numpy,
     "statistics.autocorr_cross_sums": autocorr_cross_sums_numpy,
     "statistics.autocorr_merge": autocorr_merge_numpy,
 }

@@ -10,8 +10,7 @@ A backend is a named mapping ``{kernel name -> implementation}``.
 Backends register a lazy *loader* so that optional dependencies are only
 imported when the backend is first used; a backend whose loader raises
 ``ImportError`` is simply unavailable and resolution falls back to
-``reference`` with a single warning (never an import-time failure —
-``numpy`` is an optional extra, ``pip install repro[fast]``).
+``reference`` with a single warning (never an import-time failure).
 
 Selection precedence, checked per call (cheap — one module-level read
 plus an environment lookup):

@@ -658,7 +658,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     if records and base_records:
         baseline = Baseline.from_records(base_records, window=args.window)
         report = compare_record(records[-1], baseline, policies)
-    out = Path(args.html) if args.html else out_dir / "perf_dashboard.html"
+    out = _resolve_out(args.html, args.out_dir, "perf_dashboard.html")
     write_dashboard(out, records, report)
     print(f"wrote {out} ({len(records)} runs from {which.path}"
           f"{', with gate panel' if report is not None else ''})")

@@ -87,11 +87,6 @@ class ControlPolicy:
     cooldown_windows: int = 2
     #: ``AnalyticsVariant.value`` names the controller may re-place.
     movable: tuple[str, ...] = DEFAULT_MOVABLE
-    #: Clamp pool growth by the capacity ledger's *measured* per-bucket
-    #: footprint (not just the analytic model): the ledger is always
-    #: bound by ``begin_run``; this knob arms the clamp. Off by default
-    #: so committed decision-log baselines predate the ledger exactly.
-    measured_budget: bool = False
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -200,8 +195,6 @@ class PlacementController:
         self.signal_history: list[WindowSignals] = []
         self.max_buckets = 0
         self.min_buckets = 0
-        #: Capacity ledger bound by :meth:`begin_run` (or None).
-        self.capacity: Any | None = None
         self._ds: DataSpaces | None = None
         self._movable: tuple[Any, ...] = ()
         self.memory_budget_bytes = 0
@@ -218,21 +211,11 @@ class PlacementController:
     def begin_run(self, *, experiment: "ScaledExperiment",
                   ds: "DataSpaces", analyses: tuple[Any, ...],
                   n_buckets: int, analysis_interval: int,
-                  probe_map: Mapping[str, Callable[[], float]] | None = None,
-                  capacity: Any | None = None) -> None:
-        """Reset all state and bind the controller to one replay.
-
-        ``capacity`` (a :class:`repro.obs.capacity.CapacityLedger`, or
-        None) feeds the pool decisions *measured* staging-memory
-        budgets: growth is additionally clamped so the ledger-observed
-        per-bucket footprint times the target pool stays inside the
-        memory budget. When the measurement agrees with (or beats) the
-        analytic model the clamp is a no-op, so clean decision logs are
-        unchanged; it bites exactly when the model under-estimated.
-        """
+                  probe_map: Mapping[str, Callable[[], float]] | None = None
+                  ) -> None:
+        """Reset all state and bind the controller to one replay."""
         pol = self.policy
         self._ds = ds
-        self.capacity = capacity
         self._probe_map = dict(probe_map or {})
         self.decisions = []
         self.signal_history = []
@@ -332,10 +315,6 @@ class PlacementController:
                           and sig.queue_wait_share >= pol.grow_queue_share))
         if backlogged:
             target = min(committed + pol.grow_step, self.max_buckets)
-            if pol.measured_budget:
-                measured_cap = self._measured_bucket_cap(committed)
-                if measured_cap is not None:
-                    target = min(target, max(committed, measured_cap))
             if target > committed and self._pool_cd.ready(self._window):
                 self._pool_cd.fire(self._window)
                 self._ds.scale_to(target)
@@ -358,23 +337,6 @@ class PlacementController:
                     f"empty queue) — retire toward floor "
                     f"({self.min_buckets})",
                     sig)
-
-    def _measured_bucket_cap(self, committed: int) -> int | None:
-        """Largest pool the *measured* per-bucket footprint affords.
-
-        Uses the capacity ledger's running peak resident bytes divided
-        over the committed pool as the per-bucket footprint estimate;
-        returns None without a ledger (or before any bytes registered),
-        leaving the analytic bound in charge.
-        """
-        ledger = self.capacity
-        if ledger is None or committed < 1:
-            return None
-        peak = ledger.peak_resident_bytes
-        if peak <= 0:
-            return None
-        per_bucket = -(-peak // committed)  # ceil division, exact ints
-        return max(1, int(self.memory_budget_bytes // per_bucket))
 
     def _decide_placement(self, sig: WindowSignals) -> None:
         pol = self.policy

@@ -36,6 +36,3 @@ class Cooldown:
 
     def fire(self, position: float) -> None:
         self.last_fired = position
-
-    def reset(self) -> None:
-        self.last_fired = None

@@ -39,21 +39,20 @@ def _proc_grid_for(x_factor: int) -> tuple[int, int, int]:
 class Campaign:
     """Sweep simulation scale on the modeled machine."""
 
-    def __init__(self, x_factors: tuple[int, ...] = (8, 16, 32, 64),
-                 n_service_cores: int = 256) -> None:
+    def __init__(self, x_factors: tuple[int, ...] = (8, 16, 32, 64)
+                 ) -> None:
         for x in x_factors:
             if x < 1 or PAPER_GLOBAL_SHAPE[0] % x:
                 raise ValueError(
                     f"x factor {x} must divide the grid extent "
                     f"{PAPER_GLOBAL_SHAPE[0]}")
         self.x_factors = tuple(x_factors)
-        self.n_service_cores = n_service_cores
 
     def point(self, x_factor: int) -> ScalePoint:
         cfg = ExperimentConfig(
             name=f"x{x_factor}",
             proc_grid=_proc_grid_for(x_factor),
-            n_service_cores=self.n_service_cores,
+            n_service_cores=256,
             n_intransit_cores=256,
         )
         exp = ScaledExperiment(cfg)

@@ -67,8 +67,6 @@ class FrameworkResult:
     temperature_fields: dict[int, np.ndarray] = field(default_factory=dict)
     #: lag -> temporal autocorrelation over the whole run (§VI extension).
     autocorrelation: dict[int, float] = field(default_factory=dict)
-    #: step -> correlation matrix over the stats variables ([21] extension).
-    correlations: dict[int, np.ndarray] = field(default_factory=dict)
     task_results: list[TaskResult] = field(default_factory=list)
     #: Recorded steering-rule firings, in firing order.
     steering_events: list = field(default_factory=list)
@@ -85,8 +83,7 @@ class HybridFramework:
     """High-level driver of the hybrid in-situ/in-transit workflow."""
 
     KNOWN_ANALYSES = ("statistics", "topology", "visualization",
-                      "visualization_insitu", "autocorrelation",
-                      "correlation")
+                      "visualization_insitu", "autocorrelation")
 
     def __init__(self, case: LiftedFlameCase, decomp: BlockDecomposition3D,
                  analyses: tuple[str, ...] = ("statistics", "topology",
@@ -237,32 +234,6 @@ class HybridFramework:
             compute=lambda payloads: render_intransit(payloads, shape,
                                                       camera, tf))
 
-    def _submit_correlation(self, step: int) -> None:
-        """Multivariate statistics [21]: per-rank covariance partials,
-        merged and derived serially in-transit into a correlation matrix
-        over ``stats_variables``."""
-        from repro.analysis.statistics.multivariate import (
-            CovarianceAccumulator,
-            merge_covariances,
-        )
-        names = list(self.stats_variables)
-        d = len(names)
-        packed = []
-        for part in self.solver.parts:
-            acc, _ = CovarianceAccumulator.from_data(
-                {n: part[n].ravel() for n in names})
-            packed.append(acc.pack())
-        descs = [self.transport.register(f"sim-{rank}", vec,
-                                         meta={"rank": rank})
-                 for rank, vec in enumerate(packed)]
-
-        def derive_matrix(payloads):
-            accs = [CovarianceAccumulator.unpack(v, d) for v in payloads]
-            return merge_covariances(accs).correlation()
-
-        self.dataspaces.submit_grouped_result(
-            "correlation", step, descs, compute=derive_matrix)
-
     def _observe_autocorrelation(self) -> None:
         """Per-step in-situ stage: feed each rank's block to its learner."""
         for learner, part in zip(self._autocorr_learners, self.solver.parts):
@@ -321,9 +292,6 @@ class HybridFramework:
                 if "visualization" in self.analyses:
                     self._traced_submit("visualization", step,
                                         self._submit_visualization)
-                if "correlation" in self.analyses:
-                    self._traced_submit("correlation", step,
-                                        self._submit_correlation)
                 if "visualization_insitu" in self.analyses:
                     self._render_insitu(step, result)
                 if self.keep_fields:
@@ -393,8 +361,6 @@ class HybridFramework:
                 result.hybrid_images[task.timestep] = task.value
             elif task.analysis == "autocorrelation":
                 result.autocorrelation = task.value
-            elif task.analysis == "correlation":
-                result.correlations[task.timestep] = task.value
         return fresh
 
     def _apply_steering(self, result: FrameworkResult,

@@ -15,8 +15,7 @@ from repro.util import TextTable, fmt_bytes
 from repro.util.gantt import Span, render_gantt, utilisation
 
 
-def run_report(framework: HybridFramework, result: FrameworkResult,
-               gantt_width: int = 60) -> str:
+def run_report(framework: HybridFramework, result: FrameworkResult) -> str:
     """Render the full text report for one run."""
     lines: list[str] = []
     steps = result.analysed_steps
@@ -49,7 +48,7 @@ def run_report(framework: HybridFramework, result: FrameworkResult,
         if makespan > 0:
             util = utilisation(spans, 0.0, makespan)
             lines.append("\nbucket occupancy (simulated time):")
-            lines.append(render_gantt(spans, gantt_width))
+            lines.append(render_gantt(spans, 60))
             lines.append("utilisation: " + ", ".join(
                 f"{k}={v:.0%}" for k, v in sorted(util.items())))
 

@@ -107,12 +107,8 @@ class ScheduleResult:
     #: leak scan and headroom vs the analytic bound.
     capacity: Any | None = None
 
-    def by_analysis(self, name: str) -> list[TaskResult]:
-        return [r for r in self.results if r.analysis == name]
-
-    def max_queue_wait(self, name: str | None = None) -> float:
-        rs = self.results if name is None else self.by_analysis(name)
-        return max((r.queue_wait for r in rs), default=0.0)
+    def max_queue_wait(self) -> float:
+        return max((r.queue_wait for r in self.results), default=0.0)
 
     def keeps_pace(self, slack: float = 1.0) -> bool:
         """True if no task waited longer than ~one simulation step in the
@@ -220,10 +216,9 @@ class ScaledExperiment:
                        for v in AnalyticsVariant},
         )
 
-    def min_sustainable_interval(self, n_buckets: int,
-                                 variant: AnalyticsVariant =
-                                 AnalyticsVariant.TOPO_HYBRID) -> int:
-        """Smallest analysis interval the staging area absorbs (§III:
+    def min_sustainable_interval(self, n_buckets: int) -> int:
+        """Smallest analysis interval the staging area absorbs the hybrid
+        topology tasks at (§III:
         "the fastest sustainable analysis frequency is limited by memory
         and processing constraints on the secondary system").
 
@@ -232,7 +227,7 @@ class ScaledExperiment:
         """
         if n_buckets < 1:
             raise ValueError("n_buckets must be >= 1")
-        row = self.analytics_timing(variant)
+        row = self.analytics_timing(AnalyticsVariant.TOPO_HYBRID)
         task = row.movement_time + row.intransit_time
         return max(1, math.ceil(task / (self.simulation_step_time()
                                         * n_buckets)))
@@ -460,7 +455,7 @@ class ScaledExperiment:
             controller.begin_run(experiment=self, ds=ds, analyses=analyses,
                                  n_buckets=n_buckets,
                                  analysis_interval=analysis_interval,
-                                 probe_map=probe_map, capacity=ledger)
+                                 probe_map=probe_map)
             insitu_base = {v: self.cost.time(*self.workload.insitu_op(v))
                            for v in analyses}
             intransit_extra = {v: self.analytics_timing(v).intransit_time
@@ -582,7 +577,6 @@ class ScaledExperiment:
         }
 
     def traced_schedule(self, n_steps: int = 10,
-                        analyses: tuple[AnalyticsVariant, ...] = HYBRID_VARIANTS,
                         n_buckets: int | None = None,
                         analysis_interval: int = 1,
                         probe_interval: float | None = None
@@ -594,9 +588,9 @@ class ScaledExperiment:
         needed to export a Chrome trace and reconcile it.
         """
         with tracing() as tracer:
-            result = self.run_schedule(n_steps, analyses, n_buckets,
+            result = self.run_schedule(n_steps, HYBRID_VARIANTS, n_buckets,
                                        analysis_interval,
                                        probe_interval=probe_interval)
-        expected = self.expected_stage_totals(n_steps, analyses,
+        expected = self.expected_stage_totals(n_steps, HYBRID_VARIANTS,
                                               analysis_interval)
         return tracer, result, expected

@@ -104,34 +104,6 @@ class TradeoffModel:
         return self._mk("post-processing", checkpoint_stride, critical,
                         insight, b.data_bytes)
 
-    def postprocessing_compressed(self, checkpoint_stride: int,
-                                  run_steps: int,
-                                  compression_ratio: float = 10.0,
-                                  compress_rate_per_cell: float = 2.0e-7
-                                  ) -> StrategyOutcome:
-        """Post-processing with ISABELA-style in-situ compression [6].
-
-        Checkpoints shrink by ``compression_ratio`` (cutting write/read
-        times proportionally) at the price of an in-situ compression pass
-        over every cell of every variable. Queries/analyses still wait for
-        the run to end.
-        """
-        if compression_ratio <= 1.0:
-            raise ValueError("compression_ratio must exceed 1")
-        if compress_rate_per_cell <= 0:
-            raise ValueError("compress_rate_per_cell must be positive")
-        base = self.postprocessing(checkpoint_stride, run_steps)
-        b = self.breakdown
-        w = self.exp.workload
-        compress_time = (compress_rate_per_cell * w.block_cells * w.n_vars)
-        critical = (b.io_write_time / compression_ratio
-                    + compress_time) / checkpoint_stride
-        insight = (base.time_to_insight
-                   - b.io_read_time * (1.0 - 1.0 / compression_ratio))
-        return self._mk("post-processing (compressed)", checkpoint_stride,
-                        critical, insight,
-                        int(b.data_bytes / compression_ratio))
-
     def concurrent_hybrid(self, analysis_interval: int = 1) -> StrategyOutcome:
         """The paper's strategy: per analysed step, in-situ stages run on
         the critical path; movement and in-transit complete asynchronously

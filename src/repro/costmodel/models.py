@@ -36,9 +36,6 @@ class CostModel:
     rates: dict[str, float]
     overheads: dict[str, float] = field(default_factory=dict)
 
-    def has_op(self, op: str) -> bool:
-        return op in self.rates
-
     def rate(self, op: str) -> float:
         try:
             return self.rates[op]
@@ -53,9 +50,6 @@ class CostModel:
         if n_elements < 0:
             raise ValueError(f"n_elements must be >= 0, got {n_elements}")
         return self.overheads.get(op, 0.0) + n_elements * self.rate(op)
-
-    def time_of(self, desc: OpDescriptor) -> float:
-        return self.time(desc.op, desc.n_elements)
 
     def with_rate(self, op: str, rate: float, overhead: float = 0.0) -> "CostModel":
         """Copy with one rate replaced/added (used by ablations)."""

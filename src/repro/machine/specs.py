@@ -80,17 +80,6 @@ def jaguar_xk6() -> MachineSpec:
     )
 
 
-def laptop() -> MachineSpec:
-    """A small reference machine for tests and examples."""
-    return MachineSpec(
-        name="laptop",
-        n_nodes=1,
-        node=NodeSpec(cores=8, memory_bytes=16 * GB, core_gflops=4.0),
-        network=GeminiNetwork(),
-        filesystem=LustreModel(n_osts=1, ost_read_bw=0.5 * GB, ost_write_bw=0.4 * GB),
-    )
-
-
 # Sanity constant used in docs/tests: Jaguar's total memory as reported.
 JAGUAR_TOTAL_MEMORY_BYTES = 18688 * 32 * GB
 assert JAGUAR_TOTAL_MEMORY_BYTES // TB == 584  # ~600 TB as reported in §V

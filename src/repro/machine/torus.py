@@ -57,23 +57,3 @@ class TorusTopology:
     @property
     def diameter(self) -> int:
         return sum(d // 2 for d in self.dims)
-
-    def mean_hops_sample(self, n_pairs: int = 1000, seed: int = 0) -> float:
-        """Monte-Carlo mean hop count between uniform random node pairs."""
-        from repro.util.rng import seeded_rng
-        if n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
-        rng = seeded_rng(seed)
-        pairs = rng.integers(0, self.n_nodes, size=(n_pairs, 2))
-        return float(sum(self.hops(int(a), int(b)) for a, b in pairs) / n_pairs)
-
-    def place_ranks(self, n_ranks: int, cores_per_node: int) -> list[int]:
-        """Contiguous rank -> node placement (the default ALPS policy)."""
-        if n_ranks < 1 or cores_per_node < 1:
-            raise ValueError("n_ranks and cores_per_node must be >= 1")
-        needed = -(-n_ranks // cores_per_node)
-        if needed > self.n_nodes:
-            raise ValueError(
-                f"{n_ranks} ranks at {cores_per_node}/node need {needed} "
-                f"nodes > torus capacity {self.n_nodes}")
-        return [r // cores_per_node for r in range(n_ranks)]

@@ -121,23 +121,21 @@ def _predecessor(group: tuple[list[SpanRecord], list[float]],
     return candidates[i - 1] if i else None
 
 
-def critical_path(trace: Trace, spans: list[SpanRecord] | None = None,
-                  sink: SpanRecord | None = None,
-                  eps: float = 1e-9) -> CriticalPath:
+def critical_path(trace: Trace, sink: SpanRecord | None = None
+                  ) -> CriticalPath:
     """Extract the blocking chain ending at ``sink`` (default: the span
     with the greatest finish time).
 
-    By default the DAG is built over stage-tagged spans — the disjoint
-    per-stage activities — so parents that merely wrap children do not
-    double count. Pass ``spans`` to analyse a custom subset.
+    The DAG is built over stage-tagged spans — the disjoint per-stage
+    activities — so parents that merely wrap children do not double
+    count.
 
     The trace decides how hand-offs are linked: recorded flow edges when
     it has any (``method == "causal"``), the ``step`` tag otherwise
     (``method == "heuristic"``).
     """
     method = "causal" if trace.flows else "heuristic"
-    if spans is None:
-        spans = [s for s in trace.closed_spans() if "stage" in s.tags]
+    spans = [s for s in trace.closed_spans() if "stage" in s.tags]
     if not spans:
         return CriticalPath(method=method)
 
@@ -157,7 +155,7 @@ def critical_path(trace: Trace, spans: list[SpanRecord] | None = None,
     path = [current]
     visited = {current.span_id}
     while True:
-        cutoff = current.t_start + eps
+        cutoff = current.t_start + 1e-9
         candidates = [_predecessor(by_lane[current.lane], cutoff)]
         if by_step and "step" in current.tags:
             candidates.append(
@@ -216,7 +214,8 @@ def reconcile_totals(observed: dict[str, float], expected: dict[str, float]
             for stage, exp in sorted(expected.items())]
 
 
-def reconcile_table(rows: list[ReconcileRow], tolerance: float = 0.01) -> str:
+def reconcile_table(rows: list[ReconcileRow]) -> str:
+    tolerance = 0.01
     t = TextTable(["stage", "model (s)", "traced (s)", "rel err", "ok"],
                   title=f"trace vs core.breakdown (tolerance "
                         f"{100 * tolerance:.1f}%)")

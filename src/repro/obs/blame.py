@@ -244,7 +244,7 @@ def _step_chains(trace: Trace) -> list[tuple[Any, FlowContext, int]]:
     return out
 
 
-def blame(trace: Trace, per_step: bool = True) -> BlameReport:
+def blame(trace: Trace) -> BlameReport:
     """Decompose the trace's makespan (and each step's latency) into the
     five blame buckets, exactly."""
     path = critical_path(trace)
@@ -252,7 +252,7 @@ def blame(trace: Trace, per_step: bool = True) -> BlameReport:
     overall = _decompose(path.spans, arrival)
 
     steps: list[StepBlame] = []
-    if per_step and trace.flows:
+    if trace.flows:
         smap = trace.span_map()
         for step, flow, n_flows in _step_chains(trace):
             chain = [smap[sid] for sid in flow.span_ids() if sid in smap]

@@ -17,7 +17,7 @@ On top of the ledger:
   with high/low watermarks (integer bytes, so per-tenant totals sum to
   the global total with zero error);
 * a **leak detector** — after a run drains, every consumer task has
-  settled and every ``drop_version`` gc has run, so any region still
+  settled and every version gc has run, so any region still
   resident in a registry is a leak; :meth:`CapacityLedger.scan_leaks`
   reports each with its allocating attribution (source node, analysis,
   timestep, tenant/job);
@@ -224,17 +224,15 @@ class CapacityLedger:
     (:class:`~repro.obs.events.LedgerEntry` /
     :class:`~repro.obs.events.TransferEntry`) to the run's event log — the
     tracer's, or a private list on an untraced replay — and keeps only
-    the global resident bytes and their peak live, because the placement
-    controller reads them every window. After the run drains,
+    the global resident bytes and their peak live. After the run drains,
     :meth:`finalize` scans the registries for leaked regions and folds
     the deltas into the :class:`CapacityReport`: totals, per-scope
     accounts with watermarks, the resident series, NIC occupancy.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None,
-                 analytic_bound_bytes: int | None = None) -> None:
-        self._clock: Callable[[], float] = clock or (lambda: 0.0)
-        self.analytic_bound_bytes = analytic_bound_bytes
+    def __init__(self) -> None:
+        self._clock: Callable[[], float] = lambda: 0.0
+        self.analytic_bound_bytes: int | None = None
         self._tracer = get_tracer()
         self._log: list[Any] = (self._tracer.log if self._tracer.enabled
                                 else [])
@@ -290,7 +288,7 @@ class CapacityLedger:
 
     def inject_leak(self, nbytes: int = 1 << 20) -> None:
         """Arm a synthetic retention fault for the next registry attach
-        (the ``--inject-leak`` capacity-smoke leg)."""
+        (the ``--inject-leak`` leg of ``repro capacity --gate``)."""
         if nbytes <= 0:
             raise ValueError(f"leak bytes must be > 0, got {nbytes}")
         self._pending_leak_bytes = int(nbytes)
@@ -546,24 +544,21 @@ def _nic_occupancy(transfers: list[TransferEntry]
 # ---------------------------------------------------------------------------
 
 
-def capacity_objectives(memory_frac_target: float = 1.0,
-                        nic_frac_target: float = 1.0
-                        ) -> tuple[SloObjective, ...]:
+def capacity_objectives() -> tuple[SloObjective, ...]:
     """Per-tenant capacity objectives for the burn-rate monitor.
 
     * ``staging-memory`` — a job's ledger-measured peak resident staging
-      bytes stay within ``memory_frac_target`` of its analytic
-      ``staging_memory_needed`` bound (fraction > 1 means the model
-      under-provisioned);
+      bytes stay within its analytic ``staging_memory_needed`` bound (a
+      fraction > 1 means the model under-provisioned);
     * ``nic-bandwidth`` — the job's peak concurrent granted NIC bytes
-      stay within ``nic_frac_target`` of the same bound (the in-flight
-      data a pull storm pins on the wire at once).
+      stay within the same bound (the in-flight data a pull storm pins
+      on the wire at once).
     """
     return (
         SloObjective(name="staging-memory", metric="staging_peak_frac",
-                     target=memory_frac_target),
+                     target=1.0),
         SloObjective(name="nic-bandwidth", metric="nic_peak_frac",
-                     target=nic_frac_target, severity="ticket"),
+                     target=1.0, severity="ticket"),
     )
 
 

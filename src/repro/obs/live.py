@@ -517,9 +517,6 @@ class BurnRateMonitor:
             alerts = [a for a in alerts if a.tenant == tenant]
         return alerts
 
-    def alerts_for(self, tenant: str) -> list[Alert]:
-        return [a for a in self.alerts if a.tenant == tenant]
-
 
 # ---------------------------------------------------------------------------
 # The `repro top` frame renderer
@@ -527,8 +524,7 @@ class BurnRateMonitor:
 
 
 def render_top(service: "CampaignService", bus: TelemetryBus | None = None,
-               monitor: BurnRateMonitor | None = None,
-               ticker: int = 5) -> str:
+               monitor: BurnRateMonitor | None = None) -> str:
     """One refreshing text frame of a draining campaign service.
 
     Reads live state only — the service engine is not advanced. Shows
@@ -587,8 +583,8 @@ def render_top(service: "CampaignService", bus: TelemetryBus | None = None,
         lines.append("active alerts:")
         for alert in monitor.active():
             lines.append(f"  [{alert.severity}] {alert.message}")
-    if bus is not None and ticker > 0:
-        recent = bus.latest((KIND_DECISION, KIND_ALERT), ticker)
+    if bus is not None:
+        recent = bus.latest((KIND_DECISION, KIND_ALERT), 5)
         if recent:
             lines.append("ticker (decisions & alerts):")
             for e in recent:

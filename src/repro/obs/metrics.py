@@ -15,7 +15,6 @@ lookup and a no-op call when tracing is off.
 
 from __future__ import annotations
 
-import math
 import random
 import zlib
 from collections.abc import Callable
@@ -56,17 +55,10 @@ class Counter:
 
 
 class Gauge:
-    """Last-written value with running min/max (queue depth, live bytes).
+    """Last-written value with running min/max (queue depth, live bytes)."""
 
-    Alongside the min/max envelope the gauge records *when* each
-    watermark was first reached (trace-clock time, i.e. DES seconds once
-    an engine attaches): :meth:`watermark` returns the exact running
-    high/low marks with their timestamps. A watermark timestamp is the
-    first sample that set the mark — later equal samples do not move it.
-    """
-
-    __slots__ = ("name", "value", "vmin", "vmax", "t_vmin", "t_vmax",
-                 "n_samples", "series", "_clock")
+    __slots__ = ("name", "value", "vmin", "vmax", "n_samples", "series",
+                 "_clock")
 
     def __init__(self, name: str, clock: Callable[[], float] | None = None,
                  record_series: bool = False) -> None:
@@ -74,8 +66,6 @@ class Gauge:
         self.value: float = 0.0
         self.vmin: float = float("inf")
         self.vmax: float = float("-inf")
-        self.t_vmin: float = math.nan
-        self.t_vmax: float = math.nan
         self.n_samples = 0
         self.series: list[tuple[float, float]] | None = (
             [] if record_series and clock is not None else None)
@@ -83,33 +73,13 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-        # The clock is only consulted when a watermark moves, so hot
-        # paths that hover inside the envelope pay nothing extra.
         if value < self.vmin:
             self.vmin = value
-            self.t_vmin = self._clock() if self._clock is not None else math.nan
         if value > self.vmax:
             self.vmax = value
-            self.t_vmax = self._clock() if self._clock is not None else math.nan
         self.n_samples += 1
         if self.series is not None:
             self.series.append((self._clock(), value))
-
-    def watermark(self) -> dict[str, float | int | None]:
-        """Exact running high/low water marks with their timestamps.
-
-        ``max_t``/``min_t`` are the trace-clock times the marks were
-        first reached (None before any sample, or when the gauge has no
-        clock)."""
-        if not self.n_samples:
-            return {"last": None, "max": None, "max_t": None,
-                    "min": None, "min_t": None, "samples": 0}
-        return {"last": self.value,
-                "max": self.vmax,
-                "max_t": None if math.isnan(self.t_vmax) else self.t_vmax,
-                "min": self.vmin,
-                "min_t": None if math.isnan(self.t_vmin) else self.t_vmin,
-                "samples": self.n_samples}
 
 
 class Histogram:
@@ -208,10 +178,6 @@ class _NullInstrument:
 
     def set(self, value: float) -> None:
         pass
-
-    def watermark(self) -> dict[str, float | int | None]:
-        return {"last": None, "max": None, "max_t": None,
-                "min": None, "min_t": None, "samples": 0}
 
     def observe(self, value: float) -> None:
         pass

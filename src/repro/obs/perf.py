@@ -77,12 +77,11 @@ def machine_fingerprint(spec: MachineSpec) -> dict[str, Any]:
     }
 
 
-def git_sha(repo_dir: str | Path | None = None) -> str | None:
+def git_sha() -> str | None:
     """Current git HEAD SHA, or ``None`` outside a repository."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(repo_dir) if repo_dir else None,
             capture_output=True, text=True, timeout=10, check=False)
     except (OSError, subprocess.SubprocessError):
         return None
@@ -106,14 +105,13 @@ class RunRecord:
     @classmethod
     def new(cls, source: str, metrics: dict[str, float],
             machine: dict[str, Any] | None = None,
-            meta: dict[str, Any] | None = None,
-            repo_dir: str | Path | None = None) -> "RunRecord":
+            meta: dict[str, Any] | None = None) -> "RunRecord":
         return cls(
             run_id=uuid.uuid4().hex[:12],
             created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             source=source,
             metrics={k: float(v) for k, v in metrics.items()},
-            git_sha=git_sha(repo_dir),
+            git_sha=git_sha(),
             machine=machine or {},
             meta=meta or {},
         )
@@ -439,9 +437,7 @@ def _downsample(series: list[tuple[float, float]], cap: int = 120
 def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
                        source: str = "cli",
                        perturb: dict[str, float] | None = None,
-                       probe_interval_frac: float = 0.25,
-                       fault_seed: int = 0,
-                       repo_dir: str | Path | None = None) -> RunRecord:
+                       fault_seed: int = 0) -> RunRecord:
     """Run the canonical observability workload and record it.
 
     Three phases: (1) a traced DES replay of the staging schedule with
@@ -469,7 +465,7 @@ def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
         cost = cost.with_rate(op, cost.rate(op) * factor)
     exp = ScaledExperiment(ExperimentConfig.paper_4896(), cost_model=cost)
     sim_dt = exp.simulation_step_time()
-    probe_interval = max(sim_dt * probe_interval_frac, 1e-9)
+    probe_interval = max(sim_dt * 0.25, 1e-9)
     tracer, sched, _expected = exp.traced_schedule(
         n_steps=n_steps, n_buckets=n_buckets,
         probe_interval=probe_interval)
@@ -615,4 +611,4 @@ def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
     }
     return RunRecord.new(source=source, metrics=metrics,
                          machine=machine_fingerprint(exp.machine),
-                         meta=meta, repo_dir=repo_dir)
+                         meta=meta)

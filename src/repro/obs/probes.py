@@ -159,7 +159,6 @@ class ProbeSampler:
                  probes: dict[str, Callable[[], float]],
                  slos: tuple[SloRule | SummarySlo, ...] = (),
                  tracer: Tracer | NullTracer | None = None,
-                 start: float = 0.0,
                  max_samples: int = 100_000) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
@@ -175,7 +174,7 @@ class ProbeSampler:
         self._log: list[Any] = self.tracer.log if self.tracer.enabled else []
         #: Log position of this sampler's first row (its rows lie beyond).
         self._mark = len(self._log)
-        self._next = start
+        self._next = 0.0
         self._breached: set[str] = set()
         #: (rule id, instant) pairs already alerted — a sampled rule and
         #: a summary rule sharing a name must not double-fire one window.
@@ -241,20 +240,17 @@ class ProbeSampler:
 
         A tick only appends its row; here, once, each gauge is brought to
         the end-state of a ``set()`` per sample at the sample's own time
-        (last value, min/max envelope with first-reached timestamps,
-        sample count, series), on top of whatever an earlier sampler of
-        the same tracer left in it.
+        (last value, min/max envelope, sample count, series), on top of
+        whatever an earlier sampler of the same tracer left in it.
         """
         metrics = self.tracer.metrics
         for name, samples in self.series.items():
             if not samples:
                 continue
             gauge = metrics.gauge("probe." + name)
-            for t, value in samples:
-                if value < gauge.vmin:
-                    gauge.vmin, gauge.t_vmin = value, t
-                if value > gauge.vmax:
-                    gauge.vmax, gauge.t_vmax = value, t
+            values = [value for _t, value in samples]
+            gauge.vmin = min(gauge.vmin, min(values))
+            gauge.vmax = max(gauge.vmax, max(values))
             gauge.value = samples[-1][1]
             gauge.n_samples += len(samples)
             if gauge.series is not None:
@@ -302,9 +298,7 @@ def standard_probes(ds: Any, transport: Any) -> dict[str, Callable[[], float]]:
     }
 
 
-def default_slos(n_buckets: int,
-                 insitu_budget: float = 0.05
-                 ) -> tuple[SloRule | SummarySlo, ...]:
+def default_slos(n_buckets: int) -> tuple[SloRule | SummarySlo, ...]:
     """The default rule set for a staging replay: bounded scheduler
     backlog (a queue deeper than 4x the bucket pool means staging has
     stopped absorbing the arrival rate) plus the paper's in-situ budget."""
@@ -317,5 +311,5 @@ def default_slos(n_buckets: int,
             description=f"scheduler backlog stays within 4x the "
                         f"{n_buckets}-bucket pool",
         ),
-        insitu_share_slo(insitu_budget),
+        insitu_share_slo(),
     )

@@ -417,10 +417,9 @@ def _runs_table(records: list[RunRecord], metrics: list[str],
 
 
 def render_dashboard(records: list[RunRecord],
-                     report: RegressionReport | None = None,
-                     title: str = "repro — cross-run performance"
-                     ) -> str:
+                     report: RegressionReport | None = None) -> str:
     """Render the store's records (oldest first) into one HTML page."""
+    title = "repro — cross-run performance"
     parts: list[str] = [
         "<!DOCTYPE html>", '<html lang="en"><head>',
         '<meta charset="utf-8">',
@@ -591,10 +590,10 @@ def _diff_tables_panel(diff: TraceDiff, max_flows: int = 12) -> list[str]:
     return parts
 
 
-def render_trace_diff(diff: TraceDiff,
-                      title: str = "repro — trace diff") -> str:
+def render_trace_diff(diff: TraceDiff) -> str:
     """Render a :class:`~repro.obs.blame.TraceDiff` as a standalone HTML
     page in the dashboard's visual language (inline SVG, no JS)."""
+    title = "repro — trace diff"
     dominant = diff.dominant_bucket()
     delta = diff.makespan_delta
     cls = "up" if delta > 1e-12 else "down" if delta < -1e-12 else ""
@@ -624,19 +623,16 @@ def render_trace_diff(diff: TraceDiff,
     return "\n".join(parts)
 
 
-def write_trace_diff(path: str | Path, diff: TraceDiff,
-                     title: str = "repro — trace diff") -> Path:
+def write_trace_diff(path: str | Path, diff: TraceDiff) -> Path:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_trace_diff(diff, title), encoding="utf-8")
+    out.write_text(render_trace_diff(diff), encoding="utf-8")
     return out
 
 
 def write_dashboard(path: str | Path, records: list[RunRecord],
-                    report: RegressionReport | None = None,
-                    title: str = "repro — cross-run performance") -> Path:
+                    report: RegressionReport | None = None) -> Path:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_dashboard(records, report, title),
-                   encoding="utf-8")
+    out.write_text(render_dashboard(records, report), encoding="utf-8")
     return out

@@ -584,13 +584,13 @@ def set_tracer(tracer: Tracer | NullTracer) -> Tracer | NullTracer:
     return tracer
 
 
-def enable_tracing(clock: Callable[[], float] | None = None) -> Tracer:
+def enable_tracing() -> Tracer:
     """Install (and return) a fresh recording tracer.
 
     Call before constructing the engine/framework/solver to observe —
     instrumentation sites capture the active tracer at construction.
     """
-    tracer = Tracer(clock=clock)
+    tracer = Tracer()
     set_tracer(tracer)
     return tracer
 

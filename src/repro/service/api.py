@@ -27,7 +27,6 @@ from typing import Any
 
 from repro.core.runner import ScaledExperiment, ScheduleResult
 from repro.des import Engine
-from repro.machine.specs import MachineSpec
 from repro.obs.capacity import capacity_objectives
 from repro.obs.live import (
     KIND_CAPACITY,
@@ -52,10 +51,8 @@ class JobExecutor:
     """Runs one job: schedule-cache lookup, else a full DES replay."""
 
     def __init__(self, cache: ScheduleCache,
-                 machine: MachineSpec | None = None,
                  probe_interval: float | None = None) -> None:
         self.cache = cache
-        self.machine = machine
         #: Probe sampling period for executed replays. Deliberately NOT
         #: part of the cache key: sampling never changes the schedule.
         self.probe_interval = probe_interval
@@ -67,7 +64,7 @@ class JobExecutor:
         exp = self._experiments.get(spec.config)
         if exp is None:
             exp = self._experiments[spec.config] = ScaledExperiment(
-                spec.experiment_config(), machine=self.machine)
+                spec.experiment_config())
         return exp
 
     def cache_key(self, spec: JobSpec) -> str:
@@ -233,7 +230,6 @@ class CampaignService:
                  default_quota: TenantQuota | None = None,
                  cache: ScheduleCache | RunStore | str | Path | None = None,
                  jobs_store: RunStore | str | Path | None = None,
-                 machine: MachineSpec | None = None,
                  bus: TelemetryBus | None = None,
                  objectives: tuple[SloObjective, ...] | None = None,
                  probe_interval: float | None = None) -> None:
@@ -242,8 +238,7 @@ class CampaignService:
         self.quota = QuotaManager(quotas, default=default_quota)
         self.cache = (cache if isinstance(cache, ScheduleCache)
                       else ScheduleCache(cache))
-        self.executor = JobExecutor(self.cache, machine=machine,
-                                    probe_interval=probe_interval)
+        self.executor = JobExecutor(self.cache, probe_interval=probe_interval)
         #: Live telemetry plane: the bus carries job/span/probe/alert
         #: events; the monitor turns queue-wait and makespan-slowdown
         #: observations into per-tenant burn-rate alerts. Both exist

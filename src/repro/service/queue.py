@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
@@ -180,9 +180,6 @@ class JobSpec:
         if "crash_times" in data:
             data["crash_times"] = tuple(data["crash_times"])
         return cls(**data)
-
-    def with_submit_at(self, t: float) -> "JobSpec":
-        return replace(self, submit_at=t)
 
 
 @dataclass

@@ -126,12 +126,6 @@ class QuotaManager:
     def usage(self, tenant: str) -> TenantUsage:
         return self._usage.setdefault(tenant, TenantUsage())
 
-    def set_quota(self, quota: TenantQuota) -> None:
-        if quota.tenant == "*":
-            self.default = quota
-        else:
-            self.quotas[quota.tenant] = quota
-
     # -- admission -----------------------------------------------------------
 
     def check(self, tenant: str, demand: JobDemand) -> Denial | None:

@@ -25,7 +25,7 @@ from typing import Any
 
 from repro.costmodel.models import CostModel
 from repro.des import Engine
-from repro.staging.dataspaces import Bounds, DataSpaces
+from repro.staging.dataspaces import DataSpaces
 from repro.staging.hashing import ServiceRing
 from repro.staging.scheduler import AssignmentRecord
 from repro.transport.dart import DartTransport
@@ -110,16 +110,11 @@ class _ShardStats:
 class ShardedDataSpaces:
     """N independent DataSpaces shards behind ServiceRing DHT routing.
 
-    Mirrors the single-space workflow API (``submit_insitu_result``,
-    ``spawn_buckets``, ``shutdown_buckets``, ``drained``, ``all_results``,
-    ``task_accounting``) and the tuple-space API (``put``/``get``/
-    ``query``/``versions``/``gc_versions``), routing each call to the
-    shard owning the key:
-
-    * tuple-space objects route by ``"{name}@{version}"``;
-    * workflow tasks route by their region key ``"{analysis}/t{timestep}"``,
-      so one analysis step's traffic stays on one shard while distinct
-      (analysis, step) pairs spread out.
+    Mirrors the single-space workflow API the replay drives
+    (``submit_insitu_result``, ``spawn_buckets``, ``shutdown_buckets``,
+    ``all_results``), routing each task to the shard owning its region
+    key ``"{analysis}/t{timestep}"``, so one analysis step's traffic stays
+    on one shard while distinct (analysis, step) pairs spread out.
 
     The fault knobs are applied to every shard; faults are contained per
     shard (a shard degrading to in-situ fallback does not touch its
@@ -172,54 +167,6 @@ class ShardedDataSpaces:
         """Routing key for one (analysis, analysed step) region."""
         return f"{analysis}/t{timestep}"
 
-    # -- tuple space ---------------------------------------------------------
-
-    def _object_shard(self, name: str, version: int) -> DataSpaces:
-        return self.shards[self.shard_for(f"{name}@{version}")]
-
-    def put(self, name: str, version: int, data: Any,
-            bounds: Bounds | None = None) -> None:
-        self._object_shard(name, version).put(name, version, data,
-                                              bounds=bounds)
-
-    def get(self, name: str, version: int,
-            bounds: Bounds | None = None) -> Any:
-        return self._object_shard(name, version).get(name, version,
-                                                     bounds=bounds)
-
-    def versions(self, name: str) -> list[int]:
-        out: set[int] = set()
-        for shard in self.shards:
-            out.update(shard.versions(name))
-        return sorted(out)
-
-    def query(self, name: str, version_lo: int, version_hi: int
-              ) -> list[tuple[int, Any]]:
-        if version_hi < version_lo:
-            raise ValueError(f"empty version range [{version_lo}, {version_hi}]")
-        out: list[tuple[int, Any]] = []
-        for v in self.versions(name):
-            if version_lo <= v <= version_hi:
-                found = self._object_shard(name, v).query(name, v, v)
-                out.extend(found)
-        return out
-
-    def stored_bytes(self) -> int:
-        return sum(shard.stored_bytes() for shard in self.shards)
-
-    def gc_versions(self, name: str, keep_latest: int) -> int:
-        """Global GC: versions of ``name`` live on different shards, so
-        the facade decides which die and revokes each from its owner."""
-        if keep_latest < 0:
-            raise ValueError(f"keep_latest must be >= 0, got {keep_latest}")
-        versions = self.versions(name)
-        doomed = versions[:max(0, len(versions) - keep_latest)]
-        removed = 0
-        for v in doomed:
-            if self._object_shard(name, v).drop_version(name, v):
-                removed += 1
-        return removed
-
     # -- workflow ------------------------------------------------------------
 
     def submit_insitu_result(self, analysis: str, timestep: int,
@@ -262,21 +209,6 @@ class ShardedDataSpaces:
         for shard in self.shards:
             shard.shutdown_buckets()
 
-    def live_buckets(self) -> int:
-        return sum(shard.live_buckets() for shard in self.shards)
-
-    def drained(self):
-        """Event triggering once every shard has drained."""
-        ev = self.engine.event()
-
-        def wait_all():
-            for shard in self.shards:
-                yield shard.drained()
-            ev.succeed(None)
-
-        self.engine.process(wait_all(), name="sharded-drain")
-        return ev
-
     def all_results(self) -> list:
         out = [r for shard in self.shards for r in shard.all_results()]
         out.sort(key=lambda r: r.finish_time)
@@ -287,32 +219,6 @@ class ShardedDataSpaces:
                for rec in shard.scheduler.assignments]
         out.sort(key=lambda rec: rec.assign_time)
         return out
-
-    def failed_task_ids(self) -> list[str]:
-        return [tid for shard in self.shards
-                for tid in shard.failed_task_ids()]
-
-    # -- accounting ----------------------------------------------------------
-
-    @property
-    def submitted(self) -> int:
-        return sum(shard.submitted for shard in self.shards)
-
-    @property
-    def completed(self) -> int:
-        return sum(shard.completed for shard in self.shards)
-
-    @property
-    def failed(self) -> int:
-        return sum(shard.failed for shard in self.shards)
-
-    def task_accounting(self) -> dict[str, int]:
-        totals = {"submitted": 0, "completed": 0, "failed": 0,
-                  "outstanding": 0}
-        for shard in self.shards:
-            for key, value in shard.task_accounting().items():
-                totals[key] += value
-        return totals
 
     def probe_map(self) -> dict[str, Callable[[], float]]:
         """Aggregated standard gauges (same keys as

@@ -48,19 +48,6 @@ def upwind_advection(f: np.ndarray, velocity: tuple[np.ndarray, np.ndarray, np.n
     return dfdt
 
 
-def vorticity_magnitude(velocity: tuple[np.ndarray, np.ndarray, np.ndarray],
-                        spacing: tuple[float, float, float]) -> np.ndarray:
-    """|curl u| — the field whose fine vortical structures Fig. 1 tracks."""
-    u, v, w = velocity
-    _du_dx, du_dy, du_dz = gradient(u, spacing)
-    dv_dx, _dv_dy, dv_dz = gradient(v, spacing)
-    dw_dx, dw_dy, _dw_dz = gradient(w, spacing)
-    wx = dw_dy - dv_dz
-    wy = du_dz - dw_dx
-    wz = dv_dx - du_dy
-    return np.sqrt(wx * wx + wy * wy + wz * wz)
-
-
 def pad_with_ghosts(parts: list[np.ndarray], decomp: BlockDecomposition3D,
                     width: int = 1) -> list[np.ndarray]:
     """Pad every block with ``width`` ghost layers from its neighbours.
@@ -91,14 +78,3 @@ def crop_ghosts(part: np.ndarray, width: int = 1) -> np.ndarray:
         raise ValueError(f"ghost width must be >= 1, got {width}")
     sl = tuple(slice(width, -width) for _ in range(3))
     return part[sl]
-
-
-def halo_exchange_bytes(decomp: BlockDecomposition3D, width: int = 1,
-                        itemsize: int = 8, n_vars: int = 1) -> int:
-    """Bytes each rank sends in one halo exchange (six faces, no corners)."""
-    total = 0
-    b = decomp.block(0)
-    sx, sy, sz = b.shape
-    faces = 2 * (sy * sz + sx * sz + sx * sy)
-    total = faces * width * itemsize * n_vars
-    return total

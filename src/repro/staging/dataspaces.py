@@ -256,15 +256,6 @@ class DataSpaces:
             del self._store[(name, v)]
         return len(doomed)
 
-    def drop_version(self, name: str, version: int) -> bool:
-        """Drop one exact ``(name, version)`` entry; True if it existed.
-
-        Sharded staging spreads versions of a name across shards, so its
-        global GC decides which versions die and revokes each from the
-        shard that owns it.
-        """
-        return self._store.pop((name, version), None) is not None
-
     # -- workflow: in-situ side ------------------------------------------------
 
     def _task_flow(self, task: TaskDescriptor) -> Any | None:

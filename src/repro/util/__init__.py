@@ -17,7 +17,7 @@ from repro.util.units import (
 from repro.util.rng import seeded_rng
 from repro.util.tables import TextTable
 from repro.util.timer import WallTimer
-from repro.util.image import write_ppm, write_pgm, image_rmse
+from repro.util.image import write_ppm, image_rmse
 
 __all__ = [
     "KB",
@@ -32,6 +32,5 @@ __all__ = [
     "TextTable",
     "WallTimer",
     "write_ppm",
-    "write_pgm",
     "image_rmse",
 ]

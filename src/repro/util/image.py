@@ -30,19 +30,6 @@ def write_ppm(path: str | os.PathLike, img: np.ndarray) -> None:
         f.write(img.tobytes())
 
 
-def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
-    """Write an ``(H, W)`` float [0,1] or uint8 image as binary PGM (P5)."""
-    img = np.asarray(img)
-    if img.ndim != 2:
-        raise ValueError(f"expected (H, W) image, got shape {img.shape}")
-    if img.dtype != np.uint8:
-        img = (np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(img.tobytes())
-
-
 def image_rmse(a: np.ndarray, b: np.ndarray) -> float:
     """Root-mean-square error between two images of identical shape."""
     a = np.asarray(a, dtype=np.float64)

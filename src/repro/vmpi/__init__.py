@@ -1,4 +1,4 @@
-"""Virtual MPI: SPMD execution and collectives without an MPI runtime.
+"""Virtual MPI: decomposition and collectives without an MPI runtime.
 
 The paper's codes (S3D, the VTK statistics engine, the in-situ analytics)
 are MPI programs. This package reproduces their *semantics* inside one
@@ -6,10 +6,9 @@ process:
 
 * :class:`~repro.vmpi.decomp.BlockDecomposition3D` mirrors S3D's 3-D
   domain decomposition (each core owns an ``nx × ny × nz`` sub-brick);
-* :class:`~repro.vmpi.comm.VirtualComm` runs per-rank callables and provides
-  functional collectives (reduce, allreduce, gather, alltoall, bcast) over
-  the actual per-rank buffers, so results are bit-comparable to serial
-  references;
+* :class:`~repro.vmpi.comm.VirtualComm` provides functional collectives
+  (reduce, allreduce) over the actual per-rank buffers, so results are
+  bit-comparable to serial references;
 * :mod:`~repro.vmpi.collectives` provides analytic time costs for each
   collective on a given network model, charged by the performance layer.
 """
@@ -17,12 +16,8 @@ process:
 from repro.vmpi.decomp import Block3D, BlockDecomposition3D
 from repro.vmpi.comm import CommTracker, VirtualComm
 from repro.vmpi.collectives import (
-    allgather_time,
     allreduce_time,
-    alltoall_time,
     bcast_time,
-    gather_time,
-    point_to_point_time,
     reduce_time,
 )
 
@@ -31,11 +26,7 @@ __all__ = [
     "BlockDecomposition3D",
     "CommTracker",
     "VirtualComm",
-    "allgather_time",
     "allreduce_time",
-    "alltoall_time",
     "bcast_time",
-    "gather_time",
-    "point_to_point_time",
     "reduce_time",
 ]

@@ -22,24 +22,12 @@ def _check(p: int, nbytes: int) -> None:
         raise ValueError(f"nbytes must be >= 0, got {nbytes}")
 
 
-def point_to_point_time(net: GeminiNetwork, nbytes: int) -> float:
-    """One message between two ranks, DART protocol auto-selected."""
-    return net.transfer_time(nbytes)
-
-
 #: Critical-path message rounds per collective (p ranks) — the round
 #: count each ``*_time`` model below charges latency for. Exposed so
 #: causal-flow hops can annotate a collective hand-off with its depth.
 _ROUND_COUNTS = {
-    "bcast": lambda p: math.ceil(math.log2(p)),
     "reduce": lambda p: math.ceil(math.log2(p)),
     "allreduce": lambda p: 2 * math.ceil(math.log2(p)),
-    "gather": lambda p: math.ceil(math.log2(p)),
-    "allgather": lambda p: p - 1,
-    "alltoall": lambda p: p - 1,
-    "scan": lambda p: math.ceil(math.log2(p)),
-    "exscan": lambda p: math.ceil(math.log2(p)),
-    "reduce_scatter": lambda p: math.ceil(math.log2(p)),
 }
 
 
@@ -70,7 +58,7 @@ def reduce_time(net: GeminiNetwork, p: int, nbytes: int) -> float:
 
 
 def allreduce_time(net: GeminiNetwork, p: int, nbytes: int) -> float:
-    """Rabenseifner allreduce: reduce-scatter + allgather.
+    """Rabenseifner allreduce: a reduce-scatter phase, then an all-gather.
 
     ``2 (p-1)/p · n / bw``-bytes of traffic on the critical path plus
     ``2 log2 p`` latency terms.
@@ -82,54 +70,3 @@ def allreduce_time(net: GeminiNetwork, p: int, nbytes: int) -> float:
     lat = rounds * net.bte_setup if nbytes > net.smsg_max_bytes else rounds * net.smsg_latency
     bw = net.bte_bandwidth if nbytes > net.smsg_max_bytes else net.smsg_bandwidth
     return lat + 2.0 * (p - 1) / p * nbytes / bw
-
-
-def gather_time(net: GeminiNetwork, p: int, nbytes: int) -> float:
-    """Gather of ``nbytes`` from each rank to a root.
-
-    The root's ingest link serialises the ``(p-1)·n`` bytes; latency is
-    pipelined down a binomial tree.
-    """
-    _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    lat = math.ceil(math.log2(p)) * net.transfer_time(0)
-    bw = net.bte_bandwidth if (p - 1) * nbytes > net.smsg_max_bytes else net.smsg_bandwidth
-    return lat + (p - 1) * nbytes / bw
-
-
-def allgather_time(net: GeminiNetwork, p: int, nbytes: int) -> float:
-    """Ring allgather: ``p-1`` steps each moving ``nbytes``."""
-    _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    return (p - 1) * net.transfer_time(nbytes)
-
-
-def alltoall_time(net: GeminiNetwork, p: int, nbytes: int) -> float:
-    """Pairwise-exchange alltoall: ``p-1`` rounds of ``nbytes`` messages."""
-    _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    return (p - 1) * net.transfer_time(nbytes)
-
-
-def scan_time(net: GeminiNetwork, p: int, nbytes: int) -> float:
-    """Hillis-Steele inclusive scan: ``ceil(log2 p)`` exchange rounds."""
-    _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    return math.ceil(math.log2(p)) * net.transfer_time(nbytes)
-
-
-def reduce_scatter_time(net: GeminiNetwork, p: int, nbytes: int) -> float:
-    """Pairwise-halving reduce-scatter of ``nbytes`` total per rank:
-    moves ``(p-1)/p * nbytes`` over ``log2 p`` latency rounds."""
-    _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    rounds = math.ceil(math.log2(p))
-    lat = rounds * (net.bte_setup if nbytes > net.smsg_max_bytes
-                    else net.smsg_latency)
-    bw = net.bte_bandwidth if nbytes > net.smsg_max_bytes else net.smsg_bandwidth
-    return lat + (p - 1) / p * nbytes / bw

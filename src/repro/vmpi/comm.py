@@ -1,10 +1,10 @@
-"""The virtual communicator: SPMD execution + functional collectives.
+"""The virtual communicator: functional collectives over per-rank values.
 
-``VirtualComm`` runs all ranks of an SPMD program inside one process. Rank
-bodies execute sequentially in rank order (deterministic), and collectives
-operate on the list of per-rank contributions. A :class:`CommTracker`
-records every collective's modeled time and byte volume so the performance
-layer can charge communication to the simulated machine.
+``VirtualComm`` stands in for the communicator of an SPMD program inside
+one process: collectives operate on the list of per-rank contributions. A
+:class:`CommTracker` records every collective's modeled time and byte
+volume so the performance layer can charge communication to the simulated
+machine.
 """
 
 from __future__ import annotations
@@ -113,22 +113,6 @@ def _pairwise_reduce(values: list[Any], op: Callable[[Any, Any], Any]) -> Any:
     return vals[0]
 
 
-@kernel("vmpi.scan")
-def _scan_fold(values: list[Any], op: Callable[[Any, Any], Any]) -> list[Any]:
-    """Inclusive left-fold prefix reduction (MPI_Scan operation order).
-
-    Backend seam: the numpy backend maps whitelisted operators onto
-    ``ufunc.accumulate`` over the stacked contributions, which applies the
-    identical left-to-right fold in one pass.
-    """
-    out: list[Any] = []
-    acc = None
-    for v in values:
-        acc = v if acc is None else op(acc, v)
-        out.append(acc)
-    return out
-
-
 class VirtualComm:
     """A communicator over ``n_ranks`` virtual ranks.
 
@@ -155,22 +139,6 @@ class VirtualComm:
     def flow(self, flow: FlowContext | None) -> None:
         self.tracker.flow = flow
 
-    # -- SPMD driver ---------------------------------------------------------
-
-    def run_spmd(self, fn: Callable[..., Any], *per_rank_args: Sequence[Any]) -> list[Any]:
-        """Run ``fn(rank, *args_r)`` for every rank; return per-rank results.
-
-        Each entry of ``per_rank_args`` is a length-``n_ranks`` sequence; the
-        rank body receives its own slice, mirroring SPMD data locality.
-        """
-        for i, seq in enumerate(per_rank_args):
-            if len(seq) != self.n_ranks:
-                raise ValueError(
-                    f"per-rank argument {i} has length {len(seq)}, expected {self.n_ranks}"
-                )
-        return [fn(rank, *(seq[rank] for seq in per_rank_args))
-                for rank in range(self.n_ranks)]
-
     # -- collectives ----------------------------------------------------------
 
     def _require_all_ranks(self, values: Sequence[Any]) -> None:
@@ -178,14 +146,6 @@ class VirtualComm:
             raise ValueError(
                 f"collective needs {self.n_ranks} contributions, got {len(values)}"
             )
-
-    def bcast(self, value: Any, root: int = 0) -> list[Any]:
-        """Broadcast ``value`` from ``root``; returns one reference per rank."""
-        self._check_root(root)
-        nbytes = payload_bytes(value)
-        self.tracker.add("bcast", self.n_ranks, nbytes,
-                         coll.bcast_time(self.network, self.n_ranks, nbytes))
-        return [value] * self.n_ranks
 
     def reduce(self, values: Sequence[Any], op: Callable[[Any, Any], Any],
                root: int = 0) -> Any:
@@ -205,73 +165,6 @@ class VirtualComm:
                          coll.allreduce_time(self.network, self.n_ranks, nbytes))
         result = _pairwise_reduce(list(values), op)
         return [result] * self.n_ranks
-
-    def gather(self, values: Sequence[Any], root: int = 0) -> list[Any]:
-        """Gather all contributions to ``root`` (returned as a list)."""
-        self._require_all_ranks(values)
-        self._check_root(root)
-        nbytes = max((payload_bytes(v) for v in values), default=0)
-        self.tracker.add("gather", self.n_ranks, nbytes,
-                         coll.gather_time(self.network, self.n_ranks, nbytes))
-        return list(values)
-
-    def allgather(self, values: Sequence[Any]) -> list[list[Any]]:
-        """All ranks receive the full contribution list."""
-        self._require_all_ranks(values)
-        nbytes = max((payload_bytes(v) for v in values), default=0)
-        self.tracker.add("allgather", self.n_ranks, nbytes,
-                         coll.allgather_time(self.network, self.n_ranks, nbytes))
-        full = list(values)
-        return [full] * self.n_ranks
-
-    def alltoall(self, matrix: Sequence[Sequence[Any]]) -> list[list[Any]]:
-        """Each rank r sends ``matrix[r][s]`` to rank s; returns the transpose."""
-        self._require_all_ranks(matrix)
-        for r, row in enumerate(matrix):
-            if len(row) != self.n_ranks:
-                raise ValueError(f"rank {r} row has length {len(row)}, "
-                                 f"expected {self.n_ranks}")
-        nbytes = payload_bytes(matrix[0][0]) if self.n_ranks else 0
-        self.tracker.add("alltoall", self.n_ranks, nbytes,
-                         coll.alltoall_time(self.network, self.n_ranks, nbytes))
-        return [[matrix[src][dst] for src in range(self.n_ranks)]
-                for dst in range(self.n_ranks)]
-
-    def scan(self, values: Sequence[Any], op: Callable[[Any, Any], Any]
-             ) -> list[Any]:
-        """Inclusive prefix reduction: rank r receives op-fold of ranks 0..r."""
-        self._require_all_ranks(values)
-        nbytes = payload_bytes(values[0])
-        self.tracker.add("scan", self.n_ranks, nbytes,
-                         coll.scan_time(self.network, self.n_ranks, nbytes))
-        return _scan_fold(list(values), op)
-
-    def exscan(self, values: Sequence[Any], op: Callable[[Any, Any], Any]
-               ) -> list[Any]:
-        """Exclusive prefix reduction; rank 0 receives None (MPI semantics)."""
-        inclusive = self.scan(values, op)
-        return [None] + inclusive[:-1]
-
-    def reduce_scatter(self, matrix: Sequence[Sequence[Any]],
-                       op: Callable[[Any, Any], Any]) -> list[Any]:
-        """Each rank contributes p chunks; rank i receives the op-reduction
-        of every rank's chunk i."""
-        self._require_all_ranks(matrix)
-        for r, row in enumerate(matrix):
-            if len(row) != self.n_ranks:
-                raise ValueError(f"rank {r} row has length {len(row)}, "
-                                 f"expected {self.n_ranks}")
-        nbytes = sum(payload_bytes(c) for c in matrix[0])
-        self.tracker.add("reduce_scatter", self.n_ranks, nbytes,
-                         coll.reduce_scatter_time(self.network, self.n_ranks,
-                                                  nbytes))
-        return [_pairwise_reduce([matrix[src][dst]
-                                  for src in range(self.n_ranks)], op)
-                for dst in range(self.n_ranks)]
-
-    def send_time(self, nbytes: int) -> float:
-        """Modeled point-to-point time (exposed for the transport layer)."""
-        return coll.point_to_point_time(self.network, nbytes)
 
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.n_ranks:

@@ -41,19 +41,6 @@ class Block3D:
         """Slices into a global ``(nx, ny, nz)`` array."""
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))  # type: ignore[return-value]
 
-    def extract(self, field: np.ndarray) -> np.ndarray:
-        """View of this block's portion of a global field array."""
-        if field.shape[:3] != self._global_shape_hint(field):
-            pass  # shape is validated by indexing below
-        return field[self.slices]
-
-    @staticmethod
-    def _global_shape_hint(field: np.ndarray) -> tuple[int, ...]:
-        return field.shape[:3]
-
-    def contains(self, point: tuple[int, int, int]) -> bool:
-        return all(l <= p < h for l, p, h in zip(self.lo, point, self.hi))
-
 
 class BlockDecomposition3D:
     """Regular (near-regular for uneven sizes) 3-D block decomposition.

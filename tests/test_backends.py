@@ -5,9 +5,9 @@ outputs under every backend — not approximately equal: merge trees,
 moment accumulators and collective folds are compared with ``==`` /
 ``np.array_equal``, never with tolerances. The
 suites here are parametrized over ``["reference", "numpy"]`` so the
-dispatch path itself is exercised, and the regime gates of the numpy
-backend are monkeypatched to force both its vectorized and fallback
-paths through the same assertions.
+dispatch path itself is exercised, and inputs are chosen on both sides
+of the numpy backend's regime gates so its vectorized and fallback
+paths go through the same assertions.
 """
 
 import warnings
@@ -21,7 +21,6 @@ from repro.analysis.statistics.autocorrelation import (
     _autocorr_cross_sums,
     _autocorr_merge,
 )
-from repro.analysis.statistics.contingency import _bivariate_histogram
 from repro.analysis.statistics.moments import (
     MomentAccumulator,
     learn_blocks,
@@ -137,6 +136,7 @@ class TestRegistry:
         """Three hot paths: DES dispatch left the seam (one engine for
         every backend). The test id is pinned by the tier-1 floor list."""
         names = kernel_names()
+        assert len(names) == 9
         assert not [n for n in names if n.startswith("des.")]
         assert "vmpi.pairwise_reduce" in names
         assert "topology.merge_tree" in names
@@ -227,18 +227,8 @@ class TestCollectives:
         assert ref(list(vals), operator.add) == fast(list(vals),
                                                      operator.add)
 
-    def test_ndarray_reduce_gated_path(self, monkeypatch):
-        monkeypatch.setattr(nb, "PAIRWISE_STACK_MIN_RANKS", 4)
-        rng = np.random.default_rng(4)
-        vals = [rng.uniform(-2, 2, 16) for _ in range(37)]
-        ref, fast = both("vmpi.pairwise_reduce")
-        a = ref([v.copy() for v in vals], np.add)
-        b = fast([v.copy() for v in vals], np.add)
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
-
     def test_ndarray_reduce_fallback_path(self):
-        # below the rank gate: must route to the reference body verbatim
+        # ndarray payloads route to the reference body verbatim
         rng = np.random.default_rng(5)
         vals = [rng.uniform(-2, 2, 16) for _ in range(7)]
         ref, fast = both("vmpi.pairwise_reduce")
@@ -262,25 +252,6 @@ class TestCollectives:
         a = ref(list(accs), moment_merge_op)
         b = fast(list(accs), moment_merge_op)
         assert np.array_equal(a.pack(), b.pack())
-
-    def test_scan_gated_path(self, monkeypatch):
-        monkeypatch.setattr(nb, "SCAN_STACK_MIN_RANKS", 4)
-        rng = np.random.default_rng(7)
-        vals = [rng.uniform(-1, 1, 8) for _ in range(33)]
-        ref, fast = both("vmpi.scan")
-        a = ref([v.copy() for v in vals], np.add)
-        b = fast([v.copy() for v in vals], np.add)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    def test_scan_fallback_path(self):
-        ref, fast = both("vmpi.scan")
-        vals = [float(v) for v in range(1, 20)]
-        import operator
-
-        assert ref(list(vals), operator.mul) == fast(list(vals),
-                                                     operator.mul)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +308,6 @@ class TestStatistics:
         b = fast([p.copy() for p in packed], n_vars)
         for x, y in zip(a, b):
             assert np.array_equal(x.pack(), y.pack())
-
-    def test_bivariate_histogram_identical(self):
-        rng = np.random.default_rng(13)
-        x = rng.uniform(-1, 11, 4000)
-        y = rng.uniform(-1, 11, 4000)
-        edges = np.linspace(0, 10, 12)
-        ref, fast = both("statistics.bivariate_histogram")
-        a = ref(x, y, edges, edges, (11, 11))
-        b = fast(x, y, edges, edges, (11, 11))
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
 
     def test_autocorr_cross_sums_identical(self):
         rng = np.random.default_rng(14)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.control.controller import ControlPolicy, PlacementController
+from repro.control.controller import PlacementController
 from repro.core.runner import ExperimentConfig, ScaledExperiment
 from repro.faults import FaultConfig
 from repro.obs.capacity import (
@@ -16,7 +16,6 @@ from repro.obs.capacity import (
     run_capacity_scenario,
 )
 from repro.obs.live import KIND_CAPACITY, TelemetryBus, render_top
-from repro.obs.metrics import Gauge
 from repro.obs.perf import DEFAULT_POLICIES
 from repro.obs.tracer import tracing
 from repro.service import CampaignService, JobSpec, QuotaManager
@@ -27,43 +26,6 @@ from repro.transport.rdma import RdmaRegistry
 
 def _experiment():
     return ScaledExperiment(ExperimentConfig.paper_4896())
-
-
-class TestGaugeWatermark:
-    def test_empty_gauge(self):
-        wm = Gauge("g").watermark()
-        assert wm == {"last": None, "max": None, "max_t": None,
-                      "min": None, "min_t": None, "samples": 0}
-
-    def test_marks_carry_des_timestamps(self):
-        t = {"now": 0.0}
-        g = Gauge("g", clock=lambda: t["now"])
-        for when, value in [(1.0, 5.0), (2.0, 9.0), (3.0, 2.0)]:
-            t["now"] = when
-            g.set(value)
-        wm = g.watermark()
-        assert (wm["max"], wm["max_t"]) == (9.0, 2.0)
-        assert (wm["min"], wm["min_t"]) == (2.0, 3.0)
-        assert wm["last"] == 2.0
-        assert wm["samples"] == 3
-
-    def test_equal_sample_does_not_move_the_mark(self):
-        t = {"now": 0.0}
-        g = Gauge("g", clock=lambda: t["now"])
-        t["now"] = 1.0
-        g.set(7.0)
-        t["now"] = 8.0
-        g.set(7.0)   # same high mark, later — timestamp must not move
-        wm = g.watermark()
-        assert wm["max_t"] == 1.0
-        assert wm["min_t"] == 1.0
-
-    def test_clockless_gauge_reports_none_timestamps(self):
-        g = Gauge("g")
-        g.set(3.0)
-        wm = g.watermark()
-        assert wm["max"] == 3.0
-        assert wm["max_t"] is None and wm["min_t"] is None
 
 
 class TestLedgerAccounting:
@@ -195,7 +157,7 @@ class TestReplayAccounting:
         ctrl = PlacementController()
         sched = _experiment().run_schedule(n_steps=2, n_buckets=3,
                                            controller=ctrl, capacity=True)
-        assert ctrl.capacity is not None
+        assert sched.controller is ctrl
         assert sched.capacity.final_resident_bytes == 0
 
 
@@ -364,34 +326,6 @@ class TestQuotaTrueUp:
         assert tenant.staging_delta_bytes == (tenant.staging_measured_bytes
                                               - tenant.staging_estimated_bytes)
         assert "staging_measured_bytes" in tenant.to_dict()
-
-
-class TestControllerMeasuredBudget:
-    class _FakeLedger:
-        def __init__(self, peak):
-            self.peak_resident_bytes = peak
-
-    def _controller(self, peak, budget):
-        ctrl = PlacementController()
-        ctrl.capacity = self._FakeLedger(peak) if peak is not None else None
-        ctrl.memory_budget_bytes = budget
-        return ctrl
-
-    def test_measured_cap_is_ceil_divided(self):
-        ctrl = self._controller(peak=300, budget=1000)
-        # per-bucket footprint ceil(300/3)=100 -> 1000//100 = 10 buckets
-        assert ctrl._measured_bucket_cap(3) == 10
-        # ceil(301/3)=101 -> 1000//101 = 9
-        ctrl.capacity.peak_resident_bytes = 301
-        assert ctrl._measured_bucket_cap(3) == 9
-
-    def test_measured_cap_requires_a_ledger_with_bytes(self):
-        assert self._controller(None, 1000)._measured_bucket_cap(3) is None
-        assert self._controller(0, 1000)._measured_bucket_cap(3) is None
-        assert self._controller(10, 1000)._measured_bucket_cap(0) is None
-
-    def test_measured_budget_defaults_off(self):
-        assert ControlPolicy().measured_budget is False
 
 
 class TestCacheCapacityRoundTrip:

@@ -50,8 +50,6 @@ class TestCooldown:
         cd.fire(0)
         assert not cd.ready(1)
         assert cd.ready(2)
-        cd.reset()
-        assert cd.ready(0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,8 @@ class TestCostModel:
 
     def test_descriptor(self):
         m = CostModel("m", {"a": 0.5})
-        assert m.time_of(OpDescriptor("a", 4)) == 2.0
+        d = OpDescriptor("a", 4)
+        assert m.time(d.op, d.n_elements) == 2.0
         with pytest.raises(ValueError):
             OpDescriptor("a", -1)
 

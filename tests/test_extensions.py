@@ -308,45 +308,3 @@ class TestStreamingInTransit:
         ref = reference_autocorrelation(np.stack(series), 2)
         for k in (1, 2):
             assert result.autocorrelation[k] == pytest.approx(ref[k], rel=1e-9)
-
-
-class TestCorrelationAnalysis:
-    """The multivariate-statistics analysis wired into the framework."""
-
-    def _run(self):
-        grid = StructuredGrid3D((10, 8, 6))
-        case = LiftedFlameCase(grid, seed=55, kernel_rate=1.0)
-        decomp = BlockDecomposition3D((10, 8, 6), (2, 1, 1))
-        fw = HybridFramework(case, decomp, analyses=("correlation",),
-                             stats_variables=("T", "H2", "H2O"),
-                             n_buckets=2, keep_fields=True)
-        return fw, fw.run(3)
-
-    def test_correlation_matrix_per_step(self):
-        _fw, res = self._run()
-        assert set(res.correlations) == {0, 1, 2}
-        for m in res.correlations.values():
-            assert m.shape == (3, 3)
-            np.testing.assert_allclose(np.diag(m), 1.0)
-            np.testing.assert_allclose(m, m.T, atol=1e-12)
-            assert np.all(np.abs(m) <= 1.0 + 1e-12)
-
-    def test_matches_direct_numpy_corrcoef(self):
-        fw, res = self._run()
-        for step, field in res.temperature_fields.items():
-            h2 = fw._gather("H2")
-            # recompute reference at the final state only (fields mutate);
-            # use the framework gather for the last analysed step
-            if step == max(res.temperature_fields):
-                ref = np.corrcoef(np.stack([
-                    field.ravel(), h2.ravel(), fw._gather("H2O").ravel()]))
-                np.testing.assert_allclose(res.correlations[step], ref,
-                                           rtol=1e-9, atol=1e-12)
-
-    def test_physics_signature(self):
-        """Product tracks fuel availability: H2O forms where H2 burns, so
-        the two correlate strongly in the jet (deterministic seeds)."""
-        _fw, res = self._run()
-        last = res.correlations[max(res.correlations)]
-        h2_h2o = last[1, 2]
-        assert h2_h2o > 0.5

@@ -19,7 +19,7 @@ def build(seed=77, streaming=False, steering=()):
     return HybridFramework(
         case, decomp,
         analyses=("statistics", "topology", "visualization",
-                  "visualization_insitu", "autocorrelation", "correlation"),
+                  "visualization_insitu", "autocorrelation"),
         stats_variables=("T", "H2"),
         n_buckets=3, keep_fields=True,
         streaming_topology=streaming,
@@ -41,13 +41,12 @@ class TestEverythingOn:
         assert set(res.merge_trees) == {0, 1, 2, 3}
         assert set(res.hybrid_images) == {0, 1, 2, 3}
         assert set(res.insitu_images) == {0, 1, 2, 3}
-        assert set(res.correlations) == {0, 1, 2, 3}
         assert set(res.autocorrelation) == {1, 2}
 
     def test_task_accounting_consistent(self, everything_run):
         _fw, res = everything_run
-        # 4 steps x (stats + topo + viz + corr) + 1 autocorrelation
-        assert len(res.task_results) == 4 * 4 + 1
+        # 4 steps x (stats + topo + viz) + 1 autocorrelation
+        assert len(res.task_results) == 4 * 3 + 1
         assert res.bytes_moved == sum(t.bytes_pulled for t in res.task_results)
 
     def test_cross_analysis_consistency(self, everything_run):
@@ -67,7 +66,7 @@ class TestEverythingOn:
         fw, res = everything_run
         text = run_report(fw, res)
         for token in ("statistics", "topology", "visualization",
-                      "correlation", "autocorrelation"):
+                      "autocorrelation"):
             assert token in text
 
 

@@ -149,7 +149,6 @@ class TestBurnRateMonitor:
         mon.observe("good", "m", t=0.0, value=0.1)
         assert [a.tenant for a in mon.alerts] == ["bad"]
         assert mon.active("good") == []
-        assert mon.alerts_for("bad") and not mon.alerts_for("good")
 
     def test_unknown_metric_is_ignored(self):
         mon = BurnRateMonitor((self._objective(),))

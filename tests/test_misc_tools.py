@@ -1,8 +1,8 @@
-"""Tests for the Gantt renderer and the compressed trade-off."""
+"""Tests for the Gantt renderer."""
 
 import pytest
 
-from repro.core import ExperimentConfig, ScaledExperiment, TradeoffModel
+from repro.core import ExperimentConfig, ScaledExperiment
 from repro.util.gantt import Span, render_gantt, utilisation
 
 
@@ -56,30 +56,3 @@ class TestGantt:
         assert out.count("|") >= 2 * 4  # one row per bucket
         u = utilisation(spans, 0.0, sched.makespan)
         assert all(0.0 < v <= 1.0 for v in u.values())
-
-
-class TestCompressedPostprocessing:
-    @pytest.fixture(scope="class")
-    def model(self):
-        return TradeoffModel(ScaledExperiment(ExperimentConfig.paper_4896()))
-
-    def test_cuts_storage_and_write_time(self, model):
-        plain = model.postprocessing(10, 1000)
-        comp = model.postprocessing_compressed(10, 1000, compression_ratio=10)
-        assert comp.storage_bytes == pytest.approx(plain.storage_bytes / 10)
-        # amortised write shrinks even after paying the compression pass
-        assert comp.critical_path_per_step < plain.critical_path_per_step
-
-    def test_insight_still_run_bound(self, model):
-        """Compression trims read-back, but insight still waits for the
-        run — the qualitative gap to concurrent analysis is untouched."""
-        comp = model.postprocessing_compressed(400, 2000)
-        hybrid = model.concurrent_hybrid(1)
-        assert comp.time_to_insight > 100 * hybrid.time_to_insight
-
-    def test_validation(self, model):
-        with pytest.raises(ValueError):
-            model.postprocessing_compressed(10, 100, compression_ratio=1.0)
-        with pytest.raises(ValueError):
-            model.postprocessing_compressed(10, 100,
-                                            compress_rate_per_cell=0.0)

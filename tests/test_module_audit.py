@@ -1,12 +1,18 @@
-"""Module audit: nothing under ``src/repro`` lives for its tests alone.
+"""Module and name audit: nothing under ``src/repro`` lives for its
+tests alone.
 
 ROADMAP's rule: a module goes when no file in ``src/``, ``examples/`` or
 ``benchmarks/`` imports it — or any name it defines, however re-exported
-— except its own package ``__init__``. The scan is static (``ast``), so
-modules reached only dynamically are allow-listed with the reason.
+— except its own package ``__init__``. The same rule one level down: a
+function, method or class goes when its bare name is referenced nowhere
+in those trees outside its own definition (imports, ``__init__``
+re-exports and ``__all__`` strings are not references). Both scans are
+static (``ast``), so what is reached only dynamically, or kept for a
+reason the scan cannot see, is allow-listed with that reason.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -15,13 +21,8 @@ SRC = ROOT / "src"
 #: module -> why it stays although no ``import`` statement reaches it.
 ALLOWED = {
     "repro.__main__": "entry point of `python -m repro`",
-    "repro.backend.reference":
-        "loaded by name through the backend registry",
     "repro.backend.numpy_backend":
         "loaded by name through the backend registry",
-    "repro.analysis.statistics.contingency":
-        "owns the statistics.bivariate_histogram backend kernel that "
-        "tests/test_backends.py checks against the reference",
 }
 
 
@@ -105,4 +106,130 @@ def test_no_module_is_kept_alive_by_its_tests_alone():
             f"  {m}  (tests: {', '.join(t) or 'none'})"
             for m, t in sorted(orphans.items())))
     stale = sorted(m for m in ALLOWED if m not in SOURCES or used[m])
+    assert not stale, f"allow-list entries no longer needed: {stale}"
+
+
+# -- name granularity ---------------------------------------------------------
+
+_REFERENCE = ("reference body or invariant check that tests compare kept "
+              "code against")
+_TUPLE_SPACE = ("paper §IV / Table I: read, query or GC half of a write half "
+                "every replay reaches")
+_FAULT_PATH = ("fault, crash or elastic-shrink primitive of reached code and "
+               "a script of the order-contract oracle (tests/test_des.py)")
+_PAPER = ("part of a paper-backed stage or extension (DESIGN.md §11: Fig. 4 "
+          "test stage, §V steering, §III linked views, Table II impact, "
+          "Fig. 1 segmentation)")
+_ACCESSOR = ("read-only accessor of a reached object documented in "
+             "docs/API.md; tests observe kept behaviour through it")
+
+#: "module:qualname" -> why the definition stays although nothing in
+#: src/, examples/ or benchmarks/ refers to its name.
+ALLOWED_NAMES = {
+    "repro.analysis.statistics.autocorrelation:reference_autocorrelation":
+        _REFERENCE,
+    "repro.analysis.statistics.autocorrelation:LagAccumulator.accumulate":
+        _REFERENCE,
+    "repro.analysis.topology.local_tree:BoundaryTree.validate": _REFERENCE,
+    "repro.analysis.topology.merge_tree:MergeTree.validate": _REFERENCE,
+    "repro.analysis.topology.merge_tree:sweep_order": _REFERENCE,
+    "repro.analysis.visualization.volume_render:render_volume": _REFERENCE,
+    "repro.sim.stencil:gradient": _REFERENCE,
+    "repro.staging.hashing:ServiceRing.moved_fraction": _REFERENCE,
+    "repro.staging.dataspaces:DataSpaces.query": _TUPLE_SPACE,
+    "repro.staging.dataspaces:DataSpaces.stored_bytes": _TUPLE_SPACE,
+    "repro.staging.dataspaces:DataSpaces.gc_versions": _TUPLE_SPACE,
+    "repro.io.fpp:write_file_per_process": _TUPLE_SPACE,
+    "repro.io.fpp:read_file_per_process": _TUPLE_SPACE,
+    "repro.des.engine:Engine.any_of": _FAULT_PATH,
+    "repro.des.engine:Engine.run_until_done": _FAULT_PATH,
+    "repro.des.resources:Store": _FAULT_PATH,
+    "repro.des.resources:Store.items_snapshot": _FAULT_PATH,
+    "repro.analysis.statistics.stages:test_mean_zscore": _PAPER,
+    "repro.core.steering:coarsen_cadence_when_quiet": _PAPER,
+    "repro.core.breakdown:TimingBreakdown.impact_fraction": _PAPER,
+    "repro.analysis.topology.merge_tree:MergeTree.deepest_at_or_above":
+        _PAPER,
+    "repro.analysis.visualization.transfer_function:TransferFunction.grayscale":
+        _PAPER,
+    "repro.analysis.visualization.views:ViewSession.remove_view": _PAPER,
+    "repro.backend.registry:available_backends": _ACCESSOR,
+    "repro.backend.registry:kernel_names": _ACCESSOR,
+    "repro.control.controller:PlacementController.decision_log_json":
+        _ACCESSOR,
+    "repro.obs.perf:RegressionReport.by_status": _ACCESSOR,
+    "repro.sim.fields:FieldSet.species": _ACCESSOR,
+    "repro.sim.fields:FieldSet.as_array": _ACCESSOR,
+    "repro.sim.fields:FieldSet.from_array": _ACCESSOR,
+    "repro.sim.s3d:S3DProxy.op_descriptor": _ACCESSOR,
+    "repro.sim.s3d:DecomposedS3D.rank_op_descriptor": _ACCESSOR,
+    "repro.staging.scheduler:TaskScheduler.max_queue_depth": _ACCESSOR,
+    "repro.util.gantt:spans_from_trace": _ACCESSOR,
+    "repro.util.units:bytes_to_gb": _ACCESSOR,
+    "repro.vmpi.decomp:BlockDecomposition3D.rank_containing": _ACCESSOR,
+    "repro.vmpi.decomp:BlockDecomposition3D.neighbors": _ACCESSOR,
+}
+
+#: Decorators whose functions are reached without their name being
+#: written: backend dispatch and attribute access.
+_EXEMPT_DECORATORS = {"kernel", "property", "setter"}
+
+
+def _name_uses(tree: ast.AST) -> Counter:
+    """How often each bare name is read or called in ``tree`` (imports
+    and string constants do not count)."""
+    uses: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+    return uses
+
+
+def _is_exempt(node) -> bool:
+    if node.name.startswith("_"):
+        return True
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = (target.id if isinstance(target, ast.Name)
+                else getattr(target, "attr", None))
+        if name in _EXEMPT_DECORATORS:
+            return True
+    return False
+
+
+def _definitions(tree: ast.AST, prefix: str = ""):
+    """Yield ``(qualname, node)`` for every def/class, methods qualified
+    by their class, closures by their enclosing function."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            qualname = prefix + node.name
+            yield qualname, node
+            yield from _definitions(node, qualname + ".")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def test_no_name_is_kept_alive_by_its_tests_alone():
+    code = list(SOURCES.values())
+    for top in ("examples", "benchmarks"):
+        code += (ROOT / top).rglob("*.py")
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in code}
+    uses: Counter = Counter()
+    for tree in trees.values():
+        uses += _name_uses(tree)
+    unused = set()
+    for module, path in SOURCES.items():
+        for qualname, node in _definitions(trees[path]):
+            if (not _is_exempt(node)
+                    and uses[node.name] == _name_uses(node)[node.name]):
+                unused.add(f"{module}:{qualname}")
+    orphans = sorted(unused - set(ALLOWED_NAMES))
+    assert not orphans, (
+        "defined under src/repro but named nowhere in src/, examples/ or "
+        "benchmarks/ outside their own definition (delete with their "
+        "tests, or allow-list with a reason):\n  " + "\n  ".join(orphans))
+    stale = sorted(set(ALLOWED_NAMES) - unused)
     assert not stale, f"allow-list entries no longer needed: {stale}"

@@ -191,25 +191,6 @@ class TestShardedDataSpaces:
                                 n_shards=n_shards, **kw)
         return engine, sds
 
-    def test_tuple_space_routing_round_trip(self):
-        engine, sds = self._make(3)
-        for v in range(9):
-            sds.put("field", v, {"v": v})
-        assert sds.versions("field") == list(range(9))
-        for v in range(9):
-            assert sds.get("field", v) == {"v": v}
-        assert [v for v, _ in sds.query("field", 2, 5)] == [2, 3, 4, 5]
-        # versions really spread over more than one shard
-        owners = {sds.shard_for(f"field@{v}") for v in range(9)}
-        assert len(owners) > 1
-
-    def test_global_gc_drops_oldest_versions(self):
-        engine, sds = self._make(3)
-        for v in range(10):
-            sds.put("field", v, v)
-        assert sds.gc_versions("field", keep_latest=3) == 7
-        assert sds.versions("field") == [7, 8, 9]
-
     def test_spawn_requires_bucket_per_shard(self):
         engine, sds = self._make(3)
         with pytest.raises(ValueError, match="one bucket per shard"):

@@ -19,11 +19,9 @@ from repro.sim.s3d import SolverParams
 from repro.sim.stencil import (
     crop_ghosts,
     gradient,
-    halo_exchange_bytes,
     laplacian,
     pad_with_ghosts,
     upwind_advection,
-    vorticity_magnitude,
 )
 from repro.vmpi import BlockDecomposition3D
 
@@ -146,15 +144,6 @@ class TestStencils:
         # interior away from the periodic seam
         assert np.all(adv[2:-2] < 0)
 
-    def test_vorticity_of_rigid_rotation(self):
-        """u = (-y, x, 0) has |curl| = 2 everywhere."""
-        u = -(self.Y - np.pi)
-        v = self.X - np.pi
-        w = np.zeros(self.grid.shape)
-        vort = vorticity_magnitude((u, v, w), self.grid.spacing)
-        interior = vort[3:-3, 3:-3, :]
-        np.testing.assert_allclose(interior, 2.0, atol=0.05)
-
 
 class TestGhostExchange:
     def test_pad_matches_periodic_neighbors(self):
@@ -192,11 +181,6 @@ class TestGhostExchange:
         parts = decomp.scatter(np.zeros((4, 4, 4)))
         with pytest.raises(ValueError):
             pad_with_ghosts(parts, decomp, width=0)
-
-    def test_halo_bytes(self):
-        decomp = BlockDecomposition3D((8, 8, 8), (2, 2, 2))
-        # 4x4x4 blocks: 6 faces of 16 cells = 96 cells * 8 B
-        assert halo_exchange_bytes(decomp) == 96 * 8
 
 
 class TestChemistry:

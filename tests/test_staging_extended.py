@@ -110,29 +110,12 @@ class TestTorus:
         a, b, c = (int(v) for v in rng.integers(0, n, 3))
         assert t.hops(a, c) <= t.hops(a, b) + t.hops(b, c)
 
-    def test_place_ranks_contiguous(self):
-        t = TorusTopology((4, 4, 4))
-        placement = t.place_ranks(n_ranks=10, cores_per_node=4)
-        assert placement == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
-
-    def test_place_ranks_capacity(self):
-        t = TorusTopology((2, 2, 2))
-        with pytest.raises(ValueError):
-            t.place_ranks(n_ranks=1000, cores_per_node=1)
-
-    def test_mean_hops_sample(self):
-        t = TorusTopology((8, 8, 8))
-        mean = t.mean_hops_sample(500, seed=1)
-        assert 0 < mean <= t.diameter
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TorusTopology((0, 1, 1))
         t = TorusTopology((2, 2, 2))
         with pytest.raises(IndexError):
             t.coords_of(99)
-        with pytest.raises(ValueError):
-            t.mean_hops_sample(0)
 
     def test_hops_feed_network_model(self):
         """Far nodes pay more wire latency via the hops parameter."""

@@ -16,7 +16,6 @@ from repro.util import (
     fmt_seconds,
     image_rmse,
     seeded_rng,
-    write_pgm,
     write_ppm,
 )
 
@@ -107,11 +106,6 @@ class TestImages:
     def test_ppm_bad_shape_raises(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "x.ppm", np.zeros((4, 6)))
-
-    def test_pgm(self, tmp_path):
-        p = tmp_path / "x.pgm"
-        write_pgm(p, np.ones((3, 5)))
-        assert p.read_bytes().startswith(b"P5\n5 3\n255\n")
 
     def test_rmse_zero_for_identical(self):
         img = np.random.default_rng(0).random((8, 8, 3))
