@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.topology.merge_tree import MergeTree, compute_merge_tree
+from repro.analysis.topology.merge_tree import compute_merge_tree
 
 
 @dataclass
@@ -73,35 +73,32 @@ def compute_boundary_tree(block_values: np.ndarray, id_map: np.ndarray,
     flat_arc = np.asarray(vertex_arc).ravel()
     flat_boundary = np.asarray(boundary_mask).ravel()
 
-    value_of = {int(i): float(v) for i, v in zip(flat_ids, flat_vals)}
+    # A vertex is a node of the local tree exactly when it heads its own
+    # arc; everything else kept is a regular vertex on some node's arc.
+    critical = flat_arc == flat_ids
+    retained = np.flatnonzero(critical | flat_boundary)
+    ids = flat_ids[retained]
+    vals = flat_vals[retained]
+    arc = flat_arc[retained]
+    arc_vals = np.fromiter(map(tree.value.__getitem__, arc.tolist()),
+                           dtype=np.float64, count=arc.size)
+    # Arcs in sweep order of their upper node (the order the tree's nodes
+    # were added in); along an arc, descending (value, id) from the upper
+    # node — it sorts first, being the highest vertex of its own arc —
+    # through the retained regulars towards the node's parent.
+    chain = np.lexsort((ids, vals, arc, arc_vals))[::-1]
+    hi = ids[chain]
+    lo = np.empty_like(hi)
+    lo[:-1] = hi[1:]
+    upper = arc[chain]
+    ends = np.flatnonzero(np.append(upper[1:] != upper[:-1], True))
+    parents = [tree.parent[node] for node in upper[ends].tolist()]
+    keep = np.ones(hi.size, dtype=bool)
+    keep[ends] = [p is not None for p in parents]
+    lo[ends] = [0 if p is None else p for p in parents]
 
-    critical = set(tree.value)
-    boundary_ids = [int(i) for i in flat_ids[flat_boundary]]
-    retained = critical | set(boundary_ids)
-
-    # Group retained regular vertices by the arc (upper node) they lie on.
-    on_arc: dict[int, list[int]] = {}
-    for i, arc in zip(flat_ids, flat_arc):
-        gid = int(i)
-        if gid in retained and gid not in critical:
-            on_arc.setdefault(int(arc), []).append(gid)
-
-    nodes = {gid: value_of[gid] for gid in retained}
-    edges: list[tuple[int, int]] = []
-    for upper in tree.value:
-        chain = on_arc.get(upper, [])
-        # Sort descending in the sweep order (value, id); the arc runs from
-        # `upper` down through the retained regulars to upper's parent.
-        chain.sort(key=lambda g: (value_of[g], g), reverse=True)
-        prev = upper
-        for gid in chain:
-            edges.append((prev, gid))
-            prev = gid
-        parent = tree.parent[upper]
-        if parent is not None:
-            edges.append((prev, int(parent)))
-
-    bt = BoundaryTree(nodes=nodes, edges=edges,
-                      boundary_ids=sorted(set(boundary_ids)),
-                      n_block_cells=int(block_values.size))
-    return bt
+    return BoundaryTree(
+        nodes=dict(zip(ids.tolist(), vals.tolist())),
+        edges=list(zip(hi[keep].tolist(), lo[keep].tolist())),
+        boundary_ids=np.sort(flat_ids[flat_boundary]).tolist(),
+        n_block_cells=int(block_values.size))

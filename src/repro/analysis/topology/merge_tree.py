@@ -89,6 +89,46 @@ class MergeTree:
         self.parent[child] = parent
         self._children[parent].append(child)
 
+    @classmethod
+    def from_arrays(cls, ids: np.ndarray, values: np.ndarray,
+                    child: np.ndarray, parent: np.ndarray) -> "MergeTree":
+        """Tree with node ``ids[k]`` at ``values[k]`` for every ``k`` and
+        an arc ``ids[child[j]] -> ids[parent[j]]`` for every ``j``.
+
+        The result, and any exception, are those of :meth:`add_node` for
+        each node in order followed by :meth:`set_parent` for each arc in
+        order; the invariants (unique ids, one parent per child, no
+        self-parent, strictly descending ``(value, id)``) are checked
+        once over the arrays, and only a violation runs the per-call
+        path, which raises at the first offender.
+        """
+        ids = np.asarray(ids)
+        values = np.asarray(values, dtype=np.float64)
+        child = np.asarray(child, dtype=np.int64)
+        parent = np.asarray(parent, dtype=np.int64)
+        id_list = ids.tolist()
+        tree = cls()
+        tree.value = dict(zip(id_list, values.tolist()))
+        child_value, parent_value = values[child], values[parent]
+        descending = (child_value > parent_value) | (
+            (child_value == parent_value) & (ids[child] > ids[parent]))
+        if (len(tree.value) != len(id_list) or not descending.all()
+                or (np.bincount(child, minlength=1) > 1).any()):
+            tree = cls()
+            for node_id, value in zip(id_list, values.tolist()):
+                tree.add_node(node_id, value)
+            for c, p in zip(child.tolist(), parent.tolist()):
+                tree.set_parent(id_list[c], id_list[p])
+            return tree
+        children: list[list[int]] = [[] for _ in id_list]
+        parents: list[int | None] = [None] * len(id_list)
+        for c, p in zip(child.tolist(), parent.tolist()):
+            parents[c] = id_list[p]
+            children[p].append(id_list[c])
+        tree.parent = dict(zip(id_list, parents))
+        tree._children = dict(zip(id_list, children))
+        return tree
+
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -203,6 +243,18 @@ class MergeTree:
             node = p
 
 
+def reject_nan(values: np.ndarray, describe) -> None:
+    """Raise if any of ``values`` is NaN, naming the first through
+    ``describe(position)``: NaN has no place in the ``(value, id)`` sweep
+    order (``lexsort`` and tuple comparison even disagree on where it
+    goes), so every merge-tree kernel refuses it up front."""
+    nan = np.isnan(values)
+    if nan.any():
+        raise ValueError(
+            f"{describe(int(np.argmax(nan)))} is NaN: the (value, id) sweep "
+            "order is undefined")
+
+
 def _iter_grid_neighbors(flat_index: int, shape: tuple[int, ...],
                          strides: list[int]) -> Iterable[int]:
     """Face neighbours with bounds checks (non-periodic)."""
@@ -230,15 +282,18 @@ def compute_merge_tree(field: np.ndarray,
     vertex ids; by default flat local indices are used.
 
     This is the paper's *in-situ* algorithm: one sort of the block plus a
-    near-linear union-find sweep. Backend seam: the numpy backend
-    precomputes the neighbour table and sweep ranks vectorially and runs
-    the identical union-find sweep over plain lists — same visit order,
-    same neighbour order, bit-identical tree and ``vertex_arc``.
+    near-linear union-find sweep. NaN is rejected (it has no place in
+    the sweep order); infinities are ordinary values. Backend seam: the
+    numpy backend derives each vertex's earlier-swept neighbours in one
+    array expression and runs the identical union-find sweep over them —
+    same visit order, same neighbour order, bit-identical tree and
+    ``vertex_arc``.
     """
     values = np.asarray(field, dtype=np.float64).ravel()
     n = values.size
     if n == 0:
         raise ValueError("cannot compute the merge tree of an empty field")
+    reject_nan(values, "field value at flat index {}".format)
     shape = tuple(np.asarray(field).shape)
     if id_map is not None:
         ids = np.asarray(id_map).ravel()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.topology.merge_tree import MergeTree
+from repro.analysis.topology.merge_tree import MergeTree, reject_nan
 from repro.backend import kernel
 
 
@@ -132,13 +132,16 @@ def compute_merge_tree_graph(values: dict[int, float],
     Sweeps vertices in descending (value, id) order with union-find; every
     vertex becomes a node (chains included), matching
     :class:`StreamingGlue`'s augmented output. Used to verify the
-    streaming algorithm and as an independent oracle in tests. Backend
-    seam: the numpy backend lexsorts the sweep order and compacts the
-    adjacency vectorially, then runs the identical sweep.
+    streaming algorithm and as an independent oracle in tests. NaN values
+    are rejected, as in the grid kernel. Backend seam: the numpy backend
+    lexsorts the sweep order and compacts the adjacency (earlier-swept
+    neighbours only) vectorially, then runs the identical sweep.
     """
     if not values:
         raise ValueError("cannot compute the merge tree of an empty graph")
     ids = sorted(values)
+    reject_nan(np.array([values[vid] for vid in ids], dtype=np.float64),
+               lambda i: f"value of vertex {ids[i]}")
     index = {vid: i for i, vid in enumerate(ids)}
     adjacency: dict[int, list[int]] = {vid: [] for vid in ids}
     for u, v in edges:

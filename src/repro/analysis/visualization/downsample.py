@@ -98,42 +98,60 @@ class BlockLUT:
             self._index[cell] = k
         if np.any(self._index < 0):
             raise ValueError("blocks do not form a full rectilinear layout")
+        # Retained extent of each slab of blocks along the axis that
+        # numbers it; blocks abreast of each other must agree on it.
+        self._axis_dims = []
+        for axis in range(3):
+            slabs = np.moveaxis(self._index, axis, 0).reshape(
+                index_shape[axis], -1)
+            dims = np.array([[blocks[k].data.shape[axis] for k in slab]
+                             for slab in slabs], dtype=np.int64)
+            if np.any(dims != dims[:, :1]):
+                raise ValueError(
+                    f"blocks abreast along axis {axis} disagree on extent")
+            self._axis_dims.append(dims[:, 0])
 
     @property
     def nbytes(self) -> int:
         """Size of the table itself (bounds + index), not the block data.
         "This small look-up table" — Table II charges only block payloads."""
-        return sum(s.nbytes for s in self._axis_starts) + self._index.nbytes
-
-    def block_of_cell(self, cell: np.ndarray) -> np.ndarray:
-        """Owning block index for integer cells (..., 3)."""
-        idx = [np.searchsorted(self._axis_starts[a], cell[..., a],
-                               side="right") - 1 for a in range(3)]
-        return self._index[tuple(idx)]
+        return (sum(s.nbytes for s in self._axis_starts)
+                + sum(d.nbytes for d in self._axis_dims) + self._index.nbytes)
 
     def sampler(self):
-        """Nearest-retained-voxel sampler over the full global domain."""
+        """Nearest-retained-voxel sampler over the full global domain.
+
+        Routing is pure geometry, so it is tabulated once per axis: cell
+        coordinate -> block coordinate, and cell coordinate -> index of
+        the nearest retained voxel inside that block. A sample then costs
+        a few gathers from tables of ``nx + ny + nz`` entries plus one
+        read of the packed block data — still no volume reconstruction.
+        """
         shape = np.asarray(self.global_shape, dtype=np.float64)
         # Pack per-block data into one flat buffer for vectorised gathers.
-        offsets = np.zeros(len(self.blocks) + 1, dtype=np.int64)
-        for k, b in enumerate(self.blocks):
-            offsets[k + 1] = offsets[k] + b.data.size
+        sizes = [b.data.size for b in self.blocks]
+        block_offset = np.cumsum([0] + sizes[:-1])[self._index]
         flat = np.concatenate([b.data.ravel() for b in self.blocks])
-        lo = np.array([b.lo for b in self.blocks], dtype=np.int64)
-        dims = np.array([b.data.shape for b in self.blocks], dtype=np.int64)
+        block_coord = []
+        local = []
+        extent = []
+        for starts, dims, n in zip(self._axis_starts, self._axis_dims,
+                                   self.global_shape):
+            cells = np.arange(n)
+            coord = np.searchsorted(starts, cells, side="right") - 1
+            block_coord.append(coord)
+            local.append(np.minimum((cells - starts[coord]) // self.stride,
+                                    dims[coord] - 1))
+            extent.append(dims[coord])
+        bx, by, bz = block_coord
+        lx, ly, lz = local
+        _, ny, nz = extent
 
         def sample(pos: np.ndarray) -> np.ndarray:
-            p = np.clip(pos, 0.0, shape - 1.0)
-            cell = np.rint(p).astype(np.int64)
-            cell = np.minimum(cell, (shape - 1).astype(np.int64))
-            which = self.block_of_cell(cell)
-            local = (cell - lo[which]) // self.stride
-            local = np.minimum(local, dims[which] - 1)
-            d = dims[which]
-            flat_idx = (offsets[which]
-                        + (local[..., 0] * d[..., 1] + local[..., 1]) * d[..., 2]
-                        + local[..., 2])
-            return flat[flat_idx]
+            cell = np.rint(np.clip(pos, 0.0, shape - 1.0)).astype(np.int64)
+            cx, cy, cz = cell[..., 0], cell[..., 1], cell[..., 2]
+            return flat[block_offset[bx[cx], by[cy], bz[cz]]
+                        + (lx[cx] * ny[cy] + ly[cy]) * nz[cz] + lz[cz]]
 
         return sample
 

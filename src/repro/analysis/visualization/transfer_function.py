@@ -28,15 +28,18 @@ class TransferFunction:
                 raise ValueError(f"control point {p} must be (value, r, g, b, a)")
             if not all(0.0 <= c <= 1.0 for c in p[1:]):
                 raise ValueError(f"color/opacity of {p} must lie in [0, 1]")
+        # Column 0: control values; columns 1-4: their r, g, b, a. The
+        # marcher calls the function once per step, the points never change.
+        object.__setattr__(self, "_columns",
+                           np.array(self.points, dtype=np.float64).T.copy())
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """Map scalars (any shape) to RGBA (shape + (4,))."""
         v = np.asarray(values, dtype=np.float64)
-        xs = np.array([p[0] for p in self.points])
+        xs = self._columns[0]
         out = np.empty(v.shape + (4,), dtype=np.float64)
         for c in range(4):
-            ys = np.array([p[c + 1] for p in self.points])
-            out[..., c] = np.interp(v, xs, ys)
+            out[..., c] = np.interp(v, xs, self._columns[c + 1])
         return out
 
     @classmethod

@@ -10,11 +10,20 @@ the outputs the analyses consume — the equivalence contract of DESIGN.md
 * per-row pairwise summation — numpy's ``sum`` over the contiguous axis
   of a stacked ``(rows, m)`` array applies the same pairwise summation
   as summing each row alone, so batched sums equal per-block sums;
-* vectorized precompute + identical sweep — the merge-tree kernels build
-  neighbour tables and sweep ranks with array operations, then run the
-  reference's union-find sweep over plain python lists (numpy scalar
-  indexing is the reference's real cost), preserving visit order and
-  union order exactly;
+* vectorized precompute + identical sweep — the merge-tree kernels
+  compute sweep ranks and each vertex's *up-links* (neighbours swept
+  earlier, in the reference's probe order) with array operations, the
+  grid kernel from a per-shape neighbour table cached read-only, then
+  run the reference's union-find sweep over plain python lists (numpy
+  scalar indexing is the reference's real cost), preserving visit order
+  and union order exactly;
+* checked-once tree construction — the graph sweep collects its arcs
+  and hands them to ``MergeTree.from_arrays``, which applies
+  ``add_node``/``set_parent``'s invariants once over arrays;
+* fast path, then ordered fallback — input validation (duplicate
+  vertices, self-edges, undeclared endpoints) runs in array form, and
+  any violation re-runs the input through the per-item loop so the
+  exception names the first offender as the reference does;
 * a kernel that cannot guarantee exactness for its inputs (unknown
   operator, mixed shapes, zero-count accumulators) falls back to the
   reference implementation rather than approximate.
@@ -26,6 +35,9 @@ falls back to ``reference`` with a single warning.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import operator
 from collections.abc import Callable
 from typing import Any
@@ -95,30 +107,48 @@ def pairwise_reduce_numpy(values: list[Any],
 # ---------------------------------------------------------------------------
 
 
-def _grid_strides(shape: tuple[int, ...]) -> list[int]:
-    strides: list[int] = []
-    s = 1
-    for extent in reversed(shape):
-        strides.append(s)
-        s *= extent
-    strides.reverse()
-    return strides
+@functools.lru_cache(maxsize=8)
+def _neighbor_table(shape: tuple[int, ...]) -> np.ndarray:
+    """``(n, 2 * ndim)`` flat face-neighbour indices of a C-order grid, in
+    ``_iter_grid_neighbors`` order (per axis ``-stride`` then
+    ``+stride``), with ``-1`` marking out-of-bounds.
+
+    Depends on the shape only, so the blocks of a decomposition share a
+    handful of tables; read-only because every caller gets the same one.
+    """
+    n = math.prod(shape)
+    idx = np.arange(n)
+    table = np.empty((n, 2 * len(shape)), dtype=np.int64)
+    stride = n
+    rem = idx
+    for axis, extent in enumerate(shape):
+        stride //= extent
+        coord = rem // stride
+        rem = rem % stride
+        table[:, 2 * axis] = np.where(coord > 0, idx - stride, -1)
+        table[:, 2 * axis + 1] = np.where(coord < extent - 1, idx + stride, -1)
+    table.setflags(write=False)
+    return table
 
 
 def merge_tree_numpy(field: np.ndarray, id_map: np.ndarray | None = None):
-    """Grid merge tree: vectorized neighbour table and sweep ranks, then
-    the reference's union-find sweep over plain lists.
+    """Grid merge tree: every vertex's *up-links* (in-bounds neighbours
+    swept earlier) derived in one array expression laid out in sweep
+    order, then the reference's union-find sweep over plain lists.
 
-    The sweep visits vertices in the same order, probes neighbours in the
-    same (−stride, +stride per axis) order, and performs the same find /
-    union sequence, so the tree and ``vertex_arc`` are bit-identical.
+    The sweep visits vertices in the same order, probes the up-links in
+    the reference's neighbour order, and performs the same find / union
+    sequence, so the tree and ``vertex_arc`` are bit-identical. A vertex
+    without up-links is a leaf and one with a single up-link is regular;
+    neither needs a root list.
     """
-    from repro.analysis.topology.merge_tree import MergeTree
+    from repro.analysis.topology.merge_tree import MergeTree, reject_nan
 
     values_arr = np.asarray(field, dtype=np.float64).ravel()
     n = values_arr.size
     if n == 0:
         raise ValueError("cannot compute the merge tree of an empty field")
+    reject_nan(values_arr, "field value at flat index {}".format)
     shape = tuple(np.asarray(field).shape)
     if id_map is not None:
         ids = np.asarray(id_map).ravel()
@@ -132,62 +162,49 @@ def merge_tree_numpy(field: np.ndarray, id_map: np.ndarray | None = None):
     order = np.lexsort((ids, values_arr))[::-1]
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-
-    # Neighbour table in _iter_grid_neighbors order: per axis −st then
-    # +st, with −1 marking out-of-bounds.
-    idx = np.arange(n)
-    rem = idx
-    nbr_cols = []
-    for axis, st in enumerate(_grid_strides(shape)):
-        coord = rem // st
-        rem = rem % st
-        nbr_cols.append(np.where(coord > 0, idx - st, -1))
-        nbr_cols.append(np.where(coord < shape[axis] - 1, idx + st, -1))
-    nbrs_l = np.stack(nbr_cols, axis=1).tolist()
-
-    order_l = order.tolist()
-    rank_l = rank.tolist()
-    ids_l = [int(x) for x in ids.tolist()]
-    values_l = values_arr.tolist()
+    nbrs = _neighbor_table(shape)[order]
+    # rank[-1] is a wrapped read; the in-bounds test masks it.
+    is_up = (nbrs >= 0) & (rank[nbrs] < np.arange(n)[:, None])
+    up_links = nbrs[is_up].tolist()  # row-major: probe order per vertex
+    n_up = np.count_nonzero(is_up, axis=1).tolist()
 
     parent_uf = list(range(n))
     comp_node = [-1] * n
     vertex_arc_local = [-1] * n
     tree = MergeTree()
 
-    for i, v in enumerate(order_l):
-        neighbor_roots: list[int] = []
-        for u in nbrs_l[v]:
-            if u >= 0 and rank_l[u] < i:  # processed earlier in the sweep
-                x = u
-                while parent_uf[x] != x:  # find with path halving
-                    parent_uf[x] = parent_uf[parent_uf[x]]
-                    x = parent_uf[x]
-                if x not in neighbor_roots:
-                    neighbor_roots.append(x)
-        if not neighbor_roots:
-            tree.add_node(ids_l[v], values_l[v])
+    start = 0
+    for v, k in zip(order.tolist(), n_up):
+        if k == 0:  # local maximum
+            tree.add_node(int(ids[v]), values_arr[v])
             comp_node[v] = v
             vertex_arc_local[v] = v
-        elif len(neighbor_roots) == 1:
-            r = neighbor_roots[0]
-            parent_uf[v] = r
-            x = v
-            while parent_uf[x] != x:
-                parent_uf[x] = parent_uf[parent_uf[x]]
-                x = parent_uf[x]
-            comp_node[x] = comp_node[r]
-            vertex_arc_local[v] = comp_node[r]
-        else:
-            tree.add_node(ids_l[v], values_l[v])
+            continue
+        x = up_links[start]
+        while parent_uf[x] != x:  # find with path halving
+            parent_uf[x] = parent_uf[parent_uf[x]]
+            x = parent_uf[x]
+        neighbor_roots = None
+        for u in up_links[start + 1:start + k]:
+            while parent_uf[u] != u:
+                parent_uf[u] = parent_uf[parent_uf[u]]
+                u = parent_uf[u]
+            if neighbor_roots is not None:
+                if u not in neighbor_roots:
+                    neighbor_roots.append(u)
+            elif u != x:
+                neighbor_roots = [x, u]
+        start += k
+        if neighbor_roots is None:  # regular vertex: joins root x
+            parent_uf[v] = x
+            vertex_arc_local[v] = comp_node[x]
+        else:  # saddle
+            vid = int(ids[v])
+            tree.add_node(vid, values_arr[v])
             for r in neighbor_roots:
-                tree.set_parent(ids_l[comp_node[r]], ids_l[v])
+                tree.set_parent(int(ids[comp_node[r]]), vid)
                 parent_uf[r] = v
-            x = v
-            while parent_uf[x] != x:
-                parent_uf[x] = parent_uf[parent_uf[x]]
-                x = parent_uf[x]
-            comp_node[x] = v
+            comp_node[v] = v
             vertex_arc_local[v] = v
 
     vertex_arc = ids[np.asarray(vertex_arc_local,
@@ -195,96 +212,86 @@ def merge_tree_numpy(field: np.ndarray, id_map: np.ndarray | None = None):
     return tree, vertex_arc
 
 
-def _graph_sweep(ids: list[int], vals_l: list[float], order_l: list[int],
-                 rank_l: list[int], adj: list[int], offsets: list[int]):
-    """The reference graph sweep over CSR adjacency and plain lists."""
+def _edge_positions(sorted_ids: np.ndarray, edges: np.ndarray
+                    ) -> np.ndarray | None:
+    """Each ``(m, 2)`` edge endpoint as a position in ``sorted_ids``;
+    ``None`` when some endpoint is not among them (the caller decides the
+    error semantics)."""
+    n = sorted_ids.size
+    pos = np.searchsorted(sorted_ids, edges)
+    if not (sorted_ids[np.minimum(pos, n - 1)] == edges).all():
+        return None
+    return pos
+
+
+def _graph_tree(ids: np.ndarray, vals: np.ndarray, edge_pos: np.ndarray):
+    """The reference graph sweep, in sweep-position space.
+
+    Vertices are renumbered by sweep position and each keeps only its
+    earlier-swept neighbours, in the reference's per-vertex edge order
+    (``u->v`` then ``v->u`` per edge). A component's union-find root is
+    always its most recently swept vertex, so the arcs are
+    ``(root, vertex)`` pairs; the tree is filled from them in one go.
+    """
     from repro.analysis.topology.merge_tree import MergeTree
 
-    n = len(ids)
+    n = ids.size
+    order = np.lexsort((ids, vals))[::-1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    src = rank[edge_pos.ravel()]
+    dst = rank[edge_pos[:, ::-1].ravel()]
+    earlier = dst < src
+    src, dst = src[earlier], dst[earlier]
+    up_links = dst[np.argsort(src, kind="stable")].tolist()
+    n_up = np.bincount(src, minlength=n).tolist()
+
     parent_uf = list(range(n))
-    latest = [-1] * n
-    tree = MergeTree()
-    for i, vi in enumerate(order_l):
-        vid = ids[vi]
-        tree.add_node(vid, vals_l[vi])
+    child: list[int] = []
+    parent: list[int] = []
+    start = 0
+    for i, k in enumerate(n_up):
+        if k == 0:
+            continue
         roots: list[int] = []
-        for j in range(offsets[vi], offsets[vi + 1]):
-            nb = adj[j]
-            if rank_l[nb] < i:
-                x = nb
-                while parent_uf[x] != x:
-                    parent_uf[x] = parent_uf[parent_uf[x]]
-                    x = parent_uf[x]
-                if x not in roots:
-                    roots.append(x)
+        for x in up_links[start:start + k]:
+            while parent_uf[x] != x:  # find with path halving
+                parent_uf[x] = parent_uf[parent_uf[x]]
+                x = parent_uf[x]
+            if x not in roots:
+                roots.append(x)
+        start += k
         for r in roots:
-            tree.set_parent(latest[r], vid)
-            parent_uf[r] = vi
-        x = vi
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        latest[x] = vid
-    return tree
-
-
-def _graph_csr(ids_arr: np.ndarray, edges: list[tuple[int, int]],
-               n: int) -> tuple[list[int], list[int]] | None:
-    """CSR adjacency preserving the reference's per-vertex edge order.
-
-    Returns ``None`` when an edge references an unknown vertex (caller
-    decides the error semantics).
-    """
-    if not edges:
-        return [], [0] * (n + 1)
-    ea = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-    pos = np.searchsorted(ids_arr, ea)
-    ok = (pos < n) & (ids_arr[np.minimum(pos, n - 1)] == ea)
-    if not bool(ok.all()):
-        return None
-    # Directed entries in reference append order: u→v then v→u per edge.
-    src = pos.ravel()
-    dst = pos[:, ::-1].ravel()
-    order = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return dst[order].tolist(), offsets.tolist()
+            child.append(r)
+            parent.append(i)
+            parent_uf[r] = i
+    return MergeTree.from_arrays(ids[order], vals[order], child, parent)
 
 
 def graph_merge_tree_numpy(values: dict[int, float],
                            edges: list[tuple[int, int]]):
-    """Augmented merge tree of a graph: vectorized sweep order and CSR
+    """Augmented merge tree of a graph: vectorized sweep order and
     adjacency, then the identical union-find sweep."""
+    from repro.analysis.topology.merge_tree import reject_nan
+
     if not values:
         raise ValueError("cannot compute the merge tree of an empty graph")
-    ids = sorted(values)
-    n = len(ids)
-    ids_arr = np.array(ids, dtype=np.int64)
-    vals = np.array([values[vid] for vid in ids], dtype=np.float64)
-    csr = _graph_csr(ids_arr, edges, n)
-    if csr is None:
-        # Reproduce the reference's first-offender KeyError.
-        for u, v in edges:
-            if u not in values or v not in values:
-                raise KeyError(f"edge ({u},{v}) references unknown vertex")
-        raise AssertionError("unreachable")
-    adj, offsets = csr
-    order = np.lexsort((ids_arr, vals))[::-1]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return _graph_sweep(ids, vals.tolist(), order.tolist(), rank.tolist(),
-                        adj, offsets)
+    ids = np.array(sorted(values), dtype=np.int64)
+    vals = np.array([values[vid] for vid in ids.tolist()], dtype=np.float64)
+    reject_nan(vals, lambda i: f"value of vertex {ids[i]}")
+    edge_pos = _edge_positions(
+        ids, np.asarray(edges, dtype=np.int64).reshape(len(edges), 2))
+    if edge_pos is None:
+        # The reference raises the KeyError naming the first offender.
+        return _ref("topology.graph_merge_tree")(values, edges)
+    return _graph_tree(ids, vals, edge_pos)
 
 
-def glue_batch_numpy(boundary_trees, cross_edges):
-    """Batch glue: one union-find sweep over the combined vertex/edge
-    set instead of streaming chain-merges.
+def _glue_batch_ordered(boundary_trees, edge_lists):
+    """Batch glue with the streaming glue's checks in streaming order:
+    the path that names the first offender."""
+    from repro.analysis.topology.merge_tree import MergeTree
 
-    The augmented merge tree is unique given the (value, id) total
-    order, so this equals ``StreamingGlue``'s output node-for-node and
-    arc-for-arc. Streaming-order error semantics (duplicate vertices,
-    self-edges, undeclared endpoints) are reproduced exactly.
-    """
     values: dict[int, float] = {}
     for bt in boundary_trees:
         for vid, val in bt.nodes.items():
@@ -292,12 +299,8 @@ def glue_batch_numpy(boundary_trees, cross_edges):
             if vid in values:
                 raise ValueError(f"vertex {vid} already streamed")
             values[vid] = float(val)
-    edges: list[tuple[int, int]] = []
-    for bt in boundary_trees:
-        edges.extend(bt.edges)
-    edges.extend(cross_edges)
     checked: list[tuple[int, int]] = []
-    for u, v in edges:
+    for u, v in itertools.chain.from_iterable(edge_lists):
         u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"self-edge on vertex {u}")
@@ -307,10 +310,40 @@ def glue_batch_numpy(boundary_trees, cross_edges):
                     f"edge ({u},{v}) streamed before vertex {x} was declared")
         checked.append((u, v))
     if not values:
-        from repro.analysis.topology.merge_tree import MergeTree
-
         return MergeTree()
     return graph_merge_tree_numpy(values, checked)
+
+
+def glue_batch_numpy(boundary_trees, cross_edges):
+    """Batch glue: one union-find sweep over the combined vertex/edge
+    set instead of streaming chain-merges.
+
+    The augmented merge tree is unique given the (value, id) total
+    order, so this equals ``StreamingGlue``'s output node-for-node and
+    arc-for-arc. Duplicate vertices, self-edges and undeclared endpoints
+    are detected in array form; any of them re-runs the input through
+    the ordered loop, which raises the streaming glue's exception for
+    the first offender.
+    """
+    flatten = itertools.chain.from_iterable
+    edge_lists = [*(bt.edges for bt in boundary_trees), cross_edges]
+    n = sum(len(bt.nodes) for bt in boundary_trees)
+    if n == 0:
+        return _glue_batch_ordered(boundary_trees, edge_lists)
+    ids = np.fromiter(flatten(bt.nodes for bt in boundary_trees),
+                      dtype=np.int64, count=n)
+    vals = np.fromiter(flatten(bt.nodes.values() for bt in boundary_trees),
+                       dtype=np.float64, count=n)
+    by_id = np.argsort(ids)
+    ids, vals = ids[by_id], vals[by_id]
+    m = sum(map(len, edge_lists))
+    edges = np.fromiter(flatten(flatten(edge_lists)), dtype=np.int64,
+                        count=2 * m).reshape(m, 2)
+    edge_pos = _edge_positions(ids, edges)
+    if (edge_pos is None or (ids[1:] == ids[:-1]).any()
+            or (edges[:, 0] == edges[:, 1]).any()):
+        return _glue_batch_ordered(boundary_trees, edge_lists)
+    return _graph_tree(ids, vals, edge_pos)
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,13 @@ class HybridFramework:
         self.dataspaces = DataSpaces(self.engine, self.transport, n_servers=2)
         self.dataspaces.spawn_buckets(
             [f"staging-{i}" for i in range(n_buckets)])
+        # Shape-only geometry of the topology stage, fixed for the run.
         self._cross_edges = cross_block_edges(decomp)
-        self._ids = global_id_array(decomp.global_shape)
+        ids = global_id_array(decomp.global_shape)
+        self._block_ids = [np.ascontiguousarray(ids[b.slices])
+                           for b in decomp.blocks()]
+        self._boundary_masks = [block_boundary_mask(b, decomp.global_shape)
+                                for b in decomp.blocks()]
         self._stats_engine = StatisticsEngine(VirtualComm(decomp.n_ranks))
         self._autocorr_learners = [
             AutocorrelationLearner(self.autocorrelation_max_lag)
@@ -171,13 +176,10 @@ class HybridFramework:
             compute=lambda payloads: engine.intransit_derive(payloads, names))
 
     def _submit_topology(self, step: int) -> None:
-        boundary_trees = []
-        for rank, block in enumerate(self.decomp.blocks()):
-            values = self.solver.parts[rank][self.topology_variable]
-            bt = compute_boundary_tree(
-                values, self._ids[block.slices],
-                block_boundary_mask(block, self.decomp.global_shape))
-            boundary_trees.append(bt)
+        boundary_trees = [
+            compute_boundary_tree(part[self.topology_variable], ids, mask)
+            for part, ids, mask in zip(self.solver.parts, self._block_ids,
+                                       self._boundary_masks)]
         descs = [self.transport.register(f"sim-{rank}", bt,
                                          nbytes=bt.nbytes,
                                          meta={"rank": rank,

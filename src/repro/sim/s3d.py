@@ -1,10 +1,13 @@
 """The S3D proxy solver: explicit advection–diffusion–reaction.
 
-:class:`S3DProxy` advances the 14-variable state on the global grid;
-:class:`DecomposedS3D` advances the identical equations block-parallel over
-a :class:`~repro.vmpi.decomp.BlockDecomposition3D` with one-layer ghost
-exchange — tests assert the two produce bitwise-identical states, the
-reproduction's stand-in for S3D's MPI-correctness.
+:class:`S3DProxy` advances the 14-variable state on the global grid with
+the periodic ``np.roll`` operators; :class:`DecomposedS3D` advances the
+identical equations block-parallel over a
+:class:`~repro.vmpi.decomp.BlockDecomposition3D` with one-layer ghost
+exchange and the block operators of :mod:`repro.sim.stencil`, which read
+the ghost-padded operands through slice views — tests assert the two
+produce bitwise-identical states, the reproduction's stand-in for S3D's
+MPI-correctness.
 
 Physics per step (explicit Euler, frozen velocity):
 
@@ -29,7 +32,8 @@ from repro.sim.fields import SPECIES_NAMES, FieldSet
 from repro.sim.grid import StructuredGrid3D
 from repro.sim.lifted_flame import LiftedFlameCase
 from repro.sim.stencil import (
-    crop_ghosts,
+    block_laplacian,
+    block_upwind_advection,
     laplacian,
     pad_with_ghosts,
     upwind_advection,
@@ -68,21 +72,27 @@ class SolverParams:
         return grid.cfl_dt(max_speed, diff, self.cfl_safety)
 
 
-def _rhs(state: dict[str, np.ndarray], spacing: tuple[float, float, float],
+def _rhs(state: dict[str, np.ndarray], stencil_in: dict[str, np.ndarray],
+         advect, diffuse, spacing: tuple[float, float, float],
          chemistry: ArrheniusChemistry, params: SolverParams
          ) -> dict[str, np.ndarray]:
-    """Right-hand sides for all transported variables (pointwise + stencil)."""
+    """Right-hand sides for all transported variables.
+
+    ``state`` feeds the pointwise terms; ``advect`` and ``diffuse`` read
+    the stencil operands from ``stencil_in`` — the state itself under the
+    periodic operators, the ghost-padded blocks under the block ones.
+    """
     velocity = (state["u"], state["v"], state["w"])
     dT_chem, dY_chem = chemistry.source_terms(
         state["T"], {s: state[s] for s in SPECIES_NAMES})
 
     rhs: dict[str, np.ndarray] = {}
-    rhs["T"] = (upwind_advection(state["T"], velocity, spacing)
-                + params.thermal_diffusivity * laplacian(state["T"], spacing)
+    rhs["T"] = (advect(stencil_in["T"], velocity, spacing)
+                + params.thermal_diffusivity * diffuse(stencil_in["T"], spacing)
                 + dT_chem)
     for s in SPECIES_NAMES:
-        r = (upwind_advection(state[s], velocity, spacing)
-             + params.species_diffusivity * laplacian(state[s], spacing)
+        r = (advect(stencil_in[s], velocity, spacing)
+             + params.species_diffusivity * diffuse(stencil_in[s], spacing)
              + dY_chem[s])
         if s in _RADICALS:
             r = r - params.radical_decay * state[s]
@@ -149,11 +159,13 @@ class S3DProxy:
                         self.kernel_history.append((self.step_count, center))
                 state = {name: self.fields[name] for name in self.fields.names}
                 with tracer.span("sim.rhs", lane="sim", category="sim"):
-                    rhs = _rhs(state, spacing, self.chemistry, self.params)
+                    rhs = _rhs(state, state, upwind_advection, laplacian,
+                               spacing, self.chemistry, self.params)
                 if self.params.integrator == "rk2":
                     mid = _midpoint_state(state, rhs, self.dt)
                     with tracer.span("sim.rhs", lane="sim", category="sim"):
-                        rhs2 = _rhs(mid, spacing, self.chemistry, self.params)
+                        rhs2 = _rhs(mid, mid, upwind_advection, laplacian,
+                                    spacing, self.chemistry, self.params)
                     rhs = _combine_heun(rhs, rhs2)
                 with tracer.span("sim.update", lane="sim", category="sim"):
                     _apply_update(state, rhs, self.dt)
@@ -208,11 +220,28 @@ class DecomposedS3D:
         for part, piece in zip(self.parts, self.decomp.scatter(global_field)):
             part[name] = piece
 
+    def _stage_rhs(self, parts: list[dict[str, np.ndarray]]
+                   ) -> list[dict[str, np.ndarray]]:
+        """Halo exchange, then every rank's right-hand side.
+
+        Only the transported variables are exchanged: the stencils read
+        the (frozen) velocity at the cell itself, never at a neighbour.
+        """
+        tracer = self._tracer
+        with tracer.span("sim.halo", lane="sim", category="sim"):
+            ghosted = {name: pad_with_ghosts([p[name] for p in parts],
+                                             self.decomp)
+                       for name in _TRANSPORTED}
+        with tracer.span("sim.rhs", lane="sim", category="sim"):
+            return [
+                _rhs(part, {name: ghosted[name][rank] for name in ghosted},
+                     block_upwind_advection, block_laplacian,
+                     self.grid.spacing, self.chemistry, self.params)
+                for rank, part in enumerate(parts)]
+
     def step(self, n: int = 1) -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        spacing = self.grid.spacing
-        ghosted_names = ("u", "v", "w") + _TRANSPORTED
         tracer = self._tracer
         for _ in range(n):
             with tracer.span("sim.step", lane="sim", stage="simulation",
@@ -226,48 +255,17 @@ class DecomposedS3D:
                     self.case.seed_kernels(fs, self.step_count)
                     self._scatter_var("T", fs["T"])
 
-                # Halo exchange: one ghost layer for every stencil operand.
-                with tracer.span("sim.halo", lane="sim", category="sim"):
-                    ghosted: dict[str, list[np.ndarray]] = {
-                        name: pad_with_ghosts([p[name] for p in self.parts],
-                                              self.decomp)
-                        for name in dict.fromkeys(ghosted_names)
-                    }
-                with tracer.span("sim.rhs", lane="sim", category="sim"):
-                    rhs_per_rank: list[dict[str, np.ndarray]] = []
-                    for rank in range(self.decomp.n_ranks):
-                        state_g = {name: ghosted[name][rank] for name in ghosted}
-                        rhs_g = _rhs(state_g, spacing, self.chemistry,
-                                     self.params)
-                        rhs_per_rank.append(
-                            {name: crop_ghosts(r) for name, r in rhs_g.items()})
+                rhs_per_rank = self._stage_rhs(self.parts)
 
                 if self.params.integrator == "rk2":
                     # Predictor blocks, then a SECOND halo exchange before the
                     # corrector RHS — the multi-exchange structure of S3D's
                     # multi-stage RK.
-                    mid_parts = [
-                        {**{c: part[c] for c in ("u", "v", "w")},
-                         **{name: part[name] + self.dt * rhs[name]
-                            for name in _TRANSPORTED}}
-                        for part, rhs in zip(self.parts, rhs_per_rank)
-                    ]
-                    with tracer.span("sim.halo", lane="sim", category="sim"):
-                        ghosted_mid = {
-                            name: pad_with_ghosts([m[name] for m in mid_parts],
-                                                  self.decomp)
-                            for name in dict.fromkeys(ghosted_names)
-                        }
-                    with tracer.span("sim.rhs", lane="sim", category="sim"):
-                        for rank in range(self.decomp.n_ranks):
-                            mid_g = {name: ghosted_mid[name][rank]
-                                     for name in ghosted_mid}
-                            rhs2_g = _rhs(mid_g, spacing, self.chemistry,
-                                          self.params)
-                            rhs2 = {name: crop_ghosts(r)
-                                    for name, r in rhs2_g.items()}
-                            rhs_per_rank[rank] = _combine_heun(
-                                rhs_per_rank[rank], rhs2)
+                    mid_parts = [_midpoint_state(part, rhs, self.dt)
+                                 for part, rhs in zip(self.parts, rhs_per_rank)]
+                    rhs_per_rank = [
+                        _combine_heun(rhs1, rhs2) for rhs1, rhs2
+                        in zip(rhs_per_rank, self._stage_rhs(mid_parts))]
 
                 with tracer.span("sim.update", lane="sim", category="sim"):
                     for part, rhs in zip(self.parts, rhs_per_rank):

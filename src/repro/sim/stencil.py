@@ -1,9 +1,16 @@
-"""Finite-difference stencils (periodic) and block ghost exchange.
+"""Finite-difference stencils and block ghost exchange.
 
-All operators are vectorised NumPy with periodic wrap via ``np.roll``.
-The decomposed solver pads each block with ghost layers copied from
-neighbouring blocks (:func:`pad_with_ghosts`), applies the same stencils,
-then crops — tests assert bitwise agreement with the global operators.
+Two families of vectorised NumPy operators evaluate the same stencils:
+
+* the *periodic* operators (:func:`gradient`, :func:`laplacian`,
+  :func:`upwind_advection`) act on a whole periodic field and wrap via
+  ``np.roll`` — what the global solver uses, and the oracle;
+* the *block* operators (:func:`block_laplacian`,
+  :func:`block_upwind_advection`) act on one block padded with a ghost
+  layer copied from its neighbours (:func:`pad_with_ghosts`): they read
+  the shifted operands through slice views and return interior-shaped
+  output — same operands, same operation order, so tests assert bitwise
+  agreement with the periodic operators on the block's cells.
 """
 
 from __future__ import annotations
@@ -48,14 +55,58 @@ def upwind_advection(f: np.ndarray, velocity: tuple[np.ndarray, np.ndarray, np.n
     return dfdt
 
 
+_INTERIOR = (slice(1, -1),) * 3
+
+
+def _shifted_views(padded: np.ndarray, axis: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Interior-shaped views of a padded block's ``+1`` and ``-1``
+    neighbours along ``axis``."""
+    plus = list(_INTERIOR)
+    minus = list(_INTERIOR)
+    plus[axis] = slice(2, None)
+    minus[axis] = slice(None, -2)
+    return padded[tuple(plus)], padded[tuple(minus)]
+
+
+def block_laplacian(padded: np.ndarray, spacing: tuple[float, float, float]
+                    ) -> np.ndarray:
+    """:func:`laplacian` on the interior of a one-ghost-padded block."""
+    f = np.ascontiguousarray(padded[_INTERIOR])
+    out = np.zeros_like(f)
+    for axis in range(3):
+        h2 = spacing[axis] ** 2
+        plus, minus = _shifted_views(padded, axis)
+        out += (plus - 2.0 * f + minus) / h2
+    return out
+
+
+def block_upwind_advection(padded: np.ndarray,
+                           velocity: tuple[np.ndarray, np.ndarray, np.ndarray],
+                           spacing: tuple[float, float, float]) -> np.ndarray:
+    """:func:`upwind_advection` on the interior of a one-ghost-padded
+    block; ``velocity`` is interior-shaped (the stencil reads it at the
+    cell itself only)."""
+    f = np.ascontiguousarray(padded[_INTERIOR])
+    dfdt = np.zeros_like(f)
+    for axis, u in enumerate(velocity):
+        h = spacing[axis]
+        plus, minus = _shifted_views(padded, axis)
+        fwd = (plus - f) / h
+        bwd = (f - minus) / h
+        dfdt -= np.where(u > 0, u * bwd, u * fwd)
+    return dfdt
+
+
 def pad_with_ghosts(parts: list[np.ndarray], decomp: BlockDecomposition3D,
                     width: int = 1) -> list[np.ndarray]:
     """Pad every block with ``width`` ghost layers from its neighbours.
 
     Equivalent to S3D's halo exchange with periodic global topology. The
-    implementation assembles the global array and re-slices with wrap; the
-    *communication volume* this represents is charged separately by the
-    performance layer (each block exchanges its six faces).
+    implementation assembles the global array inside a wrapped border and
+    re-slices; the *communication volume* this represents is charged
+    separately by the performance layer (each block exchanges its six
+    faces).
     """
     if width < 1:
         raise ValueError(f"ghost width must be >= 1, got {width}")
@@ -64,17 +115,19 @@ def pad_with_ghosts(parts: list[np.ndarray], decomp: BlockDecomposition3D,
             f"ghost width {width} exceeds smallest global extent "
             f"{min(decomp.global_shape)}")
     global_field = decomp.gather(parts)
-    padded_global = np.pad(global_field, [(width, width)] * 3, mode="wrap")
-    out = []
-    for b in decomp.blocks():
-        sl = tuple(slice(lo, hi + 2 * width) for lo, hi in zip(b.lo, b.hi))
-        out.append(np.ascontiguousarray(padded_global[sl]))
-    return out
-
-
-def crop_ghosts(part: np.ndarray, width: int = 1) -> np.ndarray:
-    """Remove ghost layers added by :func:`pad_with_ghosts`."""
-    if width < 1:
-        raise ValueError(f"ghost width must be >= 1, got {width}")
-    sl = tuple(slice(width, -width) for _ in range(3))
-    return part[sl]
+    w = width
+    wrapped = np.empty(tuple(n + 2 * w for n in global_field.shape),
+                       dtype=global_field.dtype)
+    wrapped[w:-w, w:-w, w:-w] = global_field
+    # Axis by axis, each pass copying the borders the earlier passes
+    # filled, so edges and corners wrap too.
+    wrapped[:w] = wrapped[-2 * w:-w]
+    wrapped[-w:] = wrapped[w:2 * w]
+    wrapped[:, :w] = wrapped[:, -2 * w:-w]
+    wrapped[:, -w:] = wrapped[:, w:2 * w]
+    wrapped[:, :, :w] = wrapped[:, :, -2 * w:-w]
+    wrapped[:, :, -w:] = wrapped[:, :, w:2 * w]
+    return [np.ascontiguousarray(
+                wrapped[tuple(slice(lo, hi + 2 * w)
+                              for lo, hi in zip(b.lo, b.hi))])
+            for b in decomp.blocks()]

@@ -66,6 +66,9 @@ class BlockDecomposition3D:
         # Near-even split: first (n % p) blocks get one extra cell.
         self._starts = [self._axis_starts(n, p)
                         for n, p in zip(global_shape, proc_grid)]
+        # Built on the first blocks() call: the replay workloads construct
+        # thousands-of-ranks decompositions only to validate a config.
+        self._blocks: list[Block3D] | None = None
 
     @staticmethod
     def _axis_starts(n: int, p: int) -> list[int]:
@@ -103,7 +106,10 @@ class BlockDecomposition3D:
         return Block3D(rank=rank, coords=coords, lo=lo, hi=hi)  # type: ignore[arg-type]
 
     def blocks(self) -> list[Block3D]:
-        return [self.block(r) for r in range(self.n_ranks)]
+        """Every rank's (frozen) block in rank order, as a fresh list."""
+        if self._blocks is None:
+            self._blocks = [self.block(r) for r in range(self.n_ranks)]
+        return list(self._blocks)
 
     def rank_containing(self, point: tuple[int, int, int]) -> int:
         """Rank owning a global grid point."""

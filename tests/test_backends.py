@@ -69,6 +69,14 @@ def assert_trees_equal(a, b):
     assert a.parent == b.parent
 
 
+def assert_trees_identical(a, b):
+    """Equal down to node order and child order: the two sweeps add
+    nodes and arcs in the same sequence."""
+    assert list(a.value.items()) == list(b.value.items())
+    assert list(a.parent.items()) == list(b.parent.items())
+    assert list(a._children.items()) == list(b._children.items())
+
+
 # ---------------------------------------------------------------------------
 # registry semantics
 # ---------------------------------------------------------------------------
@@ -346,7 +354,7 @@ def _plateau_field(rng, shape):
 
 
 class TestTopology:
-    @pytest.mark.parametrize("shape", [(40,), (9, 7), (6, 5, 4),
+    @pytest.mark.parametrize("shape", [(), (40,), (9, 7), (6, 5, 4),
                                        (3, 4, 3, 2)])
     def test_merge_tree_identical_any_dimension(self, shape):
         rng = np.random.default_rng(16)
@@ -354,9 +362,48 @@ class TestTopology:
         ref, fast = both("topology.merge_tree")
         tree_a, arc_a = ref(field)
         tree_b, arc_b = fast(field)
-        assert_trees_equal(tree_a, tree_b)
+        assert_trees_identical(tree_a, tree_b)
         assert arc_a.dtype == arc_b.dtype
+        assert arc_a.shape == arc_b.shape == shape
         assert np.array_equal(arc_a, arc_b)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_merge_tree_rejects_nan_naming_the_cell(self, backend):
+        """NaN has no place in the sweep order: refused up front, by flat
+        index, whether or not another maximum exists."""
+        impl = kernel_impl("topology.merge_tree", backend)
+        ramp = np.arange(24.0).reshape(4, 3, 2)
+        ramp[3, 2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"flat index 23 is NaN"):
+            impl(ramp)
+        noisy = np.random.default_rng(20).uniform(0, 1, (4, 3, 2))
+        noisy[1, 2, 0] = np.nan
+        noisy[3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"flat index 10 is NaN"):
+            impl(noisy, np.arange(24).reshape(4, 3, 2) + 100)
+
+    def test_graph_merge_tree_rejects_nan_identically(self):
+        messages = []
+        for impl in both("topology.graph_merge_tree"):
+            with pytest.raises(ValueError, match="vertex 1 is NaN") as err:
+                impl({2: 0.5, 1: float("nan"), 0: 1.0, 7: float("nan")},
+                     [(0, 1), (1, 2)])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_infinities_are_ordinary_values(self):
+        field = np.random.default_rng(21).uniform(0, 1, (5, 4, 3))
+        field[0, 0, 0] = field[4, 3, 2] = np.inf
+        field[2, 2, 1] = -np.inf
+        ref, fast = both("topology.merge_tree")
+        tree_a, arc_a = ref(field)
+        tree_b, arc_b = fast(field)
+        assert_trees_identical(tree_a, tree_b)
+        assert np.array_equal(arc_a, arc_b)
+        values = {i: float(v) for i, v in enumerate(field.ravel()[:12])}
+        edges = [(i, i + 1) for i in range(11)]
+        ref, fast = both("topology.graph_merge_tree")
+        assert_trees_identical(ref(values, edges), fast(values, edges))
 
     def test_merge_tree_with_id_map(self):
         rng = np.random.default_rng(17)
@@ -377,8 +424,13 @@ class TestTopology:
         edges = [(ids[int(a)], ids[int(b)])
                  for a, b in rng.integers(0, n, (200, 2)) if a != b]
         ref, fast = both("topology.graph_merge_tree")
-        assert_trees_equal(ref(dict(values), list(edges)),
-                           fast(dict(values), list(edges)))
+        assert_trees_identical(ref(dict(values), list(edges)),
+                               fast(dict(values), list(edges)))
+
+    def test_graph_merge_tree_unknown_vertex_identical(self):
+        for impl in both("topology.graph_merge_tree"):
+            with pytest.raises(KeyError, match=r"edge \(1,9\) references"):
+                impl({0: 1.0, 1: 2.0}, [(0, 1), (1, 9), (8, 0)])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_distributed_pipeline_identical(self, backend):
@@ -399,7 +451,61 @@ class TestTopology:
 # ---------------------------------------------------------------------------
 
 
+def _insert(items, place, new):
+    """``items`` with ``new`` put first, in the middle or last."""
+    at = {"first": 0, "middle": len(items) // 2, "last": len(items)}[place]
+    return items[:at] + [new] + items[at:]
+
+
 class TestHypothesis:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["duplicate", "self-edge", "undeclared"]),
+           place=st.sampled_from(["first", "middle", "last"]),
+           seed=st.integers(0, 2**16),
+           proc_grid=st.sampled_from([(2, 1, 1), (2, 2, 1), (2, 2, 2),
+                                      (3, 2, 1)]))
+    def test_glue_batch_raises_what_the_streaming_glue_raises(
+            self, kind, place, seed, proc_grid):
+        """One offender, placed first, in the middle or last of the
+        stream: same exception type, same message, on both backends."""
+        from repro.analysis.topology.distributed import (
+            compute_block_boundary_trees,
+            cross_block_edges,
+        )
+        from repro.analysis.topology.local_tree import BoundaryTree
+
+        shape = (6, 5, 4)
+        decomp = BlockDecomposition3D(shape, proc_grid)
+        field = _plateau_field(np.random.default_rng(seed), shape)
+        with use_backend("reference"):
+            bts = compute_block_boundary_trees(field, decomp)
+        cross = cross_block_edges(decomp)
+        # Which subtree the offender rides in: the earliest that can hold
+        # it, the middle one, the last one (or the cross edges).
+        k = {"first": 1 if kind == "duplicate" else 0,
+             "middle": len(bts) // 2, "last": len(bts) - 1}[place]
+        victim = bts[k]
+        declared = next(iter(bts[0].nodes))
+        if kind == "duplicate":
+            nodes = dict(_insert(list(victim.nodes.items()), place,
+                                 (declared, 0.25)))
+            bts[k] = BoundaryTree(nodes, victim.edges, victim.boundary_ids)
+        else:
+            edge = ((declared, declared) if kind == "self-edge"
+                    else (declared, 10**9))
+            if place == "last":
+                cross = cross + [edge]
+            else:
+                bts[k] = BoundaryTree(victim.nodes,
+                                      _insert(victim.edges, place, edge),
+                                      victim.boundary_ids)
+        raised = []
+        for impl in both("topology.glue_batch"):
+            with pytest.raises((ValueError, KeyError)) as err:
+                impl(list(bts), list(cross))
+            raised.append((type(err.value), str(err.value)))
+        assert raised[0] == raised[1]
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=7),
                     min_size=1, max_size=48))

@@ -17,7 +17,8 @@ from repro.sim import (
 )
 from repro.sim.s3d import SolverParams
 from repro.sim.stencil import (
-    crop_ghosts,
+    block_laplacian,
+    block_upwind_advection,
     gradient,
     laplacian,
     pad_with_ghosts,
@@ -162,7 +163,7 @@ class TestGhostExchange:
         parts = decomp.scatter(field)
         padded = pad_with_ghosts(parts, decomp)
         for part, p in zip(parts, padded):
-            np.testing.assert_array_equal(crop_ghosts(p), part)
+            np.testing.assert_array_equal(p[1:-1, 1:-1, 1:-1], part)
 
     def test_stencil_on_ghosted_blocks_matches_global(self):
         """The decomposed-solver invariant: block stencils == global stencil."""
@@ -173,8 +174,51 @@ class TestGhostExchange:
         parts = decomp.scatter(field)
         padded = pad_with_ghosts(parts, decomp)
         for b, p in zip(decomp.blocks(), padded):
-            local = crop_ghosts(laplacian(p, spacing))
-            np.testing.assert_array_equal(local, global_lap[b.slices])
+            np.testing.assert_array_equal(block_laplacian(p, spacing),
+                                          global_lap[b.slices])
+
+    @given(data=st.data(),
+           shape=st.tuples(*[st.integers(1, 7)] * 3),
+           width=st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_pad_matches_numpy_wrap_on_generated_domains(self, data, shape,
+                                                         width):
+        """Any decomposition, uneven and extent-1 blocks included, up to
+        the widest ghost layer the smallest extent allows."""
+        width = min(width, min(shape))
+        procs = tuple(data.draw(st.integers(1, n)) for n in shape)
+        decomp = BlockDecomposition3D(shape, procs)
+        field = np.random.default_rng(data.draw(st.integers(0, 2**16))
+                                      ).random(shape)
+        padded_global = np.pad(field, width, mode="wrap")
+        padded = pad_with_ghosts(decomp.scatter(field), decomp, width=width)
+        for b, p in zip(decomp.blocks(), padded):
+            sl = tuple(slice(lo, hi + 2 * width)
+                       for lo, hi in zip(b.lo, b.hi))
+            np.testing.assert_array_equal(p, padded_global[sl])
+            assert p.flags.c_contiguous
+
+    @given(data=st.data(), shape=st.tuples(*[st.integers(1, 7)] * 3))
+    @settings(max_examples=40, deadline=None)
+    def test_block_operators_equal_periodic_bitwise(self, data, shape):
+        """The block operators on ``pad_with_ghosts`` output are the
+        periodic ``np.roll`` operators restricted to the block, bit for
+        bit — extent-1 and extent-2 axes wrap onto themselves."""
+        procs = tuple(data.draw(st.integers(1, n)) for n in shape)
+        decomp = BlockDecomposition3D(shape, procs)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        spacing = tuple(rng.uniform(0.05, 0.5, 3))
+        field = rng.standard_normal(shape)
+        velocity = tuple(rng.standard_normal(shape) for _ in range(3))
+        global_lap = laplacian(field, spacing)
+        global_adv = upwind_advection(field, velocity, spacing)
+        padded = pad_with_ghosts(decomp.scatter(field), decomp)
+        for b, p in zip(decomp.blocks(), padded):
+            local_velocity = tuple(u[b.slices] for u in velocity)
+            assert (block_laplacian(p, spacing).tobytes()
+                    == global_lap[b.slices].tobytes())
+            assert (block_upwind_advection(p, local_velocity, spacing)
+                    .tobytes() == global_adv[b.slices].tobytes())
 
     def test_invalid_width(self):
         decomp = BlockDecomposition3D((4, 4, 4), (2, 2, 2))
@@ -395,6 +439,26 @@ class TestDecomposedMatchesGlobal:
             np.testing.assert_array_equal(
                 assembled[name], global_solver.fields[name],
                 err_msg=f"variable {name} diverged")
+
+    @given(data=st.data(), shape=st.tuples(*[st.integers(2, 6)] * 3),
+           integrator=st.sampled_from(["euler", "rk2"]))
+    @settings(max_examples=12, deadline=None)
+    def test_bitwise_equal_on_generated_domains(self, data, shape,
+                                                integrator):
+        procs = tuple(data.draw(st.integers(1, n)) for n in shape)
+        grid = StructuredGrid3D(shape, (1.5, 1.0, 1.0))
+        params = SolverParams(integrator=integrator)
+        global_solver = S3DProxy(
+            LiftedFlameCase(grid, seed=21, kernel_rate=1.0), params=params)
+        block_solver = DecomposedS3D(
+            LiftedFlameCase(grid, seed=21, kernel_rate=1.0),
+            BlockDecomposition3D(shape, procs), params=params)
+        global_solver.step(2)
+        block_solver.step(2)
+        assembled = block_solver.assemble()
+        for name in VARIABLE_NAMES:
+            assert (assembled[name].tobytes()
+                    == global_solver.fields[name].tobytes()), name
 
     def test_mismatched_decomp_raises(self):
         grid = StructuredGrid3D((8, 8, 8))

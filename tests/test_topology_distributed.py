@@ -82,7 +82,61 @@ class TestCrossEdges:
         assert cross_block_edges(d) == []
 
 
+def _boundary_tree_by_loop(block_values, id_map, boundary_mask):
+    """The per-vertex definition of the boundary tree (what
+    ``compute_boundary_tree`` was before it became an array reducer),
+    kept as its oracle: ``(nodes, edges, boundary_ids)``."""
+    tree, vertex_arc = compute_merge_tree(block_values, id_map=id_map)
+    flat_ids = id_map.ravel()
+    value_of = {int(i): float(v)
+                for i, v in zip(flat_ids, block_values.ravel())}
+    critical = set(tree.value)
+    boundary_ids = [int(i) for i in flat_ids[boundary_mask.ravel()]]
+    retained = critical | set(boundary_ids)
+    on_arc = {}
+    for i, arc in zip(flat_ids, vertex_arc.ravel()):
+        if int(i) in retained and int(i) not in critical:
+            on_arc.setdefault(int(arc), []).append(int(i))
+    edges = []
+    for upper in tree.value:
+        prev = upper
+        for gid in sorted(on_arc.get(upper, []),
+                          key=lambda g: (value_of[g], g), reverse=True):
+            edges.append((prev, gid))
+            prev = gid
+        if tree.parent[upper] is not None:
+            edges.append((prev, int(tree.parent[upper])))
+    return ({g: value_of[g] for g in retained}, edges,
+            sorted(set(boundary_ids)))
+
+
 class TestBoundaryTree:
+    @given(data=st.data(), shape=st.tuples(*[st.integers(1, 7)] * 3),
+           plateaus=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_equals_per_vertex_oracle(self, data, shape, plateaus):
+        """Same nodes, same boundary ids and the same edges *in the same
+        order* as the per-vertex loop, on smooth fields and on 8-level
+        plateaus (where only the id tie-break orders a chain)."""
+        procs = tuple(data.draw(st.integers(1, n)) for n in shape)
+        d = BlockDecomposition3D(shape, procs)
+        f = _blobby_field(shape, 3, data.draw(st.integers(0, 2**16)))
+        if plateaus:
+            f = np.floor(8 * f / (f.max() + 1e-12)) / 8
+        ids = global_id_array(shape)
+        for b in d.blocks():
+            mask = block_boundary_mask(b, shape)
+            bt = compute_boundary_tree(f[b.slices], ids[b.slices], mask)
+            nodes, edges, boundary_ids = _boundary_tree_by_loop(
+                f[b.slices], ids[b.slices], mask)
+            assert bt.nodes == nodes
+            assert bt.edges == edges
+            assert bt.boundary_ids == boundary_ids
+            assert all(type(x) is int for e in bt.edges for x in e)
+            assert all(type(k) is int and type(v) is float
+                       for k, v in bt.nodes.items())
+            assert bt.n_block_cells == b.n_cells
+
     def test_nodes_include_criticals_and_boundary(self):
         d = BlockDecomposition3D((8, 8, 8), (2, 1, 1))
         f = _random_field((8, 8, 8), 20)

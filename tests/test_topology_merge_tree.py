@@ -91,6 +91,70 @@ class TestMergeTreeStructure:
         with pytest.raises(ValueError):
             t.set_parent(1, 2)
 
+    @staticmethod
+    def _by_calls(ids, values, child, parent):
+        t = MergeTree()
+        for i, v in zip(ids, values):
+            t.add_node(i, v)
+        for c, p in zip(child, parent):
+            t.set_parent(ids[c], ids[p])
+        return t
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=24), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_from_arrays_equals_one_call_per_node_and_arc(self, levels, data):
+        """Any forest over plateau values, arcs in any order: the bulk
+        constructor leaves the tree the per-call path leaves, down to
+        node order and child order."""
+        ids = data.draw(st.permutations(range(3, 3 + len(levels))))
+        values = [float(v) for v in levels]
+        by_height = sorted(range(len(ids)),
+                           key=lambda k: (values[k], ids[k]), reverse=True)
+        child, parent = [], []
+        for at, k in enumerate(by_height[:-1]):
+            lower = data.draw(st.none()
+                              | st.sampled_from(by_height[at + 1:]))
+            if lower is not None:
+                child.append(k)
+                parent.append(lower)
+        arc_order = data.draw(st.permutations(range(len(child))))
+        child = [child[j] for j in arc_order]
+        parent = [parent[j] for j in arc_order]
+        a = MergeTree.from_arrays(np.array(ids), np.array(values),
+                                  np.array(child, dtype=np.int64),
+                                  np.array(parent, dtype=np.int64))
+        b = self._by_calls(ids, values, child, parent)
+        assert list(a.value.items()) == list(b.value.items())
+        assert list(a.parent.items()) == list(b.parent.items())
+        assert list(a._children.items()) == list(b._children.items())
+        assert all(type(k) is int and type(v) is float
+                   for k, v in a.value.items())
+        a.validate()
+
+    @pytest.mark.parametrize("ids,values,child,parent,error", [
+        ([1, 2, 1], [3.0, 2.0, 1.0], [0], [1], "node 1 already in tree"),
+        ([1, 2], [1.0, 2.0], [0], [1], "parent 2 .* must be lower"),
+        ([1, 2], [2.0, 2.0], [0], [1], "parent 2 .* must be lower"),
+        ([1, 2], [2.0, 1.0], [0], [0], "node 1 cannot parent itself"),
+        ([1, 2], [float("nan"), 1.0], [0], [1], "must be lower"),
+    ])
+    def test_from_arrays_raises_what_the_calls_raise(self, ids, values, child,
+                                                     parent, error):
+        with pytest.raises(ValueError, match=error):
+            self._by_calls(ids, values, child, parent)
+        with pytest.raises(ValueError, match=error):
+            MergeTree.from_arrays(np.array(ids), np.array(values),
+                                  np.array(child), np.array(parent))
+
+    def test_from_arrays_reparents_like_the_calls(self):
+        """A child named twice moves to its second parent."""
+        ids, values = [9, 8, 7], [3.0, 2.0, 1.0]
+        a = MergeTree.from_arrays(np.array(ids), np.array(values),
+                                  np.array([0, 0]), np.array([1, 2]))
+        b = self._by_calls(ids, values, [0, 0], [1, 2])
+        assert a.parent == b.parent == {9: 7, 8: None, 7: None}
+        assert a._children == b._children
+
     def test_reduced_contracts_chains(self):
         t = MergeTree()
         # max(4) -> regular(3) -> saddle? no: chain max->r->r->root

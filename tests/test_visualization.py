@@ -229,11 +229,17 @@ class TestBlockLUT:
 
     def test_routes_cells_to_owner(self):
         f, blocks = self._blocks()
-        lut = BlockLUT(blocks, f.shape)
-        cell = np.array([[0, 0, 0], [7, 7, 7], [3, 4, 0]])
-        which = lut.block_of_cell(cell)
+        # Give every block one value of its own: a sample then names the
+        # block the look-up table routed it to.
+        tagged = [downsample_block(np.full(b.data.shape, float(k)), b.lo,
+                                   b.hi, stride=1)
+                  for k, b in enumerate(downsample_decomposed(
+                      f, BlockDecomposition3D(f.shape, (2, 2, 1)), 1))]
+        which = BlockLUT(tagged, f.shape).sampler()(
+            np.array([[0, 0, 0], [7, 7, 7], [3, 4, 0]], dtype=float))
         assert which[0] == 0
-        assert blocks[which[1]].hi == (8, 8, 8)
+        assert tagged[int(which[1])].hi == (8, 8, 8)
+        assert tagged[int(which[2])].lo == (0, 4, 0)
 
     def test_sampler_returns_retained_voxels(self):
         f, blocks = self._blocks(stride=2)
@@ -260,6 +266,42 @@ class TestBlockLUT:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             BlockLUT([], (4, 4, 4))
+
+    def test_blocks_abreast_must_agree_on_extent(self):
+        """The per-axis tables assume a rectilinear layout; a block whose
+        bounds break it is refused rather than mis-sampled."""
+        f, blocks = self._blocks(stride=1)
+        b = blocks[1]
+        bad = downsample_block(np.zeros((4, 4, 6)), b.lo,
+                               (b.hi[0], b.hi[1], 6), stride=1)
+        with pytest.raises(ValueError, match="disagree on extent"):
+            BlockLUT([blocks[0], bad] + blocks[2:], f.shape)
+
+    @given(data=st.data(), shape=st.tuples(*[st.integers(1, 9)] * 3),
+           stride=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_sampler_equals_per_sample_oracle(self, data, shape, stride):
+        """Table-driven routing == the definition, one sample at a time:
+        clamp into the domain, round to a cell, find the block holding
+        it, read that block's nearest retained voxel."""
+        procs = tuple(data.draw(st.integers(1, n)) for n in shape)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        f = rng.random(shape)
+        blocks = downsample_decomposed(
+            f, BlockDecomposition3D(shape, procs), stride)
+        # Inside, on the faces, and well outside the domain.
+        pos = rng.uniform(-3.0, np.asarray(shape) + 2.0, size=(64, 3))
+
+        def oracle(p):
+            cell = [int(np.rint(min(max(p[a], 0.0), shape[a] - 1.0)))
+                    for a in range(3)]
+            owner, = [b for b in blocks
+                      if all(b.lo[a] <= cell[a] < b.hi[a] for a in range(3))]
+            return owner.data[tuple((cell[a] - owner.lo[a]) // stride
+                                    for a in range(3))]
+
+        got = BlockLUT(blocks, shape).sampler()(pos)
+        assert got.tobytes() == np.array([oracle(p) for p in pos]).tobytes()
 
 
 class TestHybridRenderer:

@@ -44,6 +44,19 @@ class TestDecomposition:
             cover[b.slices] += 1
         assert np.all(cover == 1)
 
+    def test_blocks_built_on_first_use_then_shared(self):
+        """Constructing only validates (the replay workloads build
+        thousands-of-ranks decompositions for that alone); the frozen
+        blocks are built once and handed out in fresh lists."""
+        d = BlockDecomposition3D((17, 11, 7), (3, 2, 2))
+        assert d._blocks is None
+        first, second = d.blocks(), d.blocks()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert [b.rank for b in d.blocks()] == list(range(12))
+        assert d.blocks() == [d.block(r) for r in range(12)]
+
     def test_scatter_gather_roundtrip(self):
         d = BlockDecomposition3D((12, 10, 8), (3, 2, 2))
         field = np.arange(12 * 10 * 8, dtype=np.float64).reshape(12, 10, 8)
