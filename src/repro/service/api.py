@@ -36,9 +36,9 @@ from repro.obs.live import (
     TelemetryBus,
     default_objectives,
 )
-from repro.obs.perf import RunRecord, RunStore, machine_fingerprint
+from repro.obs.perf import RunRecord, RunStore
 from repro.obs.tracer import get_tracer
-from repro.service.cache import ScheduleCache, schedule_cache_key
+from repro.service.cache import ScheduleCache
 from repro.service.queue import Job, JobQueue, JobSpec, JobState
 from repro.service.quota import Denial, JobDemand, QuotaManager, TenantQuota
 from repro.service.shards import ShardBalanceReport
@@ -67,12 +67,6 @@ class JobExecutor:
                 spec.experiment_config())
         return exp
 
-    def cache_key(self, spec: JobSpec) -> str:
-        exp = self._experiment(spec)
-        return schedule_cache_key(machine_fingerprint(exp.machine),
-                                  spec.workload_dict(),
-                                  spec.placement_dict())
-
     def demand(self, spec: JobSpec) -> JobDemand:
         """Resources the job pins: its core allocation plus the peak
         staging bytes of the replay (closed-form, no DES needed)."""
@@ -84,7 +78,7 @@ class JobExecutor:
 
     def execute(self, spec: JobSpec) -> tuple[ScheduleResult, bool]:
         """``(result, cache_hit)`` for one job."""
-        key = self.cache_key(spec)
+        key = spec.cache_key()
         cached = self.cache.lookup(key)
         if cached is not None:
             return cached, True
@@ -177,6 +171,8 @@ class ServiceReport:
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
     #: Burn-rate alerts raised while the batch drained (fire order).
     alerts: list[Alert] = field(default_factory=list)
+    #: Cache entries that no longer decoded and were replayed as misses.
+    cache_decode_errors: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -188,7 +184,7 @@ class ServiceReport:
         return all(j.state is JobState.DONE for j in self.jobs)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        out = {
             "duration": self.duration,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -202,6 +198,9 @@ class ServiceReport:
             "quotas": {t: q.to_dict() for t, q in sorted(self.quotas.items())},
             "alerts": [a.to_dict() for a in self.alerts],
         }
+        if self.cache_decode_errors:
+            out["cache_decode_errors"] = self.cache_decode_errors
+        return out
 
     def table(self) -> str:
         """Per-tenant summary table (the ``repro serve`` batch report)."""
@@ -219,6 +218,10 @@ class ServiceReport:
             f"batch: {len(self.jobs)} jobs in {self.duration:.3f}s service "
             f"time, cache hit rate {self.cache_hit_rate:.0%}, "
             f"{self.held_events} quota hold(s)")
+        if self.cache_decode_errors:
+            lines.append(
+                f"cache: {self.cache_decode_errors} decode error(s), "
+                f"damaged entries dropped and replayed")
         return "\n".join(lines)
 
 
@@ -263,6 +266,7 @@ class CampaignService:
         #: warmed by earlier services; these count only this batch).
         self.cache_hits = 0
         self.cache_misses = 0
+        self._decode_errors_before = self.cache.decode_errors
         # Attach the bus last: worker process.start instants fire during
         # pool construction and are service plumbing, not tenant events —
         # everything published from here on is job-attributable.
@@ -487,4 +491,6 @@ class CampaignService:
                            if balances else None),
             quotas={**self.quota.quotas, "*": self.quota.default},
             alerts=list(self.monitor.alerts),
+            cache_decode_errors=(self.cache.decode_errors
+                                 - self._decode_errors_before),
         )

@@ -93,15 +93,27 @@ def schedule_from_dict(d: dict[str, Any]) -> ScheduleResult:
 
 
 class ScheduleCache:
-    """Key -> schedule-summary map with optional RunStore persistence."""
+    """Key -> cached schedule map with optional RunStore persistence.
+
+    A hit costs a lookup. Each key has one slot: it holds the stored
+    summary dict until the key's first hit decodes it, and from then on
+    the decoded :class:`ScheduleResult`, which every later hit shares —
+    callers must treat it as read-only. The result is always decoded from
+    the summary, never the freshly inserted object, so a hit in a running
+    service and a hit after a restart are the same object graph (no
+    ``assignments``, ``probes``, ``controller`` or ``faults``).
+    """
 
     def __init__(self, store: RunStore | str | Path | None = None) -> None:
         if store is not None and not isinstance(store, RunStore):
             store = RunStore(store)
         self.store = store
-        self._mem: dict[str, dict[str, Any]] = {}
+        self._mem: dict[str, dict[str, Any] | ScheduleResult] = {}
         self.hits = 0
         self.misses = 0
+        #: Entries whose summary no longer decoded (older schema, torn
+        #: row); each was dropped and answered as a miss.
+        self.decode_errors = 0
         if self.store is not None:
             for rec in self.store.records():
                 if rec.source != CACHE_SOURCE:
@@ -123,17 +135,29 @@ class ScheduleCache:
         return self.hits / total if total else 0.0
 
     def lookup(self, key: str) -> ScheduleResult | None:
-        """The cached result for ``key`` (counting the hit/miss)."""
-        summary = self._mem.get(key)
-        if summary is None:
+        """The cached result for ``key`` (counting the hit/miss).
+
+        A summary that does not decode is a counted miss: the entry is
+        dropped, so the caller's replay-and-insert repairs it.
+        """
+        entry = self._mem.get(key)
+        if type(entry) is dict:
+            try:
+                entry = self._mem[key] = schedule_from_dict(entry)
+            except (LookupError, TypeError, ValueError, AttributeError):
+                del self._mem[key]
+                self.decode_errors += 1
+                entry = None
+        if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        return schedule_from_dict(summary)
+        return entry
 
     def insert(self, key: str, sched: ScheduleResult,
                meta: dict[str, Any] | None = None) -> None:
         summary = schedule_to_dict(sched)
+        # One slot per key: a re-insert also replaces a decoded entry.
         self._mem[key] = summary
         if self.store is not None:
             self.store.append(RunRecord.new(

@@ -22,12 +22,20 @@ from typing import Any, Callable
 
 from repro.core.runner import ExperimentConfig, ScheduleResult
 from repro.core.workload import AnalyticsVariant
+from repro.machine.specs import jaguar_xk6
+from repro.obs.perf import machine_fingerprint
+from repro.service.cache import schedule_cache_key
 
 #: Known machine allocations a job may request (Table I columns).
 CONFIGS: dict[str, Callable[[], ExperimentConfig]] = {
     "paper_4896": ExperimentConfig.paper_4896,
     "paper_9440": ExperimentConfig.paper_9440,
 }
+
+#: Every allocation above is a slice of the paper's Jaguar XK6, the machine
+#: :class:`~repro.core.runner.ScaledExperiment` replays on by default; its
+#: fingerprint is the machine third of every schedule-cache key.
+_MACHINE_FINGERPRINT = machine_fingerprint(jaguar_xk6())
 
 _DEFAULT_ANALYSES = ("VIS_HYBRID", "TOPO_HYBRID", "STATS_HYBRID")
 
@@ -165,6 +173,11 @@ class JobSpec:
     def placement_dict(self) -> dict[str, Any]:
         """The placement half of the schedule-cache key: where it runs."""
         return self._pick(PLACEMENT_FIELDS)
+
+    def cache_key(self) -> str:
+        """The schedule-cache key of this spec — its one definition."""
+        return schedule_cache_key(_MACHINE_FINGERPRINT, self.workload_dict(),
+                                  self.placement_dict())
 
     def to_dict(self) -> dict[str, Any]:
         return self._pick(self.__dataclass_fields__)

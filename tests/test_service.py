@@ -68,6 +68,28 @@ class TestJobSpec:
         assert schedule_cache_key({"name": "m"}, spec.workload_dict(),
                                   spec.placement_dict()) == digest
 
+    def test_spec_owns_its_cache_key(self):
+        """``JobSpec.cache_key()`` is the explicit formula over the machine
+        the spec's experiment replays on, and ignores who asked and when."""
+        import dataclasses
+
+        from repro.obs.perf import machine_fingerprint
+
+        spec = JobSpec(tenant="a", name="j")
+        for config in ("paper_4896", "paper_9440"):
+            s = dataclasses.replace(spec, config=config)
+            machine = ScaledExperiment(s.experiment_config()).machine
+            assert s.cache_key() == schedule_cache_key(
+                machine_fingerprint(machine), s.workload_dict(),
+                s.placement_dict())
+        # The real-machine key on-disk caches were written under.
+        assert spec.cache_key() == ("8052e8c20f1692a6fb62ab7b1a026c01"
+                                    "04b92caa6e42072d858787fb4492dd91")
+        moved = dataclasses.replace(spec, tenant="b", name="k", submit_at=2.0)
+        assert moved.cache_key() == spec.cache_key()
+        assert dataclasses.replace(spec, n_steps=3).cache_key() \
+            != spec.cache_key()
+
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown job fields"):
             JobSpec.from_dict({**_spec().to_dict(), "bogus": 1})
@@ -269,6 +291,94 @@ class TestScheduleCache:
         recs = RunStore(tmp_path / "cache").records()
         assert [r.source for r in recs] == ["schedule-cache"]
 
+    def test_hits_share_one_decoded_entry(self, monkeypatch):
+        """N hits on a key decode its summary exactly once, lazily (an
+        insert decodes nothing), and every hit is the same object."""
+        from repro.service import cache as cache_mod
+
+        decoded = []
+        real = cache_mod.schedule_from_dict
+
+        def counting(summary):
+            decoded.append(summary)
+            return real(summary)
+
+        monkeypatch.setattr(cache_mod, "schedule_from_dict", counting)
+        sched = ScaledExperiment(ExperimentConfig.paper_4896()).run_schedule(
+            n_steps=2, n_buckets=3)
+        cache = ScheduleCache()
+        cache.insert("k", sched)
+        assert decoded == []
+        hits = [cache.lookup("k") for _ in range(5)]
+        assert len(decoded) == 1
+        assert all(hit is hits[0] for hit in hits)
+        # Decoded from the summary, never the inserted result itself.
+        assert hits[0] is not sched and hits[0].assignments == []
+        assert hits[0].results == sched.results
+        assert cache.hits == 5 and cache.misses == 0
+
+    def test_reinsert_replaces_summary_and_decoded_entry(self, tmp_path):
+        """A stale decoded object is never served: re-inserting a key
+        replaces what later hits see, in memory and after a reopen."""
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        old = exp.run_schedule(n_steps=2, n_buckets=3)
+        new = exp.run_schedule(n_steps=3, n_buckets=3)
+        cache = ScheduleCache(tmp_path / "cache")
+        cache.insert("k", old)
+        assert cache.lookup("k").results == old.results
+        cache.insert("k", new)
+        hit = cache.lookup("k")
+        assert hit.results == new.results and hit.n_steps == 3
+        assert len(cache) == 1
+        assert (cache.hits, cache.misses, cache.hit_rate) == (2, 0, 1.0)
+
+        reopened = ScheduleCache(tmp_path / "cache")
+        assert len(reopened) == 1
+        assert reopened.lookup("k").results == new.results
+        assert (reopened.hits, reopened.misses) == (1, 0)
+
+    @pytest.mark.parametrize("damage", [
+        lambda summary: summary.pop("results"),
+        lambda summary: summary["results"][0].pop(),
+        lambda summary: summary.update(results=None),
+        lambda summary: summary.update(capacity={"bogus_field": 1}),
+    ], ids=["no-results-column", "truncated-row", "null-results",
+            "foreign-capacity"])
+    def test_damaged_entry_is_a_counted_miss(self, tmp_path, damage):
+        """A stored summary that no longer decodes is dropped, counted and
+        replayed — it must not FAIL every job that shares its key."""
+        import json
+
+        spec = _spec(n_steps=2)
+        store = RunStore(tmp_path / "cache")
+        first = CampaignService(workers=1, cache=ScheduleCache(store))
+        assert first.run_batch([spec]).all_done
+        # Damage the stored line by hand.
+        (line,) = store.path.read_text().splitlines()
+        doc = json.loads(line)
+        damage(doc["meta"]["schedule"])
+        store.path.write_text(json.dumps(doc) + "\n")
+
+        cache = ScheduleCache(store)
+        assert spec.cache_key() in cache  # opens without decoding
+        svc = CampaignService(workers=1, cache=cache)
+        report = svc.run_batch([spec, _spec(name="again", n_steps=2)])
+        assert report.all_done, [j.error for j in report.jobs]
+        assert cache.decode_errors == 1
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert [j.cache_hit for j in report.jobs] == [False, True]
+        assert report.jobs[0].result.results == _serial(spec).results
+        assert report.cache_decode_errors == 1
+        assert report.to_dict()["cache_decode_errors"] == 1
+        assert "1 decode error(s)" in report.table()
+
+        # The replay re-inserted a good entry: the store has healed.
+        healed = ScheduleCache(store)
+        report = CampaignService(workers=1, cache=healed).run_batch([spec])
+        assert report.cache_hit_rate == 1.0 and healed.decode_errors == 0
+        assert "cache_decode_errors" not in report.to_dict()
+        assert "decode error" not in report.table()
+
 
 class TestCampaignService:
     BATCH = [
@@ -331,9 +441,9 @@ class TestCampaignService:
         assert {r.meta["tenant"] for r in recs} == {"alpha", "beta", "gamma"}
 
     def test_executor_builds_one_experiment_per_config(self, monkeypatch):
-        """cache_key / demand / execute share one ScaledExperiment per
-        distinct config, and a warm executor (experiment and its closed
-        forms already memoised) still replays bit-identically."""
+        """demand / execute share one ScaledExperiment per distinct
+        config, and a warm executor (experiment and its closed forms
+        already memoised) still replays bit-identically."""
         from repro.service import api
 
         built = []
@@ -348,7 +458,6 @@ class TestCampaignService:
         specs = [_spec(name="a", n_steps=2), _spec(name="b", n_steps=3),
                  _spec(name="c", n_steps=2, config="paper_9440", n_buckets=4)]
         for spec in specs + specs:  # second pass: warm executor, cache hits
-            executor.cache_key(spec)
             demand = executor.demand(spec)
             sched, _ = executor.execute(spec)
             serial = _serial(spec)
@@ -362,6 +471,44 @@ class TestCampaignService:
         fresh = _spec(name="d", n_steps=4)
         assert executor.execute(fresh)[0].results == _serial(fresh).results
         assert len(built) == 2
+
+    def test_warm_batch_leaves_served_results_untouched(self):
+        """Hits share one decoded result per key, so nothing on the
+        service path (api / queue / quota, quota true-up and the live
+        plane included) may mutate it: after traced warm batches every
+        decoded entry still deep-equals a fresh decode of its summary."""
+        from repro.obs.live import TelemetryBus
+        from repro.obs.tracer import tracing
+        from repro.service import cache as cache_mod
+
+        cache = ScheduleCache()
+        with tracing():
+            # Traced cold batch: the cached results carry capacity
+            # reports, so warm jobs walk the true-up path too.
+            assert CampaignService(workers=3, cache=cache).run_batch(
+                self._batch()).all_done
+            summaries = dict(cache._mem)  # inserted, not yet decoded
+            assert all(type(s) is dict for s in summaries.values())
+            for _ in range(2):
+                svc = CampaignService(
+                    workers=3, cache=cache, bus=TelemetryBus(),
+                    quotas=[TenantQuota("gamma", max_concurrent=1)])
+                report = svc.run_batch(self._batch())
+                assert report.all_done and report.cache_hit_rate == 1.0
+                report.to_dict(), report.table()
+        assert len(cache) == len(summaries) == 6
+        for key, summary in summaries.items():
+            served = cache._mem[key]
+            assert served.capacity is not None
+            assert served == cache_mod.schedule_from_dict(summary)
+            assert cache_mod.schedule_to_dict(served) == summary
+        # Two jobs of one key in one batch are served the same object.
+        twins = CampaignService(workers=2, cache=cache).run_batch(
+            [_spec(tenant="x", name="p", n_steps=3, n_buckets=4),
+             _spec(tenant="y", name="q", n_steps=3, n_buckets=4)])
+        assert twins.jobs[0].result is twins.jobs[1].result
+        assert twins.tenants["x"].bytes_pulled == sum(
+            r.bytes_pulled for r in twins.jobs[0].result.results)
 
     def test_queue_wait_accounting(self):
         """With one worker, job 2's queue wait equals job 1's makespan."""
