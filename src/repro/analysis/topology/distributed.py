@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.topology.local_tree import BoundaryTree, compute_boundary_tree
+from repro.analysis.topology.local_tree import BoundaryTree, compute_boundary_trees
 from repro.analysis.topology.merge_tree import MergeTree
 from repro.analysis.topology.stream_merge import StreamingGlue
 from repro.backend import kernel
@@ -76,12 +76,10 @@ def compute_block_boundary_trees(global_field: np.ndarray,
         raise ValueError(
             f"field shape {field.shape} != decomposition {decomp.global_shape}")
     ids = global_id_array(decomp.global_shape)
-    out = []
-    for block in decomp.blocks():
-        out.append(compute_boundary_tree(
-            field[block.slices], ids[block.slices],
-            block_boundary_mask(block, decomp.global_shape)))
-    return out
+    blocks = decomp.blocks()
+    return compute_boundary_trees(
+        [field[b.slices] for b in blocks], [ids[b.slices] for b in blocks],
+        [block_boundary_mask(b, decomp.global_shape) for b in blocks])
 
 
 def _stream_glue(boundary_trees: list[BoundaryTree],

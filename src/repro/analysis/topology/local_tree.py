@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.topology.merge_tree import compute_merge_tree
+from repro.analysis.topology.merge_tree import MergeTree, compute_merge_trees
 
 
 @dataclass
@@ -63,11 +63,33 @@ def compute_boundary_tree(block_values: np.ndarray, id_map: np.ndarray,
     on a face shared with another block (see
     :func:`~repro.analysis.topology.distributed.block_boundary_mask`).
     """
-    block_values = np.asarray(block_values, dtype=np.float64)
-    if id_map.shape != block_values.shape or boundary_mask.shape != block_values.shape:
-        raise ValueError("block_values, id_map and boundary_mask shapes must match")
+    return compute_boundary_trees([block_values], [id_map],
+                                  [boundary_mask])[0]
 
-    tree, vertex_arc = compute_merge_tree(block_values, id_map=id_map)
+
+def compute_boundary_trees(blocks: list[np.ndarray],
+                           id_maps: list[np.ndarray],
+                           boundary_masks: list[np.ndarray]
+                           ) -> list[BoundaryTree]:
+    """:func:`compute_boundary_tree` of every rank's block: the merge
+    trees come from one :func:`compute_merge_trees` call, which a backend
+    may run over the stacked blocks, and each is then reduced alone."""
+    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+    for block, id_map, mask in zip(blocks, id_maps, boundary_masks):
+        if id_map.shape != block.shape or mask.shape != block.shape:
+            raise ValueError(
+                "block_values, id_map and boundary_mask shapes must match")
+    merged = compute_merge_trees(blocks, id_maps)
+    return [_reduce_to_boundary(tree, vertex_arc, block, id_map, mask)
+            for (tree, vertex_arc), block, id_map, mask
+            in zip(merged, blocks, id_maps, boundary_masks)]
+
+
+def _reduce_to_boundary(tree: MergeTree, vertex_arc: np.ndarray,
+                        block_values: np.ndarray, id_map: np.ndarray,
+                        boundary_mask: np.ndarray) -> BoundaryTree:
+    """Contract a block's merge tree to its critical and boundary
+    vertices."""
     flat_vals = block_values.ravel()
     flat_ids = np.asarray(id_map).ravel()
     flat_arc = np.asarray(vertex_arc).ravel()

@@ -255,6 +255,27 @@ def reject_nan(values: np.ndarray, describe) -> None:
             "order is undefined")
 
 
+def checked_field(field: np.ndarray, id_map: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`compute_merge_tree`'s input contract, for every backend:
+    the flat float64 values and the flat vertex ids (flat local indices
+    without an ``id_map``), or the exception for what it refuses."""
+    values = np.asarray(field, dtype=np.float64).ravel()
+    n = values.size
+    if n == 0:
+        raise ValueError("cannot compute the merge tree of an empty field")
+    reject_nan(values, "field value at flat index {}".format)
+    if id_map is None:
+        return values, np.arange(n, dtype=np.int64)
+    ids = np.asarray(id_map).ravel()
+    if ids.size != n:
+        raise ValueError(f"id_map size {ids.size} != field size {n}")
+    ascending = np.sort(ids)
+    if (ascending[1:] == ascending[:-1]).any():
+        raise ValueError("id_map must assign distinct ids")
+    return values, ids
+
+
 def _iter_grid_neighbors(flat_index: int, shape: tuple[int, ...],
                          strides: list[int]) -> Iterable[int]:
     """Face neighbours with bounds checks (non-periodic)."""
@@ -285,24 +306,13 @@ def compute_merge_tree(field: np.ndarray,
     near-linear union-find sweep. NaN is rejected (it has no place in
     the sweep order); infinities are ordinary values. Backend seam: the
     numpy backend derives each vertex's earlier-swept neighbours in one
-    array expression and runs the identical union-find sweep over them —
-    same visit order, same neighbour order, bit-identical tree and
-    ``vertex_arc``.
+    array expression and runs this find/union sequence only at the
+    vertices where two ascending regions first meet — same probe order
+    there, bit-identical tree and ``vertex_arc`` (DESIGN.md §5).
     """
-    values = np.asarray(field, dtype=np.float64).ravel()
+    values, ids = checked_field(field, id_map)
     n = values.size
-    if n == 0:
-        raise ValueError("cannot compute the merge tree of an empty field")
-    reject_nan(values, "field value at flat index {}".format)
     shape = tuple(np.asarray(field).shape)
-    if id_map is not None:
-        ids = np.asarray(id_map).ravel()
-        if ids.size != n:
-            raise ValueError(f"id_map size {ids.size} != field size {n}")
-        if np.unique(ids).size != n:
-            raise ValueError("id_map must assign distinct ids")
-    else:
-        ids = np.arange(n, dtype=np.int64)
 
     strides = []
     s = 1
@@ -354,3 +364,15 @@ def compute_merge_tree(field: np.ndarray,
 
     vertex_arc = ids[vertex_arc_local].reshape(shape)
     return tree, vertex_arc
+
+
+@kernel("topology.merge_trees")
+def compute_merge_trees(fields, id_maps=None
+                        ) -> list[tuple[MergeTree, np.ndarray]]:
+    """:func:`compute_merge_tree` of every field, in order — the in-situ
+    stage of all the ranks of a decomposition at once. Backend seam: the
+    numpy backend stacks same-shape fields and issues the sweep order,
+    the up-links and the sweep itself once per stack."""
+    id_maps = id_maps if id_maps is not None else [None] * len(fields)
+    return [compute_merge_tree.reference(f, m)
+            for f, m in zip(fields, id_maps)]

@@ -10,16 +10,18 @@ the outputs the analyses consume — the equivalence contract of DESIGN.md
 * per-row pairwise summation — numpy's ``sum`` over the contiguous axis
   of a stacked ``(rows, m)`` array applies the same pairwise summation
   as summing each row alone, so batched sums equal per-block sums;
-* vectorized precompute + identical sweep — the merge-tree kernels
-  compute sweep ranks and each vertex's *up-links* (neighbours swept
-  earlier, in the reference's probe order) with array operations, the
-  grid kernel from a per-shape neighbour table cached read-only, then
-  run the reference's union-find sweep over plain python lists (numpy
-  scalar indexing is the reference's real cost), preserving visit order
-  and union order exactly;
-* checked-once tree construction — the graph sweep collects its arcs
-  and hands them to ``MergeTree.from_arrays``, which applies
-  ``add_node``/``set_parent``'s invariants once over arrays;
+* vectorized precompute + a sweep of the meeting points only — the
+  merge-tree kernels compute sweep ranks and each vertex's *up-links*
+  (neighbours swept earlier, in the reference's probe order) with array
+  operations, the grid kernel from a per-shape neighbour table cached
+  read-only and over all the same-shape blocks of a decomposition at
+  once; one sweep core labels every vertex with the maximum its steepest
+  ascent ends in and runs the reference's find/union sequence, over
+  plain python lists, only where two labels first meet — every other
+  vertex is regular by construction, and gets its arc by array lookup;
+* checked-once tree construction — both kernels hand their arcs to
+  ``MergeTree.from_arrays``, which applies ``add_node``/``set_parent``'s
+  invariants once over arrays;
 * fast path, then ordered fallback — input validation (duplicate
   vertices, self-edges, undeclared endpoints) runs in array form, and
   any violation re-runs the input through the per-item loop so the
@@ -103,18 +105,20 @@ def pairwise_reduce_numpy(values: list[Any],
 
 
 # ---------------------------------------------------------------------------
-# (2) topology: vectorized precompute + list-based union-find sweeps
+# (2) topology: one sweep core in sweep-position space
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=64)
 def _neighbor_table(shape: tuple[int, ...]) -> np.ndarray:
     """``(n, 2 * ndim)`` flat face-neighbour indices of a C-order grid, in
     ``_iter_grid_neighbors`` order (per axis ``-stride`` then
     ``+stride``), with ``-1`` marking out-of-bounds.
 
-    Depends on the shape only, so the blocks of a decomposition share a
-    handful of tables; read-only because every caller gets the same one.
+    Depends on the shape only and is read-only because every caller gets
+    the same one. The cache holds a decomposition's tables several times
+    over: a near-even 3-D split has up to eight block shapes beside the
+    global one.
     """
     n = math.prod(shape)
     idx = np.arange(n)
@@ -131,85 +135,168 @@ def _neighbor_table(shape: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def merge_tree_numpy(field: np.ndarray, id_map: np.ndarray | None = None):
-    """Grid merge tree: every vertex's *up-links* (in-bounds neighbours
-    swept earlier) derived in one array expression laid out in sweep
-    order, then the reference's union-find sweep over plain lists.
+def _sweep_core(n_up: np.ndarray, up: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union-find sweep of a graph given in sweep-position space.
 
-    The sweep visits vertices in the same order, probes the up-links in
-    the reference's neighbour order, and performs the same find / union
-    sequence, so the tree and ``vertex_arc`` are bit-identical. A vertex
-    without up-links is a leaf and one with a single up-link is regular;
-    neither needs a root list.
+    Vertex ``i`` is the ``i``-th swept; ``up`` lists, vertex after vertex
+    and in the reference's probe order, the positions of each vertex's
+    ``n_up[i]`` *up-links* (neighbours swept earlier). Returns the
+    critical arcs ``(child, parent)`` — one per component a saddle
+    merges, saddles ascending and each saddle's children in the order
+    the reference first meets them — and ``head``: for every position the
+    leaf or saddle heading the arc it lies on (itself, for a node).
+
+    Every vertex's steepest-ascent pointer is its earliest-swept up-link;
+    pointer jumping turns the pointers into *labels*, the maximum each
+    ascent ends in. An up-link was swept with its whole ascent path, so
+    it is already connected to its label, and a vertex whose up-links
+    carry two labels that met at an earlier vertex is regular. The
+    python loop therefore visits only the first vertex at which each
+    pair of labels meets, with the reference's find/union sequence over
+    labels; no other vertex can change a component.
     """
-    from repro.analysis.topology.merge_tree import MergeTree, reject_nan
+    n = n_up.size
+    idx = np.arange(n)
+    ptr = idx.copy()
+    if up.size:
+        linked = np.flatnonzero(n_up)
+        ptr[linked] = np.minimum.reduceat(up, (np.cumsum(n_up) - n_up)[linked])
+    label = ptr
+    while True:  # pointer jumping: ceil(log2(longest ascent)) rounds
+        jumped = label[label]
+        if (jumped == label).all():
+            break
+        label = jumped
 
-    values_arr = np.asarray(field, dtype=np.float64).ravel()
-    n = values_arr.size
-    if n == 0:
-        raise ValueError("cannot compute the merge tree of an empty field")
-    reject_nan(values_arr, "field value at flat index {}".format)
-    shape = tuple(np.asarray(field).shape)
-    if id_map is not None:
-        ids = np.asarray(id_map).ravel()
-        if ids.size != n:
-            raise ValueError(f"id_map size {ids.size} != field size {n}")
-        if np.unique(ids).size != n:
-            raise ValueError("id_map must assign distinct ids")
-    else:
-        ids = np.arange(n, dtype=np.int64)
+    row = np.repeat(idx, n_up)
+    up_label = label[up]
+    meets = np.flatnonzero(up_label != label[row])
+    child: list[int] = []
+    parent: list[int] = []
+    if meets.size:
+        a, b = label[row[meets]], up_label[meets]
+        _, first = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                             return_index=True)
+        visit = np.zeros(n, dtype=bool)
+        visit[row[meets[first]]] = True
+        rows = np.flatnonzero(visit)
+        labels = up_label[visit[row]].tolist()
+        parent_uf = list(range(n))  # over labels and saddles only
+        start = 0
+        for i, k in zip(rows.tolist(), n_up[rows].tolist()):
+            x = labels[start]
+            while parent_uf[x] != x:  # find with path halving
+                parent_uf[x] = parent_uf[parent_uf[x]]
+                x = parent_uf[x]
+            roots = None
+            for u in labels[start + 1:start + k]:
+                while parent_uf[u] != u:
+                    parent_uf[u] = parent_uf[parent_uf[u]]
+                    u = parent_uf[u]
+                if roots is not None:
+                    if u not in roots:
+                        roots.append(u)
+                elif u != x:
+                    roots = [x, u]
+            start += k
+            if roots is not None:  # saddle: the new root of what it merges
+                for r in roots:
+                    child.append(r)
+                    parent.append(i)
+                    parent_uf[r] = i
 
-    order = np.lexsort((ids, values_arr))[::-1]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    child_arr = np.asarray(child, dtype=np.int64)
+    parent_arr = np.asarray(parent, dtype=np.int64)
+    # head[i]: the deepest node at or below label[i] swept no later than
+    # i, by binary lifting over the critical tree (n = "no parent").
+    lift = np.full(n + 1, n, dtype=np.int64)
+    lift[child_arr] = parent_arr
+    lifts = [lift]
+    while True:
+        lift = lift[lift]
+        if (lift == n).all():
+            break
+        lifts.append(lift)
+    head = label
+    for lift in reversed(lifts):
+        lower = lift[head]
+        head = np.where(lower <= idx, lower, head)
+    return child_arr, parent_arr, head
+
+
+def _stacked_merge_trees(values: np.ndarray, ids: np.ndarray,
+                         shape: tuple[int, ...]):
+    """Merge trees of ``(g, n)`` stacked same-shape fields: the stack is
+    one disjoint graph whose block ``k`` owns sweep positions
+    ``[k * n, (k + 1) * n)``, so sweep order, up-links and the sweep
+    core are each issued once. Returns each block's tree and, per flat
+    vertex, the vertex heading its arc."""
+    from repro.analysis.topology.merge_tree import MergeTree
+
+    g, n = values.shape
+    idx = np.arange(g * n)
+    order = np.lexsort((ids, values), axis=-1)[:, ::-1]
+    base = (np.arange(g) * n)[:, None]
+    swept = (order + base).ravel()  # sweep position -> vertex of the stack
+    position = np.empty_like(idx)
+    position[swept] = idx
     nbrs = _neighbor_table(shape)[order]
-    # rank[-1] is a wrapped read; the in-bounds test masks it.
-    is_up = (nbrs >= 0) & (rank[nbrs] < np.arange(n)[:, None])
-    up_links = nbrs[is_up].tolist()  # row-major: probe order per vertex
-    n_up = np.count_nonzero(is_up, axis=1).tolist()
+    # An out-of-bounds -1 reads some other vertex's position; the
+    # in-bounds test masks it.
+    nbr_pos = position[nbrs + base[:, :, None]]
+    is_up = (nbrs >= 0) & (nbr_pos < idx.reshape(g, n, 1))
+    child, parent, head = _sweep_core(
+        np.count_nonzero(is_up, axis=-1).ravel(), nbr_pos[is_up])
 
-    parent_uf = list(range(n))
-    comp_node = [-1] * n
-    vertex_arc_local = [-1] * n
-    tree = MergeTree()
+    vertex = order.ravel()  # sweep position -> vertex of its own block
+    is_node = head == idx
+    nodes = np.flatnonzero(is_node)
+    node_index = np.cumsum(is_node) - 1
+    head_vertex = np.empty_like(idx)
+    head_vertex[swept] = vertex[head]
+    bounds = np.arange(g + 1) * n
+    node_cut = np.searchsorted(nodes, bounds).tolist()
+    arc_cut = np.searchsorted(parent, bounds).tolist()
+    out = []
+    for k in range(g):
+        lo, hi = node_cut[k], node_cut[k + 1]
+        arcs = slice(arc_cut[k], arc_cut[k + 1])
+        at = vertex[nodes[lo:hi]]
+        out.append((MergeTree.from_arrays(ids[k, at], values[k, at],
+                                          node_index[child[arcs]] - lo,
+                                          node_index[parent[arcs]] - lo),
+                    head_vertex[k * n:(k + 1) * n]))
+    return out
 
-    start = 0
-    for v, k in zip(order.tolist(), n_up):
-        if k == 0:  # local maximum
-            tree.add_node(int(ids[v]), values_arr[v])
-            comp_node[v] = v
-            vertex_arc_local[v] = v
-            continue
-        x = up_links[start]
-        while parent_uf[x] != x:  # find with path halving
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        neighbor_roots = None
-        for u in up_links[start + 1:start + k]:
-            while parent_uf[u] != u:
-                parent_uf[u] = parent_uf[parent_uf[u]]
-                u = parent_uf[u]
-            if neighbor_roots is not None:
-                if u not in neighbor_roots:
-                    neighbor_roots.append(u)
-            elif u != x:
-                neighbor_roots = [x, u]
-        start += k
-        if neighbor_roots is None:  # regular vertex: joins root x
-            parent_uf[v] = x
-            vertex_arc_local[v] = comp_node[x]
-        else:  # saddle
-            vid = int(ids[v])
-            tree.add_node(vid, values_arr[v])
-            for r in neighbor_roots:
-                tree.set_parent(int(ids[comp_node[r]]), vid)
-                parent_uf[r] = v
-            comp_node[v] = v
-            vertex_arc_local[v] = v
 
-    vertex_arc = ids[np.asarray(vertex_arc_local,
-                                dtype=np.int64)].reshape(shape)
-    return tree, vertex_arc
+def merge_trees_numpy(fields, id_maps=None):
+    """Grid merge trees of several fields, same-shape fields stacked.
+
+    Nodes, arcs, children order and ``vertex_arc`` are the reference
+    sweep's, and so is the exception for the first field it would refuse.
+    """
+    from repro.analysis.topology.merge_tree import checked_field
+
+    fields = [np.asarray(f) for f in fields]
+    id_maps = list(id_maps) if id_maps is not None else [None] * len(fields)
+    checked = [checked_field(f, m) for f, m in zip(fields, id_maps)]
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for k, f in enumerate(fields):
+        by_shape.setdefault(f.shape, []).append(k)
+    out: list[Any] = [None] * len(fields)
+    for shape, members in by_shape.items():
+        values = np.stack([checked[k][0] for k in members])
+        ids = np.stack([checked[k][1] for k in members])
+        for k, (tree, arc) in zip(members,
+                                  _stacked_merge_trees(values, ids, shape)):
+            out[k] = (tree, checked[k][1][arc].reshape(shape))
+    return out
+
+
+def merge_tree_numpy(field: np.ndarray, id_map: np.ndarray | None = None):
+    """Grid merge tree of one field: a stack of one."""
+    return merge_trees_numpy([field], [id_map])[0]
 
 
 def _edge_positions(sorted_ids: np.ndarray, edges: np.ndarray
@@ -229,9 +316,11 @@ def _graph_tree(ids: np.ndarray, vals: np.ndarray, edge_pos: np.ndarray):
 
     Vertices are renumbered by sweep position and each keeps only its
     earlier-swept neighbours, in the reference's per-vertex edge order
-    (``u->v`` then ``v->u`` per edge). A component's union-find root is
-    always its most recently swept vertex, so the arcs are
-    ``(root, vertex)`` pairs; the tree is filled from them in one go.
+    (``u->v`` then ``v->u`` per edge). The sweep core finds the critical
+    arcs; the augmented tree threads every arc's vertices in sweep order
+    between its head and the saddle below, so a saddle's child is the
+    last vertex of the arc it closes — the component's most recently
+    swept vertex, as in the reference.
     """
     from repro.analysis.topology.merge_tree import MergeTree
 
@@ -243,29 +332,17 @@ def _graph_tree(ids: np.ndarray, vals: np.ndarray, edge_pos: np.ndarray):
     dst = rank[edge_pos[:, ::-1].ravel()]
     earlier = dst < src
     src, dst = src[earlier], dst[earlier]
-    up_links = dst[np.argsort(src, kind="stable")].tolist()
-    n_up = np.bincount(src, minlength=n).tolist()
-
-    parent_uf = list(range(n))
-    child: list[int] = []
-    parent: list[int] = []
-    start = 0
-    for i, k in enumerate(n_up):
-        if k == 0:
-            continue
-        roots: list[int] = []
-        for x in up_links[start:start + k]:
-            while parent_uf[x] != x:  # find with path halving
-                parent_uf[x] = parent_uf[parent_uf[x]]
-                x = parent_uf[x]
-            if x not in roots:
-                roots.append(x)
-        start += k
-        for r in roots:
-            child.append(r)
-            parent.append(i)
-            parent_uf[r] = i
-    return MergeTree.from_arrays(ids[order], vals[order], child, parent)
+    child, parent, head = _sweep_core(
+        np.bincount(src, minlength=n), dst[np.argsort(src, kind="stable")])
+    along = np.argsort(head, kind="stable")
+    same_arc = head[along[1:]] == head[along[:-1]]
+    tail = np.empty(n, dtype=np.int64)
+    ends = along[np.append(~same_arc, True)]
+    tail[head[ends]] = ends
+    return MergeTree.from_arrays(
+        ids[order], vals[order],
+        np.concatenate([along[:-1][same_arc], tail[child]]),
+        np.concatenate([along[1:][same_arc], parent]))
 
 
 def graph_merge_tree_numpy(values: dict[int, float],
@@ -512,6 +589,7 @@ def autocorr_merge_numpy(packed_partials, max_lag: int):
 KERNELS: dict[str, Callable[..., Any]] = {
     "vmpi.pairwise_reduce": pairwise_reduce_numpy,
     "topology.merge_tree": merge_tree_numpy,
+    "topology.merge_trees": merge_trees_numpy,
     "topology.graph_merge_tree": graph_merge_tree_numpy,
     "topology.glue_batch": glue_batch_numpy,
     "statistics.learn_blocks": learn_blocks_numpy,

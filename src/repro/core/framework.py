@@ -30,12 +30,14 @@ from repro.analysis.statistics.moments import MomentAccumulator
 from repro.analysis.statistics.stages import DerivedStatistics
 from repro.analysis.topology.distributed import (
     block_boundary_mask,
-    compute_block_boundary_trees,
     cross_block_edges,
     glue_boundary_trees,
     global_id_array,
 )
-from repro.analysis.topology.local_tree import compute_boundary_tree
+from repro.analysis.topology.local_tree import (
+    compute_boundary_tree,  # noqa: F401 - benchmarks/e2e/spans.py wraps it here
+    compute_boundary_trees,
+)
 from repro.analysis.topology.merge_tree import MergeTree
 from repro.analysis.topology.stream_merge import StreamingGlue
 from repro.analysis.visualization.camera import Camera
@@ -176,10 +178,9 @@ class HybridFramework:
             compute=lambda payloads: engine.intransit_derive(payloads, names))
 
     def _submit_topology(self, step: int) -> None:
-        boundary_trees = [
-            compute_boundary_tree(part[self.topology_variable], ids, mask)
-            for part, ids, mask in zip(self.solver.parts, self._block_ids,
-                                       self._boundary_masks)]
+        boundary_trees = compute_boundary_trees(
+            [part[self.topology_variable] for part in self.solver.parts],
+            self._block_ids, self._boundary_masks)
         descs = [self.transport.register(f"sim-{rank}", bt,
                                          nbytes=bt.nbytes,
                                          meta={"rank": rank,

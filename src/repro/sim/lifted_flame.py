@@ -90,7 +90,17 @@ class LiftedFlameCase:
         the paper's "intermittent phenomena that occur on the order of 10
         simulation timesteps".
         """
-        n_new = int(self._rng.poisson(self.kernel_rate))
+        return self.ignite_kernels(fs, self.draw_kernel_count())
+
+    def draw_kernel_count(self) -> int:
+        """This step's number of new kernels: the Poisson draw alone, so
+        a caller that has to assemble ``fs`` first can skip the assembly
+        on the steps that seed nothing."""
+        return int(self._rng.poisson(self.kernel_rate))
+
+    def ignite_kernels(self, fs: FieldSet, n_new: int
+                       ) -> list[tuple[int, int, int]]:
+        """Place ``n_new`` drawn kernels; returns their centers."""
         if n_new == 0:
             return []
         mask = self.flammable_mask(fs)

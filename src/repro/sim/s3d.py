@@ -5,7 +5,8 @@ the periodic ``np.roll`` operators; :class:`DecomposedS3D` advances the
 identical equations block-parallel over a
 :class:`~repro.vmpi.decomp.BlockDecomposition3D` with one-layer ghost
 exchange and the block operators of :mod:`repro.sim.stencil`, which read
-the ghost-padded operands through slice views — tests assert the two
+the ghost-padded operands through slice views, over all the ranks of one
+block shape at once — tests assert the two
 produce bitwise-identical states, the reproduction's stand-in for S3D's
 MPI-correctness.
 
@@ -181,7 +182,12 @@ class DecomposedS3D:
     """Block-parallel solver over a 3-D decomposition with ghost exchange.
 
     Each rank holds only its block of every variable; one ghost layer is
-    exchanged per step (the stencils are radius-1). Kernel seeding — a
+    exchanged per step (the stencils are radius-1). The ranks are an
+    array axis: the blocks of one shape (all of them, for an even split)
+    live in one ``(ranks, nx, ny, nz)`` array per variable,
+    ``parts[rank][var]`` is a live view of the rank's entry, and every
+    stage runs once per variable over the stack — elementwise, so each
+    cell sees the operations it would see alone. Kernel seeding — a
     global stochastic event — is applied on the assembled temperature
     field and re-scattered, mirroring how S3D applies global forcing.
     """
@@ -202,15 +208,19 @@ class DecomposedS3D:
 
         initial = case.initial_fields()
         self.names = initial.names
-        #: parts[rank][var] -> block array
-        self.parts: list[dict[str, np.ndarray]] = [
-            {name: np.ascontiguousarray(initial[name][b.slices])
+        pieces = {name: decomp.scatter(initial[name]) for name in self.names}
+        #: per shape group: var -> (ranks, nx, ny, nz) stack
+        self._stacks: list[dict[str, np.ndarray]] = [
+            {name: np.stack([pieces[name][r] for r in ranks])
              for name in self.names}
-            for b in decomp.blocks()
-        ]
+            for ranks in decomp.shape_groups()]
+        #: parts[rank][var] -> the rank's block, a live view of its stack
+        self.parts: list[dict[str, np.ndarray]] = self._rank_views(
+            self._stacks)
         max_speed = max(float(np.max(np.abs(initial[c]))) for c in ("u", "v", "w"))
         self.dt = self.params.resolve_dt(self.grid, max_speed)
         self.step_count = 0
+        self.kernel_history: list[tuple[int, tuple[int, int, int]]] = []
         self._tracer = get_tracer()
 
     def _gather_var(self, name: str) -> np.ndarray:
@@ -218,26 +228,43 @@ class DecomposedS3D:
 
     def _scatter_var(self, name: str, global_field: np.ndarray) -> None:
         for part, piece in zip(self.parts, self.decomp.scatter(global_field)):
-            part[name] = piece
+            part[name][...] = piece
 
-    def _stage_rhs(self, parts: list[dict[str, np.ndarray]]
+    def _rank_views(self, stacks: list[dict[str, np.ndarray]]
+                    ) -> list[dict[str, np.ndarray]]:
+        """``views[rank][var]``: each rank's entry of its group's stack."""
+        views: list[dict[str, np.ndarray]] = [{} for _ in range(
+            self.decomp.n_ranks)]
+        for ranks, stack in zip(self.decomp.shape_groups(), stacks):
+            for k, rank in enumerate(ranks):
+                views[rank] = {name: arr[k] for name, arr in stack.items()}
+        return views
+
+    def _stage_rhs(self, stacks: list[dict[str, np.ndarray]],
+                   parts: list[dict[str, np.ndarray]]
                    ) -> list[dict[str, np.ndarray]]:
-        """Halo exchange, then every rank's right-hand side.
+        """Halo exchange between the ranks (``parts``, the per-rank views
+        of ``stacks``), then every shape group's right-hand side.
 
         Only the transported variables are exchanged: the stencils read
         the (frozen) velocity at the cell itself, never at a neighbour.
         """
         tracer = self._tracer
         with tracer.span("sim.halo", lane="sim", category="sim"):
-            ghosted = {name: pad_with_ghosts([p[name] for p in parts],
-                                             self.decomp)
-                       for name in _TRANSPORTED}
+            # The receive buffers, stacked like the state.
+            ghosted = [
+                {name: np.empty((n_ranks, nx + 2, ny + 2, nz + 2))
+                 for name in _TRANSPORTED}
+                for n_ranks, nx, ny, nz in (s["T"].shape for s in stacks)]
+            ghost_parts = self._rank_views(ghosted)
+            for name in _TRANSPORTED:
+                pad_with_ghosts([p[name] for p in parts], self.decomp,
+                                out=[g[name] for g in ghost_parts])
         with tracer.span("sim.rhs", lane="sim", category="sim"):
             return [
-                _rhs(part, {name: ghosted[name][rank] for name in ghosted},
-                     block_upwind_advection, block_laplacian,
+                _rhs(stack, ghosts, block_upwind_advection, block_laplacian,
                      self.grid.spacing, self.chemistry, self.params)
-                for rank, part in enumerate(parts)]
+                for stack, ghosts in zip(stacks, ghosted)]
 
     def step(self, n: int = 1) -> None:
         if n < 1:
@@ -247,30 +274,38 @@ class DecomposedS3D:
             with tracer.span("sim.step", lane="sim", stage="simulation",
                              step=self.step_count, solver="decomposed"):
                 if self.seed_kernels:
-                    # Global forcing: assemble T, seed, scatter back.
-                    fs = FieldSet(self.grid, ("T", "H2", "O2"))
-                    fs["T"] = self._gather_var("T")
-                    fs["H2"] = self._gather_var("H2")
-                    fs["O2"] = self._gather_var("O2")
-                    self.case.seed_kernels(fs, self.step_count)
-                    self._scatter_var("T", fs["T"])
+                    self._seed_kernels()
 
-                rhs_per_rank = self._stage_rhs(self.parts)
+                rhs_per_group = self._stage_rhs(self._stacks, self.parts)
 
                 if self.params.integrator == "rk2":
-                    # Predictor blocks, then a SECOND halo exchange before the
+                    # Predictor stacks, then a SECOND halo exchange before the
                     # corrector RHS — the multi-exchange structure of S3D's
                     # multi-stage RK.
-                    mid_parts = [_midpoint_state(part, rhs, self.dt)
-                                 for part, rhs in zip(self.parts, rhs_per_rank)]
-                    rhs_per_rank = [
+                    mid = [_midpoint_state(stack, rhs, self.dt)
+                           for stack, rhs in zip(self._stacks, rhs_per_group)]
+                    rhs_per_group = [
                         _combine_heun(rhs1, rhs2) for rhs1, rhs2
-                        in zip(rhs_per_rank, self._stage_rhs(mid_parts))]
+                        in zip(rhs_per_group,
+                               self._stage_rhs(mid, self._rank_views(mid)))]
 
                 with tracer.span("sim.update", lane="sim", category="sim"):
-                    for part, rhs in zip(self.parts, rhs_per_rank):
-                        _apply_update(part, rhs, self.dt)
+                    for stack, rhs in zip(self._stacks, rhs_per_group):
+                        _apply_update(stack, rhs, self.dt)
                 self.step_count += 1
+
+    def _seed_kernels(self) -> None:
+        """Global forcing: when the step draws kernels, assemble what
+        seeding reads, seed, and scatter T back."""
+        n_new = self.case.draw_kernel_count()
+        if n_new == 0:
+            return
+        fs = FieldSet(self.grid, ("T", "H2", "O2"))
+        for name in fs.names:
+            fs[name] = self._gather_var(name)
+        for center in self.case.ignite_kernels(fs, n_new):
+            self.kernel_history.append((self.step_count, center))
+        self._scatter_var("T", fs["T"])
 
     def assemble(self) -> FieldSet:
         """Gather all blocks into a global :class:`FieldSet`."""

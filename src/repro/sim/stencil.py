@@ -7,7 +7,8 @@ Two families of vectorised NumPy operators evaluate the same stencils:
   ``np.roll`` — what the global solver uses, and the oracle;
 * the *block* operators (:func:`block_laplacian`,
   :func:`block_upwind_advection`) act on one block padded with a ghost
-  layer copied from its neighbours (:func:`pad_with_ghosts`): they read
+  layer copied from its neighbours (:func:`pad_with_ghosts`), or on a
+  stack of same-shape blocks with the ranks as a leading axis: they read
   the shifted operands through slice views and return interior-shaped
   output — same operands, same operation order, so tests assert bitwise
   agreement with the periodic operators on the block's cells.
@@ -55,23 +56,24 @@ def upwind_advection(f: np.ndarray, velocity: tuple[np.ndarray, np.ndarray, np.n
     return dfdt
 
 
-_INTERIOR = (slice(1, -1),) * 3
+_INTERIOR = (Ellipsis,) + (slice(1, -1),) * 3
 
 
 def _shifted_views(padded: np.ndarray, axis: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Interior-shaped views of a padded block's ``+1`` and ``-1``
-    neighbours along ``axis``."""
+    neighbours along spatial ``axis``."""
     plus = list(_INTERIOR)
     minus = list(_INTERIOR)
-    plus[axis] = slice(2, None)
-    minus[axis] = slice(None, -2)
+    plus[1 + axis] = slice(2, None)
+    minus[1 + axis] = slice(None, -2)
     return padded[tuple(plus)], padded[tuple(minus)]
 
 
 def block_laplacian(padded: np.ndarray, spacing: tuple[float, float, float]
                     ) -> np.ndarray:
-    """:func:`laplacian` on the interior of a one-ghost-padded block."""
+    """:func:`laplacian` on the interior of a one-ghost-padded block, or
+    of a stack of them: the last three axes are the spatial ones."""
     f = np.ascontiguousarray(padded[_INTERIOR])
     out = np.zeros_like(f)
     for axis in range(3):
@@ -85,8 +87,8 @@ def block_upwind_advection(padded: np.ndarray,
                            velocity: tuple[np.ndarray, np.ndarray, np.ndarray],
                            spacing: tuple[float, float, float]) -> np.ndarray:
     """:func:`upwind_advection` on the interior of a one-ghost-padded
-    block; ``velocity`` is interior-shaped (the stencil reads it at the
-    cell itself only)."""
+    block or stack of blocks; ``velocity`` is interior-shaped (the
+    stencil reads it at the cell itself only)."""
     f = np.ascontiguousarray(padded[_INTERIOR])
     dfdt = np.zeros_like(f)
     for axis, u in enumerate(velocity):
@@ -99,14 +101,17 @@ def block_upwind_advection(padded: np.ndarray,
 
 
 def pad_with_ghosts(parts: list[np.ndarray], decomp: BlockDecomposition3D,
-                    width: int = 1) -> list[np.ndarray]:
+                    width: int = 1, out: list[np.ndarray] | None = None
+                    ) -> list[np.ndarray]:
     """Pad every block with ``width`` ghost layers from its neighbours.
 
     Equivalent to S3D's halo exchange with periodic global topology. The
     implementation assembles the global array inside a wrapped border and
     re-slices; the *communication volume* this represents is charged
     separately by the performance layer (each block exchanges its six
-    faces).
+    faces). ``out`` (one padded-block-shaped array per rank) is filled
+    and returned instead of fresh arrays — the entries of one stacked
+    array, when the block operators are to run over the ranks at once.
     """
     if width < 1:
         raise ValueError(f"ghost width must be >= 1, got {width}")
@@ -127,7 +132,11 @@ def pad_with_ghosts(parts: list[np.ndarray], decomp: BlockDecomposition3D,
     wrapped[:, -w:] = wrapped[:, w:2 * w]
     wrapped[:, :, :w] = wrapped[:, :, -2 * w:-w]
     wrapped[:, :, -w:] = wrapped[:, :, w:2 * w]
-    return [np.ascontiguousarray(
-                wrapped[tuple(slice(lo, hi + 2 * w)
-                              for lo, hi in zip(b.lo, b.hi))])
-            for b in decomp.blocks()]
+    padded = [wrapped[tuple(slice(lo, hi + 2 * w)
+                            for lo, hi in zip(b.lo, b.hi))]
+              for b in decomp.blocks()]
+    if out is None:
+        return [np.ascontiguousarray(p) for p in padded]
+    for dst, src in zip(out, padded):
+        dst[...] = src
+    return out

@@ -69,6 +69,7 @@ class BlockDecomposition3D:
         # Built on the first blocks() call: the replay workloads construct
         # thousands-of-ranks decompositions only to validate a config.
         self._blocks: list[Block3D] | None = None
+        self._shape_groups: list[tuple[int, ...]] | None = None
 
     @staticmethod
     def _axis_starts(n: int, p: int) -> list[int]:
@@ -110,6 +111,18 @@ class BlockDecomposition3D:
         if self._blocks is None:
             self._blocks = [self.block(r) for r in range(self.n_ranks)]
         return list(self._blocks)
+
+    def shape_groups(self) -> list[tuple[int, ...]]:
+        """The ranks grouped by block shape, each group in rank order: one
+        group for an even split, up to eight for a near-even one. The
+        blocks of a group stack into one array with the ranks as its
+        leading axis."""
+        if self._shape_groups is None:
+            groups: dict[tuple[int, int, int], list[int]] = {}
+            for b in self.blocks():
+                groups.setdefault(b.shape, []).append(b.rank)
+            self._shape_groups = [tuple(ranks) for ranks in groups.values()]
+        return list(self._shape_groups)
 
     def rank_containing(self, point: tuple[int, int, int]) -> int:
         """Rank owning a global grid point."""

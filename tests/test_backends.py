@@ -144,7 +144,7 @@ class TestRegistry:
         """Three hot paths: DES dispatch left the seam (one engine for
         every backend). The test id is pinned by the tier-1 floor list."""
         names = kernel_names()
-        assert len(names) == 9
+        assert len(names) == 10
         assert not [n for n in names if n.startswith("des.")]
         assert "vmpi.pairwise_reduce" in names
         assert "topology.merge_tree" in names
@@ -444,6 +444,195 @@ class TestTopology:
             tree, bts = distributed_merge_tree(field, decomp)
         assert_trees_equal(tree_ref, tree)
         assert len(bts_ref) == len(bts)
+
+
+# ---------------------------------------------------------------------------
+# the sweep core against the reference sweep, generated inputs
+# ---------------------------------------------------------------------------
+
+
+def _generated_field(regime, shape, seed):
+    """Smooth (a few maxima, long ascents), two-to-eight-level plateaus
+    (ties everywhere) or white noise (nearly every vertex a candidate)."""
+    rng = np.random.default_rng(seed)
+    if regime == "noise":
+        return rng.uniform(0, 1, shape)
+    if regime == "plateau":
+        return np.floor(rng.uniform(0, 1, shape)
+                        * rng.integers(2, 9)).astype(np.float64)
+    coords = np.indices(shape).astype(np.float64)
+    field = np.zeros(shape)
+    for _ in range(int(rng.integers(1, 4))):
+        centre = [rng.uniform(0, extent) for extent in shape]
+        d2 = sum((coords[a] - centre[a]) ** 2 for a in range(len(shape)))
+        field += rng.uniform(0.5, 1.5) * np.exp(-d2 / rng.uniform(2, 12))
+    return field
+
+
+_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 40)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
+_REGIMES = st.sampled_from(["smooth", "plateau", "noise"])
+
+
+def _generated_ids(shape, seed):
+    """Distinct ids in no order at all, negatives included."""
+    n = int(np.prod(shape))
+    rng = np.random.default_rng(seed)
+    return (rng.permutation(3 * n)[:n] - n).reshape(shape)
+
+
+class TestSweepCoreDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=_SHAPES, regime=_REGIMES, seed=st.integers(0, 2**16),
+           with_ids=st.booleans())
+    def test_grid_kernel(self, shape, regime, seed, with_ids):
+        field = _generated_field(regime, shape, seed)
+        ids = _generated_ids(shape, seed + 1) if with_ids else None
+        ref, fast = both("topology.merge_tree")
+        tree_a, arc_a = ref(field, ids)
+        tree_b, arc_b = fast(field, ids)
+        assert_trees_identical(tree_a, tree_b)
+        assert arc_a.dtype == arc_b.dtype and arc_a.shape == arc_b.shape
+        assert np.array_equal(arc_a, arc_b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.lists(st.sampled_from([(3, 2, 2), (2, 3, 2), (5,),
+                                            (2, 2), ()]),
+                           min_size=1, max_size=6),
+           regime=_REGIMES, seed=st.integers(0, 2**16),
+           with_ids=st.booleans())
+    def test_stacked_kernel_is_the_single_kernel_per_field(
+            self, shapes, regime, seed, with_ids):
+        fields = [_generated_field(regime, shape, seed + k)
+                  for k, shape in enumerate(shapes)]
+        ids = ([_generated_ids(shape, seed + 100 + k)
+                for k, shape in enumerate(shapes)] if with_ids else None)
+        single = kernel_impl("topology.merge_tree", "reference")
+        for impl in both("topology.merge_trees"):
+            for k, (tree, arc) in enumerate(impl(fields, ids)):
+                want_tree, want_arc = single(fields[k],
+                                             ids[k] if ids else None)
+                assert_trees_identical(want_tree, tree)
+                assert arc.dtype == want_arc.dtype
+                assert arc.shape == shapes[k]
+                assert np.array_equal(arc, want_arc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), density=st.floats(0.0, 3.0),
+           regime=st.sampled_from(["plateau", "noise", "chain"]),
+           seed=st.integers(0, 2**16))
+    def test_graph_kernel(self, n, density, regime, seed):
+        """Random multigraphs (parallel edges and self-loops included)
+        and, as ``chain``, the long monotone paths boundary trees are
+        made of, with a few cross links."""
+        rng = np.random.default_rng(seed)
+        ids = (rng.permutation(5 * n)[:n] - n).tolist()
+        if regime == "noise":
+            vals = rng.uniform(0, 1, n)
+        else:
+            vals = rng.integers(0, int(rng.integers(2, 9)), n).astype(float)
+        values = dict(zip(ids, vals.tolist()))
+        m = int(density * n)
+        edges = [(ids[int(a)], ids[int(b)])
+                 for a, b in rng.integers(0, n, (m, 2))]
+        if regime == "chain":
+            edges += list(zip(ids, ids[1:]))
+        ref, fast = both("topology.graph_merge_tree")
+        assert_trees_identical(ref(dict(values), list(edges)),
+                               fast(dict(values), list(edges)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(2, 7), st.integers(2, 6),
+                           st.integers(2, 5)),
+           data=st.data(), regime=_REGIMES, seed=st.integers(0, 2**16))
+    def test_blocks_and_glue(self, shape, data, regime, seed):
+        """In situ over the stacked blocks (uneven splits: several
+        stacks), in transit through the graph sweep — which adds nodes
+        in sweep order where the streaming glue adds them as streamed,
+        so the glued trees compare as mappings."""
+        procs = tuple(data.draw(st.integers(1, min(n, 3))) for n in shape)
+        decomp = BlockDecomposition3D(shape, procs)
+        field = _generated_field(regime, shape, seed)
+        with use_backend("reference"):
+            tree_ref, bts_ref = distributed_merge_tree(field, decomp)
+        with use_backend("numpy"):
+            tree, bts = distributed_merge_tree(field, decomp)
+        assert_trees_equal(tree_ref, tree)
+        for a, b in zip(bts_ref, bts):
+            assert list(a.nodes.items()) == list(b.nodes.items())
+            assert a.edges == b.edges
+            assert a.boundary_ids == b.boundary_ids
+
+
+class TestMergeTreeKernelErrors:
+    """What the full-sweep kernel refused, the sweep core refuses with
+    the same words, for one field or the first offender of several."""
+
+    CASES = {
+        "empty": (np.zeros((3, 0, 2)), None,
+                  "cannot compute the merge tree of an empty field"),
+        "nan": (np.array([[0.5, np.nan], [np.nan, 1.0]]), None,
+                "field value at flat index 1 is NaN"),
+        "id size": (np.arange(6.0).reshape(2, 3), np.arange(5),
+                    "id_map size 5 != field size 6"),
+        "duplicate ids": (np.arange(6.0).reshape(2, 3),
+                          np.array([[4, 9, 2], [7, 4, 0]]),
+                          "id_map must assign distinct ids"),
+    }
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_field(self, backend, case):
+        field, ids, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            kernel_impl("topology.merge_tree", backend)(field, ids)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_first_offender_of_several(self, backend, case):
+        field, ids, message = self.CASES[case]
+        good = np.arange(6.0).reshape(2, 3)
+        late = self.CASES["nan" if case != "nan" else "empty"]
+        with pytest.raises(ValueError, match=message):
+            kernel_impl("topology.merge_trees", backend)(
+                [good, field, late[0]], [None, ids, late[1]])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zero_dimensional_field(self, backend):
+        tree, arc = kernel_impl("topology.merge_tree", backend)(
+            np.float64(2.5), np.array(41))
+        assert list(tree.value.items()) == [(41, 2.5)]
+        assert tree.parent == {41: None}
+        assert arc.shape == () and int(arc) == 41
+
+
+def test_neighbor_tables_are_built_once_across_steps_of_an_uneven_split():
+    """Eight block shapes and the global one are nine tables; two steps
+    must not build any of them twice."""
+    from repro.analysis.topology.local_tree import compute_boundary_trees
+    from repro.analysis.topology.distributed import (
+        block_boundary_mask,
+        global_id_array,
+    )
+    from repro.sim import DecomposedS3D, LiftedFlameCase, StructuredGrid3D
+
+    shape = (9, 7, 5)
+    decomp = BlockDecomposition3D(shape, (2, 2, 2))
+    assert len(decomp.shape_groups()) == 8
+    solver = DecomposedS3D(LiftedFlameCase(StructuredGrid3D(shape)), decomp)
+    ids = global_id_array(shape)
+    block_ids = [ids[b.slices] for b in decomp.blocks()]
+    masks = [block_boundary_mask(b, shape) for b in decomp.blocks()]
+    nb._neighbor_table.cache_clear()
+    with use_backend("numpy"):
+        for _ in range(2):
+            solver.step()
+            compute_boundary_trees([p["T"] for p in solver.parts],
+                                   block_ids, masks)
+            compute_merge_tree(solver.assemble()["T"])
+    assert nb._neighbor_table.cache_info().misses == 9
 
 
 # ---------------------------------------------------------------------------

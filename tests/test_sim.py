@@ -460,6 +460,83 @@ class TestDecomposedMatchesGlobal:
             assert (assembled[name].tobytes()
                     == global_solver.fields[name].tobytes()), name
 
+    @pytest.mark.parametrize("integrator", ["euler", "rk2"])
+    @pytest.mark.parametrize("grid_shape,proc_grid", [
+        ((9, 7, 5), (2, 2, 2)),   # eight block shapes: eight stacks
+        ((7, 6, 5), (3, 1, 2)),   # uneven in one axis only
+        ((4, 4, 4), (4, 4, 4)),   # every block a single cell
+        ((6, 5, 4), (6, 1, 2)),   # extent-1 blocks along x
+    ])
+    def test_bitwise_equal_with_seeding_on_uneven_and_unit_splits(
+            self, grid_shape, proc_grid, integrator):
+        grid = StructuredGrid3D(grid_shape, (1.5, 1.0, 1.0))
+        params = SolverParams(integrator=integrator)
+        global_solver = S3DProxy(
+            LiftedFlameCase(grid, seed=5, kernel_rate=2.0), params=params)
+        block_solver = DecomposedS3D(
+            LiftedFlameCase(grid, seed=5, kernel_rate=2.0),
+            BlockDecomposition3D(grid_shape, proc_grid), params=params)
+        global_solver.step(3)
+        block_solver.step(3)
+        assert block_solver.kernel_history == global_solver.kernel_history
+        assert block_solver.kernel_history, "rate 2 over 3 steps seeds"
+        assembled = block_solver.assemble()
+        for name in VARIABLE_NAMES:
+            assert (assembled[name].tobytes()
+                    == global_solver.fields[name].tobytes()), name
+
+    def test_parts_stay_the_live_blocks(self):
+        """``parts[rank][var]`` is one array for the solver's lifetime: a
+        seeded step and ``_scatter_var`` both write through it."""
+        shape = (9, 7, 5)
+        grid = StructuredGrid3D(shape, (1.5, 1.0, 1.0))
+        decomp = BlockDecomposition3D(shape, (2, 2, 2))
+        solver = DecomposedS3D(LiftedFlameCase(grid, seed=5, kernel_rate=4.0),
+                               decomp)
+        held = [part["T"] for part in solver.parts]
+        before = [t.copy() for t in held]
+        solver.step()
+        assert solver.kernel_history
+        fresh = np.random.default_rng(0).uniform(0.5, 2.0, shape)
+        for state in (solver.assemble()["T"], fresh):
+            if state is fresh:
+                solver._scatter_var("T", fresh)
+            for part, t, block in zip(solver.parts, held, decomp.blocks()):
+                assert part["T"] is t
+                assert t.tobytes() == state[block.slices].tobytes()
+        assert any(not np.array_equal(t, b) for t, b in zip(held, before))
+        # ... and the next step starts from what was scattered.
+        oracle = S3DProxy(LiftedFlameCase(grid, seed=5, kernel_rate=4.0),
+                          seed_kernels=False)
+        for name in VARIABLE_NAMES:
+            oracle.fields[name][...] = solver.assemble()[name]
+        solver.seed_kernels = False
+        solver.step()
+        oracle.step()
+        assert (solver.assemble()["T"].tobytes()
+                == oracle.fields["T"].tobytes())
+
+    def test_a_step_that_draws_no_kernel_assembles_nothing(self, monkeypatch):
+        shape = (8, 6, 4)
+        solver = DecomposedS3D(
+            LiftedFlameCase(StructuredGrid3D(shape), kernel_rate=0.0),
+            BlockDecomposition3D(shape, (2, 2, 1)))
+        monkeypatch.setattr(
+            solver, "_gather_var",
+            lambda name: pytest.fail(f"gathered {name} without a kernel"))
+        solver.step(3)
+        assert solver.kernel_history == []
+
+    def test_draw_then_ignite_is_the_seed_kernels_stream(self):
+        grid = StructuredGrid3D((10, 8, 8))
+        a = LiftedFlameCase(grid, kernel_rate=1.5, seed=9)
+        b = LiftedFlameCase(grid, kernel_rate=1.5, seed=9)
+        fa, fb = a.initial_fields(), b.initial_fields()
+        for step in range(6):
+            assert (a.seed_kernels(fa, step)
+                    == b.ignite_kernels(fb, b.draw_kernel_count()))
+        assert fa["T"].tobytes() == fb["T"].tobytes()
+
     def test_mismatched_decomp_raises(self):
         grid = StructuredGrid3D((8, 8, 8))
         case = LiftedFlameCase(grid)
