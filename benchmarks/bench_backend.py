@@ -6,9 +6,8 @@ the same merge-tree pipeline on a smooth field, the other end of the
 input range the topology speed-up depends on.
 
 Each replay is timed min-of-repeats under both backends and its
-speedup floor is asserted; the measurements are appended to the shared
-``benchmarks/results/perf`` run store (schema-compatible with
-``python -m repro perf``), and per-kernel speedups are recorded to
+speedup floor is asserted; the measurements are recorded to
+``BENCH_backend_<which>_replay.json``, and per-kernel speedups to
 ``BENCH_backend_kernels.json`` without assertions — the replay floors,
 not the microbenchmarks, are the contract.
 
@@ -29,8 +28,6 @@ from repro.vmpi import BlockDecomposition3D
 
 #: The ISSUE's acceptance floor for the two paper-figure replays.
 SPEEDUP_FLOOR = 5.0
-
-RESULTS_STORE = "perf"
 
 
 def _best(fn, number=1, repeat=5):
@@ -139,16 +136,14 @@ def fig5_replay(backend: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# replay floor tests (recorded into the perf run store)
+# replay floor tests
 # ---------------------------------------------------------------------------
 
 
-def _record(which: str, ref_s: float, numpy_s: float,
-            bench_json_writer, floor: float) -> float:
-    from repro.obs.perf import RunRecord, RunStore
-
-    from conftest import RESULTS_DIR
-
+def _assert_floor(which: str, replay, floor: float,
+                  bench_json_writer) -> None:
+    ref_s = replay("reference")
+    numpy_s = replay("numpy")
     speedup = ref_s / numpy_s
     bench_json_writer(f"backend_{which}_replay", {
         "name": f"backend_{which}_replay",
@@ -157,21 +152,6 @@ def _record(which: str, ref_s: float, numpy_s: float,
         "speedup": speedup,
         "floor": floor,
     })
-    store = RunStore(RESULTS_DIR / RESULTS_STORE)
-    for backend, wall in (("reference", ref_s), ("numpy", numpy_s)):
-        store.append(RunRecord.new(
-            source=f"bench-backend-{which}",
-            metrics={f"wall.{which}_replay_s": wall},
-            meta={"backend": backend, "speedup_vs_reference":
-                  (speedup if backend == "numpy" else 1.0)}))
-    return speedup
-
-
-def _assert_floor(which: str, replay, floor: float,
-                  bench_json_writer) -> None:
-    ref_s = replay("reference")
-    numpy_s = replay("numpy")
-    speedup = _record(which, ref_s, numpy_s, bench_json_writer, floor)
     print(f"\n{which} replay: reference {ref_s * 1e3:.1f}ms, "
           f"numpy {numpy_s * 1e3:.1f}ms -> {speedup:.1f}x")
     assert speedup >= floor, (

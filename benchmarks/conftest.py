@@ -6,21 +6,16 @@ script (``python benchmarks/bench_table1.py``) to print the regenerated
 rows; under pytest the same logic runs with assertions on the paper's
 shape claims, and ``pytest-benchmark`` times the representative kernels.
 
-Every ``pytest-benchmark`` result is additionally written to
-``benchmarks/results/BENCH_<name>.json`` at session end (the ``test_``
-prefix is stripped from the slug), so runs leave a machine-readable
-record without extra flags; tests can record their own figures through
-the ``bench_json_writer`` fixture. The session also appends one
-:class:`repro.obs.perf.RunRecord` (metrics ``wall.bench.<slug>.<stat>``)
-to the ``benchmarks/results/perf`` run store — the same schema the
-``python -m repro perf`` CLI reads, so benchmark timings show up in the
-cross-run dashboard.
+``pytest-benchmark`` keeps its own timings (``--benchmark-json FILE``
+writes them); a test that measures something itself — a speed-up floor,
+an overhead bound — records the figures through the ``bench_json_writer``
+fixture as ``benchmarks/results/BENCH_<name>.json`` (gitignored scratch;
+CI uploads them).
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -30,19 +25,11 @@ from repro.sim import LiftedFlameCase, S3DProxy, StructuredGrid3D
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-_STAT_KEYS = ("min", "max", "mean", "stddev", "median", "iqr", "rounds",
-              "iterations", "ops")
-
-
-def _slug(name: str) -> str:
-    name = re.sub(r"^test_", "", name)
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
-
 
 def write_bench_json(name: str, payload: dict) -> Path:
     """Write one ``BENCH_<name>.json`` record under ``benchmarks/results``."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{_slug(name)}.json"
+    path = RESULTS_DIR / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
@@ -52,44 +39,6 @@ def write_bench_json(name: str, payload: dict) -> Path:
 def bench_json_writer():
     """Session fixture handing tests the BENCH_<name>.json writer."""
     return write_bench_json
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Emit one BENCH_<name>.json per pytest-benchmark result, plus one
-    run record (``wall.bench.*`` metrics) into the shared run store."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None:
-        return
-    run_metrics: dict[str, float] = {}
-    for bench in getattr(bench_session, "benchmarks", []):
-        stats = getattr(bench, "stats", None)
-        name = getattr(bench, "name", "unknown")
-        record = {
-            "name": name,
-            "fullname": getattr(bench, "fullname", None),
-            "group": getattr(bench, "group", None),
-            "param": getattr(bench, "param", None),
-            "unit": "seconds",
-        }
-        for key in _STAT_KEYS:
-            value = getattr(stats, key, None)
-            if value is not None:
-                try:
-                    record[key] = float(value)
-                except (TypeError, ValueError):
-                    pass
-        if stats is not None:
-            write_bench_json(name, record)
-            slug = _slug(name)
-            for key in ("min", "mean", "median"):
-                if key in record:
-                    run_metrics[f"wall.bench.{slug}.{key}"] = record[key]
-    if run_metrics:
-        from repro.obs.perf import RunRecord, RunStore
-
-        store = RunStore(RESULTS_DIR / "perf")
-        store.append(RunRecord.new(source="bench", metrics=run_metrics,
-                                   meta={"exitstatus": int(exitstatus)}))
 
 
 def blob_field(shape=(16, 14, 12), n_blobs=5, seed=0) -> np.ndarray:

@@ -70,8 +70,7 @@ class FeatureTrack:
 
 
 def track_features(segmentations: list[Segmentation],
-                   steps: list[int] | None = None,
-                   min_overlap_cells: int = 1) -> list[FeatureTrack]:
+                   steps: list[int] | None = None) -> list[FeatureTrack]:
     """Greedy max-overlap association across a segmentation sequence.
 
     Each feature at step t links to at most one feature at step t+1 and
@@ -82,8 +81,6 @@ def track_features(segmentations: list[Segmentation],
         steps = list(range(len(segmentations)))
     if len(steps) != len(segmentations):
         raise ValueError("steps and segmentations must have equal length")
-    if min_overlap_cells < 1:
-        raise ValueError("min_overlap_cells must be >= 1")
 
     tracks: list[FeatureTrack] = []
     #: feature label at current step -> owning track
@@ -106,9 +103,7 @@ def track_features(segmentations: list[Segmentation],
         linked_prev: set[int] = set()
         linked_next: set[int] = set()
         next_current: dict[int, FeatureTrack] = {}
-        for (pa, pb), count in order:
-            if count < min_overlap_cells:
-                continue
+        for (pa, pb), _count in order:
             if pa in linked_prev or pb in linked_next:
                 continue
             track = current.get(pa)

@@ -103,9 +103,9 @@ def render_block_partial(field: np.ndarray, block: Block3D,
 
 
 def composite_partials(partials: list[tuple[np.ndarray, np.ndarray]],
-                       order: list[int], background: float = 0.0
-                       ) -> np.ndarray:
-    """Front-to-back 'over' compositing of per-rank partial images."""
+                       order: list[int]) -> np.ndarray:
+    """Front-to-back 'over' compositing of per-rank partial images, on
+    a black background."""
     if not partials:
         raise ValueError("no partial images to composite")
     h, w, _ = partials[0][0].shape
@@ -116,13 +116,12 @@ def composite_partials(partials: list[tuple[np.ndarray, np.ndarray]],
         weight = (1.0 - alpha)
         rgb += weight[..., None] * prgb
         alpha += weight * palpha
-    return rgb + (1.0 - alpha[..., None]) * background
+    return rgb
 
 
 def render_blocks_insitu(field: np.ndarray, decomp: BlockDecomposition3D,
                          camera: Camera, tf: TransferFunction,
-                         step: float = 0.5, background: float = 0.0
-                         ) -> np.ndarray:
+                         step: float = 0.5) -> np.ndarray:
     """The full in-situ mode: every rank renders, then composite."""
     field = np.asarray(field, dtype=np.float64)
     if field.shape != decomp.global_shape:
@@ -132,4 +131,4 @@ def render_blocks_insitu(field: np.ndarray, decomp: BlockDecomposition3D,
                 for b in decomp.blocks()]
     _, direction, _ = camera.rays(decomp.global_shape)
     order = visibility_order(decomp, direction)
-    return composite_partials(partials, order, background)
+    return composite_partials(partials, order)

@@ -158,8 +158,8 @@ class BlockLUT:
 
 def render_intransit(blocks: list[DownsampledBlock],
                      global_shape: tuple[int, int, int], camera: Camera,
-                     tf: TransferFunction, step: float = 0.5,
-                     background: float = 0.0) -> np.ndarray:
+                     tf: TransferFunction, step: float = 0.5
+                     ) -> np.ndarray:
     """The serial in-transit renderer (one staging bucket).
 
     Marches the *same* rays as the in-situ mode over the full-resolution
@@ -172,6 +172,6 @@ def render_intransit(blocks: list[DownsampledBlock],
     def inside_domain(pos: np.ndarray) -> np.ndarray:
         return np.all((pos > -0.5) & (pos < shape - 0.5), axis=-1).astype(np.float64)
 
-    rgb, alpha = march_rays(lut.sampler(), origins, direction, t_len, tf,
-                            step, sample_mask=inside_domain)
-    return rgb + (1.0 - alpha[..., None]) * background
+    rgb, _alpha = march_rays(lut.sampler(), origins, direction, t_len, tf,
+                             step, sample_mask=inside_domain)
+    return rgb

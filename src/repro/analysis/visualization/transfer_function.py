@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Opacity per unit march distance at the top of both built-in ramps.
+_MAX_OPACITY = 0.4
+
 
 @dataclass(frozen=True)
 class TransferFunction:
@@ -43,25 +46,23 @@ class TransferFunction:
         return out
 
     @classmethod
-    def hot(cls, vmin: float, vmax: float, max_opacity: float = 0.4
-            ) -> "TransferFunction":
+    def hot(cls, vmin: float, vmax: float) -> "TransferFunction":
         """Black-red-yellow-white ramp (the classic combustion palette)."""
         if vmax <= vmin:
             raise ValueError(f"vmax ({vmax}) must exceed vmin ({vmin})")
         span = vmax - vmin
         return cls((
             (vmin, 0.0, 0.0, 0.0, 0.0),
-            (vmin + 0.33 * span, 0.8, 0.1, 0.0, 0.15 * max_opacity),
-            (vmin + 0.66 * span, 1.0, 0.6, 0.0, 0.6 * max_opacity),
-            (vmax, 1.0, 1.0, 0.9, max_opacity),
+            (vmin + 0.33 * span, 0.8, 0.1, 0.0, 0.15 * _MAX_OPACITY),
+            (vmin + 0.66 * span, 1.0, 0.6, 0.0, 0.6 * _MAX_OPACITY),
+            (vmax, 1.0, 1.0, 0.9, _MAX_OPACITY),
         ))
 
     @classmethod
-    def grayscale(cls, vmin: float, vmax: float, max_opacity: float = 0.4
-                  ) -> "TransferFunction":
+    def grayscale(cls, vmin: float, vmax: float) -> "TransferFunction":
         if vmax <= vmin:
             raise ValueError(f"vmax ({vmax}) must exceed vmin ({vmin})")
         return cls((
             (vmin, 0.0, 0.0, 0.0, 0.0),
-            (vmax, 1.0, 1.0, 1.0, max_opacity),
+            (vmax, 1.0, 1.0, 1.0, _MAX_OPACITY),
         ))

@@ -54,13 +54,9 @@ class ViewSession:
     """A set of linked views over one decomposed domain."""
 
     def __init__(self, decomp: BlockDecomposition3D,
-                 views: list[ViewSpec] | None = None,
-                 highlight_color: tuple[float, float, float] = (0.1, 0.9, 0.2),
-                 highlight_opacity: float = 0.35) -> None:
+                 views: list[ViewSpec] | None = None) -> None:
         self.decomp = decomp
         self._views: dict[str, ViewSpec] = {}
-        self.highlight_color = highlight_color
-        self.highlight_opacity = highlight_opacity
         for v in views or []:
             self.add_view(v)
 
@@ -109,11 +105,11 @@ class ViewSession:
                            label: int) -> tuple[np.ndarray, np.ndarray]:
         """Premultiplied (rgb, alpha) of the selected feature's region."""
         mask = segmentation.mask(label).astype(np.float64)
-        r, g, b = self.highlight_color
+        r, g, b = 0.1, 0.9, 0.2  # the selection's green
         tf = TransferFunction((
             (0.0, r, g, b, 0.0),
             (0.5, r, g, b, 0.0),
-            (1.0, r, g, b, self.highlight_opacity),
+            (1.0, r, g, b, 0.35),
         ))
         origins, direction, t_len = view.camera.rays(self.decomp.global_shape)
         shape = np.asarray(self.decomp.global_shape, dtype=np.float64)

@@ -97,11 +97,10 @@ def march_rays(sampler: Sampler, origins: np.ndarray, direction: np.ndarray,
 
 
 def render_volume(field: np.ndarray, camera: Camera, tf: TransferFunction,
-                  step: float = 0.5, background: float = 0.0
-                  ) -> np.ndarray:
+                  step: float = 0.5) -> np.ndarray:
     """Serial reference renderer on a dense global field.
 
-    Returns an ``(H, W, 3)`` image in [0, 1].
+    Returns an ``(H, W, 3)`` image in [0, 1] on a black background.
     """
     field = np.asarray(field, dtype=np.float64)
     if field.ndim != 3:
@@ -112,6 +111,6 @@ def render_volume(field: np.ndarray, camera: Camera, tf: TransferFunction,
     def inside_domain(pos: np.ndarray) -> np.ndarray:
         return np.all((pos > -0.5) & (pos < shape - 0.5), axis=-1).astype(np.float64)
 
-    rgb, alpha = march_rays(trilinear_sampler(field), origins, direction,
-                            t_len, tf, step, sample_mask=inside_domain)
-    return rgb + (1.0 - alpha[..., None]) * background
+    rgb, _alpha = march_rays(trilinear_sampler(field), origins, direction,
+                             t_len, tf, step, sample_mask=inside_domain)
+    return rgb

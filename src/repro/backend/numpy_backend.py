@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Callable
 from typing import Any
 
@@ -58,29 +57,12 @@ def _ref(name: str) -> Callable[..., Any]:
 # (1) vmpi collectives: stacked whole-level folds
 # ---------------------------------------------------------------------------
 
-_UFUNC_BY_OP: dict[Any, np.ufunc] = {
-    operator.add: np.add,
-    operator.mul: np.multiply,
-    min: np.minimum,
-    max: np.maximum,
-}
-
-
-def _resolve_ufunc(op: Callable[[Any, Any], Any]) -> np.ufunc | None:
-    if isinstance(op, np.ufunc) and op.nin == 2:
-        return op
-    return _UFUNC_BY_OP.get(op)
-
-
 def pairwise_reduce_numpy(values: list[Any],
                           op: Callable[[Any, Any], Any]) -> Any:
-    """Tree reduction of float contributions, folding whole levels in
-    single array operations.
-
-    Identical pairing to the reference ((0,1), (2,3), …, odd tail
-    carried), so every elementwise IEEE operation sees the same operands
-    — bit-identical results. Any other payload (ndarrays included) or an
-    unrecognised operator falls back to the reference loop.
+    """Tree reduction: moment accumulators fold whole levels through
+    the vectorized merge (the reference's pairing — (0,1), (2,3), …, odd
+    tail carried — so bit-identical results); any other payload runs the
+    reference loop.
     """
     vals = list(values)
     if not vals:
@@ -89,19 +71,7 @@ def pairwise_reduce_numpy(values: list[Any],
         # Same pairing as merge_moments' tree fold — route there so the
         # whole reduction runs through the vectorized Pébay formulas.
         return merge_moments_numpy(vals)
-    ufunc = _resolve_ufunc(op)
-    if (ufunc is None or len(vals) < 2
-            or not all(isinstance(v, float) for v in vals)):
-        return _ref("vmpi.pairwise_reduce")(vals, op)
-    stack = np.array(vals, dtype=np.float64)
-    while stack.shape[0] > 1:
-        m = stack.shape[0]
-        even = m - (m % 2)
-        merged = ufunc(stack[0:even:2], stack[1:even:2])
-        if m % 2:
-            merged = np.concatenate([merged, stack[-1:]])
-        stack = merged
-    return float(stack[0])
+    return _ref("vmpi.pairwise_reduce")(vals, op)
 
 
 # ---------------------------------------------------------------------------

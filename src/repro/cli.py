@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from functools import partial
 from pathlib import Path
 
 
@@ -223,8 +224,25 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     return 0 if sched.keeps_pace() else 1
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _traced_run(args: argparse.Namespace):
+    """The run ``trace`` and ``blame`` look at, under a fresh tracer: the
+    laptop-scale functional pipeline (real kernels, wall clock) with
+    ``--functional``, the full-scale paper_4896 DES replay otherwise.
+    Returns ``(tracer, expected stage totals | None)``."""
+    if args.functional:
+        from repro.core.framework import traced_functional_run
+
+        return traced_functional_run(args.steps), None
     from repro.core import ExperimentConfig, ScaledExperiment
+
+    exp = ScaledExperiment(ExperimentConfig.paper_4896())
+    tracer, _sched, expected = exp.traced_schedule(
+        n_steps=args.steps, n_buckets=args.buckets,
+        analysis_interval=args.interval)
+    return tracer, expected
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import (
         critical_path,
         lane_summary,
@@ -234,34 +252,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
         write_jsonl,
     )
-    from repro.obs.tracer import tracing
 
     out = _resolve_out(args.out, args.out_dir, "repro_trace.json")
     jsonl = (_resolve_out(args.jsonl, args.out_dir, "repro_trace.jsonl")
              if args.jsonl else None)
 
-    if args.functional:
-        # Trace the laptop-scale functional pipeline (wall clock is the
-        # interesting axis there — in-situ Python work takes no DES time).
-        from repro.core import HybridFramework
-        from repro.sim import LiftedFlameCase, StructuredGrid3D
-        from repro.vmpi import BlockDecomposition3D
-
-        shape = (16, 12, 8)
-        with tracing() as tracer:
-            fw = HybridFramework(LiftedFlameCase(StructuredGrid3D(shape),
-                                                 seed=7),
-                                 BlockDecomposition3D(shape, (2, 2, 1)),
-                                 n_buckets=2)
-            fw.run(args.steps)
-        clock = "wall"
-        expected = None
-    else:
-        exp = ScaledExperiment(ExperimentConfig.paper_4896())
-        tracer, sched, expected = exp.traced_schedule(
-            n_steps=args.steps, n_buckets=args.buckets,
-            analysis_interval=args.interval)
-        clock = "trace"
+    tracer, expected = _traced_run(args)
+    # Wall clock is the interesting axis of the functional pipeline —
+    # in-situ Python work takes no DES time.
+    clock = "wall" if args.functional else "trace"
 
     doc = write_chrome_trace(out, tracer.trace, tracer.metrics,
                              clock=clock)
@@ -325,33 +324,14 @@ def _cmd_blame(args: argparse.Namespace) -> int:
     if args.trace:
         trace = load_trace(args.trace)
         source = args.trace
-    elif args.functional:
-        # The laptop-scale functional pipeline exercises the real
-        # analysis kernels (merge trees, statistics, collectives), so
-        # this is the mode where --top-kernels has something to rank.
-        from repro.core import HybridFramework
-        from repro.obs.tracer import tracing
-        from repro.sim import LiftedFlameCase, StructuredGrid3D
-        from repro.vmpi import BlockDecomposition3D
-
-        shape = (16, 12, 8)
-        with tracing() as tracer:
-            fw = HybridFramework(LiftedFlameCase(StructuredGrid3D(shape),
-                                                 seed=7),
-                                 BlockDecomposition3D(shape, (2, 2, 1)),
-                                 n_buckets=2)
-            fw.run(args.steps)
-        trace = tracer.trace
-        source = f"functional pipeline ({args.steps} steps)"
     else:
-        from repro.core import ExperimentConfig, ScaledExperiment
-
-        exp = ScaledExperiment(ExperimentConfig.paper_4896())
-        tracer, _sched, _expected = exp.traced_schedule(
-            n_steps=args.steps, n_buckets=args.buckets,
-            analysis_interval=args.interval)
-        trace = tracer.trace
-        source = (f"paper_4896 schedule ({args.steps} steps, "
+        # The functional pipeline exercises the real analysis kernels
+        # (merge trees, statistics, collectives), so --functional is the
+        # mode where --top-kernels has something to rank.
+        trace = _traced_run(args)[0].trace
+        source = (f"functional pipeline ({args.steps} steps)"
+                  if args.functional else
+                  f"paper_4896 schedule ({args.steps} steps, "
                   f"{args.buckets} buckets)")
 
     report = blame(trace)
@@ -381,29 +361,20 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultConfig, run_resilience_experiment
     from repro.util import TextTable
 
+    plan = partial(FaultConfig, seed=args.seed)
+    crashes = plan(crash_rate=args.crash_rate, horizon=args.horizon)
     scenarios: list[tuple[str, FaultConfig, dict]] = [
-        ("baseline", FaultConfig(seed=args.seed), {}),
-        ("flaky pulls",
-         FaultConfig(seed=args.seed, pull_failure_rate=args.pull_failure_rate),
-         {}),
-        ("stalls",
-         FaultConfig(seed=args.seed, pull_stall_rate=args.pull_stall_rate,
-                     pull_stall_seconds=args.stall_seconds),
-         {}),
-        ("crashes",
-         FaultConfig(seed=args.seed, crash_rate=args.crash_rate,
-                     horizon=args.horizon),
-         {}),
-        ("crashes+restart",
-         FaultConfig(seed=args.seed, crash_rate=args.crash_rate,
-                     horizon=args.horizon),
+        ("baseline", plan(), {}),
+        ("flaky pulls", plan(pull_failure_rate=args.pull_failure_rate), {}),
+        ("stalls", plan(pull_stall_rate=args.pull_stall_rate,
+                        pull_stall_seconds=args.stall_seconds), {}),
+        ("crashes", crashes, {}),
+        ("crashes+restart", crashes,
          {"bucket_restart_delay": 2.0e-3,
           "max_bucket_restarts": 2 * args.buckets}),
         ("staging down",
-         FaultConfig(seed=args.seed,
-                     crash_times=tuple(1.0e-3 * (i + 1)
-                                       for i in range(args.buckets))),
-         {}),
+         plan(crash_times=tuple(1.0e-3 * (i + 1)
+                                for i in range(args.buckets))), {}),
     ]
     table = TextTable(["scenario", "crashes", "pull faults", "retries",
                        "reassigned", "restarts", "fallback", "failed",
@@ -602,11 +573,13 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         policies = ((MetricPolicy("wall.*", gate=False),)
                     + overrides + DEFAULT_POLICIES)
 
+    def fresh_record(source: str):
+        return collect_run_record(n_steps=args.steps, n_buckets=args.buckets,
+                                  source=source, perturb=perturb,
+                                  fault_seed=args.seed)
+
     if args.action == "record":
-        record = collect_run_record(n_steps=args.steps,
-                                    n_buckets=args.buckets,
-                                    source=args.source, perturb=perturb,
-                                    fault_seed=args.seed)
+        record = fresh_record(args.source)
         path = store.append(record)
         print(f"recorded run {record.run_id} "
               f"(git {record.git_sha or 'n/a'}) -> {path}")
@@ -625,10 +598,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                   f"{baseline_store.root}` first")
             return 2
         baseline = Baseline.from_records(base_records, window=args.window)
-        record = collect_run_record(n_steps=args.steps,
-                                    n_buckets=args.buckets,
-                                    source="compare", perturb=perturb,
-                                    fault_seed=args.seed)
+        record = fresh_record("compare")
         report = compare_record(record, baseline, policies)
         print(report.table())
         usages = record.meta.get("top_kernels") or []
@@ -723,24 +693,39 @@ def _parse_quota_flags(pairs: list[str]) -> list:
     return quotas
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.perf import RunStore
-    from repro.service import CampaignService, ScheduleCache, TenantQuota
+def _batch(args: argparse.Namespace):
+    """What ``serve`` and ``top`` drain: the batch file's job specs, and
+    the service constructor with the worker pool and the quotas (batch
+    lines, then ``--quota`` flags, then ``--default-quota``) filled in."""
+    from repro.service import CampaignService, TenantQuota
 
     specs, quotas = _load_batch(Path(args.jobs))
     if not specs:
         raise SystemExit(f"batch file {args.jobs} holds no jobs")
     quotas += _parse_quota_flags(args.quota)
+    return specs, partial(
+        CampaignService, workers=args.workers, quotas=quotas,
+        default_quota=TenantQuota("*", max_concurrent=args.default_quota))
 
+
+def _report_failed(report, file) -> int:
+    """Name each failed job of a drained batch; 1 if there is one."""
+    failed = [j for j in report.jobs if j.state.value == "failed"]
+    for job in failed:
+        print(f"FAILED {job.job_id}: {job.error}", file=file)
+    return 1 if failed else 0
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.obs.perf import RunStore
+    from repro.service import ScheduleCache
+
+    specs, make_service = _batch(args)
     state = _service_state(args)
-    service = CampaignService(
-        workers=args.workers,
-        quotas=quotas,
-        default_quota=TenantQuota("*", max_concurrent=args.default_quota),
-        cache=ScheduleCache(state / "cache"),
-        jobs_store=RunStore(state / "jobs"))
+    service = make_service(cache=ScheduleCache(state / "cache"),
+                           jobs_store=RunStore(state / "jobs"))
     report = service.run_batch(specs)
 
     print(report.table())
@@ -754,15 +739,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    encoding="utf-8")
     print(f"wrote {out}")
 
-    failed = [j for j in report.jobs if j.state.value == "failed"]
-    stuck = [j for j in report.jobs if j.state.value not in ("done", "failed")]
-    rc = 0
-    for job in failed:
-        print(f"FAILED {job.job_id}: {job.error}")
-        rc = 1
-    for job in stuck:
-        print(f"STUCK {job.job_id}: still {job.state.value} after drain")
-        rc = 1
+    rc = _report_failed(report, sys.stdout)
+    for job in report.jobs:
+        if job.state.value not in ("done", "failed"):
+            print(f"STUCK {job.job_id}: still {job.state.value} after drain")
+            rc = 1
     if args.min_cache_hit_rate is not None \
             and report.cache_hit_rate < args.min_cache_hit_rate:
         print(f"CACHE MISS RATE TOO HIGH: hit rate "
@@ -787,13 +768,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
         event_to_json,
         render_top,
     )
-    from repro.service import CampaignService, ScheduleCache, TenantQuota
+    from repro.service import ScheduleCache
 
-    specs, quotas = _load_batch(Path(args.jobs))
-    if not specs:
-        raise SystemExit(f"batch file {args.jobs} holds no jobs")
-    quotas += _parse_quota_flags(args.quota)
-
+    specs, make_service = _batch(args)
     bus = TelemetryBus(capacity=args.capacity)
     sub = bus.subscribe("cli")
     # The live plane needs a recording tracer: the bus hooks live on
@@ -808,12 +785,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
         # a warmed cache (which would change the event stream).
         cache = (ScheduleCache(_anchor(args.state_dir) / "cache")
                  if args.state_dir else None)
-        service = CampaignService(
-            workers=args.workers,
-            quotas=quotas,
-            default_quota=TenantQuota("*", max_concurrent=args.default_quota),
-            cache=cache,
-            bus=bus,
+        service = make_service(
+            cache=cache, bus=bus,
             objectives=default_objectives(
                 queue_wait_target=args.queue_wait_slo,
                 slowdown_target=args.slowdown_slo),
@@ -881,11 +854,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if out_fh is not None:
         print(f"wrote {out_path}", file=sys.stderr)
 
-    rc = 0
-    for job in report.jobs:
-        if job.state.value == "failed":
-            print(f"FAILED {job.job_id}: {job.error}", file=sys.stderr)
-            rc = 1
+    rc = _report_failed(report, sys.stderr)
     for tenant in args.expect_alerts:
         if not by_tenant.get(tenant):
             print(f"EXPECTED ALERTS for tenant {tenant!r}, got none",
@@ -974,26 +943,61 @@ def build_parser() -> argparse.ArgumentParser:
                              "REPRO_BACKEND environment variable")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flag groups several verbs share, each declared once (argparse
+    # ``parents=``).
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default="repro_out",
+                         help="artifact directory (default: repro_out/)")
+
+    def replay(steps: int | None = None, buckets: int | None = None,
+               interval: bool = False) -> argparse.ArgumentParser:
+        """``--steps``, ``--buckets`` (each at the verb's own default,
+        None = the verb has no such flag) and ``--interval`` for the
+        verbs that replay a cadence."""
+        flags = argparse.ArgumentParser(add_help=False)
+        if steps is not None:
+            flags.add_argument("--steps", type=int, default=steps)
+        if buckets is not None:
+            flags.add_argument("--buckets", type=int, default=buckets)
+        if interval:
+            flags.add_argument("--interval", type=int, default=1,
+                               help="analysis interval (steps between "
+                                    "analysed steps)")
+        return flags
+
+    batch = argparse.ArgumentParser(add_help=False, parents=[out_dir])
+    batch.add_argument("--jobs", required=True,
+                       help="JSONL batch file (one job spec per line; "
+                            '{"quota": {...}} lines set tenant quotas)')
+    batch.add_argument("--workers", type=int, default=2,
+                       help="DES worker pool size (default: 2)")
+    batch.add_argument("--quota", action="append", default=[],
+                       metavar="TENANT=N",
+                       help="max concurrent jobs for a tenant (repeatable); "
+                            "overrides quota lines in the batch file")
+    batch.add_argument("--default-quota", type=int, default=2,
+                       help="max concurrent jobs for tenants without an "
+                            "explicit quota (default: 2)")
+
     sub.add_parser("tables", help="print the Table I/II reproductions")
 
-    p = sub.add_parser("simulate", help="run the functional hybrid pipeline")
-    p.add_argument("--steps", type=int, default=5)
+    p = sub.add_parser("simulate", help="run the functional hybrid pipeline",
+                       parents=[replay(5, 4)])
     p.add_argument("--grid", type=int, nargs=3, default=[24, 16, 12])
     p.add_argument("--ranks", type=int, nargs=3, default=[2, 2, 2])
-    p.add_argument("--buckets", type=int, default=4)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--streaming", action="store_true",
                    help="stream the topology glue (§VI mode)")
     p.add_argument("--report", action="store_true",
                    help="print the full run report (tasks, occupancy)")
 
-    p = sub.add_parser("track", help="feature tracking (Fig. 1)")
-    p.add_argument("--steps", type=int, default=12)
+    p = sub.add_parser("track", help="feature tracking (Fig. 1)",
+                       parents=[replay(steps=12)])
     p.add_argument("--threshold", type=float, default=1.6)
     p.add_argument("--seed", type=int, default=11)
 
-    p = sub.add_parser("render", help="render both visualization modes")
-    p.add_argument("--steps", type=int, default=5)
+    p = sub.add_parser("render", help="render both visualization modes",
+                       parents=[replay(steps=5)])
     p.add_argument("--stride", type=int, default=2)
     p.add_argument("--size", type=int, default=48)
     p.add_argument("--seed", type=int, default=3)
@@ -1003,17 +1007,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-stride", type=int, default=400)
     p.add_argument("--run-steps", type=int, default=2000)
 
-    p = sub.add_parser("schedule", help="full-scale staging schedule replay")
-    p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--buckets", type=int, default=8)
+    sub.add_parser("schedule", help="full-scale staging schedule replay",
+                   parents=[replay(8, 8)])
 
-    p = sub.add_parser("trace", help="traced schedule replay -> Chrome trace")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--buckets", type=int, default=8)
-    p.add_argument("--interval", type=int, default=1,
-                   help="analysis interval (steps between analysed steps)")
-    p.add_argument("--out-dir", default="repro_out",
-                   help="artifact directory (default: repro_out/)")
+    p = sub.add_parser("trace", help="traced schedule replay -> Chrome trace",
+                       parents=[replay(10, 8, interval=True), out_dir])
     p.add_argument("--out", default=None,
                    help="Chrome trace-event output path "
                         "(default: <out-dir>/repro_trace.json)")
@@ -1032,11 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: <out-dir>/trace_diff.html)")
 
     p = sub.add_parser("blame", help="latency blame attribution over the "
-                                     "causal flow graph")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--buckets", type=int, default=8)
-    p.add_argument("--interval", type=int, default=1,
-                   help="analysis interval (steps between analysed steps)")
+                                     "causal flow graph",
+                       parents=[replay(10, 8, interval=True), out_dir])
     p.add_argument("--trace", default=None,
                    help="attribute an existing trace export (JSONL or "
                         "Chrome JSON) instead of replaying the schedule")
@@ -1046,16 +1041,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-kernels", type=int, default=0, metavar="N",
                    help="also rank the top N kernels by wall time "
                         "(kernel-tagged spans from the backend seam)")
-    p.add_argument("--out-dir", default="repro_out",
-                   help="artifact directory (default: repro_out/)")
     p.add_argument("--json", default=None,
                    help="blame report JSON path "
                         "(default: <out-dir>/repro_blame.json)")
 
     p = sub.add_parser("faults", help="staging resilience under fault "
-                                      "injection")
+                                      "injection",
+                       parents=[replay(buckets=4)])
     p.add_argument("--tasks", type=int, default=32)
-    p.add_argument("--buckets", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pull-failure-rate", type=float, default=0.10)
     p.add_argument("--pull-stall-rate", type=float, default=0.10)
@@ -1067,11 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("control", help="adaptive in-situ/in-transit "
                                        "controller vs static split under "
-                                       "injected faults")
-    p.add_argument("--steps", type=int, default=12)
-    p.add_argument("--buckets", type=int, default=4)
-    p.add_argument("--interval", type=int, default=1,
-                   help="analysis interval (steps between analysed steps)")
+                                       "injected faults",
+                       parents=[replay(12, 4, interval=True), out_dir])
     p.add_argument("--seed", type=int, default=0,
                    help="fault-injection seed (decision log is "
                         "deterministic per seed)")
@@ -1088,8 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analysed steps per control decision window")
     p.add_argument("--cooldown", type=int, default=2,
                    help="cooldown windows between same-actuator decisions")
-    p.add_argument("--out-dir", default="repro_out",
-                   help="artifact directory (default: repro_out/)")
     p.add_argument("--json", default=None,
                    help="decision-log artifact path "
                         "(default: <out-dir>/repro_control.json)")
@@ -1097,11 +1085,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 unless the adaptive makespan is <= static")
 
     p = sub.add_parser("capacity", help="byte-accurate staging-memory and "
-                                        "NIC-bandwidth ledger report")
-    p.add_argument("--steps", type=int, default=6)
-    p.add_argument("--buckets", type=int, default=4)
-    p.add_argument("--interval", type=int, default=1,
-                   help="analysis interval (steps between analysed steps)")
+                                        "NIC-bandwidth ledger report",
+                       parents=[replay(6, 4, interval=True), out_dir])
     p.add_argument("--shards", type=int, default=1,
                    help="DataSpaces shards per tenant replay")
     p.add_argument("--tenants", nargs="+", default=["alpha", "beta"],
@@ -1113,8 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leak-bytes", type=int, default=1 << 20,
                    help="size of the injected leaked region "
                         "(default: 1 MiB)")
-    p.add_argument("--out-dir", default="repro_out",
-                   help="artifact directory (default: repro_out/)")
     p.add_argument("--json", default=None,
                    help="capacity report JSON path "
                         "(default: <out-dir>/repro_capacity.json)")
@@ -1128,22 +1111,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "unless the injected leak is detected)")
 
     p = sub.add_parser("perf", help="cross-run records, regression gate, "
-                                    "HTML dashboard")
+                                    "HTML dashboard",
+                       parents=[replay(10, 8), out_dir])
     p.add_argument("action", choices=("record", "compare", "report"),
                    help="record: append a run record to the store; "
                         "compare: gate a fresh run against the baseline "
                         "(exit 1 on regression); report: write the HTML "
                         "dashboard")
-    p.add_argument("--out-dir", default="repro_out",
-                   help="artifact directory (default: repro_out/)")
     p.add_argument("--store", default=None,
                    help="run-store directory (default: <out-dir>/perf)")
     p.add_argument("--baseline", default="benchmarks/results/baseline",
                    help="committed baseline store directory")
     p.add_argument("--window", type=int, default=5,
                    help="baseline rolling window (last N records)")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--buckets", type=int, default=8)
     p.add_argument("--seed", type=int, default=0,
                    help="fault-injection seed for the recovery phase")
     p.add_argument("--source", default="cli",
@@ -1162,21 +1142,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "<out-dir>/perf_dashboard.html)")
 
     p = sub.add_parser("serve", help="drain a multi-tenant campaign batch "
-                                     "through the service layer")
-    p.add_argument("--jobs", required=True,
-                   help="JSONL batch file (one job spec per line; "
-                        '{"quota": {...}} lines set tenant quotas)')
-    p.add_argument("--workers", type=int, default=2,
-                   help="DES worker pool size (default: 2)")
-    p.add_argument("--quota", action="append", default=[],
-                   metavar="TENANT=N",
-                   help="max concurrent jobs for a tenant (repeatable); "
-                        "overrides quota lines in the batch file")
-    p.add_argument("--default-quota", type=int, default=2,
-                   help="max concurrent jobs for tenants without an "
-                        "explicit quota (default: 2)")
-    p.add_argument("--out-dir", default="repro_out",
-                   help="artifact directory (default: repro_out/)")
+                                     "through the service layer",
+                       parents=[batch])
     p.add_argument("--state-dir", default=None,
                    help="service state directory holding the schedule "
                         "cache and job records "
@@ -1193,20 +1160,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "one job (quota-enforcement smoke check)")
 
     p = sub.add_parser("top", help="live view of a draining campaign batch "
-                                   "(telemetry bus + burn-rate alerts)")
-    p.add_argument("--jobs", required=True,
-                   help="JSONL batch file (one job spec per line; "
-                        '{"quota": {...}} lines set tenant quotas)')
-    p.add_argument("--workers", type=int, default=2,
-                   help="DES worker pool size (default: 2)")
-    p.add_argument("--quota", action="append", default=[],
-                   metavar="TENANT=N",
-                   help="max concurrent jobs for a tenant (repeatable)")
-    p.add_argument("--default-quota", type=int, default=2,
-                   help="max concurrent jobs for tenants without an "
-                        "explicit quota (default: 2)")
-    p.add_argument("--out-dir", default="repro_out",
-                   help="artifact directory (default: repro_out/)")
+                                   "(telemetry bus + burn-rate alerts)",
+                       parents=[batch])
     p.add_argument("--state-dir", default=None,
                    help="persist the schedule cache here (default: "
                         "in-memory, so same-seed reruns replay "
@@ -1250,7 +1205,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if this tenant raised any alert "
                         "(repeatable; smoke-test gate)")
 
-    p = sub.add_parser("submit", help="append one job to a JSONL batch file")
+    p = sub.add_parser("submit", help="append one job to a JSONL batch file",
+                       parents=[replay(10, 8, interval=True)])
     p.add_argument("--jobs", required=True,
                    help="JSONL batch file to append to (created if missing)")
     p.add_argument("--tenant", required=True)
@@ -1258,10 +1214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="paper_4896",
                    choices=("paper_4896", "paper_9440"),
                    help="machine allocation to replay (Table I column)")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--buckets", type=int, default=8)
-    p.add_argument("--interval", type=int, default=1,
-                   help="analysis interval (steps between analysed steps)")
     p.add_argument("--analyses", nargs="+", default=None,
                    metavar="VARIANT",
                    help="analytics variants (default: the three hybrid "
@@ -1285,9 +1237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stall-seconds", type=float, default=0.0,
                    help="wire seconds each stalled pull loses")
 
-    p = sub.add_parser("jobs", help="list completed service job records")
-    p.add_argument("--out-dir", default="repro_out",
-                   help="artifact directory (default: repro_out/)")
+    p = sub.add_parser("jobs", help="list completed service job records",
+                       parents=[out_dir])
     p.add_argument("--state-dir", default=None,
                    help="service state directory "
                         "(default: <out-dir>/service)")

@@ -382,34 +382,30 @@ class PlacementController:
         # Shared-space decision history, the way steering events are kept.
         self._ds.put("controller", len(self.decisions), decision)
         tracer = get_tracer()
-        if tracer.enabled:
-            tracer.counter("controller.decisions")
-            if kind == "pool":
-                grew = int(after) > int(before)
-                tracer.counter("controller.pool_grow" if grew
-                               else "controller.pool_shrink")
-            else:
-                tracer.counter("controller.push_intransit"
-                               if after == PLACE_INTRANSIT
-                               else "controller.pull_insitu")
-            tracer.instant("controller.decision", lane="controller",
-                           kind=kind, subject=subject, before=before,
-                           after=after, window=sig.window)
-            if tracer.bus is not None:
-                ctx = tracer.context_tags()
-                tracer.bus.publish(
-                    "decision", f"controller.{kind}", t=sig.t_end,
-                    lane="controller", tenant=ctx.get("tenant"),
-                    job_id=ctx.get("job"), subject=subject, before=before,
-                    after=after, window=sig.window,
-                    message=f"{kind} {subject}: {before} -> {after} "
-                            f"({reason})")
+        tracer.counter("controller.decisions")
+        if kind == "pool":
+            grew = int(after) > int(before)
+            tracer.counter("controller.pool_grow" if grew
+                           else "controller.pool_shrink")
+        else:
+            tracer.counter("controller.push_intransit"
+                           if after == PLACE_INTRANSIT
+                           else "controller.pull_insitu")
+        tracer.instant("controller.decision", lane="controller",
+                       kind=kind, subject=subject, before=before,
+                       after=after, window=sig.window)
+        if tracer.bus is not None:
+            ctx = tracer.context_tags()
+            tracer.bus.publish(
+                "decision", f"controller.{kind}", t=sig.t_end,
+                lane="controller", tenant=ctx.get("tenant"),
+                job_id=ctx.get("job"), subject=subject, before=before,
+                after=after, window=sig.window,
+                message=f"{kind} {subject}: {before} -> {after} "
+                        f"({reason})")
 
     def _mirror_metrics(self, sig: WindowSignals) -> None:
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return
-        m = tracer.metrics
+        m = get_tracer().metrics
         m.gauge("controller.queue_wait_share").set(sig.queue_wait_share)
         m.gauge("controller.transport_share").set(sig.transport_share)
         m.gauge("controller.insitu_share").set(sig.insitu_share)

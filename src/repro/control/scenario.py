@@ -45,14 +45,14 @@ class ControlReport:
             return 1.0
         return self.static_makespan / self.adaptive_makespan
 
-    def to_metrics(self, prefix: str = "controller") -> dict[str, float]:
+    def to_metrics(self) -> dict[str, float]:
         """Flatten to perf-dashboard metrics."""
         return {
-            f"{prefix}.static_makespan_s": self.static_makespan,
-            f"{prefix}.adaptive_makespan_s": self.adaptive_makespan,
-            f"{prefix}.speedup": self.speedup,
-            f"{prefix}.decisions": float(len(self.controller.decisions)),
-            f"{prefix}.pool_final": float(
+            "controller.static_makespan_s": self.static_makespan,
+            "controller.adaptive_makespan_s": self.adaptive_makespan,
+            "controller.speedup": self.speedup,
+            "controller.decisions": float(len(self.controller.decisions)),
+            "controller.pool_final": float(
                 self.controller.pool_trajectory[-1][1]
                 if self.controller.pool_trajectory else 0),
         }

@@ -48,7 +48,8 @@ from repro.analysis.visualization.downsample import (
 )
 from repro.analysis.visualization.transfer_function import TransferFunction
 from repro.des import Engine
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import Tracer, get_tracer, tracing
+from repro.sim.grid import StructuredGrid3D
 from repro.sim.lifted_flame import LiftedFlameCase
 from repro.sim.s3d import DecomposedS3D
 from repro.staging.dataspaces import DataSpaces
@@ -82,25 +83,26 @@ class FrameworkResult:
 
 
 class HybridFramework:
-    """High-level driver of the hybrid in-situ/in-transit workflow."""
+    """High-level driver of the hybrid in-situ/in-transit workflow.
+
+    Topology, rendering and autocorrelation analyse the temperature
+    field; ``stats_variables`` picks what the statistics stage reads.
+    """
 
     KNOWN_ANALYSES = ("statistics", "topology", "visualization",
                       "visualization_insitu", "autocorrelation")
+    #: Longest lag of the temporal autocorrelation of T (§VI extension).
+    AUTOCORRELATION_MAX_LAG = 3
 
     def __init__(self, case: LiftedFlameCase, decomp: BlockDecomposition3D,
                  analyses: tuple[str, ...] = ("statistics", "topology",
                                               "visualization"),
                  stats_variables: tuple[str, ...] = ("T", "H2", "OH"),
-                 topology_variable: str = "T",
-                 render_variable: str = "T",
                  downsample_stride: int = 2,
                  camera: Camera | None = None,
-                 transfer_function: TransferFunction | None = None,
                  n_buckets: int = 4,
                  keep_fields: bool = False,
                  streaming_topology: bool = False,
-                 autocorrelation_variable: str = "T",
-                 autocorrelation_max_lag: int = 3,
                  steering: tuple = ()) -> None:
         for a in analyses:
             if a not in self.KNOWN_ANALYSES:
@@ -110,18 +112,11 @@ class HybridFramework:
         self.decomp = decomp
         self.analyses = tuple(analyses)
         self.stats_variables = tuple(stats_variables)
-        self.topology_variable = topology_variable
-        self.render_variable = render_variable
         self.downsample_stride = downsample_stride
         self.camera = camera or Camera(image_shape=(32, 32))
-        self.tf = transfer_function
         self.n_buckets = n_buckets
         self.keep_fields = keep_fields
         self.streaming_topology = streaming_topology
-        self.autocorrelation_variable = autocorrelation_variable
-        if autocorrelation_max_lag < 1:
-            raise ValueError("autocorrelation_max_lag must be >= 1")
-        self.autocorrelation_max_lag = autocorrelation_max_lag
         self.steering = tuple(steering)
         #: Live analysis cadence; steering rules may change it mid-run.
         self.analysis_interval = 1
@@ -143,7 +138,7 @@ class HybridFramework:
                                 for b in decomp.blocks()]
         self._stats_engine = StatisticsEngine(VirtualComm(decomp.n_ranks))
         self._autocorr_learners = [
-            AutocorrelationLearner(self.autocorrelation_max_lag)
+            AutocorrelationLearner(self.AUTOCORRELATION_MAX_LAG)
             for _ in range(decomp.n_ranks)
         ] if "autocorrelation" in self.analyses else []
 
@@ -154,8 +149,6 @@ class HybridFramework:
 
     def _transfer_function(self, field_min: float, field_max: float
                            ) -> TransferFunction:
-        if self.tf is not None:
-            return self.tf
         return TransferFunction.hot(field_min, max(field_max, field_min + 1e-9))
 
     def _submit_statistics(self, step: int) -> None:
@@ -179,7 +172,7 @@ class HybridFramework:
 
     def _submit_topology(self, step: int) -> None:
         boundary_trees = compute_boundary_trees(
-            [part[self.topology_variable] for part in self.solver.parts],
+            [part["T"] for part in self.solver.parts],
             self._block_ids, self._boundary_masks)
         descs = [self.transport.register(f"sim-{rank}", bt,
                                          nbytes=bt.nbytes,
@@ -218,7 +211,7 @@ class HybridFramework:
     def _submit_visualization(self, step: int) -> None:
         blocks = []
         for rank, block in enumerate(self.decomp.blocks()):
-            values = self.solver.parts[rank][self.render_variable]
+            values = self.solver.parts[rank]["T"]
             blocks.append(downsample_block(values, block.lo, block.hi,
                                            self.downsample_stride))
         field_min = min(float(b.data.min()) for b in blocks)
@@ -240,7 +233,7 @@ class HybridFramework:
     def _observe_autocorrelation(self) -> None:
         """Per-step in-situ stage: feed each rank's block to its learner."""
         for learner, part in zip(self._autocorr_learners, self.solver.parts):
-            learner.observe(part[self.autocorrelation_variable])
+            learner.observe(part["T"])
 
     def _submit_autocorrelation(self, step: int) -> None:
         """Ship packed lag partials; serial in-transit derive of rho(k)."""
@@ -248,14 +241,14 @@ class HybridFramework:
         descs = [self.transport.register(f"sim-{rank}", vec,
                                          meta={"rank": rank})
                  for rank, vec in enumerate(packed)]
-        max_lag = self.autocorrelation_max_lag
+        max_lag = self.AUTOCORRELATION_MAX_LAG
 
         self.dataspaces.submit_grouped_result(
             "autocorrelation", step, descs,
             compute=lambda payloads: derive_autocorrelation(payloads, max_lag))
 
     def _render_insitu(self, step: int, result: FrameworkResult) -> None:
-        field = self._gather(self.render_variable)
+        field = self._gather("T")
         tf = self._transfer_function(float(field.min()), float(field.max()))
         result.insitu_images[step] = render_blocks_insitu(
             field, self.decomp, self.camera, tf)
@@ -384,3 +377,15 @@ class HybridFramework:
                     result.steering_events.append(event)
                     self.dataspaces.put("steering", len(result.steering_events),
                                         event)
+
+
+def traced_functional_run(n_steps: int) -> Tracer:
+    """Run the laptop-scale pipeline every traced front door looks at —
+    a 16x12x8 lifted flame over 2x2x1 ranks, two buckets, the default
+    analyses — for ``n_steps`` under a fresh tracer, and return it."""
+    shape = (16, 12, 8)
+    with tracing() as tracer:
+        HybridFramework(LiftedFlameCase(StructuredGrid3D(shape), seed=7),
+                        BlockDecomposition3D(shape, (2, 2, 1)),
+                        n_buckets=2).run(n_steps)
+    return tracer

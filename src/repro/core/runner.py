@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.breakdown import AnalyticsTiming, TimingBreakdown
 from repro.core.workload import HYBRID_VARIANTS, AnalyticsVariant, ScaledWorkload
@@ -29,12 +27,19 @@ from repro.costmodel.models import CostModel
 from repro.des import Engine
 from repro.io.fpp import IOTimeModel
 from repro.machine.specs import MachineSpec, jaguar_xk6
-from repro.obs.probes import ProbeSampler, default_slos, standard_probes
+from repro.obs.probes import ProbeSampler, default_slos
 from repro.obs.tracer import Tracer, get_tracer, tracing
 from repro.staging.dataspaces import DataSpaces
 from repro.staging.descriptors import TaskResult
 from repro.staging.scheduler import AssignmentRecord
 from repro.transport.dart import DartTransport
+
+if TYPE_CHECKING:
+    from repro.control.controller import PlacementController
+    from repro.faults.injector import FaultConfig, FaultInjector
+    from repro.obs.capacity import CapacityLedger, CapacityReport
+    from repro.obs.tracer import SpanRecord
+    from repro.service.shards import ShardBalanceReport, ShardedDataSpaces
 
 PAPER_GLOBAL_SHAPE = (1600, 1372, 430)
 
@@ -90,22 +95,21 @@ class ScheduleResult:
     #: Live-probe sampler attached to the replay (``probe_interval``
     #: given under tracing), carrying gauge time series and SLO alerts.
     probes: "ProbeSampler | None" = None
-    #: Per-shard load report (a :class:`repro.service.shards.ShardBalanceReport`)
-    #: when the replay ran on sharded staging (``n_shards > 1``); None on
-    #: the classic single-space path.
-    shard_balance: Any | None = None
-    #: The :class:`repro.control.PlacementController` that rode the replay
-    #: (``controller=`` given), carrying its decision log, windowed
-    #: signals, and pool-size trajectory.
-    controller: Any | None = None
-    #: The attached :class:`repro.faults.FaultInjector` when the replay
-    #: ran under an injected fault plan (``fault_config=`` given).
-    faults: Any | None = None
-    #: The finalized :class:`repro.obs.capacity.CapacityReport` when a
-    #: capacity ledger rode the replay (``capacity=`` given, or tracing
-    #: enabled) — measured resident-bytes watermarks, NIC occupancy,
-    #: leak scan and headroom vs the analytic bound.
-    capacity: Any | None = None
+    #: Per-shard load report when the replay ran on sharded staging
+    #: (``n_shards > 1``); None on the classic single-space path.
+    shard_balance: ShardBalanceReport | None = None
+    #: The controller that rode the replay (``controller=`` given),
+    #: carrying its decision log, windowed signals, and pool-size
+    #: trajectory.
+    controller: PlacementController | None = None
+    #: The attached injector when the replay ran under an injected fault
+    #: plan (``fault_config=`` given).
+    faults: FaultInjector | None = None
+    #: The finalized report when a capacity ledger rode the replay
+    #: (``capacity=`` given, or tracing enabled) — measured resident-bytes
+    #: watermarks, NIC occupancy, leak scan and headroom vs the analytic
+    #: bound.
+    capacity: CapacityReport | None = None
 
     def max_queue_wait(self) -> float:
         return max((r.queue_wait for r in self.results), default=0.0)
@@ -276,9 +280,10 @@ class ScaledExperiment:
                      lease_timeout: float | None = None,
                      bucket_restart_delay: float | None = None,
                      max_bucket_restarts: int = 0,
-                     controller: Any | None = None,
-                     fault_config: Any | None = None,
-                     capacity: Any | None = None) -> ScheduleResult:
+                     controller: PlacementController | None = None,
+                     fault_config: FaultConfig | None = None,
+                     capacity: CapacityLedger | bool | None = None
+                     ) -> ScheduleResult:
         """Replay ``n_steps`` of the hybrid workflow on the DES.
 
         One grouped in-transit task per (hybrid analysis, analysed step)
@@ -340,26 +345,20 @@ class ScaledExperiment:
 
         engine = Engine()
         if n_shards == 1:
-            transport = DartTransport(engine, self.machine.network)
-            ds: Any = DataSpaces(
-                engine, transport,
-                n_servers=max(1, self.config.n_service_cores),
-                cost_model=self._service_cost_model(),
-                lease_timeout=lease_timeout,
-                bucket_restart_delay=bucket_restart_delay,
-                max_bucket_restarts=max_bucket_restarts)
-            probe_map = standard_probes(ds, transport)
+            staging = partial(DataSpaces, engine,
+                              DartTransport(engine, self.machine.network))
         else:
             # Lazy import: repro.service depends on this module.
             from repro.service.shards import ShardedDataSpaces
-            ds = ShardedDataSpaces(
-                engine, self.machine.network, n_shards=n_shards,
-                n_servers=max(1, self.config.n_service_cores),
-                cost_model=self._service_cost_model(),
-                lease_timeout=lease_timeout,
-                bucket_restart_delay=bucket_restart_delay,
-                max_bucket_restarts=max_bucket_restarts)
-            probe_map = ds.probe_map()
+            staging = partial(ShardedDataSpaces, engine,
+                              self.machine.network, n_shards=n_shards)
+        ds: DataSpaces | ShardedDataSpaces = staging(
+            n_servers=max(1, self.config.n_service_cores),
+            cost_model=self._service_cost_model(),
+            lease_timeout=lease_timeout,
+            bucket_restart_delay=bucket_restart_delay,
+            max_bucket_restarts=max_bucket_restarts)
+        probe_map = ds.probe_map()
         ds.spawn_buckets([f"staging-{i}" for i in range(n_buckets)])
 
         ledger = None
@@ -373,12 +372,8 @@ class ScaledExperiment:
             ledger.bind_clock(partial(getattr, engine, "now"))
             ledger.analytic_bound_bytes = self.staging_memory_needed(
                 analysis_interval, n_buckets)
-            if n_shards == 1:
-                ledger.attach_transport(transport, shard="shard0")
-            else:
-                for i, shard_transport in enumerate(ds.transports):
-                    ledger.attach_transport(shard_transport,
-                                            shard=f"shard{i}")
+            for i, transport in enumerate(ds.transports):
+                ledger.attach_transport(transport, shard=f"shard{i}")
 
         injector = None
         if fault_config is not None:
@@ -396,11 +391,32 @@ class ScaledExperiment:
         sim_dt = self.simulation_step_time()
         # Each analysed step charges the in-situ stages on the sim cores;
         # submissions happen at the end of the stretched step.
-        insitu_total = sum(
-            self.cost.time(*self.workload.insitu_op(v)) for v in analyses)
+        insitu_total = self._insitu_total(analyses)
         nbytes = {v: self.analytics_timing(v).movement_bytes for v in analyses}
         tracer = get_tracer()
         insitu_results: list[TaskResult] = []
+
+        def submit(step: int, src: SpanRecord | None,
+                   placed_insitu: frozenset = frozenset()) -> None:
+            # Anchor each submitted task's causal flow at the producing
+            # in-situ span (sim span if no in-situ work).
+            ds.flow_src = src
+            try:
+                for variant in analyses:
+                    if variant in placed_insitu:
+                        continue
+                    ds.submit_insitu_result(
+                        analysis=variant.value,
+                        timestep=step,
+                        source_node=f"sim-agg-{step}",
+                        payload=None,
+                        nbytes=nbytes[variant],
+                        cost_op=f"service.{variant.name}",
+                        cost_elements=1,
+                    )
+            finally:
+                ds.flow_src = None
+
         if controller is None:
             t = 0.0
             for step in range(n_steps):
@@ -422,27 +438,7 @@ class ScaledExperiment:
                                                    category="insitu",
                                                    stage="insitu", step=step)
                     t += insitu_total
-
-                    def submit(when_step: int = step, src=src_span) -> None:
-                        # Anchor each submitted task's causal flow at the
-                        # producing in-situ span (sim span if no in-situ
-                        # work).
-                        ds.flow_src = src
-                        try:
-                            for variant in analyses:
-                                ds.submit_insitu_result(
-                                    analysis=variant.value,
-                                    timestep=when_step,
-                                    source_node=f"sim-agg-{when_step}",
-                                    payload=None,
-                                    nbytes=nbytes[variant],
-                                    cost_op=f"service.{variant.name}",
-                                    cost_elements=1,
-                                )
-                        finally:
-                            ds.flow_src = None
-
-                    engine.call_at(t, submit)
+                    engine.call_at(t, partial(submit, step, src_span))
             # Shutdown only after the last submission has been issued (the
             # drain logic then waits for outstanding tasks to finish).
             engine.call_at(t, ds.shutdown_buckets)
@@ -456,8 +452,6 @@ class ScaledExperiment:
                                  n_buckets=n_buckets,
                                  analysis_interval=analysis_interval,
                                  probe_map=probe_map)
-            insitu_base = {v: self.cost.time(*self.workload.insitu_op(v))
-                           for v in analyses}
             intransit_extra = {v: self.analytics_timing(v).intransit_time
                                for v in analyses}
             window = controller.policy.window
@@ -476,9 +470,8 @@ class ScaledExperiment:
                     if step % analysis_interval != 0:
                         continue
                     t_in0 = engine.now
-                    base = sum(insitu_base[v] for v in analyses)
-                    if base > 0.0:
-                        yield engine.timeout(base)
+                    if insitu_total > 0.0:
+                        yield engine.timeout(insitu_total)
                     # Analyses pulled in-situ run their completion stage
                     # on the simulation timeline: no movement, no queue —
                     # but the full in-transit compute charge stretches
@@ -502,23 +495,8 @@ class ScaledExperiment:
                             category="insitu", stage="insitu", step=step)
                     controller.note_step(sim_seconds=sim_dt,
                                          insitu_seconds=engine.now - t_in0)
-                    insitu_set = set(controller.insitu_placed())
-                    ds.flow_src = src_span
-                    try:
-                        for variant in analyses:
-                            if variant in insitu_set:
-                                continue
-                            ds.submit_insitu_result(
-                                analysis=variant.value,
-                                timestep=step,
-                                source_node=f"sim-agg-{step}",
-                                payload=None,
-                                nbytes=nbytes[variant],
-                                cost_op=f"service.{variant.name}",
-                                cost_elements=1,
-                            )
-                    finally:
-                        ds.flow_src = None
+                    submit(step, src_span,
+                           frozenset(controller.insitu_placed()))
                     analysed += 1
                     if analysed % window == 0:
                         controller.on_window(engine.now)
@@ -533,22 +511,22 @@ class ScaledExperiment:
             results = sorted(results + insitu_results,
                              key=lambda r: r.finish_time)
         makespan = max((r.finish_time for r in results), default=0.0)
-        if n_shards == 1:
-            assignments = list(ds.scheduler.assignments)
-            shard_balance = None
-        else:
-            assignments = ds.assignment_records()
-            shard_balance = ds.balance_report()
         return ScheduleResult(results=results, makespan=makespan,
                               n_steps=n_steps, sim_step_time=sim_dt,
                               n_buckets=n_buckets,
-                              assignments=assignments,
+                              assignments=ds.assignment_records(),
                               probes=sampler,
-                              shard_balance=shard_balance,
+                              shard_balance=ds.balance_report(),
                               controller=controller,
                               faults=injector,
                               capacity=(ledger.finalize()
                                         if ledger is not None else None))
+
+    def _insitu_total(self, analyses: tuple[AnalyticsVariant, ...]) -> float:
+        """Seconds one analysed step charges on the sim cores for the
+        in-situ stages of ``analyses``."""
+        return sum(self.cost.time(*self.workload.insitu_op(v))
+                   for v in analyses)
 
     # -- observability ------------------------------------------------------------
 
@@ -565,8 +543,7 @@ class ScaledExperiment:
         one bucket).
         """
         n_analysed = len(range(0, n_steps, analysis_interval))
-        insitu_total = sum(
-            self.cost.time(*self.workload.insitu_op(v)) for v in analyses)
+        insitu_total = self._insitu_total(analyses)
         rows = [self.analytics_timing(v) for v in analyses]
         move_plus_intransit = sum(row.movement_time + row.intransit_time
                                   for row in rows)

@@ -51,11 +51,8 @@ class CostModel:
             raise ValueError(f"n_elements must be >= 0, got {n_elements}")
         return self.overheads.get(op, 0.0) + n_elements * self.rate(op)
 
-    def with_rate(self, op: str, rate: float, overhead: float = 0.0) -> "CostModel":
+    def with_rate(self, op: str, rate: float) -> "CostModel":
         """Copy with one rate replaced/added (used by ablations)."""
         rates = dict(self.rates)
         rates[op] = rate
-        overheads = dict(self.overheads)
-        if overhead:
-            overheads[op] = overhead
-        return CostModel(self.name, rates, overheads)
+        return CostModel(self.name, rates, dict(self.overheads))

@@ -62,19 +62,19 @@ class ResilienceReport:
             return 0.0
         return sum(self.recovery_delays) / len(self.recovery_delays)
 
-    def to_metrics(self, prefix: str = "faults") -> dict[str, float]:
+    def to_metrics(self) -> dict[str, float]:
         """The report reduced to the canonical run-record metric schema
         (see :mod:`repro.obs.perf`): every figure the regression gate and
         the dashboard's fault-recovery panel track across runs."""
         return {
-            f"{prefix}.makespan_s": self.makespan,
-            f"{prefix}.mttr_s": self.mttr,
-            f"{prefix}.reassignments": float(self.reassignments),
-            f"{prefix}.retries": float(self.retries),
-            f"{prefix}.restarts": float(self.restarts),
-            f"{prefix}.fallback_tasks": float(self.fallback_tasks),
-            f"{prefix}.crashes": float(self.crashes_injected),
-            f"{prefix}.terminal_failures": float(self.accounting["failed"]),
+            "faults.makespan_s": self.makespan,
+            "faults.mttr_s": self.mttr,
+            "faults.reassignments": float(self.reassignments),
+            "faults.retries": float(self.retries),
+            "faults.restarts": float(self.restarts),
+            "faults.fallback_tasks": float(self.fallback_tasks),
+            "faults.crashes": float(self.crashes_injected),
+            "faults.terminal_failures": float(self.accounting["failed"]),
         }
 
 
@@ -100,11 +100,9 @@ def run_resilience_experiment(config: FaultConfig | None = None,
     """
     config = config or FaultConfig()
     engine = Engine()
-    transport_kwargs = {}
+    transport = DartTransport(engine, pull_max_attempts=pull_max_attempts)
     if pull_backoff_base is not None:
-        transport_kwargs["pull_backoff_base"] = pull_backoff_base
-    transport = DartTransport(engine, pull_max_attempts=pull_max_attempts,
-                              **transport_kwargs)
+        transport.pull_backoff_base = pull_backoff_base
     ds = DataSpaces(engine, transport, n_servers=2,
                     lease_timeout=lease_timeout,
                     bucket_restart_delay=bucket_restart_delay,

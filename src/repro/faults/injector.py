@@ -147,10 +147,9 @@ class FaultInjector:
         victim = alive[int(self.rng.integers(len(alive)))]
         self.injected.append(InjectedFault("crash", self.engine.now,
                                            victim.name))
-        if self._tracer.enabled:
-            self._tracer.counter("faults.bucket_crashes")
-            self._tracer.instant("faults.crash", lane="faults",
-                                 bucket=victim.name)
+        self._tracer.counter("faults.bucket_crashes")
+        self._tracer.instant("faults.crash", lane="faults",
+                             bucket=victim.name)
         ds.crash_bucket(victim.name, cause=f"injected crash @ {when:.6f}s")
 
     def _pull_hook(self, descriptor: DataDescriptor, dest_node: str,
@@ -160,8 +159,7 @@ class FaultInjector:
             self.injected.append(InjectedFault(
                 "pull_failure", self.engine.now, dest_node,
                 {"region": descriptor.region_id, "attempt": attempt}))
-            if self._tracer.enabled:
-                self._tracer.counter("faults.pull_failures")
+            self._tracer.counter("faults.pull_failures")
             raise PullFault(
                 f"injected pull failure of {descriptor.region_id!r} "
                 f"into {dest_node!r} (attempt {attempt})")
@@ -170,8 +168,7 @@ class FaultInjector:
                 "pull_stall", self.engine.now, dest_node,
                 {"region": descriptor.region_id,
                  "stall": cfg.pull_stall_seconds}))
-            if self._tracer.enabled:
-                self._tracer.counter("faults.pull_stalls")
+            self._tracer.counter("faults.pull_stalls")
             return cfg.pull_stall_seconds
         return 0.0
 

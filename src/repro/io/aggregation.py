@@ -64,12 +64,10 @@ class AggregationModel:
         write = total_bytes / bw
         return metadata + forward + write
 
-    def best_aggregator_count(self, total_bytes: int, n_ranks: int,
-                              candidates: list[int] | None = None) -> int:
+    def best_aggregator_count(self, total_bytes: int, n_ranks: int) -> int:
         """Aggregator count minimising modeled write time."""
-        if candidates is None:
-            candidates = sorted({1, 2, 4, 8} | {
-                max(1, n_ranks // k) for k in (1, 2, 4, 8, 16, 32, 64, 128)})
+        candidates = sorted({1, 2, 4, 8} | {
+            max(1, n_ranks // k) for k in (1, 2, 4, 8, 16, 32, 64, 128)})
         candidates = [c for c in candidates if 1 <= c <= n_ranks]
         return min(candidates,
                    key=lambda m: self.write_time(total_bytes, n_ranks, m))

@@ -84,16 +84,17 @@ class IOTimeModel:
     filesystem: LustreModel
 
     def checkpoint_bytes(self, global_shape: tuple[int, int, int],
-                         n_vars: int, itemsize: int = 8) -> int:
+                         n_vars: int) -> int:
+        """Bytes of one checkpoint of ``n_vars`` float64 variables."""
         nx, ny, nz = global_shape
-        return nx * ny * nz * n_vars * itemsize
+        return nx * ny * nz * n_vars * 8
 
     def write_time(self, global_shape: tuple[int, int, int], n_vars: int,
-                   n_ranks: int, itemsize: int = 8) -> float:
+                   n_ranks: int) -> float:
         return self.filesystem.write_time(
-            self.checkpoint_bytes(global_shape, n_vars, itemsize), n_ranks)
+            self.checkpoint_bytes(global_shape, n_vars), n_ranks)
 
     def read_time(self, global_shape: tuple[int, int, int], n_vars: int,
-                  n_ranks: int, itemsize: int = 8) -> float:
+                  n_ranks: int) -> float:
         return self.filesystem.read_time(
-            self.checkpoint_bytes(global_shape, n_vars, itemsize), n_ranks)
+            self.checkpoint_bytes(global_shape, n_vars), n_ranks)

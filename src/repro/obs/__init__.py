@@ -118,10 +118,8 @@ from repro.obs.probes import (
     ProbeSampler,
     SloAlert,
     SloRule,
-    SummarySlo,
     default_slos,
     insitu_share_slo,
-    standard_probes,
 )
 from repro.obs.report import (
     render_dashboard,
@@ -204,10 +202,8 @@ __all__ = [
     "ProbeSampler",
     "SloAlert",
     "SloRule",
-    "SummarySlo",
     "default_slos",
     "insitu_share_slo",
-    "standard_probes",
     "render_dashboard",
     "render_trace_diff",
     "write_dashboard",

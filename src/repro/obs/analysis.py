@@ -69,7 +69,8 @@ class CriticalPath:
             return None
         return max(self.stage_totals, key=lambda k: self.stage_totals[k])
 
-    def table(self, max_rows: int = 40) -> str:
+    def table(self) -> str:
+        max_rows = 40  # the tail of the chain: one screenful
         t = TextTable(["lane", "span", "stage", "start (s)", "dur (s)",
                        "wait before (s)"],
                       title="critical path (last-finishing chain)")
@@ -121,10 +122,9 @@ def _predecessor(group: tuple[list[SpanRecord], list[float]],
     return candidates[i - 1] if i else None
 
 
-def critical_path(trace: Trace, sink: SpanRecord | None = None
-                  ) -> CriticalPath:
-    """Extract the blocking chain ending at ``sink`` (default: the span
-    with the greatest finish time).
+def critical_path(trace: Trace) -> CriticalPath:
+    """Extract the blocking chain ending at the span with the greatest
+    finish time.
 
     The DAG is built over stage-tagged spans — the disjoint per-stage
     activities — so parents that merely wrap children do not double
@@ -151,7 +151,7 @@ def critical_path(trace: Trace, sink: SpanRecord | None = None
                _by_end([s for s in spans if "step" in s.tags],
                        lambda s: s.tags["step"]))
 
-    current = sink or max(spans, key=lambda s: (s.t_end, s.span_id))
+    current = max(spans, key=lambda s: (s.t_end, s.span_id))
     path = [current]
     visited = {current.span_id}
     while True:

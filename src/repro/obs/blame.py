@@ -400,7 +400,8 @@ class TraceDiff:
         return max(self.blame_buckets,
                    key=lambda k: abs(self.blame_delta(k)))
 
-    def table(self, max_flows: int = 10) -> str:
+    def table(self) -> str:
+        max_flows = 10
         head = (f"trace diff: {self.b_label} vs {self.a_label} — makespan "
                 f"{self.makespan_b:.4f} s vs {self.makespan_a:.4f} s "
                 f"({self.makespan_delta:+.4f} s)")

@@ -40,6 +40,7 @@ and all timestamps are DES seconds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
@@ -230,7 +231,11 @@ class CapacityLedger:
     accounts with watermarks, the resident series, NIC occupancy.
     """
 
+    _ids = itertools.count()
+
     def __init__(self) -> None:
+        #: What this ledger's deltas carry to be told from another's.
+        self._id = next(CapacityLedger._ids)
         self._clock: Callable[[], float] = lambda: 0.0
         self.analytic_bound_bytes: int | None = None
         self._tracer = get_tracer()
@@ -305,7 +310,7 @@ class CapacityLedger:
             self._peak = resident
             self._peak_t = t
         entry = LedgerEntry(
-            self, t, "register", region.region_id, nbytes, resident, shard,
+            self._id, t, "register", region.region_id, nbytes, resident, shard,
             region.source_node, ctx.get("tenant") or UNATTRIBUTED,
             ctx.get("job") or UNATTRIBUTED, meta.get("analysis"),
             meta.get("timestep"))
@@ -313,31 +318,14 @@ class CapacityLedger:
         self._log.append(entry)
 
     def on_release(self, region: "RdmaRegion", shard: str) -> None:
-        t = self._clock()
         reg = self._attribution.pop((shard, region.region_id), None)
         if reg is None:
-            # Registered before the ledger attached: attribute to the
-            # releasing context. The region was never booked, so resident
-            # stays put; the fold books it in and out so totals balance.
-            ctx = self._tracer.ctx
-            meta = region.meta
-            resident = self.resident_bytes
-            entry = LedgerEntry(
-                self, t, "release", region.region_id, int(region.nbytes),
-                resident, shard, region.source_node,
-                ctx.get("tenant") or UNATTRIBUTED,
-                ctx.get("job") or UNATTRIBUTED,
-                meta.get("analysis"), meta.get("timestep"))
-        else:
-            resident = self.resident_bytes = self.resident_bytes - reg.nbytes
-            entry = LedgerEntry(
-                self, t, "release", reg.region_id, reg.nbytes, resident,
-                reg.shard, reg.source, reg.tenant, reg.job, reg.analysis,
-                reg.timestep)
-        if self._peak is None or resident > self._peak:
-            self._peak = resident
-            self._peak_t = t
-        self._log.append(entry)
+            return  # registered before the ledger attached: never booked
+        resident = self.resident_bytes = self.resident_bytes - reg.nbytes
+        self._log.append(LedgerEntry(
+            self._id, self._clock(), "release", reg.region_id, reg.nbytes,
+            resident, reg.shard, reg.source, reg.tenant, reg.job,
+            reg.analysis, reg.timestep))
 
     def on_transfer(self, t_start: float, t_end: float, nbytes: int,
                     protocol: str, src: str, dest: str, shard: str,
@@ -346,7 +334,7 @@ class CapacityLedger:
         pull, excluding NIC-channel queueing)."""
         ctx = self._tracer.ctx
         self._log.append(TransferEntry(
-            self, t_start, t_end, int(nbytes), protocol, src, dest, shard,
+            self._id, t_start, t_end, int(nbytes), protocol, src, dest, shard,
             ctx.get("tenant") or UNATTRIBUTED, ctx.get("job") or UNATTRIBUTED,
             analysis))
 
@@ -356,7 +344,7 @@ class CapacityLedger:
         """This ledger's records, in emit order."""
         return [rec for rec in self._log[self._mark:]
                 if type(rec) in (LedgerEntry, TransferEntry)
-                and rec.ledger is self]
+                and rec.ledger == self._id]
 
     @property
     def entries(self) -> list[LedgerEntry]:
@@ -403,7 +391,7 @@ class CapacityLedger:
         t = self.now()
         for leak in leaks:
             self._log.append(LedgerEntry(
-                self, t, "leak", leak["region_id"], leak["nbytes"],
+                self._id, t, "leak", leak["region_id"], leak["nbytes"],
                 self.resident_bytes, leak["shard"], leak["source"],
                 leak["tenant"], leak["job"], leak["analysis"],
                 leak["timestep"]))
@@ -441,15 +429,12 @@ def _fold_deltas(deltas: list[LedgerEntry | TransferEntry]) -> dict[str, Any]:
     A scope account is integer resident-bytes accounting with the
     watermark a live gauge would have kept: ``peak_bytes`` is the highest
     resident value right after a register or release and ``peak_t`` the
-    first time it was reached. A release whose region was registered
-    before the ledger attached is booked in and out in one step: it moves
-    the registered/released totals, not the resident count.
+    first time it was reached.
     """
     # Per scope kind: name -> [resident, registered, released, nic,
     # peak, peak_t].
     accounts: tuple[dict[str, list[Any]], ...] = ({}, {}, {}, {})
     series: list[tuple[float, int]] = []
-    live: set[tuple[str, str]] = set()
     registered = released = n_registers = n_releases = 0
     nic_bytes = n_transfers = 0
     for d in deltas:
@@ -466,18 +451,12 @@ def _fold_deltas(deltas: list[LedgerEntry | TransferEntry]) -> dict[str, Any]:
         else:
             series.append((d.t, d.resident))
             names = (d.tenant, d.shard, d.source, d.analysis or UNATTRIBUTED)
-            region = (d.shard, d.region_id)
             if d.op == "register":
-                live.add(region)
                 n_registers += 1
                 resident = booked_in = n
-            elif region in live:
-                live.discard(region)
+            else:
                 n_releases += 1
                 resident, booked_out = -n, n
-            else:  # registered before the ledger attached
-                n_releases += 1
-                booked_in = booked_out = n
             registered += booked_in
             released += booked_out
         for scope, name in zip(accounts, names):

@@ -30,7 +30,7 @@ UNATTRIBUTED = "-"
 
 
 def _to_dict(rec: Any) -> dict[str, Any]:
-    """A ledger delta as plain data (the owning ledger left out)."""
+    """A ledger delta as plain data (the owning ledger's id left out)."""
     d = rec._asdict()
     del d["ledger"]
     return d
@@ -54,8 +54,9 @@ class SampleRow(NamedTuple):
 class LedgerEntry(NamedTuple):
     """One staging-memory ledger transition (register / release / leak)."""
 
-    #: The :class:`~repro.obs.capacity.CapacityLedger` that recorded it.
-    ledger: Any
+    #: Id of the :class:`~repro.obs.capacity.CapacityLedger` that recorded
+    #: it — not the ledger, which would then live as long as the log.
+    ledger: int
     t: float
     op: str  # "register" | "release" | "leak"
     region_id: str
@@ -77,8 +78,9 @@ class LedgerEntry(NamedTuple):
 class TransferEntry(NamedTuple):
     """One granted-bytes NIC interval (the wire time of an RDMA pull)."""
 
-    #: The :class:`~repro.obs.capacity.CapacityLedger` that recorded it.
-    ledger: Any
+    #: Id of the :class:`~repro.obs.capacity.CapacityLedger` that recorded
+    #: it — not the ledger, which would then live as long as the log.
+    ledger: int
     t_start: float
     t_end: float
     nbytes: int

@@ -177,7 +177,7 @@ class BusSubscriber:
         #: Events this subscriber lost to window overflow.
         self.dropped = 0
 
-    def poll(self, max_events: int | None = None) -> list[BusEvent]:
+    def poll(self) -> list[BusEvent]:
         """Events published since the last poll (oldest first).
 
         If the window overflowed past the cursor, the lost events are
@@ -191,8 +191,6 @@ class BusSubscriber:
             self.dropped += start - self.cursor
             self.cursor = start
         head = bus.published
-        if max_events is not None:
-            head = min(head, self.cursor + max(max_events, 0))
         events = bus.events(self.cursor, head)
         self.cursor = head
         return events

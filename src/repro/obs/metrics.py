@@ -15,8 +15,6 @@ lookup and a no-op call when tracing is off.
 
 from __future__ import annotations
 
-import random
-import zlib
 from collections.abc import Callable
 from typing import Any
 
@@ -82,33 +80,32 @@ class Gauge:
             self.series.append((self._clock(), value))
 
 
+def nearest_rank(ordered: list[float], p: float) -> float:
+    """The ``p``-th percentile (``p`` in [0, 100]) of a non-empty
+    ascending list, by nearest rank — defined for any n >= 1."""
+    rank = max(0, min(len(ordered) - 1, round(p / 100 * (len(ordered) - 1))))
+    return ordered[rank]
+
+
 class Histogram:
     """Distribution of observed values (transfer sizes, span durations).
 
-    Count, total, mean, min and max are exact regardless of retention.
-    The raw observations back the percentiles; with ``max_samples`` set
-    they are capped by reservoir sampling (algorithm R, seeded per name so
-    runs stay deterministic), bounding memory on long runs while keeping
-    the percentile estimate unbiased. The sorted view is cached between
-    observations, so repeated ``percentile()`` calls (two per histogram
-    per registry ``snapshot()``) cost one sort at most.
+    Every observation is kept and backs the percentiles. The sorted view
+    is cached between observations, so repeated ``percentile()`` calls
+    (two per histogram per registry ``snapshot()``) cost one sort at most.
     """
 
-    __slots__ = ("name", "values", "max_samples", "_count", "_total",
-                 "_vmin", "_vmax", "_sorted", "_rng")
+    __slots__ = ("name", "values", "_count", "_total",
+                 "_vmin", "_vmax", "_sorted")
 
-    def __init__(self, name: str, max_samples: int | None = None) -> None:
-        if max_samples is not None and max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    def __init__(self, name: str) -> None:
         self.name = name
         self.values: list[float] = []
-        self.max_samples = max_samples
         self._count = 0
         self._total = 0.0
         self._vmin = float("inf")
         self._vmax = float("-inf")
         self._sorted: list[float] | None = None
-        self._rng: random.Random | None = None
 
     def observe(self, value: float) -> None:
         self._count += 1
@@ -117,18 +114,8 @@ class Histogram:
             self._vmin = value
         if value > self._vmax:
             self._vmax = value
-        if self.max_samples is None or len(self.values) < self.max_samples:
-            self.values.append(value)
-            self._sorted = None
-            return
-        # Reservoir replacement: keep each of the _count observations with
-        # equal probability max_samples/_count.
-        if self._rng is None:
-            self._rng = random.Random(zlib.crc32(self.name.encode()))
-        j = self._rng.randrange(self._count)
-        if j < self.max_samples:
-            self.values[j] = value
-            self._sorted = None
+        self.values.append(value)
+        self._sorted = None
 
     @property
     def count(self) -> int:
@@ -158,10 +145,7 @@ class Histogram:
             return 0.0
         if self._sorted is None:
             self._sorted = sorted(self.values)
-        ordered = self._sorted
-        rank = max(0, min(len(ordered) - 1,
-                          round(p / 100 * (len(ordered) - 1))))
-        return ordered[rank]
+        return nearest_rank(self._sorted, p)
 
 
 class _NullInstrument:
@@ -190,11 +174,9 @@ class MetricsRegistry:
     """Name-keyed collection of instruments, created on first use."""
 
     def __init__(self, clock: Callable[[], float] | None = None,
-                 record_series: bool = False,
-                 histogram_max_samples: int | None = None) -> None:
+                 record_series: bool = False) -> None:
         self._clock = clock
         self._record_series = record_series
-        self._histogram_max_samples = histogram_max_samples
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
@@ -224,15 +206,10 @@ class MetricsRegistry:
                                              self._record_series)
         return inst
 
-    def histogram(self, name: str,
-                  max_samples: int | None = None) -> Histogram:
-        """Get or create a histogram. ``max_samples`` (first call only)
-        overrides the registry-wide reservoir cap for this instrument."""
+    def histogram(self, name: str) -> Histogram:
         inst = self.histograms.get(name)
         if inst is None:
-            cap = (max_samples if max_samples is not None
-                   else self._histogram_max_samples)
-            inst = self.histograms[name] = Histogram(name, max_samples=cap)
+            inst = self.histograms[name] = Histogram(name)
         return inst
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
@@ -289,8 +266,7 @@ class _NullMetricsRegistry(MetricsRegistry):
     def gauge(self, name: str) -> Gauge:  # type: ignore[override]
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
-    def histogram(self, name: str, max_samples: int | None = None
-                  ) -> Histogram:  # type: ignore[override]
+    def histogram(self, name: str) -> Histogram:  # type: ignore[override]
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
 

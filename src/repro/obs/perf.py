@@ -34,6 +34,7 @@ from __future__ import annotations
 import fnmatch
 import json
 import os
+import statistics
 import subprocess
 import time
 import uuid
@@ -256,15 +257,6 @@ DEFAULT_POLICIES: tuple[MetricPolicy, ...] = (
 _MAD_SCALE = 1.4826  # scaled MAD estimates sigma under normal noise
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 @dataclass
 class Baseline:
     """Per-metric rolling statistics over the last *N* baseline records."""
@@ -285,8 +277,8 @@ class Baseline:
                 by_metric.setdefault(name, []).append(value)
         stats: dict[str, tuple[float, float, int]] = {}
         for name, values in by_metric.items():
-            med = _median(values)
-            mad = _median([abs(v - med) for v in values])
+            med = statistics.median(values)
+            mad = statistics.median([abs(v - med) for v in values])
             stats[name] = (med, mad, len(values))
         return cls(stats=stats, n_records=len(recent), window=window)
 
@@ -456,6 +448,7 @@ def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
     from repro.costmodel.jaguar import jaguar_cost_model
     from repro.faults import FaultConfig, run_resilience_experiment
     from repro.obs.analysis import critical_path
+    from repro.core.framework import traced_functional_run
     from repro.obs.blame import top_kernels
     from repro.obs.tracer import tracing
 
@@ -531,18 +524,7 @@ def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
     metrics.update(fault_report.to_metrics())
 
     # Phase 3: kernel-tagged functional run (wall-clock, never gated).
-    from repro.core import HybridFramework
-    from repro.sim import LiftedFlameCase, StructuredGrid3D
-    from repro.vmpi import BlockDecomposition3D
-
-    shape = (16, 12, 8)
-    with tracing() as ktracer:
-        fw = HybridFramework(LiftedFlameCase(StructuredGrid3D(shape),
-                                             seed=7),
-                             BlockDecomposition3D(shape, (2, 2, 1)),
-                             n_buckets=2)
-        fw.run(3)
-    usages = top_kernels(ktracer.trace)
+    usages = top_kernels(traced_functional_run(3).trace)
     for u in usages:
         metrics[f"wall.kernel.{u.kernel}_s"] = u.wall_s
 

@@ -16,13 +16,12 @@ else. The per-probe :attr:`ProbeSampler.series`, the ``probe.<name>``
 gauges behind the Chrome counter track, and the ``kind=probe`` bus
 events are all folds over those rows, computed when read.
 
-Two kinds of SLO rule ride on the sampler:
+An :class:`SloRule` rides on the sampler with one of two value sources:
 
-* :class:`SloRule` — judged against a probe's value at every sample
-  instant (e.g. *scheduler backlog stays under 4x the bucket count*);
-* :class:`SummarySlo` — judged once over the finished trace's stage
-  totals (e.g. the paper's headline budget: *in-situ work takes < 5% of
-  the timestep*).
+* a probe's value at every sample instant (e.g. *scheduler backlog stays
+  under 4x the bucket count*);
+* a reducer of the finished trace's stage totals, judged once (e.g. the
+  paper's headline budget: *in-situ work takes < 5% of the timestep*).
 
 A rule breach emits an ``slo.breach`` instant into the trace (visible in
 Perfetto) and an :class:`SloAlert` record; re-breaching only alerts again
@@ -43,9 +42,7 @@ from repro.obs.tracer import NullTracer, Tracer, get_tracer
 __all__ = [
     "SloAlert",
     "SloRule",
-    "SummarySlo",
     "ProbeSampler",
-    "standard_probes",
     "default_slos",
     "insitu_share_slo",
 ]
@@ -75,57 +72,41 @@ class SloAlert:
 
 @dataclass(frozen=True)
 class SloRule:
-    """A requirement on a sampled probe: healthy iff ``value op threshold``."""
+    """A requirement on one figure of the run: healthy iff
+    ``value op threshold``.
+
+    The figure comes from exactly one source: ``probe`` names a sampled
+    probe, judged at every sample instant; ``value_of`` reduces the
+    finished trace's ``stage -> total seconds`` map, judged once.
+    """
 
     name: str
-    probe: str
     op: str
     threshold: float
+    probe: str | None = None
+    value_of: Callable[[dict[str, float]], float] | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise ValueError(f"op must be one of {sorted(_OPS)}, "
                              f"got {self.op!r}")
+        if (self.probe is None) == (self.value_of is None):
+            raise ValueError("give exactly one of probe= and value_of=")
 
     def healthy(self, value: float) -> bool:
         return _OPS[self.op](value, self.threshold)
 
     def describe(self) -> dict[str, Any]:
-        return {"name": self.name, "kind": "sampled", "probe": self.probe,
+        sampled = self.probe is not None
+        return {"name": self.name,
+                "kind": "sampled" if sampled else "summary",
+                **({"probe": self.probe} if sampled else {}),
                 "op": self.op, "threshold": self.threshold,
                 "description": self.description}
 
 
-@dataclass(frozen=True)
-class SummarySlo:
-    """A requirement on the finished run, evaluated over stage totals.
-
-    ``value_of`` reduces the ``stage -> total seconds`` map to one
-    figure; the rule is healthy iff ``value op threshold``.
-    """
-
-    name: str
-    value_of: Callable[[dict[str, float]], float]
-    op: str
-    threshold: float
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise ValueError(f"op must be one of {sorted(_OPS)}, "
-                             f"got {self.op!r}")
-
-    def healthy(self, value: float) -> bool:
-        return _OPS[self.op](value, self.threshold)
-
-    def describe(self) -> dict[str, Any]:
-        return {"name": self.name, "kind": "summary", "op": self.op,
-                "threshold": self.threshold,
-                "description": self.description}
-
-
-def insitu_share_slo(budget: float = 0.05) -> SummarySlo:
+def insitu_share_slo(budget: float = 0.05) -> SloRule:
     """The paper's headline budget: in-situ work < 5% of the timestep."""
 
     def share(totals: dict[str, float]) -> float:
@@ -133,7 +114,7 @@ def insitu_share_slo(budget: float = 0.05) -> SummarySlo:
         step = insitu + totals.get("simulation", 0.0)
         return insitu / step if step else 0.0
 
-    return SummarySlo(
+    return SloRule(
         name="insitu-share",
         value_of=share,
         op="<",
@@ -155,22 +136,22 @@ class ProbeSampler:
     track) and evaluate the summary rules.
     """
 
+    #: Ticks after which sampling stops: bounds the log when an interval
+    #: is tiny next to the run.
+    max_samples = 100_000
+
     def __init__(self, interval: float,
                  probes: dict[str, Callable[[], float]],
-                 slos: tuple[SloRule | SummarySlo, ...] = (),
-                 tracer: Tracer | NullTracer | None = None,
-                 max_samples: int = 100_000) -> None:
+                 slos: tuple[SloRule, ...] = (),
+                 tracer: Tracer | NullTracer | None = None) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
         self.interval = interval
         self.probes = dict(probes)
-        self.rules: tuple[SloRule | SummarySlo, ...] = tuple(slos)
+        self.rules: tuple[SloRule, ...] = tuple(slos)
         self.tracer = tracer if tracer is not None else get_tracer()
         self.alerts: list[SloAlert] = []
         self.n_samples = 0
-        self.max_samples = max_samples
         self._log: list[Any] = self.tracer.log if self.tracer.enabled else []
         #: Log position of this sampler's first row (its rows lie beyond).
         self._mark = len(self._log)
@@ -183,10 +164,9 @@ class ProbeSampler:
         self._names = tuple(self.probes)
         self._fns = tuple(self.probes.values())
         self._checks = [(r, self._names.index(r.probe), _OPS[r.op])
-                        for r in self.rules
-                        if isinstance(r, SloRule) and r.probe in self.probes]
+                        for r in self.rules if r.probe in self.probes]
         self._summary_rules = [r for r in self.rules
-                               if isinstance(r, SummarySlo)]
+                               if r.value_of is not None]
         self._series: dict[str, list[tuple[float, float]]] = {}
         self._series_ticks = -1
 
@@ -280,25 +260,7 @@ class ProbeSampler:
                                 value=value, threshold=threshold)
 
 
-def standard_probes(ds: Any, transport: Any) -> dict[str, Callable[[], float]]:
-    """The canonical gauge set over a DataSpaces + DartTransport pair:
-    scheduler queue depth, idle/busy buckets, NIC channel occupancy, and
-    live RDMA-registered bytes."""
-    sched = ds.scheduler
-
-    def busy_buckets() -> float:
-        return ds.live_buckets() - sched.idle_buckets
-
-    return {
-        "sched.queue_depth": lambda: float(sched.pending_tasks),
-        "sched.idle_buckets": lambda: float(sched.idle_buckets),
-        "bucket.busy": busy_buckets,
-        "nic.busy_channels": lambda: float(transport.nic_busy_channels()),
-        "rdma.live_bytes": lambda: float(transport.registry.live_bytes()),
-    }
-
-
-def default_slos(n_buckets: int) -> tuple[SloRule | SummarySlo, ...]:
+def default_slos(n_buckets: int) -> tuple[SloRule, ...]:
     """The default rule set for a staging replay: bounded scheduler
     backlog (a queue deeper than 4x the bucket pool means staging has
     stopped absorbing the arrival rate) plus the paper's in-situ budget."""

@@ -36,6 +36,7 @@ from repro.obs.live import (
     TelemetryBus,
     default_objectives,
 )
+from repro.obs.metrics import nearest_rank
 from repro.obs.perf import RunRecord, RunStore
 from repro.obs.tracer import get_tracer
 from repro.service.cache import ScheduleCache
@@ -99,16 +100,12 @@ class JobExecutor:
 
 def _percentiles(values: list[float],
                  points: tuple[int, ...] = (50, 95, 99)) -> dict[str, float]:
-    """Nearest-rank percentiles (the :class:`Histogram` convention),
-    defined for any n >= 1 — a one-job tenant reports p50=p95=p99."""
+    """Nearest-rank percentiles (the :class:`Histogram` convention) —
+    a one-job tenant reports p50=p95=p99."""
     if not values:
         return {}
     ordered = sorted(values)
-    out: dict[str, float] = {}
-    for p in points:
-        rank = max(0, min(len(ordered) - 1, round(p / 100 * (len(ordered) - 1))))
-        out[f"p{p}"] = ordered[rank]
-    return out
+    return {f"p{p}": nearest_rank(ordered, p) for p in points}
 
 
 @dataclass

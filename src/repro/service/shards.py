@@ -124,11 +124,9 @@ class ShardedDataSpaces:
     def __init__(self, engine: Engine, network: Any, n_shards: int,
                  n_servers: int = 4, cost_model: CostModel | None = None,
                  virtual_nodes: int = 64,
-                 rpc_latency: float = 2.0e-5,
                  lease_timeout: float | None = None,
                  bucket_restart_delay: float | None = None,
-                 max_bucket_restarts: int = 0,
-                 insitu_fallback: bool = True) -> None:
+                 max_bucket_restarts: int = 0) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.engine = engine
@@ -143,11 +141,9 @@ class ShardedDataSpaces:
             DataSpaces(engine, self.transports[i],
                        n_servers=per_shard_servers,
                        cost_model=cost_model,
-                       rpc_latency=rpc_latency,
                        lease_timeout=lease_timeout,
                        bucket_restart_delay=bucket_restart_delay,
                        max_bucket_restarts=max_bucket_restarts,
-                       insitu_fallback=insitu_fallback,
                        name=f"shard{i}")
             for i in range(n_shards)
         ]
@@ -221,36 +217,16 @@ class ShardedDataSpaces:
         return out
 
     def probe_map(self) -> dict[str, Callable[[], float]]:
-        """Aggregated standard gauges (same keys as
-        :func:`repro.obs.probes.standard_probes`) plus per-shard queue
-        depths, for the live :class:`~repro.obs.probes.ProbeSampler`."""
-        def queue_depth() -> float:
-            return float(sum(s.scheduler.pending_tasks for s in self.shards))
-
-        def idle_buckets() -> float:
-            return float(sum(s.scheduler.idle_buckets for s in self.shards))
-
-        def busy_buckets() -> float:
-            return float(sum(s.live_buckets() - s.scheduler.idle_buckets
-                             for s in self.shards))
-
-        def nic_busy() -> float:
-            return float(sum(t.nic_busy_channels() for t in self.transports))
-
-        def live_bytes() -> float:
-            return float(sum(t.registry.live_bytes()
-                             for t in self.transports))
-
+        """The shards' :meth:`DataSpaces.probe_map` gauges summed, plus
+        per-shard queue depths, for the live
+        :class:`~repro.obs.probes.ProbeSampler`."""
+        maps = [shard.probe_map() for shard in self.shards]
         probes: dict[str, Callable[[], float]] = {
-            "sched.queue_depth": queue_depth,
-            "sched.idle_buckets": idle_buckets,
-            "bucket.busy": busy_buckets,
-            "nic.busy_channels": nic_busy,
-            "rdma.live_bytes": live_bytes,
-        }
-        for i, shard in enumerate(self.shards):
-            probes[f"shard.{i}.queue_depth"] = (
-                lambda s=shard: float(s.scheduler.pending_tasks))
+            name: lambda fns=[m[name] for m in maps]: float(
+                sum(fn() for fn in fns))
+            for name in maps[0]}
+        for i, m in enumerate(maps):
+            probes[f"shard.{i}.queue_depth"] = m["sched.queue_depth"]
         return probes
 
     def balance_report(self) -> ShardBalanceReport:

@@ -95,8 +95,9 @@ class FieldSet:
         return np.stack([self._data[n] for n in self._names], axis=-1)
 
     @classmethod
-    def from_array(cls, grid: StructuredGrid3D, arr: np.ndarray,
-                   names: tuple[str, ...] = VARIABLE_NAMES) -> "FieldSet":
+    def from_array(cls, grid: StructuredGrid3D, arr: np.ndarray
+                   ) -> "FieldSet":
+        names = VARIABLE_NAMES
         if arr.shape != (*grid.shape, len(names)):
             raise ValueError(
                 f"array shape {arr.shape} != {(*grid.shape, len(names))}"

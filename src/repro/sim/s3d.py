@@ -129,14 +129,11 @@ class S3DProxy:
     """Global-grid solver. ``fields`` is advanced in place by :meth:`step`."""
 
     def __init__(self, case: LiftedFlameCase,
-                 chemistry: ArrheniusChemistry | None = None,
-                 params: SolverParams | None = None,
-                 seed_kernels: bool = True) -> None:
+                 params: SolverParams | None = None) -> None:
         self.case = case
         self.grid = case.grid
-        self.chemistry = chemistry or ArrheniusChemistry()
+        self.chemistry = ArrheniusChemistry()
         self.params = params or SolverParams()
-        self.seed_kernels = seed_kernels
         self.fields = case.initial_fields()
         max_speed = max(float(np.max(np.abs(self.fields[c])))
                         for c in ("u", "v", "w"))
@@ -154,10 +151,9 @@ class S3DProxy:
         for _ in range(n):
             with tracer.span("sim.step", lane="sim", stage="simulation",
                              step=self.step_count, solver="global"):
-                if self.seed_kernels:
-                    for center in self.case.seed_kernels(self.fields,
-                                                         self.step_count):
-                        self.kernel_history.append((self.step_count, center))
+                for center in self.case.seed_kernels(self.fields,
+                                                     self.step_count):
+                    self.kernel_history.append((self.step_count, center))
                 state = {name: self.fields[name] for name in self.fields.names}
                 with tracer.span("sim.rhs", lane="sim", category="sim"):
                     rhs = _rhs(state, state, upwind_advection, laplacian,
@@ -193,18 +189,15 @@ class DecomposedS3D:
     """
 
     def __init__(self, case: LiftedFlameCase, decomp: BlockDecomposition3D,
-                 chemistry: ArrheniusChemistry | None = None,
-                 params: SolverParams | None = None,
-                 seed_kernels: bool = True) -> None:
+                 params: SolverParams | None = None) -> None:
         if decomp.global_shape != case.grid.shape:
             raise ValueError(
                 f"decomposition {decomp.global_shape} != grid {case.grid.shape}")
         self.case = case
         self.grid = case.grid
         self.decomp = decomp
-        self.chemistry = chemistry or ArrheniusChemistry()
+        self.chemistry = ArrheniusChemistry()
         self.params = params or SolverParams()
-        self.seed_kernels = seed_kernels
 
         initial = case.initial_fields()
         self.names = initial.names
@@ -273,8 +266,7 @@ class DecomposedS3D:
         for _ in range(n):
             with tracer.span("sim.step", lane="sim", stage="simulation",
                              step=self.step_count, solver="decomposed"):
-                if self.seed_kernels:
-                    self._seed_kernels()
+                self._seed_kernels()
 
                 rhs_per_group = self._stage_rhs(self._stacks, self.parts)
 

@@ -101,9 +101,10 @@ def block_upwind_advection(padded: np.ndarray,
 
 
 def pad_with_ghosts(parts: list[np.ndarray], decomp: BlockDecomposition3D,
-                    width: int = 1, out: list[np.ndarray] | None = None
+                    out: list[np.ndarray] | None = None
                     ) -> list[np.ndarray]:
-    """Pad every block with ``width`` ghost layers from its neighbours.
+    """Pad every block with one ghost layer from its neighbours (the
+    stencils are radius-1).
 
     Equivalent to S3D's halo exchange with periodic global topology. The
     implementation assembles the global array inside a wrapped border and
@@ -113,26 +114,19 @@ def pad_with_ghosts(parts: list[np.ndarray], decomp: BlockDecomposition3D,
     and returned instead of fresh arrays — the entries of one stacked
     array, when the block operators are to run over the ranks at once.
     """
-    if width < 1:
-        raise ValueError(f"ghost width must be >= 1, got {width}")
-    if min(decomp.global_shape) < width:
-        raise ValueError(
-            f"ghost width {width} exceeds smallest global extent "
-            f"{min(decomp.global_shape)}")
     global_field = decomp.gather(parts)
-    w = width
-    wrapped = np.empty(tuple(n + 2 * w for n in global_field.shape),
+    wrapped = np.empty(tuple(n + 2 for n in global_field.shape),
                        dtype=global_field.dtype)
-    wrapped[w:-w, w:-w, w:-w] = global_field
+    wrapped[1:-1, 1:-1, 1:-1] = global_field
     # Axis by axis, each pass copying the borders the earlier passes
     # filled, so edges and corners wrap too.
-    wrapped[:w] = wrapped[-2 * w:-w]
-    wrapped[-w:] = wrapped[w:2 * w]
-    wrapped[:, :w] = wrapped[:, -2 * w:-w]
-    wrapped[:, -w:] = wrapped[:, w:2 * w]
-    wrapped[:, :, :w] = wrapped[:, :, -2 * w:-w]
-    wrapped[:, :, -w:] = wrapped[:, :, w:2 * w]
-    padded = [wrapped[tuple(slice(lo, hi + 2 * w)
+    wrapped[:1] = wrapped[-2:-1]
+    wrapped[-1:] = wrapped[1:2]
+    wrapped[:, :1] = wrapped[:, -2:-1]
+    wrapped[:, -1:] = wrapped[:, 1:2]
+    wrapped[:, :, :1] = wrapped[:, :, -2:-1]
+    wrapped[:, :, -1:] = wrapped[:, :, 1:2]
+    padded = [wrapped[tuple(slice(lo, hi + 2)
                             for lo, hi in zip(b.lo, b.hi))]
               for b in decomp.blocks()]
     if out is None:

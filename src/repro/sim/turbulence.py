@@ -14,8 +14,12 @@ from repro.sim.grid import StructuredGrid3D
 from repro.util.rng import seeded_rng
 
 
-def synthetic_turbulence(grid: StructuredGrid3D, n_modes: int = 32,
-                         rms_velocity: float = 1.0, peak_wavenumber: float = 4.0,
+#: Random Fourier modes summed, and where the model spectrum peaks.
+_N_MODES = 32
+_PEAK_WAVENUMBER = 4.0
+
+
+def synthetic_turbulence(grid: StructuredGrid3D, rms_velocity: float = 1.0,
                          seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return a divergence-free velocity field ``(u, v, w)``.
 
@@ -23,8 +27,6 @@ def synthetic_turbulence(grid: StructuredGrid3D, n_modes: int = 32,
     amplitude is perpendicular to the wavevector, the field is exactly
     solenoidal (checked by tests via the discrete divergence).
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if rms_velocity < 0:
         raise ValueError(f"rms_velocity must be >= 0, got {rms_velocity}")
     rng = seeded_rng(seed)
@@ -34,9 +36,9 @@ def synthetic_turbulence(grid: StructuredGrid3D, n_modes: int = 32,
     w = np.zeros(grid.shape)
 
     # Sample wavenumber magnitudes from the model spectrum.
-    k_mags = rng.gamma(shape=2.5, scale=peak_wavenumber / 2.5, size=n_modes)
+    k_mags = rng.gamma(shape=2.5, scale=_PEAK_WAVENUMBER / 2.5, size=_N_MODES)
     two_pi_over_L = [2.0 * np.pi / length for length in grid.lengths]
-    for m in range(n_modes):
+    for m in range(_N_MODES):
         # Random direction; quantise to integer mode numbers so the field
         # is exactly periodic on the grid.
         direction = rng.normal(size=3)

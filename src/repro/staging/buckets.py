@@ -55,6 +55,10 @@ class _FailedPull:
         self.error = error
 
 
+#: One short-message latency: what a bucket-ready RPC costs.
+RPC_LATENCY = 2.0e-5
+
+
 class StagingBucket:
     """One in-transit worker on a named staging core."""
 
@@ -63,7 +67,6 @@ class StagingBucket:
 
     def __init__(self, name: str, engine: Engine, scheduler: TaskScheduler,
                  transport: DartTransport, cost_model: CostModel | None = None,
-                 rpc_latency: float = 2.0e-5,
                  on_task_done: "Any" = None,
                  on_death: "Any" = None) -> None:
         self.name = name
@@ -71,7 +74,6 @@ class StagingBucket:
         self.scheduler = scheduler
         self.transport = transport
         self.cost_model = cost_model
-        self.rpc_latency = rpc_latency
         self.on_task_done = on_task_done
         self.on_death = on_death
         self.results: list[TaskResult] = []
@@ -106,7 +108,7 @@ class StagingBucket:
         try:
             while True:
                 # bucket-ready RPC costs one short-message latency.
-                yield self.engine.timeout(self.rpc_latency)
+                yield self.engine.timeout(RPC_LATENCY)
                 task: TaskDescriptor = yield self.scheduler.bucket_ready(self.name)
                 if task.task_id == StagingBucket.SHUTDOWN.task_id:
                     return
@@ -114,9 +116,8 @@ class StagingBucket:
                     # Pool scale-down: exit cleanly; completed results
                     # stay owned by this (now retired) worker.
                     self.retired = True
-                    if self._tracer.enabled:
-                        self._tracer.counter("bucket.retirements")
-                        self._tracer.instant("bucket.retire", lane=self.name)
+                    self._tracer.counter("bucket.retirements")
+                    self._tracer.instant("bucket.retire", lane=self.name)
                     return
                 self.current_task = task
                 tracer = self._tracer

@@ -27,7 +27,7 @@ from repro.obs.tracer import get_tracer
 from repro.staging.buckets import StagingBucket
 from repro.staging.descriptors import TaskDescriptor, TaskResult
 from repro.staging.hashing import ServiceRing
-from repro.staging.scheduler import TaskScheduler
+from repro.staging.scheduler import AssignmentRecord, TaskScheduler
 from repro.transport.dart import DartTransport
 from repro.transport.messages import DataDescriptor
 
@@ -76,19 +76,18 @@ class DataSpaces:
       held by a crashed bucket is requeued within one lease period;
     * ``bucket_restart_delay`` / ``max_bucket_restarts`` — the bucket
       supervisor: crashed staging cores are replaced after the delay,
-      keeping the pool at its configured size, up to the restart budget;
-    * ``insitu_fallback`` — when the staging area is *fully* down (every
-      bucket dead, no restart pending), queued and future tasks run
-      in-situ at the cost model's in-situ price instead of hanging.
+      keeping the pool at its configured size, up to the restart budget.
+
+    When the staging area is *fully* down (every bucket dead, no restart
+    pending), queued and future tasks run in-situ at the task's modeled
+    cost instead of hanging.
     """
 
     def __init__(self, engine: Engine, transport: DartTransport,
                  n_servers: int = 4, cost_model: CostModel | None = None,
-                 rpc_latency: float = 2.0e-5,
                  lease_timeout: float | None = None,
                  bucket_restart_delay: float | None = None,
                  max_bucket_restarts: int = 0,
-                 insitu_fallback: bool = True,
                  name: str | None = None) -> None:
         if n_servers < 1:
             raise ValueError(f"n_servers must be >= 1, got {n_servers}")
@@ -99,7 +98,6 @@ class DataSpaces:
         self.transport = transport
         self.ring = ServiceRing(n_servers)
         self.cost_model = cost_model
-        self.rpc_latency = rpc_latency
         #: Optional instance identity; sharded staging names each shard so
         #: per-shard scheduler events stay separable in trace exports.
         self.name = name
@@ -116,7 +114,6 @@ class DataSpaces:
         # -- fault tolerance state --
         self.bucket_restart_delay = bucket_restart_delay
         self.max_bucket_restarts = max_bucket_restarts
-        self.insitu_fallback = insitu_fallback
         self.degraded = False
         self.submitted = 0
         self.completed = 0
@@ -285,11 +282,8 @@ class DataSpaces:
                              compute: Callable[[list[Any]], Any] | None = None,
                              cost_op: str | None = None,
                              cost_elements: int = 0,
-                             task_key: str | None = None,
                              meta: dict[str, Any] | None = None,
-                             max_retries: int = 0,
-                             insitu_cost_op: str | None = None,
-                             ) -> DataDescriptor:
+                             max_retries: int = 0) -> DataDescriptor:
         """Register an in-situ result and raise the *data-ready* event.
 
         Registers the payload for RDMA pulls, then sends the descriptor to
@@ -303,18 +297,12 @@ class DataSpaces:
                                              **(meta or {})},
                                        nbytes=nbytes)
         task = TaskDescriptor(
-            task_id=task_key or f"{analysis}/t{timestep}/#{next(self._task_ids)}",
+            task_id=f"{analysis}/t{timestep}/#{next(self._task_ids)}",
             analysis=analysis, timestep=timestep, data=[desc],
             compute=compute, cost_op=cost_op, cost_elements=cost_elements,
-            max_retries=max_retries, insitu_cost_op=insitu_cost_op,
+            max_retries=max_retries,
         )
-        self._task_flow(task)
-        self._rpc(task.task_id)
-        self._outstanding += 1
-        self.submitted += 1
-        self.transport.notify("scheduler", task,
-                              nbytes=desc.descriptor_bytes(),
-                              on_delivery=self.scheduler.data_ready)
+        self._data_ready(task, desc.descriptor_bytes())
         return desc
 
     def submit_grouped_result(self, analysis: str, timestep: int,
@@ -325,9 +313,7 @@ class DataSpaces:
                               stream_compute: Callable[[Any, Any], Any] | None = None,
                               stream_finalize: Callable[[Any], Any] | None = None,
                               stream_cost_per_payload: float = 0.0,
-                              max_retries: int = 0,
-                              insitu_cost_op: str | None = None,
-                              ) -> TaskDescriptor:
+                              max_retries: int = 0) -> TaskDescriptor:
         """Create one in-transit task consuming many registered regions.
 
         Pass ``compute`` for the buffered mode (all payloads pulled, then
@@ -342,15 +328,20 @@ class DataSpaces:
             compute=compute, cost_op=cost_op, cost_elements=cost_elements,
             stream_compute=stream_compute, stream_finalize=stream_finalize,
             stream_cost_per_payload=stream_cost_per_payload,
-            max_retries=max_retries, insitu_cost_op=insitu_cost_op,
+            max_retries=max_retries,
         )
+        self._data_ready(task, 512)
+        return task
+
+    def _data_ready(self, task: TaskDescriptor, message_bytes: int) -> None:
+        """Account one submitted task and send its descriptor to the
+        scheduler as a short message (the *data-ready* RPC)."""
         self._task_flow(task)
         self._rpc(task.task_id)
         self._outstanding += 1
         self.submitted += 1
-        self.transport.notify("scheduler", task, nbytes=512,
+        self.transport.notify("scheduler", task, nbytes=message_bytes,
                               on_delivery=self.scheduler.data_ready)
-        return task
 
     # -- workflow: staging side ---------------------------------------------------
 
@@ -363,7 +354,6 @@ class DataSpaces:
     def _spawn_bucket(self, name: str) -> StagingBucket:
         bucket = StagingBucket(name, self.engine, self.scheduler,
                                self.transport, self.cost_model,
-                               rpc_latency=self.rpc_latency,
                                on_task_done=self._on_task_done,
                                on_death=self._on_bucket_death)
         self.buckets.append(bucket)
@@ -419,7 +409,7 @@ class DataSpaces:
             self.scheduler.retire_bucket(bucket.name)
             retiring.append(bucket.name)
             surplus -= 1
-        if self._tracer.enabled and (spawned or retiring):
+        if spawned or retiring:
             self._tracer.counter("dataspaces.pool_scalings")
             self._tracer.instant("dataspaces.scale_to", lane="dataspaces",
                                  target=target, spawned=len(spawned),
@@ -443,8 +433,7 @@ class DataSpaces:
 
     def _on_bucket_death(self, bucket: StagingBucket, cause: Any) -> None:
         self.scheduler.mark_bucket_dead(bucket.name)
-        if self._tracer.enabled:
-            self._tracer.counter("dataspaces.bucket_deaths")
+        self._tracer.counter("dataspaces.bucket_deaths")
         if self._shutting_down or self.degraded:
             return
         if self.pool_target is not None:
@@ -452,45 +441,35 @@ class DataSpaces:
             # spending the restart budget; the controller's memory bound
             # (not ``max_bucket_restarts``) limits the pool.
             if self.committed_buckets() < self.pool_target:
-                self._pending_restarts += 1
                 self.pool_respawns += 1
-                replacement = f"staging+{next(self._grow_ids)}"
-                if self._tracer.enabled:
-                    self._tracer.counter("dataspaces.pool_respawns")
-                    self._tracer.instant("dataspaces.pool_respawn",
-                                         lane="dataspaces", dead=bucket.name,
-                                         replacement=replacement)
-
-                def respawn() -> None:
-                    self._pending_restarts -= 1
-                    if not self._shutting_down and not self.degraded:
-                        self._spawn_bucket(replacement)
-
-                self.engine.call_at(
-                    self.engine.now + (self.bucket_restart_delay or 0.0),
-                    respawn)
-            return
-        if (self.bucket_restart_delay is not None
+                self._respawn(bucket, f"staging+{next(self._grow_ids)}",
+                              "pool_respawn")
+        elif (self.bucket_restart_delay is not None
                 and self.restarts_used < self.max_bucket_restarts):
             self.restarts_used += 1
-            self._pending_restarts += 1
-            replacement = f"{bucket.name}~r{next(self._restart_ids)}"
-            if self._tracer.enabled:
-                self._tracer.counter("dataspaces.bucket_restarts")
-                self._tracer.instant("dataspaces.bucket_restart",
-                                     lane="dataspaces", dead=bucket.name,
-                                     replacement=replacement)
-
-            def restart() -> None:
-                self._pending_restarts -= 1
-                if not self._shutting_down and not self.degraded:
-                    self._spawn_bucket(replacement)
-
-            self.engine.call_at(self.engine.now + self.bucket_restart_delay,
-                                restart)
-        elif (self.live_buckets() == 0 and self._pending_restarts == 0
-                and self.insitu_fallback):
+            self._respawn(bucket,
+                          f"{bucket.name}~r{next(self._restart_ids)}",
+                          "bucket_restart")
+        elif self.live_buckets() == 0 and self._pending_restarts == 0:
             self._enter_degraded_mode()
+
+    def _respawn(self, dead: StagingBucket, replacement: str,
+                 event: str) -> None:
+        """Replace ``dead`` by a worker named ``replacement`` after
+        ``bucket_restart_delay`` (at once when None); whichever supervisor
+        policy decided to has counted it and chosen the name."""
+        self._pending_restarts += 1
+        self._tracer.counter(f"dataspaces.{event}s")
+        self._tracer.instant(f"dataspaces.{event}", lane="dataspaces",
+                             dead=dead.name, replacement=replacement)
+
+        def spawn() -> None:
+            self._pending_restarts -= 1
+            if not self._shutting_down and not self.degraded:
+                self._spawn_bucket(replacement)
+
+        self.engine.call_at(
+            self.engine.now + (self.bucket_restart_delay or 0.0), spawn)
 
     # -- degraded mode: staging fully down -----------------------------------
 
@@ -503,9 +482,8 @@ class DataSpaces:
         is silently lost.
         """
         self.degraded = True
-        if self._tracer.enabled:
-            self._tracer.counter("dataspaces.degraded")
-            self._tracer.instant("dataspaces.degraded", lane="dataspaces")
+        self._tracer.counter("dataspaces.degraded")
+        self._tracer.instant("dataspaces.degraded", lane="dataspaces")
         self.scheduler.task_sink = self._fallback_submit
         for task in self.scheduler.steal_queue():
             self._fallback_submit(task)
@@ -520,8 +498,7 @@ class DataSpaces:
         """DES process: execute one task in-situ (no staging, no RDMA).
 
         The data never moves — the computation runs where it was produced,
-        charged at the cost model's in-situ price (``insitu_cost_op``,
-        falling back to ``cost_op``).
+        charged at the task's ``cost_op``.
         """
         start = self.engine.now
         try:
@@ -538,18 +515,16 @@ class DataSpaces:
             else:
                 value = (task.compute(payloads)
                          if task.compute is not None else None)
-            op = task.insitu_cost_op or task.cost_op
-            if op is not None and self.cost_model is not None:
+            if task.cost_op is not None and self.cost_model is not None:
                 yield self.engine.timeout(
-                    self.cost_model.time(op, task.cost_elements))
+                    self.cost_model.time(task.cost_op, task.cost_elements))
         except Exception as exc:  # noqa: BLE001 — fault isolation boundary
             self._release_task_regions(task)
             self.fallback_failures.append(task.task_id)
-            if self._tracer.enabled:
-                self._tracer.counter("dataspaces.fallback_failures")
-                self._tracer.instant("dataspaces.fallback_failure",
-                                     lane="dataspaces", task_id=task.task_id,
-                                     error=repr(exc))
+            self._tracer.counter("dataspaces.fallback_failures")
+            self._tracer.instant("dataspaces.fallback_failure",
+                                 lane="dataspaces", task_id=task.task_id,
+                                 error=repr(exc))
             self._on_task_done(None)
             return
         self._release_task_regions(task)
@@ -633,3 +608,32 @@ class DataSpaces:
         out.extend(self.fallback_results)
         out.sort(key=lambda r: r.finish_time)
         return out
+
+    # -- what a replay reads off its staging area --------------------------------
+    # (``ShardedDataSpaces`` answers the same four over its shards.)
+
+    @property
+    def transports(self) -> list[DartTransport]:
+        return [self.transport]
+
+    def assignment_records(self) -> list[AssignmentRecord]:
+        """The scheduler's assignment log (Fig. 5 event-trace validation)."""
+        return list(self.scheduler.assignments)
+
+    def balance_report(self) -> None:
+        """One space has no shards to balance."""
+        return None
+
+    def probe_map(self) -> dict[str, Callable[[], float]]:
+        """The canonical gauge set for a live
+        :class:`~repro.obs.probes.ProbeSampler`: scheduler queue depth,
+        idle/busy buckets, NIC channel occupancy, and live RDMA-registered
+        bytes."""
+        sched, transport = self.scheduler, self.transport
+        return {
+            "sched.queue_depth": lambda: float(sched.pending_tasks),
+            "sched.idle_buckets": lambda: float(sched.idle_buckets),
+            "bucket.busy": lambda: self.live_buckets() - sched.idle_buckets,
+            "nic.busy_channels": lambda: float(transport.nic_busy_channels()),
+            "rdma.live_bytes": lambda: float(transport.registry.live_bytes()),
+        }

@@ -52,10 +52,6 @@ class TaskDescriptor:
     #: task can land straight back on the bucket it just failed on if that
     #: bucket is the first to announce readiness.
     max_retries: int = 0
-    #: Cost-model op charged when the task is executed *in-situ* by the
-    #: degraded-mode fallback (staging area fully down); ``None`` falls
-    #: back to ``cost_op`` — the in-situ price of the same computation.
-    insitu_cost_op: str | None = None
     meta: dict[str, Any] = field(default_factory=dict)
     #: Mutable retry counter (managed by the buckets).
     attempts: int = 0

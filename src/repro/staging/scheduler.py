@@ -187,14 +187,13 @@ class TaskScheduler:
                 self.reassignments.append(ReassignmentRecord(
                     task_id=task.task_id, dead_bucket=bucket,
                     assign_time=assign_t, requeue_time=self.engine.now))
-                if self._tracer.enabled:
-                    self._tracer.counter("sched.lease_reassign")
-                    self._tracer.instant("sched.lease_reassign",
-                                         lane=self.lane,
-                                         task_id=task.task_id, bucket=bucket)
-                    self._tracer.metrics.histogram(
-                        "sched.lease_detect_delay").observe(
-                        self.engine.now - assign_t)
+                self._tracer.counter("sched.lease_reassign")
+                self._tracer.instant("sched.lease_reassign",
+                                     lane=self.lane,
+                                     task_id=task.task_id, bucket=bucket)
+                self._tracer.metrics.histogram(
+                    "sched.lease_detect_delay").observe(
+                    self.engine.now - assign_t)
                 if task.flow is not None:
                     # The lease period burned on the dead bucket is a
                     # retry cost; the follow-on data_ready hop lands at
@@ -230,10 +229,9 @@ class TaskScheduler:
         return False
 
     def _retire(self, bucket: str, ev: EventHandle) -> None:
-        if self._tracer.enabled:
-            self._tracer.counter("sched.bucket_retired")
-            self._tracer.instant("sched.bucket_retire", lane=self.lane,
-                                 bucket=bucket)
+        self._tracer.counter("sched.bucket_retired")
+        self._tracer.instant("sched.bucket_retire", lane=self.lane,
+                             bucket=bucket)
         ev.succeed(retire_sentinel())
         self._sample()
 
@@ -248,10 +246,9 @@ class TaskScheduler:
         """Record a staging-core death; its free-list entry (if any) is
         skipped and any lease it holds will expire into a reassignment."""
         self._dead_buckets.add(bucket)
-        if self._tracer.enabled:
-            self._tracer.counter("sched.bucket_dead")
-            self._tracer.instant("sched.bucket_dead", lane=self.lane,
-                                 bucket=bucket)
+        self._tracer.counter("sched.bucket_dead")
+        self._tracer.instant("sched.bucket_dead", lane=self.lane,
+                             bucket=bucket)
 
     def steal_queue(self) -> list[TaskDescriptor]:
         """Drain and return every queued task (degraded-mode takeover)."""

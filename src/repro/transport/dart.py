@@ -37,10 +37,13 @@ class PullFault(Exception):
 class DartTransport:
     """Asynchronous transport between named nodes on one DES engine."""
 
+    #: A failed pull attempt ``k`` is retried after
+    #: ``pull_backoff_base * pull_backoff_factor ** (k - 1)`` seconds.
+    pull_backoff_base = 1.0e-4
+    pull_backoff_factor = 2.0
+
     def __init__(self, engine: Engine, network: GeminiNetwork | None = None,
-                 nic_channels: int = 1, pull_max_attempts: int = 1,
-                 pull_backoff_base: float = 1.0e-4,
-                 pull_backoff_factor: float = 2.0) -> None:
+                 pull_max_attempts: int = 1) -> None:
         if pull_max_attempts < 1:
             raise ValueError(
                 f"pull_max_attempts must be >= 1, got {pull_max_attempts}")
@@ -48,7 +51,6 @@ class DartTransport:
         self.network = network or GeminiNetwork()
         self.registry = RdmaRegistry()
         self.transfers: list[TransferRecord] = []
-        self._nic_channels = nic_channels
         self._nics: dict[str, Resource] = {}
         self._tracer = get_tracer()
         if self._tracer.enabled:
@@ -62,8 +64,6 @@ class DartTransport:
             self._observe_pull_bytes = metrics.histogram(
                 "dart.pull_bytes").observe
         self.pull_max_attempts = pull_max_attempts
-        self.pull_backoff_base = pull_backoff_base
-        self.pull_backoff_factor = pull_backoff_factor
         #: Fault-injection hook called per pull attempt with
         #: ``(descriptor, dest_node, attempt)``; returns extra stall
         #: seconds (0.0 = none) or raises :class:`PullFault` to fail the
@@ -113,8 +113,8 @@ class DartTransport:
 
     def _nic(self, node: str) -> Resource:
         if node not in self._nics:
-            self._nics[node] = Resource(self.engine, self._nic_channels,
-                                        name=f"nic:{node}")
+            # One channel per node: concurrent pulls into it serialise.
+            self._nics[node] = Resource(self.engine, 1, name=f"nic:{node}")
         return self._nics[node]
 
     def nic_busy_channels(self) -> int:

@@ -56,8 +56,7 @@ def spans_from_trace(trace_or_spans, clock: str = "des") -> list[Span]:
     return out
 
 
-def render_gantt(spans: list[Span], width: int = 72,
-                 t0: float | None = None, t1: float | None = None) -> str:
+def render_gantt(spans: list[Span], width: int = 72) -> str:
     """Render spans as one text row per actor.
 
     Each actor's row shows '#' where it is busy; overlapping spans on one
@@ -67,8 +66,8 @@ def render_gantt(spans: list[Span], width: int = 72,
         return "(no spans)"
     if width < 10:
         raise ValueError(f"width must be >= 10, got {width}")
-    lo = min(s.start for s in spans) if t0 is None else t0
-    hi = max(s.end for s in spans) if t1 is None else t1
+    lo = min(s.start for s in spans)
+    hi = max(s.end for s in spans)
     if hi <= lo:
         hi = lo + 1.0
     scale = width / (hi - lo)
@@ -86,7 +85,7 @@ def render_gantt(spans: list[Span], width: int = 72,
         for s in by_actor[actor]:
             a = int((s.start - lo) * scale)
             b = max(a + 1, int((s.end - lo) * scale))
-            for i in range(max(a, 0), min(b, width)):
+            for i in range(a, min(b, width)):
                 row[i] = "#"
         lines.append(f"{actor:{name_w}} |{''.join(row)}|")
     return "\n".join(lines)

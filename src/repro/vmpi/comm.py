@@ -118,16 +118,16 @@ class VirtualComm:
 
     Functional collectives take a sequence of length ``n_ranks`` holding
     each rank's contribution and return what MPI would deliver. Every call
-    is costed on ``network`` and recorded in ``tracker``.
+    is costed on ``network`` and recorded in :attr:`tracker`.
     """
 
-    def __init__(self, n_ranks: int, network: GeminiNetwork | None = None,
-                 tracker: CommTracker | None = None) -> None:
+    def __init__(self, n_ranks: int,
+                 network: GeminiNetwork | None = None) -> None:
         if n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
         self.n_ranks = n_ranks
         self.network = network or GeminiNetwork()
-        self.tracker = tracker or CommTracker()
+        self.tracker = CommTracker()
 
     @property
     def flow(self) -> FlowContext | None:
@@ -147,11 +147,10 @@ class VirtualComm:
                 f"collective needs {self.n_ranks} contributions, got {len(values)}"
             )
 
-    def reduce(self, values: Sequence[Any], op: Callable[[Any, Any], Any],
-               root: int = 0) -> Any:
-        """Reduce all contributions to ``root``; returns the reduced value."""
+    def reduce(self, values: Sequence[Any], op: Callable[[Any, Any], Any]
+               ) -> Any:
+        """Reduce all contributions to rank 0; returns the reduced value."""
         self._require_all_ranks(values)
-        self._check_root(root)
         nbytes = payload_bytes(values[0])
         self.tracker.add("reduce", self.n_ranks, nbytes,
                          coll.reduce_time(self.network, self.n_ranks, nbytes))
@@ -165,7 +164,3 @@ class VirtualComm:
                          coll.allreduce_time(self.network, self.n_ranks, nbytes))
         result = _pairwise_reduce(list(values), op)
         return [result] * self.n_ranks
-
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.n_ranks:
-            raise ValueError(f"root {root} out of range [0, {self.n_ranks})")

@@ -226,15 +226,6 @@ class TestEngineDispatch:
 
 
 class TestCollectives:
-    def test_float_reduce_identical(self):
-        rng = np.random.default_rng(3)
-        vals = [float(v) for v in rng.uniform(-4, 9, 97)]
-        ref, fast = both("vmpi.pairwise_reduce")
-        import operator
-
-        assert ref(list(vals), operator.add) == fast(list(vals),
-                                                     operator.add)
-
     def test_ndarray_reduce_fallback_path(self):
         # ndarray payloads route to the reference body verbatim
         rng = np.random.default_rng(5)

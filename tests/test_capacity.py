@@ -1,6 +1,8 @@
 """The byte-accurate capacity plane: ledgers, leaks, headroom, true-up."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -9,12 +11,12 @@ from repro.core.runner import ExperimentConfig, ScaledExperiment
 from repro.faults import FaultConfig
 from repro.obs.capacity import (
     LEAK_INJECTOR_NODE,
-    UNATTRIBUTED,
     CapacityLedger,
     CapacityReport,
     capacity_objectives,
     run_capacity_scenario,
 )
+from repro.obs.events import LedgerEntry
 from repro.obs.live import KIND_CAPACITY, TelemetryBus, render_top
 from repro.obs.perf import DEFAULT_POLICIES
 from repro.obs.tracer import tracing
@@ -79,15 +81,15 @@ class TestLedgerAccounting:
         assert rep.leaks == []
 
     def test_release_before_attach_still_balances(self):
+        """A region the ledger never saw registered is not its to book."""
         reg = RdmaRegistry()
         region = reg.register("node-a", None, nbytes=32)
         led = CapacityLedger()
         led.attach_registry(reg)
         reg.release(region.region_id)
         rep = led.finalize()
-        assert rep.registered_bytes_total == rep.released_bytes_total == 32
-        assert rep.final_resident_bytes == 0
-        assert rep.by_tenant[UNATTRIBUTED]["resident_bytes"] == 0
+        assert rep.registered_bytes_total == rep.released_bytes_total == 0
+        assert rep.final_resident_bytes == 0 and not rep.leaks
 
     def test_injected_leak_is_found_and_attributed(self):
         led = CapacityLedger()
@@ -159,6 +161,18 @@ class TestReplayAccounting:
                                            controller=ctrl, capacity=True)
         assert sched.controller is ctrl
         assert sched.capacity.final_resident_bytes == 0
+
+    def test_the_event_log_does_not_keep_a_finished_ledger_alive(self):
+        # A tracer outlives its runs (`repro top`: one per batch).
+        with tracing() as tracer:
+            ledger = CapacityLedger()
+            _experiment().run_schedule(n_steps=2, n_buckets=2,
+                                       capacity=ledger)
+            ref = weakref.ref(ledger)
+            del ledger
+            gc.collect()
+            assert ref() is None  # while its deltas are still in the log:
+            assert any(type(r) is LedgerEntry for r in tracer.log)
 
 
 class TestFaultedAccounting:

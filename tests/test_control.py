@@ -120,18 +120,24 @@ class TestScaleTo:
         assert sum(1 for b in ds.buckets if b.retired) == 1
 
     def test_supervisor_respawns_toward_target_after_crash(self):
-        eng, _, ds = self._space()
-        ds.spawn_buckets(["b0", "b1"])
-        ds.scale_to(3)
-        eng.call_at(1.0, lambda: ds.crash_bucket("b0"))
-        eng.run()
+        with tracing() as tracer:
+            eng, _, ds = self._space()
+            ds.spawn_buckets(["b0", "b1"])
+            ds.scale_to(3)
+            eng.call_at(1.0, lambda: ds.crash_bucket("b0"))
+            eng.run()
         assert ds.pool_respawns == 1
         assert ds.live_buckets() == 3
         assert ds.committed_buckets() == 3
         # the replacement came from the elastic namespace, budget untouched
-        assert any(b.name.startswith("staging+") and not b.dead
-                   for b in ds.buckets)
+        assert [b.name for b in ds.buckets] == ["b0", "b1", "staging+1",
+                                                "staging+2"]
         assert ds.restarts_used == 0
+        assert tracer.metrics.snapshot()["counters"][
+            "dataspaces.pool_respawns"] == 1
+        assert [i.tags for i in tracer.trace.instants
+                if i.name == "dataspaces.pool_respawn"] == [
+            {"dead": "b0", "replacement": "staging+2"}]
 
     def test_validation(self):
         _, _, ds = self._space()

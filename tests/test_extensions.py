@@ -283,9 +283,9 @@ class TestStreamingInTransit:
         case = LiftedFlameCase(grid, seed=34, kernel_rate=0.0)
         decomp = BlockDecomposition3D((10, 8, 6), (2, 1, 1))
         fw = HybridFramework(case, decomp, analyses=("autocorrelation",),
-                             autocorrelation_max_lag=2, n_buckets=2)
+                             n_buckets=2)
         result = fw.run(6)
-        assert set(result.autocorrelation) == {1, 2}
+        assert set(result.autocorrelation) == {1, 2, 3}
         # temperature evolves smoothly: strong positive lag-1 correlation
         assert result.autocorrelation[1] > 0.9
         assert result.autocorrelation[1] >= result.autocorrelation[2]
@@ -296,7 +296,7 @@ class TestStreamingInTransit:
         case_b = LiftedFlameCase(grid, seed=35, kernel_rate=1.0)
         decomp = BlockDecomposition3D((8, 6, 6), (2, 1, 1))
         fw = HybridFramework(case_a, decomp, analyses=("autocorrelation",),
-                             autocorrelation_max_lag=2, n_buckets=1)
+                             n_buckets=1)
         result = fw.run(5)
 
         from repro.sim import S3DProxy
@@ -305,6 +305,6 @@ class TestStreamingInTransit:
         for _ in range(5):
             solver.step()
             series.append(solver.fields["T"].copy())
-        ref = reference_autocorrelation(np.stack(series), 2)
-        for k in (1, 2):
+        ref = reference_autocorrelation(np.stack(series), 3)
+        for k in (1, 2, 3):
             assert result.autocorrelation[k] == pytest.approx(ref[k], rel=1e-9)

@@ -13,6 +13,7 @@ import pytest
 from repro.costmodel.models import CostModel
 from repro.des import Engine
 from repro.faults import FaultConfig, FaultInjector, run_resilience_experiment
+from repro.obs.tracer import tracing
 from repro.staging import DataSpaces
 from repro.transport import DartTransport
 
@@ -157,17 +158,23 @@ class TestCrashRecovery:
         _assert_accounted(ds)
 
     def test_supervisor_restart_restores_pool(self):
-        eng, tr, ds = _space(n_buckets=2, bucket_restart_delay=1.0e-3,
-                             max_bucket_restarts=2)
-        descs = [tr.register("sim-0", np.ones(4), nbytes=64 << 20)]
-        ds.submit_grouped_result("a", 0, descs,
-                                 compute=lambda p: float(p[0].sum()))
-        FaultInjector(eng, FaultConfig(crash_times=(2.0e-3,))).attach(ds)
-        ds.shutdown_buckets()
-        eng.run()
-        assert ds.restarts_used == 1
+        with tracing() as tracer:
+            eng, tr, ds = _space(n_buckets=2, bucket_restart_delay=1.0e-3,
+                                 max_bucket_restarts=2)
+            descs = [tr.register("sim-0", np.ones(4), nbytes=64 << 20)]
+            ds.submit_grouped_result("a", 0, descs,
+                                     compute=lambda p: float(p[0].sum()))
+            FaultInjector(eng, FaultConfig(crash_times=(2.0e-3,))).attach(ds)
+            ds.shutdown_buckets()
+            eng.run()
+        assert ds.restarts_used == 1 and ds.pool_respawns == 0
         assert ds.live_buckets() == 2  # replacement joined the pool
-        assert any("~r" in b.name for b in ds.buckets)
+        assert [b.name for b in ds.buckets] == ["b0", "b1", "b1~r1"]
+        assert tracer.metrics.snapshot()["counters"][
+            "dataspaces.bucket_restarts"] == 1
+        assert [i.tags for i in tracer.trace.instants
+                if i.name == "dataspaces.bucket_restart"] == [
+            {"dead": "b1", "replacement": "b1~r1"}]
         assert len(ds.all_results()) == 1
         _assert_accounted(ds)
 
@@ -265,21 +272,19 @@ class TestDegradedMode:
         assert len(tr.registry) == 0
 
     def test_degraded_mode_charges_insitu_price(self):
-        model = CostModel(name="m", rates={"fast-intransit": 1.0e-9,
-                                           "slow-insitu": 1.0e-6})
+        model = CostModel(name="m", rates={"analysis": 1.0e-6})
         eng, tr, ds = _space(n_buckets=1, cost_model=model)
         descs = [tr.register("sim-0", np.ones(8))]
         ds.submit_grouped_result("a", 0, descs,
                                  compute=lambda p: float(p[0].sum()),
-                                 cost_op="fast-intransit",
-                                 cost_elements=10**6,
-                                 insitu_cost_op="slow-insitu")
+                                 cost_op="analysis",
+                                 cost_elements=10**6)
         ds.crash_bucket("b0")
         ds.shutdown_buckets()
         eng.run()
         assert ds.degraded
         r = ds.all_results()[0]
-        # charged at the in-situ rate: 1e6 elements * 1e-6 s/element = 1 s
+        # charged the task's modeled cost: 1e6 elements * 1e-6 s/element = 1 s
         assert r.finish_time >= 1.0
         _assert_accounted(ds)
 

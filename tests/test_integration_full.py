@@ -23,7 +23,6 @@ def build(seed=77, streaming=False, steering=()):
         stats_variables=("T", "H2"),
         n_buckets=3, keep_fields=True,
         streaming_topology=streaming,
-        autocorrelation_max_lag=2,
         steering=steering,
     )
 
@@ -41,7 +40,7 @@ class TestEverythingOn:
         assert set(res.merge_trees) == {0, 1, 2, 3}
         assert set(res.hybrid_images) == {0, 1, 2, 3}
         assert set(res.insitu_images) == {0, 1, 2, 3}
-        assert set(res.autocorrelation) == {1, 2}
+        assert set(res.autocorrelation) == {1, 2, 3}
 
     def test_task_accounting_consistent(self, everything_run):
         _fw, res = everything_run

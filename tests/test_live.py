@@ -15,7 +15,7 @@ from repro.obs.live import (
     render_top,
 )
 from repro.obs.metrics import Gauge
-from repro.obs.probes import ProbeSampler, SloRule, SummarySlo
+from repro.obs.probes import ProbeSampler, SloRule
 from repro.obs.tracer import NULL_TRACER, Tracer, tracing
 from repro.service import CampaignService, JobSpec, TenantQuota
 
@@ -72,15 +72,6 @@ class TestTelemetryBus:
         assert sub.cursor == bus.published
         assert sub.cursor >= cursor_after_first  # monotone, never backwards
         assert sub.poll() == [] and sub.cursor == bus.published
-
-    def test_max_events_cap_keeps_remainder(self):
-        bus = TelemetryBus()
-        sub = bus.subscribe("capped")
-        for i in range(5):
-            bus.publish("instant", f"e{i}", t=float(i))
-        assert [e.name for e in sub.poll(max_events=2)] == ["e0", "e1"]
-        assert sub.pending == 3
-        assert [e.name for e in sub.poll()] == ["e2", "e3", "e4"]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -334,9 +325,9 @@ class TestProbeAlertDedupe:
             interval=1.0, probes={"q": lambda: value[0]},
             slos=(
                 SloRule(name="shared", probe="q", op="<=", threshold=5.0),
-                SummarySlo(name="shared",
-                           value_of=lambda totals: 10.0,
-                           op="<=", threshold=5.0),
+                SloRule(name="shared",
+                        value_of=lambda totals: 10.0,
+                        op="<=", threshold=5.0),
             ),
             tracer=tracer)
         # One sample at t=0 breaches the sampled rule; the trace's last
@@ -357,9 +348,9 @@ class TestProbeAlertDedupe:
             interval=1.0, probes={"q": lambda: value[0]},
             slos=(
                 SloRule(name="shared", probe="q", op="<=", threshold=5.0),
-                SummarySlo(name="shared",
-                           value_of=lambda totals: 10.0,
-                           op="<=", threshold=5.0),
+                SloRule(name="shared",
+                        value_of=lambda totals: 10.0,
+                        op="<=", threshold=5.0),
             ),
             tracer=tracer)
         sampler.on_advance(0.0)

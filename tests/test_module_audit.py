@@ -212,11 +212,16 @@ def _definitions(tree: ast.AST, prefix: str = ""):
             yield from _definitions(node, prefix)
 
 
-def test_no_name_is_kept_alive_by_its_tests_alone():
+def _code_trees() -> dict[Path, ast.AST]:
+    """Every file under src/, examples/ and benchmarks/, parsed."""
     code = list(SOURCES.values())
     for top in ("examples", "benchmarks"):
         code += (ROOT / top).rglob("*.py")
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in code}
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in code}
+
+
+def test_no_name_is_kept_alive_by_its_tests_alone():
+    trees = _code_trees()
     uses: Counter = Counter()
     for tree in trees.values():
         uses += _name_uses(tree)
@@ -232,4 +237,119 @@ def test_no_name_is_kept_alive_by_its_tests_alone():
         "benchmarks/ outside their own definition (delete with their "
         "tests, or allow-list with a reason):\n  " + "\n  ".join(orphans))
     stale = sorted(set(ALLOWED_NAMES) - unused)
+    assert not stale, f"allow-list entries no longer needed: {stale}"
+
+
+# -- parameter granularity ----------------------------------------------------
+
+#: "module:qualname(param)" -> why it stays settable although no call sets it.
+ALLOWED_PARAMS = {
+    # S3D's multi-stage RK and its second halo exchange (``integrator="rk2"``).
+    "repro.sim.s3d:S3DProxy.__init__(params)": _PAPER,
+    "repro.sim.s3d:DecomposedS3D.__init__(params)": _PAPER,
+    # §V steering: the hysteresis of a refine/coarsen rule pair.
+    "repro.core.steering:refine_cadence_on_topology(cooldown_steps)": _PAPER,
+    "repro.core.steering:coarsen_cadence_when_quiet(cooldown_steps)": _PAPER,
+    # The geometric half of put/get (§IV: index-bounds-tagged objects).
+    "repro.staging.dataspaces:DataSpaces.put(bounds)": _TUPLE_SPACE,
+    "repro.staging.dataspaces:DataSpaces.get(bounds)": _TUPLE_SPACE,
+    # run_resilience_experiment hands on its own default (4 attempts, not 1).
+    "repro.transport.dart:DartTransport.__init__(pull_max_attempts)":
+        _FAULT_PATH,
+    # The fields the serial reference analyses are run on.
+    "repro.core.framework:HybridFramework.__init__(keep_fields)": _REFERENCE,
+}
+
+
+def _hands_on(keyword: ast.keyword, params: frozenset) -> bool:
+    """``p=p`` from the enclosing function's own parameter, or
+    ``p=self.p``: the value is whatever somebody else set — or nobody."""
+    value = keyword.value
+    if isinstance(value, ast.Name):
+        return value.id == keyword.arg and value.id in params
+    return (isinstance(value, ast.Attribute) and value.attr == keyword.arg
+            and isinstance(value.value, ast.Name) and value.value.id == "self")
+
+
+def _call_census(trees):
+    """What the calls in ``trees`` pass: each keyword name given a value of
+    its own (not merely handed on), the most positional arguments given to
+    each callee name, and the callee names reached through ``*``/``**``
+    forwarding (whose arguments a static scan cannot count)."""
+    keywords: set[str] = set()
+    positional: Counter = Counter()
+    forwarded: set[str] = set()
+
+    def visit(node: ast.AST, params: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            params = frozenset(x.arg for x in
+                               a.posonlyargs + a.args + a.kwonlyargs)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None))
+            if (any(isinstance(x, ast.Starred) for x in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                forwarded.add(name)
+            keywords.update(k.arg for k in node.keywords
+                            if k.arg and not _hands_on(k, params))
+            positional[name] = max(positional[name], len(node.args))
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    for tree in trees:
+        visit(tree, frozenset())
+    return keywords, positional, forwarded
+
+
+def _public_callables(tree: ast.AST):
+    """``(qualname, call name, node, is_method)`` of each public module-level
+    function and public method (``__init__`` by its class's name)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not _is_exempt(node):
+                yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in item.decorator_list)
+                if item.name == "__init__":
+                    yield f"{node.name}.__init__", node.name, item, True
+                elif not _is_exempt(item):
+                    yield (f"{node.name}.{item.name}", item.name, item,
+                           not static)
+
+
+def test_no_parameter_is_settable_by_its_tests_alone():
+    trees = _code_trees()
+    keywords, positional, forwarded = _call_census(trees.values())
+    unset = set()
+    for module, path in SOURCES.items():
+        for qualname, call, node, is_method in _public_callables(trees[path]):
+            if call in forwarded:
+                continue
+            args = node.args
+            ordered = args.posonlyargs + args.args
+            first_default = len(ordered) - len(args.defaults)
+            defaulted = [(a.arg, i - is_method)
+                         for i, a in enumerate(ordered) if i >= first_default]
+            defaulted += [(a.arg, None) for a, d
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for name, index in defaulted:
+                by_position = index is not None and positional[call] > index
+                if name not in keywords and not by_position:
+                    unset.add(f"{module}:{qualname}({name})")
+    orphans = sorted(unset - set(ALLOWED_PARAMS))
+    assert not orphans, (
+        "defaulted parameters that no call in src/, examples/ or "
+        "benchmarks/ passes, by keyword or position (make each a constant "
+        "and delete the branch it guards with that branch's tests, or "
+        "allow-list with a reason):\n  " + "\n  ".join(orphans))
+    stale = sorted(set(ALLOWED_PARAMS) - unset)
     assert not stale, f"allow-list entries no longer needed: {stale}"

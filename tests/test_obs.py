@@ -225,37 +225,6 @@ class TestMetricsRegistry:
         assert h.percentile(100) == 9.0
         assert h.percentile(0) == 1.0
 
-    def test_histogram_reservoir_cap_bounds_memory(self):
-        reg = MetricsRegistry(histogram_max_samples=64)
-        h = reg.histogram("big")
-        for v in range(1000):
-            h.observe(float(v))
-        assert len(h.values) == 64          # storage bounded
-        assert h.count == 1000              # exact trackers unaffected
-        assert h.mean == pytest.approx(499.5)
-        assert h.vmin == 0.0 and h.vmax == 999.0
-        assert 0.0 <= h.percentile(50) <= 999.0
-
-    def test_histogram_reservoir_is_deterministic_per_name(self):
-        def fill(name):
-            h = MetricsRegistry(histogram_max_samples=16).histogram(name)
-            for v in range(200):
-                h.observe(float(v))
-            return list(h.values)
-
-        assert fill("a") == fill("a")   # seeded by name: reproducible
-        assert fill("a") != fill("b")   # distinct streams per instrument
-
-    def test_histogram_per_instrument_cap_override(self):
-        reg = MetricsRegistry(histogram_max_samples=1000)
-        h = reg.histogram("small", max_samples=8)
-        for v in range(100):
-            h.observe(float(v))
-        assert len(h.values) == 8
-        # the override binds on first creation only
-        assert reg.histogram("small", max_samples=99) is h
-        assert h.max_samples == 8
-
     def test_histogram_uncapped_keeps_everything(self):
         h = MetricsRegistry().histogram("all")
         for v in range(500):
@@ -380,13 +349,7 @@ class TestCriticalPath:
         assert cp.makespan == pytest.approx(9.0)
         assert cp.wait_time == pytest.approx(2.0)
 
-    def test_explicit_sink_and_empty_trace(self):
-        trace = self._pipeline_trace()
-        sink = next(s for s in trace.spans if s.tags.get("step") == 0
-                    and s.lane == "bucket")
-        cp = critical_path(trace, sink=sink)
-        assert cp.spans[-1] is sink
-        assert len(cp.spans) == 3
+    def test_empty_trace(self):
         empty = critical_path(Tracer().trace)
         assert empty.spans == [] and empty.makespan == 0.0
 

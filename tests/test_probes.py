@@ -1,5 +1,8 @@
 """Tests for repro.obs.probes: DES-clock sampling and SLO rules."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import ExperimentConfig, ScaledExperiment
@@ -7,12 +10,10 @@ from repro.des import Engine
 from repro.obs.probes import (
     ProbeSampler,
     SloRule,
-    SummarySlo,
     default_slos,
     insitu_share_slo,
-    standard_probes,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer, tracing
 
 
 class TestProbeSampler:
@@ -50,8 +51,8 @@ class TestProbeSampler:
         assert sampler.series["v"] == [(0.0, 0.0), (1.0, 7.0), (2.0, 7.0)]
 
     def test_max_samples_caps_backfill(self):
-        sampler = ProbeSampler(0.001, {"x": lambda: 1.0},
-                               tracer=NULL_TRACER, max_samples=10)
+        sampler = ProbeSampler(0.001, {"x": lambda: 1.0}, tracer=NULL_TRACER)
+        sampler.max_samples = 10
         self._drive(sampler, [100.0])
         assert sampler.n_samples == 10
 
@@ -108,10 +109,9 @@ class TestProbeSampler:
         tracer = Tracer(clock=lambda: 0.0)
         span = tracer.begin("sim", lane="x", stage="simulation")
         tracer.end(span)
-        slo = SummarySlo(name="nonzero-sim",
-                         value_of=lambda totals: totals.get("simulation",
-                                                            0.0),
-                         op=">", threshold=10.0)
+        slo = SloRule(name="nonzero-sim",
+                      value_of=lambda totals: totals.get("simulation", 0.0),
+                      op=">", threshold=10.0)
         sampler = ProbeSampler(1.0, {}, slos=(slo,), tracer=tracer)
         alerts = sampler.finalize(tracer.trace)
         assert [a.rule for a in alerts] == ["nonzero-sim"]
@@ -119,8 +119,6 @@ class TestProbeSampler:
     def test_validation(self):
         with pytest.raises(ValueError):
             ProbeSampler(0.0, {})
-        with pytest.raises(ValueError):
-            ProbeSampler(1.0, {}, max_samples=0)
         with pytest.raises(ValueError):
             SloRule(name="r", probe="p", op="!=", threshold=1.0)
 
@@ -158,24 +156,38 @@ class TestScheduleIntegration:
 
     def test_default_slos_shapes(self):
         rules = default_slos(8)
-        assert {r.name for r in rules} == {"queue-backlog", "insitu-share"}
+        # describe() as the two rule types gave it before they were one.
+        assert [r.describe() for r in rules] == [
+            {"name": "queue-backlog", "kind": "sampled",
+             "probe": "sched.queue_depth", "op": "<=", "threshold": 32.0,
+             "description": "scheduler backlog stays within 4x the "
+                            "8-bucket pool"},
+            {"name": "insitu-share", "kind": "summary", "op": "<",
+             "threshold": 0.05,
+             "description": "in-situ share of the timestep stays under 5% "
+                            "(the paper's budget)"}]
         share = insitu_share_slo(0.10)
         assert share.healthy(0.05) and not share.healthy(0.20)
         assert share.value_of({"insitu": 1.0, "simulation": 3.0}) == 0.25
         assert share.value_of({}) == 0.0
 
-    def test_standard_probes_read_live_objects(self):
-        from repro.staging.dataspaces import DataSpaces
-        from repro.transport.dart import DartTransport
-
-        engine = Engine()
-        transport = DartTransport(engine)
-        ds = DataSpaces(engine, transport)
-        ds.spawn_buckets(["b0", "b1"])
-        probes = standard_probes(ds, transport)
-        engine.run()
-        assert probes["sched.queue_depth"]() == 0.0
-        assert probes["sched.idle_buckets"]() == 2.0
-        assert probes["bucket.busy"]() == 0.0
-        assert probes["nic.busy_channels"]() == 0.0
-        assert probes["rdma.live_bytes"]() == 0.0
+    @pytest.mark.parametrize("n_shards, n_samples, digest, alert_t", [
+        (1, 62, "0c774c653eb3d1ba", 306.47045155636124),
+        (2, 65, "9b37194dabe0f40c", 323.4406295113547)],
+        ids=["one-space", "two-shards"])
+    def test_replay_rows_as_recorded(self, n_shards, n_samples, digest,
+                                     alert_t):
+        """A seeded replay's gauge rows and SLO alerts, recorded before
+        the gauge table moved onto ``DataSpaces.probe_map`` (the sharded
+        form summing its shards') and the rule types became one."""
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        with tracing():
+            sampler = exp.run_schedule(n_steps=4, n_buckets=2,
+                                       probe_interval=5.0,
+                                       n_shards=n_shards).probes
+        rows = json.dumps(sampler.series, sort_keys=True).encode()
+        assert sampler.n_samples == n_samples
+        assert hashlib.sha256(rows).hexdigest()[:16] == digest
+        assert [(a.rule, a.t, a.value, a.threshold)
+                for a in sampler.alerts] == [
+            ("insitu-share", alert_t, 0.208548614372945, 0.05)]

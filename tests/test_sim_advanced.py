@@ -51,8 +51,7 @@ class TestRK2:
         coarse dt beats euler at the same coarse dt."""
         def run(integrator, dt, n):
             case = _case(kernel_rate=0.0)
-            s = S3DProxy(case, params=SolverParams(integrator=integrator, dt=dt),
-                         seed_kernels=False)
+            s = S3DProxy(case, params=SolverParams(integrator=integrator, dt=dt))
             s.step(n)
             return s.fields["T"]
 

@@ -289,5 +289,3 @@ class TestTracking:
         segs = self._moving_sequence(2)
         with pytest.raises(ValueError):
             track_features(segs, steps=[0])
-        with pytest.raises(ValueError):
-            track_features(segs, min_overlap_cells=0)

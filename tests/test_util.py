@@ -65,9 +65,6 @@ class TestRng:
         b = seeded_rng(42, 1).random(5)
         assert not np.allclose(a, b)
 
-    def test_none_seed_gives_generator(self):
-        assert seeded_rng(None).random() <= 1.0
-
 
 class TestTextTable:
     def test_render_aligns_columns(self):

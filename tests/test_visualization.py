@@ -118,8 +118,8 @@ class TestSerialRenderer:
     def test_empty_volume_is_background(self):
         f = np.zeros((8, 8, 8))
         tf = TransferFunction.hot(0.0, 1.0)
-        img = render_volume(f, Camera(image_shape=(8, 8)), tf, background=0.25)
-        np.testing.assert_allclose(img, 0.25)
+        img = render_volume(f, Camera(image_shape=(8, 8)), tf)
+        np.testing.assert_array_equal(img, 0.0)
 
     def test_blob_renders_nonuniform(self):
         f = _blob_field()

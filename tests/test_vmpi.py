@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.machine.gemini import GeminiNetwork
 from repro.vmpi import (
     BlockDecomposition3D,
-    CommTracker,
     VirtualComm,
     allreduce_time,
     bcast_time,
@@ -155,14 +154,9 @@ class TestVirtualComm:
         with pytest.raises(ValueError):
             comm.allreduce([1, 2], operator.add)
 
-    def test_bad_root_raises(self):
-        comm = VirtualComm(3)
-        with pytest.raises(ValueError):
-            comm.reduce([1, 2, 3], operator.add, root=3)
-
     def test_tracker_records_costs(self):
-        tracker = CommTracker()
-        comm = VirtualComm(16, tracker=tracker)
+        comm = VirtualComm(16)
+        tracker = comm.tracker
         comm.allreduce([np.zeros(100)] * 16, np.add)
         comm.reduce([np.zeros(10)] * 16, np.add)
         assert tracker.count("allreduce") == 1
