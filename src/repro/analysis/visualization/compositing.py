@@ -19,7 +19,11 @@ import numpy as np
 
 from repro.analysis.visualization.camera import Camera
 from repro.analysis.visualization.transfer_function import TransferFunction
-from repro.analysis.visualization.volume_render import march_rays
+from repro.analysis.visualization.volume_render import (
+    base_cell,
+    march_rays,
+    reject_nonfinite,
+)
 from repro.vmpi.decomp import Block3D, BlockDecomposition3D
 
 
@@ -34,7 +38,7 @@ def block_with_hi_ghost(field: np.ndarray, block: Block3D) -> np.ndarray:
 
 def _block_sampler(block_data: np.ndarray, lo: tuple[int, int, int],
                    hi: tuple[int, int, int], global_shape: tuple[int, int, int]):
-    """Sampler + ownership mask replicating the global trilinear arithmetic.
+    """Sampler + ownership predicate replicating the serial arithmetic.
 
     The base cell index ``i0`` is computed exactly as the serial sampler
     does; the rank owns a sample iff ``i0`` lies in its brick. Owned
@@ -46,10 +50,7 @@ def _block_sampler(block_data: np.ndarray, lo: tuple[int, int, int],
     hi_arr = np.asarray(hi, dtype=np.int64)
 
     def sample(pos: np.ndarray) -> np.ndarray:
-        p = np.clip(pos, 0.0, shape - 1.0)
-        i0 = np.minimum(p.astype(np.int64), (shape - 2).astype(np.int64))
-        i0 = np.maximum(i0, 0)
-        frac = p - i0
+        i0, frac = base_cell(pos, shape)
         local = np.clip(i0 - lo_arr, 0,
                         np.asarray(block_data.shape) - 2)
         x0, y0, z0 = local[..., 0], local[..., 1], local[..., 2]
@@ -62,15 +63,11 @@ def _block_sampler(block_data: np.ndarray, lo: tuple[int, int, int],
         c1 = c01 * (1 - fy) + c11 * fy
         return c0 * (1 - fz) + c1 * fz
 
-    def owned_mask(pos: np.ndarray) -> np.ndarray:
-        inside = np.all((pos > -0.5) & (pos < shape - 0.5), axis=-1)
-        p = np.clip(pos, 0.0, shape - 1.0)
-        i0 = np.minimum(p.astype(np.int64), (shape - 2).astype(np.int64))
-        i0 = np.maximum(i0, 0)
-        owned = np.all((i0 >= lo_arr) & (i0 < hi_arr), axis=-1)
-        return (inside & owned).astype(np.float64)
+    def owned(pos: np.ndarray) -> np.ndarray:
+        i0, _frac = base_cell(pos, shape)
+        return np.all((i0 >= lo_arr) & (i0 < hi_arr), axis=-1)
 
-    return sample, owned_mask
+    return sample, owned
 
 
 def visibility_order(decomp: BlockDecomposition3D, direction: np.ndarray
@@ -90,15 +87,15 @@ def visibility_order(decomp: BlockDecomposition3D, direction: np.ndarray
 
 
 def render_block_partial(field: np.ndarray, block: Block3D,
-                         decomp: BlockDecomposition3D, camera: Camera,
+                         global_shape: tuple[int, int, int],
+                         rays: tuple[np.ndarray, np.ndarray, float],
                          tf: TransferFunction, step: float = 0.5
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """One rank's in-situ stage: partial (premultiplied RGB, alpha) image."""
+    """One rank's in-situ stage: partial (premultiplied RGB, alpha) image
+    along ``rays`` (``Camera.rays(global_shape)``)."""
     data = block_with_hi_ghost(field, block)
-    sampler, owned = _block_sampler(data, block.lo, block.hi,
-                                    decomp.global_shape)
-    origins, direction, t_len = camera.rays(decomp.global_shape)
-    return march_rays(sampler, origins, direction, t_len, tf, step,
+    sampler, owned = _block_sampler(data, block.lo, block.hi, global_shape)
+    return march_rays(sampler, global_shape, rays, tf, step,
                       sample_mask=owned)
 
 
@@ -127,8 +124,9 @@ def render_blocks_insitu(field: np.ndarray, decomp: BlockDecomposition3D,
     if field.shape != decomp.global_shape:
         raise ValueError(
             f"field shape {field.shape} != decomposition {decomp.global_shape}")
-    partials = [render_block_partial(field, b, decomp, camera, tf, step)
+    reject_nonfinite(field)
+    rays = camera.rays(decomp.global_shape)
+    partials = [render_block_partial(field, b, decomp.global_shape, rays, tf,
+                                     step)
                 for b in decomp.blocks()]
-    _, direction, _ = camera.rays(decomp.global_shape)
-    order = visibility_order(decomp, direction)
-    return composite_partials(partials, order)
+    return composite_partials(partials, visibility_order(decomp, rays[1]))

@@ -17,7 +17,10 @@ import numpy as np
 
 from repro.analysis.visualization.camera import Camera
 from repro.analysis.visualization.transfer_function import TransferFunction
-from repro.analysis.visualization.volume_render import march_rays
+from repro.analysis.visualization.volume_render import (
+    march_rays,
+    reject_nonfinite,
+)
 from repro.vmpi.decomp import BlockDecomposition3D
 
 
@@ -165,13 +168,9 @@ def render_intransit(blocks: list[DownsampledBlock],
     Marches the *same* rays as the in-situ mode over the full-resolution
     domain, sampling the down-sampled data through the LUT.
     """
+    for k, b in enumerate(blocks):
+        reject_nonfinite(b.data, f"block {k}")
     lut = BlockLUT(blocks, global_shape)
-    origins, direction, t_len = camera.rays(global_shape)
-    shape = np.asarray(global_shape, dtype=np.float64)
-
-    def inside_domain(pos: np.ndarray) -> np.ndarray:
-        return np.all((pos > -0.5) & (pos < shape - 0.5), axis=-1).astype(np.float64)
-
-    rgb, _alpha = march_rays(lut.sampler(), origins, direction, t_len, tf,
-                             step, sample_mask=inside_domain)
+    rgb, _alpha = march_rays(lut.sampler(), global_shape,
+                             camera.rays(global_shape), tf, step)
     return rgb

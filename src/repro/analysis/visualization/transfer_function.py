@@ -32,7 +32,7 @@ class TransferFunction:
             if not all(0.0 <= c <= 1.0 for c in p[1:]):
                 raise ValueError(f"color/opacity of {p} must lie in [0, 1]")
         # Column 0: control values; columns 1-4: their r, g, b, a. The
-        # marcher calls the function once per step, the points never change.
+        # marcher calls the function once per image, the points never change.
         object.__setattr__(self, "_columns",
                            np.array(self.points, dtype=np.float64).T.copy())
 

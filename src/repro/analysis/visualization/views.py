@@ -26,7 +26,11 @@ from repro.analysis.visualization.downsample import (
     render_intransit,
 )
 from repro.analysis.visualization.transfer_function import TransferFunction
-from repro.analysis.visualization.volume_render import march_rays, trilinear_sampler
+from repro.analysis.visualization.volume_render import (
+    march_rays,
+    reject_nonfinite,
+    trilinear_sampler,
+)
 from repro.vmpi.decomp import BlockDecomposition3D
 
 _MODES = ("insitu", "hybrid")
@@ -93,6 +97,7 @@ class ViewSession:
             raise KeyError(
                 f"view {view.name!r} needs variable {view.variable!r}; "
                 f"have {sorted(fields)}") from None
+        reject_nonfinite(data, f"variable {view.variable!r}")
         tf = self._tf_for(view, data)
         if view.mode == "insitu":
             return render_blocks_insitu(data, self.decomp, view.camera, tf)
@@ -111,15 +116,9 @@ class ViewSession:
             (0.5, r, g, b, 0.0),
             (1.0, r, g, b, 0.35),
         ))
-        origins, direction, t_len = view.camera.rays(self.decomp.global_shape)
-        shape = np.asarray(self.decomp.global_shape, dtype=np.float64)
-
-        def inside(pos: np.ndarray) -> np.ndarray:
-            return np.all((pos > -0.5) & (pos < shape - 0.5), axis=-1
-                          ).astype(np.float64)
-
-        return march_rays(trilinear_sampler(mask), origins, direction, t_len,
-                          tf, sample_mask=inside)
+        shape = self.decomp.global_shape
+        return march_rays(trilinear_sampler(mask), shape,
+                          view.camera.rays(shape), tf)
 
     def render_all(self, fields: dict[str, np.ndarray],
                    highlight: tuple[Segmentation, int] | None = None

@@ -1,8 +1,10 @@
 """Ray-marching kernels shared by all rendering modes.
 
-Front-to-back alpha compositing with trilinear sampling. The marcher is
-vectorised over all pixels at once: at each step every live ray samples
-the volume and composites, with early-out once every ray saturates.
+Front-to-back alpha compositing with trilinear sampling. The marcher
+handles only the samples that fall inside the volume: it finds them for
+every ray and step at once, classifies them in one batch, then
+composites step by step over just those, with early-out once every ray
+saturates.
 """
 
 from __future__ import annotations
@@ -14,86 +16,104 @@ import numpy as np
 from repro.analysis.visualization.camera import Camera
 from repro.analysis.visualization.transfer_function import TransferFunction
 
-#: Sampler signature: (N, 3) float positions -> (N,) values; positions
-#: outside the volume must return a value the transfer function maps to
-#: zero opacity (samplers here clamp and mask instead).
+#: Sampler signature: (N, 3) float positions -> (N,) values. The marcher
+#: hands a sampler only positions inside the volume.
 Sampler = Callable[[np.ndarray], np.ndarray]
 
 
-def trilinear_sampler(field: np.ndarray) -> Sampler:
-    """Trilinear interpolation on a dense grid, clamped at the borders.
+def reject_nonfinite(field: np.ndarray, what: str = "field") -> None:
+    """Raise if ``field`` holds NaN or ±inf, naming the first by flat
+    index: one such value turns every ray that samples near it NaN."""
+    bad = ~np.isfinite(field)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{what} value at flat index {i} is "
+                         f"{field.flat[i]}: a render needs finite values")
 
-    Positions outside the volume are masked to the field minimum (which a
-    well-formed transfer function maps to zero opacity).
-    """
+
+def base_cell(pos: np.ndarray, shape: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Base cell index and in-cell fraction of each position clamped into
+    a grid of ``shape``: every trilinear sampler's arithmetic, one copy."""
+    p = np.clip(pos, 0.0, shape - 1.0)
+    i0 = np.minimum(p.astype(np.int64), (shape - 2).astype(np.int64))
+    i0 = np.maximum(i0, 0)
+    return i0, p - i0
+
+
+def trilinear_sampler(field: np.ndarray) -> Sampler:
+    """Trilinear interpolation on a dense grid, clamped at the borders;
+    an axis of extent 1 reads its single layer as both neighbours."""
     field = np.asarray(field, dtype=np.float64)
     shape = np.asarray(field.shape, dtype=np.float64)
-    fill = float(field.min())
+    top = np.asarray(field.shape, dtype=np.int64) - 1
 
     def sample(pos: np.ndarray) -> np.ndarray:
-        pos = np.asarray(pos, dtype=np.float64)
-        inside = np.all((pos > -0.5) & (pos < shape - 0.5), axis=-1)
-        p = np.clip(pos, 0.0, shape - 1.0)
-        i0 = np.minimum(p.astype(np.int64), (shape - 2).astype(np.int64))
-        i0 = np.maximum(i0, 0)
-        frac = p - i0
+        i0, frac = base_cell(pos, shape)
+        i1 = np.minimum(i0 + 1, top)
         x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
+        x1, y1, z1 = i1[..., 0], i1[..., 1], i1[..., 2]
         fx, fy, fz = frac[..., 0], frac[..., 1], frac[..., 2]
-        c000 = field[x0, y0, z0]
-        c100 = field[x0 + 1, y0, z0]
-        c010 = field[x0, y0 + 1, z0]
-        c110 = field[x0 + 1, y0 + 1, z0]
-        c001 = field[x0, y0, z0 + 1]
-        c101 = field[x0 + 1, y0, z0 + 1]
-        c011 = field[x0, y0 + 1, z0 + 1]
-        c111 = field[x0 + 1, y0 + 1, z0 + 1]
-        c00 = c000 * (1 - fx) + c100 * fx
-        c10 = c010 * (1 - fx) + c110 * fx
-        c01 = c001 * (1 - fx) + c101 * fx
-        c11 = c011 * (1 - fx) + c111 * fx
+        c00 = field[x0, y0, z0] * (1 - fx) + field[x1, y0, z0] * fx
+        c10 = field[x0, y1, z0] * (1 - fx) + field[x1, y1, z0] * fx
+        c01 = field[x0, y0, z1] * (1 - fx) + field[x1, y0, z1] * fx
+        c11 = field[x0, y1, z1] * (1 - fx) + field[x1, y1, z1] * fx
         c0 = c00 * (1 - fy) + c10 * fy
         c1 = c01 * (1 - fy) + c11 * fy
-        out = c0 * (1 - fz) + c1 * fz
-        return np.where(inside, out, fill)
+        return c0 * (1 - fz) + c1 * fz
 
     return sample
 
 
-def march_rays(sampler: Sampler, origins: np.ndarray, direction: np.ndarray,
-               t_len: float, tf: TransferFunction, step: float = 0.5,
+def march_rays(sampler: Sampler, shape: tuple[int, int, int],
+               rays: tuple[np.ndarray, np.ndarray, float],
+               tf: TransferFunction, step: float = 0.5,
                sample_mask: Callable[[np.ndarray], np.ndarray] | None = None,
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Front-to-back composite along parallel rays.
+    """Front-to-back composite along parallel rays through a volume of
+    ``shape``.
 
-    Returns ``(rgb (H, W, 3), alpha (H, W))``. ``sample_mask``, when
-    given, zeroes the contribution of samples outside a region — the hook
-    block-parallel rendering uses to restrict a rank to its own brick.
+    ``rays`` is ``Camera.rays(shape)``. Returns ``(rgb (H, W, 3), alpha
+    (H, W))``. Only samples strictly inside the volume (``-0.5 < p <
+    n - 0.5`` on every axis) are sampled and composited; a sample outside
+    it would add exactly zero. ``sample_mask``, when given, is a boolean
+    predicate on those positions keeping the samples a region owns — the
+    hook block-parallel rendering uses to restrict a rank to its brick.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
+    origins, direction, t_len = rays
     h, w, _ = origins.shape
-    rgb = np.zeros((h, w, 3))
-    alpha = np.zeros((h, w))
     flat_origins = origins.reshape(-1, 3)
-    n_steps = int(np.ceil(t_len / step))
-    for k in range(n_steps):
-        t = k * step
-        pos = flat_origins + t * direction
-        vals = sampler(pos)
-        rgba = tf(vals)
-        a = 1.0 - np.power(1.0 - rgba[..., 3], step)  # per-step opacity
-        if sample_mask is not None:
-            a = a * sample_mask(pos)
-        a = a.reshape(h, w)
-        color = rgba[..., :3].reshape(h, w, 3)
-        weight = (1.0 - alpha) * a
-        rgb += weight[..., None] * color
-        alpha += weight
+    t = np.arange(int(np.ceil(t_len / step))) * step
+    keep = np.ones((t.size, h * w), dtype=bool)
+    for a, n in enumerate(shape):
+        p = flat_origins[:, a] + (t * direction[a])[:, None]
+        keep &= (p > -0.5) & (p < n - 0.5)
+    # Step-major (step, ray) pairs, positions as origin + t * direction:
+    # the same two roundings a step-by-step march performs.
+    ks, ray = np.nonzero(keep)
+    pos = flat_origins[ray] + t[ks][:, None] * direction
+    if sample_mask is not None:
+        owned = sample_mask(pos)
+        ks, ray, pos = ks[owned], ray[owned], pos[owned]
+    rgba = tf(sampler(pos))
+    a = 1.0 - np.power(1.0 - rgba[:, 3], step)  # per-step opacity
+    rgb = np.zeros((h * w, 3))
+    alpha = np.zeros(h * w)
+    edges = np.searchsorted(ks, np.arange(t.size + 1)).tolist()
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo == hi:
+            continue
+        r = ray[lo:hi]
+        weight = (1.0 - alpha[r]) * a[lo:hi]
+        rgb[r] += weight[:, None] * rgba[lo:hi, :3]
+        alpha[r] += weight
         # Early out only once every ray is numerically opaque — a looser
         # threshold would make results depend on compositing grouping.
         if np.all(alpha >= 1.0 - 1e-12):
             break
-    return rgb, alpha
+    return rgb.reshape(h, w, 3), alpha.reshape(h, w)
 
 
 def render_volume(field: np.ndarray, camera: Camera, tf: TransferFunction,
@@ -105,12 +125,7 @@ def render_volume(field: np.ndarray, camera: Camera, tf: TransferFunction,
     field = np.asarray(field, dtype=np.float64)
     if field.ndim != 3:
         raise ValueError(f"expected a 3-D field, got shape {field.shape}")
-    origins, direction, t_len = camera.rays(field.shape)
-    shape = np.asarray(field.shape, dtype=np.float64)
-
-    def inside_domain(pos: np.ndarray) -> np.ndarray:
-        return np.all((pos > -0.5) & (pos < shape - 0.5), axis=-1).astype(np.float64)
-
-    rgb, _alpha = march_rays(trilinear_sampler(field), origins, direction,
-                             t_len, tf, step, sample_mask=inside_domain)
+    reject_nonfinite(field)
+    rgb, _alpha = march_rays(trilinear_sampler(field), field.shape,
+                             camera.rays(field.shape), tf, step)
     return rgb

@@ -77,6 +77,17 @@ class TestRendering:
         with pytest.raises(KeyError, match="needs variable"):
             session.render_all({"T": np.zeros(SHAPE)})  # OH missing
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_variable_refused(self, session, bad):
+        """The hybrid view's stride-2 down-sample would not ship (3, 3, 3),
+        yet its transfer function is built from the whole field."""
+        fields = _fields()
+        fields["OH"][3, 3, 3] = bad
+        index = np.ravel_multi_index((3, 3, 3), SHAPE)
+        with pytest.raises(ValueError,
+                           match=f"variable 'OH' value at flat index {index} "):
+            session.render_all(fields)
+
     def test_views_show_different_data(self, session):
         images = session.render_all(_fields())
         assert image_rmse(images["temperature"], images["radical"]) > 0.01

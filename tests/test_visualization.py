@@ -107,11 +107,11 @@ class TestTrilinearSampler:
         sample = trilinear_sampler(f)
         np.testing.assert_allclose(sample(np.array([[0.25, 0.5, 0.5]])), [0.25])
 
-    def test_outside_returns_fill(self):
-        f = np.ones((3, 3, 3))
-        f[0, 0, 0] = -5.0  # the min
+    def test_extent_one_axis_reads_its_layer(self):
+        f = np.arange(4.0).reshape(2, 2, 1)
         sample = trilinear_sampler(f)
-        np.testing.assert_allclose(sample(np.array([[-10.0, 0, 0]])), [-5.0])
+        np.testing.assert_allclose(sample(np.array([[0.5, 0.25, 0.0]])),
+                                   [1.25])
 
 
 class TestSerialRenderer:
@@ -169,6 +169,33 @@ class TestInSituCompositing:
         cam = Camera(image_shape=(8, 8), azimuth_deg=az, elevation_deg=el)
         assert image_rmse(render_volume(f, cam, tf),
                           render_blocks_insitu(f, decomp, cam, tf)) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (1, 8, 8), (8, 1, 8),
+                                       (1, 1, 1)])
+    def test_slab_matches_serial(self, shape):
+        """A field one cell thick renders serially as it does per block."""
+        f = np.random.default_rng(55).random(shape)
+        decomp = BlockDecomposition3D(shape, tuple(min(n, 2) for n in shape))
+        tf = TransferFunction.hot(float(f.min()) - 0.5, float(f.max()))
+        cam = Camera(image_shape=(10, 10), azimuth_deg=25, elevation_deg=15)
+        serial = render_volume(f, cam, tf)
+        assert serial.max() > 0.0
+        assert image_rmse(serial, render_blocks_insitu(f, decomp, cam, tf)) < 1e-9
+
+    def test_rays_computed_once_per_image(self, monkeypatch):
+        calls = []
+        rays = Camera.rays
+
+        def counting(cam, shape):
+            calls.append(shape)
+            return rays(cam, shape)
+
+        monkeypatch.setattr(Camera, "rays", counting)
+        f = _blob_field(shape=(8, 8, 6))
+        render_blocks_insitu(f, BlockDecomposition3D(f.shape, (2, 2, 2)),
+                             Camera(image_shape=(6, 6)),
+                             TransferFunction.hot(0.0, float(f.max())))
+        assert calls == [f.shape]
 
     def test_visibility_order_is_permutation(self):
         decomp = BlockDecomposition3D((8, 8, 8), (2, 2, 2))
@@ -343,3 +370,43 @@ class TestHybridRenderer:
                                f.shape, cam, tf)
         assert img.shape == (10, 10, 3)
         assert img.max() > 0.0
+
+
+class TestNonFiniteRefused:
+    """A NaN or infinite value would turn every ray near it NaN; each entry
+    point refuses the field up front and names the first bad value."""
+
+    SHAPE = (8, 6, 4)
+    BAD = (5, 4, 3)
+
+    def _field(self, bad):
+        f = _blob_field(shape=self.SHAPE)
+        f[self.BAD] = bad
+        return f
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_serial(self, bad):
+        index = np.ravel_multi_index(self.BAD, self.SHAPE)
+        with pytest.raises(ValueError, match=f"field value at flat index {index} "):
+            render_volume(self._field(bad), Camera(image_shape=(4, 4)),
+                          TransferFunction.hot(0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_insitu(self, bad):
+        index = np.ravel_multi_index(self.BAD, self.SHAPE)
+        with pytest.raises(ValueError, match=f"field value at flat index {index} "):
+            render_blocks_insitu(self._field(bad),
+                                 BlockDecomposition3D(self.SHAPE, (2, 2, 1)),
+                                 Camera(image_shape=(4, 4)),
+                                 TransferFunction.hot(0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_intransit_payloads(self, bad):
+        """The staging side sees only the shipped blocks: the bad value
+        lands in the last of four, at (1, 1, 3) of its 4 x 3 x 4 brick."""
+        blocks = downsample_decomposed(
+            self._field(bad), BlockDecomposition3D(self.SHAPE, (2, 2, 1)), 1)
+        index = np.ravel_multi_index((1, 1, 3), blocks[3].data.shape)
+        with pytest.raises(ValueError, match=f"block 3 value at flat index {index} "):
+            render_intransit(blocks, self.SHAPE, Camera(image_shape=(4, 4)),
+                             TransferFunction.hot(0.0, 1.0))
