@@ -13,21 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class OpDescriptor:
-    """What an operation did, machine-independently."""
-
-    op: str
-    n_elements: int
-    nbytes: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_elements < 0:
-            raise ValueError(f"n_elements must be >= 0, got {self.n_elements}")
-        if self.nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {self.nbytes}")
-
-
 @dataclass
 class CostModel:
     """Maps operation names to ``(rate_per_element, fixed_overhead)``."""

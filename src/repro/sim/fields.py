@@ -81,28 +81,8 @@ class FieldSet:
     def velocity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self["u"], self["v"], self["w"]
 
-    def species(self) -> dict[str, np.ndarray]:
-        return {s: self._data[s] for s in SPECIES_NAMES if s in self._data}
-
     def copy(self) -> "FieldSet":
         out = FieldSet(self.grid, self._names)
         for name in self._names:
             out._data[name] = self._data[name].copy()
         return out
-
-    def as_array(self) -> np.ndarray:
-        """Stack all variables into ``(nx, ny, nz, n_vars)`` (C-contiguous)."""
-        return np.stack([self._data[n] for n in self._names], axis=-1)
-
-    @classmethod
-    def from_array(cls, grid: StructuredGrid3D, arr: np.ndarray
-                   ) -> "FieldSet":
-        names = VARIABLE_NAMES
-        if arr.shape != (*grid.shape, len(names)):
-            raise ValueError(
-                f"array shape {arr.shape} != {(*grid.shape, len(names))}"
-            )
-        fs = cls(grid, names)
-        for i, name in enumerate(names):
-            fs._data[name] = np.ascontiguousarray(arr[..., i])
-        return fs

@@ -82,16 +82,6 @@ class LiftedFlameCase:
         """Cells where both fuel and oxidiser are present (mixing layer)."""
         return (fs["H2"] > 0.02) & (fs["O2"] > 0.02)
 
-    def seed_kernels(self, fs: FieldSet, step: int) -> list[tuple[int, int, int]]:
-        """Stochastically ignite kernels in the flammable mixing layer.
-
-        Returns the centers seeded this step. Kernel lifetime under the
-        solver dynamics is ~10 steps (advection + dissipation), matching
-        the paper's "intermittent phenomena that occur on the order of 10
-        simulation timesteps".
-        """
-        return self.ignite_kernels(fs, self.draw_kernel_count())
-
     def draw_kernel_count(self) -> int:
         """This step's number of new kernels: the Poisson draw alone, so
         a caller that has to assemble ``fs`` first can skip the assembly
@@ -100,7 +90,13 @@ class LiftedFlameCase:
 
     def ignite_kernels(self, fs: FieldSet, n_new: int
                        ) -> list[tuple[int, int, int]]:
-        """Place ``n_new`` drawn kernels; returns their centers."""
+        """Ignite ``n_new`` drawn kernels at random cells of the
+        flammable mixing layer; returns their centers.
+
+        Kernel lifetime under the solver dynamics is ~10 steps
+        (advection + dissipation), matching the paper's "intermittent
+        phenomena that occur on the order of 10 simulation timesteps".
+        """
         if n_new == 0:
             return []
         mask = self.flammable_mask(fs)

@@ -1,14 +1,11 @@
 """The S3D proxy solver: explicit advection–diffusion–reaction.
 
-:class:`S3DProxy` advances the 14-variable state on the global grid with
-the periodic ``np.roll`` operators; :class:`DecomposedS3D` advances the
-identical equations block-parallel over a
-:class:`~repro.vmpi.decomp.BlockDecomposition3D` with one-layer ghost
-exchange and the block operators of :mod:`repro.sim.stencil`, which read
-the ghost-padded operands through slice views, over all the ranks of one
-block shape at once — tests assert the two
-produce bitwise-identical states, the reproduction's stand-in for S3D's
-MPI-correctness.
+:class:`DecomposedS3D` advances the 14-variable state block-parallel
+over a :class:`~repro.vmpi.decomp.BlockDecomposition3D` with one-layer
+ghost exchange and the block operators of :mod:`repro.sim.stencil`,
+which read the ghost-padded operands through slice views, over all the
+ranks of one block shape at once. :class:`S3DProxy` is its one-rank
+case: a 1×1×1 decomposition whose ``fields`` are the live block.
 
 Physics per step (explicit Euler, frozen velocity):
 
@@ -26,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.costmodel.models import OpDescriptor
 from repro.obs.tracer import get_tracer
 from repro.sim.chemistry import ArrheniusChemistry
 from repro.sim.fields import SPECIES_NAMES, FieldSet
@@ -35,9 +31,7 @@ from repro.sim.lifted_flame import LiftedFlameCase
 from repro.sim.stencil import (
     block_laplacian,
     block_upwind_advection,
-    laplacian,
     pad_with_ghosts,
-    upwind_advection,
 )
 from repro.vmpi.decomp import BlockDecomposition3D
 
@@ -47,7 +41,7 @@ _TRANSPORTED = ("T",) + SPECIES_NAMES  # velocity is frozen; P is held fixed
 
 @dataclass
 class SolverParams:
-    """Transport and numerics parameters shared by both solver variants."""
+    """Transport and numerics parameters of the solver."""
 
     thermal_diffusivity: float = 2.0e-3
     species_diffusivity: float = 1.5e-3
@@ -73,27 +67,24 @@ class SolverParams:
         return grid.cfl_dt(max_speed, diff, self.cfl_safety)
 
 
-def _rhs(state: dict[str, np.ndarray], stencil_in: dict[str, np.ndarray],
-         advect, diffuse, spacing: tuple[float, float, float],
+def _rhs(state: dict[str, np.ndarray], ghosts: dict[str, np.ndarray],
+         spacing: tuple[float, float, float],
          chemistry: ArrheniusChemistry, params: SolverParams
          ) -> dict[str, np.ndarray]:
-    """Right-hand sides for all transported variables.
-
-    ``state`` feeds the pointwise terms; ``advect`` and ``diffuse`` read
-    the stencil operands from ``stencil_in`` — the state itself under the
-    periodic operators, the ghost-padded blocks under the block ones.
-    """
+    """Right-hand sides for all transported variables: the pointwise
+    terms from ``state``, the stencils from its ghost-padded ``ghosts``."""
     velocity = (state["u"], state["v"], state["w"])
     dT_chem, dY_chem = chemistry.source_terms(
         state["T"], {s: state[s] for s in SPECIES_NAMES})
 
     rhs: dict[str, np.ndarray] = {}
-    rhs["T"] = (advect(stencil_in["T"], velocity, spacing)
-                + params.thermal_diffusivity * diffuse(stencil_in["T"], spacing)
+    rhs["T"] = (block_upwind_advection(ghosts["T"], velocity, spacing)
+                + params.thermal_diffusivity
+                * block_laplacian(ghosts["T"], spacing)
                 + dT_chem)
     for s in SPECIES_NAMES:
-        r = (advect(stencil_in[s], velocity, spacing)
-             + params.species_diffusivity * diffuse(stencil_in[s], spacing)
+        r = (block_upwind_advection(ghosts[s], velocity, spacing)
+             + params.species_diffusivity * block_laplacian(ghosts[s], spacing)
              + dY_chem[s])
         if s in _RADICALS:
             r = r - params.radical_decay * state[s]
@@ -123,55 +114,6 @@ def _midpoint_state(state: dict[str, np.ndarray], rhs: dict[str, np.ndarray],
 def _combine_heun(rhs1: dict[str, np.ndarray], rhs2: dict[str, np.ndarray]
                   ) -> dict[str, np.ndarray]:
     return {name: 0.5 * (rhs1[name] + rhs2[name]) for name in rhs1}
-
-
-class S3DProxy:
-    """Global-grid solver. ``fields`` is advanced in place by :meth:`step`."""
-
-    def __init__(self, case: LiftedFlameCase,
-                 params: SolverParams | None = None) -> None:
-        self.case = case
-        self.grid = case.grid
-        self.chemistry = ArrheniusChemistry()
-        self.params = params or SolverParams()
-        self.fields = case.initial_fields()
-        max_speed = max(float(np.max(np.abs(self.fields[c])))
-                        for c in ("u", "v", "w"))
-        self.dt = self.params.resolve_dt(self.grid, max_speed)
-        self.step_count = 0
-        self.kernel_history: list[tuple[int, tuple[int, int, int]]] = []
-        self._tracer = get_tracer()
-
-    def step(self, n: int = 1) -> FieldSet:
-        """Advance ``n`` steps; returns the (live) field set."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        spacing = self.grid.spacing
-        tracer = self._tracer
-        for _ in range(n):
-            with tracer.span("sim.step", lane="sim", stage="simulation",
-                             step=self.step_count, solver="global"):
-                for center in self.case.seed_kernels(self.fields,
-                                                     self.step_count):
-                    self.kernel_history.append((self.step_count, center))
-                state = {name: self.fields[name] for name in self.fields.names}
-                with tracer.span("sim.rhs", lane="sim", category="sim"):
-                    rhs = _rhs(state, state, upwind_advection, laplacian,
-                               spacing, self.chemistry, self.params)
-                if self.params.integrator == "rk2":
-                    mid = _midpoint_state(state, rhs, self.dt)
-                    with tracer.span("sim.rhs", lane="sim", category="sim"):
-                        rhs2 = _rhs(mid, mid, upwind_advection, laplacian,
-                                    spacing, self.chemistry, self.params)
-                    rhs = _combine_heun(rhs, rhs2)
-                with tracer.span("sim.update", lane="sim", category="sim"):
-                    _apply_update(state, rhs, self.dt)
-                self.step_count += 1
-        return self.fields
-
-    def op_descriptor(self) -> OpDescriptor:
-        """Per-step, per-rank cost descriptor (full grid = 1 rank here)."""
-        return OpDescriptor("s3d.step", self.grid.n_cells)
 
 
 class DecomposedS3D:
@@ -255,8 +197,8 @@ class DecomposedS3D:
                                 out=[g[name] for g in ghost_parts])
         with tracer.span("sim.rhs", lane="sim", category="sim"):
             return [
-                _rhs(stack, ghosts, block_upwind_advection, block_laplacian,
-                     self.grid.spacing, self.chemistry, self.params)
+                _rhs(stack, ghosts, self.grid.spacing, self.chemistry,
+                     self.params)
                 for stack, ghosts in zip(stacks, ghosted)]
 
     def step(self, n: int = 1) -> None:
@@ -306,5 +248,16 @@ class DecomposedS3D:
             fs[name] = self._gather_var(name)
         return fs
 
-    def rank_op_descriptor(self, rank: int) -> OpDescriptor:
-        return OpDescriptor("s3d.step", self.decomp.block(rank).n_cells)
+
+class S3DProxy(DecomposedS3D):
+    """The serial solver: the one-rank decomposition of the grid.
+    ``fields`` holds the rank's live blocks, so :meth:`step` advances it
+    in place and a write through it is what the next step reads."""
+
+    def __init__(self, case: LiftedFlameCase,
+                 params: SolverParams | None = None) -> None:
+        super().__init__(case, BlockDecomposition3D(case.grid.shape,
+                                                    (1, 1, 1)), params)
+        self.fields = FieldSet(self.grid, self.names)
+        for name in self.names:
+            self.fields[name] = self.parts[0][name]

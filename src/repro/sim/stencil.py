@@ -1,17 +1,10 @@
 """Finite-difference stencils and block ghost exchange.
 
-Two families of vectorised NumPy operators evaluate the same stencils:
-
-* the *periodic* operators (:func:`gradient`, :func:`laplacian`,
-  :func:`upwind_advection`) act on a whole periodic field and wrap via
-  ``np.roll`` — what the global solver uses, and the oracle;
-* the *block* operators (:func:`block_laplacian`,
-  :func:`block_upwind_advection`) act on one block padded with a ghost
-  layer copied from its neighbours (:func:`pad_with_ghosts`), or on a
-  stack of same-shape blocks with the ranks as a leading axis: they read
-  the shifted operands through slice views and return interior-shaped
-  output — same operands, same operation order, so tests assert bitwise
-  agreement with the periodic operators on the block's cells.
+The solver's operators act on one block padded with a ghost layer copied
+from its neighbours (:func:`pad_with_ghosts`), or on a stack of
+same-shape blocks with the ranks as a leading axis: they read the
+shifted operands through slice views and return interior-shaped output.
+A 1×1×1 decomposition pads the whole grid with its own periodic wrap.
 """
 
 from __future__ import annotations
@@ -19,41 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.vmpi.decomp import BlockDecomposition3D
-
-
-def gradient(f: np.ndarray, spacing: tuple[float, float, float]
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Second-order central gradient with periodic wrap."""
-    out = []
-    for axis in range(3):
-        h = spacing[axis]
-        out.append((np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h))
-    return tuple(out)  # type: ignore[return-value]
-
-
-def laplacian(f: np.ndarray, spacing: tuple[float, float, float]) -> np.ndarray:
-    """Second-order 7-point Laplacian with periodic wrap."""
-    out = np.zeros_like(f)
-    for axis in range(3):
-        h2 = spacing[axis] ** 2
-        out += (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / h2
-    return out
-
-
-def upwind_advection(f: np.ndarray, velocity: tuple[np.ndarray, np.ndarray, np.ndarray],
-                     spacing: tuple[float, float, float]) -> np.ndarray:
-    """First-order upwind ``-(u . grad f)`` with periodic wrap.
-
-    Upwinding keeps the explicit scheme monotone at the jet's sharp
-    gradients, which matters for keeping species mass fractions in [0, 1].
-    """
-    dfdt = np.zeros_like(f)
-    for axis, u in enumerate(velocity):
-        h = spacing[axis]
-        fwd = (np.roll(f, -1, axis) - f) / h       # one-sided toward +axis
-        bwd = (f - np.roll(f, 1, axis)) / h        # one-sided toward -axis
-        dfdt -= np.where(u > 0, u * bwd, u * fwd)
-    return dfdt
 
 
 _INTERIOR = (Ellipsis,) + (slice(1, -1),) * 3
@@ -72,8 +30,9 @@ def _shifted_views(padded: np.ndarray, axis: int
 
 def block_laplacian(padded: np.ndarray, spacing: tuple[float, float, float]
                     ) -> np.ndarray:
-    """:func:`laplacian` on the interior of a one-ghost-padded block, or
-    of a stack of them: the last three axes are the spatial ones."""
+    """Second-order 7-point Laplacian on the interior of a
+    one-ghost-padded block, or of a stack of them: the last three axes
+    are the spatial ones."""
     f = np.ascontiguousarray(padded[_INTERIOR])
     out = np.zeros_like(f)
     for axis in range(3):
@@ -86,9 +45,13 @@ def block_laplacian(padded: np.ndarray, spacing: tuple[float, float, float]
 def block_upwind_advection(padded: np.ndarray,
                            velocity: tuple[np.ndarray, np.ndarray, np.ndarray],
                            spacing: tuple[float, float, float]) -> np.ndarray:
-    """:func:`upwind_advection` on the interior of a one-ghost-padded
-    block or stack of blocks; ``velocity`` is interior-shaped (the
-    stencil reads it at the cell itself only)."""
+    """First-order upwind ``-(u . grad f)`` on the interior of a
+    one-ghost-padded block or stack of blocks; ``velocity`` is
+    interior-shaped (the stencil reads it at the cell itself only).
+
+    Upwinding keeps the explicit scheme monotone at the jet's sharp
+    gradients, which matters for keeping species mass fractions in [0, 1].
+    """
     f = np.ascontiguousarray(padded[_INTERIOR])
     dfdt = np.zeros_like(f)
     for axis, u in enumerate(velocity):

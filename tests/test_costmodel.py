@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.costmodel import CostModel, OpDescriptor, jaguar_cost_model
+from repro.costmodel import CostModel, jaguar_cost_model
 
 BLOCK_CELLS = 100 * 49 * 43  # per-rank block in the 4896-core run
 BLOCK_CELLS_9440 = 50 * 49 * 43
@@ -28,13 +28,6 @@ class TestCostModel:
         m2 = m.with_rate("a", 5.0)
         assert m.rate("a") == 1.0
         assert m2.rate("a") == 5.0
-
-    def test_descriptor(self):
-        m = CostModel("m", {"a": 0.5})
-        d = OpDescriptor("a", 4)
-        assert m.time(d.op, d.n_elements) == 2.0
-        with pytest.raises(ValueError):
-            OpDescriptor("a", -1)
 
 
 class TestJaguarCalibration:

@@ -134,7 +134,6 @@ ALLOWED_NAMES = {
     "repro.analysis.topology.merge_tree:MergeTree.validate": _REFERENCE,
     "repro.analysis.topology.merge_tree:sweep_order": _REFERENCE,
     "repro.analysis.visualization.volume_render:render_volume": _REFERENCE,
-    "repro.sim.stencil:gradient": _REFERENCE,
     "repro.staging.hashing:ServiceRing.moved_fraction": _REFERENCE,
     "repro.staging.dataspaces:DataSpaces.query": _TUPLE_SPACE,
     "repro.staging.dataspaces:DataSpaces.stored_bytes": _TUPLE_SPACE,
@@ -158,11 +157,6 @@ ALLOWED_NAMES = {
     "repro.control.controller:PlacementController.decision_log_json":
         _ACCESSOR,
     "repro.obs.perf:RegressionReport.by_status": _ACCESSOR,
-    "repro.sim.fields:FieldSet.species": _ACCESSOR,
-    "repro.sim.fields:FieldSet.as_array": _ACCESSOR,
-    "repro.sim.fields:FieldSet.from_array": _ACCESSOR,
-    "repro.sim.s3d:S3DProxy.op_descriptor": _ACCESSOR,
-    "repro.sim.s3d:DecomposedS3D.rank_op_descriptor": _ACCESSOR,
     "repro.staging.scheduler:TaskScheduler.max_queue_depth": _ACCESSOR,
     "repro.util.gantt:spans_from_trace": _ACCESSOR,
     "repro.util.units:bytes_to_gb": _ACCESSOR,

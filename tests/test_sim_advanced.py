@@ -12,6 +12,7 @@ from repro.sim import (
     VARIABLE_NAMES,
 )
 from repro.vmpi import BlockDecomposition3D
+from tests.sim_oracle import OracleS3D
 
 
 def _case(shape=(12, 10, 8), seed=91, **kw):
@@ -62,10 +63,11 @@ class TestRK2:
         assert err_rk2 < err_euler
 
     def test_decomposed_rk2_matches_global_bitwise(self):
-        """The two-exchange decomposed RK2 equals the global RK2 exactly."""
+        """The two-exchange decomposed RK2 equals the global periodic
+        oracle's RK2 exactly."""
         shape = (12, 8, 8)
         params = SolverParams(integrator="rk2")
-        global_solver = S3DProxy(_case(shape, seed=92), params=params)
+        global_solver = OracleS3D(_case(shape, seed=92), params=params)
         block_solver = DecomposedS3D(_case(shape, seed=92),
                                      BlockDecomposition3D(shape, (2, 2, 1)),
                                      params=params)
