@@ -524,7 +524,12 @@ class ScaledExperiment:
 
     def _insitu_total(self, analyses: tuple[AnalyticsVariant, ...]) -> float:
         """Seconds one analysed step charges on the sim cores for the
-        in-situ stages of ``analyses``."""
+        in-situ stages of ``analyses``.
+
+        This omits STATS_HYBRID's ``stats.pack_partial`` charge, which
+        :meth:`_analytics_timing` adds: the three hybrid variants charge
+        4.44 s here against Table II's 4.49 s (EXPERIMENTS.md, Known
+        deviation 4). Every pinned replay makespan depends on it."""
         return sum(self.cost.time(*self.workload.insitu_op(v))
                    for v in analyses)
 

@@ -1,4 +1,4 @@
-"""Shared utilities: units, deterministic RNG, image output, text tables, timers.
+"""Shared utilities: units, deterministic RNG, image output, text tables.
 
 These helpers are intentionally dependency-free (NumPy only) so that every
 other subpackage can rely on them without import cycles.
@@ -16,7 +16,6 @@ from repro.util.units import (
 )
 from repro.util.rng import seeded_rng
 from repro.util.tables import TextTable
-from repro.util.timer import WallTimer
 from repro.util.image import write_ppm, image_rmse
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "fmt_seconds",
     "seeded_rng",
     "TextTable",
-    "WallTimer",
     "write_ppm",
     "image_rmse",
 ]

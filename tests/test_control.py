@@ -196,6 +196,18 @@ class TestControlScenario:
         assert all(int(d.after) <= report.controller.max_buckets
                    for d in pool)
 
+    def test_adaptive_never_loses_to_static_across_fault_pressure(self):
+        # The 4-bucket pool is underprovisioned, so even the fault-free
+        # leg earns a pool-grow decision.
+        for crash_times, stall_rate, stall_seconds in (
+                ((), 0.0, 2.0), ((30.0,), 0.0, 2.0), ((30.0, 55.0), 0.0, 2.0),
+                ((30.0, 55.0), 0.05, 2.0), ((30.0, 55.0), 0.2, 5.0)):
+            report = run_control_scenario(
+                n_steps=8, crash_times=crash_times,
+                pull_stall_rate=stall_rate, pull_stall_seconds=stall_seconds)
+            assert report.improved, (crash_times, stall_rate)
+            assert report.controller.decisions, (crash_times, stall_rate)
+
     def test_decisions_recorded_to_shared_space(self, report):
         ctrl = report.controller
         versions = ctrl._ds.versions("controller")

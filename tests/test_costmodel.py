@@ -1,8 +1,11 @@
-"""Tests for the cost-model layer and its Jaguar calibration."""
+"""Tests for the cost-model layer. Each Jaguar rate's fit to its Table
+I/II measurement is a fitted row of benchmarks/paper.py, which also
+holds the paper numbers the calibration tests read."""
 
 import pytest
 
 from repro.costmodel import CostModel, jaguar_cost_model
+from tests.paper_registry import paper_value
 
 BLOCK_CELLS = 100 * 49 * 43  # per-rank block in the 4896-core run
 BLOCK_CELLS_9440 = 50 * 49 * 43
@@ -31,48 +34,33 @@ class TestCostModel:
 
 
 class TestJaguarCalibration:
-    """Each rate must reproduce the Table I/II measurement it was fit from."""
+    """Charged straight from the cost model, a rate reproduces the Table
+    I/II measurement it was fit from."""
 
     def setup_method(self):
         self.m = jaguar_cost_model()
 
     def test_s3d_step_4896(self):
-        assert self.m.time("s3d.step", BLOCK_CELLS) == pytest.approx(16.85, rel=1e-6)
+        assert self.m.time("s3d.step", BLOCK_CELLS) == pytest.approx(
+            paper_value("table1.sim_s.4896"), rel=1e-6)
 
     def test_s3d_step_9440_cross_check(self):
         """The strong-scaling cross-check: 8.42 s at half the block size."""
-        assert self.m.time("s3d.step", BLOCK_CELLS_9440) == pytest.approx(8.42, rel=0.01)
+        assert self.m.time("s3d.step", BLOCK_CELLS_9440) == pytest.approx(
+            paper_value("table1.sim_s.9440"), rel=0.01)
 
     def test_insitu_visualization(self):
-        assert self.m.time("vis.render_insitu", BLOCK_CELLS) == pytest.approx(0.73, rel=1e-6)
+        assert self.m.time("vis.render_insitu", BLOCK_CELLS) == pytest.approx(
+            paper_value("table2.vis_insitu.insitu_s"), rel=1e-6)
 
     def test_insitu_statistics(self):
-        assert self.m.time("stats.learn", 14 * BLOCK_CELLS) == pytest.approx(1.64, rel=1e-6)
-
-    def test_hybrid_stats_learn_includes_packing(self):
-        t = self.m.time("stats.learn", 14 * BLOCK_CELLS) + self.m.time("stats.pack_partial", 14)
-        assert t == pytest.approx(1.69, rel=1e-3)
-
-    def test_downsample(self):
-        assert self.m.time("vis.downsample", 2 * BLOCK_CELLS) == pytest.approx(0.08, rel=1e-6)
-
-    def test_intransit_render(self):
-        n_cells = int(49.19e6 / 8)
-        assert self.m.time("vis.render_intransit", n_cells) == pytest.approx(5.06 + 0.05, rel=0.01)
-
-    def test_topology_subtree(self):
-        assert self.m.time("topo.subtree", BLOCK_CELLS) == pytest.approx(2.72, rel=1e-6)
-
-    def test_topology_glue(self):
-        n_elem = int(87.02e6 / 24)
-        assert self.m.time("topo.stream_glue", n_elem) == pytest.approx(119.81, rel=0.01)
-
-    def test_paper_ratio_insitu_vis_fraction(self):
-        """§V: in-situ visualization is ~4.33% of simulation time."""
-        frac = self.m.time("vis.render_insitu", BLOCK_CELLS) / self.m.time("s3d.step", BLOCK_CELLS)
-        assert frac == pytest.approx(0.0433, abs=0.001)
+        assert self.m.time("stats.learn", 14 * BLOCK_CELLS) == pytest.approx(
+            paper_value("table2.stats_insitu.insitu_s"), rel=1e-6)
 
     def test_paper_ratio_insitu_stats_fraction(self):
         """§V: in-situ statistics is ~9.73% of simulation time."""
-        frac = self.m.time("stats.learn", 14 * BLOCK_CELLS) / self.m.time("s3d.step", BLOCK_CELLS)
-        assert frac == pytest.approx(0.0973, abs=0.001)
+        frac = (self.m.time("stats.learn", 14 * BLOCK_CELLS)
+                / self.m.time("s3d.step", BLOCK_CELLS))
+        assert frac == pytest.approx(paper_value("ratios.stats_insitu_frac"),
+                                     abs=0.001)
+

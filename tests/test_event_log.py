@@ -1,9 +1,10 @@
 """The event log contract: sites append once, views fold later.
 
-Two checks that need no wall clock: the bus's cursor view is
+Checks that need no wall clock: the bus's cursor view is
 indistinguishable from a bounded ring (a property test against a
-small ``deque`` model), and an observed replay makes a bounded
-number of Python calls into ``repro.obs`` per record it emits.
+small ``deque`` model), an observed replay makes a bounded number of
+Python calls into ``repro.obs`` per record it emits, and with the
+tracer off that number does not grow with the run.
 """
 
 import os
@@ -126,13 +127,9 @@ class TestBusViewMatchesTheRing:
 _OBS_DIR = os.sep + os.path.join("repro", "obs") + os.sep
 
 
-def test_observed_replay_stays_within_four_obs_calls_per_record():
-    """Hot-path guard: with tracer, bus, probes and ledger all on, the
-    replay makes at most 4 Python calls into ``repro.obs`` per record it
-    emits (spans + instants + probe samples + ledger deltas — the bus
-    event count). Counted with ``sys.setprofile``; no timing involved."""
-    experiment = ScaledExperiment(ExperimentConfig.paper_4896())
-    bus = TelemetryBus()
+def _obs_calls(fn):
+    """``(fn(), Python calls into repro.obs while it ran)``, counted with
+    ``sys.setprofile``."""
     calls = 0
 
     def count_obs_calls(frame, event, arg):
@@ -140,18 +137,41 @@ def test_observed_replay_stays_within_four_obs_calls_per_record():
         if event == "call" and _OBS_DIR in frame.f_code.co_filename:
             calls += 1
 
+    sys.setprofile(count_obs_calls)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_observed_replay_stays_within_four_obs_calls_per_record():
+    """Hot-path guard: with tracer, bus, probes and ledger all on, the
+    replay makes at most 4 Python calls into ``repro.obs`` per record it
+    emits (spans + instants + probe samples + ledger deltas — the bus
+    event count). Counted, not timed."""
+    experiment = ScaledExperiment(ExperimentConfig.paper_4896())
+    bus = TelemetryBus()
     with tracing() as tracer:
         tracer.attach_bus(bus)
-        sys.setprofile(count_obs_calls)
-        try:
-            result = experiment.run_schedule(
-                n_steps=10, n_buckets=8,
-                probe_interval=0.25 * experiment.simulation_step_time())
-        finally:
-            sys.setprofile(None)
+        result, calls = _obs_calls(lambda: experiment.run_schedule(
+            n_steps=10, n_buckets=8,
+            probe_interval=0.25 * experiment.simulation_step_time()))
     report = result.capacity
     records = (len(tracer.trace.spans) + len(tracer.trace.instants)
                + sum(len(s) for s in result.probes.series.values())
                + report.n_registers + report.n_releases + report.n_transfers)
     assert records == bus.published > 0
     assert calls / records <= 4.0, (calls, records)
+
+
+def test_tracer_off_paths_make_a_fixed_number_of_obs_calls():
+    """Tracer-off guard: with the tracer off, ``breakdown()`` makes one
+    call into ``repro.obs`` (the ``get_tracer()`` lookup), and an
+    untraced replay makes as many at 40 steps as at 10 — the disabled
+    observers cost nothing per step, event or task. Counted, not timed."""
+    experiment = ScaledExperiment(ExperimentConfig.paper_4896())
+    assert _obs_calls(experiment.breakdown)[1] == 1
+    short, long_ = (_obs_calls(lambda n=n: experiment.run_schedule(
+        n_steps=n, n_buckets=8))[1] for n in (10, 40))
+    assert short == long_ > 0, (short, long_)

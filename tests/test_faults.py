@@ -320,12 +320,16 @@ class TestResilienceExperiment:
              {"bucket_restart_delay": 2.0e-3, "max_bucket_restarts": 4}),
             (FaultConfig(seed=3, crash_times=(0.001, 0.002)),
              {"n_buckets": 2}),
+            (FaultConfig(seed=3, pull_stall_rate=0.2,
+                         pull_stall_seconds=2.0e-3), {}),
         ]
         for cfg, extra in scenarios:
             kw = {"n_tasks": 12, "n_buckets": 2, **extra}
-            r = run_resilience_experiment(cfg, **kw)
+            r = run_resilience_experiment(cfg, lease_timeout=LEASE, **kw)
             assert r.all_accounted, (cfg, r.accounting)
             assert r.values_ok, cfg
+            # crash -> requeue within one lease period (plus renewal phase)
+            assert all(d <= 2 * LEASE + 1e-12 for d in r.recovery_delays)
 
     def test_report_drained_property(self):
         r = run_resilience_experiment(n_tasks=4, n_buckets=2)

@@ -117,9 +117,8 @@ _TUPLE_SPACE = ("paper §IV / Table I: read, query or GC half of a write half "
                 "every replay reaches")
 _FAULT_PATH = ("fault, crash or elastic-shrink primitive of reached code and "
                "a script of the order-contract oracle (tests/test_des.py)")
-_PAPER = ("part of a paper-backed stage or extension (DESIGN.md §11: Fig. 4 "
-          "test stage, §V steering, §III linked views, Table II impact, "
-          "Fig. 1 segmentation)")
+_PAPER = ("part of a paper-backed stage or extension (DESIGN.md §11: "
+          "§V steering, §III linked views, Fig. 1 segmentation)")
 _ACCESSOR = ("read-only accessor of a reached object documented in "
              "docs/API.md; tests observe kept behaviour through it")
 
@@ -133,7 +132,6 @@ ALLOWED_NAMES = {
     "repro.analysis.topology.local_tree:BoundaryTree.validate": _REFERENCE,
     "repro.analysis.topology.merge_tree:MergeTree.validate": _REFERENCE,
     "repro.analysis.topology.merge_tree:sweep_order": _REFERENCE,
-    "repro.analysis.visualization.volume_render:render_volume": _REFERENCE,
     "repro.staging.hashing:ServiceRing.moved_fraction": _REFERENCE,
     "repro.staging.dataspaces:DataSpaces.query": _TUPLE_SPACE,
     "repro.staging.dataspaces:DataSpaces.stored_bytes": _TUPLE_SPACE,
@@ -144,9 +142,7 @@ ALLOWED_NAMES = {
     "repro.des.engine:Engine.run_until_done": _FAULT_PATH,
     "repro.des.resources:Store": _FAULT_PATH,
     "repro.des.resources:Store.items_snapshot": _FAULT_PATH,
-    "repro.analysis.statistics.stages:test_mean_zscore": _PAPER,
     "repro.core.steering:coarsen_cadence_when_quiet": _PAPER,
-    "repro.core.breakdown:TimingBreakdown.impact_fraction": _PAPER,
     "repro.analysis.topology.merge_tree:MergeTree.deepest_at_or_above":
         _PAPER,
     "repro.analysis.visualization.transfer_function:TransferFunction.grayscale":

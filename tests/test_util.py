@@ -1,4 +1,4 @@
-"""Tests for repro.util: units, tables, images, rng, timer."""
+"""Tests for repro.util: units, tables, images, rng."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.util import (
     KB,
     MB,
     TextTable,
-    WallTimer,
     bytes_to_gb,
     bytes_to_mb,
     fmt_bytes,
@@ -117,9 +116,3 @@ class TestImages:
         a = np.zeros((4, 4))
         b = np.full((4, 4), c)
         assert image_rmse(a, b) == pytest.approx(c, abs=1e-12)
-
-
-def test_walltimer_measures_nonnegative():
-    with WallTimer() as t:
-        sum(range(100))
-    assert t.elapsed >= 0.0
