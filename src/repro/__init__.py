@@ -9,28 +9,22 @@ Top-level convenience re-exports cover the high-level public API; the
 subpackages (:mod:`repro.core`, :mod:`repro.analysis`, :mod:`repro.sim`,
 :mod:`repro.staging`, :mod:`repro.transport`, :mod:`repro.machine`,
 :mod:`repro.costmodel`, :mod:`repro.io`, :mod:`repro.vmpi`,
-:mod:`repro.des`) expose the full surface.
+:mod:`repro.des`) expose the full surface. Every package but
+:mod:`repro.backend` exports lazily (:mod:`repro._lazy`): a name's
+submodule is imported when the name is first read.
 """
 
-from repro.core import (
-    AnalyticsVariant,
-    ExperimentConfig,
-    HybridFramework,
-    ScaledExperiment,
-)
-from repro.sim import LiftedFlameCase, S3DProxy, StructuredGrid3D
-from repro.vmpi import BlockDecomposition3D
+from repro._lazy import export_lazily
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticsVariant",
-    "ExperimentConfig",
-    "HybridFramework",
-    "ScaledExperiment",
-    "LiftedFlameCase",
-    "S3DProxy",
-    "StructuredGrid3D",
-    "BlockDecomposition3D",
-    "__version__",
-]
+export_lazily(__name__, {
+    "AnalyticsVariant": "core",
+    "ExperimentConfig": "core",
+    "HybridFramework": "core",
+    "ScaledExperiment": "core",
+    "LiftedFlameCase": "sim",
+    "S3DProxy": "sim",
+    "StructuredGrid3D": "sim",
+    "BlockDecomposition3D": "vmpi",
+})

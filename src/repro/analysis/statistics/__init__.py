@@ -17,39 +17,21 @@ toolkit the paper deploys):
   shipped to a serial in-transit derive).
 """
 
-from repro.analysis.statistics.moments import MomentAccumulator, merge_accumulators
-from repro.analysis.statistics.stages import (
-    DerivedStatistics,
-    assess,
-    derive,
-    learn,
-    test_mean_zscore,
-)
-from repro.analysis.statistics.engine import (
-    HybridStatisticsResult,
-    InSituStatisticsResult,
-    StatisticsEngine,
-)
-from repro.analysis.statistics.autocorrelation import (
-    AutocorrelationLearner,
-    LagAccumulator,
-    derive_autocorrelation,
-    reference_autocorrelation,
-)
+from repro._lazy import export_lazily
 
-__all__ = [
-    "MomentAccumulator",
-    "merge_accumulators",
-    "DerivedStatistics",
-    "learn",
-    "derive",
-    "assess",
-    "test_mean_zscore",
-    "StatisticsEngine",
-    "InSituStatisticsResult",
-    "HybridStatisticsResult",
-    "AutocorrelationLearner",
-    "LagAccumulator",
-    "derive_autocorrelation",
-    "reference_autocorrelation",
-]
+export_lazily(__name__, {
+    "MomentAccumulator": "moments",
+    "merge_accumulators": "moments",
+    "DerivedStatistics": "stages",
+    "learn": "stages",
+    "derive": "stages",
+    "assess": "stages",
+    "test_mean_zscore": "stages",
+    "StatisticsEngine": "engine",
+    "InSituStatisticsResult": "engine",
+    "HybridStatisticsResult": "engine",
+    "AutocorrelationLearner": "autocorrelation",
+    "LagAccumulator": "autocorrelation",
+    "derive_autocorrelation": "autocorrelation",
+    "reference_autocorrelation": "autocorrelation",
+})

@@ -25,38 +25,23 @@ Ties are broken by vertex id (simulation of simplicity), so every tree is
 deterministic.
 """
 
-from repro.analysis.topology.merge_tree import (
-    DisjointSet,
-    MergeTree,
-    compute_merge_tree,
-    sweep_order,
-)
-from repro.analysis.topology.local_tree import BoundaryTree, compute_boundary_tree
-from repro.analysis.topology.stream_merge import StreamingGlue
-from repro.analysis.topology.distributed import (
-    block_boundary_mask,
-    cross_block_edges,
-    distributed_merge_tree,
-)
-from repro.analysis.topology.simplify import persistence_pairs, simplify
-from repro.analysis.topology.segmentation import segment_superlevel
-from repro.analysis.topology.tracking import FeatureTrack, overlap_matrix, track_features
+from repro._lazy import export_lazily
 
-__all__ = [
-    "DisjointSet",
-    "MergeTree",
-    "compute_merge_tree",
-    "sweep_order",
-    "BoundaryTree",
-    "compute_boundary_tree",
-    "StreamingGlue",
-    "block_boundary_mask",
-    "cross_block_edges",
-    "distributed_merge_tree",
-    "persistence_pairs",
-    "simplify",
-    "segment_superlevel",
-    "FeatureTrack",
-    "overlap_matrix",
-    "track_features",
-]
+export_lazily(__name__, {
+    "DisjointSet": "merge_tree",
+    "MergeTree": "merge_tree",
+    "compute_merge_tree": "merge_tree",
+    "sweep_order": "merge_tree",
+    "BoundaryTree": "local_tree",
+    "compute_boundary_tree": "local_tree",
+    "StreamingGlue": "stream_merge",
+    "block_boundary_mask": "distributed",
+    "cross_block_edges": "distributed",
+    "distributed_merge_tree": "distributed",
+    "persistence_pairs": "simplify",
+    "simplify": "simplify",
+    "segment_superlevel": "segmentation",
+    "FeatureTrack": "tracking",
+    "overlap_matrix": "tracking",
+    "track_features": "tracking",
+})

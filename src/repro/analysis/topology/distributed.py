@@ -13,13 +13,17 @@ in-transit stages:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.analysis.topology.local_tree import BoundaryTree, compute_boundary_trees
 from repro.analysis.topology.merge_tree import MergeTree
-from repro.analysis.topology.stream_merge import StreamingGlue
 from repro.backend import kernel
 from repro.vmpi.decomp import Block3D, BlockDecomposition3D
+
+if TYPE_CHECKING:
+    from repro.analysis.topology.stream_merge import StreamingGlue
 
 
 def global_id_array(shape: tuple[int, int, int]) -> np.ndarray:
@@ -118,6 +122,8 @@ def _glue_batch(boundary_trees: list[BoundaryTree],
     merge tree is unique given the (value, id) total order, so the
     outputs are identical node-for-node and arc-for-arc.
     """
+    from repro.analysis.topology.stream_merge import StreamingGlue
+
     return _stream_glue(boundary_trees, cross_edges, StreamingGlue())
 
 

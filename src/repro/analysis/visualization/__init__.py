@@ -15,29 +15,18 @@ so image differences reflect only the down-sampling — exactly the Fig. 2
 comparison.
 """
 
-from repro.analysis.visualization.camera import Camera
-from repro.analysis.visualization.transfer_function import TransferFunction
-from repro.analysis.visualization.volume_render import render_volume
-from repro.analysis.visualization.compositing import render_blocks_insitu
-from repro.analysis.visualization.downsample import (
-    BlockLUT,
-    DownsampledBlock,
-    downsample_block,
-    downsample_decomposed,
-    render_intransit,
-)
-from repro.analysis.visualization.views import ViewSession, ViewSpec
+from repro._lazy import export_lazily
 
-__all__ = [
-    "Camera",
-    "TransferFunction",
-    "render_volume",
-    "render_blocks_insitu",
-    "BlockLUT",
-    "DownsampledBlock",
-    "downsample_block",
-    "downsample_decomposed",
-    "render_intransit",
-    "ViewSession",
-    "ViewSpec",
-]
+export_lazily(__name__, {
+    "Camera": "camera",
+    "TransferFunction": "transfer_function",
+    "render_volume": "volume_render",
+    "render_blocks_insitu": "compositing",
+    "BlockLUT": "downsample",
+    "DownsampledBlock": "downsample",
+    "downsample_block": "downsample",
+    "downsample_decomposed": "downsample",
+    "render_intransit": "downsample",
+    "ViewSession": "views",
+    "ViewSpec": "views",
+})

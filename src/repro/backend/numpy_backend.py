@@ -45,12 +45,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend.registry import _REFERENCE
-
-
-def _ref(name: str) -> Callable[..., Any]:
-    """The reference implementation (the fallback for inexact cases)."""
-    return _REFERENCE[name]
+# The reference implementation: the fallback for inexact cases.
+from repro.backend.registry import _reference as _ref
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ numpy, the code every other backend is validated against), and the
 decorator returns a dispatching wrapper that consults the *active
 backend* on every call.
 
+Every kernel is listed, with the module that declares it, in the static
+:data:`KERNEL_MODULES` table; a reference body is imported on demand.
+
 A backend is a named mapping ``{kernel name -> implementation}``.
 Backends register a lazy *loader* so that optional dependencies are only
 imported when the backend is first used; a backend whose loader raises
@@ -33,6 +36,7 @@ makespan share.
 from __future__ import annotations
 
 import functools
+import importlib
 import os
 import warnings
 from collections.abc import Callable, Iterator
@@ -57,7 +61,24 @@ __all__ = [
 DEFAULT_BACKEND = "reference"
 ENV_VAR = "REPRO_BACKEND"
 
-#: Kernel name -> reference implementation (the decorated bodies).
+#: Kernel name -> the module whose ``@kernel`` declares it. Packages
+#: export lazily, so which declaring modules a process has imported depends
+#: on what it ran; this table makes the kernel set independent of that.
+KERNEL_MODULES = {
+    "statistics.autocorr_cross_sums":
+        "repro.analysis.statistics.autocorrelation",
+    "statistics.autocorr_merge": "repro.analysis.statistics.autocorrelation",
+    "statistics.learn_blocks": "repro.analysis.statistics.moments",
+    "statistics.merge_moments": "repro.analysis.statistics.moments",
+    "statistics.merge_packed_moments": "repro.analysis.statistics.moments",
+    "topology.glue_batch": "repro.analysis.topology.distributed",
+    "topology.graph_merge_tree": "repro.analysis.topology.stream_merge",
+    "topology.merge_tree": "repro.analysis.topology.merge_tree",
+    "topology.merge_trees": "repro.analysis.topology.merge_tree",
+    "vmpi.pairwise_reduce": "repro.vmpi.comm",
+}
+#: Kernel name -> reference implementation (the decorated bodies), filled
+#: as the declaring modules are imported.
 _REFERENCE: dict[str, Callable[..., Any]] = {}
 #: Backend name -> lazy loader returning {kernel name -> impl}.
 _LOADERS: dict[str, Callable[[], dict[str, Callable[..., Any]]]] = {}
@@ -165,8 +186,17 @@ def use_backend(name: str | None) -> Iterator[str]:
 
 
 def kernel_names() -> list[str]:
-    """Every kernel declared through :func:`kernel`, sorted."""
-    return sorted(_REFERENCE)
+    """Every kernel declared through :func:`kernel`, sorted; the same
+    set whichever declaring modules the process has imported."""
+    return sorted(KERNEL_MODULES)
+
+
+def _reference(name: str) -> Callable[..., Any]:
+    """The reference body of kernel ``name``, importing its declaring
+    module on first use."""
+    if name not in _REFERENCE:
+        importlib.import_module(KERNEL_MODULES[name])
+    return _REFERENCE[name]
 
 
 def kernel(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
@@ -180,6 +210,10 @@ def kernel(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
         raise ValueError(f"kernel {name!r} already declared")
 
     def decorate(ref: Callable[..., Any]) -> Callable[..., Any]:
+        if KERNEL_MODULES.get(name) != ref.__module__:
+            raise ValueError(f"kernel {name!r} declared in {ref.__module__}, "
+                             f"but KERNEL_MODULES names "
+                             f"{KERNEL_MODULES.get(name)}")
         _REFERENCE[name] = ref
 
         @functools.wraps(ref)
@@ -207,11 +241,11 @@ def kernel(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
 def kernel_impl(name: str, backend: str | None = None) -> Callable[..., Any]:
     """The raw implementation a backend would dispatch to (for tests and
     benchmarks that compare implementations without the span wrapper)."""
-    if name not in _REFERENCE:
+    if name not in KERNEL_MODULES:
         raise KeyError(f"unknown kernel {name!r}")
     resolved = resolve_backend(backend)
     if resolved != DEFAULT_BACKEND:
         table = _load(resolved)
         if table and name in table:
             return table[name]
-    return _REFERENCE[name]
+    return _reference(name)

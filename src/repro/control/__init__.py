@@ -8,22 +8,17 @@ steering rules, and :mod:`repro.control.scenario` for the fault-injected
 adaptive-vs-static comparison.
 """
 
-from repro.control.controller import (DEFAULT_MOVABLE, PLACE_INSITU,
-                                      PLACE_INTRANSIT, ControlPolicy,
-                                      PlacementController, PlacementDecision,
-                                      WindowSignals)
-from repro.control.hysteresis import Cooldown
-from repro.control.scenario import ControlReport, run_control_scenario
+from repro._lazy import export_lazily
 
-__all__ = [
-    "DEFAULT_MOVABLE",
-    "PLACE_INSITU",
-    "PLACE_INTRANSIT",
-    "ControlPolicy",
-    "ControlReport",
-    "Cooldown",
-    "PlacementController",
-    "PlacementDecision",
-    "WindowSignals",
-    "run_control_scenario",
-]
+export_lazily(__name__, {
+    "DEFAULT_MOVABLE": "controller",
+    "PLACE_INSITU": "controller",
+    "PLACE_INTRANSIT": "controller",
+    "ControlPolicy": "controller",
+    "ControlReport": "scenario",
+    "Cooldown": "hysteresis",
+    "PlacementController": "controller",
+    "PlacementDecision": "controller",
+    "WindowSignals": "controller",
+    "run_control_scenario": "scenario",
+})

@@ -15,28 +15,21 @@ Two complementary entry points:
   Table I, Table II, and Fig. 6.
 """
 
-from repro.core.breakdown import AnalyticsTiming, TimingBreakdown
-from repro.core.workload import AnalyticsVariant, ScaledWorkload
-from repro.core.runner import ExperimentConfig, ScaledExperiment
-from repro.core.framework import FrameworkResult, HybridFramework
-from repro.core.tradeoff import StrategyOutcome, TradeoffModel
-from repro.core.campaign import Campaign, ScalePoint
-from repro.core.report import run_report
-from repro.core.steering import SteeringRule
+from repro._lazy import export_lazily
 
-__all__ = [
-    "AnalyticsTiming",
-    "TimingBreakdown",
-    "AnalyticsVariant",
-    "ScaledWorkload",
-    "ExperimentConfig",
-    "ScaledExperiment",
-    "FrameworkResult",
-    "HybridFramework",
-    "StrategyOutcome",
-    "TradeoffModel",
-    "Campaign",
-    "ScalePoint",
-    "run_report",
-    "SteeringRule",
-]
+export_lazily(__name__, {
+    "AnalyticsTiming": "breakdown",
+    "TimingBreakdown": "breakdown",
+    "AnalyticsVariant": "workload",
+    "ScaledWorkload": "workload",
+    "ExperimentConfig": "runner",
+    "ScaledExperiment": "runner",
+    "FrameworkResult": "framework",
+    "HybridFramework": "framework",
+    "StrategyOutcome": "tradeoff",
+    "TradeoffModel": "tradeoff",
+    "Campaign": "campaign",
+    "ScalePoint": "campaign",
+    "run_report": "report",
+    "SteeringRule": "steering",
+})

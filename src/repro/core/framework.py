@@ -21,10 +21,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis.statistics.autocorrelation import (
-    AutocorrelationLearner,
-    derive_autocorrelation,
-)
 from repro.analysis.statistics.engine import StatisticsEngine
 from repro.analysis.statistics.moments import MomentAccumulator
 from repro.analysis.statistics.stages import DerivedStatistics
@@ -39,9 +35,7 @@ from repro.analysis.topology.local_tree import (
     compute_boundary_trees,
 )
 from repro.analysis.topology.merge_tree import MergeTree
-from repro.analysis.topology.stream_merge import StreamingGlue
 from repro.analysis.visualization.camera import Camera
-from repro.analysis.visualization.compositing import render_blocks_insitu
 from repro.analysis.visualization.downsample import (
     downsample_block,
     render_intransit,
@@ -137,10 +131,14 @@ class HybridFramework:
         self._boundary_masks = [block_boundary_mask(b, decomp.global_shape)
                                 for b in decomp.blocks()]
         self._stats_engine = StatisticsEngine(VirtualComm(decomp.n_ranks))
-        self._autocorr_learners = [
-            AutocorrelationLearner(self.AUTOCORRELATION_MAX_LAG)
-            for _ in range(decomp.n_ranks)
-        ] if "autocorrelation" in self.analyses else []
+        self._autocorr_learners = []
+        if "autocorrelation" in self.analyses:
+            from repro.analysis.statistics.autocorrelation import (
+                AutocorrelationLearner,
+            )
+            self._autocorr_learners = [
+                AutocorrelationLearner(self.AUTOCORRELATION_MAX_LAG)
+                for _ in range(decomp.n_ranks)]
 
     # -- per-analysis in-situ stages + task submission ---------------------------
 
@@ -183,6 +181,8 @@ class HybridFramework:
         cross = self._cross_edges
 
         if self.streaming_topology:
+            from repro.analysis.topology.stream_merge import StreamingGlue
+
             # §VI streaming refinement: each subtree is glued the moment
             # its pull completes; cross-block edges close the tree at the
             # end (their endpoints are only all known once every block's
@@ -237,6 +237,10 @@ class HybridFramework:
 
     def _submit_autocorrelation(self, step: int) -> None:
         """Ship packed lag partials; serial in-transit derive of rho(k)."""
+        from repro.analysis.statistics.autocorrelation import (
+            derive_autocorrelation,
+        )
+
         packed = [learner.pack() for learner in self._autocorr_learners]
         descs = [self.transport.register(f"sim-{rank}", vec,
                                          meta={"rank": rank})
@@ -248,6 +252,10 @@ class HybridFramework:
             compute=lambda payloads: derive_autocorrelation(payloads, max_lag))
 
     def _render_insitu(self, step: int, result: FrameworkResult) -> None:
+        from repro.analysis.visualization.compositing import (
+            render_blocks_insitu,
+        )
+
         field = self._gather("T")
         tf = self._transfer_function(float(field.min()), float(field.max()))
         result.insitu_images[step] = render_blocks_insitu(

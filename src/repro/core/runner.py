@@ -25,7 +25,6 @@ from repro.core.workload import HYBRID_VARIANTS, AnalyticsVariant, ScaledWorkloa
 from repro.costmodel.jaguar import jaguar_cost_model
 from repro.costmodel.models import CostModel
 from repro.des import Engine
-from repro.io.fpp import IOTimeModel
 from repro.machine.specs import MachineSpec, jaguar_xk6
 from repro.obs.probes import ProbeSampler, default_slos
 from repro.obs.tracer import Tracer, get_tracer, tracing
@@ -201,6 +200,8 @@ class ScaledExperiment:
 
     def _breakdown(self) -> TimingBreakdown:
         """Uninstrumented breakdown body (the tracer-overhead baseline)."""
+        from repro.io.fpp import IOTimeModel
+
         io = IOTimeModel(self.machine.filesystem)
         cfg = self.config
         return TimingBreakdown(

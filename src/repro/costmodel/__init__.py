@@ -7,11 +7,10 @@ DESIGN.md §4 and :mod:`repro.costmodel.jaguar` for the calibration
 provenance.
 """
 
-from repro.costmodel.models import CostModel
-from repro.costmodel.jaguar import jaguar_cost_model, JAGUAR_RATES
+from repro._lazy import export_lazily
 
-__all__ = [
-    "CostModel",
-    "jaguar_cost_model",
-    "JAGUAR_RATES",
-]
+export_lazily(__name__, {
+    "CostModel": "models",
+    "jaguar_cost_model": "jaguar",
+    "JAGUAR_RATES": "jaguar",
+})

@@ -13,14 +13,13 @@ Determinism: ties in time are broken by insertion order (a monotonically
 increasing sequence number), so repeated runs produce identical traces.
 """
 
-from repro.des.engine import Engine, EventHandle, Interrupt, ProcessHandle
-from repro.des.resources import Resource, Store
+from repro._lazy import export_lazily
 
-__all__ = [
-    "Engine",
-    "EventHandle",
-    "Interrupt",
-    "ProcessHandle",
-    "Resource",
-    "Store",
-]
+export_lazily(__name__, {
+    "Engine": "engine",
+    "EventHandle": "engine",
+    "Interrupt": "engine",
+    "ProcessHandle": "engine",
+    "Resource": "resources",
+    "Store": "resources",
+})

@@ -21,12 +21,11 @@ timeouts and ``Engine.any_of`` in :mod:`repro.des`, pull backoff in
 in-situ fallback in :mod:`repro.staging.dataspaces`.
 """
 
-from repro.faults.injector import FaultConfig, FaultInjector
-from repro.faults.experiment import ResilienceReport, run_resilience_experiment
+from repro._lazy import export_lazily
 
-__all__ = [
-    "FaultConfig",
-    "FaultInjector",
-    "ResilienceReport",
-    "run_resilience_experiment",
-]
+export_lazily(__name__, {
+    "FaultConfig": "injector",
+    "FaultInjector": "injector",
+    "ResilienceReport": "experiment",
+    "run_resilience_experiment": "experiment",
+})

@@ -14,12 +14,11 @@ single-file-per-process (Table I's I/O rows). This package provides:
   times.
 """
 
-from repro.io.bp import BPFile
-from repro.io.fpp import IOTimeModel, read_file_per_process, write_file_per_process
+from repro._lazy import export_lazily
 
-__all__ = [
-    "BPFile",
-    "IOTimeModel",
-    "read_file_per_process",
-    "write_file_per_process",
-]
+export_lazily(__name__, {
+    "BPFile": "bp",
+    "IOTimeModel": "fpp",
+    "read_file_per_process": "fpp",
+    "write_file_per_process": "fpp",
+})

@@ -7,17 +7,15 @@ live in :mod:`repro.costmodel.jaguar`; this package defines the *structure*
 machine.
 """
 
-from repro.machine.specs import MachineSpec, NodeSpec, jaguar_xk6
-from repro.machine.gemini import GeminiNetwork, Protocol
-from repro.machine.lustre import LustreModel
-from repro.machine.torus import TorusTopology
+from repro._lazy import export_lazily
 
-__all__ = [
-    "MachineSpec",
-    "NodeSpec",
-    "jaguar_xk6",
-    "GeminiNetwork",
-    "Protocol",
-    "LustreModel",
-    "TorusTopology",
-]
+export_lazily(__name__, {
+    "MachineSpec": "specs",
+    "NodeSpec": "specs",
+    "jaguar_xk6": "specs",
+    "machine_fingerprint": "specs",
+    "GeminiNetwork": "gemini",
+    "Protocol": "gemini",
+    "LustreModel": "lustre",
+    "TorusTopology": "torus",
+})

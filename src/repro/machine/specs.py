@@ -8,6 +8,7 @@ and storage (:class:`~repro.machine.lustre.LustreModel`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.machine.gemini import GeminiNetwork
 from repro.machine.lustre import LustreModel
@@ -83,3 +84,19 @@ def jaguar_xk6() -> MachineSpec:
 # Sanity constant used in docs/tests: Jaguar's total memory as reported.
 JAGUAR_TOTAL_MEMORY_BYTES = 18688 * 32 * GB
 assert JAGUAR_TOTAL_MEMORY_BYTES // TB == 584  # ~600 TB as reported in §V
+
+
+def machine_fingerprint(spec: MachineSpec) -> dict[str, Any]:
+    """The modeled machine reduced to the fields that pin the cost model.
+
+    Deliberately excludes anything host-specific: two machines replaying
+    the same modeled system must produce identical fingerprints, so the
+    deterministic metrics stay comparable across laptops and CI.
+    """
+    return {
+        "name": spec.name,
+        "n_nodes": spec.n_nodes,
+        "cores_per_node": spec.node.cores,
+        "node_memory_bytes": spec.node.memory_bytes,
+        "core_gflops": spec.node.core_gflops,
+    }

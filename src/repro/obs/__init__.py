@@ -48,175 +48,84 @@ Typical use::
 Or drive the packaged campaign: ``python -m repro trace``.
 """
 
-from repro.obs.analysis import (
-    CriticalPath,
-    ReconcileRow,
-    critical_path,
-    reconcile_table,
-    reconcile_totals,
-)
-from repro.obs.blame import (
-    BlameBreakdown,
-    BlameReport,
-    KernelUsage,
-    StepBlame,
-    TraceDiff,
-    blame,
-    diff_traces,
-    flow_edge_totals,
-    kernel_table,
-    top_kernels,
-)
-from repro.obs.capacity import (
-    CapacityLedger,
-    CapacityReport,
-    capacity_objectives,
-    run_capacity_scenario,
-)
-from repro.obs.events import LedgerEntry, SampleRow, TransferEntry
-from repro.obs.export import (
-    lane_summary,
-    load_trace,
-    load_trace_jsonl,
-    to_chrome_trace,
-    to_jsonl_lines,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.flow import (
-    BLAME_BUCKETS,
-    EDGE_KINDS,
-    FlowContext,
-    FlowHop,
-)
-from repro.obs.live import (
-    Alert,
-    BurnRateMonitor,
-    BusEvent,
-    BusSubscriber,
-    SloObjective,
-    TelemetryBus,
-    default_objectives,
-    event_to_json,
-    render_top,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.perf import (
-    DEFAULT_POLICIES,
-    Baseline,
-    MetricPolicy,
-    MetricVerdict,
-    RegressionReport,
-    RunRecord,
-    RunStore,
-    collect_run_record,
-    compare_record,
-    machine_fingerprint,
-)
-from repro.obs.probes import (
-    ProbeSampler,
-    SloAlert,
-    SloRule,
-    default_slos,
-    insitu_share_slo,
-)
-from repro.obs.report import (
-    render_dashboard,
-    render_trace_diff,
-    write_dashboard,
-    write_trace_diff,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    InstantRecord,
-    NullTracer,
-    SpanRecord,
-    Trace,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    set_tracer,
-    tracing,
-)
+from repro._lazy import export_lazily
 
-__all__ = [
-    "CriticalPath",
-    "ReconcileRow",
-    "critical_path",
-    "reconcile_table",
-    "reconcile_totals",
-    "BlameBreakdown",
-    "BlameReport",
-    "KernelUsage",
-    "StepBlame",
-    "TraceDiff",
-    "blame",
-    "diff_traces",
-    "flow_edge_totals",
-    "kernel_table",
-    "top_kernels",
-    "CapacityLedger",
-    "CapacityReport",
-    "LedgerEntry",
-    "SampleRow",
-    "TransferEntry",
-    "capacity_objectives",
-    "run_capacity_scenario",
-    "BLAME_BUCKETS",
-    "EDGE_KINDS",
-    "FlowContext",
-    "FlowHop",
-    "load_trace",
-    "load_trace_jsonl",
-    "lane_summary",
-    "to_chrome_trace",
-    "to_jsonl_lines",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "Alert",
-    "BurnRateMonitor",
-    "BusEvent",
-    "BusSubscriber",
-    "SloObjective",
-    "TelemetryBus",
-    "default_objectives",
-    "event_to_json",
-    "render_top",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_POLICIES",
-    "Baseline",
-    "MetricPolicy",
-    "MetricVerdict",
-    "RegressionReport",
-    "RunRecord",
-    "RunStore",
-    "collect_run_record",
-    "compare_record",
-    "machine_fingerprint",
-    "ProbeSampler",
-    "SloAlert",
-    "SloRule",
-    "default_slos",
-    "insitu_share_slo",
-    "render_dashboard",
-    "render_trace_diff",
-    "write_dashboard",
-    "write_trace_diff",
-    "NULL_TRACER",
-    "InstantRecord",
-    "NullTracer",
-    "SpanRecord",
-    "Trace",
-    "Tracer",
-    "disable_tracing",
-    "enable_tracing",
-    "get_tracer",
-    "set_tracer",
-    "tracing",
-]
+export_lazily(__name__, {
+    "CriticalPath": "analysis",
+    "ReconcileRow": "analysis",
+    "critical_path": "analysis",
+    "reconcile_table": "analysis",
+    "reconcile_totals": "analysis",
+    "BlameBreakdown": "blame",
+    "BlameReport": "blame",
+    "KernelUsage": "blame",
+    "StepBlame": "blame",
+    "TraceDiff": "blame",
+    "blame": "blame",
+    "diff_traces": "blame",
+    "flow_edge_totals": "blame",
+    "kernel_table": "blame",
+    "top_kernels": "blame",
+    "CapacityLedger": "capacity",
+    "CapacityReport": "capacity",
+    "LedgerEntry": "events",
+    "SampleRow": "events",
+    "TransferEntry": "events",
+    "capacity_objectives": "capacity",
+    "run_capacity_scenario": "capacity",
+    "BLAME_BUCKETS": "flow",
+    "EDGE_KINDS": "flow",
+    "FlowContext": "flow",
+    "FlowHop": "flow",
+    "load_trace": "export",
+    "load_trace_jsonl": "export",
+    "lane_summary": "export",
+    "to_chrome_trace": "export",
+    "to_jsonl_lines": "export",
+    "validate_chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "write_jsonl": "export",
+    "Alert": "live",
+    "BurnRateMonitor": "live",
+    "BusEvent": "live",
+    "BusSubscriber": "live",
+    "SloObjective": "live",
+    "TelemetryBus": "live",
+    "default_objectives": "live",
+    "event_to_json": "live",
+    "render_top": "live",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "DEFAULT_POLICIES": "perf",
+    "Baseline": "perf",
+    "MetricPolicy": "perf",
+    "MetricVerdict": "perf",
+    "RegressionReport": "perf",
+    "RunRecord": "perf",
+    "RunStore": "perf",
+    "collect_run_record": "perf",
+    "compare_record": "perf",
+    "machine_fingerprint": "perf",
+    "ProbeSampler": "probes",
+    "SloAlert": "probes",
+    "SloRule": "probes",
+    "default_slos": "probes",
+    "insitu_share_slo": "probes",
+    "render_dashboard": "report",
+    "render_trace_diff": "report",
+    "write_dashboard": "report",
+    "write_trace_diff": "report",
+    "NULL_TRACER": "tracer",
+    "InstantRecord": "tracer",
+    "NullTracer": "tracer",
+    "SpanRecord": "tracer",
+    "Trace": "tracer",
+    "Tracer": "tracer",
+    "disable_tracing": "tracer",
+    "enable_tracing": "tracer",
+    "get_tracer": "tracer",
+    "set_tracer": "tracer",
+    "tracing": "tracer",
+})

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.machine.specs import MachineSpec
+from repro.machine.specs import machine_fingerprint
 from repro.util.tables import TextTable
 
 __all__ = [
@@ -60,22 +60,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-
-def machine_fingerprint(spec: MachineSpec) -> dict[str, Any]:
-    """The modeled machine reduced to the fields that pin the cost model.
-
-    Deliberately excludes anything host-specific: two machines replaying
-    the same modeled system must produce identical fingerprints, so the
-    deterministic metrics stay comparable across laptops and CI.
-    """
-    return {
-        "name": spec.name,
-        "n_nodes": spec.n_nodes,
-        "cores_per_node": spec.node.cores,
-        "node_memory_bytes": spec.node.memory_bytes,
-        "core_gflops": spec.node.core_gflops,
-    }
 
 
 def git_sha() -> str | None:

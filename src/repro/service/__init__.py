@@ -19,26 +19,21 @@ campaign service:
   tying the layers together, plus per-tenant reporting.
 """
 
-from repro.service.api import CampaignService, ServiceReport, TenantReport
-from repro.service.cache import ScheduleCache, schedule_cache_key
-from repro.service.queue import Job, JobQueue, JobSpec, JobState
-from repro.service.quota import QuotaManager, TenantQuota
-from repro.service.shards import ShardBalanceReport, ShardedDataSpaces
-from repro.service.workers import WorkerPool
+from repro._lazy import export_lazily
 
-__all__ = [
-    "CampaignService",
-    "Job",
-    "JobQueue",
-    "JobSpec",
-    "JobState",
-    "QuotaManager",
-    "ScheduleCache",
-    "ServiceReport",
-    "ShardBalanceReport",
-    "ShardedDataSpaces",
-    "TenantQuota",
-    "TenantReport",
-    "WorkerPool",
-    "schedule_cache_key",
-]
+export_lazily(__name__, {
+    "CampaignService": "api",
+    "Job": "queue",
+    "JobQueue": "queue",
+    "JobSpec": "queue",
+    "JobState": "queue",
+    "QuotaManager": "quota",
+    "ScheduleCache": "cache",
+    "ServiceReport": "api",
+    "ShardBalanceReport": "shards",
+    "ShardedDataSpaces": "shards",
+    "TenantQuota": "quota",
+    "TenantReport": "api",
+    "WorkerPool": "workers",
+    "schedule_cache_key": "cache",
+})

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.runner import ScaledExperiment, ScheduleResult
 from repro.des import Engine
@@ -37,13 +37,15 @@ from repro.obs.live import (
     default_objectives,
 )
 from repro.obs.metrics import nearest_rank
-from repro.obs.perf import RunRecord, RunStore
 from repro.obs.tracer import get_tracer
 from repro.service.cache import ScheduleCache
 from repro.service.queue import Job, JobQueue, JobSpec, JobState
 from repro.service.quota import Denial, JobDemand, QuotaManager, TenantQuota
 from repro.service.shards import ShardBalanceReport
 from repro.service.workers import WorkerPool
+
+if TYPE_CHECKING:
+    from repro.obs.perf import RunStore
 
 JOBS_SOURCE = "service-job"
 
@@ -250,8 +252,11 @@ class CampaignService:
             objectives = default_objectives() + capacity_objectives()
         self.monitor = BurnRateMonitor(objectives, bus=bus,
                                        tracer=get_tracer())
-        if jobs_store is not None and not isinstance(jobs_store, RunStore):
-            jobs_store = RunStore(jobs_store)
+        if jobs_store is not None:
+            from repro.obs.perf import RunStore
+
+            if not isinstance(jobs_store, RunStore):
+                jobs_store = RunStore(jobs_store)
         self.jobs_store = jobs_store
         self.jobs: list[Job] = []
         self._job_ids = itertools.count(1)
@@ -420,6 +425,8 @@ class CampaignService:
                 metrics.gauge(f"service.shard.{load.shard}.bytes").set(
                     float(load.bytes))
         if self.jobs_store is not None:
+            from repro.obs.perf import RunRecord
+
             self.jobs_store.append(RunRecord.new(
                 source=JOBS_SOURCE,
                 metrics={

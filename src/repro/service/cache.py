@@ -20,13 +20,15 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.runner import ScheduleResult
 from repro.obs.capacity import CapacityReport
-from repro.obs.perf import RunRecord, RunStore
 from repro.service.shards import ShardBalanceReport
 from repro.staging.descriptors import TaskResult
+
+if TYPE_CHECKING:
+    from repro.obs.perf import RunStore
 
 CACHE_SOURCE = "schedule-cache"
 
@@ -105,8 +107,11 @@ class ScheduleCache:
     """
 
     def __init__(self, store: RunStore | str | Path | None = None) -> None:
-        if store is not None and not isinstance(store, RunStore):
-            store = RunStore(store)
+        if store is not None:
+            from repro.obs.perf import RunStore
+
+            if not isinstance(store, RunStore):
+                store = RunStore(store)
         self.store = store
         self._mem: dict[str, dict[str, Any] | ScheduleResult] = {}
         self.hits = 0
@@ -160,6 +165,8 @@ class ScheduleCache:
         # One slot per key: a re-insert also replaces a decoded entry.
         self._mem[key] = summary
         if self.store is not None:
+            from repro.obs.perf import RunRecord
+
             self.store.append(RunRecord.new(
                 source=CACHE_SOURCE,
                 metrics={"schedule.makespan_s": sched.makespan,

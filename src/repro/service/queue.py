@@ -22,8 +22,7 @@ from typing import Any, Callable
 
 from repro.core.runner import ExperimentConfig, ScheduleResult
 from repro.core.workload import AnalyticsVariant
-from repro.machine.specs import jaguar_xk6
-from repro.obs.perf import machine_fingerprint
+from repro.machine.specs import jaguar_xk6, machine_fingerprint
 from repro.service.cache import schedule_cache_key
 
 #: Known machine allocations a job may request (Table I columns).

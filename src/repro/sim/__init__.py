@@ -25,22 +25,17 @@ laptop scale:
   exposed as a live :class:`~repro.sim.fields.FieldSet`.
 """
 
-from repro.sim.grid import StructuredGrid3D
-from repro.sim.fields import SPECIES_NAMES, VARIABLE_NAMES, FieldSet
-from repro.sim.chemistry import ArrheniusChemistry
-from repro.sim.turbulence import synthetic_turbulence
-from repro.sim.lifted_flame import LiftedFlameCase
-from repro.sim.s3d import DecomposedS3D, S3DProxy, SolverParams
+from repro._lazy import export_lazily
 
-__all__ = [
-    "SolverParams",
-    "StructuredGrid3D",
-    "FieldSet",
-    "SPECIES_NAMES",
-    "VARIABLE_NAMES",
-    "ArrheniusChemistry",
-    "synthetic_turbulence",
-    "LiftedFlameCase",
-    "S3DProxy",
-    "DecomposedS3D",
-]
+export_lazily(__name__, {
+    "SolverParams": "s3d",
+    "StructuredGrid3D": "grid",
+    "FieldSet": "fields",
+    "SPECIES_NAMES": "fields",
+    "VARIABLE_NAMES": "fields",
+    "ArrheniusChemistry": "chemistry",
+    "synthetic_turbulence": "turbulence",
+    "LiftedFlameCase": "lifted_flame",
+    "S3DProxy": "s3d",
+    "DecomposedS3D": "s3d",
+})

@@ -14,24 +14,16 @@ Components mirror Fig. 5 of the paper:
   data via DART, execute the in-transit stage, repeat.
 """
 
-from repro.staging.hashing import ServiceRing
-from repro.staging.descriptors import SHUTDOWN_TASK_ID, TaskDescriptor, TaskResult
-from repro.staging.scheduler import (
-    AssignmentRecord,
-    ReassignmentRecord,
-    TaskScheduler,
-)
-from repro.staging.buckets import StagingBucket
-from repro.staging.dataspaces import DataSpaces
+from repro._lazy import export_lazily
 
-__all__ = [
-    "ServiceRing",
-    "SHUTDOWN_TASK_ID",
-    "TaskDescriptor",
-    "TaskResult",
-    "AssignmentRecord",
-    "ReassignmentRecord",
-    "TaskScheduler",
-    "StagingBucket",
-    "DataSpaces",
-]
+export_lazily(__name__, {
+    "ServiceRing": "hashing",
+    "SHUTDOWN_TASK_ID": "descriptors",
+    "TaskDescriptor": "descriptors",
+    "TaskResult": "descriptors",
+    "AssignmentRecord": "scheduler",
+    "ReassignmentRecord": "scheduler",
+    "TaskScheduler": "scheduler",
+    "StagingBucket": "buckets",
+    "DataSpaces": "dataspaces",
+})

@@ -17,15 +17,13 @@ network model and play out on the DES engine, with per-node NIC
 serialisation so concurrent pulls into one staging node queue realistically.
 """
 
-from repro.transport.messages import DataDescriptor, TransferRecord
-from repro.transport.rdma import RdmaRegion, RdmaRegistry
-from repro.transport.dart import DartTransport, PullFault
+from repro._lazy import export_lazily
 
-__all__ = [
-    "DataDescriptor",
-    "TransferRecord",
-    "RdmaRegion",
-    "RdmaRegistry",
-    "DartTransport",
-    "PullFault",
-]
+export_lazily(__name__, {
+    "DataDescriptor": "messages",
+    "TransferRecord": "messages",
+    "RdmaRegion": "rdma",
+    "RdmaRegistry": "rdma",
+    "DartTransport": "dart",
+    "PullFault": "dart",
+})

@@ -4,31 +4,19 @@ These helpers are intentionally dependency-free (NumPy only) so that every
 other subpackage can rely on them without import cycles.
 """
 
-from repro.util.units import (
-    KB,
-    MB,
-    GB,
-    TB,
-    bytes_to_mb,
-    bytes_to_gb,
-    fmt_bytes,
-    fmt_seconds,
-)
-from repro.util.rng import seeded_rng
-from repro.util.tables import TextTable
-from repro.util.image import write_ppm, image_rmse
+from repro._lazy import export_lazily
 
-__all__ = [
-    "KB",
-    "MB",
-    "GB",
-    "TB",
-    "bytes_to_mb",
-    "bytes_to_gb",
-    "fmt_bytes",
-    "fmt_seconds",
-    "seeded_rng",
-    "TextTable",
-    "write_ppm",
-    "image_rmse",
-]
+export_lazily(__name__, {
+    "KB": "units",
+    "MB": "units",
+    "GB": "units",
+    "TB": "units",
+    "bytes_to_mb": "units",
+    "bytes_to_gb": "units",
+    "fmt_bytes": "units",
+    "fmt_seconds": "units",
+    "seeded_rng": "rng",
+    "TextTable": "tables",
+    "write_ppm": "image",
+    "image_rmse": "image",
+})

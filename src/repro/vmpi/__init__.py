@@ -13,20 +13,14 @@ process:
   collective on a given network model, charged by the performance layer.
 """
 
-from repro.vmpi.decomp import Block3D, BlockDecomposition3D
-from repro.vmpi.comm import CommTracker, VirtualComm
-from repro.vmpi.collectives import (
-    allreduce_time,
-    bcast_time,
-    reduce_time,
-)
+from repro._lazy import export_lazily
 
-__all__ = [
-    "Block3D",
-    "BlockDecomposition3D",
-    "CommTracker",
-    "VirtualComm",
-    "allreduce_time",
-    "bcast_time",
-    "reduce_time",
-]
+export_lazily(__name__, {
+    "Block3D": "decomp",
+    "BlockDecomposition3D": "decomp",
+    "CommTracker": "comm",
+    "VirtualComm": "comm",
+    "allreduce_time": "collectives",
+    "bcast_time": "collectives",
+    "reduce_time": "collectives",
+})

@@ -49,12 +49,22 @@ def _imports(path: Path):
                 yield node.module, alias.name
 
 
-#: package -> {re-exported name: module its ``__init__`` took it from}
-REEXPORTS = {
-    pkg: {name: origin for origin, name in _imports(SOURCES[pkg])
-          if name is not None and origin in SOURCES}
-    for pkg in PACKAGES
-}
+def _reexports(pkg: str) -> dict[str, str]:
+    """``{re-exported name: module it comes from}`` of one package: its
+    literal ``export_lazily`` table, or, for a package that imports
+    eagerly, its ``from ... import`` statements."""
+    tree = ast.parse(SOURCES[pkg].read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "export_lazily"):
+            table = ast.literal_eval(node.args[1])
+            return {name: f"{pkg}.{sub}" for name, sub in table.items()}
+    return {name: origin for origin, name in _imports(SOURCES[pkg])
+            if name is not None and origin in SOURCES}
+
+
+#: package -> {re-exported name: module its ``__init__`` takes it from}
+REEXPORTS = {pkg: _reexports(pkg) for pkg in PACKAGES}
 
 
 def _defining_module(module: str, name: str | None) -> str | None:
