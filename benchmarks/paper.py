@@ -72,6 +72,7 @@ from repro.core import (
     AnalyticsVariant as V,
     ExperimentConfig,
     HybridFramework,
+    ReplayPlan,
     ScaledExperiment,
 )
 from repro.core.campaign import Campaign
@@ -357,7 +358,8 @@ def _movement_below_raw(cal):
 def _insitu_charge(cal):
     """In-situ seconds the replay charges per analysed step for the three
     hybrid variants (Known deviation 4: Table II's rows sum to 4.49)."""
-    return cal.experiment().expected_stage_totals(1)["insitu"]
+    return cal.experiment().expected_stage_totals(
+        ReplayPlan(n_steps=1))["insitu"]
 
 
 # -- Fig. 6 -------------------------------------------------------------------

@@ -211,12 +211,21 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
     return 0
 
 
+def _plan(args: argparse.Namespace, cls=None, **fields):
+    """The plan (or plan subclass ``cls``) the ``replay()`` flags describe,
+    plus ``fields``; a verb without ``--interval`` analyses every step."""
+    from repro.core.runner import ReplayPlan
+
+    return (cls or ReplayPlan)(
+        n_steps=args.steps, n_buckets=args.buckets,
+        analysis_interval=getattr(args, "interval", 1), **fields)
+
+
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    from repro.core import AnalyticsVariant, ExperimentConfig, ScaledExperiment
+    from repro.core import ExperimentConfig, ScaledExperiment
 
     exp = ScaledExperiment(ExperimentConfig.paper_4896())
-    sched = exp.run_schedule(n_steps=args.steps, n_buckets=args.buckets,
-                             analyses=(AnalyticsVariant.TOPO_HYBRID,))
+    sched = exp.run_schedule(_plan(args, analyses=("TOPO_HYBRID",)))
     state = "keeps pace" if sched.keeps_pace() else "queue grows"
     print(f"{args.buckets} buckets over {args.steps} steps: "
           f"max queue wait {sched.max_queue_wait():.2f} s "
@@ -234,12 +243,13 @@ def _traced_run(args: argparse.Namespace):
 
         return traced_functional_run(args.steps), None
     from repro.core import ExperimentConfig, ScaledExperiment
+    from repro.obs.tracer import tracing
 
     exp = ScaledExperiment(ExperimentConfig.paper_4896())
-    tracer, _sched, expected = exp.traced_schedule(
-        n_steps=args.steps, n_buckets=args.buckets,
-        analysis_interval=args.interval)
-    return tracer, expected
+    plan = _plan(args)
+    with tracing() as tracer:
+        exp.run_schedule(plan)
+    return tracer, exp.expected_stage_totals(plan)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -405,14 +415,11 @@ def _cmd_control(args: argparse.Namespace) -> int:
 
     policy = ControlPolicy(window=args.window,
                            cooldown_windows=args.cooldown)
-    report = run_control_scenario(
-        n_steps=args.steps, n_buckets=args.buckets,
-        analysis_interval=args.interval, seed=args.seed,
-        crash_times=tuple(args.crash_times),
-        pull_stall_rate=args.stall_rate,
-        pull_stall_seconds=args.stall_seconds,
-        lease_timeout=args.lease_timeout,
-        policy=policy)
+    plan = _plan(args, fault_seed=args.seed, crash_times=args.crash_times,
+                 pull_stall_rate=args.stall_rate,
+                 pull_stall_seconds=args.stall_seconds,
+                 lease_timeout=args.lease_timeout)
+    report = run_control_scenario(plan, policy)
     ctrl = report.controller
     table = TextTable(["run", "makespan (s)", "max queue wait (s)",
                        "decisions", "final pool"])
@@ -452,10 +459,8 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     from repro.util import TextTable
 
     outcome = run_capacity_scenario(
-        n_steps=args.steps, n_buckets=args.buckets,
-        analysis_interval=args.interval, n_shards=args.shards,
-        tenants=tuple(args.tenants), inject_leak=args.inject_leak,
-        leak_bytes=args.leak_bytes)
+        _plan(args, n_shards=args.shards), tenants=tuple(args.tenants),
+        inject_leak=args.inject_leak, leak_bytes=args.leak_bytes)
     merged = outcome["merged"]
 
     headroom = TextTable(["tenant run", "analytic bound", "measured peak",
@@ -574,9 +579,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                     + overrides + DEFAULT_POLICIES)
 
     def fresh_record(source: str):
-        return collect_run_record(n_steps=args.steps, n_buckets=args.buckets,
-                                  source=source, perturb=perturb,
-                                  fault_seed=args.seed)
+        return collect_run_record(_plan(args, fault_seed=args.seed),
+                                  source=source, perturb=perturb)
 
     if args.action == "record":
         record = fresh_record(args.source)
@@ -668,7 +672,7 @@ def _load_batch(path: Path) -> tuple[list, list]:
                 raise SystemExit(
                     f"{path}:{lineno}: not valid JSON: {exc}") from None
             try:
-                if "quota" in d:
+                if isinstance(d, dict) and "quota" in d:
                     quotas.append(TenantQuota(**d["quota"]))
                 else:
                     specs.append(JobSpec.from_dict(d))
@@ -874,16 +878,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import JobSpec
 
     try:
-        spec = JobSpec(
-            tenant=args.tenant, name=args.name, config=args.config,
-            n_steps=args.steps, n_buckets=args.buckets,
-            analysis_interval=args.interval,
-            analyses=tuple(args.analyses) if args.analyses else
-            ("VIS_HYBRID", "TOPO_HYBRID", "STATS_HYBRID"),
+        spec = _plan(
+            args, JobSpec, tenant=args.tenant, name=args.name,
+            config=args.config, analyses=args.analyses or JobSpec.analyses,
             n_shards=args.shards, submit_at=args.submit_at,
-            lease_timeout=args.lease_timeout,
-            fault_seed=args.fault_seed,
-            crash_times=tuple(args.crash_times),
+            lease_timeout=args.lease_timeout, fault_seed=args.fault_seed,
+            crash_times=args.crash_times,
             pull_failure_rate=args.pull_failure_rate,
             pull_stall_rate=args.stall_rate,
             pull_stall_seconds=args.stall_seconds)

@@ -11,6 +11,7 @@ adaptive-vs-static comparison.
 from repro._lazy import export_lazily
 
 export_lazily(__name__, {
+    "CONTROL_PLAN": "scenario",
     "DEFAULT_MOVABLE": "controller",
     "PLACE_INSITU": "controller",
     "PLACE_INTRANSIT": "controller",

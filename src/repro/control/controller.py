@@ -37,7 +37,7 @@ from repro.control.hysteresis import Cooldown
 from repro.obs.tracer import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.runner import ScaledExperiment
+    from repro.core.runner import ReplayPlan, ScaledExperiment
     from repro.staging.dataspaces import DataSpaces
 
 #: Placement states of an analysis' completion stage.
@@ -209,12 +209,14 @@ class PlacementController:
     # -- run binding ---------------------------------------------------------
 
     def begin_run(self, *, experiment: "ScaledExperiment",
-                  ds: "DataSpaces", analyses: tuple[Any, ...],
-                  n_buckets: int, analysis_interval: int,
+                  ds: "DataSpaces", plan: "ReplayPlan",
                   probe_map: Mapping[str, Callable[[], float]] | None = None
                   ) -> None:
         """Reset all state and bind the controller to one replay."""
         pol = self.policy
+        analyses = plan.variants()
+        n_buckets = plan.buckets(experiment.config)
+        analysis_interval = plan.analysis_interval
         self._ds = ds
         self._probe_map = dict(probe_map or {})
         self.decisions = []

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.control.controller import ControlPolicy, PlacementController
-from repro.faults.injector import FaultConfig
+from repro.core.runner import ExperimentConfig, ReplayPlan, ScaledExperiment
+
+#: The seeded crash + stall plan ``repro control`` replays by default: two
+#: bucket crashes and 5 % stalled pulls on an under-provisioned pool.
+CONTROL_PLAN = ReplayPlan(n_steps=12, n_buckets=4, lease_timeout=5.0,
+                          crash_times=(30.0, 55.0), pull_stall_rate=0.05,
+                          pull_stall_seconds=2.0)
 
 
 @dataclass
@@ -73,42 +79,21 @@ class ControlReport:
         }
 
 
-def run_control_scenario(n_steps: int = 12,
-                         n_buckets: int = 4,
-                         analysis_interval: int = 1,
-                         seed: int = 0,
-                         crash_times: tuple[float, ...] = (30.0, 55.0),
-                         pull_stall_rate: float = 0.05,
-                         pull_stall_seconds: float = 2.0,
-                         lease_timeout: float = 5.0,
+def run_control_scenario(plan: ReplayPlan = CONTROL_PLAN,
                          policy: ControlPolicy | None = None,
                          controller: PlacementController | None = None,
                          ) -> ControlReport:
-    """Run the fault-injected adaptive-vs-static comparison.
+    """Run the fault-injected adaptive-vs-static comparison of ``plan``.
 
-    Both replays use the paper's 4896-core configuration and an identical
-    :class:`~repro.faults.FaultConfig` (same seed, same crash plan, same
-    stall odds). The static run keeps whatever pool survives the crashes;
-    the adaptive run hands the same replay a controller.
+    Both replays use the paper's 4896-core configuration and the same
+    plan (same seed, same crash plan, same stall odds). The static run
+    keeps whatever pool survives the crashes; the adaptive run hands the
+    same replay a controller.
     """
-    # Lazy import: repro.core.tradeoff imports this package's hysteresis
-    # sibling via steering; keep the module graph acyclic.
-    from repro.core.runner import ExperimentConfig, ScaledExperiment
-
     exp = ScaledExperiment(ExperimentConfig.paper_4896())
-    fault = FaultConfig(seed=seed, crash_times=crash_times,
-                        pull_stall_rate=pull_stall_rate,
-                        pull_stall_seconds=pull_stall_seconds)
-    static = exp.run_schedule(n_steps=n_steps, n_buckets=n_buckets,
-                              analysis_interval=analysis_interval,
-                              lease_timeout=lease_timeout,
-                              fault_config=fault)
+    static = exp.run_schedule(plan)
     ctrl = controller or PlacementController(policy)
-    adaptive = exp.run_schedule(n_steps=n_steps, n_buckets=n_buckets,
-                                analysis_interval=analysis_interval,
-                                lease_timeout=lease_timeout,
-                                controller=ctrl,
-                                fault_config=fault)
+    adaptive = exp.run_schedule(plan, controller=ctrl)
     return ControlReport(
         static_makespan=static.makespan,
         adaptive_makespan=adaptive.makespan,
@@ -117,14 +102,4 @@ def run_control_scenario(n_steps: int = 12,
         controller=ctrl,
         static_result=static,
         adaptive_result=adaptive,
-        config={
-            "experiment": exp.config.name,
-            "n_steps": n_steps,
-            "n_buckets": n_buckets,
-            "analysis_interval": analysis_interval,
-            "seed": seed,
-            "crash_times": list(crash_times),
-            "pull_stall_rate": pull_stall_rate,
-            "pull_stall_seconds": pull_stall_seconds,
-            "lease_timeout": lease_timeout,
-        })
+        config={"experiment": exp.config.name, **plan.to_dict()})

@@ -23,6 +23,7 @@ export_lazily(__name__, {
     "AnalyticsVariant": "workload",
     "ScaledWorkload": "workload",
     "ExperimentConfig": "runner",
+    "ReplayPlan": "runner",
     "ScaledExperiment": "runner",
     "FrameworkResult": "framework",
     "HybridFramework": "framework",

@@ -1,24 +1,27 @@
 """Full-scale experiment replay (Tables I & II, Figs. 5 & 6).
 
-:class:`ExperimentConfig` captures the paper's two core allocations;
+:class:`ExperimentConfig` captures the paper's two core allocations and
+:class:`ReplayPlan` one staging replay's parameters;
 :class:`ScaledExperiment` produces
 
 * :meth:`~ScaledExperiment.breakdown` — the per-timestep cost breakdown
   from the calibrated cost model (Table I rows, Table II rows, Fig. 6
   bars), and
-* :meth:`~ScaledExperiment.run_schedule` — a DES replay of the staging
-  workflow at full scale: per-timestep in-transit tasks with true wire
-  sizes flow through DataSpaces' queue into staging buckets, exposing
-  queue waits, bucket utilisation, and the temporal-multiplexing behaviour
-  that decouples analysis latency from simulation cadence (§V).
+* :meth:`~ScaledExperiment.run_schedule` — a DES replay of a plan at full
+  scale: per-timestep in-transit tasks with true wire sizes flow through
+  DataSpaces' queue into staging buckets, exposing queue waits, bucket
+  utilisation, and the temporal-multiplexing behaviour that decouples
+  analysis latency from simulation cadence (§V).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
+from numbers import Integral, Real
+from typing import TYPE_CHECKING, Any
 
 from repro.core.breakdown import AnalyticsTiming, TimingBreakdown
 from repro.core.workload import HYBRID_VARIANTS, AnalyticsVariant, ScaledWorkload
@@ -27,7 +30,7 @@ from repro.costmodel.models import CostModel
 from repro.des import Engine
 from repro.machine.specs import MachineSpec, jaguar_xk6
 from repro.obs.probes import ProbeSampler, default_slos
-from repro.obs.tracer import Tracer, get_tracer, tracing
+from repro.obs.tracer import get_tracer
 from repro.staging.dataspaces import DataSpaces
 from repro.staging.descriptors import TaskResult
 from repro.staging.scheduler import AssignmentRecord
@@ -80,6 +83,132 @@ class ExperimentConfig:
                    n_service_cores=256, n_intransit_cores=224)
 
 
+_HYBRID_NAMES = tuple(v.name for v in HYBRID_VARIANTS)
+_COUNTS = ("n_steps", "n_buckets", "analysis_interval", "n_shards",
+           "max_bucket_restarts", "fault_seed")
+_NUMBERS = ("lease_timeout", "bucket_restart_delay", "pull_failure_rate",
+            "pull_stall_rate", "pull_stall_seconds")
+_OPTIONAL = ("n_buckets", "lease_timeout", "bucket_restart_delay")
+#: The least value of each bounded field (None, where allowed, is unset).
+_LEAST = {"n_steps": 1, "analysis_interval": 1, "n_shards": 1,
+          "max_bucket_restarts": 0, "bucket_restart_delay": 0}
+
+
+@dataclass(frozen=True, kw_only=True)
+class ReplayPlan:
+    """One staging replay, validated once: what
+    :meth:`ScaledExperiment.run_schedule` replays (a
+    :class:`~repro.service.queue.JobSpec` is a plan with a tenant).
+
+    Counts are ``int`` (never ``bool``) and rates numbers; the five fault
+    fields are checked by the :class:`~repro.faults.FaultConfig` they
+    describe once one is set. ``analyses`` holds hybrid variant names,
+    each at most once (members are stored by name); lists become tuples.
+    """
+
+    n_steps: int = 10
+    #: Staging buckets; None = the experiment's in-transit cores.
+    n_buckets: int | None = None
+    analysis_interval: int = 1
+    analyses: tuple[str, ...] = _HYBRID_NAMES
+    n_shards: int = 1
+    # Recovery knobs of the staging area (applied per shard).
+    lease_timeout: float | None = None
+    bucket_restart_delay: float | None = None
+    max_bucket_restarts: int = 0
+    # Fault *injection* plan (deterministic, seeded).
+    fault_seed: int = 0
+    crash_times: tuple[float, ...] = ()
+    pull_failure_rate: float = 0.0
+    pull_stall_rate: float = 0.0
+    pull_stall_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "analyses", tuple(
+            a.name if isinstance(a, AnalyticsVariant) else a
+            for a in self.analyses))
+        object.__setattr__(self, "crash_times", tuple(self.crash_times))
+        typed = [(name, getattr(self, name)) for name in _COUNTS + _NUMBERS]
+        for name, value in typed + [("crash_times", t)
+                                    for t in self.crash_times]:
+            kind = Integral if name in _COUNTS else Real
+            if not (value is None and name in _OPTIONAL) and (
+                    isinstance(value, bool) or not isinstance(value, kind)):
+                noun = "an int" if kind is Integral else "a number"
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if self.n_buckets is not None and self.n_buckets < max(1, self.n_shards):
+            raise ValueError(
+                f"need at least one bucket per shard: {self.n_buckets} "
+                f"bucket(s) for {self.n_shards} shard(s)")
+        if self.lease_timeout is not None and self.lease_timeout <= 0:
+            raise ValueError(
+                f"lease_timeout must be > 0, got {self.lease_timeout}")
+        if not self.analyses:
+            raise ValueError("need at least one analysis")
+        for a in self.analyses:
+            if a not in _HYBRID_NAMES:
+                why = ("has no in-transit stage to replay"
+                       if a in AnalyticsVariant.__members__ else "is unknown")
+                raise ValueError(f"analysis {a!r} {why}; choose from "
+                                 f"{list(_HYBRID_NAMES)}")
+        if len(set(self.analyses)) != len(self.analyses):
+            raise ValueError(
+                f"each analysis may be named once, got {list(self.analyses)}")
+        if (self.fault_seed or self.crash_times or self.pull_failure_rate
+                or self.pull_stall_rate or self.pull_stall_seconds):
+            self._faults()
+        if self.has_faults() and self.n_shards != 1:
+            raise ValueError("fault injection requires n_shards == 1")
+        if self.crash_times and self.lease_timeout is None:
+            raise ValueError(
+                "crash_times require lease_timeout (crash recovery runs "
+                "through the lease/reassignment path)")
+
+    # -- derived -------------------------------------------------------------
+
+    def variants(self) -> tuple[AnalyticsVariant, ...]:
+        return tuple(AnalyticsVariant[a] for a in self.analyses)
+
+    def buckets(self, config: ExperimentConfig) -> int:
+        """The bucket count this plan replays on ``config``."""
+        return (config.n_intransit_cores if self.n_buckets is None
+                else self.n_buckets)
+
+    def has_faults(self) -> bool:
+        return bool(self.crash_times or self.pull_failure_rate
+                    or self.pull_stall_rate)
+
+    def fault_config(self) -> FaultConfig | None:
+        """The replay's injection plan, or None when the plan is clean."""
+        return self._faults() if self.has_faults() else None
+
+    def _faults(self) -> FaultConfig:
+        # Lazy import: a clean plan never loads repro.faults.
+        from repro.faults.injector import FaultConfig
+        return FaultConfig(seed=self.fault_seed,
+                           crash_times=self.crash_times,
+                           pull_failure_rate=self.pull_failure_rate,
+                           pull_stall_rate=self.pull_stall_rate,
+                           pull_stall_seconds=self.pull_stall_seconds)
+
+    # -- serialization -------------------------------------------------------
+
+    def _pick(self, names: Iterable[str]) -> dict[str, Any]:
+        """JSON-ready view of the named fields (tuples become lists)."""
+        out = {}
+        for name in names:
+            value = getattr(self, name)
+            out[name] = list(value) if type(value) is tuple else value
+        return out
+
+    def to_dict(self) -> dict[str, Any]:
+        return self._pick(self.__dataclass_fields__)
+
+
 @dataclass
 class ScheduleResult:
     """Outcome of a DES replay of the staging workflow."""
@@ -101,14 +230,16 @@ class ScheduleResult:
     #: carrying its decision log, windowed signals, and pool-size
     #: trajectory.
     controller: PlacementController | None = None
-    #: The attached injector when the replay ran under an injected fault
-    #: plan (``fault_config=`` given).
+    #: The attached injector when the plan injects faults.
     faults: FaultInjector | None = None
     #: The finalized report when a capacity ledger rode the replay
     #: (``capacity=`` given, or tracing enabled) — measured resident-bytes
     #: watermarks, NIC occupancy, leak scan and headroom vs the analytic
     #: bound.
     capacity: CapacityReport | None = None
+    #: Tasks that failed terminally and left no result (the staging
+    #: area's task ledger): ``results`` holds only the survivors.
+    failed_tasks: int = 0
 
     def max_queue_wait(self) -> float:
         return max((r.queue_wait for r in self.results), default=0.0)
@@ -271,21 +402,12 @@ class ScaledExperiment:
                                     max(overhead, 0.0) + row.intransit_time)
         return model
 
-    def run_schedule(self, n_steps: int = 10,
-                     analyses: tuple[AnalyticsVariant, ...] = HYBRID_VARIANTS,
-                     n_buckets: int | None = None,
-                     analysis_interval: int = 1,
+    def run_schedule(self, plan: ReplayPlan | None = None, /, *,
                      probe_interval: float | None = None,
-                     slos: tuple | None = None,
-                     n_shards: int = 1,
-                     lease_timeout: float | None = None,
-                     bucket_restart_delay: float | None = None,
-                     max_bucket_restarts: int = 0,
                      controller: PlacementController | None = None,
-                     fault_config: FaultConfig | None = None,
-                     capacity: CapacityLedger | bool | None = None
-                     ) -> ScheduleResult:
-        """Replay ``n_steps`` of the hybrid workflow on the DES.
+                     capacity: CapacityLedger | bool | None = None,
+                     **fields: Any) -> ScheduleResult:
+        """Replay ``plan`` (or ``ReplayPlan(**fields)``) on the DES.
 
         One grouped in-transit task per (hybrid analysis, analysed step)
         arrives when the simulation finishes that step; staging buckets
@@ -293,34 +415,31 @@ class ScaledExperiment:
         service time. Distinct timesteps land on distinct buckets — the
         paper's temporal multiplexing.
 
-        With tracing enabled and ``probe_interval`` given, a
+        With ``n_shards > 1`` the staging area is a
+        :class:`~repro.service.shards.ShardedDataSpaces`: N independent
+        tuple-space shards with region keys DHT-routed across them;
+        buckets are split over the shards and
+        :attr:`ScheduleResult.shard_balance` carries the per-shard load
+        report. A plan that injects faults attaches a deterministic
+        :class:`~repro.faults.FaultInjector`; tasks that fail terminally
+        are counted on :attr:`ScheduleResult.failed_tasks`.
+
+        The keywords say how the replay is observed or driven, never what
+        is replayed. With tracing enabled and ``probe_interval`` given, a
         :class:`~repro.obs.probes.ProbeSampler` rides the replay: the
         standard gauges (queue depth, NIC occupancy, bucket utilisation,
         RDMA live bytes) are sampled every ``probe_interval`` simulated
-        seconds and the SLO rules (``slos``, default
-        :func:`~repro.obs.probes.default_slos`) are checked live; the
-        sampler is returned on :attr:`ScheduleResult.probes`.
+        seconds and :func:`~repro.obs.probes.default_slos` are checked
+        live; the sampler is returned on :attr:`ScheduleResult.probes`.
 
-        With ``n_shards > 1`` the staging area is a
-        :class:`~repro.service.shards.ShardedDataSpaces`: N independent
-        tuple-space shards (each with its own transport fabric and
-        scheduler) with region keys DHT-routed across them; buckets are
-        split over the shards and :attr:`ScheduleResult.shard_balance`
-        carries the per-shard load report. The fault knobs
-        (``lease_timeout``, ``bucket_restart_delay``,
-        ``max_bucket_restarts``) mirror the :class:`DataSpaces`
-        constructor and apply per shard.
-
-        With ``controller`` (a :class:`repro.control.PlacementController`)
-        the replay is driven by a DES process that consults the controller
-        every policy window: analyses the controller has pulled in-situ
-        are charged on the simulation timeline instead of being submitted
-        in-transit, and the staging pool is elastically resized through
-        :meth:`DataSpaces.scale_to`. A controller that takes no decisions
-        reproduces the static replay bit-for-bit. ``fault_config`` (a
-        :class:`repro.faults.FaultConfig`) attaches a deterministic fault
-        plan — injected bucket crashes and RDMA pull faults — to either
-        kind of replay. Both require ``n_shards == 1``.
+        With ``controller`` (a :class:`repro.control.PlacementController`,
+        one shard only) the replay is driven by a DES process that
+        consults the controller every policy window: analyses the
+        controller has pulled in-situ are charged on the simulation
+        timeline instead of being submitted in-transit, and the staging
+        pool is elastically resized through :meth:`DataSpaces.scale_to`.
+        A controller that takes no decisions reproduces the static replay
+        bit-for-bit.
 
         ``capacity`` controls the byte-accurate capacity ledger
         (:class:`repro.obs.capacity.CapacityLedger`): ``True`` (or a
@@ -330,35 +449,32 @@ class ScaledExperiment:
         None`` checks in the transport hot paths. The finalized report
         is returned on :attr:`ScheduleResult.capacity`.
         """
-        if n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        if analysis_interval < 1:
-            raise ValueError("analysis_interval must be >= 1")
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if n_shards != 1 and (controller is not None
-                              or fault_config is not None):
-            raise ValueError(
-                "controller= and fault_config= require n_shards == 1")
-        n_buckets = n_buckets if n_buckets is not None else self.config.n_intransit_cores
-        if n_buckets < 1:
-            raise ValueError("need at least one staging bucket")
+        if plan is None:
+            plan = ReplayPlan(**fields)
+        elif fields:
+            raise TypeError(f"run_schedule() takes a plan or its fields, "
+                            f"not both: got {sorted(fields)}")
+        if controller is not None and plan.n_shards != 1:
+            raise ValueError("controller= requires n_shards == 1")
+        n_steps, analysis_interval = plan.n_steps, plan.analysis_interval
+        analyses = plan.variants()
+        n_buckets = plan.buckets(self.config)
 
         engine = Engine()
-        if n_shards == 1:
+        if plan.n_shards == 1:
             staging = partial(DataSpaces, engine,
                               DartTransport(engine, self.machine.network))
         else:
             # Lazy import: repro.service depends on this module.
             from repro.service.shards import ShardedDataSpaces
             staging = partial(ShardedDataSpaces, engine,
-                              self.machine.network, n_shards=n_shards)
+                              self.machine.network, n_shards=plan.n_shards)
         ds: DataSpaces | ShardedDataSpaces = staging(
             n_servers=max(1, self.config.n_service_cores),
             cost_model=self._service_cost_model(),
-            lease_timeout=lease_timeout,
-            bucket_restart_delay=bucket_restart_delay,
-            max_bucket_restarts=max_bucket_restarts)
+            lease_timeout=plan.lease_timeout,
+            bucket_restart_delay=plan.bucket_restart_delay,
+            max_bucket_restarts=plan.max_bucket_restarts)
         probe_map = ds.probe_map()
         ds.spawn_buckets([f"staging-{i}" for i in range(n_buckets)])
 
@@ -377,16 +493,15 @@ class ScaledExperiment:
                 ledger.attach_transport(transport, shard=f"shard{i}")
 
         injector = None
-        if fault_config is not None:
+        if plan.has_faults():
             # Lazy import: repro.faults depends on the staging layer.
             from repro.faults.injector import FaultInjector
-            injector = FaultInjector(engine, fault_config).attach(ds)
+            injector = FaultInjector(engine, plan.fault_config()).attach(ds)
 
         sampler: ProbeSampler | None = None
         if probe_interval is not None and get_tracer().enabled:
-            sampler = ProbeSampler(
-                probe_interval, probe_map,
-                slos=default_slos(n_buckets) if slos is None else slos)
+            sampler = ProbeSampler(probe_interval, probe_map,
+                                   slos=default_slos(n_buckets))
             engine.attach_probe(sampler)
 
         sim_dt = self.simulation_step_time()
@@ -449,9 +564,7 @@ class ScaledExperiment:
             # analyses and resize the pool *during* the run. With zero
             # decisions the float accumulation order matches the static
             # path exactly, so the results are bit-identical.
-            controller.begin_run(experiment=self, ds=ds, analyses=analyses,
-                                 n_buckets=n_buckets,
-                                 analysis_interval=analysis_interval,
+            controller.begin_run(experiment=self, ds=ds, plan=plan,
                                  probe_map=probe_map)
             intransit_extra = {v: self.analytics_timing(v).intransit_time
                                for v in analyses}
@@ -521,7 +634,8 @@ class ScaledExperiment:
                               controller=controller,
                               faults=injector,
                               capacity=(ledger.finalize()
-                                        if ledger is not None else None))
+                                        if ledger is not None else None),
+                              failed_tasks=ds.task_accounting()["failed"])
 
     def _insitu_total(self, analyses: tuple[AnalyticsVariant, ...]) -> float:
         """Seconds one analysed step charges on the sim cores for the
@@ -536,11 +650,9 @@ class ScaledExperiment:
 
     # -- observability ------------------------------------------------------------
 
-    def expected_stage_totals(self, n_steps: int,
-                              analyses: tuple[AnalyticsVariant, ...] =
-                              HYBRID_VARIANTS,
-                              analysis_interval: int = 1) -> dict[str, float]:
-        """Model-side per-stage totals for a :meth:`run_schedule` replay.
+    def expected_stage_totals(self, plan: ReplayPlan) -> dict[str, float]:
+        """Model-side per-stage totals for a :meth:`run_schedule` replay
+        of ``plan``.
 
         This is the reconciliation reference: the traced stage totals of a
         replay must add up to these figures (the ``movement`` wire spans
@@ -548,32 +660,13 @@ class ScaledExperiment:
         movement+intransit charge between them, so they are compared as
         one bucket).
         """
-        n_analysed = len(range(0, n_steps, analysis_interval))
-        insitu_total = self._insitu_total(analyses)
+        n_analysed = len(range(0, plan.n_steps, plan.analysis_interval))
+        analyses = plan.variants()
         rows = [self.analytics_timing(v) for v in analyses]
         move_plus_intransit = sum(row.movement_time + row.intransit_time
                                   for row in rows)
         return {
-            "simulation": n_steps * self.simulation_step_time(),
-            "insitu": n_analysed * insitu_total,
+            "simulation": plan.n_steps * self.simulation_step_time(),
+            "insitu": n_analysed * self._insitu_total(analyses),
             "movement+intransit": n_analysed * move_plus_intransit,
         }
-
-    def traced_schedule(self, n_steps: int = 10,
-                        n_buckets: int | None = None,
-                        analysis_interval: int = 1,
-                        probe_interval: float | None = None
-                        ) -> tuple[Tracer, ScheduleResult, dict[str, float]]:
-        """Replay the schedule under a fresh tracer.
-
-        Returns ``(tracer, result, expected)`` where ``expected`` is
-        :meth:`expected_stage_totals` for the same parameters — everything
-        needed to export a Chrome trace and reconcile it.
-        """
-        with tracing() as tracer:
-            result = self.run_schedule(n_steps, HYBRID_VARIANTS, n_buckets,
-                                       analysis_interval,
-                                       probe_interval=probe_interval)
-        expected = self.expected_stage_totals(n_steps, HYBRID_VARIANTS,
-                                              analysis_interval)
-        return tracer, result, expected

@@ -41,7 +41,7 @@ and all timestamps are DES seconds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -51,6 +51,7 @@ from repro.obs.tracer import get_tracer
 from repro.util.tables import TextTable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.runner import ReplayPlan
     from repro.transport.dart import DartTransport
     from repro.transport.rdma import RdmaRegion, RdmaRegistry
 
@@ -546,38 +547,39 @@ def capacity_objectives() -> tuple[SloObjective, ...]:
 # ---------------------------------------------------------------------------
 
 
-def run_capacity_scenario(n_steps: int = 6, n_buckets: int = 4,
-                          analysis_interval: int = 1, n_shards: int = 1,
+def run_capacity_scenario(plan: ReplayPlan | None = None,
                           tenants: tuple[str, ...] = ("alpha", "beta"),
                           inject_leak: bool = False,
                           leak_bytes: int = 1 << 20) -> dict[str, Any]:
     """Replay one Fig. 5-shaped campaign per tenant with the ledger on.
 
-    Runs each tenant's replay under its own ambient tracer context (so
-    every ledger entry is tenant-attributed), optionally arming a seeded
-    retention fault on the final tenant's run, and merges the per-run
-    reports into the campaign view. Returns the per-tenant reports, the
+    Tenant ``i`` replays ``plan`` (default: 6 steps on 4 buckets) with
+    ``i`` more steps, under its own ambient tracer context (so every
+    ledger entry is tenant-attributed), optionally arming a seeded
+    retention fault on the final tenant's run, and the per-run reports
+    merge into the campaign view. Returns the per-tenant reports, the
     merged report, and the ``kind=capacity`` event stream (one canonical
     JSONL line per event — byte-identical across same-seed runs).
     """
+    from repro.core.runner import ExperimentConfig, ReplayPlan, ScaledExperiment
     from repro.obs.live import TelemetryBus, event_to_json
     from repro.obs.tracer import get_tracer, tracing
 
+    plan = plan or ReplayPlan(n_steps=6, n_buckets=4)
     with tracing() as tracer:
         bus = tracer.attach_bus(TelemetryBus())
         sub = bus.subscribe("capacity-scenario")
         reports: dict[str, CapacityReport] = {}
         makespans: dict[str, float] = {}
         for i, tenant in enumerate(tenants):
-            exp = _scenario_experiment()
+            # The paper's 4896-core allocation, as `repro perf` replays.
+            exp = ScaledExperiment(ExperimentConfig.paper_4896())
             ledger = CapacityLedger()
             if inject_leak and i == len(tenants) - 1:
                 ledger.inject_leak(leak_bytes)
             with get_tracer().context(tenant=tenant, job=f"{tenant}-cap"):
                 sched = exp.run_schedule(
-                    n_steps=n_steps + i, n_buckets=n_buckets,
-                    analysis_interval=analysis_interval,
-                    n_shards=n_shards, capacity=ledger)
+                    replace(plan, n_steps=plan.n_steps + i), capacity=ledger)
             reports[tenant] = sched.capacity
             makespans[tenant] = sched.makespan
         merged = CapacityReport.merge(list(reports.values()))
@@ -586,10 +588,3 @@ def run_capacity_scenario(n_steps: int = 6, n_buckets: int = 4,
         tracer.attach_bus(None)
     return {"tenants": reports, "merged": merged, "events": events,
             "makespans": makespans, "inject_leak": inject_leak}
-
-
-def _scenario_experiment() -> Any:
-    """The replay experiment the capacity scenario (and smoke CI)
-    measures — the paper's 4896-core allocation, same as `repro perf`."""
-    from repro.core.runner import ExperimentConfig, ScaledExperiment
-    return ScaledExperiment(ExperimentConfig.paper_4896())

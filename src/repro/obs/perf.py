@@ -38,12 +38,15 @@ import statistics
 import subprocess
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.machine.specs import machine_fingerprint
 from repro.util.tables import TextTable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.runner import ReplayPlan
 
 __all__ = [
     "RunRecord",
@@ -410,25 +413,25 @@ def _downsample(series: list[tuple[float, float]], cap: int = 120
     return [[t, v] for t, v in picked]
 
 
-def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
+def collect_run_record(plan: ReplayPlan | None = None,
                        source: str = "cli",
-                       perturb: dict[str, float] | None = None,
-                       fault_seed: int = 0) -> RunRecord:
+                       perturb: dict[str, float] | None = None) -> RunRecord:
     """Run the canonical observability workload and record it.
 
-    Three phases: (1) a traced DES replay of the staging schedule with
-    live probes and SLO rules attached; (2) the seeded crash-recovery
-    scenario from :mod:`repro.faults`; (3) a traced laptop-scale
-    functional pipeline run that exercises the backend kernels and
-    yields the per-kernel wall timings (``wall.kernel.<name>_s``) and
-    the ``meta["top_kernels"]`` ranking — recorded under whichever
-    backend is active, with the backend name in ``meta["backend"]``.
+    Phases: (1) a traced DES replay of ``plan`` (default: 10 steps on 8
+    buckets) with live probes and SLO rules attached; (2) the seeded
+    crash-recovery scenario from :mod:`repro.faults`; (3) a traced
+    laptop-scale functional pipeline run that exercises the backend
+    kernels and yields the per-kernel wall timings
+    (``wall.kernel.<name>_s``) and the ``meta["top_kernels"]`` ranking —
+    recorded under whichever backend is active, with the backend name in
+    ``meta["backend"]``. ``plan.fault_seed`` seeds the fault phases.
     ``perturb`` maps cost-model operation names to rate multipliers —
     the knob tests and humans use to demonstrate that an artificially
     slowed stage trips the gate.
     """
     from repro.backend import get_backend
-    from repro.core import ExperimentConfig, ScaledExperiment
+    from repro.core import ExperimentConfig, ReplayPlan, ScaledExperiment
     from repro.costmodel.jaguar import jaguar_cost_model
     from repro.faults import FaultConfig, run_resilience_experiment
     from repro.obs.analysis import critical_path
@@ -437,15 +440,15 @@ def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
     from repro.obs.tracer import tracing
 
     wall_start = time.perf_counter()
+    plan = plan or ReplayPlan(n_steps=10, n_buckets=8)
     cost = jaguar_cost_model()
     for op, factor in (perturb or {}).items():
         cost = cost.with_rate(op, cost.rate(op) * factor)
     exp = ScaledExperiment(ExperimentConfig.paper_4896(), cost_model=cost)
     sim_dt = exp.simulation_step_time()
     probe_interval = max(sim_dt * 0.25, 1e-9)
-    tracer, sched, _expected = exp.traced_schedule(
-        n_steps=n_steps, n_buckets=n_buckets,
-        probe_interval=probe_interval)
+    with tracing() as tracer:
+        sched = exp.run_schedule(plan, probe_interval=probe_interval)
     totals = tracer.trace.stage_totals()
     cp = critical_path(tracer.trace)
     snap = tracer.metrics.snapshot()
@@ -503,7 +506,7 @@ def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
         capacity_meta = cap.to_dict()
 
     fault_report = run_resilience_experiment(
-        FaultConfig(seed=fault_seed, crash_rate=100.0, horizon=0.06),
+        FaultConfig(seed=plan.fault_seed, crash_rate=100.0, horizon=0.06),
         n_tasks=32, n_buckets=4)
     metrics.update(fault_report.to_metrics())
 
@@ -549,10 +552,10 @@ def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
     # adaptive makespans and the decision count ride the gate, so a
     # change that silences the controller (or slows its recovery) trips
     # the comparison exactly like a kernel regression would.
-    from repro.control import run_control_scenario
+    from repro.control import CONTROL_PLAN, run_control_scenario
 
-    control = run_control_scenario(n_steps=8, n_buckets=4,
-                                   seed=fault_seed)
+    control = run_control_scenario(
+        replace(CONTROL_PLAN, n_steps=8, fault_seed=plan.fault_seed))
     metrics.update(control.to_metrics())
 
     metrics["wall.record_s"] = time.perf_counter() - wall_start
@@ -560,8 +563,8 @@ def collect_run_record(n_steps: int = 10, n_buckets: int = 8,
     meta = {
         "backend": get_backend(),
         "top_kernels": [u.to_dict() for u in usages],
-        "n_steps": n_steps,
-        "n_buckets": n_buckets,
+        "n_steps": plan.n_steps,
+        "n_buckets": plan.n_buckets,
         "perturb": dict(perturb or {}),
         "probe_interval_s": probe_interval,
         "alerts": alerts,

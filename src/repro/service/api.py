@@ -76,26 +76,17 @@ class JobExecutor:
         exp = self._experiment(spec)
         return JobDemand(
             staging_bytes=exp.staging_memory_needed(
-                spec.analysis_interval, spec.n_buckets),
+                spec.analysis_interval, spec.buckets(exp.config)),
             cores=exp.config.n_cores)
 
     def execute(self, spec: JobSpec) -> tuple[ScheduleResult, bool]:
-        """``(result, cache_hit)`` for one job."""
+        """``(result, cache_hit)`` for one job: the spec is the plan."""
         key = spec.cache_key()
         cached = self.cache.lookup(key)
         if cached is not None:
             return cached, True
         sched = self._experiment(spec).run_schedule(
-            n_steps=spec.n_steps,
-            analyses=spec.variants(),
-            n_buckets=spec.n_buckets,
-            analysis_interval=spec.analysis_interval,
-            probe_interval=self.probe_interval,
-            n_shards=spec.n_shards,
-            lease_timeout=spec.lease_timeout,
-            bucket_restart_delay=spec.bucket_restart_delay,
-            max_bucket_restarts=spec.max_bucket_restarts,
-            fault_config=spec.fault_config())
+            spec, probe_interval=self.probe_interval)
         self.cache.insert(key, sched, meta={"config": spec.config})
         return sched, False
 
@@ -126,6 +117,8 @@ class TenantReport:
     max_queue_wait: float = 0.0
     makespan_total: float = 0.0
     bytes_pulled: int = 0
+    #: In-transit tasks the done jobs' replays lost (terminal failures).
+    failed_tasks: int = 0
     #: Per-job dispatch waits (feeds the percentile summary).
     queue_waits: list[float] = field(default_factory=list)
     #: Burn-rate alerts attributed to this tenant during the batch.
@@ -146,6 +139,7 @@ class TenantReport:
             "max_queue_wait": self.max_queue_wait,
             "makespan_total": self.makespan_total,
             "bytes_pulled": self.bytes_pulled,
+            "failed_tasks": self.failed_tasks,
             # Defined for every tenant that completed >= 1 job (a
             # single-job tenant reports p50=p95=p99), not only n > 1.
             "service.queue_wait_s": _percentiles(self.queue_waits),
@@ -217,6 +211,10 @@ class ServiceReport:
             f"batch: {len(self.jobs)} jobs in {self.duration:.3f}s service "
             f"time, cache hit rate {self.cache_hit_rate:.0%}, "
             f"{self.held_events} quota hold(s)")
+        lost = sum(r.failed_tasks for r in self.tenants.values())
+        if lost:
+            lines.append(f"tasks: {lost} in-transit task(s) failed "
+                         f"terminally and left no result")
         if self.cache_decode_errors:
             lines.append(
                 f"cache: {self.cache_decode_errors} decode error(s), "
@@ -470,6 +468,7 @@ class CampaignService:
                     rep.makespan_total += job.result.makespan
                     rep.bytes_pulled += sum(r.bytes_pulled
                                             for r in job.result.results)
+                    rep.failed_tasks += job.result.failed_tasks
                     if job.result.shard_balance is not None:
                         balances.append(job.result.shard_balance)
             elif job.state is JobState.FAILED:

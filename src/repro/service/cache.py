@@ -55,6 +55,7 @@ def schedule_to_dict(sched: ScheduleResult) -> dict[str, Any]:
         "n_steps": sched.n_steps,
         "sim_step_time": sched.sim_step_time,
         "n_buckets": sched.n_buckets,
+        "failed_tasks": sched.failed_tasks,
         "results": [
             [r.task_id, r.analysis, r.timestep, r.bucket,
              r.enqueue_time, r.assign_time, r.pull_done_time,
@@ -87,6 +88,8 @@ def schedule_from_dict(d: dict[str, Any]) -> ScheduleResult:
         n_steps=d["n_steps"],
         sim_step_time=d["sim_step_time"],
         n_buckets=d["n_buckets"],
+        # An entry older than this field is a decode miss that heals.
+        failed_tasks=d["failed_tasks"],
         shard_balance=(ShardBalanceReport.from_dict(balance)
                        if balance is not None else None),
         capacity=(CapacityReport.from_dict(capacity)

@@ -15,13 +15,11 @@ candidate and skips (holding) or fails (permanent denial) accordingly.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-from repro.core.runner import ExperimentConfig, ScheduleResult
-from repro.core.workload import AnalyticsVariant
+from repro.core.runner import ExperimentConfig, ReplayPlan, ScheduleResult
 from repro.machine.specs import jaguar_xk6, machine_fingerprint
 from repro.service.cache import schedule_cache_key
 
@@ -35,8 +33,6 @@ CONFIGS: dict[str, Callable[[], ExperimentConfig]] = {
 #: :class:`~repro.core.runner.ScaledExperiment` replays on by default; its
 #: fingerprint is the machine third of every schedule-cache key.
 _MACHINE_FINGERPRINT = machine_fingerprint(jaguar_xk6())
-
-_DEFAULT_ANALYSES = ("VIS_HYBRID", "TOPO_HYBRID", "STATS_HYBRID")
 
 # Every :class:`JobSpec` field belongs to exactly one of three groups: who
 # asked and when (never part of a cache key), what is replayed, and where
@@ -60,33 +56,21 @@ class JobState(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One campaign/schedule-replay request (immutable, JSON-serializable)."""
+@dataclass(frozen=True, kw_only=True)
+class JobSpec(ReplayPlan):
+    """One campaign/schedule-replay request: a :class:`ReplayPlan` with a
+    tenant, a name, the allocation it replays on and its arrival time
+    (immutable, JSON-serializable as one flat object)."""
 
     tenant: str
     name: str
     config: str = "paper_4896"
-    n_steps: int = 10
     n_buckets: int = 8
-    analysis_interval: int = 1
-    analyses: tuple[str, ...] = _DEFAULT_ANALYSES
-    n_shards: int = 1
     #: Service-clock time at which the job enters the queue.
     submit_at: float = 0.0
-    # Fault knobs forwarded to the replay (per shard).
-    lease_timeout: float | None = None
-    bucket_restart_delay: float | None = None
-    max_bucket_restarts: int = 0
-    # Fault *injection* plan for the replay (deterministic, seeded) —
-    # lets a service batch carry chaos tenants next to clean ones.
-    fault_seed: int = 0
-    crash_times: tuple[float, ...] = ()
-    pull_failure_rate: float = 0.0
-    pull_stall_rate: float = 0.0
-    pull_stall_seconds: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.tenant:
             raise ValueError("tenant must be non-empty")
         if not self.name:
@@ -95,75 +79,13 @@ class JobSpec:
             raise ValueError(
                 f"unknown config {self.config!r}; choose from "
                 f"{sorted(CONFIGS)}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.n_buckets < 1:
-            raise ValueError(f"n_buckets must be >= 1, got {self.n_buckets}")
-        if self.analysis_interval < 1:
-            raise ValueError("analysis_interval must be >= 1")
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.n_buckets < self.n_shards:
-            raise ValueError(
-                f"need at least one bucket per shard: {self.n_buckets} "
-                f"buckets < {self.n_shards} shards")
         if self.submit_at < 0:
             raise ValueError("submit_at must be >= 0")
-        if not self.analyses:
-            raise ValueError("need at least one analysis")
-        valid = {v.name for v in AnalyticsVariant}
-        for a in self.analyses:
-            if a not in valid:
-                raise ValueError(
-                    f"unknown analysis {a!r}; choose from {sorted(valid)}")
-        for rate in ("pull_failure_rate", "pull_stall_rate"):
-            value = getattr(self, rate)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{rate} must be in [0, 1], got {value}")
-        if self.pull_stall_seconds < 0:
-            raise ValueError("pull_stall_seconds must be >= 0")
-        if self.has_faults() and self.n_shards != 1:
-            raise ValueError("fault injection requires n_shards == 1")
-        if self.crash_times and self.lease_timeout is None:
-            raise ValueError(
-                "crash_times require lease_timeout (crash recovery runs "
-                "through the lease/reassignment path)")
-        # Normalize list -> tuple for hashing/equality after JSON loads.
-        object.__setattr__(self, "analyses", tuple(self.analyses))
-        object.__setattr__(self, "crash_times", tuple(self.crash_times))
-
-    # -- derived -------------------------------------------------------------
-
-    def variants(self) -> tuple[AnalyticsVariant, ...]:
-        return tuple(AnalyticsVariant[a] for a in self.analyses)
 
     def experiment_config(self) -> ExperimentConfig:
         return CONFIGS[self.config]()
 
-    def has_faults(self) -> bool:
-        return bool(self.crash_times or self.pull_failure_rate
-                    or self.pull_stall_rate)
-
-    def fault_config(self) -> "FaultConfig | None":
-        """The replay's injection plan, or None when the spec is clean."""
-        if not self.has_faults():
-            return None
-        from repro.faults.injector import FaultConfig
-        return FaultConfig(seed=self.fault_seed,
-                           crash_times=self.crash_times,
-                           pull_failure_rate=self.pull_failure_rate,
-                           pull_stall_rate=self.pull_stall_rate,
-                           pull_stall_seconds=self.pull_stall_seconds)
-
     # -- serialization -------------------------------------------------------
-
-    def _pick(self, names: Iterable[str]) -> dict[str, Any]:
-        """JSON-ready view of the named fields (tuples become lists)."""
-        out = {}
-        for name in names:
-            value = getattr(self, name)
-            out[name] = list(value) if type(value) is tuple else value
-        return out
 
     def workload_dict(self) -> dict[str, Any]:
         """The workload half of the schedule-cache key: what is replayed."""
@@ -178,20 +100,16 @@ class JobSpec:
         return schedule_cache_key(_MACHINE_FINGERPRINT, self.workload_dict(),
                                   self.placement_dict())
 
-    def to_dict(self) -> dict[str, Any]:
-        return self._pick(self.__dataclass_fields__)
-
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "JobSpec":
+    def from_dict(cls, d: Any) -> "JobSpec":
+        """The spec one JSON batch line describes (a flat object)."""
+        if not isinstance(d, dict):
+            raise ValueError(
+                f"a job must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown job fields: {sorted(unknown)}")
-        data = dict(d)
-        if "analyses" in data:
-            data["analyses"] = tuple(data["analyses"])
-        if "crash_times" in data:
-            data["crash_times"] = tuple(data["crash_times"])
-        return cls(**data)
+        return cls(**d)
 
 
 @dataclass
@@ -240,6 +158,7 @@ class Job:
             "held_reasons": list(self.held_reasons),
             "queue_wait": self.queue_wait,
             "makespan": self.result.makespan if self.result else None,
+            "failed_tasks": self.result.failed_tasks if self.result else None,
             "spec": self.spec.to_dict(),
         }
 

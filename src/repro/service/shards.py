@@ -216,6 +216,11 @@ class ShardedDataSpaces:
         out.sort(key=lambda rec: rec.assign_time)
         return out
 
+    def task_accounting(self) -> dict[str, int]:
+        """The shards' :meth:`DataSpaces.task_accounting` ledgers summed."""
+        ledgers = [shard.task_accounting() for shard in self.shards]
+        return {key: sum(led[key] for led in ledgers) for key in ledgers[0]}
+
     def probe_map(self) -> dict[str, Callable[[], float]]:
         """The shards' :meth:`DataSpaces.probe_map` gauges summed, plus
         per-shard queue depths, for the live

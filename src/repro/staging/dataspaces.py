@@ -94,6 +94,9 @@ class DataSpaces:
         if max_bucket_restarts < 0:
             raise ValueError(
                 f"max_bucket_restarts must be >= 0, got {max_bucket_restarts}")
+        if bucket_restart_delay is not None and bucket_restart_delay < 0:
+            raise ValueError(f"bucket_restart_delay must be >= 0, got "
+                             f"{bucket_restart_delay}")
         self.engine = engine
         self.transport = transport
         self.ring = ServiceRing(n_servers)

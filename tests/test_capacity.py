@@ -7,8 +7,7 @@ import weakref
 import pytest
 
 from repro.control.controller import PlacementController
-from repro.core.runner import ExperimentConfig, ScaledExperiment
-from repro.faults import FaultConfig
+from repro.core.runner import ExperimentConfig, ReplayPlan, ScaledExperiment
 from repro.obs.capacity import (
     LEAK_INJECTOR_NODE,
     CapacityLedger,
@@ -28,6 +27,10 @@ from repro.transport.rdma import RdmaRegistry
 
 def _experiment():
     return ScaledExperiment(ExperimentConfig.paper_4896())
+
+
+def _plan(n_steps):
+    return ReplayPlan(n_steps=n_steps, n_buckets=3)
 
 
 class TestLedgerAccounting:
@@ -179,11 +182,10 @@ class TestFaultedAccounting:
     def test_crashed_bucket_bytes_released_not_leaked(self):
         """A bucket crash requeues its task and the lease reclaims the
         region — the ledger must see every byte released, zero leaks."""
-        fault = FaultConfig(seed=0, crash_times=(30.0, 55.0),
-                            pull_stall_rate=0.05, pull_stall_seconds=2.0)
         sched = _experiment().run_schedule(
             n_steps=6, n_buckets=4, lease_timeout=5.0,
-            fault_config=fault, capacity=True)
+            crash_times=(30.0, 55.0), pull_stall_rate=0.05,
+            pull_stall_seconds=2.0, capacity=True)
         rep = sched.capacity
         assert rep.leaks == []
         assert rep.registered_bytes_total == rep.released_bytes_total
@@ -194,15 +196,15 @@ class TestFaultedAccounting:
 
 class TestCapacityScenario:
     def test_same_seed_event_streams_are_byte_identical(self):
-        a = run_capacity_scenario(n_steps=3, n_buckets=3)
-        b = run_capacity_scenario(n_steps=3, n_buckets=3)
+        a = run_capacity_scenario(_plan(3))
+        b = run_capacity_scenario(_plan(3))
         assert a["events"], "scenario must emit capacity events"
         assert "\n".join(a["events"]) == "\n".join(b["events"])
         assert all(json.loads(line)["kind"] == KIND_CAPACITY
                    for line in a["events"])
 
     def test_clean_scenario_has_no_leaks_and_exact_tenant_sums(self):
-        out = run_capacity_scenario(n_steps=3, n_buckets=3)
+        out = run_capacity_scenario(_plan(3))
         merged = out["merged"]
         assert merged.leaks == []
         assert merged.headroom_violations == 0
@@ -216,8 +218,8 @@ class TestCapacityScenario:
         assert set(merged.by_tenant) == {"alpha", "beta"}
 
     def test_injected_leak_scenario_reports_it(self):
-        out = run_capacity_scenario(n_steps=2, n_buckets=3,
-                                    inject_leak=True, leak_bytes=4096)
+        out = run_capacity_scenario(_plan(2), inject_leak=True,
+                                    leak_bytes=4096)
         leaks = out["merged"].leaks
         assert len(leaks) == 1
         assert leaks[0]["source"] == LEAK_INJECTOR_NODE
@@ -226,7 +228,7 @@ class TestCapacityScenario:
         assert leaks[0]["tenant"] == "beta"
 
     def test_report_merge_totals(self):
-        out = run_capacity_scenario(n_steps=2, n_buckets=3)
+        out = run_capacity_scenario(_plan(2))
         reports = list(out["tenants"].values())
         merged = CapacityReport.merge(reports)
         assert merged.peak_resident_bytes == max(

@@ -241,6 +241,35 @@ class TestServiceCli:
             main(["submit", "--jobs", str(tmp_path / "b.jsonl"),
                   "--tenant", "a", "--name", "x", "--steps", "0"])
 
+    @pytest.mark.parametrize("analyses", [
+        ["VIS_INSITU"], ["STATS_INSITU", "TOPO_HYBRID"]])
+    def test_submit_refuses_in_situ_only_analyses(self, tmp_path, analyses):
+        """Such a job used to finish DONE with makespan 0.0 (or lose the
+        in-situ variant's tasks): it has no in-transit stage to replay."""
+        jobs = tmp_path / "b.jsonl"
+        with pytest.raises(SystemExit, match="no in-transit stage"):
+            main(["submit", "--jobs", str(jobs), "--tenant", "a",
+                  "--name", "x", "--analyses", *analyses])
+        assert not jobs.exists()
+
+    @pytest.mark.parametrize("line, error", [
+        ('{"tenant": "a", "name": "j", "analyses": ["VIS_INSITU"]}',
+         "analysis 'VIS_INSITU' has no in-transit stage"),
+        ('{"tenant": "a", "name": "j", "n_buckets": true}',
+         "n_buckets must be an int"),
+        ('{"tenant": "a", "name": "j", "lease_timeout": -1}',
+         "lease_timeout must be > 0"),
+        ("5", "a job must be a JSON object, got int"),
+        ('"abc"', "a job must be a JSON object, got str"),
+    ], ids=["in-situ-only", "bool-count", "negative-lease", "number",
+            "string"])
+    def test_serve_refuses_a_bad_line_at_its_location(self, tmp_path, line,
+                                                      error):
+        jobs = tmp_path / "bad.jsonl"
+        jobs.write_text('{"tenant": "a", "name": "ok"}\n' + line + "\n")
+        with pytest.raises(SystemExit, match=f"bad.jsonl:2: {error}"):
+            main(["serve", "--jobs", str(jobs), "--out-dir", str(tmp_path)])
+
     def test_serve_batch_quota_and_cache(self, tmp_path, capsys):
         import json
 

@@ -8,12 +8,14 @@ growth, placement flips, byte-identical decision logs, and blame-sum
 reconciliation with the controller active.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro.control import (
+    CONTROL_PLAN,
     DEFAULT_MOVABLE,
     PLACE_INSITU,
     PLACE_INTRANSIT,
@@ -25,11 +27,15 @@ from repro.control import (
 from repro.core import ExperimentConfig, ScaledExperiment
 from repro.core.workload import AnalyticsVariant
 from repro.des import Engine
-from repro.faults import FaultConfig
 from repro.obs.blame import blame
 from repro.obs.tracer import tracing
 from repro.staging import DataSpaces
 from repro.transport import DartTransport
+
+
+#: Heavier stalls under a different seed: pressure enough to flip placement.
+_STALLY_PLAN = dataclasses.replace(CONTROL_PLAN, n_steps=10, fault_seed=1,
+                                   pull_stall_rate=0.2, pull_stall_seconds=5.0)
 
 
 def _result_key(r):
@@ -202,9 +208,9 @@ class TestControlScenario:
         for crash_times, stall_rate, stall_seconds in (
                 ((), 0.0, 2.0), ((30.0,), 0.0, 2.0), ((30.0, 55.0), 0.0, 2.0),
                 ((30.0, 55.0), 0.05, 2.0), ((30.0, 55.0), 0.2, 5.0)):
-            report = run_control_scenario(
-                n_steps=8, crash_times=crash_times,
-                pull_stall_rate=stall_rate, pull_stall_seconds=stall_seconds)
+            report = run_control_scenario(dataclasses.replace(
+                CONTROL_PLAN, n_steps=8, crash_times=crash_times,
+                pull_stall_rate=stall_rate, pull_stall_seconds=stall_seconds))
             assert report.improved, (crash_times, stall_rate)
             assert report.controller.decisions, (crash_times, stall_rate)
 
@@ -248,13 +254,9 @@ class TestControlScenario:
 class TestControllerUnderTracing:
     def test_blame_sums_to_makespan_with_controller_active(self):
         exp = ScaledExperiment(ExperimentConfig.paper_4896())
-        fault = FaultConfig(seed=0, crash_times=(30.0, 55.0),
-                            pull_stall_rate=0.05, pull_stall_seconds=2.0)
         ctrl = PlacementController()
         with tracing() as tracer:
-            result = exp.run_schedule(n_steps=12, n_buckets=4,
-                                      lease_timeout=5.0, controller=ctrl,
-                                      fault_config=fault)
+            result = exp.run_schedule(CONTROL_PLAN, controller=ctrl)
         assert len(ctrl.decisions) >= 1
         report = blame(tracer.trace)
         assert report.overall.check(tol=1e-6)
@@ -266,15 +268,12 @@ class TestControllerUnderTracing:
         assert "controller.pool_size" in tracer.metrics.gauges
 
     def test_tracing_does_not_perturb_decisions(self):
-        kw = dict(n_steps=12, n_buckets=4, lease_timeout=5.0)
-        fault = FaultConfig(seed=0, crash_times=(30.0, 55.0),
-                            pull_stall_rate=0.05, pull_stall_seconds=2.0)
         exp = ScaledExperiment(ExperimentConfig.paper_4896())
         plain = PlacementController()
-        exp.run_schedule(controller=plain, fault_config=fault, **kw)
+        exp.run_schedule(CONTROL_PLAN, controller=plain)
         traced = PlacementController()
         with tracing():
-            exp.run_schedule(controller=traced, fault_config=fault, **kw)
+            exp.run_schedule(CONTROL_PLAN, controller=traced)
         assert plain.decision_log_json() == traced.decision_log_json()
 
 
@@ -284,12 +283,8 @@ class TestPlacementFlip:
         pol = ControlPolicy(max_buckets=4, insitu_budget=0.9,
                             cooldown_windows=1,
                             movable=(AnalyticsVariant.STATS_HYBRID.value,))
-        fault = FaultConfig(seed=1, crash_times=(30.0, 55.0),
-                            pull_stall_rate=0.2, pull_stall_seconds=5.0)
         ctrl = PlacementController(pol)
-        result = exp.run_schedule(n_steps=10, n_buckets=4,
-                                  lease_timeout=5.0, controller=ctrl,
-                                  fault_config=fault)
+        result = exp.run_schedule(_STALLY_PLAN, controller=ctrl)
         flips = [d for d in ctrl.decisions if d.kind == "placement"]
         assert flips
         assert flips[0].before == PLACE_INTRANSIT
@@ -309,11 +304,8 @@ class TestPlacementFlip:
         pol = ControlPolicy(max_buckets=4, insitu_budget=0.05,
                             cooldown_windows=1,
                             movable=(AnalyticsVariant.STATS_HYBRID.value,))
-        fault = FaultConfig(seed=1, crash_times=(30.0, 55.0),
-                            pull_stall_rate=0.2, pull_stall_seconds=5.0)
         ctrl = PlacementController(pol)
-        exp.run_schedule(n_steps=10, n_buckets=4, lease_timeout=5.0,
-                         controller=ctrl, fault_config=fault)
+        exp.run_schedule(_STALLY_PLAN, controller=ctrl)
         kinds = [(d.before, d.after) for d in ctrl.decisions
                  if d.kind == "placement"]
         if (PLACE_INTRANSIT, PLACE_INSITU) in kinds:

@@ -7,6 +7,7 @@ import pytest
 from repro.core import (
     AnalyticsVariant,
     ExperimentConfig,
+    ReplayPlan,
     ScaledExperiment,
     ScaledWorkload,
 )
@@ -112,7 +113,9 @@ class TestClosedFormMemo:
         cold = ScaledExperiment(ExperimentConfig.paper_4896())
         assert (exp.staging_memory_needed(1, 8)
                 == cold.staging_memory_needed(1, 8))
-        assert exp.expected_stage_totals(6) == cold.expected_stage_totals(6)
+        plan = ReplayPlan(n_steps=6)
+        assert (exp.expected_stage_totals(plan)
+                == cold.expected_stage_totals(plan))
         assert (repr(exp.run_schedule(n_steps=3, n_buckets=4).makespan)
                 == repr(cold.run_schedule(n_steps=3, n_buckets=4).makespan))
 

@@ -14,6 +14,7 @@ from repro.obs import (
     load_trace,
     load_trace_jsonl,
     to_chrome_trace,
+    tracing,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -30,8 +31,8 @@ from repro.obs.flow import (
 
 def _traced_schedule(n_steps=4, n_buckets=4):
     exp = ScaledExperiment(ExperimentConfig.paper_4896())
-    tracer, result, expected = exp.traced_schedule(n_steps=n_steps,
-                                                   n_buckets=n_buckets)
+    with tracing() as tracer:
+        exp.run_schedule(n_steps=n_steps, n_buckets=n_buckets)
     return tracer.trace
 
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.core import ExperimentConfig, ScaledExperiment
+from repro.core import ExperimentConfig, ReplayPlan, ScaledExperiment
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -366,7 +366,10 @@ class TestCriticalPath:
 class TestTracedSchedule:
     def test_reconciles_with_breakdown_within_1pct(self):
         exp = ScaledExperiment(ExperimentConfig.paper_4896())
-        tracer, result, expected = exp.traced_schedule(n_steps=3)
+        plan = ReplayPlan(n_steps=3)
+        with tracing() as tracer:
+            result = exp.run_schedule(plan)
+        expected = exp.expected_stage_totals(plan)
         assert get_tracer() is NULL_TRACER  # context restored
         totals = tracer.trace.stage_totals()
         observed = {

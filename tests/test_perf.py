@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import ExperimentConfig, ScaledExperiment
+from repro.core import ExperimentConfig, ReplayPlan, ScaledExperiment
 from repro.obs.perf import (
     DEFAULT_POLICIES,
     Baseline,
@@ -169,10 +169,13 @@ class TestCompareRecord:
             MetricPolicy("m", tolerance=-0.1)
 
 
+_SMALL = ReplayPlan(n_steps=4, n_buckets=4)
+
+
 class TestCollectRunRecord:
     def test_deterministic_gated_metrics(self):
-        a = collect_run_record(n_steps=4, n_buckets=4)
-        b = collect_run_record(n_steps=4, n_buckets=4)
+        a = collect_run_record(_SMALL)
+        b = collect_run_record(_SMALL)
         gated = {k: v for k, v in a.metrics.items()
                  if not k.startswith("wall.")}
         assert gated == {k: v for k, v in b.metrics.items()
@@ -184,9 +187,8 @@ class TestCollectRunRecord:
 
     def test_perturbation_trips_the_gate(self):
         base = Baseline.from_records(
-            [collect_run_record(n_steps=4, n_buckets=4)])
-        slowed = collect_run_record(n_steps=4, n_buckets=4,
-                                    perturb={"topo.subtree": 1.5})
+            [collect_run_record(_SMALL)])
+        slowed = collect_run_record(_SMALL, perturb={"topo.subtree": 1.5})
         report = compare_record(slowed, base)
         assert not report.ok
         regressed = {v.metric for v in report.by_status("regressed")}

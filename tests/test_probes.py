@@ -127,8 +127,9 @@ class TestScheduleIntegration:
     def test_traced_schedule_attaches_probes(self):
         exp = ScaledExperiment(ExperimentConfig.paper_4896())
         interval = exp.simulation_step_time() * 0.25
-        tracer, sched, _ = exp.traced_schedule(
-            n_steps=4, n_buckets=4, probe_interval=interval)
+        with tracing():
+            sched = exp.run_schedule(n_steps=4, n_buckets=4,
+                                     probe_interval=interval)
         sampler = sched.probes
         assert sampler is not None
         assert sampler.n_samples > 0
@@ -136,7 +137,8 @@ class TestScheduleIntegration:
             "sched.queue_depth", "sched.idle_buckets", "bucket.busy",
             "nic.busy_channels", "rdma.live_bytes"}
         # sampling must never disturb the deterministic schedule
-        _t2, sched2, _ = exp.traced_schedule(n_steps=4, n_buckets=4)
+        with tracing():
+            sched2 = exp.run_schedule(n_steps=4, n_buckets=4)
         assert sched2.makespan == sched.makespan
 
     def test_untraced_schedule_skips_probes(self):
@@ -147,9 +149,10 @@ class TestScheduleIntegration:
 
     def test_insitu_share_slo_breaches_on_topology_workload(self):
         exp = ScaledExperiment(ExperimentConfig.paper_4896())
-        tracer, sched, _ = exp.traced_schedule(
-            n_steps=4, n_buckets=4,
-            probe_interval=exp.simulation_step_time() * 0.25)
+        with tracing():
+            sched = exp.run_schedule(
+                n_steps=4, n_buckets=4,
+                probe_interval=exp.simulation_step_time() * 0.25)
         names = [a.rule for a in sched.probes.alerts]
         # the full hybrid mix runs topology in-situ glue > 5% of the step
         assert "insitu-share" in names

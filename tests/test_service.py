@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.runner import ExperimentConfig, ScaledExperiment
+from repro.core.runner import ExperimentConfig, ReplayPlan, ScaledExperiment
 from repro.core.workload import AnalyticsVariant
 from repro.des import Engine
 from repro.machine.specs import jaguar_xk6
@@ -105,10 +105,41 @@ class TestJobSpec:
         dict(analyses=("NOPE",)),
         dict(analyses=()),
         dict(submit_at=-1.0),
+        # A replay runs only in-transit stages: no in-situ-only variant,
+        # and no variant twice.
+        dict(analyses=("VIS_INSITU",)),
+        dict(analyses=("STATS_INSITU", "TOPO_HYBRID")),
+        dict(analyses=("TOPO_HYBRID", "TOPO_HYBRID")),
+        # Recovery knobs refused where the spec is made, not mid-replay.
+        dict(lease_timeout=0.0),
+        dict(lease_timeout=-1.0),
+        dict(bucket_restart_delay=-5.0, lease_timeout=5.0),
+        dict(max_bucket_restarts=-1),
+        # Counts are ints (a bool is not a count); rates are numbers.
+        dict(n_buckets=True),
+        dict(n_steps=2.5),
+        dict(max_bucket_restarts=1.5),
+        dict(pull_stall_rate="0.5"),
+        dict(crash_times=("soon",), lease_timeout=5.0),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             _spec(**kw)
+
+    @pytest.mark.parametrize("line", [5, "abc", ["tenant", "t"], None])
+    def test_from_dict_refuses_a_line_that_is_not_an_object(self, line):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            JobSpec.from_dict(line)
+
+    def test_spec_is_a_plan(self):
+        """A spec replays exactly as the plan of its replay fields."""
+        spec = _spec(n_steps=3, n_buckets=4, analyses=("TOPO_HYBRID",))
+        assert isinstance(spec, ReplayPlan)
+        plan = ReplayPlan(n_steps=3, n_buckets=4, analyses=("TOPO_HYBRID",))
+        exp = ScaledExperiment(spec.experiment_config())
+        assert exp.run_schedule(spec).results == exp.run_schedule(
+            plan).results
+        assert spec.variants() == plan.variants()
 
     def test_variants_resolve(self):
         spec = _spec(analyses=("TOPO_HYBRID", "STATS_HYBRID"))
@@ -342,8 +373,9 @@ class TestScheduleCache:
         lambda summary: summary["results"][0].pop(),
         lambda summary: summary.update(results=None),
         lambda summary: summary.update(capacity={"bogus_field": 1}),
+        lambda summary: summary.pop("failed_tasks"),
     ], ids=["no-results-column", "truncated-row", "null-results",
-            "foreign-capacity"])
+            "foreign-capacity", "older-entry"])
     def test_damaged_entry_is_a_counted_miss(self, tmp_path, damage):
         """A stored summary that no longer decodes is dropped, counted and
         replayed — it must not FAIL every job that shares its key."""
@@ -378,6 +410,36 @@ class TestScheduleCache:
         assert report.cache_hit_rate == 1.0 and healed.decode_errors == 0
         assert "cache_decode_errors" not in report.to_dict()
         assert "decode error" not in report.table()
+
+
+class TestLostTasks:
+    def test_fresh_run_and_cache_hit_report_the_lost_tasks(self):
+        """Replays submit tasks without retries: a failed pull is terminal
+        and leaves no result. Both the replay and a hit of it say so."""
+        lossy = dict(n_steps=4, n_buckets=4, pull_failure_rate=0.5,
+                     fault_seed=3)
+        report = CampaignService(workers=1).run_batch(
+            [_spec(**lossy), _spec(name="again", **lossy)])
+        fresh, hit = report.jobs
+        assert report.all_done and (fresh.cache_hit, hit.cache_hit) == (
+            False, True)
+        for job in (fresh, hit):
+            assert job.result.failed_tasks == 5
+            assert len(job.result.results) == 4 * 3 - 5
+            assert job.to_dict()["failed_tasks"] == 5
+        assert report.tenants["t"].to_dict()["failed_tasks"] == 10
+        assert report.table().splitlines()[-1] == (
+            "tasks: 10 in-transit task(s) failed terminally and left no "
+            "result")
+
+    def test_clean_replays_report_none(self):
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        assert exp.run_schedule(n_steps=3, n_buckets=4).failed_tasks == 0
+        assert exp.run_schedule(n_steps=3, n_buckets=4,
+                                n_shards=2).failed_tasks == 0
+        report = CampaignService(workers=1).run_batch([_spec()])
+        assert report.jobs[0].result.failed_tasks == 0
+        assert "failed terminally" not in report.table()
 
 
 class TestCampaignService:
@@ -605,7 +667,7 @@ class TestServiceMetrics:
     def test_perf_record_captures_service_metrics(self):
         from repro.obs.perf import collect_run_record
 
-        rec = collect_run_record(n_steps=2, n_buckets=3)
+        rec = collect_run_record(ReplayPlan(n_steps=2, n_buckets=3))
         assert rec.metrics["service.jobs_done"] == 4.0
         assert rec.metrics["service.cache_hit_rate"] == 0.5
         assert rec.metrics["service.held_events"] >= 1.0
