@@ -70,8 +70,9 @@ class EventHandle:
         waiters = self._waiters
         if waiters is not None:
             self._waiters = None
-            for proc in waiters:
-                engine._schedule(0.0, proc._resume, value)
+            for proc in waiters:  # a wake is due now: onto the FIFO
+                engine._seq += 1
+                engine._due.append((proc._resume, value))
         return self
 
     def cancel(self) -> bool:
@@ -133,7 +134,8 @@ class ProcessHandle:
         # on every resume of the replay loop.
         if type(target) is EventHandle:
             if target.triggered:
-                engine._schedule(0.0, self._resume, target.value)
+                engine._seq += 1
+                engine._due.append((self._resume, target.value))
             elif target._waiters is None:
                 target._waiters = [self]
             else:
@@ -192,7 +194,8 @@ class Engine:
     of that lands on the FIFO in ``seq`` order; the heap's entries at
     ``T`` followed by the FIFO front to back is therefore exactly
     ``(when, seq)`` order. The argument needs a clock that never goes
-    backwards, which :meth:`run` enforces.
+    backwards, which :meth:`run` enforces. Events enter through
+    :meth:`_schedule_at`, but for the two hot wakes (DESIGN.md §4).
     """
 
     def __init__(self) -> None:
@@ -248,13 +251,16 @@ class Engine:
     # -- scheduling primitives ----------------------------------------------
 
     def _schedule(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
+        self._schedule_at(self.now + delay, fn, arg)
+
+    def _schedule_at(self, when: float, fn: Callable[[Any], None],
+                     arg: Any) -> None:
+        """Schedule ``fn(arg)`` at exactly ``when``; ``when == now`` (not a
+        zero delay: one below an ulp of the clock counts) means the FIFO."""
         now = self.now
-        when = now + delay
-        # ``when == now``, not ``delay == 0``: a positive delay below one
-        # ulp of the clock is due now as well.
+        if when < now:
+            raise ValueError(f"cannot schedule at {when}, before now ({now})")
+        self._seq += 1
         if when == now:
             self._due.append((fn, arg))
         else:
@@ -269,12 +275,12 @@ class Engine:
         if self._traced:
             self._count_timeout()
         ev = EventHandle(self)
-        self._schedule(delay, ev.succeed, value)
+        self._schedule_at(self.now + delay, ev.succeed, value)
         return ev
 
     def schedule_event(self, ev: EventHandle, delay: float, value: Any = None) -> None:
         """Trigger an existing event ``delay`` seconds from now."""
-        self._schedule(delay, ev.succeed, value)
+        self._schedule_at(self.now + delay, ev.succeed, value)
 
     def any_of(self, *events: EventHandle) -> EventHandle:
         """Race several events: an event triggering with ``(index, value)``
@@ -313,14 +319,13 @@ class Engine:
             self._count_started()
             self._tracer.instant("process.start", lane="des",
                                  process=proc.name)
-        self._schedule(0.0, proc._resume, None)
+        self._schedule_at(self.now, proc._resume, None)
         return proc
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run a plain callback at absolute simulated time ``when``."""
-        if when < self.now:
-            raise ValueError(f"call_at({when}) is before now ({self.now})")
-        self._schedule(when - self.now, lambda _: fn(), None)
+        """Run a plain callback at absolute simulated time ``when``: the
+        clock reads exactly ``when`` while it runs."""
+        self._schedule_at(when, lambda _: fn(), None)
 
     # -- main loop -----------------------------------------------------------
 

@@ -80,11 +80,12 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
-    def release(self) -> None:
+    def release(self) -> bool:
         """Return a unit of capacity; hands it to the oldest waiter if any.
 
         Cancelled (withdrawn) acquire requests are skipped — a process
-        that died while queueing must not swallow the unit.
+        that died while queueing must not swallow the unit. Returns
+        whether ``in_use`` fell.
         """
         if self.in_use <= 0:
             raise RuntimeError(f"release() on idle resource {self.name!r}")
@@ -93,20 +94,23 @@ class Resource:
             if ev.cancelled:
                 continue
             ev.succeed(self)
-            return
+            return False
         self.in_use -= 1
+        return True
 
-    def cancel(self, grant: EventHandle) -> None:
+    def cancel(self, grant: EventHandle) -> bool:
         """Withdraw an acquire request (the requester is aborting).
 
         If the grant already landed, the unit is returned to the pool;
         otherwise the queued request is revoked so a later ``release``
-        cannot hand capacity to a dead process.
+        cannot hand capacity to a dead process. Returns whether
+        ``in_use`` fell.
         """
         if grant.triggered:
-            self.release()
-        elif grant.cancel():
+            return self.release()
+        if grant.cancel():
             try:
                 self._waiters.remove(grant)
             except ValueError:
                 pass
+        return False

@@ -68,9 +68,10 @@ class GeminiNetwork:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        proto = protocol or self.select_protocol(nbytes)
         extra = hops * self.hop_latency
-        if proto is Protocol.SMSG:
+        # ``select_protocol``'s choice, inline: ``nbytes`` is checked above.
+        if protocol is Protocol.SMSG or (protocol is None
+                                         and nbytes <= self.smsg_max_bytes):
             return self.smsg_latency + nbytes / self.smsg_bandwidth + extra
         return self.bte_setup + nbytes / self.bte_bandwidth + extra
 

@@ -59,6 +59,13 @@ class _FailedPull:
 RPC_LATENCY = 2.0e-5
 
 
+def release_regions(transport: DartTransport, task: TaskDescriptor) -> None:
+    """Release whatever regions of ``task`` are still registered."""
+    for desc in task.data:
+        if desc.region_id in transport.registry:
+            transport.release(desc)
+
+
 class StagingBucket:
     """One in-transit worker on a named staging core."""
 
@@ -174,8 +181,15 @@ class StagingBucket:
             if task.stream_compute is not None:
                 value, pull_done_t = yield from self._run_streaming(task)
             else:
-                value, pull_done_t = yield from self._run_buffered(task,
-                                                                   retain)
+                # Buffered: pull every region, then compute over them all.
+                payloads = []
+                for desc in task.data:
+                    payloads.append((yield from self.transport.pull(
+                        desc, self.name, release=not retain,
+                        flow=task.flow)))
+                pull_done_t = self.engine.now
+                value = (task.compute(payloads)
+                         if task.compute is not None else None)
             if task.cost_op is not None:
                 yield self.engine.timeout(
                     self.cost_model.time(task.cost_op, task.cost_elements))
@@ -184,7 +198,7 @@ class StagingBucket:
         except Exception as exc:  # noqa: BLE001 — fault isolation boundary
             self._handle_failure(task, exc)
             return
-        self._release_regions(task)
+        release_regions(self.transport, task)
         finish_t = self.engine.now
 
         if self._tracer.enabled:
@@ -217,19 +231,6 @@ class StagingBucket:
             self.on_task_done(result)
 
     # -- task attempt bodies -------------------------------------------------
-
-    def _run_buffered(self, task: TaskDescriptor, retain: bool
-                      ) -> Generator[Any, Any, tuple[Any, float]]:
-        """Pull every region, then run ``compute`` over all payloads."""
-        payloads: list[Any] = []
-        for desc in task.data:
-            payload = yield from self.transport.pull(desc, self.name,
-                                                     release=not retain,
-                                                     flow=task.flow)
-            payloads.append(payload)
-        pull_done_t = self.engine.now
-        value = task.compute(payloads) if task.compute is not None else None
-        return value, pull_done_t
 
     def _run_streaming(self, task: TaskDescriptor
                        ) -> Generator[Any, Any, tuple[Any, float]]:
@@ -307,19 +308,12 @@ class StagingBucket:
                 self._tracer.counter("bucket.retries")
             self.scheduler.data_ready(task)
             return
-        self._release_regions(task)
+        release_regions(self.transport, task)
         self.terminal_failures.append(task.task_id)
         if self._tracer.enabled:
             self._tracer.counter("bucket.terminal_failures")
         if self.on_task_done is not None:
             self.on_task_done(None)
-
-    def _release_regions(self, task: TaskDescriptor) -> None:
-        """Release whatever regions of the task are still registered."""
-        registry = self.transport.registry
-        for desc in task.data:
-            if desc.region_id in registry:
-                self.transport.release(desc)
 
     def _enqueue_time(self, task: TaskDescriptor, default: float) -> float:
         for rec in reversed(self.scheduler.assignments):

@@ -24,7 +24,7 @@ import numpy as np
 from repro.costmodel.models import CostModel
 from repro.des import Engine, ProcessHandle
 from repro.obs.tracer import get_tracer
-from repro.staging.buckets import StagingBucket
+from repro.staging.buckets import StagingBucket, release_regions
 from repro.staging.descriptors import TaskDescriptor, TaskResult
 from repro.staging.hashing import ServiceRing
 from repro.staging.scheduler import AssignmentRecord, TaskScheduler
@@ -110,8 +110,8 @@ class DataSpaces:
         self.buckets: list[StagingBucket] = []
         self._store: dict[tuple[str, int], list[_StoredObject]] = {}
         self._task_ids = itertools.count()
-        #: RPCs handled per service core (load-balance instrumentation).
-        self.server_rpc_counts: list[int] = [0] * n_servers
+        self._rpc_counts = [0] * n_servers
+        self._rpc_keys: list[str] = []  # not yet hashed onto the ring
         self._outstanding = 0
         self._drain_events: list[Any] = []
         # -- fault tolerance state --
@@ -153,7 +153,17 @@ class DataSpaces:
     # -- tuple space --------------------------------------------------------
 
     def _rpc(self, key: str) -> None:
-        self.server_rpc_counts[self.ring.server_for(key)] += 1
+        self._rpc_keys.append(key)
+
+    @property
+    def server_rpc_counts(self) -> list[int]:
+        """RPCs handled per service core (load-balance instrumentation),
+        folded on read: a read hashes the keys filed since the last one
+        onto the ring, so the counts equal counting each RPC as it came."""
+        for key in self._rpc_keys:
+            self._rpc_counts[self.ring.server_for(key)] += 1
+        self._rpc_keys.clear()
+        return list(self._rpc_counts)
 
     def put(self, name: str, version: int, data: Any,
             bounds: Bounds | None = None) -> None:
@@ -522,7 +532,7 @@ class DataSpaces:
                 yield self.engine.timeout(
                     self.cost_model.time(task.cost_op, task.cost_elements))
         except Exception as exc:  # noqa: BLE001 — fault isolation boundary
-            self._release_task_regions(task)
+            release_regions(self.transport, task)
             self.fallback_failures.append(task.task_id)
             self._tracer.counter("dataspaces.fallback_failures")
             self._tracer.instant("dataspaces.fallback_failure",
@@ -530,7 +540,7 @@ class DataSpaces:
                                  error=repr(exc))
             self._on_task_done(None)
             return
-        self._release_task_regions(task)
+        release_regions(self.transport, task)
         result = TaskResult(
             task_id=task.task_id, analysis=task.analysis,
             timestep=task.timestep, bucket="insitu-fallback", value=value,
@@ -541,12 +551,6 @@ class DataSpaces:
         if self._tracer.enabled:
             self._tracer.counter("dataspaces.fallback_tasks")
         self._on_task_done(result)
-
-    def _release_task_regions(self, task: TaskDescriptor) -> None:
-        registry = self.transport.registry
-        for desc in task.data:
-            if desc.region_id in registry:
-                self.transport.release(desc)
 
     # -- drain accounting -----------------------------------------------------
 

@@ -130,7 +130,7 @@ class TaskScheduler:
     def bucket_ready(self, bucket: str) -> EventHandle:
         """A staging bucket announced availability; event triggers with its
         assigned :class:`TaskDescriptor`."""
-        ev = self.engine.event()
+        ev = EventHandle(self.engine)
         now = self.engine.now
         if self._tracer.enabled:
             self._count_bucket_ready()

@@ -52,6 +52,8 @@ class DartTransport:
         self.registry = RdmaRegistry()
         self.transfers: list[TransferRecord] = []
         self._nics: dict[str, Resource] = {}
+        #: ``sum(nic.in_use)`` over ``_nics``, kept by every pull.
+        self._busy_channels = 0
         self._tracer = get_tracer()
         if self._tracer.enabled:
             # Per-message instruments are bound once: an update is one call.
@@ -103,7 +105,7 @@ class DartTransport:
             self._count_notify()
             self._count_notify_bytes(size)
             self._tracer.instant("dart.notify", lane=dest_node, nbytes=size)
-        ev = self.engine.event()
+        ev = EventHandle(self.engine)
         if on_delivery is not None:
             ev.callbacks.append(on_delivery)
         self.engine.schedule_event(ev, delay, payload)
@@ -120,7 +122,7 @@ class DartTransport:
     def nic_busy_channels(self) -> int:
         """NIC channels currently occupied by in-flight pulls, across all
         nodes (the live-probe utilisation gauge)."""
-        return sum(nic.in_use for nic in self._nics.values())
+        return self._busy_channels
 
     def pull(self, descriptor: DataDescriptor, dest_node: str,
              release: bool = True, flow: FlowContext | None = None
@@ -146,71 +148,60 @@ class DartTransport:
         and a *grant* hop binding the wire-time span, so NIC queueing and
         retry cost are attributable per flow.
         """
+        tracer = self._tracer
         attempt = 1
-        while True:
+        while True:  # only the hook fails an attempt: retry up to it
+            region: RdmaRegion = self.registry.lookup(descriptor.region_id)
             try:
-                payload = yield from self._pull_attempt(descriptor, dest_node,
-                                                        attempt, flow)
+                stall = (0.0 if self.pull_fault_hook is None else
+                         self.pull_fault_hook(descriptor, dest_node, attempt))
                 break
             except PullFault:
-                if self._tracer.enabled:
-                    self._tracer.counter("dart.pull_faults")
+                tracer.counter("dart.pull_faults")
                 if attempt >= self.pull_max_attempts:
-                    if self._tracer.enabled:
-                        self._tracer.counter("dart.pull_exhausted")
-                        self._tracer.instant("dart.pull_exhausted",
-                                             lane=dest_node,
-                                             region=descriptor.region_id,
-                                             attempts=attempt)
+                    tracer.counter("dart.pull_exhausted")
+                    tracer.instant("dart.pull_exhausted", lane=dest_node,
+                                   region=descriptor.region_id,
+                                   attempts=attempt)
                     raise
-                delay = (self.pull_backoff_base
-                         * self.pull_backoff_factor ** (attempt - 1))
-                if self._tracer.enabled:
-                    self._tracer.counter("dart.pull_retries")
-                    self._tracer.instant("dart.pull_retry", lane=dest_node,
-                                         region=descriptor.region_id,
-                                         attempt=attempt, backoff=delay)
-                yield self.engine.timeout(delay)
-                if flow is not None:
-                    # The segment since the previous hop is the failed
-                    # attempt plus its backoff — charged to retry.
-                    self._tracer.flow_step(flow, EDGE_RETRY, dest_node,
-                                           region=descriptor.region_id,
-                                           attempt=attempt, backoff=delay)
-                attempt += 1
-        if release:
-            self.registry.release(descriptor.region_id)
-        return payload
+            delay = (self.pull_backoff_base
+                     * self.pull_backoff_factor ** (attempt - 1))
+            tracer.counter("dart.pull_retries")
+            tracer.instant("dart.pull_retry", lane=dest_node,
+                           region=descriptor.region_id,
+                           attempt=attempt, backoff=delay)
+            yield self.engine.timeout(delay)
+            if flow is not None:
+                # The segment since the previous hop is the failed
+                # attempt plus its backoff — charged to retry.
+                tracer.flow_step(flow, EDGE_RETRY, dest_node,
+                                 region=descriptor.region_id,
+                                 attempt=attempt, backoff=delay)
+            attempt += 1
 
-    def _pull_attempt(self, descriptor: DataDescriptor, dest_node: str,
-                      attempt: int, flow: FlowContext | None = None
-                      ) -> Generator[Any, Any, Any]:
-        """One RDMA-Get attempt (no release; see :meth:`pull`)."""
-        region: RdmaRegion = self.registry.lookup(descriptor.region_id)
-        stall = 0.0
-        if self.pull_fault_hook is not None:
-            stall = self.pull_fault_hook(descriptor, dest_node, attempt)
         protocol = self.network.select_protocol(region.nbytes)
         start = self.engine.now
-
         src_nic = self._nic(region.source_node)
         dst_nic = self._nic(dest_node)
         # Acquire destination first (the puller posts the Get), then source.
         # Withdraw a pending request if the puller dies while queueing — a
-        # crashed bucket must not leak NIC capacity.
-        tracer = self._tracer
+        # crashed bucket must not leak NIC capacity. ``_busy_channels``
+        # follows every change of an ``in_use``: a grant made at once takes
+        # a channel, a release or cancel frees one unless a waiter took it.
         dst_grant = dst_nic.acquire()
+        self._busy_channels += dst_grant.triggered
         try:
             yield dst_grant
         except BaseException:
-            dst_nic.cancel(dst_grant)
+            self._busy_channels -= dst_nic.cancel(dst_grant)
             raise
         try:
             src_grant = src_nic.acquire()
+            self._busy_channels += src_grant.triggered
             try:
                 yield src_grant
             except BaseException:
-                src_nic.cancel(src_grant)
+                self._busy_channels -= src_nic.cancel(src_grant)
                 raise
             try:
                 wire = self.network.transfer_time(region.nbytes, protocol) + stall
@@ -238,28 +229,26 @@ class DartTransport:
                         yield self.engine.timeout(wire)
                     finally:
                         tracer.end(sp)
-                    proto_name = getattr(protocol, "name", None) or str(protocol)
-                    tracer.counter(f"dart.pull.{proto_name.lower()}")
+                    tracer.counter(f"dart.pull.{protocol.name.lower()}")
                     self._count_bytes_pulled(region.nbytes)
                     self._observe_pull_bytes(region.nbytes)
                 else:
                     yield self.engine.timeout(wire)
             finally:
-                src_nic.release()
+                self._busy_channels -= src_nic.release()
         finally:
-            dst_nic.release()
+            self._busy_channels -= dst_nic.release()
 
         if self.ledger is not None:
             # The granted-bytes interval is the wire time only — NIC
             # channel queueing shows up as idle, not occupancy.
             end = self.engine.now
-            proto_name = getattr(protocol, "name", None) or str(protocol)
             self.ledger.on_transfer(end - wire, end, region.nbytes,
-                                    proto_name, region.source_node,
+                                    protocol.name, region.source_node,
                                     dest_node, self.ledger_shard,
                                     analysis=region.meta.get("analysis"))
 
-        record = TransferRecord(
+        self.transfers.append(TransferRecord(
             region_id=region.region_id,
             source_node=region.source_node,
             dest_node=dest_node,
@@ -267,9 +256,10 @@ class DartTransport:
             protocol=protocol,
             start_time=start,
             end_time=self.engine.now,
-        )
-        self.transfers.append(record)
+        ))
         region.pull_count += 1
+        if release:
+            self.registry.release(descriptor.region_id)
         return region.payload
 
     # -- tracing -------------------------------------------------------------------

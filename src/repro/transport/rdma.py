@@ -112,5 +112,7 @@ class RdmaRegistry:
     def live_bytes(self, source_node: str | None = None) -> int:
         """Total registered bytes (optionally for one node) — the in-situ
         scratch-memory footprint the paper's §III constraints bound."""
+        if source_node is None:
+            return self._live_bytes
         return sum(r.nbytes for r in self._regions.values()
-                   if source_node is None or r.source_node == source_node)
+                   if r.source_node == source_node)

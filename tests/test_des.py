@@ -152,6 +152,18 @@ class TestEngineBasics:
         eng.run()
         assert hits == [5.0]
 
+    def test_call_at_fires_at_exactly_when(self):
+        """From ``now = 0.2``, ``0.2 + (0.9 - 0.2)`` is 0.8999999999999999:
+        the callback must still see the clock read 0.9, and on both the
+        engine and its oracle."""
+        for eng in (Engine(), OracleEngine()):
+            eng.run(until=0.2)
+            hits = []
+            eng.call_at(0.9, lambda: hits.append(eng.now))
+            eng.call_at(0.2, lambda: hits.append(eng.now))
+            eng.run()
+            assert hits == [0.2, 0.9]
+
     def test_call_at_past_raises(self):
         eng = Engine()
         eng.call_at(1.0, lambda: None)
@@ -443,20 +455,41 @@ class TestResourceCancel:
 # ---------------------------------------------------------------------------
 
 
+class _FiledDue:
+    """The oracle's ``_due``: a wake bumps ``_seq`` and appends
+    ``(fn, arg)`` itself, and this files it in the oracle's one list at
+    ``(now, _seq)``, refusing a ``seq`` it has already filed."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def append(self, item):
+        self.oracle._file(self.oracle.now, *item)
+
+
 class OracleEngine(Engine):
     """The contract stated directly: one list, always dispatch the pending
     event with the least ``(when, seq)``. Events, processes, stores and
-    resources are the real ones; only the containers differ."""
+    resources are the real ones; only the containers differ. Both ways
+    in are covered: ``_schedule_at`` (every timeout, ``call_at``, process
+    start and ``_schedule``) and the wakes' direct appends to ``_due``."""
 
     def __init__(self):
         super().__init__()
         self._pending = []
+        self._filed_seq = 0
+        self._due = _FiledDue(self)
 
-    def _schedule(self, delay, fn, arg):
-        if delay < 0:
-            raise ValueError(delay)
+    def _schedule_at(self, when, fn, arg):
+        if when < self.now:
+            raise ValueError(when)
         self._seq += 1
-        self._pending.append((self.now + delay, self._seq, fn, arg))
+        self._file(when, fn, arg)
+
+    def _file(self, when, fn, arg):
+        assert self._seq > self._filed_seq, "an event reused a seq"
+        self._filed_seq = self._seq
+        self._pending.append((when, self._seq, fn, arg))
 
     def idle(self):
         return not self._pending
@@ -615,6 +648,33 @@ class TestOrderContract:
         eng._schedule(1.0, lambda _: None, None)
         eng.run()
         assert eng._seq == 3
+
+    def test_wakes_count_in_seq(self):
+        """Every wake is one event, whichever way it enters: two waiters
+        woken by ``succeed`` and a process yielding an event already
+        triggered (both straight onto the FIFO), and one joining a
+        finished process, each take a ``seq``."""
+        eng = Engine()
+        ev = eng.event()
+
+        def waiter():
+            yield ev
+
+        procs = [eng.process(waiter()) for _ in range(2)]
+        eng.run()
+        assert eng._seq == 2
+        ev.succeed()
+        assert eng._seq == 4 and len(eng._due) == 2
+        eng.process(waiter())
+        eng.run()
+        assert eng._seq == 6 and eng.idle()
+
+        def joiner():
+            yield procs[0]
+
+        eng.process(joiner())
+        eng.run()
+        assert eng._seq == 8 and eng.idle()
 
     def test_idle_and_next_event_time_see_the_fifo(self):
         eng = Engine()

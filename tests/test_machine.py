@@ -49,6 +49,10 @@ class TestGeminiNetwork:
         assert net.select_protocol(100) is Protocol.SMSG
         assert net.select_protocol(net.smsg_max_bytes) is Protocol.SMSG
         assert net.select_protocol(net.smsg_max_bytes + 1) is Protocol.BTE
+        # transfer_time without a protocol picks the same one inline.
+        for n in (0, 100, net.smsg_max_bytes, net.smsg_max_bytes + 1, GB):
+            assert net.transfer_time(n) == net.transfer_time(
+                n, net.select_protocol(n))
 
     def test_negative_size_raises(self):
         net = GeminiNetwork()

@@ -14,6 +14,7 @@ from repro.obs.probes import (
     insitu_share_slo,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer, tracing
+from repro.staging.dataspaces import DataSpaces
 
 
 class TestProbeSampler:
@@ -194,3 +195,42 @@ class TestScheduleIntegration:
         assert [(a.rule, a.t, a.value, a.threshold)
                 for a in sampler.alerts] == [
             ("insitu-share", alert_t, 0.208548614372945, 0.05)]
+
+    def test_kept_gauges_equal_their_scans_at_every_tick(self, monkeypatch):
+        """``nic.busy_channels`` and ``rdma.live_bytes`` read totals the
+        transport keeps as it goes. At every tick of a faulted replay
+        (pull failures and stalls, a lease, two crashes each answered by
+        a restart) they must equal the scans over every NIC and every
+        live region."""
+        ticks = []
+        probe_map = DataSpaces.probe_map
+
+        def scanned(ds):
+            gauges = probe_map(ds)
+            nics, registry = ds.transport._nics, ds.transport.registry
+
+            def check():
+                busy = gauges["nic.busy_channels"]()
+                live = gauges["rdma.live_bytes"]()
+                assert busy == sum(nic.in_use for nic in nics.values())
+                assert live == sum(registry.lookup(r).nbytes
+                                   for r in registry.region_ids())
+                ticks.append((busy, live))
+                return busy
+
+            return {**gauges, "nic.busy_channels": check}
+
+        monkeypatch.setattr(DataSpaces, "probe_map", scanned)
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        with tracing():
+            sched = exp.run_schedule(
+                n_steps=12, n_buckets=4, lease_timeout=5.0,
+                bucket_restart_delay=1.5, max_bucket_restarts=2,
+                crash_times=(30.0, 55.0), pull_failure_rate=0.2,
+                pull_stall_rate=0.1, pull_stall_seconds=2.0, fault_seed=3,
+                probe_interval=0.25)
+        assert {f.kind for f in sched.faults.injected} == {
+            "crash", "pull_failure", "pull_stall"}
+        assert len(ticks) == sched.probes.n_samples > 1000
+        assert max(busy for busy, _ in ticks) > 0
+        assert max(live for _, live in ticks) > 0

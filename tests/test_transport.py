@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.des import Engine
+from repro.des import Engine, Interrupt
 from repro.machine.gemini import GeminiNetwork, Protocol
 from repro.transport import DartTransport, DataDescriptor
 from repro.util.units import MB
@@ -174,3 +174,37 @@ class TestPull:
         eng.run()
         assert t.bytes_moved() == 3 * 800
         assert t.busy_time("staging-0") > 0
+
+    @pytest.mark.parametrize("late", [False, True],
+                             ids=["at-dst-grant", "at-src-grant"])
+    def test_busy_channels_follow_an_interrupted_grant(self, dart, late):
+        """A puller interrupted while the wake of a channel it was granted
+        is still queued hands the channel back through ``Resource.cancel``;
+        the kept busy count follows, as it follows every grant and
+        release."""
+        eng, t = dart
+        desc = t.register("sim-0", None, nbytes=MB)
+        seen = []
+
+        def busy():
+            return t.nic_busy_channels(), sum(
+                nic.in_use for nic in t._nics.values())
+
+        def puller():
+            try:
+                yield from t.pull(desc, "staging-0")
+            except Interrupt:
+                seen.append(busy())
+
+        def interrupter():
+            proc.interrupt()
+            yield None
+
+        proc = eng.process(puller())
+        if late:  # after the destination grant's wake, before the source's
+            eng.process(interrupter())
+        else:
+            proc.interrupt()
+        eng.run()
+        assert seen == [(0, 0)]
+        assert t.transfers == [] and desc.region_id in t.registry
