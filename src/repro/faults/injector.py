@@ -96,7 +96,7 @@ class FaultInjector:
         self.rng = seeded_rng(config.seed)
         #: Every fault delivered, in delivery order.
         self.injected: list[InjectedFault] = []
-        self._dataspaces: DataSpaces | None = None
+        self._attached = False
         self._tracer = get_tracer()
 
     # -- wiring ---------------------------------------------------------------
@@ -109,7 +109,7 @@ class FaultInjector:
         held by a crashed bucket would be lost and ``drained()`` could
         never fire.
         """
-        if self._dataspaces is not None:
+        if self._attached:
             raise RuntimeError("injector already attached")
         cfg = self.config
         if (cfg.injects_crashes
@@ -118,12 +118,16 @@ class FaultInjector:
                 "crash injection requires DataSpaces(lease_timeout=...): "
                 "without leases an in-flight task on a crashed bucket is "
                 "unrecoverable")
-        self._dataspaces = dataspaces
+        self._attached = True
         if cfg.injects_pull_faults:
             dataspaces.transport.pull_fault_hook = self._pull_hook
+        # Only the pending crash callbacks hold the space: the injector
+        # itself does not, so the transport's hook back to the injector
+        # closes no reference cycle once the last crash has fired.
         for when in sorted(self._plan_crash_times()):
-            self.engine.call_at(max(when, self.engine.now),
-                                lambda when=when: self._crash_one(when))
+            self.engine.call_at(
+                max(when, self.engine.now),
+                lambda when=when: self._crash_one(dataspaces, when))
         return self
 
     def _plan_crash_times(self) -> list[float]:
@@ -139,8 +143,7 @@ class FaultInjector:
 
     # -- delivery -------------------------------------------------------------
 
-    def _crash_one(self, when: float) -> None:
-        ds = self._dataspaces
+    def _crash_one(self, ds: DataSpaces, when: float) -> None:
         alive = [b for b in ds.buckets if not b.dead]
         if not alive:
             return  # staging already fully down

@@ -235,14 +235,15 @@ class ShardedDataSpaces:
         return probes
 
     def balance_report(self) -> ShardBalanceReport:
-        """Per-shard traffic report: tasks/bytes routed, RPCs handled,
-        buckets assigned — the DHT load-balance evidence."""
+        """Per-shard traffic report: tasks/bytes routed, RPCs filed,
+        buckets assigned — the DHT load-balance evidence. Reading it
+        hashes no RPC key onto a shard's server ring."""
         loads = []
         for i, shard in enumerate(self.shards):
             stats = self._stats[i]
             loads.append(ShardLoad(
                 shard=i, tasks=stats.tasks, bytes=stats.bytes,
-                rpcs=sum(shard.server_rpc_counts),
+                rpcs=shard.rpc_total,
                 buckets=stats.buckets))
         return ShardBalanceReport(loads=loads,
                                   virtual_nodes=self.ring.virtual_nodes)

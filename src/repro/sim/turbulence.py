@@ -30,7 +30,11 @@ def synthetic_turbulence(grid: StructuredGrid3D, rms_velocity: float = 1.0,
     if rms_velocity < 0:
         raise ValueError(f"rms_velocity must be >= 0, got {rms_velocity}")
     rng = seeded_rng(seed)
-    X, Y, Z = grid.meshgrid()
+    # The 1-D axes, shaped to broadcast: a mode's phase is built from them
+    # in the meshgrid formula's association order, so it is bit-identical
+    # to ``k . X + phi`` over three full coordinate arrays.
+    x, y, z = grid.axes()
+    x, y, z = x[:, None, None], y[None, :, None], z[None, None, :]
     u = np.zeros(grid.shape)
     v = np.zeros(grid.shape)
     w = np.zeros(grid.shape)
@@ -57,7 +61,9 @@ def synthetic_turbulence(grid: StructuredGrid3D, rms_velocity: float = 1.0,
             continue
         a /= norm
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        envelope = np.cos(k_vec[0] * X + k_vec[1] * Y + k_vec[2] * Z + phase)
+        envelope = k_vec[0] * x + k_vec[1] * y + k_vec[2] * z
+        envelope += phase
+        np.cos(envelope, out=envelope)
         u += a[0] * envelope
         v += a[1] * envelope
         w += a[2] * envelope

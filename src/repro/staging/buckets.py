@@ -162,6 +162,11 @@ class StagingBucket:
             if self.on_death is not None:
                 self.on_death(self, exc.cause)
             return
+        finally:
+            # A finished worker lets go of its supervisor: the callbacks
+            # are bound to the space that owns this bucket, so keeping
+            # them would make the whole replay one reference cycle.
+            self.on_task_done = self.on_death = None
 
     def _execute(self, task: TaskDescriptor) -> Generator[Any, Any, None]:
         assign_t = self.engine.now

@@ -165,6 +165,11 @@ class DataSpaces:
         self._rpc_keys.clear()
         return list(self._rpc_counts)
 
+    @property
+    def rpc_total(self) -> int:
+        """RPCs filed so far: ``sum(server_rpc_counts)``, with no key hashed."""
+        return sum(self._rpc_counts) + len(self._rpc_keys)
+
     def put(self, name: str, version: int, data: Any,
             bounds: Bounds | None = None) -> None:
         """Insert an object (optionally geometry-tagged) into the space."""

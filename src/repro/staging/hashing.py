@@ -27,9 +27,10 @@ def _ring_geometry(n_servers: int,
                    virtual_nodes: int) -> tuple[memoryview, memoryview]:
     """Sorted ring points ``(hashes, owning servers)`` of one ring shape.
 
-    A pure function of the shape, so it is built once per process and
-    shared by every :class:`ServiceRing` of that shape: read-only views
-    of packed arrays (8 + 4 bytes a point, not a 36-byte int object).
+    A pure function of the shape, so it is built once per process, on
+    the first lookup any ring of that shape makes, and shared by every
+    :class:`ServiceRing` of that shape: read-only views of packed arrays
+    (8 + 4 bytes a point, not a 36-byte int object).
     """
     hashes, servers = zip(*sorted(
         (_stable_hash(f"server-{server}#vn{v}"), server)
@@ -43,7 +44,9 @@ class ServiceRing:
 
     Virtual nodes smooth the distribution; ``server_for`` is O(log V).
     The ring points are shared, immutable, process-wide state per
-    ``(n_servers, virtual_nodes)``; a ring instance owns nothing mutable.
+    ``(n_servers, virtual_nodes)``, fetched on the first lookup: building
+    a ring hashes nothing, so a run that never looks a key up never
+    builds the points.
     """
 
     def __init__(self, n_servers: int, virtual_nodes: int = 64) -> None:
@@ -51,18 +54,21 @@ class ServiceRing:
             raise ValueError(f"n_servers must be >= 1, got {n_servers}")
         if virtual_nodes < 1:
             raise ValueError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
-        self.n_servers = n_servers
-        self.virtual_nodes = virtual_nodes
-        # operator.index rejects non-integers as range() did when the points
-        # were built here, before 4.0 could alias the memo's entry for 4.
-        self._ring_keys, self._ring_servers = _ring_geometry(
-            operator.index(n_servers), operator.index(virtual_nodes))
+        # operator.index rejects non-integers here, as range() does when the
+        # points are built, before 4.0 could alias the memo's entry for 4.
+        self.n_servers = operator.index(n_servers)
+        self.virtual_nodes = operator.index(virtual_nodes)
+
+    @functools.cached_property
+    def _points(self) -> tuple[memoryview, memoryview]:
+        """This shape's shared ring points, fetched on the first lookup."""
+        return _ring_geometry(self.n_servers, self.virtual_nodes)
 
     def server_for(self, key: str) -> int:
         """Service core responsible for ``key``."""
+        keys, servers = self._points
         # First ring point >= the key's hash, wrapping past the last to 0.
-        idx = bisect.bisect_left(self._ring_keys, _stable_hash(key))
-        return self._ring_servers[idx % len(self._ring_keys)]
+        return servers[bisect.bisect_left(keys, _stable_hash(key)) % len(keys)]
 
     def load_histogram(self, keys: list[str]) -> list[int]:
         """Number of keys landing on each server (for balance tests)."""

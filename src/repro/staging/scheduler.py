@@ -176,11 +176,16 @@ class TaskScheduler:
 
     def _start_lease(self, task: TaskDescriptor, bucket: str) -> None:
         assign_t = self.engine.now
-        lease = self.engine.timeout(self.lease_timeout)
+        # The lease fires with its own token, so the expiry check tells it
+        # from a newer lease without holding the event that holds the
+        # check (that would be a reference cycle outliving the run).
+        token = object()
+        lease = self.engine.timeout(self.lease_timeout, token)
         self._leases[task.task_id] = lease
 
-        def on_expiry(_value: object) -> None:
-            if self._leases.get(task.task_id) is not lease:
+        def on_expiry(fired: object) -> None:
+            current = self._leases.get(task.task_id)
+            if current is None or current.value is not fired:
                 return  # superseded by a newer assignment
             del self._leases[task.task_id]
             if bucket in self._dead_buckets:

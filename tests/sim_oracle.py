@@ -6,6 +6,7 @@ that wrap through ``np.roll``, with no decomposition, ghost padding or
 rank stacking. The solver under test reads the same stencil operands
 from ghost-padded blocks through slice views, in the same operation
 order, so every state it reaches must equal the oracle's bit for bit.
+The initial turbulence is held to its meshgrid formula the same way.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim import SPECIES_NAMES, ArrheniusChemistry, SolverParams
+from repro.util.rng import seeded_rng
 
 _RADICALS = ("H", "O", "OH", "HO2", "H2O2")
 _TRANSPORTED = ("T",) + SPECIES_NAMES
@@ -42,6 +44,45 @@ def upwind_advection(f, velocity, spacing):
         bwd = (f - np.roll(f, 1, axis)) / h
         dfdt -= np.where(u > 0, u * bwd, u * fwd)
     return dfdt
+
+
+def synthetic_turbulence(grid, rms_velocity=1.0, seed=0):
+    """The turbulence synthesis over three full meshgrids: each mode's
+    phase is ``k . X + phi`` on the ``(X, Y, Z)`` coordinate arrays. The
+    package builds the same sum from the broadcast 1-D axes."""
+    rng = seeded_rng(seed)
+    X, Y, Z = grid.meshgrid()
+    u, v, w = np.zeros(grid.shape), np.zeros(grid.shape), np.zeros(grid.shape)
+    k_mags = rng.gamma(shape=2.5, scale=4.0 / 2.5, size=32)
+    two_pi_over_L = [2.0 * np.pi / length for length in grid.lengths]
+    for m in range(32):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        n_ints = np.rint(k_mags[m] * direction).astype(int)
+        if not n_ints.any():
+            n_ints[int(rng.integers(3))] = 1
+        k_vec = np.array([n_ints[a] * two_pi_over_L[a] for a in range(3)])
+        k_hat = k_vec / np.linalg.norm(k_vec)
+        a = rng.normal(size=3)
+        a -= np.dot(a, k_hat) * k_hat
+        norm = np.linalg.norm(a)
+        if norm < 1e-12:
+            continue
+        a /= norm
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        envelope = np.cos(k_vec[0] * X + k_vec[1] * Y + k_vec[2] * Z + phase)
+        u += a[0] * envelope
+        v += a[1] * envelope
+        w += a[2] * envelope
+    rms = np.sqrt(np.mean(u * u + v * v + w * w))
+    if rms > 0 and rms_velocity > 0:
+        scale = rms_velocity / rms
+        u *= scale
+        v *= scale
+        w *= scale
+    elif rms_velocity == 0:
+        u[:] = v[:] = w[:] = 0.0
+    return u, v, w
 
 
 def _rhs(state, spacing, chemistry, params):

@@ -280,6 +280,26 @@ class TestShardBalanceReport:
         assert rep is not None and rep.n_shards == 2
         assert sum(x.tasks for x in rep.loads) == len(sched.results)
 
+    def test_rpcs_are_what_each_shard_filed(self):
+        """A shard's ``rpcs`` is counted without hashing a key, and equals
+        the sum of its per-server fold."""
+        from repro.des import Engine
+        from repro.service.shards import ShardedDataSpaces
+
+        engine = Engine()
+        sharded = ShardedDataSpaces(engine, None, n_shards=3, n_servers=9)
+        sharded.spawn_buckets([f"staging-{i}" for i in range(3)])
+        for step in range(12):
+            sharded.submit_insitu_result("STATS", step, f"sim-{step}", None,
+                                         nbytes=64)
+        sharded.shards[1].put("field", 0, 1.0)
+        sharded.shutdown_buckets()
+        engine.run()
+        rpcs = [load.rpcs for load in sharded.balance_report().loads]
+        assert rpcs == [sum(shard.server_rpc_counts)
+                        for shard in sharded.shards]
+        assert sum(rpcs) == 13
+
 
 class TestBusDropCounters:
     def test_dropped_by_kind_sums_to_dropped_total(self):

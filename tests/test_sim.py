@@ -26,6 +26,7 @@ from tests.sim_oracle import (
     OracleS3D,
     gradient,
     laplacian,
+    synthetic_turbulence as oracle_turbulence,
     upwind_advection,
 )
 
@@ -280,6 +281,20 @@ class TestTurbulence:
         grid = StructuredGrid3D((8, 8, 8))
         with pytest.raises(ValueError):
             synthetic_turbulence(grid, rms_velocity=-1.0)
+
+    @given(shape=st.tuples(*[st.integers(2, 12)] * 3),
+           lengths=st.tuples(*[st.sampled_from(
+               [1.0, 0.7, 2.0, 3.0, 2 * np.pi])] * 3),
+           rms=st.sampled_from([0.0, 0.35, 1.0]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_to_meshgrid_oracle(self, shape, lengths, rms,
+                                              seed):
+        grid = StructuredGrid3D(shape, lengths)
+        got = synthetic_turbulence(grid, rms_velocity=rms, seed=seed)
+        want = oracle_turbulence(grid, rms_velocity=rms, seed=seed)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestLiftedFlame:

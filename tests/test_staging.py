@@ -10,6 +10,20 @@ from repro.staging import DataSpaces, ServiceRing, StagingBucket, TaskDescriptor
 from repro.transport import DartTransport
 
 
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Every key ``_stable_hash`` digests while the test runs, ring points
+    included: the shared geometry memo starts empty."""
+    from repro.staging import hashing
+
+    calls = []
+    real = hashing._stable_hash
+    monkeypatch.setattr(hashing, "_stable_hash",
+                        lambda key: calls.append(key) or real(key))
+    hashing._ring_geometry.cache_clear()
+    return calls
+
+
 class TestServiceRing:
     def test_stable_assignment(self):
         ring = ServiceRing(8)
@@ -68,30 +82,48 @@ class TestServiceRing:
         assert small.load_histogram(
             [f"key-{i}" for i in range(1000)]) == [343, 473, 184]
 
-    def test_geometry_built_once_shared_and_immutable(self, monkeypatch):
-        from repro.staging import hashing
-
+    def test_geometry_built_once_shared_and_immutable(self, hash_calls):
+        """The first lookup builds the shape's memo; a second ring of that
+        shape looks up through the same read-only views, hashing only
+        its key."""
         def make():
             eng = Engine()
             return DataSpaces(eng, DartTransport(eng), n_servers=23)
 
-        first = make()
-        calls = []
-        real = hashing._stable_hash
-        monkeypatch.setattr(hashing, "_stable_hash",
-                            lambda key: calls.append(key) or real(key))
-        second = make()
-        assert calls == []  # no ring point re-hashed for a known shape
-        assert second.ring._ring_keys is first.ring._ring_keys
-        assert second.ring._ring_servers is first.ring._ring_servers
-        with pytest.raises(TypeError):
-            second.ring._ring_keys[0] = 0
-        with pytest.raises(TypeError):
-            second.ring._ring_servers[0] = 0
+        first, second = make(), make()
+        first.ring.server_for("task-42")
+        assert len(hash_calls) == 23 * 64 + 1  # every point, then the key
+        hash_calls.clear()
+        assert second.ring.server_for("task-42") == first.ring.server_for(
+            "task-42")
+        assert hash_calls == ["task-42", "task-42"]
+        assert second.ring._points is first.ring._points
+        for view in second.ring._points:
+            with pytest.raises(TypeError):
+                view[0] = 0
         # Per-instance state stays per instance.
         first.put("model", 0, 1.0)
         assert sum(first.server_rpc_counts) > 0
         assert second.server_rpc_counts == [0] * 23
+
+    def test_construction_hashes_nothing(self, hash_calls):
+        """Building a ring, a space or a sharded space, or running a whole
+        untraced replay, hashes no ring point and no key: nothing reads
+        a ring there."""
+        from repro.core.runner import ExperimentConfig, ScaledExperiment
+        from repro.service.shards import ShardedDataSpaces
+        from repro.staging.hashing import _ring_geometry
+
+        eng = Engine()
+        ServiceRing(160)
+        ServiceRing(7, virtual_nodes=3)
+        DataSpaces(eng, DartTransport(eng), n_servers=256)
+        ShardedDataSpaces(eng, None, n_shards=3, n_servers=12)
+        result = ScaledExperiment(
+            ExperimentConfig.paper_4896()).run_schedule(n_steps=20)
+        assert len(result.results) == 60
+        assert hash_calls == []
+        assert _ring_geometry.cache_info().currsize == 0
 
     def test_moved_fraction_across_cached_sizes(self):
         """The ~1/(N+1) contract holds between shared geometries of
