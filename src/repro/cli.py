@@ -127,12 +127,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = fw.run(args.steps)
     table = TextTable(["step", "mean T", "max T", "merge-tree maxima"])
     for step in result.analysed_steps:
+        if step not in result.statistics or step not in result.merge_trees:
+            continue  # a failed task; counted on the tasks line
         stats = result.statistics[step]["T"]
         tree = result.merge_trees[step].reduced()
         table.add_row([step, round(stats.mean, 4), round(stats.maximum, 3),
                        len(tree.leaves())])
     print(table)
     print(f"intermediate data moved: {fmt_bytes(result.bytes_moved)}")
+    if result.failed_tasks:
+        print(f"tasks: {result.failed_tasks} in-transit task(s) failed "
+              f"terminally and left no result")
     if args.report:
         from repro.core.report import run_report
         print("\n" + run_report(fw, result))

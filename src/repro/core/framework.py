@@ -22,7 +22,6 @@ from typing import Any
 import numpy as np
 
 from repro.analysis.statistics.engine import StatisticsEngine
-from repro.analysis.statistics.moments import MomentAccumulator
 from repro.analysis.statistics.stages import DerivedStatistics
 from repro.analysis.topology.distributed import (
     block_boundary_mask,
@@ -68,6 +67,9 @@ class FrameworkResult:
     #: Recorded steering-rule firings, in firing order.
     steering_events: list = field(default_factory=list)
     bytes_moved: int = 0
+    #: In-transit tasks that failed terminally and left no result (the
+    #: staging area's task ledger): the dicts above hold only survivors.
+    failed_tasks: int = 0
 
     @property
     def analysed_steps(self) -> list[int]:
@@ -80,7 +82,8 @@ class HybridFramework:
     """High-level driver of the hybrid in-situ/in-transit workflow.
 
     Topology, rendering and autocorrelation analyse the temperature
-    field; ``stats_variables`` picks what the statistics stage reads.
+    field; ``stats_variables`` picks what the statistics stage reads:
+    distinct names of solver fields, at least one.
     """
 
     KNOWN_ANALYSES = ("statistics", "topology", "visualization",
@@ -102,6 +105,11 @@ class HybridFramework:
             if a not in self.KNOWN_ANALYSES:
                 raise ValueError(
                     f"unknown analysis {a!r}; known: {self.KNOWN_ANALYSES}")
+        if n_buckets < 1:
+            raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
+        if downsample_stride < 1:
+            raise ValueError(
+                f"downsample_stride must be >= 1, got {downsample_stride}")
         self.case = case
         self.decomp = decomp
         self.analyses = tuple(analyses)
@@ -118,6 +126,7 @@ class HybridFramework:
         # Enable tracing BEFORE constructing the framework to trace a run.
         self._tracer = get_tracer()
         self.solver = DecomposedS3D(case, decomp)
+        self._check_stats_variables()
         self.engine = Engine()
         self.transport = DartTransport(self.engine)
         self.dataspaces = DataSpaces(self.engine, self.transport, n_servers=2)
@@ -140,6 +149,19 @@ class HybridFramework:
                 AutocorrelationLearner(self.AUTOCORRELATION_MAX_LAG)
                 for _ in range(decomp.n_ranks)]
 
+    def _check_stats_variables(self) -> None:
+        names = self.stats_variables
+        if not names:
+            raise ValueError("stats_variables must name at least one field")
+        if len(set(names)) != len(names):
+            raise ValueError(
+                f"stats_variables must be distinct, got {names}")
+        unknown = [n for n in names if n not in self.solver.names]
+        if unknown:
+            raise ValueError(
+                f"stats_variables {tuple(unknown)} are not solver fields; "
+                f"known: {self.solver.names}")
+
     # -- per-analysis in-situ stages + task submission ---------------------------
 
     def _gather(self, variable: str) -> np.ndarray:
@@ -150,19 +172,17 @@ class HybridFramework:
         return TransferFunction.hot(field_min, max(field_max, field_min + 1e-9))
 
     def _submit_statistics(self, step: int) -> None:
-        partials = [
-            {name: MomentAccumulator.from_data(part[name])
-             for name in self.stats_variables}
-            for part in self.solver.parts
-        ]
-        packed = self._stats_engine.pack_partials(partials)
         names = list(self.stats_variables)
+        engine = self._stats_engine
+        partials = engine.learn_partials(
+            [{name: part[name] for name in names}
+             for part in self.solver.parts])
+        packed = engine.pack_partials(partials)
         descs = [self.transport.register(f"sim-{rank}", vec,
                                          meta={"rank": rank,
                                                "analysis": "statistics",
                                                "timestep": step})
                  for rank, vec in enumerate(packed)]
-        engine = self._stats_engine
 
         self.dataspaces.submit_grouped_result(
             "statistics", step, descs,
@@ -318,6 +338,7 @@ class HybridFramework:
         self.engine.run()
         self._collect(result)
         result.bytes_moved = self.transport.bytes_moved()
+        result.failed_tasks = self.dataspaces.task_accounting()["failed"]
         return result
 
     def _traced_submit(self, analysis: str, step: int, submit) -> None:

@@ -34,11 +34,16 @@ def block_laplacian(padded: np.ndarray, spacing: tuple[float, float, float]
     one-ghost-padded block, or of a stack of them: the last three axes
     are the spatial ones."""
     f = np.ascontiguousarray(padded[_INTERIOR])
+    two_f = 2.0 * f
     out = np.zeros_like(f)
     for axis in range(3):
-        h2 = spacing[axis] ** 2
         plus, minus = _shifted_views(padded, axis)
-        out += (plus - 2.0 * f + minus) / h2
+        # ``((plus - 2f) + minus) / h2``, the operand order of the
+        # expression written out, one temporary reused in place.
+        term = plus - two_f
+        term += minus
+        term /= spacing[axis] ** 2
+        out += term
     return out
 
 
@@ -55,11 +60,14 @@ def block_upwind_advection(padded: np.ndarray,
     f = np.ascontiguousarray(padded[_INTERIOR])
     dfdt = np.zeros_like(f)
     for axis, u in enumerate(velocity):
-        h = spacing[axis]
         plus, minus = _shifted_views(padded, axis)
-        fwd = (plus - f) / h
-        bwd = (f - minus) / h
-        dfdt -= np.where(u > 0, u * bwd, u * fwd)
+        # Select the upwind difference, then scale only it: the same two
+        # roundings as ``u * ((f - minus) / h)`` (IEEE multiplication
+        # commutes), without scaling the discarded branch.
+        term = np.where(u > 0, f - minus, plus - f)
+        term /= spacing[axis]
+        term *= u
+        dfdt -= term
     return dfdt
 
 
@@ -70,17 +78,30 @@ def pad_with_ghosts(parts: list[np.ndarray], decomp: BlockDecomposition3D,
     stencils are radius-1).
 
     Equivalent to S3D's halo exchange with periodic global topology. The
-    implementation assembles the global array inside a wrapped border and
-    re-slices; the *communication volume* this represents is charged
-    separately by the performance layer (each block exchanges its six
-    faces). ``out`` (one padded-block-shaped array per rank) is filled
-    and returned instead of fresh arrays — the entries of one stacked
-    array, when the block operators are to run over the ranks at once.
+    implementation writes every block into the interior of one wrapped
+    global array, fills its border from the opposite faces and re-slices;
+    the *communication volume* this represents is charged separately by
+    the performance layer (each block exchanges its six faces). ``out``
+    (one padded-block-shaped array per rank) is filled and returned
+    instead of fresh arrays — the entries of one stacked array, when the
+    block operators are to run over the ranks at once.
     """
-    global_field = decomp.gather(parts)
-    wrapped = np.empty(tuple(n + 2 for n in global_field.shape),
-                       dtype=global_field.dtype)
-    wrapped[1:-1, 1:-1, 1:-1] = global_field
+    blocks = decomp.blocks()
+    if len(parts) != len(blocks):
+        raise ValueError(f"expected {len(blocks)} parts, got {len(parts)}")
+    wrapped = np.empty(tuple(n + 2 for n in decomp.global_shape),
+                       dtype=parts[0].dtype)
+    # A block spans [lo, hi) of the global grid: [lo + 1, hi + 1) of the
+    # wrapped array, and [lo, hi + 2) with its ghost layer.
+    windows = []
+    for b, part in zip(blocks, parts):
+        if part.shape != b.shape:
+            raise ValueError(
+                f"rank {b.rank}: part shape {part.shape} != block {b.shape}")
+        (x0, y0, z0), (x1, y1, z1) = b.lo, b.hi
+        wrapped[x0 + 1:x1 + 1, y0 + 1:y1 + 1, z0 + 1:z1 + 1] = part
+        windows.append((slice(x0, x1 + 2), slice(y0, y1 + 2),
+                        slice(z0, z1 + 2)))
     # Axis by axis, each pass copying the borders the earlier passes
     # filled, so edges and corners wrap too.
     wrapped[:1] = wrapped[-2:-1]
@@ -89,9 +110,7 @@ def pad_with_ghosts(parts: list[np.ndarray], decomp: BlockDecomposition3D,
     wrapped[:, -1:] = wrapped[:, 1:2]
     wrapped[:, :, :1] = wrapped[:, :, -2:-1]
     wrapped[:, :, -1:] = wrapped[:, :, 1:2]
-    padded = [wrapped[tuple(slice(lo, hi + 2)
-                            for lo, hi in zip(b.lo, b.hi))]
-              for b in decomp.blocks()]
+    padded = [wrapped[w] for w in windows]
     if out is None:
         return [np.ascontiguousarray(p) for p in padded]
     for dst, src in zip(out, padded):

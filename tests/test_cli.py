@@ -40,6 +40,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mean T" in out
         assert "intermediate data moved" in out
+        assert "tasks:" not in out
+
+    def test_simulate_reports_failed_tasks(self, capsys, monkeypatch):
+        """An in-transit render that refuses its input fails each step's
+        task terminally; the run still prints its table and says so."""
+        import repro.core.framework as framework
+
+        def refuse(*_args):
+            raise ValueError("block 0 holds nan: a render needs finite values")
+
+        monkeypatch.setattr(framework, "render_intransit", refuse)
+        rc = main(["simulate", "--steps", "2", "--grid", "10", "8", "6",
+                   "--ranks", "2", "1", "1", "--buckets", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "mean T" in out
+        assert ("tasks: 2 in-transit task(s) failed terminally and left "
+                "no result") in out
 
     def test_simulate_streaming_mode(self, capsys):
         rc = main(["simulate", "--steps", "2", "--grid", "10", "8", "6",

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis.statistics.moments import MomentAccumulator
 from repro.analysis.statistics.stages import derive, learn
 from repro.analysis.topology.merge_tree import compute_merge_tree
+from repro.backend import numpy_backend, use_backend
 from repro.core import HybridFramework
-from repro.sim import LiftedFlameCase, StructuredGrid3D
+from repro.sim import VARIABLE_NAMES, LiftedFlameCase, StructuredGrid3D
 from repro.vmpi import BlockDecomposition3D
 
 GRID_SHAPE = (12, 10, 8)
@@ -125,3 +128,98 @@ class TestFrameworkConfig:
         assert set(res.statistics) == {0, 1}
         assert res.merge_trees == {}
         assert res.hybrid_images == {}
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(n_buckets=0), "n_buckets must be >= 1, got 0"),
+        (dict(n_buckets=-1), "n_buckets must be >= 1, got -1"),
+        (dict(stats_variables=("T", "T")),
+         r"must be distinct, got \('T', 'T'\)"),
+        (dict(stats_variables=("X",)), r"\('X',\) are not solver fields"),
+        (dict(stats_variables=()), "must name at least one field"),
+        (dict(downsample_stride=0), "downsample_stride must be >= 1, got 0"),
+    ], ids=["n_buckets_0", "n_buckets_neg", "stats_duplicate",
+            "stats_unknown", "stats_empty", "downsample_stride_0"])
+    def test_bad_config_refused_at_construction(self, kwargs, match):
+        """Each of these used to fail late (the first step, the first
+        analysed step, every in-transit statistics task) or silently (no
+        bucket to run the tasks on); construction now refuses it."""
+        with pytest.raises(ValueError, match=match):
+            self._mk(**kwargs)
+
+
+class TestFailedTasks:
+    def test_refused_render_counts_as_failed_task(self):
+        """A NaN in the temperature reaches the in-transit render, which
+        refuses it: every step's task fails terminally and is counted."""
+        grid = StructuredGrid3D((16, 12, 8))
+        fw = HybridFramework(LiftedFlameCase(grid, seed=3),
+                             BlockDecomposition3D(grid.shape, (2, 2, 1)),
+                             analyses=("visualization",), n_buckets=2)
+        fw.solver.parts[0]["T"][0, 0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            res = fw.run(n_steps=3)
+        assert res.failed_tasks == 3
+        assert res.hybrid_images == {} and res.task_results == []
+        assert fw.dataspaces.task_accounting()["outstanding"] == 0
+
+    def test_clean_run_has_no_failed_tasks(self, pipeline_result):
+        _fw, res = pipeline_result
+        assert res.failed_tasks == 0
+
+
+def _decomposed_grid(procs, extents, remainders):
+    """Global shape of ``procs`` blocks per axis of ``extents`` cells,
+    plus ``remainders`` extra cells (an uneven split when nonzero)."""
+    return tuple(p * e + r for p, e, r in zip(procs, extents, remainders))
+
+
+@st.composite
+def _stats_layouts(draw):
+    procs = draw(st.tuples(*[st.integers(1, 2)] * 3))
+    large = draw(st.booleans())
+    # Per-axis extents whose products sit on either side of the batched
+    # learn's size gate: at most 6**3 = 216 or at least 13**3 = 2197.
+    extent = st.integers(13, 14) if large else st.integers(3, 6)
+    extents = draw(st.tuples(extent, extent, extent))
+    remainders = tuple(draw(st.integers(0, p - 1)) for p in procs)
+    names = draw(st.lists(st.sampled_from(VARIABLE_NAMES), min_size=1,
+                          max_size=4, unique=True))
+    return procs, _decomposed_grid(procs, extents, remainders), large, names
+
+
+class TestInSituPartials:
+    @pytest.mark.parametrize("backend", ["reference", "numpy"])
+    @given(layout=_stats_layouts())
+    # Even splits, so the numpy backend stacks the blocks (small) or
+    # learns them one by one (large); the draws add uneven ones.
+    @example(layout=((2, 2, 2), (24, 24, 16), False, ["T", "H2", "OH"]))
+    @example(layout=((2, 1, 1), (26, 13, 13), True, ["OH", "T"]))
+    @settings(max_examples=16, deadline=None)
+    def test_partials_equal_per_block_learn(self, backend, layout):
+        """The framework's in-situ statistics learn all (rank, variable)
+        blocks in one batched call; every partial equals ``from_data`` on
+        that block alone, bit for bit, whichever path the batch takes."""
+        procs, shape, large, names = layout
+        decomp = BlockDecomposition3D(shape, procs)
+        sizes = [b.n_cells for b in decomp.blocks()]
+        gate = numpy_backend.LEARN_BLOCK_MAX_ELEMS
+        assert min(sizes) > gate if large else max(sizes) <= gate
+        fw = HybridFramework(LiftedFlameCase(StructuredGrid3D(shape), seed=5),
+                             decomp, analyses=("statistics",),
+                             stats_variables=tuple(names), n_buckets=1)
+        learned = []
+        pack = fw._stats_engine.pack_partials
+
+        def spy(partials):
+            learned.append(partials)
+            return pack(partials)
+
+        fw._stats_engine.pack_partials = spy
+        with use_backend(backend):
+            res = fw.run(n_steps=1)
+        assert len(learned) == 1 and res.failed_tasks == 0
+        for part, partial in zip(fw.solver.parts, learned[0]):
+            assert list(partial) == names
+            for name in names:
+                want = MomentAccumulator.from_data(part[name]).pack()
+                assert partial[name].pack().tobytes() == want.tobytes()

@@ -172,6 +172,20 @@ class TestGhostExchange:
             np.testing.assert_array_equal(block_laplacian(p, spacing),
                                           global_lap[b.slices])
 
+    def test_pad_refuses_wrong_part_count(self):
+        decomp = BlockDecomposition3D((6, 6, 6), (2, 1, 1))
+        parts = decomp.scatter(np.zeros((6, 6, 6)))
+        with pytest.raises(ValueError, match="expected 2 parts, got 1"):
+            pad_with_ghosts(parts[:1], decomp)
+
+    def test_pad_refuses_wrong_part_shape(self):
+        decomp = BlockDecomposition3D((6, 6, 6), (2, 1, 1))
+        parts = decomp.scatter(np.zeros((6, 6, 6)))
+        parts[1] = parts[1][:, :5]
+        with pytest.raises(ValueError, match=r"rank 1: part shape "
+                           r"\(3, 5, 6\) != block \(3, 6, 6\)"):
+            pad_with_ghosts(parts, decomp)
+
     @given(data=st.data(), shape=st.tuples(*[st.integers(1, 7)] * 3))
     @settings(max_examples=40, deadline=None)
     def test_pad_matches_numpy_wrap_on_generated_domains(self, data, shape):
@@ -193,13 +207,24 @@ class TestGhostExchange:
     def test_block_operators_equal_periodic_bitwise(self, data, shape):
         """The block operators on ``pad_with_ghosts`` output are the
         periodic ``np.roll`` operators restricted to the block, bit for
-        bit — extent-1 and extent-2 axes wrap onto themselves."""
+        bit — extent-1 and extent-2 axes wrap onto themselves. A third
+        of the field and velocity values are exact ``0.0``/``-0.0``: a
+        zero velocity takes the forward branch of ``u > 0``, and the
+        sign of every zero result must come out as the oracle's."""
         procs = tuple(data.draw(st.integers(1, n)) for n in shape)
         decomp = BlockDecomposition3D(shape, procs)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         spacing = tuple(rng.uniform(0.05, 0.5, 3))
-        field = rng.standard_normal(shape)
-        velocity = tuple(rng.standard_normal(shape) for _ in range(3))
+
+        def with_zeros(values):
+            pick = rng.integers(0, 6, shape)
+            values[pick == 0] = 0.0
+            values[pick == 1] = -0.0
+            return values
+
+        field = with_zeros(rng.standard_normal(shape))
+        velocity = tuple(with_zeros(rng.standard_normal(shape))
+                         for _ in range(3))
         global_lap = laplacian(field, spacing)
         global_adv = upwind_advection(field, velocity, spacing)
         padded = pad_with_ghosts(decomp.scatter(field), decomp)
@@ -209,6 +234,18 @@ class TestGhostExchange:
                     == global_lap[b.slices].tobytes())
             assert (block_upwind_advection(p, local_velocity, spacing)
                     .tobytes() == global_adv[b.slices].tobytes())
+
+    def test_laplacian_zero_keeps_the_oracles_sign(self):
+        """A ``+0.0`` cell among ``-0.0`` neighbours makes every axis term
+        ``-0.0``; the sum starts from ``+0.0`` as the oracle's does, so
+        the cell's Laplacian is ``+0.0``."""
+        field = np.full((4, 4, 4), -0.0)
+        field[1, 2, 3] = 0.0
+        spacing = (0.1, 0.2, 0.3)
+        decomp = BlockDecomposition3D(field.shape, (1, 1, 1))
+        got = block_laplacian(pad_with_ghosts([field], decomp)[0], spacing)
+        assert got.tobytes() == laplacian(field, spacing).tobytes()
+        assert not np.signbit(got[1, 2, 3])
 
 
 class TestChemistry:
