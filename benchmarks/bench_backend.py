@@ -1,6 +1,6 @@
 """Backend replays: the numpy kernels against the reference on the two
-paper workloads that dominate `repro blame` — Fig. 6's distributed merge
-tree (topology, the largest in-transit bar) and Fig. 5's in-transit
+paper workloads that dominate `repro replay --blame` — Fig. 6's
+distributed merge tree (topology, the largest in-transit bar) and Fig. 5's in-transit
 statistics merge (the staging-node reduction the scheduler feeds) — and
 the same merge-tree pipeline on a smooth field, the other end of the
 input range the topology speed-up depends on.

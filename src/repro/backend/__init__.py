@@ -1,6 +1,6 @@
 """``repro.backend`` — swappable kernel backends for the hot paths.
 
-The three hot paths identified by ``repro blame`` makespan share (vmpi
+The three hot paths identified by ``repro replay --blame`` makespan share (vmpi
 collectives, merge-tree union-find/glue, and the statistics engine's
 learn/merge kernels) dispatch through this package. Two backends ship:
 

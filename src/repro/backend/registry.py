@@ -29,7 +29,7 @@ statistics moments, collective results) — enforced by
 
 When tracing is enabled, each dispatched kernel call is recorded as a
 ``kernel.<name>`` span tagged ``kernel=<name>`` and ``backend=<active>``,
-which is what lets ``repro blame --top-kernels`` rank kernels by
+which is what lets ``repro replay --blame --top-kernels`` rank kernels by
 makespan share.
 """
 

@@ -8,24 +8,21 @@ Commands:
 * ``track``     — run the Fig.-1 feature-tracking experiment;
 * ``render``    — render the flame in both visualization modes to PPM;
 * ``tradeoff``  — print the post-processing vs concurrent trade-off table;
-* ``schedule``  — replay the full-scale staging schedule and report
-  queue behaviour for a bucket count;
-* ``trace``     — replay the schedule under the tracer and emit a
-  Chrome/Perfetto trace (with causal flow arrows), the critical path,
-  and model reconciliation; ``--diff`` aligns the run against a
-  previously exported trace and reports per-bucket/per-stage/per-flow
-  deltas (text + HTML);
-* ``blame``     — decompose the traced run's makespan (and each
-  timestep's end-to-end latency) into compute / transport / queue-wait /
-  retry-and-backoff / scheduler-idle buckets that sum exactly to the
-  window;
-* ``faults``    — run the staging workload under seeded fault injection
-  and report recovery behaviour per scenario;
-* ``capacity``  — replay a per-tenant campaign with the byte-accurate
-  capacity ledger attached and report staging-memory watermarks, NIC
-  occupancy, leaked regions, and measured-vs-analytic headroom, with a
-  ``--gate`` smoke mode (clean runs must be leak-free and within the
-  analytic bound; ``--inject-leak`` must be detected);
+* ``replay``    — replay the full-scale staging schedule once (the
+  laptop-scale pipeline with ``--functional``), report whether the
+  in-transit queue keeps pace, and attach observers to that one run:
+  ``--trace`` (Chrome/Perfetto trace with causal flow arrows, critical
+  path, model reconciliation), ``--jsonl`` (event log), ``--diff OTHER``
+  (per-bucket/per-stage/per-flow deltas against an exported trace, text
+  + HTML) and ``--blame`` (makespan and per-step latency split into
+  compute / transport / queue-wait / retry-and-backoff / scheduler-idle
+  buckets that sum exactly to the window); ``--from FILE`` blames or
+  diffs an exported trace without replaying;
+* ``check``     — run declared scenario checks, each against its
+  expectation: ``faults`` (seeded fault injection, every task
+  accounted), ``control`` (adaptive controller vs static split),
+  ``capacity`` (byte-accurate staging ledger: no leak, within the
+  analytic bound) and ``capacity-leak`` (a seeded leak is found);
 * ``perf``      — cross-run performance: ``record`` appends the canonical
   run record to a store, ``compare`` gates a fresh run against the
   committed baseline (nonzero exit on regression), ``report`` renders the
@@ -49,7 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import partial
 from pathlib import Path
 
@@ -59,8 +56,8 @@ def _anchor(dir_path: str | Path) -> Path:
 
     Every command anchors ``--out-dir``/``--state-dir`` through here, so
     a relative directory means the same place no matter which helper
-    later joins paths onto it (``repro control`` used to scatter its
-    JSON into the bare CWD when invoked from a subdirectory).
+    later joins paths onto it (a verb's JSON used to scatter into the
+    bare CWD when invoked from a subdirectory).
     """
     path = Path(dir_path).expanduser()
     return path if path.is_absolute() else Path.cwd() / path
@@ -216,290 +213,224 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_json(path: Path, payload, sort_keys: bool = True) -> None:
+    import json
+
+    path.write_text(json.dumps(payload, indent=2, sort_keys=sort_keys),
+                    encoding="utf-8")
+
+
 def _plan(args: argparse.Namespace, cls=None, **fields):
-    """The plan (or plan subclass ``cls``) the ``replay()`` flags describe,
-    plus ``fields``; a verb without ``--interval`` analyses every step."""
+    """The plan (or plan subclass ``cls``) the plan flags describe, plus
+    ``fields``; a verb without ``--interval`` analyses every step. A plan
+    the flags make invalid exits with the plan's reason."""
     from repro.core.runner import ReplayPlan
 
-    return (cls or ReplayPlan)(
-        n_steps=args.steps, n_buckets=args.buckets,
-        analysis_interval=getattr(args, "interval", 1), **fields)
+    if getattr(args, "analyses", None):
+        fields.setdefault("analyses", args.analyses)
+    try:
+        return (cls or ReplayPlan)(
+            n_steps=args.steps, n_buckets=args.buckets,
+            analysis_interval=getattr(args, "interval", 1), **fields)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    from repro.core import ExperimentConfig, ScaledExperiment
-
-    exp = ScaledExperiment(ExperimentConfig.paper_4896())
-    sched = exp.run_schedule(_plan(args, analyses=("TOPO_HYBRID",)))
-    state = "keeps pace" if sched.keeps_pace() else "queue grows"
-    print(f"{args.buckets} buckets over {args.steps} steps: "
-          f"max queue wait {sched.max_queue_wait():.2f} s "
-          f"({state}); makespan {sched.makespan:.1f} s")
-    return 0 if sched.keeps_pace() else 1
-
-
-def _traced_run(args: argparse.Namespace):
-    """The run ``trace`` and ``blame`` look at, under a fresh tracer: the
-    laptop-scale functional pipeline (real kernels, wall clock) with
-    ``--functional``, the full-scale paper_4896 DES replay otherwise.
-    Returns ``(tracer, expected stage totals | None)``."""
-    if args.functional:
-        from repro.core.framework import traced_functional_run
-
-        return traced_functional_run(args.steps), None
-    from repro.core import ExperimentConfig, ScaledExperiment
-    from repro.obs.tracer import tracing
-
-    exp = ScaledExperiment(ExperimentConfig.paper_4896())
-    plan = _plan(args)
-    with tracing() as tracer:
-        exp.run_schedule(plan)
-    return tracer, exp.expected_stage_totals(plan)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.obs import (
+        blame,
         critical_path,
+        kernel_table,
         lane_summary,
+        load_trace,
         reconcile_table,
         reconcile_totals,
+        top_kernels,
         validate_chrome_trace,
         write_chrome_trace,
         write_jsonl,
     )
 
-    out = _resolve_out(args.out, args.out_dir, "repro_trace.json")
-    jsonl = (_resolve_out(args.jsonl, args.out_dir, "repro_trace.jsonl")
-             if args.jsonl else None)
+    want_blame = args.blame is not None or args.top_kernels
+    rc, expected = 0, None
+    if args.from_file:
+        if args.trace is not None or args.jsonl or not (want_blame
+                                                        or args.diff):
+            raise SystemExit("--from FILE blames (--blame) or diffs "
+                             "(--diff) an exported trace; it writes no "
+                             "--trace or --jsonl")
+        trace, source = load_trace(args.from_file), args.from_file
+    elif args.functional:
+        from repro.core.framework import traced_functional_run
 
-    tracer, expected = _traced_run(args)
+        if args.trace is None and not (args.jsonl or args.diff
+                                       or want_blame):
+            raise SystemExit("--functional replays only to observe: give "
+                             "--trace, --jsonl, --diff or --blame")
+        tracer = traced_functional_run(args.steps)
+        trace = tracer.trace
+        source = f"functional pipeline ({args.steps} steps)"
+    else:
+        from contextlib import nullcontext
+
+        from repro.core import ExperimentConfig, ScaledExperiment
+        from repro.obs.tracer import tracing
+
+        plan = _plan(args)
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        observed = want_blame or any(
+            flag is not None for flag in (args.trace, args.jsonl, args.diff))
+        with tracing() if observed else nullcontext() as tracer:
+            sched = exp.run_schedule(plan)
+        state = "keeps pace" if sched.keeps_pace() else "queue grows"
+        print(f"{args.buckets} buckets over {args.steps} steps: "
+              f"max queue wait {sched.max_queue_wait():.2f} s "
+              f"({state}); makespan {sched.makespan:.1f} s")
+        rc = 0 if sched.keeps_pace() else 1
+        if not observed:
+            return rc
+        trace = tracer.trace
+        source = (f"paper_4896 schedule ({args.steps} steps, "
+                  f"{args.buckets} buckets)")
+        expected = exp.expected_stage_totals(plan)
+
     # Wall clock is the interesting axis of the functional pipeline —
     # in-situ Python work takes no DES time.
     clock = "wall" if args.functional else "trace"
-
-    doc = write_chrome_trace(out, tracer.trace, tracer.metrics,
-                             clock=clock)
-    problems = validate_chrome_trace(doc)
-    n_spans = len(tracer.trace.closed_spans())
-    print(f"wrote {out}: {len(doc['traceEvents'])} events, "
-          f"{n_spans} spans, {len(tracer.trace.lanes())} lanes "
-          f"(load in Perfetto / chrome://tracing)")
-    if jsonl is not None:
-        n_lines = write_jsonl(jsonl, tracer.trace, tracer.metrics)
+    if args.trace is not None:
+        out = _resolve_out(args.trace, args.out_dir, "repro_trace.json")
+        doc = write_chrome_trace(out, trace, tracer.metrics, clock=clock)
+        print(f"wrote {out}: {len(doc['traceEvents'])} events, "
+              f"{len(trace.closed_spans())} spans, {len(trace.lanes())} "
+              f"lanes (load in Perfetto / chrome://tracing)")
+    if args.jsonl:
+        jsonl = _resolve_out(args.jsonl, args.out_dir, "repro_trace.jsonl")
+        n_lines = write_jsonl(jsonl, trace, tracer.metrics)
         print(f"wrote {jsonl} ({n_lines} lines)")
-    if problems:
-        print("trace validation FAILED:")
-        for p in problems[:10]:
-            print(f"  - {p}")
-        return 1
-    print("trace validation: ok\n")
-
-    print(lane_summary(tracer.trace, clock=clock))
-    print()
-    print(critical_path(tracer.trace).table())
-    print()
+    if args.trace is not None:
+        problems = validate_chrome_trace(doc)
+        if problems:
+            print("trace validation FAILED:")
+            for p in problems[:10]:
+                print(f"  - {p}")
+            return 1
+        print("trace validation: ok\n")
+        print(lane_summary(trace, clock=clock))
+        print()
+        print(critical_path(trace).table())
+        print()
 
     if args.diff:
-        from repro.obs import diff_traces, load_trace
+        from repro.obs import diff_traces
         from repro.obs.report import write_trace_diff
 
-        other = load_trace(args.diff)
-        diff = diff_traces(other, tracer.trace,
-                           a_label=Path(args.diff).stem, b_label="this run")
+        diff = diff_traces(
+            load_trace(args.diff), trace, a_label=Path(args.diff).stem,
+            b_label=Path(args.from_file).stem if args.from_file
+            else "this run")
         print(diff.table())
         print()
-        diff_html = _resolve_out(args.diff_html, args.out_dir,
-                                 "trace_diff.html")
+        diff_html = _resolve_out(None, args.out_dir, "trace_diff.html")
         write_trace_diff(diff_html, diff)
         print(f"wrote {diff_html}")
         print()
 
-    reconciled = True
-    if expected is not None:
-        obs = tracer.trace.stage_totals()
-        observed = {
-            "simulation": obs.get("simulation", 0.0),
-            "insitu": obs.get("insitu", 0.0),
-            "movement+intransit": (obs.get("movement", 0.0)
-                                   + obs.get("intransit", 0.0)),
-        }
-        rows = reconcile_totals(observed, expected)
-        print(reconcile_table(rows))
-        reconciled = all(r.ok(0.01) for r in rows)
-        print()
-    print(tracer.metrics.summary())
-    return 0 if reconciled else 1
+    if args.trace is not None:
+        if expected is not None:
+            rows = reconcile_totals(trace.stage_totals(), expected)
+            print(reconcile_table(rows))
+            if not all(r.ok(0.01) for r in rows):
+                rc = 1
+            print()
+        print(tracer.metrics.summary())
 
-
-def _cmd_blame(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import blame, kernel_table, load_trace, top_kernels
-
-    if args.trace:
-        trace = load_trace(args.trace)
-        source = args.trace
-    else:
+    if want_blame:
         # The functional pipeline exercises the real analysis kernels
         # (merge trees, statistics, collectives), so --functional is the
         # mode where --top-kernels has something to rank.
-        trace = _traced_run(args)[0].trace
-        source = (f"functional pipeline ({args.steps} steps)"
-                  if args.functional else
-                  f"paper_4896 schedule ({args.steps} steps, "
-                  f"{args.buckets} buckets)")
-
-    report = blame(trace)
-    print(f"source: {source}")
-    print(report.table())
-    if args.top_kernels:
-        print()
-        print(kernel_table(top_kernels(trace, n=args.top_kernels)))
-    out = _resolve_out(args.json, args.out_dir, "repro_blame.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-    print(f"\nwrote {out}")
-
-    windows = [("overall", report.overall)] + [
-        (f"step {s.step}", s.breakdown) for s in report.steps]
-    bad = [name for name, bd in windows if not bd.check()]
-    if bad:
-        print(f"blame attribution FAILED: buckets do not sum to the "
-              f"window for {', '.join(bad)}")
-        return 1
-    print(f"exact-sum check: ok ({len(windows)} windows, buckets sum to "
-          f"each window within 1e-6)")
-    return 0
+        report = blame(trace)
+        print(f"source: {source}")
+        print(report.table())
+        if args.top_kernels:
+            print()
+            print(kernel_table(top_kernels(trace, n=args.top_kernels)))
+        out = _resolve_out(args.blame, args.out_dir, "repro_blame.json")
+        _write_json(out, report.to_dict(), sort_keys=False)
+        print(f"\nwrote {out}")
+        windows = [("overall", report.overall)] + [
+            (f"step {s.step}", s.breakdown) for s in report.steps]
+        bad = [name for name, bd in windows if not bd.check()]
+        if bad:
+            print(f"blame attribution FAILED: buckets do not sum to the "
+                  f"window for {', '.join(bad)}")
+            return 1
+        print(f"exact-sum check: ok ({len(windows)} windows, buckets sum to "
+              f"each window within 1e-6)")
+    return rc
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults import FaultConfig, run_resilience_experiment
-    from repro.util import TextTable
+def _check_faults(path: Path) -> bool:
+    """Six seeded fault scenarios (crashes, flaky pulls, stalls, staging
+    fully down): every task is accounted for and its value verified."""
+    from repro.faults import run_fault_sweep, sweep_table
 
-    plan = partial(FaultConfig, seed=args.seed)
-    crashes = plan(crash_rate=args.crash_rate, horizon=args.horizon)
-    scenarios: list[tuple[str, FaultConfig, dict]] = [
-        ("baseline", plan(), {}),
-        ("flaky pulls", plan(pull_failure_rate=args.pull_failure_rate), {}),
-        ("stalls", plan(pull_stall_rate=args.pull_stall_rate,
-                        pull_stall_seconds=args.stall_seconds), {}),
-        ("crashes", crashes, {}),
-        ("crashes+restart", crashes,
-         {"bucket_restart_delay": 2.0e-3,
-          "max_bucket_restarts": 2 * args.buckets}),
-        ("staging down",
-         plan(crash_times=tuple(1.0e-3 * (i + 1)
-                                for i in range(args.buckets))), {}),
-    ]
-    table = TextTable(["scenario", "crashes", "pull faults", "retries",
-                       "reassigned", "restarts", "fallback", "failed",
-                       "makespan (s)", "accounted"])
-    ok = True
-    for name, cfg, extra in scenarios:
-        r = run_resilience_experiment(cfg, n_tasks=args.tasks,
-                                      n_buckets=args.buckets, **extra)
-        ok = ok and r.all_accounted and r.values_ok
-        table.add_row([name, r.crashes_injected,
-                       r.pull_failures_injected + r.pull_stalls_injected,
-                       r.retries, r.reassignments, r.restarts,
-                       r.fallback_tasks, r.accounting["failed"],
-                       f"{r.makespan:.4f}",
-                       "yes" if r.all_accounted and r.values_ok else "NO"])
-    print(table)
+    reports = run_fault_sweep()
+    ok = all(r.verified for r in reports.values())
+    print(sweep_table(reports))
     print("every task completed or terminally failed, drained() fired, "
           "values verified" if ok
           else "ACCOUNTING FAILED: tasks lost or values wrong")
-    return 0 if ok else 1
+    _write_json(path, {name: {**r.to_metrics(), "accounted": r.verified}
+                       for name, r in reports.items()})
+    print(f"\nwrote {path}")
+    return ok
 
 
-def _cmd_control(args: argparse.Namespace) -> int:
-    import json
+def _check_control(path: Path) -> bool:
+    """The adaptive controller against the static split under
+    ``CONTROL_PLAN``'s crashes and stalls: adaptive makespan <= static."""
+    from repro.control import run_control_scenario
 
-    from repro.control import ControlPolicy, run_control_scenario
-    from repro.util import TextTable
-
-    policy = ControlPolicy(window=args.window,
-                           cooldown_windows=args.cooldown)
-    plan = _plan(args, fault_seed=args.seed, crash_times=args.crash_times,
-                 pull_stall_rate=args.stall_rate,
-                 pull_stall_seconds=args.stall_seconds,
-                 lease_timeout=args.lease_timeout)
-    report = run_control_scenario(plan, policy)
-    ctrl = report.controller
-    table = TextTable(["run", "makespan (s)", "max queue wait (s)",
-                       "decisions", "final pool"])
-    table.add_row(["static", f"{report.static_makespan:.4f}",
-                   f"{report.static_max_queue_wait:.4f}",
-                   0, args.buckets])
-    table.add_row(["adaptive", f"{report.adaptive_makespan:.4f}",
-                   f"{report.adaptive_max_queue_wait:.4f}",
-                   len(ctrl.decisions), ctrl.pool_trajectory[-1][1]])
-    print(f"fault plan: crashes at {list(args.crash_times)} s, "
-          f"{100 * args.stall_rate:.0f}% pulls stall "
-          f"{args.stall_seconds:.1f} s (seed {args.seed})")
-    print(table)
-    print(f"speedup: {report.speedup:.2f}x "
-          f"(memory-bounded pool cap: {ctrl.max_buckets} buckets)")
-    if ctrl.decisions:
-        print("\ndecision log:")
-        for d in ctrl.decisions:
-            print(f"  [w{d.window} t={d.t:.2f}s] {d.kind}: {d.subject} "
-                  f"{d.before} -> {d.after}  ({d.reason})")
-    else:
-        print("\nno decisions taken (healthy run)")
-    out = _resolve_out(args.json, args.out_dir, "repro_control.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report.summary(), fh, indent=2, sort_keys=True)
-    print(f"\nwrote {out}")
-    if args.gate and not report.improved:
+    report = run_control_scenario()
+    print(report.table())
+    _write_json(path, report.summary())
+    print(f"\nwrote {path}")
+    if not report.improved:
         print("control gate FAILED: adaptive makespan exceeds static")
-        return 1
-    return 0
+    return report.improved
 
 
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    import json
+def _check_capacity(path: Path, inject_leak: bool) -> bool:
+    """The byte-accurate ledger over a two-tenant campaign: no leaked
+    region survives the drain and no measured peak exceeds the analytic
+    bound; with ``inject_leak``, the seeded leak is found as well. Writes
+    the ``kind=capacity`` event stream beside the JSON."""
+    from repro.obs.capacity import (
+        LEAK_INJECTOR_NODE,
+        headroom_table,
+        run_capacity_scenario,
+    )
 
-    from repro.obs.capacity import LEAK_INJECTOR_NODE, run_capacity_scenario
-    from repro.util import TextTable
-
-    outcome = run_capacity_scenario(
-        _plan(args, n_shards=args.shards), tenants=tuple(args.tenants),
-        inject_leak=args.inject_leak, leak_bytes=args.leak_bytes)
+    outcome = run_capacity_scenario(inject_leak=inject_leak)
     merged = outcome["merged"]
-
-    headroom = TextTable(["tenant run", "analytic bound", "measured peak",
-                          "headroom", "nic peak", "leaks"],
-                         title="measured vs analytic staging memory")
-    for tenant, rep in outcome["tenants"].items():
-        headroom.add_row([
-            tenant, rep.analytic_bound_bytes, rep.peak_resident_bytes,
-            rep.headroom_bytes if rep.headroom_bytes is not None else "-",
-            rep.nic_peak_bytes, len(rep.leaks)])
-    print(headroom.render())
+    print(headroom_table(outcome["tenants"]))
     print()
     print(merged.watermark_table())
     print()
     print(merged.leak_table())
 
-    out = _resolve_out(args.json, args.out_dir, "repro_capacity.json")
-    payload = {
+    _write_json(path, {
         "tenants": {t: r.to_dict() for t, r in outcome["tenants"].items()},
         "merged": merged.to_dict(),
         "makespans": outcome["makespans"],
         "inject_leak": outcome["inject_leak"],
         "n_events": len(outcome["events"]),
-    }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    print(f"\nwrote {out}")
-    if args.events:
-        events_path = _resolve_out(args.events, args.out_dir,
-                                   "repro_capacity.jsonl")
-        events_path.write_text("\n".join(outcome["events"]) + "\n",
-                               encoding="utf-8")
-        print(f"wrote {events_path} ({len(outcome['events'])} "
-              f"capacity events)")
+    })
+    print(f"\nwrote {path}")
+    events_path = path.with_suffix(".jsonl")
+    events_path.write_text("\n".join(outcome["events"]) + "\n",
+                           encoding="utf-8")
+    print(f"wrote {events_path} ({len(outcome['events'])} capacity events)")
 
     violations = sum(r.headroom_violations
                      for r in outcome["tenants"].values())
@@ -512,25 +443,48 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
           f"peak resident {merged.peak_resident_bytes} bytes, "
           f"{len(merged.leaks)} leak(s), {violations} headroom "
           f"violation(s)")
-    if not args.gate:
-        return 0
-    rc = 0
     if genuine:
         print(f"capacity gate FAILED: {len(genuine)} leaked region(s) "
               f"survived the drain")
-        rc = 1
     if violations:
         print(f"capacity gate FAILED: measured peak exceeded the "
               f"analytic staging_memory_needed bound in {violations} "
               f"run(s)")
-        rc = 1
-    if args.inject_leak and not injected:
+    if inject_leak and not injected:
         print("capacity gate FAILED: the injected retention fault was "
               "not detected")
-        rc = 1
-    if rc == 0:
+    ok = not genuine and not violations and (injected or not inject_leak)
+    if ok:
         print("capacity gate: PASS")
-    return rc
+    return bool(ok)
+
+
+#: ``repro check``'s declared scenarios, in run order: name -> a function
+#: that runs the scenario at its library defaults, prints its report,
+#: writes the JSON path it is given and says whether the scenario met its
+#: expectation. Each imports its scenario's modules only when it runs.
+CHECKS: dict[str, Callable[[Path], bool]] = {
+    "faults": _check_faults,
+    "control": _check_control,
+    "capacity": partial(_check_capacity, inject_leak=False),
+    "capacity-leak": partial(_check_capacity, inject_leak=True),
+}
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    unknown = [name for name in args.names if name not in CHECKS]
+    if unknown:
+        raise SystemExit(f"unknown check(s) {unknown}; choose from "
+                         f"{list(CHECKS)}")
+    passed = True
+    for i, name in enumerate(args.names or CHECKS):
+        if i:
+            print()
+        ok = CHECKS[name](_resolve_out(None, args.out_dir,
+                                       f"repro_{name}.json"))
+        print(f"check {name}: {'PASS' if ok else 'FAIL'}")
+        passed = passed and ok
+    return 0 if passed else 1
 
 
 def _parse_kv_floats(pairs: list[str], option: str) -> dict[str, float]:
@@ -556,8 +510,6 @@ def _report_skipped(store) -> None:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.obs.perf import (
         DEFAULT_POLICIES,
         Baseline,
@@ -726,8 +678,6 @@ def _report_failed(report, file) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.perf import RunStore
     from repro.service import ScheduleCache
 
@@ -744,8 +694,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"imbalance {bal.imbalance('tasks'):.2f}x tasks, "
               f"{bal.imbalance('bytes'):.2f}x bytes")
     out = _resolve_out(args.report, args.out_dir, "service_report.json")
-    out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True),
-                   encoding="utf-8")
+    _write_json(out, report.to_dict())
     print(f"wrote {out}")
 
     rc = _report_failed(report, sys.stdout)
@@ -882,18 +831,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.service import JobSpec
 
-    try:
-        spec = _plan(
-            args, JobSpec, tenant=args.tenant, name=args.name,
-            config=args.config, analyses=args.analyses or JobSpec.analyses,
-            n_shards=args.shards, submit_at=args.submit_at,
-            lease_timeout=args.lease_timeout, fault_seed=args.fault_seed,
-            crash_times=args.crash_times,
-            pull_failure_rate=args.pull_failure_rate,
-            pull_stall_rate=args.stall_rate,
-            pull_stall_seconds=args.stall_seconds)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    spec = _plan(
+        args, JobSpec, tenant=args.tenant, name=args.name,
+        config=args.config, n_shards=args.shards, submit_at=args.submit_at,
+        lease_timeout=args.lease_timeout, fault_seed=args.fault_seed,
+        crash_times=args.crash_times,
+        pull_failure_rate=args.pull_failure_rate,
+        pull_stall_rate=args.stall_rate,
+        pull_stall_seconds=args.stall_seconds)
     path = Path(args.jobs)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
@@ -937,6 +882,18 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(least, cast=int):
+    """argparse type: a ``cast`` number no smaller than ``least``."""
+    def parse(text: str):
+        value = cast(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {least}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -954,11 +911,12 @@ def build_parser() -> argparse.ArgumentParser:
     out_dir.add_argument("--out-dir", default="repro_out",
                          help="artifact directory (default: repro_out/)")
 
-    def replay(steps: int | None = None, buckets: int | None = None,
-               interval: bool = False) -> argparse.ArgumentParser:
+    def plan_flags(steps: int | None = None, buckets: int | None = None,
+                   interval: bool = False, analyses: bool = False
+                   ) -> argparse.ArgumentParser:
         """``--steps``, ``--buckets`` (each at the verb's own default,
-        None = the verb has no such flag) and ``--interval`` for the
-        verbs that replay a cadence."""
+        None = the verb has no such flag), ``--interval`` and
+        ``--analyses`` for the verbs that describe a replay plan."""
         flags = argparse.ArgumentParser(add_help=False)
         if steps is not None:
             flags.add_argument("--steps", type=int, default=steps)
@@ -968,6 +926,11 @@ def build_parser() -> argparse.ArgumentParser:
             flags.add_argument("--interval", type=int, default=1,
                                help="analysis interval (steps between "
                                     "analysed steps)")
+        if analyses:
+            flags.add_argument("--analyses", nargs="+", default=None,
+                               metavar="VARIANT",
+                               help="analytics variants (default: the three "
+                                    "hybrid variants)")
         return flags
 
     batch = argparse.ArgumentParser(add_help=False, parents=[out_dir])
@@ -987,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tables", help="print the Table I/II reproductions")
 
     p = sub.add_parser("simulate", help="run the functional hybrid pipeline",
-                       parents=[replay(5, 4)])
+                       parents=[plan_flags(5, 4)])
     p.add_argument("--grid", type=int, nargs=3, default=[24, 16, 12])
     p.add_argument("--ranks", type=int, nargs=3, default=[2, 2, 2])
     p.add_argument("--seed", type=int, default=7)
@@ -996,13 +959,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true",
                    help="print the full run report (tasks, occupancy)")
 
-    p = sub.add_parser("track", help="feature tracking (Fig. 1)",
-                       parents=[replay(steps=12)])
+    p = sub.add_parser("track", help="feature tracking (Fig. 1)")
+    p.add_argument("--steps", type=_at_least(1), default=12)
     p.add_argument("--threshold", type=float, default=1.6)
     p.add_argument("--seed", type=int, default=11)
 
     p = sub.add_parser("render", help="render both visualization modes",
-                       parents=[replay(steps=5)])
+                       parents=[plan_flags(steps=5)])
     p.add_argument("--stride", type=int, default=2)
     p.add_argument("--size", type=int, default=48)
     p.add_argument("--seed", type=int, default=3)
@@ -1012,112 +975,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-stride", type=int, default=400)
     p.add_argument("--run-steps", type=int, default=2000)
 
-    sub.add_parser("schedule", help="full-scale staging schedule replay",
-                   parents=[replay(8, 8)])
-
-    p = sub.add_parser("trace", help="traced schedule replay -> Chrome trace",
-                       parents=[replay(10, 8, interval=True), out_dir])
-    p.add_argument("--out", default=None,
-                   help="Chrome trace-event output path "
-                        "(default: <out-dir>/repro_trace.json)")
-    p.add_argument("--jsonl", default=None,
-                   help="also write a JSON-lines event log here (relative "
-                        "paths land under --out-dir)")
+    p = sub.add_parser("replay", help="replay one run once and attach "
+                                      "observers to it (trace, event log, "
+                                      "diff, blame)",
+                       parents=[plan_flags(10, 8, interval=True,
+                                           analyses=True), out_dir])
     p.add_argument("--functional", action="store_true",
-                   help="trace the laptop-scale functional pipeline instead "
-                        "of the full-scale DES replay")
+                   help="replay the laptop-scale functional pipeline (real "
+                        "kernels, wall clock) instead of the full-scale DES "
+                        "replay")
+    p.add_argument("--from", dest="from_file", default=None, metavar="FILE",
+                   help="blame or diff this exported trace (JSONL or Chrome "
+                        "JSON) instead of replaying")
+    p.add_argument("--trace", nargs="?", const="repro_trace.json",
+                   default=None, metavar="PATH",
+                   help="write and validate a Chrome trace, then print the "
+                        "critical path and the model reconciliation "
+                        "(default path: <out-dir>/repro_trace.json)")
+    p.add_argument("--jsonl", default=None, metavar="PATH",
+                   help="write a JSON-lines event log")
     p.add_argument("--diff", default=None, metavar="OTHER",
-                   help="diff this run against a previously exported trace "
-                        "(JSONL keeps flow fidelity; the other run is the "
-                        "reference)")
-    p.add_argument("--diff-html", default=None,
-                   help="diff report HTML path "
-                        "(default: <out-dir>/trace_diff.html)")
-
-    p = sub.add_parser("blame", help="latency blame attribution over the "
-                                     "causal flow graph",
-                       parents=[replay(10, 8, interval=True), out_dir])
-    p.add_argument("--trace", default=None,
-                   help="attribute an existing trace export (JSONL or "
-                        "Chrome JSON) instead of replaying the schedule")
-    p.add_argument("--functional", action="store_true",
-                   help="attribute the laptop-scale functional pipeline "
-                        "(exercises the backend kernels)")
+                   help="diff against a previously exported trace (JSONL "
+                        "keeps flow fidelity; the other run is the "
+                        "reference); writes <out-dir>/trace_diff.html")
+    p.add_argument("--blame", nargs="?", const="repro_blame.json",
+                   default=None, metavar="PATH",
+                   help="split the makespan and each step's latency into "
+                        "blame buckets (default path: "
+                        "<out-dir>/repro_blame.json)")
     p.add_argument("--top-kernels", type=int, default=0, metavar="N",
-                   help="also rank the top N kernels by wall time "
+                   help="blame, and rank the top N kernels by wall time "
                         "(kernel-tagged spans from the backend seam)")
-    p.add_argument("--json", default=None,
-                   help="blame report JSON path "
-                        "(default: <out-dir>/repro_blame.json)")
 
-    p = sub.add_parser("faults", help="staging resilience under fault "
-                                      "injection",
-                       parents=[replay(buckets=4)])
-    p.add_argument("--tasks", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pull-failure-rate", type=float, default=0.10)
-    p.add_argument("--pull-stall-rate", type=float, default=0.10)
-    p.add_argument("--stall-seconds", type=float, default=1.0e-3)
-    p.add_argument("--crash-rate", type=float, default=100.0,
-                   help="expected bucket crashes per simulated second")
-    p.add_argument("--horizon", type=float, default=0.06,
-                   help="crash sampling horizon (simulated seconds)")
-
-    p = sub.add_parser("control", help="adaptive in-situ/in-transit "
-                                       "controller vs static split under "
-                                       "injected faults",
-                       parents=[replay(12, 4, interval=True), out_dir])
-    p.add_argument("--seed", type=int, default=0,
-                   help="fault-injection seed (decision log is "
-                        "deterministic per seed)")
-    p.add_argument("--crash-times", type=float, nargs="*",
-                   default=[30.0, 55.0],
-                   help="bucket crash instants (simulated seconds)")
-    p.add_argument("--stall-rate", type=float, default=0.05,
-                   help="probability an RDMA pull stalls")
-    p.add_argument("--stall-seconds", type=float, default=2.0,
-                   help="seconds each stalled pull loses")
-    p.add_argument("--lease-timeout", type=float, default=5.0,
-                   help="scheduler lease timeout for crash recovery")
-    p.add_argument("--window", type=int, default=2,
-                   help="analysed steps per control decision window")
-    p.add_argument("--cooldown", type=int, default=2,
-                   help="cooldown windows between same-actuator decisions")
-    p.add_argument("--json", default=None,
-                   help="decision-log artifact path "
-                        "(default: <out-dir>/repro_control.json)")
-    p.add_argument("--gate", action="store_true",
-                   help="exit 1 unless the adaptive makespan is <= static")
-
-    p = sub.add_parser("capacity", help="byte-accurate staging-memory and "
-                                        "NIC-bandwidth ledger report",
-                       parents=[replay(6, 4, interval=True), out_dir])
-    p.add_argument("--shards", type=int, default=1,
-                   help="DataSpaces shards per tenant replay")
-    p.add_argument("--tenants", nargs="+", default=["alpha", "beta"],
-                   metavar="TENANT",
-                   help="tenant run per name (default: alpha beta)")
-    p.add_argument("--inject-leak", action="store_true",
-                   help="arm a seeded retention fault on the last "
-                        "tenant's run (the leak detector must find it)")
-    p.add_argument("--leak-bytes", type=int, default=1 << 20,
-                   help="size of the injected leaked region "
-                        "(default: 1 MiB)")
-    p.add_argument("--json", default=None,
-                   help="capacity report JSON path "
-                        "(default: <out-dir>/repro_capacity.json)")
-    p.add_argument("--events", default=None,
-                   help="also write the kind=capacity bus-event stream "
-                        "here as JSONL (byte-identical across same-seed "
-                        "runs; relative paths land under --out-dir)")
-    p.add_argument("--gate", action="store_true",
-                   help="exit 1 on leaked regions or a measured peak over "
-                        "the analytic bound (and, with --inject-leak, "
-                        "unless the injected leak is detected)")
+    p = sub.add_parser("check", help="run declared scenario checks against "
+                                     "their expectations",
+                       parents=[out_dir])
+    p.add_argument("names", nargs="*", metavar="NAME",
+                   help=f"checks to run (default: all of "
+                        f"{', '.join(CHECKS)}); each writes "
+                        f"<out-dir>/repro_<NAME>.json")
 
     p = sub.add_parser("perf", help="cross-run records, regression gate, "
                                     "HTML dashboard",
-                       parents=[replay(10, 8), out_dir])
+                       parents=[plan_flags(10, 8), out_dir])
     p.add_argument("action", choices=("record", "compare", "report"),
                    help="record: append a run record to the store; "
                         "compare: gate a fresh run against the baseline "
@@ -1181,7 +1081,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--once", action="store_true",
                    help="do not pace frames against the wall clock "
                         "(CI/smoke mode: drain at machine speed)")
-    p.add_argument("--refresh", type=float, default=1.0,
+    p.add_argument("--refresh", type=_at_least(0.0, float), default=1.0,
                    help="wall seconds between frames with --follow "
                         "(default: 1.0)")
     p.add_argument("--slice", type=float, default=60.0,
@@ -1211,7 +1111,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable; smoke-test gate)")
 
     p = sub.add_parser("submit", help="append one job to a JSONL batch file",
-                       parents=[replay(10, 8, interval=True)])
+                       parents=[plan_flags(10, 8, interval=True,
+                                           analyses=True)])
     p.add_argument("--jobs", required=True,
                    help="JSONL batch file to append to (created if missing)")
     p.add_argument("--tenant", required=True)
@@ -1219,10 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="paper_4896",
                    choices=("paper_4896", "paper_9440"),
                    help="machine allocation to replay (Table I column)")
-    p.add_argument("--analyses", nargs="+", default=None,
-                   metavar="VARIANT",
-                   help="analytics variants (default: the three hybrid "
-                        "variants)")
     p.add_argument("--shards", type=int, default=1,
                    help="DataSpaces shards for this job's staging area")
     p.add_argument("--submit-at", type=float, default=0.0,
@@ -1249,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: <out-dir>/service)")
     p.add_argument("--tenant", default=None,
                    help="only this tenant's jobs")
-    p.add_argument("--limit", type=int, default=0,
+    p.add_argument("--limit", type=_at_least(0), default=0,
                    help="only the last N records (0 = all)")
     return parser
 
@@ -1260,12 +1157,8 @@ _COMMANDS = {
     "track": _cmd_track,
     "render": _cmd_render,
     "tradeoff": _cmd_tradeoff,
-    "schedule": _cmd_schedule,
-    "trace": _cmd_trace,
-    "blame": _cmd_blame,
-    "faults": _cmd_faults,
-    "control": _cmd_control,
-    "capacity": _cmd_capacity,
+    "replay": _cmd_replay,
+    "check": _cmd_check,
     "perf": _cmd_perf,
     "serve": _cmd_serve,
     "top": _cmd_top,

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.control.controller import ControlPolicy, PlacementController
+from repro.control.controller import PlacementController
 from repro.core.runner import ExperimentConfig, ReplayPlan, ScaledExperiment
 
-#: The seeded crash + stall plan ``repro control`` replays by default: two
+#: The seeded crash + stall plan ``repro check control`` replays: two
 #: bucket crashes and 5 % stalled pulls on an under-provisioned pool.
 CONTROL_PLAN = ReplayPlan(n_steps=12, n_buckets=4, lease_timeout=5.0,
                           crash_times=(30.0, 55.0), pull_stall_rate=0.05,
@@ -63,6 +63,37 @@ class ControlReport:
                 if self.controller.pool_trajectory else 0),
         }
 
+    def table(self) -> str:
+        """The fault plan, static vs adaptive, the speedup and the decision
+        log as text (the ``repro check control`` report)."""
+        from repro.util import TextTable
+
+        cfg, ctrl = self.config, self.controller
+        table = TextTable(["run", "makespan (s)", "max queue wait (s)",
+                           "decisions", "final pool"])
+        table.add_row(["static", f"{self.static_makespan:.4f}",
+                       f"{self.static_max_queue_wait:.4f}",
+                       0, cfg["n_buckets"]])
+        table.add_row(["adaptive", f"{self.adaptive_makespan:.4f}",
+                       f"{self.adaptive_max_queue_wait:.4f}",
+                       len(ctrl.decisions), ctrl.pool_trajectory[-1][1]])
+        lines = [f"fault plan: crashes at {list(cfg['crash_times'])} s, "
+                 f"{100 * cfg['pull_stall_rate']:.0f}% pulls stall "
+                 f"{cfg['pull_stall_seconds']:.1f} s "
+                 f"(seed {cfg['fault_seed']})",
+                 table.render(),
+                 f"speedup: {self.speedup:.2f}x "
+                 f"(memory-bounded pool cap: {ctrl.max_buckets} buckets)",
+                 ""]
+        if ctrl.decisions:
+            lines.append("decision log:")
+            lines += [f"  [w{d.window} t={d.t:.2f}s] {d.kind}: {d.subject} "
+                      f"{d.before} -> {d.after}  ({d.reason})"
+                      for d in ctrl.decisions]
+        else:
+            lines.append("no decisions taken (healthy run)")
+        return "\n".join(lines)
+
     def summary(self) -> dict[str, Any]:
         """JSON-serializable artifact: makespans, decisions, trajectory."""
         return {
@@ -80,7 +111,6 @@ class ControlReport:
 
 
 def run_control_scenario(plan: ReplayPlan = CONTROL_PLAN,
-                         policy: ControlPolicy | None = None,
                          controller: PlacementController | None = None,
                          ) -> ControlReport:
     """Run the fault-injected adaptive-vs-static comparison of ``plan``.
@@ -92,7 +122,7 @@ def run_control_scenario(plan: ReplayPlan = CONTROL_PLAN,
     """
     exp = ScaledExperiment(ExperimentConfig.paper_4896())
     static = exp.run_schedule(plan)
-    ctrl = controller or PlacementController(policy)
+    ctrl = controller or PlacementController()
     adaptive = exp.run_schedule(plan, controller=ctrl)
     return ControlReport(
         static_makespan=static.makespan,

@@ -12,7 +12,8 @@ package exercises that assumption:
 * :func:`~repro.faults.experiment.run_resilience_experiment` — a synthetic
   staging workload driven under injected faults, reporting completion
   time, the exact task ledger, retries, lease reassignments, restarts and
-  degraded-mode activity (``python -m repro faults``).
+  degraded-mode activity; :func:`~repro.faults.experiment.run_fault_sweep`
+  runs it over six fault scenarios (``python -m repro check faults``).
 
 Recovery machinery lives with the components it protects: cancellable
 timeouts and ``Engine.any_of`` in :mod:`repro.des`, pull backoff in
@@ -27,5 +28,7 @@ export_lazily(__name__, {
     "FaultConfig": "injector",
     "FaultInjector": "injector",
     "ResilienceReport": "experiment",
+    "run_fault_sweep": "experiment",
     "run_resilience_experiment": "experiment",
+    "sweep_table": "experiment",
 })

@@ -4,8 +4,8 @@ Drives a synthetic in-transit workload (one grouped task per analysis
 step, real NumPy payloads with full-scale wire sizes) through the complete
 recovery stack and reports what happened: completion time, the exact task
 ledger (completed + failed == submitted), retries, lease reassignments,
-supervisor restarts and degraded-mode activity. ``python -m repro faults``
-sweeps fault rates and prints one row per scenario.
+supervisor restarts and degraded-mode activity. :func:`run_fault_sweep`
+is the six-scenario sweep ``python -m repro check faults`` gates on.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.des import Engine
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.staging.dataspaces import DataSpaces
 from repro.transport.dart import DartTransport
+from repro.util import TextTable
 
 
 @dataclass
@@ -53,6 +54,11 @@ class ResilienceReport:
         acct = self.accounting
         return (acct["completed"] + acct["failed"] == acct["submitted"]
                 and acct["outstanding"] == 0)
+
+    @property
+    def verified(self) -> bool:
+        """Every task accounted for and every completed value right."""
+        return self.all_accounted and self.values_ok
 
     @property
     def mttr(self) -> float:
@@ -162,3 +168,41 @@ def run_resilience_experiment(config: FaultConfig | None = None,
         pull_stalls_injected=injector.count("pull_stall"),
         values_ok=values_ok,
     )
+
+
+def run_fault_sweep() -> dict[str, ResilienceReport]:
+    """One resilience run per scenario, on the default workload: a clean
+    baseline, flaky pulls, stalled pulls, rate-driven bucket crashes
+    without and with supervisor restarts, and every staging bucket down
+    (the degraded in-situ fallback)."""
+    n_buckets = 4
+    crashes = FaultConfig(crash_rate=100.0, horizon=0.06)
+    scenarios: list[tuple[str, FaultConfig, dict]] = [
+        ("baseline", FaultConfig(), {}),
+        ("flaky pulls", FaultConfig(pull_failure_rate=0.10), {}),
+        ("stalls", FaultConfig(pull_stall_rate=0.10,
+                               pull_stall_seconds=1.0e-3), {}),
+        ("crashes", crashes, {}),
+        ("crashes+restart", crashes,
+         {"bucket_restart_delay": 2.0e-3,
+          "max_bucket_restarts": 2 * n_buckets}),
+        ("staging down",
+         FaultConfig(crash_times=tuple(1.0e-3 * (i + 1)
+                                       for i in range(n_buckets))), {}),
+    ]
+    return {name: run_resilience_experiment(cfg, n_buckets=n_buckets, **extra)
+            for name, cfg, extra in scenarios}
+
+
+def sweep_table(reports: dict[str, ResilienceReport]) -> str:
+    """One row per scenario of :func:`run_fault_sweep`."""
+    table = TextTable(["scenario", "crashes", "pull faults", "retries",
+                       "reassigned", "restarts", "fallback", "failed",
+                       "makespan (s)", "accounted"])
+    for name, r in reports.items():
+        table.add_row([name, r.crashes_injected,
+                       r.pull_failures_injected + r.pull_stalls_injected,
+                       r.retries, r.reassignments, r.restarts,
+                       r.fallback_tasks, r.accounting["failed"],
+                       f"{r.makespan:.4f}", "yes" if r.verified else "NO"])
+    return table.render()

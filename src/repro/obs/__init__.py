@@ -20,7 +20,7 @@ and every view below is a fold over it, run on read, ``poll()`` or
   in-transit), which make :func:`critical_path` exact and drive the
   :func:`blame` attribution (five buckets summing exactly to the
   makespan), and :func:`diff_traces` run-vs-run comparison
-  (``python -m repro blame``, ``python -m repro trace --diff``).
+  (``python -m repro replay --blame``, ``... replay --diff OTHER``).
 * Cross-run performance — :class:`RunStore` append-only run records,
   :func:`compare_record` regression gating against a rolling
   :class:`Baseline`, :class:`ProbeSampler` live DES-clock probes with SLO
@@ -33,7 +33,7 @@ and every view below is a fold over it, run on read, ``poll()`` or
 * Capacity plane — :class:`CapacityLedger` byte-accurate staging-memory
   and NIC-bandwidth ledgers with per-tenant/shard/source attribution,
   leak detection, and headroom reconciliation against the analytic
-  ``staging_memory_needed`` bound (``python -m repro capacity``).
+  ``staging_memory_needed`` bound (``python -m repro check capacity``).
 
 Typical use::
 
@@ -45,7 +45,7 @@ Typical use::
     write_chrome_trace("trace.json", tracer.trace, tracer.metrics)
     print(critical_path(tracer.trace).table())
 
-Or drive the packaged campaign: ``python -m repro trace``.
+Or drive the packaged campaign: ``python -m repro replay --trace``.
 """
 
 from repro._lazy import export_lazily

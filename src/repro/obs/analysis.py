@@ -208,9 +208,13 @@ class ReconcileRow:
 
 def reconcile_totals(observed: dict[str, float], expected: dict[str, float]
                      ) -> list[ReconcileRow]:
-    """Compare traced per-stage totals against model-expected totals."""
+    """Compare traced per-stage totals against model-expected totals. An
+    expected stage ``"a+b"`` that ``observed`` lacks is compared with the
+    sum of the observed ``a`` and ``b``."""
     return [ReconcileRow(stage=stage, expected=exp,
-                         observed=observed.get(stage, 0.0))
+                         observed=observed.get(stage, sum(
+                             observed.get(part, 0.0)
+                             for part in stage.split("+"))))
             for stage, exp in sorted(expected.items())]
 
 

@@ -41,7 +41,7 @@ and all timestamps are DES seconds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -51,7 +51,6 @@ from repro.obs.tracer import get_tracer
 from repro.util.tables import TextTable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.runner import ReplayPlan
     from repro.transport.dart import DartTransport
     from repro.transport.rdma import RdmaRegion, RdmaRegistry
 
@@ -124,7 +123,8 @@ class CapacityReport:
                 "resident_series": series}
 
     def watermark_table(self) -> str:
-        """Aligned per-scope watermark table (the `repro capacity` view)."""
+        """Aligned per-scope watermark table (the `repro check capacity`
+        view)."""
         t = TextTable(["scope", "peak bytes", "at t", "registered",
                        "released", "resident", "nic bytes"],
                       title="capacity watermarks")
@@ -294,7 +294,7 @@ class CapacityLedger:
 
     def inject_leak(self, nbytes: int = 1 << 20) -> None:
         """Arm a synthetic retention fault for the next registry attach
-        (the ``--inject-leak`` leg of ``repro capacity --gate``)."""
+        (what ``repro check capacity-leak`` must find)."""
         if nbytes <= 0:
             raise ValueError(f"leak bytes must be > 0, got {nbytes}")
         self._pending_leak_bytes = int(nbytes)
@@ -543,20 +543,30 @@ def capacity_objectives() -> tuple[SloObjective, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The `repro capacity` scenario
+# The `repro check capacity` scenario
 # ---------------------------------------------------------------------------
 
 
-def run_capacity_scenario(plan: ReplayPlan | None = None,
-                          tenants: tuple[str, ...] = ("alpha", "beta"),
-                          inject_leak: bool = False,
-                          leak_bytes: int = 1 << 20) -> dict[str, Any]:
+def headroom_table(reports: dict[str, CapacityReport]) -> str:
+    """Measured peak against the analytic bound, one row per tenant run."""
+    t = TextTable(["tenant run", "analytic bound", "measured peak",
+                   "headroom", "nic peak", "leaks"],
+                  title="measured vs analytic staging memory")
+    for tenant, rep in reports.items():
+        t.add_row([tenant, rep.analytic_bound_bytes, rep.peak_resident_bytes,
+                   rep.headroom_bytes if rep.headroom_bytes is not None
+                   else "-", rep.nic_peak_bytes, len(rep.leaks)])
+    return t.render()
+
+
+def run_capacity_scenario(tenants: tuple[str, ...] = ("alpha", "beta"),
+                          inject_leak: bool = False) -> dict[str, Any]:
     """Replay one Fig. 5-shaped campaign per tenant with the ledger on.
 
-    Tenant ``i`` replays ``plan`` (default: 6 steps on 4 buckets) with
-    ``i`` more steps, under its own ambient tracer context (so every
-    ledger entry is tenant-attributed), optionally arming a seeded
-    retention fault on the final tenant's run, and the per-run reports
+    Tenant ``i`` replays 6 + ``i`` steps on 4 buckets under its own
+    ambient tracer context (so every ledger entry is tenant-attributed),
+    optionally arming a seeded 1 MiB retention fault on the final
+    tenant's run, and the per-run reports
     merge into the campaign view. Returns the per-tenant reports, the
     merged report, and the ``kind=capacity`` event stream (one canonical
     JSONL line per event — byte-identical across same-seed runs).
@@ -565,7 +575,6 @@ def run_capacity_scenario(plan: ReplayPlan | None = None,
     from repro.obs.live import TelemetryBus, event_to_json
     from repro.obs.tracer import get_tracer, tracing
 
-    plan = plan or ReplayPlan(n_steps=6, n_buckets=4)
     with tracing() as tracer:
         bus = tracer.attach_bus(TelemetryBus())
         sub = bus.subscribe("capacity-scenario")
@@ -576,10 +585,10 @@ def run_capacity_scenario(plan: ReplayPlan | None = None,
             exp = ScaledExperiment(ExperimentConfig.paper_4896())
             ledger = CapacityLedger()
             if inject_leak and i == len(tenants) - 1:
-                ledger.inject_leak(leak_bytes)
+                ledger.inject_leak()
             with get_tracer().context(tenant=tenant, job=f"{tenant}-cap"):
                 sched = exp.run_schedule(
-                    replace(plan, n_steps=plan.n_steps + i), capacity=ledger)
+                    ReplayPlan(n_steps=6 + i, n_buckets=4), capacity=ledger)
             reports[tenant] = sched.capacity
             makespans[tenant] = sched.makespan
         merged = CapacityReport.merge(list(reports.values()))

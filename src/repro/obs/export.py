@@ -19,7 +19,7 @@ flow events — Perfetto draws them as arrows from the producer span
 through every intermediate hand-off span to the consumer — and as
 full-fidelity ``{"type": "flow"}`` JSON lines. :func:`load_trace` /
 :func:`load_trace_jsonl` reconstruct a :class:`Trace` from either file
-format so two runs can be diffed offline (``repro trace --diff``).
+format so two runs can be diffed offline (``repro replay --diff``).
 """
 
 from __future__ import annotations
@@ -389,7 +389,7 @@ def load_trace_jsonl(path: str) -> Trace:
 
     Full fidelity: spans (with ids and tags), instants, and flows with
     their complete hop chains — everything :func:`repro.obs.blame.blame`
-    and ``repro trace --diff`` need. Metrics lines are skipped. A damaged
+    and ``repro replay --diff`` need. Metrics lines are skipped. A damaged
     line raises ``ValueError`` naming ``path:lineno``.
     """
     trace = Trace()

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from repro.control.controller import PlacementController
-from repro.core.runner import ExperimentConfig, ReplayPlan, ScaledExperiment
+from repro.core.runner import ExperimentConfig, ScaledExperiment
 from repro.obs.capacity import (
     LEAK_INJECTOR_NODE,
     CapacityLedger,
@@ -27,10 +27,6 @@ from repro.transport.rdma import RdmaRegistry
 
 def _experiment():
     return ScaledExperiment(ExperimentConfig.paper_4896())
-
-
-def _plan(n_steps):
-    return ReplayPlan(n_steps=n_steps, n_buckets=3)
 
 
 class TestLedgerAccounting:
@@ -196,15 +192,15 @@ class TestFaultedAccounting:
 
 class TestCapacityScenario:
     def test_same_seed_event_streams_are_byte_identical(self):
-        a = run_capacity_scenario(_plan(3))
-        b = run_capacity_scenario(_plan(3))
+        a = run_capacity_scenario()
+        b = run_capacity_scenario()
         assert a["events"], "scenario must emit capacity events"
         assert "\n".join(a["events"]) == "\n".join(b["events"])
         assert all(json.loads(line)["kind"] == KIND_CAPACITY
                    for line in a["events"])
 
     def test_clean_scenario_has_no_leaks_and_exact_tenant_sums(self):
-        out = run_capacity_scenario(_plan(3))
+        out = run_capacity_scenario()
         merged = out["merged"]
         assert merged.leaks == []
         assert merged.headroom_violations == 0
@@ -218,17 +214,16 @@ class TestCapacityScenario:
         assert set(merged.by_tenant) == {"alpha", "beta"}
 
     def test_injected_leak_scenario_reports_it(self):
-        out = run_capacity_scenario(_plan(2), inject_leak=True,
-                                    leak_bytes=4096)
+        out = run_capacity_scenario(inject_leak=True)
         leaks = out["merged"].leaks
         assert len(leaks) == 1
         assert leaks[0]["source"] == LEAK_INJECTOR_NODE
-        assert leaks[0]["nbytes"] == 4096
+        assert leaks[0]["nbytes"] == 1 << 20
         # Armed on the last tenant's run, attributed to it.
         assert leaks[0]["tenant"] == "beta"
 
     def test_report_merge_totals(self):
-        out = run_capacity_scenario(_plan(2))
+        out = run_capacity_scenario()
         reports = list(out["tenants"].values())
         merged = CapacityReport.merge(reports)
         assert merged.peak_resident_bytes == max(

@@ -1,12 +1,20 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CHECKS, build_parser, main
+
+
+def _without_wall(path):
+    """A trace or blame artifact with its host wall-clock fields blanked
+    (they differ between any two runs)."""
+    return re.sub(r'"wall_[a-z_]+": [-0-9.e+]+', '"wall": 0',
+                  path.read_text())
 
 
 class TestParser:
@@ -85,19 +93,20 @@ class TestCommands:
         assert "post @400" in out and "hybrid @1" in out
 
     def test_schedule_healthy(self, capsys):
-        rc = main(["schedule", "--steps", "4", "--buckets", "8"])
+        rc = main(["replay", "--steps", "4", "--buckets", "8",
+                   "--analyses", "TOPO_HYBRID"])
         assert rc == 0
         assert "keeps pace" in capsys.readouterr().out
 
     def test_control_gate_passes_and_writes_artifact(self, tmp_path,
                                                      capsys):
         import json
-        rc = main(["control", "--steps", "8", "--gate",
-                   "--out-dir", str(tmp_path)])
+        rc = main(["check", "control", "--out-dir", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "adaptive" in out and "speedup" in out
         assert "decision log" in out
+        assert out.rstrip().endswith("check control: PASS")
         artifact = json.loads(
             (tmp_path / "repro_control.json").read_text())
         assert artifact["improved"] is True
@@ -105,13 +114,17 @@ class TestCommands:
         assert artifact["adaptive_makespan_s"] <= artifact["static_makespan_s"]
 
     def test_control_parser_defaults(self):
-        args = build_parser().parse_args(["control"])
-        assert args.steps == 12
-        assert args.crash_times == [30.0, 55.0]
-        assert not args.gate
+        """`check` takes no scenario flags: the control check replays
+        CONTROL_PLAN, and no names means every check."""
+        from repro.control import CONTROL_PLAN
+
+        assert CONTROL_PLAN.n_steps == 12
+        assert CONTROL_PLAN.crash_times == (30.0, 55.0)
+        assert build_parser().parse_args(["check"]).names == []
 
     def test_schedule_overloaded_returns_nonzero(self, capsys):
-        rc = main(["schedule", "--steps", "4", "--buckets", "1"])
+        rc = main(["replay", "--steps", "4", "--buckets", "1",
+                   "--analyses", "TOPO_HYBRID"])
         assert rc == 1
         assert "queue grows" in capsys.readouterr().out
 
@@ -122,7 +135,7 @@ class TestCommands:
 
         out = tmp_path / "trace.json"
         jsonl = tmp_path / "trace.jsonl"
-        rc = main(["trace", "--steps", "10", "--out", str(out),
+        rc = main(["replay", "--steps", "10", "--trace", str(out),
                    "--jsonl", str(jsonl)])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -140,16 +153,21 @@ class TestCommands:
         from repro.obs import validate_chrome_trace
 
         out = tmp_path / "func.json"
-        rc = main(["trace", "--functional", "--steps", "2",
-                   "--out", str(out)])
+        rc = main(["replay", "--functional", "--steps", "2",
+                   "--trace", str(out)])
         assert rc == 0
         assert validate_chrome_trace(json.loads(out.read_text())) == []
+
+    def test_functional_replay_needs_an_observer(self, tmp_path):
+        with pytest.raises(SystemExit, match="--functional replays only"):
+            main(["replay", "--functional", "--steps", "2",
+                  "--out-dir", str(tmp_path)])
 
     def test_trace_relative_out_lands_under_out_dir(self, tmp_path,
                                                     monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        rc = main(["trace", "--steps", "3", "--buckets", "4",
-                   "--out-dir", "artifacts", "--out", "mytrace.json",
+        rc = main(["replay", "--steps", "3", "--buckets", "4",
+                   "--out-dir", "artifacts", "--trace", "mytrace.json",
                    "--jsonl", "events.jsonl"])
         assert rc == 0
         # explicit relative paths are re-rooted under --out-dir, not CWD
@@ -170,7 +188,8 @@ class TestCommands:
         assert not (tmp_path / "dash.html").exists()
 
     def test_trace_reports_causal_path(self, tmp_path, capsys):
-        rc = main(["trace", "--steps", "3", "--out-dir", str(tmp_path)])
+        rc = main(["replay", "--steps", "3", "--trace",
+                   "--out-dir", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "critical path (last-finishing chain)" in out
@@ -178,14 +197,15 @@ class TestCommands:
 
     def test_trace_diff_against_previous_run(self, tmp_path, capsys):
         jsonl = tmp_path / "base.jsonl"
-        assert main(["trace", "--steps", "3", "--buckets", "4",
+        assert main(["replay", "--steps", "3", "--buckets", "4", "--trace",
                      "--out-dir", str(tmp_path),
                      "--jsonl", str(jsonl)]) == 0
         capsys.readouterr()
-        rc = main(["trace", "--steps", "3", "--buckets", "2",
+        rc = main(["replay", "--steps", "3", "--buckets", "2", "--trace",
                    "--out-dir", str(tmp_path), "--diff", str(jsonl)])
-        assert rc == 0
         out = capsys.readouterr().out
+        assert rc == 1  # two buckets starve: the queue grows
+        assert "queue grows" in out
         assert "trace diff" in out
         assert "retry_backoff" in out
         assert (tmp_path / "trace_diff.html").exists()
@@ -193,7 +213,7 @@ class TestCommands:
     def test_blame_writes_report(self, tmp_path, capsys):
         import json
 
-        rc = main(["blame", "--steps", "3", "--buckets", "4",
+        rc = main(["replay", "--steps", "3", "--buckets", "4", "--blame",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -205,10 +225,10 @@ class TestCommands:
 
     def test_blame_from_exported_trace(self, tmp_path, capsys):
         jsonl = tmp_path / "run.jsonl"
-        assert main(["trace", "--steps", "3", "--out-dir", str(tmp_path),
-                     "--jsonl", str(jsonl)]) == 0
+        assert main(["replay", "--steps", "3", "--trace",
+                     "--out-dir", str(tmp_path), "--jsonl", str(jsonl)]) == 0
         capsys.readouterr()
-        rc = main(["blame", "--trace", str(jsonl),
+        rc = main(["replay", "--from", str(jsonl), "--blame",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -228,11 +248,153 @@ class TestCommands:
         """The default blame JSON must land under --out-dir, never the
         process CWD (regression lock for the artifact-scatter bug)."""
         monkeypatch.chdir(tmp_path)
-        rc = main(["blame", "--steps", "2", "--buckets", "2",
+        rc = main(["replay", "--steps", "2", "--buckets", "2", "--blame",
                    "--out-dir", "artifacts"])
-        assert rc == 0
+        assert rc == 1  # two buckets starve: the queue grows
         assert (tmp_path / "artifacts" / "repro_blame.json").exists()
         assert not (tmp_path / "repro_blame.json").exists()
+
+
+class TestReplayCli:
+    def test_observers_share_one_replay(self, tmp_path, monkeypatch,
+                                        capsys):
+        """--trace, --jsonl and --blame attach to one run, and what each
+        writes equals what a separate run writes."""
+        from repro.core.runner import ScaledExperiment
+
+        calls = []
+        real = ScaledExperiment.run_schedule
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScaledExperiment, "run_schedule", counting)
+        together, apart = tmp_path / "together", tmp_path / "apart"
+        assert main(["replay", "--steps", "3", "--out-dir", str(together),
+                     "--trace", "--jsonl", "t.jsonl", "--blame"]) == 0
+        assert len(calls) == 1
+        assert main(["replay", "--steps", "3", "--out-dir", str(apart),
+                     "--trace", "--jsonl", "t.jsonl"]) == 0
+        assert main(["replay", "--steps", "3", "--out-dir", str(apart),
+                     "--blame"]) == 0
+        for name in ("repro_trace.json", "t.jsonl", "repro_blame.json"):
+            assert _without_wall(together / name) == \
+                _without_wall(apart / name)
+
+    def test_from_refuses_to_write_a_trace(self, tmp_path):
+        jsonl = tmp_path / "run.jsonl"
+        assert main(["replay", "--steps", "2", "--out-dir", str(tmp_path),
+                     "--jsonl", str(jsonl)]) == 0
+        for extra in (["--trace"], ["--jsonl", "again.jsonl"], []):
+            with pytest.raises(SystemExit, match="--from FILE"):
+                main(["replay", "--from", str(jsonl), "--out-dir",
+                      str(tmp_path), *extra])
+
+
+@pytest.mark.parametrize("verb, flag, reason", [
+    (verb, flag, reason)
+    for verb in ("replay", "perf", "submit")
+    for flag, reason in (("--steps", "n_steps must be >= 1, got 0"),
+                         ("--buckets", "need at least one bucket per shard"),
+                         ("--interval", "analysis_interval must be >= 1"))
+    if (verb, flag) != ("perf", "--interval")])
+def test_a_bad_plan_flag_exits_with_the_plans_reason(tmp_path, monkeypatch,
+                                                     verb, flag, reason):
+    monkeypatch.chdir(tmp_path)
+    argv = {"replay": ["replay"], "perf": ["perf", "record"],
+            "submit": ["submit", "--jobs", "b.jsonl", "--tenant", "a",
+                       "--name", "x"]}[verb]
+    with pytest.raises(SystemExit, match=reason) as exc:
+        main([*argv, flag, "0"])
+    assert isinstance(exc.value.code, str)  # a message, not a traceback
+    assert not (tmp_path / "b.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["top", "--jobs", "b.jsonl", "--refresh", "-1"],
+     "--refresh: must be >= 0.0, got -1"),
+    (["track", "--steps", "0"], "--steps: must be >= 1, got 0"),
+    (["jobs", "--limit", "-2"], "--limit: must be >= 0, got -2"),
+    (["jobs", "--limit", "x"], "--limit: invalid int value: 'x'"),
+], ids=["top-refresh", "track-steps", "jobs-limit", "jobs-limit-nan"])
+def test_parse_time_refusals(argv, error, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert error in capsys.readouterr().err
+    assert build_parser().parse_args(
+        ["top", "--jobs", "b.jsonl", "--refresh", "0"]).refresh == 0.0
+
+
+class TestCheckCli:
+    def test_every_check_passes(self, tmp_path, capsys):
+        assert main(["check", "--out-dir", str(tmp_path)]) == 0
+        verdicts = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("check ")]
+        assert verdicts == [f"check {name}: PASS" for name in CHECKS]
+        assert list(CHECKS) == ["faults", "control", "capacity",
+                                "capacity-leak"]
+        for name in CHECKS:
+            assert (tmp_path / f"repro_{name}.json").exists()
+        assert (tmp_path / "repro_capacity.jsonl").read_text()
+
+    @staticmethod
+    def _break(name, monkeypatch):
+        """Make check ``name``'s scenario outcome miss its expectation."""
+        if name == "faults":
+            import repro.faults.experiment as experiment
+
+            real = experiment.run_resilience_experiment
+
+            def lose_a_task(*args, **kwargs):
+                report = real(*args, **kwargs)
+                report.accounting["completed"] -= 1
+                return report
+            monkeypatch.setattr(experiment, "run_resilience_experiment",
+                                lose_a_task)
+        elif name == "control":
+            import repro.control as control
+
+            real = control.run_control_scenario
+
+            def slower(*args, **kwargs):
+                report = real(*args, **kwargs)
+                report.adaptive_makespan = report.static_makespan + 1.0
+                return report
+            monkeypatch.setattr(control, "run_control_scenario", slower)
+        else:
+            import repro.obs.capacity as capacity
+
+            real = capacity.run_capacity_scenario
+
+            def misreport(*args, **kwargs):
+                outcome = real(*args, **kwargs)
+                leaks = outcome["merged"].leaks
+                if kwargs["inject_leak"]:
+                    leaks.clear()  # the scan finds nothing
+                else:
+                    leaks.append({"region_id": 1, "nbytes": 64, "shard": 0,
+                                  "source": "sim-0", "analysis": None,
+                                  "timestep": 0, "tenant": "alpha",
+                                  "job": "alpha-cap"})
+                return outcome
+            monkeypatch.setattr(capacity, "run_capacity_scenario",
+                                misreport)
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_a_check_fails_when_its_expectation_breaks(self, name, tmp_path,
+                                                       monkeypatch, capsys):
+        self._break(name, monkeypatch)
+        assert main(["check", name, "--out-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith(f"check {name}: FAIL")
+        assert "FAILED" in out
+
+    def test_unknown_check_is_refused(self, tmp_path):
+        with pytest.raises(SystemExit, match="unknown check"):
+            main(["check", "faults", "nope", "--out-dir", str(tmp_path)])
+        assert not (tmp_path / "repro_faults.json").exists()
 
 
 class TestServiceCli:
@@ -374,6 +536,14 @@ class TestServiceCli:
                    "--tenant", "alpha", "--limit", "5"])
         out = capsys.readouterr().out
         assert "alpha/a1" in out and "beta/b1" not in out
+        rc = main(["jobs", "--out-dir", str(tmp_path), "--limit", "1"])
+        out = capsys.readouterr().out
+        assert "alpha/a1" not in out and "beta/b1" in out
+        # A negative limit used to drop the *oldest* records silently.
+        with pytest.raises(SystemExit) as exc:
+            main(["jobs", "--out-dir", str(tmp_path), "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "--limit: must be >= 0" in capsys.readouterr().err
 
     def test_jobs_empty_store(self, tmp_path, capsys):
         assert main(["jobs", "--out-dir", str(tmp_path)]) == 0
@@ -451,11 +621,11 @@ class TestTopCli:
 
     def test_control_artifact_lands_under_out_dir(self, tmp_path,
                                                   monkeypatch, capsys):
-        """`repro control` from a subdirectory with a relative --out-dir
-        must anchor the JSON at the invoking CWD (regression lock)."""
+        """`repro check control` from a subdirectory with a relative
+        --out-dir must anchor the JSON at the invoking CWD (regression
+        lock)."""
         monkeypatch.chdir(tmp_path)
-        rc = main(["control", "--steps", "4", "--buckets", "3",
-                   "--out-dir", "artifacts"])
+        rc = main(["check", "control", "--out-dir", "artifacts"])
         assert rc == 0
         assert (tmp_path / "artifacts" / "repro_control.json").exists()
         assert not (tmp_path / "repro_control.json").exists()
@@ -465,7 +635,7 @@ class TestCapacityCli:
     def test_clean_gate_passes_and_writes_artifact(self, tmp_path, capsys):
         import json
 
-        rc = main(["capacity", "--gate", "--out-dir", str(tmp_path)])
+        rc = main(["check", "capacity", "--out-dir", str(tmp_path)])
         assert rc == 0
         assert "capacity gate: PASS" in capsys.readouterr().out
         report = json.loads((tmp_path / "repro_capacity.json").read_text())
@@ -473,17 +643,16 @@ class TestCapacityCli:
         assert not report["inject_leak"]
 
     def test_injected_leak_must_be_found(self, tmp_path, capsys):
-        """`--gate --inject-leak` passes only because the leak scan finds
+        """`check capacity-leak` passes only because the leak scan finds
         the seeded region (and nothing beside it)."""
         import json
 
         from repro.obs.capacity import LEAK_INJECTOR_NODE
 
-        rc = main(["capacity", "--gate", "--inject-leak",
-                   "--out-dir", str(tmp_path), "--json", "leak.json"])
+        rc = main(["check", "capacity-leak", "--out-dir", str(tmp_path)])
         assert rc == 0
         assert "capacity gate: PASS" in capsys.readouterr().out
-        leaks = json.loads((tmp_path / "leak.json").read_text()
+        leaks = json.loads((tmp_path / "repro_capacity-leak.json").read_text()
                            )["merged"]["leaks"]
         assert leaks
         assert {leak["source"] for leak in leaks} == {LEAK_INJECTOR_NODE}
@@ -491,12 +660,12 @@ class TestCapacityCli:
     def test_same_seed_event_stream_is_byte_identical(self, tmp_path,
                                                       capsys):
         for name in ("a", "b"):
-            assert main(["capacity", "--gate", "--out-dir", str(tmp_path),
-                         "--json", f"{name}.json",
-                         "--events", f"{name}.jsonl"]) == 0
+            assert main(["check", "capacity",
+                         "--out-dir", str(tmp_path / name)]) == 0
         capsys.readouterr()
-        stream = (tmp_path / "a.jsonl").read_bytes()
-        assert stream and stream == (tmp_path / "b.jsonl").read_bytes()
+        stream = (tmp_path / "a" / "repro_capacity.jsonl").read_bytes()
+        assert stream == (tmp_path / "b" / "repro_capacity.jsonl").read_bytes()
+        assert stream
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -258,6 +258,13 @@ ALLOWED_PARAMS = {
         _FAULT_PATH,
     # The fields the serial reference analyses are run on.
     "repro.core.framework:HybridFramework.__init__(keep_fields)": _REFERENCE,
+    # The controller's one tuning input: `run_control_scenario(controller=
+    # PlacementController(ControlPolicy(...)))` runs another policy, and
+    # tests/test_control.py reaches the grow, shrink and flip thresholds
+    # through it.
+    "repro.control.controller:PlacementController.__init__(policy)":
+        ("the adaptive controller's policy object (docs/API.md); the "
+         "threshold branches it guards are each tested"),
 }
 
 
