@@ -2,9 +2,9 @@
 class so that the same object can also guard ``__setattr__``.
 
 Each package ``__init__`` under ``repro`` except ``repro.backend`` (which
-registers its numpy loader on import) hands :func:`export_lazily` one
-literal table, export name -> the submodule of the package that defines
-it. Importing the package then runs none of its submodules: an export's
+is the kernel seam itself, with no submodule to defer) hands
+:func:`export_lazily` one literal table, export name -> the submodule of
+the package that defines it. Importing the package then runs none of its submodules: an export's
 submodule is imported the first time the name is read, and the value is
 bound on the package so later reads are plain attribute hits. The table's
 keys are the package's ``__all__``, so ``from package import *`` still

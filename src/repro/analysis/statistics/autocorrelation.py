@@ -87,17 +87,9 @@ class LagAccumulator:
                    sum_xy=float(vec[5]))
 
 
-@kernel("statistics.autocorr_cross_sums")
-def _autocorr_cross_sums(current: np.ndarray,
-                         history: list[np.ndarray]) -> np.ndarray:
-    """Per-lag single-pass cross sums of ``current`` against each lagged
-    field; row k-1 holds ``(n, sum x, sum y, sum x^2, sum y^2, sum xy)``
-    for ``history[k-1]`` (the lag-k field).
-
-    Backend seam: the numpy backend stacks the history and computes all
-    lags' sums in batched axis-wise passes (``sum x`` and ``sum x^2``
-    once) — per-row pairwise summation keeps the sums bit-identical.
-    """
+def _autocorr_cross_sums_reference(current: np.ndarray,
+                                   history: list[np.ndarray]) -> np.ndarray:
+    """:func:`_autocorr_cross_sums`' oracle: one lag at a time."""
     x = np.asarray(current, dtype=np.float64).ravel()
     out = np.empty((len(history), 6), dtype=np.float64)
     for i, lagged in enumerate(history):
@@ -110,15 +102,40 @@ def _autocorr_cross_sums(current: np.ndarray,
     return out
 
 
-@kernel("statistics.autocorr_merge")
-def _autocorr_merge(packed_partials: list[np.ndarray],
-                    max_lag: int) -> np.ndarray:
-    """Left-fold merge of per-rank packed lag partials to ``(max_lag, 6)``.
+@kernel("statistics.autocorr_cross_sums",
+        reference=_autocorr_cross_sums_reference)
+def _autocorr_cross_sums(current: np.ndarray,
+                         history: list[np.ndarray]) -> np.ndarray:
+    """Per-lag single-pass cross sums of ``current`` against each lagged
+    field; row k-1 holds ``(n, sum x, sum y, sum x^2, sum y^2, sum xy)``
+    for ``history[k-1]`` (the lag-k field).
 
-    Backend seam: the numpy backend reshapes to ``(ranks, max_lag, 6)``
-    and folds the rank axis for every lag at once — additions in the same
-    rank order, so the merged sums are bit-identical.
+    The history is stacked and all lags' sums come from batched axis-wise
+    passes (``sum x`` and ``sum x^2`` once) — per-row pairwise summation
+    keeps the sums bit-identical. A history of mixed shapes runs the
+    reference, which raises for the first mismatch.
     """
+    x = np.asarray(current, dtype=np.float64).ravel()
+    if not history:
+        return np.empty((0, 6), dtype=np.float64)
+    ys = [np.asarray(h, dtype=np.float64).ravel() for h in history]
+    if any(y.shape != x.shape for y in ys):
+        return _autocorr_cross_sums_reference(current, history)
+    stack = np.stack(ys)
+    out = np.empty((len(ys), 6), dtype=np.float64)
+    out[:, 0] = x.size
+    out[:, 1] = float(x.sum())
+    out[:, 2] = stack.sum(axis=1)
+    out[:, 3] = float((x * x).sum())
+    out[:, 4] = (stack * stack).sum(axis=1)
+    out[:, 5] = (x[None, :] * stack).sum(axis=1)
+    return out
+
+
+def _autocorr_merge_reference(packed_partials: list[np.ndarray],
+                              max_lag: int) -> np.ndarray:
+    """:func:`_autocorr_merge`'s oracle: unpack and merge
+    :class:`LagAccumulator` objects rank by rank."""
     k_doubles = LagAccumulator.PACKED_DOUBLES
     if max_lag == 0:
         return np.empty((0, k_doubles), dtype=np.float64)
@@ -129,6 +146,29 @@ def _autocorr_merge(packed_partials: list[np.ndarray],
                 vec[k * k_doubles:(k + 1) * k_doubles])
             merged[k] = merged[k].merge(acc)
     return np.stack([acc.pack() for acc in merged])
+
+
+@kernel("statistics.autocorr_merge", reference=_autocorr_merge_reference)
+def _autocorr_merge(packed_partials: list[np.ndarray],
+                    max_lag: int) -> np.ndarray:
+    """Left-fold merge of per-rank packed lag partials to ``(max_lag, 6)``.
+
+    The partials are reshaped to ``(ranks, max_lag, 6)`` and the rank
+    axis folds for every lag at once — additions in the same rank order,
+    so the merged sums are bit-identical.
+    """
+    k_doubles = LagAccumulator.PACKED_DOUBLES
+    if max_lag == 0:
+        return np.empty((0, k_doubles), dtype=np.float64)
+    if not packed_partials:
+        return np.zeros((max_lag, k_doubles), dtype=np.float64)
+    arr = np.stack([np.asarray(v, dtype=np.float64)
+                    for v in packed_partials])
+    arr = arr.reshape(arr.shape[0], max_lag, k_doubles)
+    acc = np.zeros((max_lag, k_doubles), dtype=np.float64)
+    for r in range(arr.shape[0]):
+        acc = acc + arr[r]
+    return acc
 
 
 class AutocorrelationLearner:

@@ -117,41 +117,102 @@ class MomentAccumulator:
                    M4=float(vec[6]))
 
 
-def moment_merge_op(a: MomentAccumulator,
-                    b: MomentAccumulator) -> MomentAccumulator:
-    """Binary reduce operator for collectives over moment accumulators.
-
-    Marked so the numpy backend's ``vmpi.pairwise_reduce`` kernel can
-    recognise it and fold the whole reduction tree with the vectorized
-    Pébay formulas (the pairing is identical, so results are too).
-    """
-    return a.merge(b)
+#: Batch only small-to-medium blocks — measured: beyond ~2048 elements
+#: the stacked temporaries blow the cache while the per-block reference
+#: (itself vectorised) stays resident, so batching loses. Module-level
+#: so tests can force either path.
+LEARN_BLOCK_MAX_ELEMS = 2048
 
 
-moment_merge_op.is_moment_merge = True
-
-
-@kernel("statistics.learn_blocks")
-def learn_blocks(blocks: list[np.ndarray]) -> list[MomentAccumulator]:
-    """The batched learn pass: one accumulator per data block.
-
-    Backend seam: the numpy backend stacks same-size blocks and computes
-    every block's ``(n, min, max, mean, M2, M3, M4)`` in shared axis-wise
-    array passes — per-row sums use the same pairwise summation as the
-    per-block reference, so the aggregates are bit-identical.
-    """
+def _learn_blocks_reference(blocks: list[np.ndarray]
+                            ) -> list[MomentAccumulator]:
+    """:func:`learn_blocks`' oracle: one
+    :meth:`MomentAccumulator.from_data` per block."""
     return [MomentAccumulator.from_data(b) for b in blocks]
 
 
-@kernel("statistics.merge_moments")
-def merge_accumulators(accs: list[MomentAccumulator]) -> MomentAccumulator:
-    """Pairwise (tree-order) merge of many accumulators.
+@kernel("statistics.learn_blocks", reference=_learn_blocks_reference)
+def learn_blocks(blocks: list[np.ndarray]) -> list[MomentAccumulator]:
+    """The batched learn pass: one accumulator per data block.
 
-    Backend seam: the numpy backend packs the accumulators into a
-    ``(p, 7)`` array and folds whole tree levels with the elementwise
-    Pébay formulas — identical pairing and operation order, so the merged
-    aggregates are bit-identical.
+    Same-size blocks of up to ``LEARN_BLOCK_MAX_ELEMS`` elements are
+    stacked and every block's ``(n, min, max, mean, M2, M3, M4)`` comes
+    from shared axis-wise array passes — per-row sums use the same
+    pairwise summation as the per-block reference, so the aggregates are
+    bit-identical. Ragged, empty, large or non-finite blocks run the
+    reference, which raises for the first offending block.
     """
+    arrs = [np.asarray(b, dtype=np.float64).ravel() for b in blocks]
+    if not arrs:
+        return []
+    m = arrs[0].size
+    if (m == 0 or m > LEARN_BLOCK_MAX_ELEMS
+            or any(a.size != m for a in arrs)):
+        return _learn_blocks_reference(blocks)
+    stack = np.stack(arrs)
+    if not np.all(np.isfinite(stack)):
+        return _learn_blocks_reference(blocks)
+    means = np.mean(stack, axis=1)
+    d = stack - means[:, None]
+    d2 = d * d
+    mins = np.min(stack, axis=1)
+    maxs = np.max(stack, axis=1)
+    m2 = np.sum(d2, axis=1)
+    m3 = np.sum(d2 * d, axis=1)
+    m4 = np.sum(d2 * d2, axis=1)
+    return [MomentAccumulator(n=m, minimum=float(mins[i]),
+                              maximum=float(maxs[i]), mean=float(means[i]),
+                              M2=float(m2[i]), M3=float(m3[i]),
+                              M4=float(m4[i]))
+            for i in range(len(arrs))]
+
+
+def _pebay_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vectorized :meth:`MomentAccumulator.merge` over packed rows.
+
+    Term-for-term the same expressions (and evaluation order) as the
+    scalar formulas, so each elementwise IEEE operation matches.
+    """
+    na = a[..., 0]
+    nb = b[..., 0]
+    n = na + nb
+    delta = b[..., 3] - a[..., 3]
+    delta2 = delta * delta
+    out = np.empty_like(a)
+    out[..., 0] = n
+    out[..., 1] = np.minimum(a[..., 1], b[..., 1])
+    out[..., 2] = np.maximum(a[..., 2], b[..., 2])
+    out[..., 3] = a[..., 3] + delta * nb / n
+    out[..., 4] = a[..., 4] + b[..., 4] + delta2 * na * nb / n
+    out[..., 5] = (a[..., 5] + b[..., 5]
+                   + delta * delta2 * na * nb * (na - nb) / (n * n)
+                   + 3.0 * delta * (na * b[..., 4] - nb * a[..., 4]) / n)
+    out[..., 6] = (a[..., 6] + b[..., 6]
+                   + delta2 * delta2 * na * nb
+                   * (na * na - na * nb + nb * nb) / (n * n * n)
+                   + 6.0 * delta2
+                   * (na * na * b[..., 4] + nb * nb * a[..., 4]) / (n * n)
+                   + 4.0 * delta * (na * b[..., 5] - nb * a[..., 5]) / n)
+    return out
+
+
+def _fold_packed(arr: np.ndarray) -> np.ndarray:
+    """Pairwise tree fold over axis 0 with the reference's pairing —
+    (0,1), (2,3), …, odd tail carried — one elementwise merge per level."""
+    while arr.shape[0] > 1:
+        m = arr.shape[0]
+        even = m - (m % 2)
+        merged = _pebay_pair(arr[0:even:2], arr[1:even:2])
+        if m % 2:
+            merged = np.concatenate([merged, arr[-1:]])
+        arr = merged
+    return arr[0]
+
+
+def merge_accumulators(accs: list[MomentAccumulator]) -> MomentAccumulator:
+    """Pairwise (tree-order) merge of many accumulators: (0,1), (2,3), …,
+    odd tail carried — the pairing ``VirtualComm`` reductions use, so
+    folding ``moment_merge_op`` over a collective gives the same bits."""
     if not accs:
         raise ValueError("cannot merge an empty accumulator list")
     work = list(accs)
@@ -163,16 +224,16 @@ def merge_accumulators(accs: list[MomentAccumulator]) -> MomentAccumulator:
     return work[0]
 
 
-@kernel("statistics.merge_packed_moments")
-def merge_packed_moments(packed: list[np.ndarray],
-                         n_vars: int) -> list[MomentAccumulator]:
-    """Merge rank-major packed partial models; one result per variable.
+def moment_merge_op(a: MomentAccumulator,
+                    b: MomentAccumulator) -> MomentAccumulator:
+    """Binary reduce operator for collectives over moment accumulators."""
+    return a.merge(b)
 
-    ``packed[r]`` holds rank r's ``n_vars`` concatenated 7-double packs.
-    The reference unpacks and tree-merges per variable; the numpy backend
-    reshapes to ``(ranks, n_vars, 7)`` and folds the rank axis for every
-    variable at once.
-    """
+
+def _merge_packed_moments_reference(packed: list[np.ndarray],
+                                    n_vars: int) -> list[MomentAccumulator]:
+    """:func:`merge_packed_moments`' oracle: unpack, then tree-merge per
+    variable."""
     k = MomentAccumulator.PACKED_DOUBLES
     per_var: list[list[MomentAccumulator]] = [[] for _ in range(n_vars)]
     for vec in packed:
@@ -180,3 +241,24 @@ def merge_packed_moments(packed: list[np.ndarray],
         for i in range(n_vars):
             per_var[i].append(MomentAccumulator.unpack(vec[i * k:(i + 1) * k]))
     return [merge_accumulators(accs) for accs in per_var]
+
+
+@kernel("statistics.merge_packed_moments",
+        reference=_merge_packed_moments_reference)
+def merge_packed_moments(packed: list[np.ndarray],
+                         n_vars: int) -> list[MomentAccumulator]:
+    """Merge rank-major packed partial models; one result per variable.
+
+    ``packed[r]`` holds rank r's ``n_vars`` concatenated 7-double packs.
+    They are reshaped to ``(ranks, n_vars, 7)`` and the rank axis folds
+    for every variable at once.
+    """
+    packed = list(packed)
+    if not packed or n_vars == 0:
+        return _merge_packed_moments_reference(packed, n_vars)
+    arr = np.stack([np.asarray(v, dtype=np.float64) for v in packed])
+    arr = arr.reshape(len(packed), n_vars, MomentAccumulator.PACKED_DOUBLES)
+    if np.any(arr[:, :, 0] == 0):
+        return _merge_packed_moments_reference(packed, n_vars)
+    merged = _fold_packed(arr)
+    return [MomentAccumulator.unpack(merged[i]) for i in range(n_vars)]

@@ -13,12 +13,17 @@ in-transit stages:
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analysis.topology.local_tree import BoundaryTree, compute_boundary_trees
-from repro.analysis.topology.merge_tree import MergeTree
+from repro.analysis.topology.merge_tree import (
+    MergeTree,
+    _edge_positions,
+    _graph_tree,
+)
 from repro.backend import kernel
 from repro.vmpi.decomp import Block3D, BlockDecomposition3D
 
@@ -110,21 +115,77 @@ def _stream_glue(boundary_trees: list[BoundaryTree],
     return glue.finalize()
 
 
-@kernel("topology.glue_batch")
+def _glue_batch_reference(boundary_trees: list[BoundaryTree],
+                          cross_edges: list[tuple[int, int]]) -> MergeTree:
+    """:func:`_glue_batch`'s oracle: stream through a fresh
+    :class:`StreamingGlue`."""
+    from repro.analysis.topology.stream_merge import StreamingGlue
+
+    return _stream_glue(boundary_trees, cross_edges, StreamingGlue())
+
+
+def _glue_batch_ordered(boundary_trees: list[BoundaryTree],
+                        edge_lists: list[list[tuple[int, int]]]) -> MergeTree:
+    """Batch glue with the streaming glue's checks in streaming order:
+    the path that names the first offender."""
+    from repro.analysis.topology.stream_merge import compute_merge_tree_graph
+
+    values: dict[int, float] = {}
+    for bt in boundary_trees:
+        for vid, val in bt.nodes.items():
+            vid = int(vid)
+            if vid in values:
+                raise ValueError(f"vertex {vid} already streamed")
+            values[vid] = float(val)
+    checked: list[tuple[int, int]] = []
+    for u, v in itertools.chain.from_iterable(edge_lists):
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-edge on vertex {u}")
+        for x in (u, v):
+            if x not in values:
+                raise KeyError(
+                    f"edge ({u},{v}) streamed before vertex {x} was declared")
+        checked.append((u, v))
+    if not values:
+        return MergeTree()
+    # The vectorized body itself, so a traced call records one span.
+    return compute_merge_tree_graph.__wrapped__(values, checked)
+
+
+@kernel("topology.glue_batch", reference=_glue_batch_reference)
 def _glue_batch(boundary_trees: list[BoundaryTree],
                 cross_edges: list[tuple[int, int]]) -> MergeTree:
     """Glue kernel used when the caller does not need streaming-side
     accounting (finalization counts, live-vertex high-water mark).
 
-    The reference body streams through a fresh :class:`StreamingGlue`;
-    the numpy backend builds the same augmented tree with one batch
-    union-find sweep over the combined vertex/edge set — the augmented
-    merge tree is unique given the (value, id) total order, so the
-    outputs are identical node-for-node and arc-for-arc.
+    One union-find sweep over the combined vertex/edge set instead of
+    streaming chain-merges: the augmented merge tree is unique given the
+    (value, id) total order, so this equals :class:`StreamingGlue`'s
+    output node-for-node and arc-for-arc. Duplicate vertices, self-edges
+    and undeclared endpoints are detected in array form; any of them
+    re-runs the input through the ordered loop, which raises the
+    streaming glue's exception for the first offender.
     """
-    from repro.analysis.topology.stream_merge import StreamingGlue
-
-    return _stream_glue(boundary_trees, cross_edges, StreamingGlue())
+    flatten = itertools.chain.from_iterable
+    edge_lists = [*(bt.edges for bt in boundary_trees), cross_edges]
+    n = sum(len(bt.nodes) for bt in boundary_trees)
+    if n == 0:
+        return _glue_batch_ordered(boundary_trees, edge_lists)
+    ids = np.fromiter(flatten(bt.nodes for bt in boundary_trees),
+                      dtype=np.int64, count=n)
+    vals = np.fromiter(flatten(bt.nodes.values() for bt in boundary_trees),
+                       dtype=np.float64, count=n)
+    by_id = np.argsort(ids)
+    ids, vals = ids[by_id], vals[by_id]
+    m = sum(map(len, edge_lists))
+    edges = np.fromiter(flatten(flatten(edge_lists)), dtype=np.int64,
+                        count=2 * m).reshape(m, 2)
+    edge_pos = _edge_positions(ids, edges)
+    if (edge_pos is None or (ids[1:] == ids[:-1]).any()
+            or (edges[:, 0] == edges[:, 1]).any()):
+        return _glue_batch_ordered(boundary_trees, edge_lists)
+    return _graph_tree(ids, vals, edge_pos)
 
 
 def glue_boundary_trees(boundary_trees: list[BoundaryTree],
@@ -135,8 +196,8 @@ def glue_boundary_trees(boundary_trees: list[BoundaryTree],
 
     Passing an explicit ``glue`` pins the streaming implementation (its
     finalization/live-vertex accounting is part of the result); with the
-    default ``None`` the work dispatches through the ``topology.glue_batch``
-    backend kernel.
+    default ``None`` the work runs through the ``topology.glue_batch``
+    kernel.
     """
     if glue is not None:
         return _stream_glue(boundary_trees, cross_edges, glue)

@@ -72,8 +72,8 @@ def compute_boundary_trees(blocks: list[np.ndarray],
                            boundary_masks: list[np.ndarray]
                            ) -> list[BoundaryTree]:
     """:func:`compute_boundary_tree` of every rank's block: the merge
-    trees come from one :func:`compute_merge_trees` call, which a backend
-    may run over the stacked blocks, and each is then reduced alone."""
+    trees come from one :func:`compute_merge_trees` call, which runs over
+    the stacked blocks, and each is then reduced alone."""
     blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
     for block, id_map, mask in zip(blocks, id_maps, boundary_masks):
         if id_map.shape != block.shape or mask.shape != block.shape:

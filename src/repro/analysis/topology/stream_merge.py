@@ -18,7 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.topology.merge_tree import MergeTree, reject_nan
+from repro.analysis.topology.merge_tree import (
+    MergeTree,
+    _edge_positions,
+    _graph_tree,
+    reject_nan,
+)
 from repro.backend import kernel
 
 
@@ -124,19 +129,10 @@ class StreamingGlue:
         return tree
 
 
-@kernel("topology.graph_merge_tree")
-def compute_merge_tree_graph(values: dict[int, float],
-                             edges: list[tuple[int, int]]) -> MergeTree:
-    """Batch reference: augmented merge tree of an arbitrary graph.
-
-    Sweeps vertices in descending (value, id) order with union-find; every
-    vertex becomes a node (chains included), matching
-    :class:`StreamingGlue`'s augmented output. Used to verify the
-    streaming algorithm and as an independent oracle in tests. NaN values
-    are rejected, as in the grid kernel. Backend seam: the numpy backend
-    lexsorts the sweep order and compacts the adjacency (earlier-swept
-    neighbours only) vectorially, then runs the identical sweep.
-    """
+def _graph_merge_tree_reference(values: dict[int, float],
+                                edges: list[tuple[int, int]]) -> MergeTree:
+    """:func:`compute_merge_tree_graph`'s oracle: the union-find sweep
+    over python dicts and lists."""
     if not values:
         raise ValueError("cannot compute the merge tree of an empty graph")
     ids = sorted(values)
@@ -177,3 +173,29 @@ def compute_merge_tree_graph(values: dict[int, float],
             parent_uf[r] = me
         latest[find(me)] = vid
     return tree
+
+
+@kernel("topology.graph_merge_tree", reference=_graph_merge_tree_reference)
+def compute_merge_tree_graph(values: dict[int, float],
+                             edges: list[tuple[int, int]]) -> MergeTree:
+    """Batch augmented merge tree of an arbitrary graph.
+
+    Sweeps vertices in descending (value, id) order with union-find; every
+    vertex becomes a node (chains included), matching
+    :class:`StreamingGlue`'s augmented output. Used to verify the
+    streaming algorithm and as an independent oracle in tests. NaN values
+    are rejected, as in the grid kernel. The sweep order and the
+    adjacency (earlier-swept neighbours only) are built in array form,
+    then the sweep core runs; an edge naming an unknown vertex re-runs
+    the reference, whose ``KeyError`` names the first offender.
+    """
+    if not values:
+        raise ValueError("cannot compute the merge tree of an empty graph")
+    ids = np.array(sorted(values), dtype=np.int64)
+    vals = np.array([values[vid] for vid in ids.tolist()], dtype=np.float64)
+    reject_nan(vals, lambda i: f"value of vertex {ids[i]}")
+    edge_pos = _edge_positions(
+        ids, np.asarray(edges, dtype=np.int64).reshape(len(edges), 2))
+    if edge_pos is None:
+        return _graph_merge_tree_reference(values, edges)
+    return _graph_tree(ids, vals, edge_pos)

@@ -899,10 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Hybrid in-situ/in-transit analysis framework "
                     "(SC'12 reproduction)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="kernel backend for this invocation "
-                             "(reference, numpy, ...); overrides the "
-                             "REPRO_BACKEND environment variable")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Flag groups several verbs share, each declared once (argparse
@@ -1169,15 +1165,7 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.backend:
-        from repro.backend import set_backend
-
-        set_backend(args.backend)
-    try:
-        return _COMMANDS[args.command](args)
-    finally:
-        if args.backend:
-            set_backend(None)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

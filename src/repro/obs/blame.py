@@ -308,9 +308,9 @@ class KernelUsage:
 def top_kernels(trace: Trace, n: int | None = None) -> list[KernelUsage]:
     """Rank kernel-tagged spans by total wall time, descending.
 
-    This is the blame view the backend work is guided by: which hot
-    paths actually dominate, under which backend, and how the ranking
-    shifts when a vectorized backend is switched on.
+    This is the blame view the kernel work is guided by: which hot
+    paths actually dominate, and under which body (``backend=numpy``, the
+    vectorized code, or ``reference``, the oracle).
     """
     totals: dict[tuple[str, str], tuple[int, float]] = {}
     for span in trace.closed_spans():

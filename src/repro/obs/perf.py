@@ -421,10 +421,10 @@ def collect_run_record(plan: ReplayPlan | None = None,
     Phases: (1) a traced DES replay of ``plan`` (default: 10 steps on 8
     buckets) with live probes and SLO rules attached; (2) the seeded
     crash-recovery scenario from :mod:`repro.faults`; (3) a traced
-    laptop-scale functional pipeline run that exercises the backend
+    laptop-scale functional pipeline run that exercises the analysis
     kernels and yields the per-kernel wall timings
     (``wall.kernel.<name>_s``) and the ``meta["top_kernels"]`` ranking —
-    recorded under whichever backend is active, with the backend name in
+    recorded under whichever body the kernel switch selects, named in
     ``meta["backend"]``. ``plan.fault_seed`` seeds the fault phases.
     ``perturb`` maps cost-model operation names to rate multipliers —
     the knob tests and humans use to demonstrate that an artificially

@@ -616,7 +616,7 @@ def render_trace_diff(diff: TraceDiff) -> str:
     parts.extend(_blame_stack_panel(diff))
     parts.append("<h2>Deltas</h2>")
     parts.extend(_diff_tables_panel(diff))
-    parts.append("<footer>generated by <code>python -m repro trace "
+    parts.append("<footer>generated by <code>python -m repro replay "
                  "--diff</code> — self-contained, no external assets"
                  "</footer>")
     parts.append("</body></html>")

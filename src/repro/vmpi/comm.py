@@ -16,7 +16,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import kernel
 from repro.machine.gemini import GeminiNetwork
 from repro.obs.flow import EDGE_COLLECTIVE, FlowContext
 from repro.obs.tracer import get_tracer
@@ -88,17 +87,12 @@ class CommTracker:
         self.records.clear()
 
 
-@kernel("vmpi.pairwise_reduce")
 def _pairwise_reduce(values: list[Any], op: Callable[[Any, Any], Any]) -> Any:
     """Tree-order (pairwise) reduction — the order real MPI trees use.
 
     Pairwise order matters for floating-point reproducibility claims: it is
     deterministic for a fixed rank count and numerically better conditioned
     than left-to-right folding.
-
-    Backend seam: the numpy backend stacks same-shape ndarray contributions
-    and folds whole tree levels in single elementwise array operations —
-    the *same* pairing, so results stay bit-identical.
     """
     vals = list(values)
     if not vals:

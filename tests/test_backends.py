@@ -1,59 +1,49 @@
-"""Bit-exact equivalence of the numpy backend against the reference.
+"""Bit-exact equivalence of every kernel's two bodies.
 
-Every kernel behind the ``repro.backend`` seam must produce *identical*
-outputs under every backend — not approximately equal: merge trees,
-moment accumulators and collective folds are compared with ``==`` /
-``np.array_equal``, never with tolerances. The
-suites here are parametrized over ``["reference", "numpy"]`` so the
-dispatch path itself is exercised, and inputs are chosen on both sides
-of the numpy backend's regime gates so its vectorized and fallback
-paths go through the same assertions.
+Every ``@kernel`` has a vectorized body, the code each call runs, and a
+pure-python reference body beside it, its oracle. The two must produce
+*identical* outputs — not approximately equal: merge trees, moment
+accumulators and collective folds are compared with ``==`` /
+``np.array_equal``, never with tolerances. Suites parametrized over
+``["reference", "numpy"]`` exercise the switch itself, and inputs are
+chosen on both sides of the vectorized bodies' regime gates so their
+array paths and their reference fallbacks go through the same
+assertions.
 """
 
-import warnings
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.statistics.autocorrelation import (
-    AutocorrelationLearner,
-    _autocorr_cross_sums,
-    _autocorr_merge,
-)
+from repro.analysis.statistics.autocorrelation import AutocorrelationLearner
 from repro.analysis.statistics.moments import (
+    LEARN_BLOCK_MAX_ELEMS,
     MomentAccumulator,
-    learn_blocks,
     merge_accumulators,
-    merge_packed_moments,
     moment_merge_op,
 )
+from repro.analysis.topology import merge_tree as mt
 from repro.analysis.topology.distributed import distributed_merge_tree
 from repro.analysis.topology.merge_tree import compute_merge_tree
-from repro.analysis.topology.stream_merge import compute_merge_tree_graph
 from repro.backend import (
-    available_backends,
     get_backend,
     kernel_impl,
     kernel_names,
-    known_backends,
-    register_backend,
-    resolve_backend,
     set_backend,
     use_backend,
 )
-from repro.backend import numpy_backend as nb
-from repro.backend.registry import _warned
 from repro.des import Engine
 from repro.vmpi import BlockDecomposition3D
+from repro.vmpi.comm import _pairwise_reduce
 
 BACKENDS = ["reference", "numpy"]
 
 
 @pytest.fixture(autouse=True)
-def _clean_backend_state(monkeypatch):
-    """Isolate override/env state so suites cannot leak into each other."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+def _clean_backend_state():
+    """Isolate the switch so suites cannot leak into each other."""
     previous = set_backend(None)
     yield
     set_backend(previous)
@@ -78,29 +68,23 @@ def assert_trees_identical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# registry semantics
+# the switch
 # ---------------------------------------------------------------------------
 
 
 class TestRegistry:
     def test_both_backends_known_and_available(self):
-        assert {"reference", "numpy"} <= set(known_backends())
-        assert {"reference", "numpy"} <= set(available_backends())
+        for name in BACKENDS:
+            with use_backend(name) as active:
+                assert active == get_backend() == name
+            assert kernel_impl("topology.merge_tree", name)
 
-    def test_default_is_reference(self):
-        assert get_backend() == "reference"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+    def test_default_is_the_vectorized_body(self):
         assert get_backend() == "numpy"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        prev = set_backend("reference")
-        try:
-            assert get_backend() == "reference"
-        finally:
-            set_backend(prev)
+        assert kernel_impl("topology.merge_tree") is \
+            compute_merge_tree.__wrapped__
+        assert kernel_impl("topology.merge_tree", "reference") is \
+            compute_merge_tree.reference
 
     def test_use_backend_restores_previous(self):
         set_backend("numpy")
@@ -108,50 +92,30 @@ class TestRegistry:
             assert active == "reference"
         assert get_backend() == "numpy"
 
-    def test_unknown_backend_warns_once_and_falls_back(self):
-        _warned.discard("nosuch")
-        with pytest.warns(RuntimeWarning, match="unknown backend"):
-            assert resolve_backend("nosuch") == "reference"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend("nosuch") == "reference"
-
-    def test_loader_import_error_falls_back(self):
-        def broken():
-            raise ImportError("no such optional dependency")
-
-        register_backend("broken-backend", broken)
-        try:
-            _warned.discard("broken-backend")
-            with pytest.warns(RuntimeWarning, match="unavailable"):
-                assert resolve_backend("broken-backend") == "reference"
-            assert "broken-backend" not in available_backends()
-            # dispatch under the broken backend runs the reference body
-            with use_backend("broken-backend"):
-                tree, arc = compute_merge_tree(np.arange(6.0).reshape(2, 3))
-            assert arc.size == 6
-        finally:
-            from repro.backend import registry
-
-            registry._LOADERS.pop("broken-backend", None)
-            registry._LOADED.pop("broken-backend", None)
-
-    def test_reference_backend_cannot_be_replaced(self):
-        with pytest.raises(ValueError):
-            register_backend("reference", dict)
+    def test_unknown_backend_is_refused(self):
+        """A typo raises every time, not once per process, and changes
+        nothing: the switch stays where it was."""
+        set_backend("reference")
+        for typo in ("nmupy", "nmupy", "Reference", ""):
+            with pytest.raises(ValueError, match="'numpy' and 'reference'"):
+                set_backend(typo)
+            with pytest.raises(ValueError, match="'numpy' and 'reference'"):
+                with use_backend(typo):
+                    pass
+            with pytest.raises(ValueError, match="'numpy' and 'reference'"):
+                kernel_impl("topology.merge_tree", typo)
+            assert get_backend() == "reference"
 
     def test_kernel_names_cover_the_four_hot_paths(self):
-        """Three hot paths: DES dispatch left the seam (one engine for
-        every backend). The test id is pinned by the tier-1 floor list."""
+        """Two hot paths behind the seam: DES dispatch left it (one
+        engine) and so did the collectives' fold and the many-accumulator
+        merge (a plain scalar tree fold, faster at every rank count the
+        callers use). The test id is pinned by the tier-1 floor list."""
         names = kernel_names()
-        assert len(names) == 10
-        assert not [n for n in names if n.startswith("des.")]
-        assert "vmpi.pairwise_reduce" in names
+        assert len(names) == 8
+        assert {n.split(".")[0] for n in names} == {"statistics", "topology"}
         assert "topology.merge_tree" in names
         assert "statistics.merge_packed_moments" in names
-
-    def test_numpy_table_only_overrides_declared_kernels(self):
-        assert set(nb.KERNELS) <= set(kernel_names())
 
     def test_kernel_impl_unknown_kernel_raises(self):
         with pytest.raises(KeyError):
@@ -226,31 +190,31 @@ class TestEngineDispatch:
 
 
 class TestCollectives:
+    """``VirtualComm``'s pairwise fold, and the moment merges that share
+    its pairing."""
+
     def test_ndarray_reduce_fallback_path(self):
-        # ndarray payloads route to the reference body verbatim
         rng = np.random.default_rng(5)
-        vals = [rng.uniform(-2, 2, 16) for _ in range(7)]
-        ref, fast = both("vmpi.pairwise_reduce")
-        assert np.array_equal(ref([v.copy() for v in vals], np.add),
-                              fast([v.copy() for v in vals], np.add))
+        v = [rng.uniform(-2, 2, 16) for _ in range(7)]
+        expected = (((v[0] + v[1]) + (v[2] + v[3]))
+                    + ((v[4] + v[5]) + v[6]))
+        assert np.array_equal(_pairwise_reduce(v, np.add), expected)
 
     def test_object_reduce_fallback(self):
-        ref, fast = both("vmpi.pairwise_reduce")
-
         def cat(a, b):
             return a + b
 
         vals = [f"<{i}>" for i in range(13)]
-        assert ref(list(vals), cat) == fast(list(vals), cat)
+        assert _pairwise_reduce(list(vals), cat) == "".join(vals)
 
     def test_moment_merge_route(self):
         rng = np.random.default_rng(6)
-        accs = [MomentAccumulator.from_data(rng.uniform(0, 1, 50))
-                for _ in range(9)]
-        ref, fast = both("vmpi.pairwise_reduce")
-        a = ref(list(accs), moment_merge_op)
-        b = fast(list(accs), moment_merge_op)
-        assert np.array_equal(a.pack(), b.pack())
+        for n in (1, 2, 9):
+            accs = [MomentAccumulator.from_data(rng.uniform(0, 1, 50))
+                    for _ in range(n)]
+            folded = _pairwise_reduce(list(accs), moment_merge_op)
+            assert np.array_equal(folded.pack(),
+                                  merge_accumulators(accs).pack())
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +230,7 @@ class TestStatistics:
     @pytest.mark.parametrize("m", [16, 3000])  # below / above the gate
     def test_learn_blocks_both_regimes(self, m):
         blocks = self._blocks(8, 24, m)
-        assert m <= nb.LEARN_BLOCK_MAX_ELEMS or m > nb.LEARN_BLOCK_MAX_ELEMS
+        assert (m <= LEARN_BLOCK_MAX_ELEMS) == (m == 16)
         ref, fast = both("statistics.learn_blocks")
         a = ref([b.copy() for b in blocks])
         b_ = fast([b.copy() for b in blocks])
@@ -280,19 +244,23 @@ class TestStatistics:
         for x, y in zip(ref(blocks), fast(blocks)):
             assert np.array_equal(x.pack(), y.pack())
 
+    def _packed_fold_equals_scalar_fold(self, accs):
+        """The packed kernel's array fold over one variable lands on the
+        bits of the scalar tree fold, ``merge_accumulators``."""
+        scalar = merge_accumulators(list(accs))
+        for name in BACKENDS:
+            (packed,) = kernel_impl("statistics.merge_packed_moments", name)(
+                [a.pack() for a in accs], 1)
+            assert np.array_equal(packed.pack(), scalar.pack())
+
     def test_merge_moments_identical(self):
-        accs = [MomentAccumulator.from_data(b)
-                for b in self._blocks(10, 31, 40)]
-        ref, fast = both("statistics.merge_moments")
-        assert np.array_equal(ref(list(accs)).pack(),
-                              fast(list(accs)).pack())
+        self._packed_fold_equals_scalar_fold(
+            [MomentAccumulator.from_data(b) for b in self._blocks(10, 31, 40)])
 
     def test_merge_moments_with_empty_accumulator(self):
-        accs = [MomentAccumulator(), *(MomentAccumulator.from_data(b)
-                                       for b in self._blocks(11, 5, 9))]
-        ref, fast = both("statistics.merge_moments")
-        assert np.array_equal(ref(list(accs)).pack(),
-                              fast(list(accs)).pack())
+        self._packed_fold_equals_scalar_fold(
+            [MomentAccumulator(), *(MomentAccumulator.from_data(b)
+                                    for b in self._blocks(11, 5, 9))])
 
     def test_merge_packed_moments_identical(self):
         n_vars = 5
@@ -616,14 +584,14 @@ def test_neighbor_tables_are_built_once_across_steps_of_an_uneven_split():
     ids = global_id_array(shape)
     block_ids = [ids[b.slices] for b in decomp.blocks()]
     masks = [block_boundary_mask(b, shape) for b in decomp.blocks()]
-    nb._neighbor_table.cache_clear()
+    mt._neighbor_table.cache_clear()
     with use_backend("numpy"):
         for _ in range(2):
             solver.step()
             compute_boundary_trees([p["T"] for p in solver.parts],
                                    block_ids, masks)
             compute_merge_tree(solver.assemble()["T"])
-    assert nb._neighbor_table.cache_info().misses == 9
+    assert mt._neighbor_table.cache_info().misses == 9
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +615,7 @@ class TestHypothesis:
     def test_glue_batch_raises_what_the_streaming_glue_raises(
             self, kind, place, seed, proc_grid):
         """One offender, placed first, in the middle or last of the
-        stream: same exception type, same message, on both backends."""
+        stream: same exception type, same message, in both bodies."""
         from repro.analysis.topology.distributed import (
             compute_block_boundary_trees,
             cross_block_edges,
@@ -705,13 +673,14 @@ class TestHypothesis:
     def test_moments_property(self, rows):
         blocks = [np.asarray(r, dtype=np.float64) for r in rows]
         ref_learn, fast_learn = both("statistics.learn_blocks")
-        ref_merge, fast_merge = both("statistics.merge_moments")
+        ref_merge, fast_merge = both("statistics.merge_packed_moments")
         accs_a = ref_learn([b.copy() for b in blocks])
         accs_b = fast_learn([b.copy() for b in blocks])
         for x, y in zip(accs_a, accs_b):
             assert np.array_equal(x.pack(), y.pack())
-        assert np.array_equal(ref_merge(accs_a).pack(),
-                              fast_merge(accs_b).pack())
+        (merged_a,) = ref_merge([a.pack() for a in accs_a], 1)
+        (merged_b,) = fast_merge([b.pack() for b in accs_b], 1)
+        assert np.array_equal(merged_a.pack(), merged_b.pack())
 
 
 # ---------------------------------------------------------------------------
@@ -767,3 +736,117 @@ def _digest(result):
         return repr(obj)
 
     return json.dumps(norm(result), sort_keys=True, default=repr)
+
+
+# ---------------------------------------------------------------------------
+# oracle coverage: every kernel, both bodies, and the switch that reaches
+# the reference
+# ---------------------------------------------------------------------------
+
+
+def _packed_moments(rng, ranks, n_vars):
+    return [np.concatenate([MomentAccumulator.from_data(
+        rng.uniform(0, 1, 12)).pack() for _ in range(n_vars)])
+        for _ in range(ranks)]
+
+
+def _lag_partials(rng, ranks, max_lag):
+    partials = []
+    for _ in range(ranks):
+        learner = AutocorrelationLearner(max_lag)
+        for _ in range(max_lag + 2):
+            learner.observe(rng.uniform(0, 1, 16))
+        partials.append(learner.pack())
+    return partials, max_lag
+
+
+def _glue_inputs(rng):
+    from repro.analysis.topology.distributed import (
+        compute_block_boundary_trees,
+        cross_block_edges,
+    )
+
+    decomp = BlockDecomposition3D((6, 5, 4), (2, 1, 1))
+    return (compute_block_boundary_trees(rng.uniform(0, 1, (6, 5, 4)),
+                                         decomp),
+            cross_block_edges(decomp))
+
+
+def _graph_inputs(rng):
+    values = {int(v): float(x) for v, x in
+              zip(rng.permutation(40) * 3, rng.uniform(0, 1, 40))}
+    ids = sorted(values)
+    edges = [(ids[i], ids[j]) for i, j in rng.integers(0, 40, (60, 2))
+             if i != j]
+    return values, edges
+
+
+#: Kernel name -> builder of one call's arguments, each on the vectorized
+#: body's array path (no reference fallback). One entry per kernel: this
+#: table is what keeps every reference body running in tier-1.
+ORACLE_CASES = {
+    "statistics.autocorr_cross_sums": lambda rng: (
+        rng.uniform(-2, 2, 64), [rng.uniform(-2, 2, 64) for _ in range(3)]),
+    "statistics.autocorr_merge": lambda rng: _lag_partials(rng, 5, 3),
+    "statistics.learn_blocks": lambda rng: (
+        [rng.uniform(-3, 7, 32) for _ in range(6)],),
+    "statistics.merge_packed_moments": lambda rng: (
+        _packed_moments(rng, 6, 3), 3),
+    "topology.glue_batch": _glue_inputs,
+    "topology.graph_merge_tree": _graph_inputs,
+    "topology.merge_tree": lambda rng: (rng.uniform(0, 1, (5, 4, 3)),),
+    "topology.merge_trees": lambda rng: (
+        [rng.uniform(0, 1, s) for s in ((4, 3), (4, 3), (5, 2))],),
+}
+
+
+def _dispatcher(name):
+    """The ``@kernel`` wrapper that declares kernel ``name``."""
+    import importlib
+
+    from repro.backend import KERNEL_MODULES
+
+    module = importlib.import_module(KERNEL_MODULES[name])
+    return next(f for f in vars(module).values()
+                if getattr(f, "kernel_name", None) == name)
+
+
+def _counted(fn, *args):
+    """``fn(*args)`` and how often each code object was entered."""
+    from collections import Counter
+
+    entered = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            entered[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, entered
+
+
+def test_oracle_table_covers_every_kernel():
+    assert set(ORACLE_CASES) == set(kernel_names())
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_kernel_equals_its_reference_and_the_switch_reaches_it(name):
+    args = ORACLE_CASES[name](np.random.default_rng(2012))
+    reference, body = both(name)
+    bodies = {kernel_impl(k, "numpy").__code__ for k in kernel_names()}
+    call = _dispatcher(name)
+    assert call.reference is reference
+
+    fast, entered = _counted(call, *args)
+    assert (entered[body.__code__], entered[reference.__code__]) == (1, 0)
+
+    with use_backend("reference"):
+        oracle, entered = _counted(call, *args)
+    assert entered[reference.__code__] == 1
+    assert not [c.co_name for c in bodies if entered[c]]
+    assert _digest(fast) == _digest(oracle)
+    assert _digest(reference(*args)) == _digest(oracle)

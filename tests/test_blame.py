@@ -1,7 +1,11 @@
 """Tests for latency blame attribution and trace diffing."""
 
+import argparse
+import re
+
 import pytest
 
+from repro.cli import build_parser
 from repro.core import ExperimentConfig, ScaledExperiment
 from repro.faults import FaultConfig, run_resilience_experiment
 from repro.obs import (
@@ -222,4 +226,11 @@ class TestDiffHtml:
         diff = diff_traces(trace, trace)
         out = write_trace_diff(tmp_path / "diff.html", diff)
         assert out.exists()
-        assert "trace diff" in out.read_text()
+        html = out.read_text()
+        assert "trace diff" in html
+        # The footer names a verb and a flag the CLI accepts.
+        verb, flag = re.search(r"<footer>generated by <code>python -m repro "
+                               r"(\S+) (\S+)</code>", html).groups()
+        verbs = next(a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices
+        assert flag in verbs[verb]._option_string_actions

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.statistics.moments import MomentAccumulator
+from repro.analysis.statistics.moments import (
+    LEARN_BLOCK_MAX_ELEMS,
+    MomentAccumulator,
+)
 from repro.analysis.statistics.stages import derive, learn
 from repro.analysis.topology.merge_tree import compute_merge_tree
-from repro.backend import numpy_backend, use_backend
+from repro.backend import use_backend
 from repro.core import HybridFramework
 from repro.sim import VARIABLE_NAMES, LiftedFlameCase, StructuredGrid3D
 from repro.vmpi import BlockDecomposition3D
@@ -190,7 +193,7 @@ def _stats_layouts(draw):
 class TestInSituPartials:
     @pytest.mark.parametrize("backend", ["reference", "numpy"])
     @given(layout=_stats_layouts())
-    # Even splits, so the numpy backend stacks the blocks (small) or
+    # Even splits, so the vectorized learn stacks the blocks (small) or
     # learns them one by one (large); the draws add uneven ones.
     @example(layout=((2, 2, 2), (24, 24, 16), False, ["T", "H2", "OH"]))
     @example(layout=((2, 1, 1), (26, 13, 13), True, ["OH", "T"]))
@@ -202,7 +205,7 @@ class TestInSituPartials:
         procs, shape, large, names = layout
         decomp = BlockDecomposition3D(shape, procs)
         sizes = [b.n_cells for b in decomp.blocks()]
-        gate = numpy_backend.LEARN_BLOCK_MAX_ELEMS
+        gate = LEARN_BLOCK_MAX_ELEMS
         assert min(sizes) > gate if large else max(sizes) <= gate
         fw = HybridFramework(LiftedFlameCase(StructuredGrid3D(shape), seed=5),
                              decomp, analyses=("statistics",),

@@ -77,18 +77,28 @@ def test_benchmark_workloads_skip_the_side_subsystems():
 
 def test_kernel_registry_is_independent_of_import_history():
     """A fresh ``import repro.backend`` knows every kernel; asking for a
-    reference body imports the module that declares it."""
+    body imports the module that declares it."""
     out = _python(
         "import sys\n"
         "from repro.backend import kernel_impl, kernel_names\n"
-        "from repro.backend import numpy_backend as nb\n"
         "assert 'repro.analysis.topology.stream_merge' not in sys.modules\n"
         "print(len(kernel_names()))\n"
-        "print(nb._ref('topology.graph_merge_tree').__module__)\n"
+        "print(kernel_impl('topology.graph_merge_tree').__module__)\n"
         "print(kernel_impl('statistics.autocorr_merge', 'reference')"
         ".__module__)\n").stdout.split()
-    assert out == ["10", "repro.analysis.topology.stream_merge",
+    assert out == ["8", "repro.analysis.topology.stream_merge",
                    "repro.analysis.statistics.autocorrelation"]
+
+
+def test_backend_seam_imports_no_kernel_module():
+    """The seam is what cold starts import to pick the vectorized bodies
+    (``set_backend("numpy")``) before any kernel runs: it must cost no
+    analysis, collective or numpy import."""
+    modules, numpy = _loaded("import repro.backend\n"
+                             "repro.backend.set_backend('numpy')")
+    assert not [m for m in modules
+                if m.startswith(("repro.analysis", "repro.vmpi"))], modules
+    assert not numpy
 
 
 def test_exports_survive_importing_every_submodule_first():
@@ -126,6 +136,6 @@ def test_exports_survive_importing_every_submodule_first():
     assert problems == []
     packages = {str(p.parent.relative_to(ROOT / "src")).replace(os.sep, ".")
                 for p in (ROOT / "src" / "repro").rglob("__init__.py")}
-    # repro.backend registers its numpy loader on import; repro.analysis
-    # exports nothing.
+    # repro.backend is the kernel seam itself, with no submodule to
+    # defer; repro.analysis exports nothing.
     assert set(lazy) == packages - {"repro.backend", "repro.analysis"}

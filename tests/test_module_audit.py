@@ -21,8 +21,6 @@ SRC = ROOT / "src"
 #: module -> why it stays although no ``import`` statement reaches it.
 ALLOWED = {
     "repro.__main__": "entry point of `python -m repro`",
-    "repro.backend.numpy_backend":
-        "loaded by name through the backend registry",
 }
 
 
@@ -158,8 +156,7 @@ ALLOWED_NAMES = {
     "repro.analysis.visualization.transfer_function:TransferFunction.grayscale":
         _PAPER,
     "repro.analysis.visualization.views:ViewSession.remove_view": _PAPER,
-    "repro.backend.registry:available_backends": _ACCESSOR,
-    "repro.backend.registry:kernel_names": _ACCESSOR,
+    "repro.backend:kernel_names": _ACCESSOR,
     "repro.control.controller:PlacementController.decision_log_json":
         _ACCESSOR,
     "repro.obs.perf:RegressionReport.by_status": _ACCESSOR,
