@@ -2,12 +2,12 @@
 
 Commands:
 
-* ``tables``    — print the modeled Table I and Table II reproductions;
+* ``tables``    — print the modeled Table I and Table II reproductions and
+  the post-processing vs concurrent trade-off table;
 * ``simulate``  — run the functional hybrid pipeline on a small flame and
   print per-step analysis results;
 * ``track``     — run the Fig.-1 feature-tracking experiment;
 * ``render``    — render the flame in both visualization modes to PPM;
-* ``tradeoff``  — print the post-processing vs concurrent trade-off table;
 * ``replay``    — replay the full-scale staging schedule once (the
   laptop-scale pipeline with ``--functional``), report whether the
   in-transit queue keeps pace, and attach observers to that one run:
@@ -29,11 +29,10 @@ Commands:
   self-contained HTML dashboard;
 * ``serve``     — drain a multi-tenant JSONL campaign batch through the
   service layer (fair-share queue, per-tenant quotas, sharded staging,
-  memoized schedule cache) and emit the per-tenant report;
-* ``top``       — live view of a draining campaign batch: per-tenant
-  queue/cache/alert state over the streaming telemetry bus, with
-  ``--follow --jsonl`` event export for collectors and per-tenant
-  burn-rate alert gates;
+  memoized schedule cache) and emit the per-tenant report; ``--follow``
+  (refreshing view), ``--jsonl`` (event lines for collectors) or
+  ``--out`` (event stream to a file) attach the live telemetry plane and
+  its per-tenant burn-rate alerts;
 * ``submit``    — append one validated job spec to a JSONL batch file;
 * ``jobs``      — list job records from the service state directory.
 
@@ -83,8 +82,13 @@ def _resolve_out(explicit: str | None, out_dir: str, default_name: str
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from repro.core import AnalyticsVariant, ExperimentConfig, ScaledExperiment
-    from repro.util import TextTable
+    from repro.core import (
+        AnalyticsVariant,
+        ExperimentConfig,
+        ScaledExperiment,
+        TradeoffModel,
+    )
+    from repro.util import TextTable, fmt_bytes, fmt_seconds
 
     configs = [ExperimentConfig.paper_4896(), ExperimentConfig.paper_9440()]
     breakdowns = {c.name: ScaledExperiment(c).breakdown() for c in configs}
@@ -106,6 +110,24 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     for v in AnalyticsVariant:
         t2.add_row(b.analytics[v.value].table_row())
     print(t2)
+
+    # A checkpoint every 400 steps of a 2,000-step run, against analysing
+    # concurrently (hybrid or fully in-situ) at 4896 cores.
+    model = TradeoffModel(ScaledExperiment(configs[0]))
+    outcomes = {
+        "post @400": model.postprocessing(400, 2000),
+        "hybrid @1": model.concurrent_hybrid(1),
+        "hybrid @10": model.concurrent_hybrid(10),
+        "in-situ @1": model.fully_insitu(1),
+    }
+    t3 = TextTable(["strategy", "stride", "sim slowdown", "time to insight",
+                    "storage/analysed step"],
+                   title="\nAnalysis delivery trade-off at 4896 cores "
+                         "(modeled)")
+    for name, o in outcomes.items():
+        t3.add_row([name, o.temporal_stride, f"{o.slowdown_percent:.2f}%",
+                    fmt_seconds(o.time_to_insight), fmt_bytes(o.storage_bytes)])
+    print(t3)
     return 0
 
 
@@ -189,27 +211,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
     write_ppm(f"{args.prefix}_hybrid.ppm", hybrid)
     print(f"wrote {args.prefix}_insitu.ppm and {args.prefix}_hybrid.ppm "
           f"(RMSE {image_rmse(insitu, hybrid):.4f})")
-    return 0
-
-
-def _cmd_tradeoff(args: argparse.Namespace) -> int:
-    from repro.core import ExperimentConfig, ScaledExperiment, TradeoffModel
-    from repro.util import TextTable, fmt_bytes, fmt_seconds
-
-    model = TradeoffModel(ScaledExperiment(ExperimentConfig.paper_4896()))
-    outcomes = {
-        f"post @{args.checkpoint_stride}": model.postprocessing(
-            args.checkpoint_stride, args.run_steps),
-        "hybrid @1": model.concurrent_hybrid(1),
-        "hybrid @10": model.concurrent_hybrid(10),
-        "in-situ @1": model.fully_insitu(1),
-    }
-    t = TextTable(["strategy", "stride", "sim slowdown", "time to insight",
-                   "storage/analysed step"])
-    for name, o in outcomes.items():
-        t.add_row([name, o.temporal_stride, f"{o.slowdown_percent:.2f}%",
-                   fmt_seconds(o.time_to_insight), fmt_bytes(o.storage_bytes)])
-    print(t)
     return 0
 
 
@@ -654,141 +655,52 @@ def _parse_quota_flags(pairs: list[str]) -> list:
     return quotas
 
 
-def _batch(args: argparse.Namespace):
-    """What ``serve`` and ``top`` drain: the batch file's job specs, and
-    the service constructor with the worker pool and the quotas (batch
-    lines, then ``--quota`` flags, then ``--default-quota``) filled in."""
-    from repro.service import CampaignService, TenantQuota
-
-    specs, quotas = _load_batch(Path(args.jobs))
-    if not specs:
-        raise SystemExit(f"batch file {args.jobs} holds no jobs")
-    quotas += _parse_quota_flags(args.quota)
-    return specs, partial(
-        CampaignService, workers=args.workers, quotas=quotas,
-        default_quota=TenantQuota("*", max_concurrent=args.default_quota))
-
-
-def _report_failed(report, file) -> int:
-    """Name each failed job of a drained batch; 1 if there is one."""
-    failed = [j for j in report.jobs if j.state.value == "failed"]
-    for job in failed:
-        print(f"FAILED {job.job_id}: {job.error}", file=file)
-    return 1 if failed else 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.obs.perf import RunStore
-    from repro.service import ScheduleCache
-
-    specs, make_service = _batch(args)
-    state = _service_state(args)
-    service = make_service(cache=ScheduleCache(state / "cache"),
-                           jobs_store=RunStore(state / "jobs"))
-    report = service.run_batch(specs)
-
-    print(report.table())
-    if report.shard_balance is not None:
-        bal = report.shard_balance
-        print(f"shard balance over {bal.n_shards} shard(s): "
-              f"imbalance {bal.imbalance('tasks'):.2f}x tasks, "
-              f"{bal.imbalance('bytes'):.2f}x bytes")
-    out = _resolve_out(args.report, args.out_dir, "service_report.json")
-    _write_json(out, report.to_dict())
-    print(f"wrote {out}")
-
-    rc = _report_failed(report, sys.stdout)
-    for job in report.jobs:
-        if job.state.value not in ("done", "failed"):
-            print(f"STUCK {job.job_id}: still {job.state.value} after drain")
-            rc = 1
-    if args.min_cache_hit_rate is not None \
-            and report.cache_hit_rate < args.min_cache_hit_rate:
-        print(f"CACHE MISS RATE TOO HIGH: hit rate "
-              f"{report.cache_hit_rate:.0%} < required "
-              f"{args.min_cache_hit_rate:.0%}")
-        rc = 1
-    if args.expect_quota_held and report.held_events == 0:
-        print("EXPECTED QUOTA ENFORCEMENT: no job was ever held")
-        rc = 1
-    return rc
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
+def _drain_live(args: argparse.Namespace, make_service: Callable,
+                specs: list, info):
+    """Drain the batch with the live plane on: a recording tracer, the
+    telemetry bus and probes every 5 simulated seconds. Events go to
+    ``--out`` and, with ``--jsonl``, to stdout before one summary line;
+    ``--follow`` repaints the view every 60 service seconds."""
     import json
     import time
+    from contextlib import nullcontext
 
-    from repro.obs import (
-        TelemetryBus,
-        default_objectives,
-        disable_tracing,
-        enable_tracing,
-        event_to_json,
-        render_top,
-    )
-    from repro.service import ScheduleCache
+    from repro.obs import TelemetryBus, event_to_json, render_top
+    from repro.obs.tracer import tracing
 
-    specs, make_service = _batch(args)
-    bus = TelemetryBus(capacity=args.capacity)
+    bus = TelemetryBus()
     sub = bus.subscribe("cli")
-    # The live plane needs a recording tracer: the bus hooks live on
-    # Tracer, and everything publishes DES-clock data only, so the
-    # event stream of a same-seed batch is byte-identical across runs.
-    # The service attaches the bus itself once its worker pool is up.
-    enable_tracing()
-    out_fh = None
-    try:
-        # No --state-dir -> in-memory schedule cache: re-running the
-        # same batch replays every job identically instead of serving
-        # a warmed cache (which would change the event stream).
-        cache = (ScheduleCache(_anchor(args.state_dir) / "cache")
-                 if args.state_dir else None)
-        service = make_service(
-            cache=cache, bus=bus,
-            objectives=default_objectives(
-                queue_wait_target=args.queue_wait_slo,
-                slowdown_target=args.slowdown_slo),
-            probe_interval=args.probe_interval)
+    out_path = (_resolve_out(args.out, args.out_dir, "repro_live.jsonl")
+                if args.out else None)
+    # The bus hooks live on a recording tracer, and everything publishes
+    # DES-clock data only, so a same-seed batch over the same cache state
+    # streams byte-identical events. The service attaches the bus itself
+    # once its worker pool is up.
+    with tracing(), (open(out_path, "w", encoding="utf-8") if out_path
+                     else nullcontext()) as out_fh:
+        service = make_service(bus=bus, probe_interval=5.0)
         for spec in specs:
             service.submit(spec)
-        if args.out:
-            out_path = _resolve_out(args.out, args.out_dir,
-                                    "repro_live.jsonl")
-            out_fh = open(out_path, "w", encoding="utf-8")
-
-        def drain_events() -> None:
+        # Step the engine event by event and drain the bus once per
+        # minute of service time and at the drain: the cadence sets how
+        # often the view repaints, never the stream, and the clock stops
+        # exactly at the drain.
+        engine, boundary = service.engine, 60.0
+        while not engine.idle():
+            engine.run(until=engine.next_event_time())
+            if engine.now < boundary and not engine.idle():
+                continue
+            boundary = engine.now + 60.0
             for event in sub.poll():
                 line = event_to_json(event)
                 if args.jsonl:
                     print(line)
                 if out_fh is not None:
                     out_fh.write(line + "\n")
-
-        # Drive the service engine event-by-event, repainting once per
-        # --slice of service time; the cadence never changes the event
-        # stream, only how often the screen refreshes, and the clock
-        # stops exactly at the drain (no overshoot to a slice boundary).
-        boundary = args.slice
-        while True:
-            nxt = service.engine.next_event_time()
-            if nxt is None:
-                break
-            service.engine.run(until=nxt)
-            if service.engine.now < boundary and not service.engine.idle():
-                continue
-            boundary = service.engine.now + args.slice
-            drain_events()
-            if args.follow and not args.jsonl:
-                print(render_top(service, bus, service.monitor))
-                print()
-            if args.follow and not args.once:
+            if args.follow:
+                print(render_top(service, bus, service.monitor) + "\n")
                 time.sleep(args.refresh)
-        drain_events()
         report = service.report()
-    finally:
-        if out_fh is not None:
-            out_fh.close()
-        disable_tracing()
 
     by_tenant = {t: r.alerts for t, r in sorted(report.tenants.items())}
     if args.jsonl:
@@ -809,21 +721,62 @@ def _cmd_top(args: argparse.Namespace) -> int:
               f"{bus.published} events, {bus.dropped_total} dropped, "
               f"{len(report.alerts)} alert(s) "
               f"({', '.join(f'{t}={n}' for t, n in by_tenant.items())})")
-    if out_fh is not None:
-        print(f"wrote {out_path}", file=sys.stderr)
+    if out_path is not None:
+        print(f"wrote {out_path}", file=info)
+    return report
 
-    rc = _report_failed(report, sys.stderr)
-    for tenant in args.expect_alerts:
-        if not by_tenant.get(tenant):
-            print(f"EXPECTED ALERTS for tenant {tenant!r}, got none",
-                  file=sys.stderr)
-            rc = 1
-    for tenant in args.expect_clean:
-        if by_tenant.get(tenant):
-            print(f"EXPECTED NO ALERTS for tenant {tenant!r}, got "
-                  f"{by_tenant[tenant]}", file=sys.stderr)
-            rc = 1
-    return rc
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.obs.perf import RunStore
+    from repro.service import CampaignService, ScheduleCache, TenantQuota
+
+    specs, quotas = _load_batch(Path(args.jobs))
+    if not specs:
+        raise SystemExit(f"batch file {args.jobs} holds no jobs")
+    # Quota precedence: batch lines, then --quota, then --default-quota.
+    quotas += _parse_quota_flags(args.quota)
+    state = _service_state(args)
+    make_service = partial(
+        CampaignService, workers=args.workers, quotas=quotas,
+        default_quota=TenantQuota("*", max_concurrent=args.default_quota),
+        cache=ScheduleCache(state / "cache"),
+        jobs_store=RunStore(state / "jobs"))
+    # --jsonl keeps stdout for the event lines and the summary line.
+    info = sys.stderr if args.jsonl else sys.stdout
+    if args.follow or args.jsonl or args.out:
+        report = _drain_live(args, make_service, specs, info)
+    else:
+        report = make_service().run_batch(specs)
+
+    print(report.table(), file=info)
+    if report.shard_balance is not None:
+        bal = report.shard_balance
+        print(f"shard balance over {bal.n_shards} shard(s): "
+              f"imbalance {bal.imbalance('tasks'):.2f}x tasks, "
+              f"{bal.imbalance('bytes'):.2f}x bytes", file=info)
+    out = _resolve_out(args.report, args.out_dir, "service_report.json")
+    _write_json(out, report.to_dict())
+    print(f"wrote {out}", file=info)
+
+    alerts = {t: r.alerts for t, r in report.tenants.items()}
+    problems = [
+        f"FAILED {job.job_id}: {job.error}" if job.state.value == "failed"
+        else f"STUCK {job.job_id}: still {job.state.value} after drain"
+        for job in report.jobs if job.state.value != "done"]
+    if (args.min_cache_hit_rate is not None
+            and report.cache_hit_rate < args.min_cache_hit_rate):
+        problems.append(f"CACHE MISS RATE TOO HIGH: hit rate "
+                        f"{report.cache_hit_rate:.0%} < required "
+                        f"{args.min_cache_hit_rate:.0%}")
+    if args.expect_quota_held and report.held_events == 0:
+        problems.append("EXPECTED QUOTA ENFORCEMENT: no job was ever held")
+    problems += [f"EXPECTED ALERTS for tenant {t!r}, got none"
+                 for t in args.expect_alerts if not alerts.get(t)]
+    problems += [f"EXPECTED NO ALERTS for tenant {t!r}, got {alerts[t]}"
+                 for t in args.expect_clean if alerts.get(t)]
+    for line in problems:
+        print(line, file=info)
+    return 1 if problems else 0
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -882,13 +835,15 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(least, cast=int):
-    """argparse type: a ``cast`` number no smaller than ``least``."""
+def _at_least(least, cast=int, most=None):
+    """argparse type: a ``cast`` number no smaller than ``least`` and, if
+    ``most`` is given, no larger than ``most`` (NaN is neither)."""
     def parse(text: str):
         value = cast(text)
-        if value < least:
+        if not (least <= value and (most is None or value <= most)):
             raise argparse.ArgumentTypeError(
-                f"must be >= {least}, got {text}")
+                f"must be >= {least}, got {text}" if most is None
+                else f"must be in [{least}, {most}], got {text}")
         return value
     parse.__name__ = cast.__name__  # "invalid int value: 'x'"
     return parse
@@ -906,6 +861,11 @@ def build_parser() -> argparse.ArgumentParser:
     out_dir = argparse.ArgumentParser(add_help=False)
     out_dir.add_argument("--out-dir", default="repro_out",
                          help="artifact directory (default: repro_out/)")
+    state_dir = argparse.ArgumentParser(add_help=False, parents=[out_dir])
+    state_dir.add_argument("--state-dir", default=None,
+                           help="service state directory holding the "
+                                "schedule cache and job records "
+                                "(default: <out-dir>/service)")
 
     def plan_flags(steps: int | None = None, buckets: int | None = None,
                    interval: bool = False, analyses: bool = False
@@ -929,21 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "hybrid variants)")
         return flags
 
-    batch = argparse.ArgumentParser(add_help=False, parents=[out_dir])
-    batch.add_argument("--jobs", required=True,
-                       help="JSONL batch file (one job spec per line; "
-                            '{"quota": {...}} lines set tenant quotas)')
-    batch.add_argument("--workers", type=int, default=2,
-                       help="DES worker pool size (default: 2)")
-    batch.add_argument("--quota", action="append", default=[],
-                       metavar="TENANT=N",
-                       help="max concurrent jobs for a tenant (repeatable); "
-                            "overrides quota lines in the batch file")
-    batch.add_argument("--default-quota", type=int, default=2,
-                       help="max concurrent jobs for tenants without an "
-                            "explicit quota (default: 2)")
-
-    sub.add_parser("tables", help="print the Table I/II reproductions")
+    sub.add_parser("tables", help="print the Table I/II reproductions and "
+                                   "the analysis delivery trade-off")
 
     p = sub.add_parser("simulate", help="run the functional hybrid pipeline",
                        parents=[plan_flags(5, 4)])
@@ -962,14 +909,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render both visualization modes",
                        parents=[plan_flags(steps=5)])
-    p.add_argument("--stride", type=int, default=2)
-    p.add_argument("--size", type=int, default=48)
+    p.add_argument("--stride", type=_at_least(1), default=2)
+    p.add_argument("--size", type=_at_least(1), default=48)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--prefix", default="repro_render")
-
-    p = sub.add_parser("tradeoff", help="analysis delivery trade-off table")
-    p.add_argument("--checkpoint-stride", type=int, default=400)
-    p.add_argument("--run-steps", type=int, default=2000)
 
     p = sub.add_parser("replay", help="replay one run once and attach "
                                       "observers to it (trace, event log, "
@@ -999,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="split the makespan and each step's latency into "
                         "blame buckets (default path: "
                         "<out-dir>/repro_blame.json)")
-    p.add_argument("--top-kernels", type=int, default=0, metavar="N",
+    p.add_argument("--top-kernels", type=_at_least(0), default=0, metavar="N",
                    help="blame, and rank the top N kernels by wall time "
                         "(kernel-tagged spans from the backend seam)")
 
@@ -1023,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run-store directory (default: <out-dir>/perf)")
     p.add_argument("--baseline", default="benchmarks/results/baseline",
                    help="committed baseline store directory")
-    p.add_argument("--window", type=int, default=5,
+    p.add_argument("--window", type=_at_least(1), default=5,
                    help="baseline rolling window (last N records)")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-injection seed for the recovery phase")
@@ -1043,60 +986,46 @@ def build_parser() -> argparse.ArgumentParser:
                         "<out-dir>/perf_dashboard.html)")
 
     p = sub.add_parser("serve", help="drain a multi-tenant campaign batch "
-                                     "through the service layer",
-                       parents=[batch])
-    p.add_argument("--state-dir", default=None,
-                   help="service state directory holding the schedule "
-                        "cache and job records "
-                        "(default: <out-dir>/service)")
+                                     "through the service layer (--follow, "
+                                     "--jsonl or --out: live telemetry and "
+                                     "burn-rate alerts)",
+                       parents=[state_dir])
+    p.add_argument("--jobs", required=True,
+                   help="JSONL batch file (one job spec per line; "
+                        '{"quota": {...}} lines set tenant quotas)')
+    p.add_argument("--workers", type=_at_least(1), default=2,
+                   help="DES worker pool size (default: 2)")
+    p.add_argument("--quota", action="append", default=[],
+                   metavar="TENANT=N",
+                   help="max concurrent jobs for a tenant (repeatable); "
+                        "overrides quota lines in the batch file")
+    p.add_argument("--default-quota", type=_at_least(1), default=2,
+                   help="max concurrent jobs for tenants without an "
+                        "explicit quota (default: 2)")
     p.add_argument("--report", default=None,
                    help="batch report JSON path "
                         "(default: <out-dir>/service_report.json)")
-    p.add_argument("--min-cache-hit-rate", type=float, default=None,
-                   metavar="RATE",
-                   help="exit 1 if the batch cache hit rate is below RATE "
-                        "(e.g. 1.0 for a warm resubmission)")
+    p.add_argument("--min-cache-hit-rate", type=_at_least(0.0, float, 1.0),
+                   default=None, metavar="RATE",
+                   help="exit 1 if the batch cache hit rate is below RATE, "
+                        "in [0, 1] (e.g. 1.0 for a warm resubmission)")
     p.add_argument("--expect-quota-held", action="store_true",
                    help="exit 1 unless admission control held at least "
                         "one job (quota-enforcement smoke check)")
-
-    p = sub.add_parser("top", help="live view of a draining campaign batch "
-                                   "(telemetry bus + burn-rate alerts)",
-                       parents=[batch])
-    p.add_argument("--state-dir", default=None,
-                   help="persist the schedule cache here (default: "
-                        "in-memory, so same-seed reruns replay "
-                        "identically)")
-    p.add_argument("--follow", action="store_true",
-                   help="stream while the batch drains (frames, or "
-                        "events with --jsonl) instead of only the final "
-                        "state")
-    p.add_argument("--jsonl", action="store_true",
-                   help="emit bus events as JSON lines (one per event) "
-                        "plus a final summary line, for collectors")
-    p.add_argument("--once", action="store_true",
-                   help="do not pace frames against the wall clock "
-                        "(CI/smoke mode: drain at machine speed)")
+    live = p.add_mutually_exclusive_group()
+    live.add_argument("--follow", action="store_true",
+                      help="repaint the live view every 60 service seconds "
+                           "while the batch drains")
+    live.add_argument("--jsonl", action="store_true",
+                      help="emit bus events as JSON lines (one per event) "
+                           "plus a final summary line on stdout, for "
+                           "collectors; everything else goes to stderr")
     p.add_argument("--refresh", type=_at_least(0.0, float), default=1.0,
-                   help="wall seconds between frames with --follow "
-                        "(default: 1.0)")
-    p.add_argument("--slice", type=float, default=60.0,
-                   help="service-clock seconds advanced per frame "
-                        "(default: 60)")
+                   help="wall seconds between --follow frames (default: "
+                        "1.0; 0 drains at machine speed)")
     p.add_argument("--out", default=None,
                    help="also tee the event stream to this JSONL file "
                         "(relative paths land under --out-dir)")
-    p.add_argument("--capacity", type=int, default=65536,
-                   help="telemetry-bus ring capacity (default: 65536)")
-    p.add_argument("--probe-interval", type=float, default=5.0,
-                   help="probe sampling period inside each replay, in "
-                        "simulated seconds (default: 5)")
-    p.add_argument("--queue-wait-slo", type=float, default=90.0,
-                   help="queue-wait SLO target in service seconds "
-                        "(default: 90)")
-    p.add_argument("--slowdown-slo", type=float, default=3.5,
-                   help="makespan-slowdown SLO target vs pure simulation "
-                        "time (default: 3.5)")
     p.add_argument("--expect-alerts", action="append", default=[],
                    metavar="TENANT",
                    help="exit 1 unless this tenant raised >= 1 burn-rate "
@@ -1136,10 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wire seconds each stalled pull loses")
 
     p = sub.add_parser("jobs", help="list completed service job records",
-                       parents=[out_dir])
-    p.add_argument("--state-dir", default=None,
-                   help="service state directory "
-                        "(default: <out-dir>/service)")
+                       parents=[state_dir])
     p.add_argument("--tenant", default=None,
                    help="only this tenant's jobs")
     p.add_argument("--limit", type=_at_least(0), default=0,
@@ -1152,12 +1078,10 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "track": _cmd_track,
     "render": _cmd_render,
-    "tradeoff": _cmd_tradeoff,
     "replay": _cmd_replay,
     "check": _cmd_check,
     "perf": _cmd_perf,
     "serve": _cmd_serve,
-    "top": _cmd_top,
     "submit": _cmd_submit,
     "jobs": _cmd_jobs,
 }

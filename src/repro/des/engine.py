@@ -234,9 +234,9 @@ class Engine:
     def idle(self) -> bool:
         """True once no event remains (``run`` would return immediately).
 
-        Live viewers (``repro top``) drive the engine in bounded slices
-        — ``run(until=...)`` — and use this to know when the batch has
-        fully drained.
+        Live viewers (``repro serve --follow``) drive the engine in
+        bounded slices — ``run(until=...)`` — and use this to know when
+        the batch has fully drained.
         """
         return not self._due and not self._heap
 

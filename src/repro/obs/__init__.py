@@ -28,8 +28,8 @@ and every view below is a fold over it, run on read, ``poll()`` or
   (``python -m repro perf record|compare|report``).
 * Live plane — :class:`TelemetryBus` streaming spans/probes/alerts/job
   events in DES time with per-tenant attribution, :class:`BurnRateMonitor`
-  rolling SLO burn-rate alerting, and the ``repro top`` live service
-  view (``python -m repro top``).
+  rolling SLO burn-rate alerting, and the live service view
+  (``python -m repro serve --follow``).
 * Capacity plane — :class:`CapacityLedger` byte-accurate staging-memory
   and NIC-bandwidth ledgers with per-tenant/shard/source attribution,
   leak detection, and headroom reconciliation against the analytic
@@ -123,8 +123,6 @@ export_lazily(__name__, {
     "SpanRecord": "tracer",
     "Trace": "tracer",
     "Tracer": "tracer",
-    "disable_tracing": "tracer",
-    "enable_tracing": "tracer",
     "get_tracer": "tracer",
     "set_tracer": "tracer",
     "tracing": "tracer",

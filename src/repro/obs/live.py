@@ -24,9 +24,9 @@ same probe/metric/flow machinery into a *live*, per-tenant ops surface:
   :class:`Alert` fires when both windows burn too hot. A sustained
   violation is one alert until the objective recovers, replacing the
   fire-once ``slo.breach`` instants as the alerting surface.
-* :func:`render_top` — the refreshing text frame behind ``repro top``:
-  per-tenant queue depth, cache hit rate, worker occupancy, active
-  alerts and a controller-decision ticker over a draining
+* :func:`render_top` — the refreshing text frame behind ``repro serve
+  --follow``: per-tenant queue depth, cache hit rate, worker occupancy,
+  active alerts and a controller-decision ticker over a draining
   :class:`~repro.service.api.CampaignService`.
 
 Determinism contract: bus events carry only DES-clock timestamps and
@@ -375,24 +375,19 @@ class SloObjective:
                 "severity": self.severity}
 
 
-def default_objectives(queue_wait_target: float = 90.0,
-                       slowdown_target: float = 3.5
-                       ) -> tuple[SloObjective, ...]:
+def default_objectives() -> tuple[SloObjective, ...]:
     """The default tenant objectives for the campaign service.
 
-    * ``queue-wait`` — a tenant's jobs dispatch within
-      ``queue_wait_target`` service seconds of enqueue (worker-contention
-      QoS);
-    * ``makespan-slowdown`` — a job's replay makespan stays under
-      ``slowdown_target``x its pure-simulation time
-      (``n_steps * sim_step_time``); fault-driven retries, stalls and
-      lease recoveries push it past the target.
+    * ``queue-wait`` — a tenant's jobs dispatch within 90 service seconds
+      of enqueue (worker-contention QoS);
+    * ``makespan-slowdown`` — a job's replay makespan stays under 3.5x
+      its pure-simulation time (``n_steps * sim_step_time``); fault-driven
+      retries, stalls and lease recoveries push it past the target.
     """
     return (
-        SloObjective(name="queue-wait", metric="queue_wait_s",
-                     target=queue_wait_target),
+        SloObjective(name="queue-wait", metric="queue_wait_s", target=90.0),
         SloObjective(name="makespan-slowdown", metric="makespan_slowdown",
-                     target=slowdown_target),
+                     target=3.5),
     )
 
 
@@ -517,7 +512,7 @@ class BurnRateMonitor:
 
 
 # ---------------------------------------------------------------------------
-# The `repro top` frame renderer
+# The `repro serve --follow` frame renderer
 # ---------------------------------------------------------------------------
 
 
@@ -538,7 +533,7 @@ def render_top(service: "CampaignService", bus: TelemetryBus | None = None,
     lines: list[str] = []
     pool = service.pool
     lines.append(
-        f"repro top — t={service.engine.now:.3f}s service time, "
+        f"repro serve — t={service.engine.now:.3f}s service time, "
         f"{len(service.jobs)} job(s), workers "
         f"{pool.n_workers - pool.idle_count()}/{pool.n_workers} busy")
     if bus is not None:

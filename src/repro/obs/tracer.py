@@ -25,7 +25,7 @@ instant lists, the tag index — is a fold over that log, and an attached
 Tracing is off by default and *near-zero cost* when off: the module-level
 singleton is a :class:`NullTracer` whose ``enabled`` flag instrument sites
 check once (or whose methods are shared no-ops). Enable it for a run with
-:func:`enable_tracing` / the :func:`tracing` context manager **before**
+the :func:`tracing` context manager (or :func:`set_tracer`) **before**
 constructing the objects to observe — sites capture the tracer at
 construction.
 """
@@ -55,8 +55,6 @@ __all__ = [
     "NULL_TRACER",
     "get_tracer",
     "set_tracer",
-    "enable_tracing",
-    "disable_tracing",
     "tracing",
 ]
 
@@ -582,21 +580,6 @@ def set_tracer(tracer: Tracer | NullTracer) -> Tracer | NullTracer:
     global _TRACER
     _TRACER = tracer
     return tracer
-
-
-def enable_tracing() -> Tracer:
-    """Install (and return) a fresh recording tracer.
-
-    Call before constructing the engine/framework/solver to observe —
-    instrumentation sites capture the active tracer at construction.
-    """
-    tracer = Tracer()
-    set_tracer(tracer)
-    return tracer
-
-
-def disable_tracing() -> None:
-    set_tracer(NULL_TRACER)
 
 
 @contextmanager

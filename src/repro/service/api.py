@@ -32,7 +32,6 @@ from repro.obs.live import (
     KIND_CAPACITY,
     Alert,
     BurnRateMonitor,
-    SloObjective,
     TelemetryBus,
     default_objectives,
 )
@@ -231,7 +230,6 @@ class CampaignService:
                  cache: ScheduleCache | RunStore | str | Path | None = None,
                  jobs_store: RunStore | str | Path | None = None,
                  bus: TelemetryBus | None = None,
-                 objectives: tuple[SloObjective, ...] | None = None,
                  probe_interval: float | None = None) -> None:
         self.engine = Engine()
         self.queue = JobQueue()
@@ -242,14 +240,14 @@ class CampaignService:
         #: Live telemetry plane: the bus carries job/span/probe/alert
         #: events; the monitor turns queue-wait and makespan-slowdown
         #: observations into per-tenant burn-rate alerts. Both exist
-        #: even without a bus so `repro top` always has live state.
+        #: even without a bus so `repro serve` gates on alerts in every
+        #: mode.
         self.bus = bus
-        if objectives is None:
-            # Queue-wait/slowdown QoS plus the capacity plane's
-            # estimated-vs-measured staging and NIC objectives.
-            objectives = default_objectives() + capacity_objectives()
-        self.monitor = BurnRateMonitor(objectives, bus=bus,
-                                       tracer=get_tracer())
+        # Queue-wait/slowdown QoS plus the capacity plane's
+        # estimated-vs-measured staging and NIC objectives.
+        self.monitor = BurnRateMonitor(
+            default_objectives() + capacity_objectives(), bus=bus,
+            tracer=get_tracer())
         if jobs_store is not None:
             from repro.obs.perf import RunStore
 

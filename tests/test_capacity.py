@@ -162,7 +162,7 @@ class TestReplayAccounting:
         assert sched.capacity.final_resident_bytes == 0
 
     def test_the_event_log_does_not_keep_a_finished_ledger_alive(self):
-        # A tracer outlives its runs (`repro top`: one per batch).
+        # A tracer outlives its runs (`repro serve --jsonl`: one per batch).
         with tracing() as tracer:
             ledger = CapacityLedger()
             _experiment().run_schedule(n_steps=2, n_buckets=2,

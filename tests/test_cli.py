@@ -88,9 +88,13 @@ class TestCommands:
         assert "RMSE" in capsys.readouterr().out
 
     def test_tradeoff(self, capsys):
-        assert main(["tradeoff"]) == 0
+        """`tables` closes with the delivery trade-off table, after
+        Tables I and II."""
+        assert main(["tables"]) == 0
         out = capsys.readouterr().out
         assert "post @400" in out and "hybrid @1" in out
+        assert out.index("Table I") < out.index("Table II") \
+            < out.index("post @400")
 
     def test_schedule_healthy(self, capsys):
         rc = main(["replay", "--steps", "4", "--buckets", "8",
@@ -312,19 +316,41 @@ def test_a_bad_plan_flag_exits_with_the_plans_reason(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["top", "--jobs", "b.jsonl", "--refresh", "-1"],
+    (["serve", "--jobs", "b.jsonl", "--refresh", "-1"],
      "--refresh: must be >= 0.0, got -1"),
+    (["serve", "--jobs", "b.jsonl", "--workers", "0"],
+     "--workers: must be >= 1, got 0"),
+    (["serve", "--jobs", "b.jsonl", "--default-quota", "0"],
+     "--default-quota: must be >= 1, got 0"),
+    (["serve", "--jobs", "b.jsonl", "--min-cache-hit-rate", "5"],
+     "--min-cache-hit-rate: must be in [0.0, 1.0], got 5"),
+    (["serve", "--jobs", "b.jsonl", "--min-cache-hit-rate", "nan"],
+     "--min-cache-hit-rate: must be in [0.0, 1.0], got nan"),
+    (["serve", "--jobs", "b.jsonl", "--follow", "--jsonl"],
+     "--jsonl: not allowed with argument --follow"),
     (["track", "--steps", "0"], "--steps: must be >= 1, got 0"),
+    (["render", "--size", "0"], "--size: must be >= 1, got 0"),
+    (["render", "--stride", "0"], "--stride: must be >= 1, got 0"),
+    (["replay", "--top-kernels", "-3"], "--top-kernels: must be >= 0, got -3"),
+    (["perf", "compare", "--window", "0"], "--window: must be >= 1, got 0"),
+    (["perf", "report", "--window", "0"], "--window: must be >= 1, got 0"),
     (["jobs", "--limit", "-2"], "--limit: must be >= 0, got -2"),
     (["jobs", "--limit", "x"], "--limit: invalid int value: 'x'"),
-], ids=["top-refresh", "track-steps", "jobs-limit", "jobs-limit-nan"])
+], ids=["serve-refresh", "serve-workers", "serve-default-quota",
+        "serve-min-hit-rate", "serve-min-hit-rate-nan", "serve-follow-jsonl",
+        "track-steps", "render-size", "render-stride", "replay-top-kernels",
+        "perf-compare-window", "perf-report-window", "jobs-limit",
+        "jobs-limit-nan"])
 def test_parse_time_refusals(argv, error, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert error in capsys.readouterr().err
     assert build_parser().parse_args(
-        ["top", "--jobs", "b.jsonl", "--refresh", "0"]).refresh == 0.0
+        ["serve", "--jobs", "b.jsonl", "--refresh", "0"]).refresh == 0.0
+    assert build_parser().parse_args(
+        ["serve", "--jobs", "b.jsonl", "--min-cache-hit-rate", "1"]
+    ).min_cache_hit_rate == 1.0
 
 
 class TestCheckCli:
@@ -551,6 +577,8 @@ class TestServiceCli:
 
 
 class TestTopCli:
+    """The live view of a draining batch: `serve --follow`/`--jsonl`."""
+
     def _batch(self, jobs):
         """2 tenants: alpha clean, beta fault-injected past the 3.5x
         slowdown objective (stalls under a short lease)."""
@@ -561,17 +589,21 @@ class TestTopCli:
 
     _submit = TestServiceCli._submit
 
+    @staticmethod
+    def _live(jobs, tmp_path, *extra):
+        return ["serve", "--jobs", str(jobs), "--out-dir", str(tmp_path),
+                "--workers", "2", "--jsonl", *extra]
+
     def test_jsonl_once_streams_attributed_events(self, tmp_path, capsys):
         import json
 
         jobs = tmp_path / "batch.jsonl"
         self._batch(jobs)
         capsys.readouterr()  # drop the submit confirmations
-        rc = main(["top", "--jobs", str(jobs), "--out-dir", str(tmp_path),
-                   "--workers", "2", "--follow", "--jsonl", "--once"])
+        rc = main(self._live(jobs, tmp_path))
         assert rc == 0
-        lines = [json.loads(x) for x in
-                 capsys.readouterr().out.strip().splitlines()]
+        captured = capsys.readouterr()
+        lines = [json.loads(x) for x in captured.out.strip().splitlines()]
         summary = lines[-1]["summary"]
         events = [x for x in lines if "summary" not in x]
         assert summary["all_done"] and summary["jobs"] == 2
@@ -581,43 +613,65 @@ class TestTopCli:
         assert all(e["tenant"] and e["job_id"] for e in events)
         kinds = {e["kind"] for e in events}
         assert {"job", "span", "probe", "alert"} <= kinds
+        # Only events and the summary on stdout; the report is on stderr.
+        assert "batch: 2 jobs" in captured.err
+        assert "wrote " in captured.err
+        assert "wrote " not in captured.out
+        assert (tmp_path / "service_report.json").exists()
 
     def test_same_seed_stream_is_byte_identical(self, tmp_path, capsys):
         jobs = tmp_path / "batch.jsonl"
         self._batch(jobs)
-        argv = ["top", "--jobs", str(jobs), "--out-dir", str(tmp_path),
-                "--workers", "2", "--follow", "--jsonl", "--once",
-                "--out", "stream_a.jsonl"]
-        assert main(argv) == 0
+        for run in ("a", "b"):
+            assert main(self._live(jobs, tmp_path, "--out",
+                                   f"stream_{run}.jsonl", "--state-dir",
+                                   str(tmp_path / f"state_{run}"))) == 0
         capsys.readouterr()
-        argv[-1] = "stream_b.jsonl"
-        assert main(argv) == 0
         a = (tmp_path / "stream_a.jsonl").read_bytes()
         b = (tmp_path / "stream_b.jsonl").read_bytes()
         assert a == b and a
 
+    def test_rerun_over_the_same_state_is_all_hits(self, tmp_path, capsys):
+        import json
+
+        jobs = tmp_path / "batch.jsonl"
+        self._batch(jobs)
+        argv = self._live(jobs, tmp_path, "--out", "stream.jsonl")
+        assert main(argv) == 0
+        cold = (tmp_path / "stream.jsonl").read_bytes()
+        assert main(argv + ["--min-cache-hit-rate", "1.0"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "stream.jsonl").read_bytes() != cold
+        report = json.loads((tmp_path / "service_report.json").read_text())
+        assert report["cache_hit_rate"] == 1.0
+
     def test_expect_alert_gates(self, tmp_path, capsys):
         jobs = tmp_path / "batch.jsonl"
         self._batch(jobs)
-        base = ["top", "--jobs", str(jobs), "--out-dir", str(tmp_path),
-                "--workers", "2", "--follow", "--jsonl", "--once"]
-        assert main(base + ["--expect-alerts", "beta",
-                            "--expect-clean", "alpha"]) == 0
-        capsys.readouterr()
-        # inverted expectations must fail the gate
-        assert main(base + ["--expect-alerts", "alpha"]) == 1
-        capsys.readouterr()
-        assert main(base + ["--expect-clean", "beta"]) == 1
-        capsys.readouterr()
+        for state, live in (("live", ["--jsonl"]), ("plain", [])):
+            base = ["serve", "--jobs", str(jobs), "--out-dir", str(tmp_path),
+                    "--workers", "2", "--state-dir", str(tmp_path / state),
+                    *live]
+            assert main(base + ["--expect-alerts", "beta",
+                                "--expect-clean", "alpha"]) == 0
+            capsys.readouterr()
+            # inverted expectations must fail the gate
+            assert main(base + ["--expect-alerts", "alpha"]) == 1
+            assert "EXPECTED ALERTS for tenant 'alpha'" in \
+                capsys.readouterr()[1 if live else 0]
+            assert main(base + ["--expect-clean", "beta"]) == 1
+            assert "EXPECTED NO ALERTS for tenant 'beta'" in \
+                capsys.readouterr()[1 if live else 0]
 
     def test_follow_text_view(self, tmp_path, capsys):
         jobs = tmp_path / "batch.jsonl"
         self._submit(jobs, "alpha", "a1", 2)
-        rc = main(["top", "--jobs", str(jobs), "--out-dir", str(tmp_path),
-                   "--workers", "2", "--follow", "--once"])
+        rc = main(["serve", "--jobs", str(jobs), "--out-dir", str(tmp_path),
+                   "--workers", "2", "--follow", "--refresh", "0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "alpha" in out and "events published" in out
+        assert "repro serve — t=" in out and "batch: 1 jobs" in out
 
     def test_control_artifact_lands_under_out_dir(self, tmp_path,
                                                   monkeypatch, capsys):

@@ -1,4 +1,5 @@
-"""The live telemetry plane: bus, burn-rate SLOs, context, `repro top`."""
+"""The live telemetry plane: bus, burn-rate SLOs, context, the
+`repro serve --follow` view."""
 
 import json
 
@@ -157,13 +158,12 @@ class TestBurnRateMonitor:
         assert e.data["value"] == 5.0 and e.lane == "slo"
 
     def test_default_objectives(self):
-        objs = default_objectives(queue_wait_target=10.0,
-                                  slowdown_target=2.0)
-        assert {o.metric for o in objs} == {"queue_wait_s",
-                                            "makespan_slowdown"}
+        objs = default_objectives()
+        assert {(o.metric, o.target) for o in objs} == {
+            ("queue_wait_s", 90.0), ("makespan_slowdown", 3.5)}
         mon = BurnRateMonitor(objs)
-        mon.observe("t", "queue_wait_s", t=0.0, value=11.0)
-        mon.observe("t", "makespan_slowdown", t=0.0, value=1.5)
+        mon.observe("t", "queue_wait_s", t=0.0, value=91.0)
+        mon.observe("t", "makespan_slowdown", t=0.0, value=3.0)
         assert [a.metric for a in mon.alerts] == ["queue_wait_s"]
 
     def test_objective_validation(self):

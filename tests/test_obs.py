@@ -11,8 +11,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     critical_path,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     lane_summary,
     reconcile_totals,
@@ -128,14 +126,6 @@ class TestNullTracerAndInstall:
             with tracing() as nested:
                 assert get_tracer() is nested
             assert get_tracer() is tracer
-        assert get_tracer() is NULL_TRACER
-
-    def test_enable_disable_tracing(self):
-        tracer = enable_tracing()
-        try:
-            assert get_tracer() is tracer
-        finally:
-            disable_tracing()
         assert get_tracer() is NULL_TRACER
 
 
