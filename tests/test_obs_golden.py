@@ -3,8 +3,12 @@
 The digests were recorded at the commit *before* the observers were
 rebuilt on the shared event log, so they pin the views' content — bus
 JSONL, ledger JSONL, Chrome trace events, blame, capacity report — to
-what the per-emit mechanisms produced. Everything hashed is stamped
-from the DES clock only; no wall-clock field enters a digest.
+what the per-emit mechanisms produced. The trace JSONL and metrics
+snapshot digests were recorded before the observers' record-once fast
+path, so they pin the span/instant/flow records and every instrument's
+end state through that change. Everything hashed is stamped from the
+DES clock only; no wall-clock field enters a digest (the JSONL's
+``wall_*`` fields are dropped before hashing).
 """
 
 import hashlib
@@ -13,7 +17,7 @@ import json
 from repro.core.runner import ExperimentConfig, ScaledExperiment
 from repro.obs.blame import blame
 from repro.obs.capacity import CapacityLedger
-from repro.obs.export import to_chrome_trace
+from repro.obs.export import to_chrome_trace, to_jsonl_lines
 from repro.obs.live import KIND_CAPACITY, TelemetryBus, event_to_json
 from repro.obs.tracer import tracing
 from repro.service import CampaignService, JobSpec
@@ -29,6 +33,10 @@ GOLDEN_REPLAY = {
         "4bd5b8f43919bfbcc0f727b4a6406d17ccbf12d3d3c82c2601e87e29cc243d0d",
     "blame":
         "0c3a190510daaa7a4db3543e465d001de7ebceb8d74cfd55daa399dcd3245c45",
+    "trace_jsonl":
+        "ffc50f65df3782b2dea85c0c4024ec880168a6ce0109e5e033cfa8c8b65c1fe3",
+    "metrics":
+        "b2f6a997912a10f15fcf93c8861d8ae5f4be7c9d1a5b4a213141cb587758a40f",
     "capacity":
         "3401eb11ba600394d8e9f8875aee31b27943a43eb96e2d85b072e593a8610711",
 }
@@ -42,6 +50,10 @@ GOLDEN_SERVICE = {
         "5a30b1f66da273f45582efb7c5dfd9b92c801ec6cc94369db5d27891c0a2a5a9",
     "blame":
         "391950a252c856a6466a6f36684f9150c6ac6e493841f13019c93738971f18aa",
+    "trace_jsonl":
+        "8eaf4a88e1ca1d58ac6ef0c22e90aae3db9d26d4b0b588d7eca69c1a3673eea1",
+    "metrics":
+        "265f6ac032249d93844c49e9c4326781242b0f6047bca2f49578c7ecc6986627",
     "capacity":
         "74f310ad1c6477ef4b570eedc4b9945e7dcce2511fabaf1b3620c0f755448b74",
 }
@@ -51,6 +63,14 @@ def _sha(payload) -> str:
     if not isinstance(payload, str):
         payload = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _trace_jsonl_without_wall(trace) -> str:
+    """The trace JSONL with every wall-clock field dropped."""
+    return "\n".join(
+        json.dumps({k: v for k, v in json.loads(line).items()
+                    if not k.startswith("wall_")})
+        for line in to_jsonl_lines(trace))
 
 
 def _view_digests(tracer, events) -> dict[str, str]:
@@ -63,6 +83,8 @@ def _view_digests(tracer, events) -> dict[str, str]:
         "ledger_jsonl": _sha("\n".join(capacity_lines)),
         "trace_events": _sha(doc["traceEvents"]),
         "blame": _sha(blame(tracer.trace).to_dict()),
+        "trace_jsonl": _sha(_trace_jsonl_without_wall(tracer.trace)),
+        "metrics": _sha(tracer.metrics.snapshot()),
     }
 
 
