@@ -62,7 +62,10 @@ class EventHandle:
         self.value = value
         engine = self.engine
         if engine._traced:
-            engine._count_trigger()
+            c = engine._triggers  # stamped in place: Counter.inc(1)
+            c.value += 1
+            c.times.append(c.clock())
+            c.values.append(c.value)
         callbacks = self.callbacks
         if callbacks:
             for cb in callbacks:
@@ -124,7 +127,10 @@ class ProcessHandle:
             return
         engine = self.engine
         if engine._traced:
-            engine._count_resume()
+            c = engine._resumes  # stamped in place: Counter.inc(1)
+            c.value += 1
+            c.times.append(c.clock())
+            c.values.append(c.value)
         try:
             target = self.generator.send(value)
         except StopIteration as stop:
@@ -211,17 +217,20 @@ class Engine:
         self._probe: Any = None
         # Capture the active tracer once; when tracing is enabled the
         # engine's clock becomes the tracer's trace clock and the des.*
-        # counters are bound here, so an increment is one call.
+        # counters are bound here. Each site stamps its +1 in place (the
+        # two column appends of ``Counter.inc``, without its call); the
+        # sample reads the counter's own clock, which a later engine may
+        # have re-pointed at itself.
         self._tracer = get_tracer()
         self._traced = self._tracer.enabled
         if self._traced:
             self._tracer.attach_engine(self)
             counter = self._tracer.metrics.counter
-            self._count_dispatch = counter("des.dispatch").inc
-            self._count_resume = counter("des.process_resume").inc
-            self._count_trigger = counter("des.event_trigger").inc
-            self._count_timeout = counter("des.timeout").inc
-            self._count_started = counter("des.process_started").inc
+            self._dispatches = counter("des.dispatch")
+            self._resumes = counter("des.process_resume")
+            self._triggers = counter("des.event_trigger")
+            self._timeouts = counter("des.timeout")
+            self._starts = counter("des.process_started")
 
     def attach_probe(self, sampler: Any) -> None:
         """Install a periodic sampler; it sees every clock advance.
@@ -273,7 +282,10 @@ class Engine:
     def timeout(self, delay: float, value: Any = None) -> EventHandle:
         """Event that triggers ``delay`` simulated seconds from now."""
         if self._traced:
-            self._count_timeout()
+            c = self._timeouts  # stamped in place: Counter.inc(1)
+            c.value += 1
+            c.times.append(c.clock())
+            c.values.append(c.value)
         ev = EventHandle(self)
         self._schedule_at(self.now + delay, ev.succeed, value)
         return ev
@@ -316,7 +328,10 @@ class Engine:
         """Register and start a generator process at the current time."""
         proc = ProcessHandle(self, generator, name)
         if self._traced:
-            self._count_started()
+            c = self._starts  # stamped in place: Counter.inc(1)
+            c.value += 1
+            c.times.append(c.clock())
+            c.values.append(c.value)
             self._tracer.instant("process.start", lane="des",
                                  process=proc.name)
         self._schedule_at(self.now, proc._resume, None)
@@ -337,7 +352,10 @@ class Engine:
         """
         if until is not None and until < self.now:
             raise ValueError(f"run(until={until}) is before now ({self.now})")
-        count_dispatch = self._count_dispatch if self._traced else None
+        dispatches = self._dispatches if self._traced else None
+        if dispatches is not None:
+            stamp_t = dispatches.times.append
+            stamp_v = dispatches.values.append
         probe = self._probe
         heap, due = self._heap, self._due
         popleft = due.popleft
@@ -357,13 +375,17 @@ class Engine:
             # scheduled since the clock got here (class docstring).
             while heap and heap[0][0] == when:
                 _when, _seq, fn, arg = heappop(heap)
-                if count_dispatch is not None:
-                    count_dispatch()
+                if dispatches is not None:
+                    dispatches.value += 1
+                    stamp_t(dispatches.clock())
+                    stamp_v(dispatches.value)
                 fn(arg)
             while due:
                 fn, arg = popleft()
-                if count_dispatch is not None:
-                    count_dispatch()
+                if dispatches is not None:
+                    dispatches.value += 1
+                    stamp_t(dispatches.clock())
+                    stamp_v(dispatches.value)
                 fn(arg)
         if until is not None:
             self.now = until

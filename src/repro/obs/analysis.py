@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.obs.tracer import SpanRecord, Trace
 from repro.util.tables import TextTable
@@ -100,6 +101,10 @@ class CriticalPath:
         return "\n\n".join(lines)
 
 
+#: Finish order of spans: end time, then begin order.
+_BY_FINISH = attrgetter("t_end", "span_id")
+
+
 def _by_end(spans: list[SpanRecord], key
             ) -> dict[object, tuple[list[SpanRecord], list[float]]]:
     """Group spans by ``key(span)``; each group sorted by finish time and
@@ -109,7 +114,7 @@ def _by_end(spans: list[SpanRecord], key
         groups.setdefault(key(s), []).append(s)
     out = {}
     for k, group in groups.items():
-        group.sort(key=lambda s: (s.t_end, s.span_id))
+        group.sort(key=_BY_FINISH)
         out[k] = (group, [s.t_end for s in group])
     return out
 
@@ -140,7 +145,7 @@ def critical_path(trace: Trace) -> CriticalPath:
         return CriticalPath(method=method)
 
     by_id = {s.span_id: s for s in spans}
-    by_lane = _by_end(spans, lambda s: s.lane)
+    by_lane = _by_end(spans, attrgetter("lane"))
     producers: dict[int, list[SpanRecord]] = {}
     for flow in trace.flows:
         chain = flow.span_ids()
@@ -151,7 +156,7 @@ def critical_path(trace: Trace) -> CriticalPath:
                _by_end([s for s in spans if "step" in s.tags],
                        lambda s: s.tags["step"]))
 
-    current = max(spans, key=lambda s: (s.t_end, s.span_id))
+    current = max(spans, key=_BY_FINISH)
     path = [current]
     visited = {current.span_id}
     while True:
@@ -171,7 +176,7 @@ def critical_path(trace: Trace) -> CriticalPath:
                       if c is not None and c.span_id not in visited]
         if not candidates:
             break
-        current = max(candidates, key=lambda s: (s.t_end, s.span_id))
+        current = max(candidates, key=_BY_FINISH)
         visited.add(current.span_id)
         path.append(current)
     path.reverse()

@@ -228,9 +228,9 @@ class BlameReport:
         }
 
 
-def _step_chains(trace: Trace) -> list[tuple[Any, FlowContext, int]]:
+def _step_chains(trace: Trace, smap: dict[int, SpanRecord]
+                 ) -> list[tuple[Any, FlowContext, int]]:
     """(step, last-finishing closed flow, flow count) per step value."""
-    smap = trace.span_map()
     by_step: dict[Any, list[FlowContext]] = {}
     for flow in trace.flows:
         if not flow.closed or "step" not in flow.tags:
@@ -250,11 +250,11 @@ def blame(trace: Trace) -> BlameReport:
     path = critical_path(trace)
     arrival = _arrival_hops(trace)
     overall = _decompose(path.spans, arrival)
+    smap = trace.span_map()
 
     steps: list[StepBlame] = []
     if trace.flows:
-        smap = trace.span_map()
-        for step, flow, n_flows in _step_chains(trace):
+        for step, flow, n_flows in _step_chains(trace, smap):
             chain = [smap[sid] for sid in flow.span_ids() if sid in smap]
             chain = [s for s in chain if s.closed]
             sim_spans = trace.spans_with(stage="simulation", step=step)

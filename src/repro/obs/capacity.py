@@ -40,7 +40,6 @@ and all timestamps are DES seconds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
@@ -224,26 +223,23 @@ class CapacityLedger:
     :meth:`on_transfer` behind a single ``ledger is not None`` check.
     Each call appends one attributed delta
     (:class:`~repro.obs.events.LedgerEntry` /
-    :class:`~repro.obs.events.TransferEntry`) to the run's event log — the
-    tracer's, or a private list on an untraced replay — and keeps only
-    the global resident bytes and their peak live. After the run drains,
+    :class:`~repro.obs.events.TransferEntry`) to the ledger's own delta
+    list and, under a recording tracer, to the run's event log, and keeps
+    only the global resident bytes and their peak live. After the run drains,
     :meth:`finalize` scans the registries for leaked regions and folds
     the deltas into the :class:`CapacityReport`: totals, per-scope
     accounts with watermarks, the resident series, NIC occupancy.
     """
 
-    _ids = itertools.count()
-
     def __init__(self) -> None:
-        #: What this ledger's deltas carry to be told from another's.
-        self._id = next(CapacityLedger._ids)
         self._clock: Callable[[], float] = lambda: 0.0
         self.analytic_bound_bytes: int | None = None
         self._tracer = get_tracer()
-        self._log: list[Any] = (self._tracer.log if self._tracer.enabled
-                                else [])
-        #: Log position this ledger started at (its deltas lie beyond).
-        self._mark = len(self._log)
+        #: The run's event log, which every delta joins (None untraced).
+        self._log: list[Any] | None = (self._tracer.log
+                                       if self._tracer.enabled else None)
+        #: This ledger's deltas in emit order; the folds read only these.
+        self._deltas: list[LedgerEntry | TransferEntry] = []
         self.resident_bytes = 0
         self._peak: int | None = None
         self._peak_t: float | None = None
@@ -301,6 +297,12 @@ class CapacityLedger:
 
     # -- ledger transitions ---------------------------------------------------
 
+    def _record(self, delta: LedgerEntry | TransferEntry) -> None:
+        """Append one delta to this ledger's list and the run's log."""
+        self._deltas.append(delta)
+        if self._log is not None:
+            self._log.append(delta)
+
     def on_register(self, region: "RdmaRegion", shard: str) -> None:
         t = self._clock()
         ctx = self._tracer.ctx
@@ -311,20 +313,20 @@ class CapacityLedger:
             self._peak = resident
             self._peak_t = t
         entry = LedgerEntry(
-            self._id, t, "register", region.region_id, nbytes, resident, shard,
+            t, "register", region.region_id, nbytes, resident, shard,
             region.source_node, ctx.get("tenant") or UNATTRIBUTED,
             ctx.get("job") or UNATTRIBUTED, meta.get("analysis"),
             meta.get("timestep"))
         self._attribution[(shard, region.region_id)] = entry
-        self._log.append(entry)
+        self._record(entry)
 
     def on_release(self, region: "RdmaRegion", shard: str) -> None:
         reg = self._attribution.pop((shard, region.region_id), None)
         if reg is None:
             return  # registered before the ledger attached: never booked
         resident = self.resident_bytes = self.resident_bytes - reg.nbytes
-        self._log.append(LedgerEntry(
-            self._id, self._clock(), "release", reg.region_id, reg.nbytes,
+        self._record(LedgerEntry(
+            self._clock(), "release", reg.region_id, reg.nbytes,
             resident, reg.shard, reg.source, reg.tenant, reg.job,
             reg.analysis, reg.timestep))
 
@@ -334,28 +336,22 @@ class CapacityLedger:
         """Record one granted-bytes NIC interval (the wire time of a
         pull, excluding NIC-channel queueing)."""
         ctx = self._tracer.ctx
-        self._log.append(TransferEntry(
-            self._id, t_start, t_end, int(nbytes), protocol, src, dest, shard,
+        self._record(TransferEntry(
+            t_start, t_end, int(nbytes), protocol, src, dest, shard,
             ctx.get("tenant") or UNATTRIBUTED, ctx.get("job") or UNATTRIBUTED,
             analysis))
 
     # -- folds over the ledger's deltas ---------------------------------------
 
-    def _deltas(self) -> list[LedgerEntry | TransferEntry]:
-        """This ledger's records, in emit order."""
-        return [rec for rec in self._log[self._mark:]
-                if type(rec) in (LedgerEntry, TransferEntry)
-                and rec.ledger == self._id]
-
     @property
     def entries(self) -> list[LedgerEntry]:
         """Every staging-memory transition (register/release/leak)."""
-        return [d for d in self._deltas() if type(d) is LedgerEntry]
+        return [d for d in self._deltas if type(d) is LedgerEntry]
 
     @property
     def transfers(self) -> list[TransferEntry]:
         """Every granted-bytes NIC interval."""
-        return [d for d in self._deltas() if type(d) is TransferEntry]
+        return [d for d in self._deltas if type(d) is TransferEntry]
 
     # -- leak detection & the report -----------------------------------------
 
@@ -391,14 +387,12 @@ class CapacityLedger:
         leaks = self.scan_leaks()
         t = self.now()
         for leak in leaks:
-            self._log.append(LedgerEntry(
-                self._id, t, "leak", leak["region_id"], leak["nbytes"],
+            self._record(LedgerEntry(
+                t, "leak", leak["region_id"], leak["nbytes"],
                 self.resident_bytes, leak["shard"], leak["source"],
                 leak["tenant"], leak["job"], leak["analysis"],
                 leak["timestep"]))
-        deltas = self._deltas()
-        nic_peak, nic_peak_t, nic_busy = _nic_occupancy(
-            [d for d in deltas if type(d) is TransferEntry])
+        nic_peak, nic_peak_t, nic_busy = _nic_occupancy(self.transfers)
         peak = self.peak_resident_bytes
         bound = self.analytic_bound_bytes
         if self._tracer.enabled:
@@ -418,7 +412,7 @@ class CapacityLedger:
             nic_busy_seconds=nic_busy,
             leaks=leaks,
             headroom_violations=int(bound is not None and peak > bound),
-            **_fold_deltas(deltas),
+            **_fold_deltas(self._deltas),
         )
         return self._report
 
@@ -440,37 +434,39 @@ def _fold_deltas(deltas: list[LedgerEntry | TransferEntry]) -> dict[str, Any]:
     nic_bytes = n_transfers = 0
     for d in deltas:
         n = d.nbytes
-        resident = booked_in = booked_out = wire = 0
-        moves = type(d) is LedgerEntry  # a transfer moves no watermark
-        if not moves:
+        if type(d) is TransferEntry:  # a transfer moves no watermark
             n_transfers += 1
             nic_bytes += n
-            wire = n
-            names = (d.tenant, d.shard, d.src, d.analysis or UNATTRIBUTED)
-        elif d.op == "leak":
+            for scope, name in zip(accounts, (d.tenant, d.shard, d.src,
+                                              d.analysis or UNATTRIBUTED)):
+                acct = scope.get(name)
+                if acct is None:
+                    acct = scope[name] = [0, 0, 0, 0, None, None]
+                acct[3] += n
             continue
+        op = d.op
+        if op == "leak":
+            continue
+        t = d.t
+        series.append((t, d.resident))
+        if op == "register":
+            n_registers += 1
+            registered += n
+            booked, move = 1, n
         else:
-            series.append((d.t, d.resident))
-            names = (d.tenant, d.shard, d.source, d.analysis or UNATTRIBUTED)
-            if d.op == "register":
-                n_registers += 1
-                resident = booked_in = n
-            else:
-                n_releases += 1
-                resident, booked_out = -n, n
-            registered += booked_in
-            released += booked_out
-        for scope, name in zip(accounts, names):
+            n_releases += 1
+            released += n
+            booked, move = 2, -n
+        for scope, name in zip(accounts, (d.tenant, d.shard, d.source,
+                                          d.analysis or UNATTRIBUTED)):
             acct = scope.get(name)
             if acct is None:
                 acct = scope[name] = [0, 0, 0, 0, None, None]
-            acct[0] += resident
-            acct[1] += booked_in
-            acct[2] += booked_out
-            acct[3] += wire
-            if moves and (acct[4] is None or acct[0] > acct[4]):
-                acct[4] = acct[0]
-                acct[5] = d.t
+            resident = acct[0] = acct[0] + move
+            acct[booked] += n
+            if acct[4] is None or resident > acct[4]:
+                acct[4] = resident
+                acct[5] = t
     fold: dict[str, Any] = {
         "by_" + kind: {name: {"resident_bytes": a[0],
                               "registered_bytes": a[1],

@@ -16,7 +16,7 @@ slot is exactly one bus event, so a :class:`SampleRow` — one value per
 probe — fills one slot per probe (the same object ``len(names)`` times,
 from one ``list.extend``) and slot ``pos0 + k`` is probe ``k``'s event.
 The log is never trimmed or reordered. Observers running without a
-recording tracer append to a private list instead.
+recording tracer keep their records to themselves.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ UNATTRIBUTED = "-"
 
 
 def _to_dict(rec: Any) -> dict[str, Any]:
-    """A ledger delta as plain data (the owning ledger's id left out)."""
-    d = rec._asdict()
-    del d["ledger"]
-    return d
+    """A ledger delta as plain data."""
+    return rec._asdict()
 
 
 class SampleRow(NamedTuple):
@@ -54,9 +52,6 @@ class SampleRow(NamedTuple):
 class LedgerEntry(NamedTuple):
     """One staging-memory ledger transition (register / release / leak)."""
 
-    #: Id of the :class:`~repro.obs.capacity.CapacityLedger` that recorded
-    #: it — not the ledger, which would then live as long as the log.
-    ledger: int
     t: float
     op: str  # "register" | "release" | "leak"
     region_id: str
@@ -78,9 +73,6 @@ class LedgerEntry(NamedTuple):
 class TransferEntry(NamedTuple):
     """One granted-bytes NIC interval (the wire time of an RDMA pull)."""
 
-    #: Id of the :class:`~repro.obs.capacity.CapacityLedger` that recorded
-    #: it — not the ledger, which would then live as long as the log.
-    ledger: int
     t_start: float
     t_end: float
     nbytes: int

@@ -49,8 +49,19 @@ __all__ = [
 
 _US = 1e6  # chrome trace timestamps are microseconds
 
+#: Tag value types a JSON export keeps as they are (and finite floats).
+_PLAIN = frozenset((str, int, bool, type(None)))
+
 
 def _json_safe(tags: dict[str, Any]) -> dict[str, Any]:
+    """``tags`` with every value JSON can carry kept, non-finite floats
+    and other objects as their ``repr``."""
+    for value in tags.values():
+        if type(value) not in _PLAIN and not (type(value) is float
+                                              and math.isfinite(value)):
+            break
+    else:
+        return dict(tags)  # the common case: every value is plain
     out: dict[str, Any] = {}
     for key, value in tags.items():
         if isinstance(value, (str, int, bool)) or value is None:
@@ -69,12 +80,13 @@ def _span_times(span: SpanRecord, clock: str) -> tuple[float, float]:
 
 
 def _assign_rows(spans: list[SpanRecord], clock: str
-                 ) -> list[list[SpanRecord]]:
+                 ) -> list[list[tuple[float, float, SpanRecord]]]:
     """Pack a lane's spans onto rows where spans are disjoint or properly
-    nested — the invariant that makes ``B``/``E`` emission balance."""
+    nested — the invariant that makes ``B``/``E`` emission balance. Each
+    row holds ``(start, end, span)`` in start order."""
     timed = [(*_span_times(span, clock), span) for span in spans]
     timed.sort(key=lambda item: (item[0], -item[1], item[2].span_id))
-    rows: list[list[SpanRecord]] = []
+    rows: list[list[tuple[float, float, SpanRecord]]] = []
     open_ends: list[list[float]] = []  # per row, stack of open end times
     for start, end, span in timed:
         placed = False
@@ -82,46 +94,47 @@ def _assign_rows(spans: list[SpanRecord], clock: str
             while ends and ends[-1] <= start:
                 ends.pop()
             if not ends or ends[-1] >= end:
-                row.append(span)
+                row.append((start, end, span))
                 ends.append(end)
                 placed = True
                 break
         if not placed:
-            rows.append([span])
+            rows.append([(start, end, span)])
             open_ends.append([end])
     return rows
 
 
-def _row_events(row: list[SpanRecord], pid: int, tid: int, clock: str
+def _row_events(row: list[tuple[float, float, SpanRecord]], pid: int,
+                tid: int, row_of: dict[int, tuple[int, int, float, float]]
                 ) -> list[dict[str, Any]]:
-    """Emit balanced B/E events for one row (spans disjoint or nested)."""
+    """Emit balanced B/E events for one row (spans disjoint or nested),
+    and note each span's slice in ``row_of``."""
     events: list[dict[str, Any]] = []
-    stack: list[tuple[float, SpanRecord]] = []
-
-    def _close(until: float) -> None:
-        while stack and stack[-1][0] <= until:
-            end, span = stack.pop()
-            events.append({"name": span.name, "ph": "E", "ts": end * _US,
+    stack: list[tuple[float, str]] = []  # (end, name) of the open spans
+    for start, end, span in row:
+        row_of[span.span_id] = (pid, tid, start, end)
+        while stack and stack[-1][0] <= start:
+            closed_end, name = stack.pop()
+            events.append({"name": name, "ph": "E", "ts": closed_end * _US,
                            "pid": pid, "tid": tid})
-
-    for span in row:
-        start, end = _span_times(span, clock)
-        _close(start)
         event: dict[str, Any] = {"name": span.name, "ph": "B",
                                  "ts": start * _US, "pid": pid, "tid": tid}
-        args = _json_safe(span.tags)
         if span.category:
             event["cat"] = span.category
-        if args:
-            event["args"] = args
+        if span.tags:
+            event["args"] = _json_safe(span.tags)
         events.append(event)
-        stack.append((end, span))
-    _close(math.inf)
+        stack.append((end, span.name))
+    while stack and stack[-1][0] <= math.inf:  # a NaN end stays open
+        closed_end, name = stack.pop()
+        events.append({"name": name, "ph": "E", "ts": closed_end * _US,
+                       "pid": pid, "tid": tid})
     return events
 
 
-def _flow_events(trace: Trace, row_of: dict[int, tuple[int, int]],
-                 clock: str) -> list[dict[str, Any]]:
+def _flow_events(trace: Trace,
+                 row_of: dict[int, tuple[int, int, float, float]]
+                 ) -> list[dict[str, Any]]:
     """Chrome flow events (``ph`` s/t/f) for every drawable flow.
 
     The arrow starts inside the producer span (``s`` at its end), steps
@@ -131,18 +144,14 @@ def _flow_events(trace: Trace, row_of: dict[int, tuple[int, int]],
     exported rows to draw; shorter or unclosed flows are skipped.
     """
     events: list[dict[str, Any]] = []
-    span_of = trace.span_map()
     for flow in trace.flows:
         if not flow.closed:
             continue
-        chain = [span_of[sid] for sid in flow.span_ids()
-                 if sid in span_of and sid in row_of]
+        chain = [row_of[sid] for sid in flow.span_ids() if sid in row_of]
         if len(chain) < 2:
             continue
         name = f"flow:{flow.kind}"
-        for i, span in enumerate(chain):
-            start, end = _span_times(span, clock)
-            pid, tid = row_of[span.span_id]
+        for i, (pid, tid, start, end) in enumerate(chain):
             event: dict[str, Any] = {
                 "name": name, "cat": "flow", "id": flow.flow_id,
                 "pid": pid, "tid": tid,
@@ -150,9 +159,8 @@ def _flow_events(trace: Trace, row_of: dict[int, tuple[int, int]],
             if i == 0:
                 event["ph"] = "s"
                 event["ts"] = end * _US
-                args = _json_safe(flow.tags)
-                if args:
-                    event["args"] = args
+                if flow.tags:
+                    event["args"] = _json_safe(flow.tags)
             elif i == len(chain) - 1:
                 event["ph"] = "f"
                 event["bp"] = "e"
@@ -166,9 +174,18 @@ def _flow_events(trace: Trace, row_of: dict[int, tuple[int, int]],
 
 def to_chrome_trace(trace: Trace, metrics: MetricsRegistry | None = None,
                     clock: str = "trace") -> dict[str, Any]:
-    """Convert a trace (and optional counter series) to a Chrome trace doc."""
+    """Convert a trace (and optional counter series) to a Chrome trace doc.
+
+    Each event is built once, in one pass per record kind: balanced
+    ``B``/``E`` per lane row, flow arrows resolved against those rows,
+    ``i`` instants, and one ``C`` event per counter or gauge sample.
+    Counter series are stamped on the trace clock only and carry no wall
+    time, so a ``clock="wall"`` export leaves them out (and with them
+    the ``metrics`` process).
+    """
     if clock not in ("trace", "wall"):
         raise ValueError(f"clock must be 'trace' or 'wall', got {clock!r}")
+    wall = clock == "wall"
     lanes = trace.lanes()
     pid_of = {lane: i + 1 for i, lane in enumerate(lanes)}
     events: list[dict[str, Any]] = []
@@ -176,44 +193,48 @@ def to_chrome_trace(trace: Trace, metrics: MetricsRegistry | None = None,
         pid = pid_of[lane]
         events.append({"name": "process_name", "ph": "M", "ts": 0,
                        "pid": pid, "tid": 0, "args": {"name": lane}})
+    append = events.append
 
     spans_by_lane: dict[str, list[SpanRecord]] = {}
     for span in trace.closed_spans():
         spans_by_lane.setdefault(span.lane, []).append(span)
-    row_of: dict[int, tuple[int, int]] = {}
+    #: span id -> (pid, tid, start, end) of its exported slice.
+    row_of: dict[int, tuple[int, int, float, float]] = {}
     for lane, spans in spans_by_lane.items():
         pid = pid_of[lane]
         for tid, row in enumerate(_assign_rows(spans, clock)):
-            for span in row:
-                row_of[span.span_id] = (pid, tid)
-            events.extend(_row_events(row, pid, tid, clock))
+            events.extend(_row_events(row, pid, tid, row_of))
 
-    events.extend(_flow_events(trace, row_of, clock))
+    events.extend(_flow_events(trace, row_of))
 
     for inst in trace.instants:
-        event: dict[str, Any] = {"name": inst.name, "ph": "i",
-                                 "ts": (inst.wall_t if clock == "wall"
-                                        else inst.t) * _US,
-                                 "pid": pid_of[inst.lane], "tid": 0,
-                                 "s": "t"}
-        args = _json_safe(inst.tags)
-        if args:
-            event["args"] = args
-        events.append(event)
+        event = {"name": inst.name, "ph": "i",
+                 "ts": (inst.wall_t if wall else inst.t) * _US,
+                 "pid": pid_of[inst.lane], "tid": 0, "s": "t"}
+        if inst.tags:
+            event["args"] = _json_safe(inst.tags)
+        append(event)
 
-    if metrics is not None:
+    if metrics is not None and not wall:
         metrics_pid = len(lanes) + 1
         n_before = len(events)
         for group in (metrics.counters, metrics.gauges):
             for name, inst in sorted(group.items()):
-                events.extend([
-                    {"name": name, "ph": "C", "ts": t * _US,
-                     "pid": metrics_pid, "tid": 0, "args": {"value": value}}
-                    for t, value in inst.series or ()])
+                if not inst.times:
+                    continue
+                # One template per instrument; a sample fills in ts/args.
+                template = {"name": name, "ph": "C", "ts": 0,
+                            "pid": metrics_pid, "tid": 0, "args": None}
+                copy = template.copy
+                for t, value in zip(inst.times, inst.values):
+                    event = copy()
+                    event["ts"] = t * _US
+                    event["args"] = {"value": value}
+                    append(event)
         if len(events) > n_before:
-            events.append({"name": "process_name", "ph": "M", "ts": 0,
-                           "pid": metrics_pid, "tid": 0,
-                           "args": {"name": "metrics"}})
+            append({"name": "process_name", "ph": "M", "ts": 0,
+                    "pid": metrics_pid, "tid": 0,
+                    "args": {"name": "metrics"}})
 
     events.sort(key=itemgetter("ts"))  # stable: preserves B/E order at ties
     return {"traceEvents": events, "displayTimeUnit": "ms"}

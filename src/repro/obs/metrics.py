@@ -5,8 +5,9 @@ protocol picks, queue depths, bucket occupancy, retries. Instruments are
 created on first use (``registry.counter("dart.bytes_pulled")``) and are
 cheap enough to update from hot paths; when the registry is created with a
 clock and ``record_series=True`` every update also appends a
-``(time, value)`` sample so exporters can emit Chrome ``C`` (counter)
-events and queue-depth timelines.
+``(time, value)`` sample — to a time column and a value column — so
+exporters can emit Chrome ``C`` (counter) events and queue-depth
+timelines.
 
 A :data:`NULL_METRICS` registry backs the disabled tracer: its instruments
 are shared no-op singletons, so instrumentation sites pay one attribute
@@ -30,33 +31,54 @@ __all__ = [
 
 
 class Counter:
-    """Monotonically increasing count (events, bytes, retries)."""
+    """Monotonically increasing count (events, bytes, retries).
 
-    __slots__ = ("name", "value", "series", "_clock")
+    A recording counter keeps its series as two columns, ``times`` and
+    ``values`` (sample ``k`` is ``(times[k], values[k])``), so an update
+    appends two scalars and builds no tuple. A hot site may stamp a +1
+    in place instead of calling :meth:`inc` — ``value += 1``, then
+    append ``clock()`` and ``value`` — which is exactly what ``inc(1)``
+    records (DESIGN.md §4c).
+    """
+
+    __slots__ = ("name", "value", "times", "values", "clock")
 
     def __init__(self, name: str, clock: Callable[[], float] | None = None,
                  record_series: bool = False) -> None:
         self.name = name
         self.value: float = 0
-        self.series: list[tuple[float, float]] | None = (
-            [] if record_series and clock is not None else None)
-        self._clock = clock
+        recording = record_series and clock is not None
+        self.times: list[float] | None = [] if recording else None
+        self.values: list[float] | None = [] if recording else None
+        #: The instrument's own clock; a registry re-points it
+        #: (:meth:`MetricsRegistry.rebind_clock`), so read it per sample.
+        self.clock = clock
 
     def inc(self, delta: float = 1) -> None:
         if delta < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease "
                              f"(delta={delta})")
         value = self.value = self.value + delta
-        series = self.series
-        if series is not None:
-            series.append((self._clock(), value))
+        times = self.times
+        if times is not None:
+            times.append(self.clock())
+            self.values.append(value)
+
+    @property
+    def series(self) -> list[tuple[float, float]] | None:
+        """``[(t, value), ...]`` per update (None when not recording)."""
+        times = self.times
+        return None if times is None else list(zip(times, self.values))
 
 
 class Gauge:
-    """Last-written value with running min/max (queue depth, live bytes)."""
+    """Last-written value with running min/max (queue depth, live bytes).
 
-    __slots__ = ("name", "value", "vmin", "vmax", "n_samples", "series",
-                 "_clock")
+    Its series is kept as columns, like :class:`Counter`'s.
+    """
+
+    __slots__ = ("name", "value", "vmin", "vmax", "n_samples", "times",
+                 "values", "clock")
 
     def __init__(self, name: str, clock: Callable[[], float] | None = None,
                  record_series: bool = False) -> None:
@@ -65,9 +87,10 @@ class Gauge:
         self.vmin: float = float("inf")
         self.vmax: float = float("-inf")
         self.n_samples = 0
-        self.series: list[tuple[float, float]] | None = (
-            [] if record_series and clock is not None else None)
-        self._clock = clock
+        recording = record_series and clock is not None
+        self.times: list[float] | None = [] if recording else None
+        self.values: list[float] | None = [] if recording else None
+        self.clock = clock
 
     def set(self, value: float) -> None:
         self.value = value
@@ -76,8 +99,16 @@ class Gauge:
         if value > self.vmax:
             self.vmax = value
         self.n_samples += 1
-        if self.series is not None:
-            self.series.append((self._clock(), value))
+        times = self.times
+        if times is not None:
+            times.append(self.clock())
+            self.values.append(value)
+
+    @property
+    def series(self) -> list[tuple[float, float]] | None:
+        """``[(t, value), ...]`` per update (None when not recording)."""
+        times = self.times
+        return None if times is None else list(zip(times, self.values))
 
 
 def nearest_rank(ordered: list[float], p: float) -> float:
@@ -190,7 +221,7 @@ class MetricsRegistry:
         """
         self._clock = clock
         for inst in (*self.counters.values(), *self.gauges.values()):
-            inst._clock = clock
+            inst.clock = clock
 
     def counter(self, name: str) -> Counter:
         inst = self.counters.get(name)
@@ -217,7 +248,7 @@ class MetricsRegistry:
         that were created (bound by a site) but never updated stay out."""
         return {
             "counters": {n: c.value for n, c in sorted(self.counters.items())
-                         if c.value or c.series},
+                         if c.value or c.times},
             "gauges": {n: {"last": g.value, "min": g.vmin, "max": g.vmax,
                            "samples": g.n_samples}
                        for n, g in sorted(self.gauges.items())

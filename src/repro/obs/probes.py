@@ -129,11 +129,12 @@ class ProbeSampler:
 
     Attach with ``engine.attach_probe(sampler)`` *before* ``engine.run``.
     Each tick is one :class:`~repro.obs.events.SampleRow` in the tracer's
-    event log (a private list under the null tracer) and feeds the
-    sampled SLO rules; :attr:`series` folds the rows per probe. Call
-    :meth:`finalize` once the run has drained to fold them into the
-    tracer's ``probe.<name>`` gauges (so they reach the Chrome counter
-    track) and evaluate the summary rules.
+    event log (a private list under the null tracer), kept on the
+    sampler's own row list too, and feeds the sampled SLO rules;
+    :attr:`series` folds the rows per probe. Call :meth:`finalize` once
+    the run has drained to fold them into the tracer's ``probe.<name>``
+    gauges (so they reach the Chrome counter track) and evaluate the
+    summary rules; later calls fold nothing.
     """
 
     #: Ticks after which sampling stops: bounds the log when an interval
@@ -153,8 +154,9 @@ class ProbeSampler:
         self.alerts: list[SloAlert] = []
         self.n_samples = 0
         self._log: list[Any] = self.tracer.log if self.tracer.enabled else []
-        #: Log position of this sampler's first row (its rows lie beyond).
-        self._mark = len(self._log)
+        #: This sampler's rows, in tick order: each is also in the log
+        #: (one slot per probe), and the folds below read only these.
+        self._rows: list[SampleRow] = []
         self._next = 0.0
         self._breached: set[str] = set()
         #: (rule id, instant) pairs already alerted — a sampled rule and
@@ -167,26 +169,29 @@ class ProbeSampler:
                         for r in self.rules if r.probe in self.probes]
         self._summary_rules = [r for r in self.rules
                                if r.value_of is not None]
-        self._series: dict[str, list[tuple[float, float]]] = {}
-        self._series_ticks = -1
+        self._finalized = False
 
     # -- engine hook ---------------------------------------------------------
 
     def on_advance(self, now: float) -> None:
         """Called by the engine whenever the simulated clock advances."""
-        log, names = self._log, self._names
+        if self._next > now + 1e-12:
+            return  # the common call: no interval boundary has elapsed
+        log, names, fns = self._log, self._names, self._fns
+        n_probes = len(names)
         while self._next <= now + 1e-12 and self.n_samples < self.max_samples:
             t = self._next
             self._next += self.interval
             self.n_samples += 1
             values = []
-            for fn in self._fns:  # a comprehension would be one more frame
+            for fn in fns:  # a comprehension would be one more frame
                 values.append(fn())
             ctx = self.tracer.ctx
+            row = SampleRow(t, len(log), names, tuple(values),
+                            ctx.get("tenant"), ctx.get("job"))
+            self._rows.append(row)
             # One row, one slot per probe: log position stays bus sequence.
-            log.extend((SampleRow(t, len(log), names, tuple(values),
-                                  ctx.get("tenant"), ctx.get("job")),)
-                       * len(names))
+            log.extend((row,) * n_probes)
             for rule, i, healthy in self._checks:
                 if healthy(values[i], rule.threshold):
                     self._breached.discard(rule.name)
@@ -202,17 +207,10 @@ class ProbeSampler:
     @property
     def series(self) -> dict[str, list[tuple[float, float]]]:
         """``name -> [(t, value), ...]`` per probe, folded from this
-        sampler's rows in the log (cached until the next tick)."""
-        if self._series_ticks != self.n_samples:
-            names = self._names
-            rows = [rec for pos, rec in enumerate(self._log[self._mark:],
-                                                  self._mark)
-                    if type(rec) is SampleRow and rec.names is names
-                    and rec.pos0 == pos]
-            self._series = {name: [(row.t, row.values[i]) for row in rows]
-                            for i, name in enumerate(names)}
-            self._series_ticks = self.n_samples
-        return self._series
+        sampler's rows."""
+        rows = self._rows
+        return {name: [(row.t, row.values[i]) for row in rows]
+                for i, name in enumerate(self._names)}
 
     def finalize(self, trace: Any) -> list[SloAlert]:
         """Fold the rows into the ``probe.<name>`` gauges and evaluate
@@ -222,19 +220,26 @@ class ProbeSampler:
         the end-state of a ``set()`` per sample at the sample's own time
         (last value, min/max envelope, sample count, series), on top of
         whatever an earlier sampler of the same tracer left in it.
+        Idempotent: a second call folds nothing and returns the alerts
+        already raised.
         """
-        metrics = self.tracer.metrics
-        for name, samples in self.series.items():
-            if not samples:
-                continue
-            gauge = metrics.gauge("probe." + name)
-            values = [value for _t, value in samples]
-            gauge.vmin = min(gauge.vmin, min(values))
-            gauge.vmax = max(gauge.vmax, max(values))
-            gauge.value = samples[-1][1]
-            gauge.n_samples += len(samples)
-            if gauge.series is not None:
-                gauge.series.extend(samples)
+        if self._finalized:
+            return self.alerts
+        self._finalized = True
+        rows = self._rows
+        if rows:
+            metrics = self.tracer.metrics
+            times = [row.t for row in rows]
+            for i, name in enumerate(self._names):
+                values = [row.values[i] for row in rows]
+                gauge = metrics.gauge("probe." + name)
+                gauge.vmin = min(gauge.vmin, min(values))
+                gauge.vmax = max(gauge.vmax, max(values))
+                gauge.value = values[-1]
+                gauge.n_samples += len(values)
+                if gauge.times is not None:
+                    gauge.times.extend(times)
+                    gauge.values.extend(values)
         totals = trace.stage_totals()
         end = max([s.t_end for s in trace.closed_spans()], default=0.0)
         for rule in self._summary_rules:

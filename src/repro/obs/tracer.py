@@ -123,7 +123,9 @@ class Trace:
     per-lane open spans, which reach the log only when they close. The
     span and instant lists are folded incrementally (only records
     appended since the last read are visited) and kept in ``span_id``
-    (begin) order. They are the fold's own: read them, do not mutate.
+    (begin) order; the closed-span list, the span map and the per-tag
+    indexes are derived from them once per growth of the log. They are
+    the fold's own: read them, do not mutate.
     """
 
     def __init__(self, log: list[Any] | None = None,
@@ -134,8 +136,11 @@ class Trace:
         self._folded = 0
         self._spans: list[SpanRecord] = []
         self._instants: list[InstantRecord] = []
+        self._closed: list[SpanRecord] | None = None
         self._span_map: dict[int, SpanRecord] | None = None
-        self._tag_index: dict[tuple[str, Any], list[SpanRecord]] | None = None
+        #: tag key -> tag value -> closed spans carrying it (built per key
+        #: on its first query).
+        self._by_tag: dict[str, dict[Any, list[SpanRecord]]] = {}
 
     def _fold(self) -> None:
         log = self.log
@@ -149,7 +154,8 @@ class Trace:
         # Spans reach the log in close order; the view is begin-ordered.
         self._spans.sort(key=_SPAN_ID)
         self._folded = len(log)
-        self._span_map = self._tag_index = None
+        self._closed = self._span_map = None
+        self._by_tag = {}
 
     @property
     def spans(self) -> list[SpanRecord]:
@@ -170,8 +176,12 @@ class Trace:
         return sorted(seen)
 
     def closed_spans(self) -> list[SpanRecord]:
+        """Every closed span, in begin order (cached until the log grows)."""
         self._fold()
-        return [s for s in self._spans if s.t_end == s.t_end]  # not NaN
+        if self._closed is None:
+            self._closed = [s for s in self._spans
+                            if s.t_end == s.t_end]  # not NaN
+        return self._closed
 
     def span_map(self) -> dict[int, SpanRecord]:
         """Span id -> span, for resolving flow chains (cached until the
@@ -183,45 +193,44 @@ class Trace:
             self._span_map = {s.span_id: s for s in spans}
         return self._span_map
 
-    def _index(self) -> dict[tuple[str, Any], list[SpanRecord]]:
-        """(key, value) -> closed spans, rebuilt when the log has grown.
+    def _tag_index(self, key: str) -> dict[Any, list[SpanRecord]]:
+        """Tag value -> closed spans tagged ``key`` with it, built on the
+        first query of ``key`` since the log last grew.
 
         Unhashable tag *values* are left out of the index; they are only
         reachable through the linear fallback in :meth:`spans_with`
         (which an unhashable *query* value triggers).
         """
         self._fold()
-        if self._tag_index is None:
-            index: dict[tuple[str, Any], list[SpanRecord]] = {}
+        index = self._by_tag.get(key)
+        if index is None:
+            index = self._by_tag[key] = {}
             for s in self.closed_spans():
-                for k, v in s.tags.items():
+                tags = s.tags
+                if key in tags:
                     try:
-                        index.setdefault((k, v), []).append(s)
+                        index.setdefault(tags[key], []).append(s)
                     except TypeError:
                         pass
-            self._tag_index = index
-        return self._tag_index
+        return index
 
     def spans_with(self, **tags: Any) -> list[SpanRecord]:
         """Closed spans whose tags include every given key/value.
 
-        Served from a lazy tag index (one dict probe per tag) instead of
-        a full scan; blame and diff call this per step, per stage.
+        Served from per-key tag indexes (one dict probe per tag) instead
+        of a full scan; blame and diff call this per step, per stage.
         """
         if not tags:
-            return self.closed_spans()
+            return list(self.closed_spans())
         try:
-            index = self._index()
-            groups = [index.get((k, v), []) for k, v in tags.items()]
+            groups = [self._tag_index(k).get(v, []) for k, v in tags.items()]
         except TypeError:  # unhashable query value: fall back to a scan
             return [s for s in self.closed_spans()
                     if all(s.tags.get(k) == v for k, v in tags.items())]
         if len(groups) == 1:
             return list(groups[0])
-        smallest = min(groups, key=len)
-        rest = [(k, v) for k, v in tags.items()]
-        return [s for s in smallest
-                if all(s.tags.get(k) == v for k, v in rest)]
+        return [s for s in min(groups, key=len)
+                if all(s.tags.get(k) == v for k, v in tags.items())]
 
     def stage_totals(self, clock: str = "trace") -> dict[str, float]:
         """Total duration per ``stage`` tag (spans without one are skipped).

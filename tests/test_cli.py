@@ -162,6 +162,32 @@ class TestCommands:
         assert rc == 0
         assert validate_chrome_trace(json.loads(out.read_text())) == []
 
+    def test_functional_wall_export_stays_on_the_wall_clock(self, tmp_path,
+                                                           capsys):
+        """A functional trace is exported on the wall clock; counter
+        series carry only trace-clock stamps, so none may reach it (they
+        used to land hours before the spans)."""
+        import json
+        import time
+
+        out = tmp_path / "func.json"
+        t0 = time.perf_counter() * 1e6
+        rc = main(["replay", "--functional", "--steps", "2",
+                   "--trace", str(out)])
+        t1 = time.perf_counter() * 1e6
+        assert rc == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        timed = [e for e in events if e["ph"] != "M"]
+        assert timed and not [e for e in timed if e["ph"] == "C"]
+        first_b = min(e["ts"] for e in timed if e["ph"] == "B")
+        last_e = max(e["ts"] for e in timed if e["ph"] == "E")
+        # Slices and flow arrows lie in the span window; instants (the
+        # bucket processes' starts, the shutdown hand-offs) may fall just
+        # outside it, but never outside the run.
+        assert all(first_b <= e["ts"] <= last_e
+                   for e in timed if e["ph"] != "i")
+        assert all(t0 <= e["ts"] <= t1 for e in timed)
+
     def test_functional_replay_needs_an_observer(self, tmp_path):
         with pytest.raises(SystemExit, match="--functional replays only"):
             main(["replay", "--functional", "--steps", "2",

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import ExperimentConfig, ScaledExperiment
 from repro.des import Engine
+from repro.obs.export import to_chrome_trace
 from repro.obs.probes import (
     ProbeSampler,
     SloRule,
@@ -116,6 +117,29 @@ class TestProbeSampler:
         sampler = ProbeSampler(1.0, {}, slos=(slo,), tracer=tracer)
         alerts = sampler.finalize(tracer.trace)
         assert [a.rule for a in alerts] == ["nonzero-sim"]
+
+    def test_finalize_is_idempotent(self):
+        """``run_schedule`` finalizes its sampler already; a second call
+        returns the same alerts and folds nothing into the gauges (it
+        used to double every ``probe.*`` gauge and the export's counter
+        track)."""
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        with tracing() as tracer:
+            sampler = exp.run_schedule(
+                n_steps=10, n_buckets=8,
+                probe_interval=0.25 * exp.simulation_step_time()).probes
+        gauge = tracer.metrics.gauges["probe.sched.queue_depth"]
+        snapshot = tracer.metrics.snapshot()
+        n_events = len(to_chrome_trace(tracer.trace,
+                                       tracer.metrics)["traceEvents"])
+        alerts = list(sampler.alerts)
+        assert gauge.n_samples == 81 and n_events == 2376
+        assert sampler.finalize(tracer.trace) is sampler.alerts
+        assert sampler.alerts == alerts
+        assert tracer.metrics.snapshot() == snapshot
+        assert gauge.n_samples == len(gauge.series) == 81
+        assert len(to_chrome_trace(tracer.trace,
+                                   tracer.metrics)["traceEvents"]) == n_events
 
     def test_validation(self):
         with pytest.raises(ValueError):
