@@ -43,9 +43,6 @@ class _LazyPackage(types.ModuleType):
             value = getattr(value, name)
         super().__setattr__(name, value)
 
-    def __dir__(self) -> list[str]:
-        return sorted({*self.__dict__, *self.__dict__["_exports"]})
-
 
 def export_lazily(package: str, exports: dict[str, str]) -> None:
     """Make ``exports`` (name -> defining submodule, relative to

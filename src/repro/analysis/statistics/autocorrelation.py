@@ -188,11 +188,6 @@ class AutocorrelationLearner:
             k: LagAccumulator() for k in range(1, max_lag + 1)}
         self.steps_observed = 0
 
-    @property
-    def buffer_bytes(self) -> int:
-        """In-situ scratch footprint (the §III memory constraint)."""
-        return sum(h.nbytes for h in self._history)
-
     def observe(self, block: np.ndarray) -> None:
         """Feed this step's block; updates all available lags."""
         block = np.asarray(block, dtype=np.float64)

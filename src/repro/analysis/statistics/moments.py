@@ -52,23 +52,6 @@ class MomentAccumulator:
             M4=float(np.sum(d2 * d2)),
         )
 
-    def update(self, value: float) -> None:
-        """Streaming single-observation update (Welford/Pébay online form)."""
-        n1 = self.n
-        self.n += 1
-        n = self.n
-        delta = value - self.mean
-        delta_n = delta / n
-        delta_n2 = delta_n * delta_n
-        term1 = delta * delta_n * n1
-        self.mean += delta_n
-        self.M4 += (term1 * delta_n2 * (n * n - 3 * n + 3)
-                    + 6.0 * delta_n2 * self.M2 - 4.0 * delta_n * self.M3)
-        self.M3 += term1 * delta_n * (n - 2) - 3.0 * delta_n * self.M2
-        self.M2 += term1
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
     # -- pairwise merge (the communication kernel of *learn*) ---------------------
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":

@@ -136,9 +136,6 @@ class MergeTree:
     def __len__(self) -> int:
         return len(self.value)
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.value
-
     def children(self, node_id: int) -> list[int]:
         return list(self._children[node_id])
 
@@ -227,22 +224,6 @@ class MergeTree:
         """Hashable summary of critical structure (for equality tests)."""
         red = self.reduced()
         return (tuple(sorted(red.value.items())), tuple(red.arcs()))
-
-    def deepest_at_or_above(self, node_id: int, threshold: float) -> int:
-        """Walk down from ``node_id`` to the lowest node with value >= threshold.
-
-        This is the representative of ``node_id``'s superlevel component at
-        ``threshold`` (used by segmentation).
-        """
-        node = node_id
-        if self.value[node] < threshold:
-            raise ValueError(
-                f"node {node_id} (f={self.value[node]}) is below {threshold}")
-        while True:
-            p = self.parent[node]
-            if p is None or self.value[p] < threshold:
-                return node
-            node = p
 
 
 def reject_nan(values: np.ndarray, describe) -> None:

@@ -114,13 +114,6 @@ class BlockLUT:
                     f"blocks abreast along axis {axis} disagree on extent")
             self._axis_dims.append(dims[:, 0])
 
-    @property
-    def nbytes(self) -> int:
-        """Size of the table itself (bounds + index), not the block data.
-        "This small look-up table" — Table II charges only block payloads."""
-        return (sum(s.nbytes for s in self._axis_starts)
-                + sum(d.nbytes for d in self._axis_dims) + self._index.nbytes)
-
     def sampler(self):
         """Nearest-retained-voxel sampler over the full global domain.
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Opacity per unit march distance at the top of both built-in ramps.
+#: Opacity per unit march distance at the top of the built-in ramp.
 _MAX_OPACITY = 0.4
 
 
@@ -56,13 +56,4 @@ class TransferFunction:
             (vmin + 0.33 * span, 0.8, 0.1, 0.0, 0.15 * _MAX_OPACITY),
             (vmin + 0.66 * span, 1.0, 0.6, 0.0, 0.6 * _MAX_OPACITY),
             (vmax, 1.0, 1.0, 0.9, _MAX_OPACITY),
-        ))
-
-    @classmethod
-    def grayscale(cls, vmin: float, vmax: float) -> "TransferFunction":
-        if vmax <= vmin:
-            raise ValueError(f"vmax ({vmax}) must exceed vmin ({vmin})")
-        return cls((
-            (vmin, 0.0, 0.0, 0.0, 0.0),
-            (vmax, 1.0, 1.0, 1.0, _MAX_OPACITY),
         ))

@@ -71,12 +71,6 @@ class ViewSession:
             raise ValueError(f"view {view.name!r} already exists")
         self._views[view.name] = view
 
-    def remove_view(self, name: str) -> None:
-        try:
-            del self._views[name]
-        except KeyError:
-            raise KeyError(f"no view {name!r}; have {sorted(self._views)}") from None
-
     @property
     def view_names(self) -> list[str]:
         return sorted(self._views)

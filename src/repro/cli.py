@@ -237,13 +237,28 @@ def _plan(args: argparse.Namespace, cls=None, **fields):
         raise SystemExit(str(exc)) from None
 
 
+def _input_trace(path: str):
+    """An exported trace to blame or diff: a missing file, a damaged
+    record or a trace with no spans exits 1 with one line on stderr."""
+    from repro.obs import load_trace
+
+    try:
+        trace = load_trace(path)
+    except OSError as exc:
+        raise SystemExit(f"cannot read trace {path}: {exc.strerror}")
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    if not trace.closed_spans():
+        raise SystemExit(f"{path}: no spans to blame or diff")
+    return trace
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.obs import (
         blame,
         critical_path,
         kernel_table,
         lane_summary,
-        load_trace,
         reconcile_table,
         reconcile_totals,
         top_kernels,
@@ -260,7 +275,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             raise SystemExit("--from FILE blames (--blame) or diffs "
                              "(--diff) an exported trace; it writes no "
                              "--trace or --jsonl")
-        trace, source = load_trace(args.from_file), args.from_file
+        trace, source = _input_trace(args.from_file), args.from_file
     elif args.functional:
         from repro.core.framework import traced_functional_run
 
@@ -326,7 +341,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         from repro.obs.report import write_trace_diff
 
         diff = diff_traces(
-            load_trace(args.diff), trace, a_label=Path(args.diff).stem,
+            _input_trace(args.diff), trace, a_label=Path(args.diff).stem,
             b_label=Path(args.from_file).stem if args.from_file
             else "this run")
         print(diff.table())

@@ -28,7 +28,6 @@ with the same seed produce byte-identical decision logs.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -419,8 +418,3 @@ class PlacementController:
     def decision_log(self) -> list[dict[str, Any]]:
         """The decision history as plain dicts (JSON-serializable)."""
         return [d.to_dict() for d in self.decisions]
-
-    def decision_log_json(self) -> str:
-        """Canonical JSON of the decision log — byte-identical across
-        same-seed runs (every input is DES-deterministic)."""
-        return json.dumps(self.decision_log(), sort_keys=True, indent=2)

@@ -17,7 +17,6 @@ decomposition, choose analyses, call :meth:`run`. Per analysed timestep:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -59,10 +58,7 @@ class FrameworkResult:
     statistics: dict[int, dict[str, DerivedStatistics]] = field(default_factory=dict)
     merge_trees: dict[int, MergeTree] = field(default_factory=dict)
     hybrid_images: dict[int, np.ndarray] = field(default_factory=dict)
-    insitu_images: dict[int, np.ndarray] = field(default_factory=dict)
     temperature_fields: dict[int, np.ndarray] = field(default_factory=dict)
-    #: lag -> temporal autocorrelation over the whole run (§VI extension).
-    autocorrelation: dict[int, float] = field(default_factory=dict)
     task_results: list[TaskResult] = field(default_factory=list)
     #: Recorded steering-rule firings, in firing order.
     steering_events: list = field(default_factory=list)
@@ -74,22 +70,19 @@ class FrameworkResult:
     @property
     def analysed_steps(self) -> list[int]:
         steps = (set(self.statistics) | set(self.merge_trees)
-                 | set(self.hybrid_images) | set(self.insitu_images))
+                 | set(self.hybrid_images))
         return sorted(steps)
 
 
 class HybridFramework:
     """High-level driver of the hybrid in-situ/in-transit workflow.
 
-    Topology, rendering and autocorrelation analyse the temperature
-    field; ``stats_variables`` picks what the statistics stage reads:
-    distinct names of solver fields, at least one.
+    Topology and rendering analyse the temperature field;
+    ``stats_variables`` picks what the statistics stage reads: distinct
+    names of solver fields, at least one.
     """
 
-    KNOWN_ANALYSES = ("statistics", "topology", "visualization",
-                      "visualization_insitu", "autocorrelation")
-    #: Longest lag of the temporal autocorrelation of T (§VI extension).
-    AUTOCORRELATION_MAX_LAG = 3
+    KNOWN_ANALYSES = ("statistics", "topology", "visualization")
 
     def __init__(self, case: LiftedFlameCase, decomp: BlockDecomposition3D,
                  analyses: tuple[str, ...] = ("statistics", "topology",
@@ -140,14 +133,6 @@ class HybridFramework:
         self._boundary_masks = [block_boundary_mask(b, decomp.global_shape)
                                 for b in decomp.blocks()]
         self._stats_engine = StatisticsEngine(VirtualComm(decomp.n_ranks))
-        self._autocorr_learners = []
-        if "autocorrelation" in self.analyses:
-            from repro.analysis.statistics.autocorrelation import (
-                AutocorrelationLearner,
-            )
-            self._autocorr_learners = [
-                AutocorrelationLearner(self.AUTOCORRELATION_MAX_LAG)
-                for _ in range(decomp.n_ranks)]
 
     def _check_stats_variables(self) -> None:
         names = self.stats_variables
@@ -163,13 +148,6 @@ class HybridFramework:
                 f"known: {self.solver.names}")
 
     # -- per-analysis in-situ stages + task submission ---------------------------
-
-    def _gather(self, variable: str) -> np.ndarray:
-        return self.decomp.gather([p[variable] for p in self.solver.parts])
-
-    def _transfer_function(self, field_min: float, field_max: float
-                           ) -> TransferFunction:
-        return TransferFunction.hot(field_min, max(field_max, field_min + 1e-9))
 
     def _submit_statistics(self, step: int) -> None:
         names = list(self.stats_variables)
@@ -236,7 +214,8 @@ class HybridFramework:
                                            self.downsample_stride))
         field_min = min(float(b.data.min()) for b in blocks)
         field_max = max(float(b.data.max()) for b in blocks)
-        tf = self._transfer_function(field_min, field_max)
+        tf = TransferFunction.hot(field_min,
+                                  max(field_max, field_min + 1e-9))
         descs = [self.transport.register(f"sim-{rank}", b,
                                          meta={"rank": rank,
                                                "analysis": "visualization",
@@ -249,37 +228,6 @@ class HybridFramework:
             "visualization", step, descs,
             compute=lambda payloads: render_intransit(payloads, shape,
                                                       camera, tf))
-
-    def _observe_autocorrelation(self) -> None:
-        """Per-step in-situ stage: feed each rank's block to its learner."""
-        for learner, part in zip(self._autocorr_learners, self.solver.parts):
-            learner.observe(part["T"])
-
-    def _submit_autocorrelation(self, step: int) -> None:
-        """Ship packed lag partials; serial in-transit derive of rho(k)."""
-        from repro.analysis.statistics.autocorrelation import (
-            derive_autocorrelation,
-        )
-
-        packed = [learner.pack() for learner in self._autocorr_learners]
-        descs = [self.transport.register(f"sim-{rank}", vec,
-                                         meta={"rank": rank})
-                 for rank, vec in enumerate(packed)]
-        max_lag = self.AUTOCORRELATION_MAX_LAG
-
-        self.dataspaces.submit_grouped_result(
-            "autocorrelation", step, descs,
-            compute=lambda payloads: derive_autocorrelation(payloads, max_lag))
-
-    def _render_insitu(self, step: int, result: FrameworkResult) -> None:
-        from repro.analysis.visualization.compositing import (
-            render_blocks_insitu,
-        )
-
-        field = self._gather("T")
-        tf = self._transfer_function(float(field.min()), float(field.max()))
-        result.insitu_images[step] = render_blocks_insitu(
-            field, self.decomp, self.camera, tf)
 
     # -- driver --------------------------------------------------------------------
 
@@ -300,8 +248,6 @@ class HybridFramework:
         last_analysed: int | None = None
         for step in range(n_steps):
             self.solver.step()
-            if "autocorrelation" in self.analyses:
-                self._observe_autocorrelation()
             due = (last_analysed is None
                    or step - last_analysed >= self.analysis_interval)
             if due:
@@ -316,10 +262,9 @@ class HybridFramework:
                 if "visualization" in self.analyses:
                     self._traced_submit("visualization", step,
                                         self._submit_visualization)
-                if "visualization_insitu" in self.analyses:
-                    self._render_insitu(step, result)
                 if self.keep_fields:
-                    result.temperature_fields[step] = self._gather("T")
+                    result.temperature_fields[step] = self.decomp.gather(
+                        [p["T"] for p in self.solver.parts])
             # Drain the staging engine: in-transit results for this step
             # complete now, making steering decisions causal.
             if self._tracer.enabled:
@@ -331,9 +276,6 @@ class HybridFramework:
             fresh = self._collect(result)
             self._apply_steering(result, fresh)
 
-        if ("autocorrelation" in self.analyses
-                and self.solver.step_count > 1):
-            self._submit_autocorrelation(n_steps - 1)
         self.dataspaces.shutdown_buckets()
         self.engine.run()
         self._collect(result)
@@ -352,17 +294,13 @@ class HybridFramework:
             with self._tracer.span(f"submit:{analysis}", lane="driver",
                                    category="insitu", stage="insitu",
                                    analysis=analysis, step=step) as sp:
-                # Start the causal flow at the in-situ stage so vmpi
-                # collective hops land on it; the submitted task adopts
-                # it via DataSpaces.next_flow.
-                flow = self._tracer.flow_begin("task", src_span=sp,
-                                               analysis=analysis, step=step)
-                self.dataspaces.next_flow = flow
-                self._stats_engine.comm.flow = flow
+                # Start the causal flow at the in-situ stage; the
+                # submitted task adopts it via DataSpaces.next_flow.
+                self.dataspaces.next_flow = self._tracer.flow_begin(
+                    "task", src_span=sp, analysis=analysis, step=step)
                 try:
                     submit(step)
                 finally:
-                    self._stats_engine.comm.flow = None
                     self.dataspaces.next_flow = None
             self._tracer.counter(f"framework.submit.{analysis}")
         else:
@@ -384,8 +322,6 @@ class HybridFramework:
                 result.merge_trees[task.timestep] = task.value
             elif task.analysis == "visualization":
                 result.hybrid_images[task.timestep] = task.value
-            elif task.analysis == "autocorrelation":
-                result.autocorrelation = task.value
         return fresh
 
     def _apply_steering(self, result: FrameworkResult,

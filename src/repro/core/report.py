@@ -64,9 +64,6 @@ def run_report(framework: HybridFramework, result: FrameworkResult) -> str:
         tree = result.merge_trees[last].reduced()
         lines.append(f"topology @ step {last}: {len(tree.leaves())} maxima, "
                      f"{len(tree.saddles())} saddles")
-    if result.autocorrelation:
-        lines.append("autocorrelation: " + ", ".join(
-            f"rho({k})={v:.3f}" for k, v in sorted(result.autocorrelation.items())))
     if result.steering_events:
         lines.append(f"\nsteering: {len(result.steering_events)} rule firings")
         for ev in result.steering_events[:8]:

@@ -275,15 +275,6 @@ class ScaledExperiment:
     def simulation_step_time(self) -> float:
         return self.cost.time("s3d.step", self.workload.block_cells)
 
-    def movement_time(self, variant: AnalyticsVariant) -> float:
-        """End-to-end intermediate-data drain time for one timestep.
-
-        All ranks' messages funnel into one serial staging consumer: per
-        message, the wire time plus DataSpaces task handling; plus any
-        serialization charge (topology's pointer-rich subtrees).
-        """
-        return self.analytics_timing(variant).movement_time
-
     def _movement_time(self, variant: AnalyticsVariant) -> float:
         per_rank = self.workload.movement_bytes_per_rank(variant)
         if per_rank == 0:

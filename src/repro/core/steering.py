@@ -35,8 +35,8 @@ class SteeringRule:
     An action may return ``False`` to report that it had no effect (e.g.
     a cadence change to the interval already in force); such no-op
     considerations do not count as firings and are not recorded in the
-    shared-space decision history — a refine/coarsen rule pair therefore
-    cannot flap the history with repeated identical decisions.
+    shared-space decision history, so an opposed rule pair cannot flap
+    the history with repeated identical decisions.
     """
 
     name: str
@@ -73,8 +73,7 @@ class SteeringRule:
 
 
 def refine_cadence_on_topology(n_maxima: int, new_interval: int,
-                               min_persistence: float = 0.0,
-                               cooldown_steps: int = 0) -> SteeringRule:
+                               min_persistence: float = 0.0) -> SteeringRule:
     """Analyse more often once the merge tree shows >= ``n_maxima``
     features — the "capture intermittent events at higher frequency"
     steering move. Fires only when the interval actually tightens."""
@@ -98,8 +97,7 @@ def refine_cadence_on_topology(n_maxima: int, new_interval: int,
         return True
 
     return SteeringRule(name=f"refine-cadence(>={n_maxima} maxima)",
-                        predicate=predicate, action=action,
-                        cooldown_steps=cooldown_steps)
+                        predicate=predicate, action=action)
 
 
 def checkpoint_on_hot_spot(threshold: float, path: str,
@@ -125,31 +123,6 @@ def checkpoint_on_hot_spot(threshold: float, path: str,
     return SteeringRule(name=f"checkpoint(max {variable} >= {threshold})",
                         predicate=predicate, action=action,
                         max_firings=1)
-
-
-def coarsen_cadence_when_quiet(max_maxima: int, new_interval: int,
-                               cooldown_steps: int = 0) -> SteeringRule:
-    """Back off the analysis cadence while the field is featureless —
-    reclaiming the in-situ budget the paper's §V discussion motivates.
-    Fires only when the interval actually widens."""
-    if max_maxima < 0 or new_interval < 1:
-        raise ValueError("max_maxima must be >= 0, new_interval >= 1")
-
-    def predicate(result: TaskResult) -> bool:
-        if result.analysis != "topology" or result.value is None:
-            return False
-        return len(result.value.reduced().leaves()) <= max_maxima
-
-    def action(framework: "HybridFramework", result: TaskResult) -> Any:
-        widened = max(framework.analysis_interval, new_interval)
-        if widened == framework.analysis_interval:
-            return False
-        framework.analysis_interval = widened
-        return True
-
-    return SteeringRule(name=f"coarsen-cadence(<={max_maxima} maxima)",
-                        predicate=predicate, action=action,
-                        cooldown_steps=cooldown_steps)
 
 
 @dataclass(frozen=True)

@@ -180,11 +180,6 @@ class ProcessHandle:
         """Interrupt the process: it sees :class:`Interrupt` at its yield."""
         self.engine._schedule(0.0, self._throw, Interrupt(cause))
 
-    @property
-    def done(self) -> EventHandle:
-        """Event triggered when the process returns."""
-        return self._done_event
-
 
 class Engine:
     """Deterministic discrete-event engine with a float-seconds clock.

@@ -46,10 +46,6 @@ class ResilienceReport:
     values_ok: bool = True
 
     @property
-    def drained(self) -> bool:
-        return self.accounting["outstanding"] == 0
-
-    @property
     def all_accounted(self) -> bool:
         acct = self.accounting
         return (acct["completed"] + acct["failed"] == acct["submitted"]

@@ -51,10 +51,6 @@ class MachineSpec:
     def total_cores(self) -> int:
         return self.n_nodes * self.node.cores
 
-    @property
-    def total_memory_bytes(self) -> int:
-        return self.n_nodes * self.node.memory_bytes
-
     def validate_allocation(self, n_cores: int) -> None:
         """Raise if an allocation request exceeds the machine."""
         if n_cores < 1:

@@ -448,28 +448,6 @@ class TraceDiff:
                          f"{self.b_label}")
         return "\n\n".join(lines)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "a_label": self.a_label,
-            "b_label": self.b_label,
-            "makespan_a": self.makespan_a,
-            "makespan_b": self.makespan_b,
-            "makespan_delta": self.makespan_delta,
-            "blame_buckets": {k: list(v)
-                              for k, v in self.blame_buckets.items()},
-            "stage_totals": {k: list(v)
-                             for k, v in self.stage_totals.items()},
-            "edge_totals": {k: list(v)
-                            for k, v in self.edge_totals.items()},
-            "step_latencies": {str(k): list(v)
-                               for k, v in self.step_latencies.items()},
-            "flows": [{"key": f.key, "a": f.latency_a, "b": f.latency_b,
-                       "delta": f.delta} for f in self.flows],
-            "unmatched_a": self.unmatched_a,
-            "unmatched_b": self.unmatched_b,
-            "dominant_bucket": self.dominant_bucket(),
-        }
-
 
 def _trace_makespan(trace: Trace) -> float:
     return max((s.t_end for s in trace.closed_spans()), default=0.0)

@@ -106,11 +106,6 @@ class CapacityReport:
             return None
         return self.analytic_bound_bytes - self.peak_resident_bytes
 
-    @property
-    def clean(self) -> bool:
-        """No leaks and no headroom violation."""
-        return not self.leaks and self.headroom_violations == 0
-
     def to_dict(self, series_cap: int | None = 240) -> dict[str, Any]:
         series = self.resident_series
         if series is not None and series_cap is not None \

@@ -21,17 +21,12 @@ recording tracer keep their records to themselves.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 __all__ = ["SampleRow", "LedgerEntry", "TransferEntry", "UNATTRIBUTED"]
 
 #: Tenant/job key of a ledger delta recorded outside any tracer context.
 UNATTRIBUTED = "-"
-
-
-def _to_dict(rec: Any) -> dict[str, Any]:
-    """A ledger delta as plain data."""
-    return rec._asdict()
 
 
 class SampleRow(NamedTuple):
@@ -67,7 +62,6 @@ class LedgerEntry(NamedTuple):
 
     kind = "capacity"
 
-    to_dict = _to_dict
 
 
 class TransferEntry(NamedTuple):
@@ -86,4 +80,3 @@ class TransferEntry(NamedTuple):
 
     kind = "capacity"
 
-    to_dict = _to_dict

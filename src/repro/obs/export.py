@@ -370,7 +370,8 @@ def write_jsonl(path: str, trace: Trace,
 
 
 def _append_jsonl_record(trace: Trace, rec: dict[str, Any]) -> None:
-    """Add one decoded JSONL line to ``trace`` (metrics lines are skipped)."""
+    """Add one decoded JSONL line to ``trace`` (metrics lines are skipped,
+    any other record type is refused)."""
     kind = rec.get("type")
     if kind == "span":
         trace.log.append(SpanRecord(
@@ -403,6 +404,9 @@ def _append_jsonl_record(trace: Trace, rec: dict[str, Any]) -> None:
                           span_id=h.get("span_id"),
                           tags=h.get("tags") or {})
                   for h in rec.get("hops", [])]))
+    elif kind != "metrics":
+        raise ValueError(f"record type {kind!r} is not span, instant, flow "
+                         "or metrics")
 
 
 def load_trace_jsonl(path: str) -> Trace:
@@ -411,7 +415,8 @@ def load_trace_jsonl(path: str) -> Trace:
     Full fidelity: spans (with ids and tags), instants, and flows with
     their complete hop chains — everything :func:`repro.obs.blame.blame`
     and ``repro replay --diff`` need. Metrics lines are skipped. A damaged
-    line raises ``ValueError`` naming ``path:lineno``.
+    line, or a record of another type, raises ``ValueError`` naming
+    ``path:lineno``.
     """
     trace = Trace()
     with open(path, encoding="utf-8") as fh:
@@ -423,6 +428,8 @@ def load_trace_jsonl(path: str) -> Trace:
                 _append_jsonl_record(trace, json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             except KeyError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: record is missing field {exc}") from exc

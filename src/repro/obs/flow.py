@@ -1,7 +1,7 @@
 """Causal flow model: explicit hand-off edges between pipeline actors.
 
 A **flow** is the recorded journey of one unit of work (an in-transit
-task, a pulled region, a collective) through the pipeline's hand-off
+task or a pulled region) through the pipeline's hand-off
 points. Rather than leaving causality to be guessed from time ordering,
 a flow *records* it: each hand-off appends a :class:`FlowHop` carrying
 the trace-clock time the work arrived at the next actor and the **edge
@@ -40,7 +40,6 @@ __all__ = [
     "EDGE_GRANT",
     "EDGE_RETRY",
     "EDGE_SERVICE",
-    "EDGE_COLLECTIVE",
     "EDGE_KINDS",
     "BLAME_COMPUTE",
     "BLAME_TRANSPORT",
@@ -67,11 +66,8 @@ EDGE_GRANT = "grant"
 EDGE_RETRY = "retry"
 #: Hand-off into a compute stage (bucket task body, in-transit kernel).
 EDGE_SERVICE = "service"
-#: A vmpi collective round (bcast/allreduce/... time model).
-EDGE_COLLECTIVE = "collective"
-
 EDGE_KINDS = (EDGE_NOTIFY, EDGE_QUEUE, EDGE_GRANT, EDGE_RETRY,
-              EDGE_SERVICE, EDGE_COLLECTIVE)
+              EDGE_SERVICE)
 
 # -- blame buckets: where a second of makespan is charged ---------------------
 
@@ -89,7 +85,6 @@ BLAME_BUCKETS = (BLAME_COMPUTE, BLAME_TRANSPORT, BLAME_QUEUE_WAIT,
 #: Edge kind -> blame bucket for the *gap* the hop closes.
 EDGE_BLAME = {
     EDGE_NOTIFY: BLAME_TRANSPORT,
-    EDGE_COLLECTIVE: BLAME_TRANSPORT,
     EDGE_QUEUE: BLAME_QUEUE_WAIT,
     EDGE_GRANT: BLAME_QUEUE_WAIT,
     EDGE_RETRY: BLAME_RETRY_BACKOFF,

@@ -195,12 +195,6 @@ class BusSubscriber:
         self.cursor = head
         return events
 
-    @property
-    def pending(self) -> int:
-        """Events currently waiting between cursor and head (overflow
-        losses not included)."""
-        return self.bus.published - max(self.cursor, self.bus.start_seq)
-
 
 class TelemetryBus:
     """A bounded cursor window on an event log.
@@ -365,14 +359,6 @@ class SloObjective:
                 f"slow_window ({self.slow_window})")
         if self.fast_burn <= 0 or self.slow_burn <= 0:
             raise ValueError("burn thresholds must be > 0")
-
-    def describe(self) -> dict[str, Any]:
-        return {"name": self.name, "metric": self.metric,
-                "target": self.target, "budget": self.budget,
-                "fast_window": self.fast_window,
-                "slow_window": self.slow_window,
-                "fast_burn": self.fast_burn, "slow_burn": self.slow_burn,
-                "severity": self.severity}
 
 
 def default_objectives() -> tuple[SloObjective, ...]:

@@ -64,12 +64,6 @@ class Counter:
             times.append(self.clock())
             self.values.append(value)
 
-    @property
-    def series(self) -> list[tuple[float, float]] | None:
-        """``[(t, value), ...]`` per update (None when not recording)."""
-        times = self.times
-        return None if times is None else list(zip(times, self.values))
-
 
 class Gauge:
     """Last-written value with running min/max (queue depth, live bytes).
@@ -103,12 +97,6 @@ class Gauge:
         if times is not None:
             times.append(self.clock())
             self.values.append(value)
-
-    @property
-    def series(self) -> list[tuple[float, float]] | None:
-        """``[(t, value), ...]`` per update (None when not recording)."""
-        times = self.times
-        return None if times is None else list(zip(times, self.values))
 
 
 def nearest_rank(ordered: list[float], p: float) -> float:

@@ -179,9 +179,6 @@ class RunStore:
                     self.skipped += 1
         return out
 
-    def last(self, n: int) -> list[RunRecord]:
-        return self.records()[-n:]
-
     def __len__(self) -> int:
         return len(self.records())
 
@@ -314,9 +311,6 @@ class RegressionReport:
     @property
     def ok(self) -> bool:
         return not any(v.failed for v in self.verdicts)
-
-    def by_status(self, *statuses: str) -> list[MetricVerdict]:
-        return [v for v in self.verdicts if v.status in statuses]
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}

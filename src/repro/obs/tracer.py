@@ -279,10 +279,6 @@ class Tracer:
 
     # -- clocks --------------------------------------------------------------
 
-    def now(self) -> float:
-        """Current trace-clock time (DES time once an engine attaches)."""
-        return self._clock()
-
     def attach_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self.metrics.rebind_clock(clock)
@@ -324,10 +320,6 @@ class Tracer:
             yield merged
         finally:
             self.ctx = previous
-
-    def context_tags(self) -> dict[str, Any]:
-        """A copy of the ambient context tags currently in effect."""
-        return dict(self.ctx)
 
     # -- spans ---------------------------------------------------------------
 
@@ -515,9 +507,6 @@ class NullTracer:
     def trace(self) -> Trace:
         return Trace()
 
-    def now(self) -> float:
-        return 0.0
-
     def attach_clock(self, clock: Callable[[], float]) -> None:
         pass
 
@@ -529,9 +518,6 @@ class NullTracer:
 
     def context(self, **tags: Any) -> _NullSpanContext:
         return _NULL_SPAN_CONTEXT
-
-    def context_tags(self) -> dict[str, Any]:
-        return {}
 
     def begin(self, name: str, lane: str = "main",
               category: str | None = None, **tags: Any) -> _NullSpan:

@@ -131,17 +131,6 @@ class ScheduleCache:
                 if key and isinstance(summary, dict):
                     self._mem[key] = summary
 
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._mem
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def lookup(self, key: str) -> ScheduleResult | None:
         """The cached result for ``key`` (counting the hit/miss).
 

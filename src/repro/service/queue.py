@@ -52,9 +52,6 @@ class JobState(Enum):
     DONE = "done"
     FAILED = "failed"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True, kw_only=True)
 class JobSpec(ReplayPlan):
@@ -180,14 +177,6 @@ class JobQueue:
         job.state = JobState.QUEUED
         self._queues[tenant].append(job)
         self.pushed += 1
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    def pending(self) -> list[Job]:
-        """Queued jobs in tenant round-robin order (for reports)."""
-        return [job for tenant in self._rr
-                for job in self._queues.get(tenant, ())]
 
     def pending_for(self, tenant: str) -> int:
         return len(self._queues.get(tenant, ()))

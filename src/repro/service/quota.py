@@ -94,12 +94,6 @@ class TrueUp:
     def delta_bytes(self) -> int:
         return self.measured_bytes - self.estimated_bytes
 
-    def to_dict(self) -> dict:
-        return {"tenant": self.tenant, "job_id": self.job_id,
-                "estimated_bytes": self.estimated_bytes,
-                "measured_bytes": self.measured_bytes,
-                "delta_bytes": self.delta_bytes}
-
 
 class QuotaManager:
     """Admission control + usage ledger over per-tenant quotas."""

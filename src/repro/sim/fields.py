@@ -8,8 +8,6 @@ system.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.sim.grid import StructuredGrid3D
@@ -43,9 +41,6 @@ class FieldSet:
     def names(self) -> tuple[str, ...]:
         return self._names
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._data
-
     def __getitem__(self, name: str) -> np.ndarray:
         try:
             return self._data[name]
@@ -64,12 +59,6 @@ class FieldSet:
             self._names = (*self._names, name)
         self._data[name] = value
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
     def items(self):
         return ((name, self._data[name]) for name in self._names)
 
@@ -77,12 +66,3 @@ class FieldSet:
     def nbytes(self) -> int:
         """Total solution-state size — Table I's "Data size"."""
         return sum(arr.nbytes for arr in self._data.values())
-
-    def velocity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self["u"], self["v"], self["w"]
-
-    def copy(self) -> "FieldSet":
-        out = FieldSet(self.grid, self._names)
-        for name in self._names:
-            out._data[name] = self._data[name].copy()
-        return out

@@ -29,11 +29,6 @@ class StructuredGrid3D:
     def spacing(self) -> tuple[float, float, float]:
         return tuple(length / n for length, n in zip(self.lengths, self.shape))  # type: ignore[return-value]
 
-    @property
-    def n_cells(self) -> int:
-        nx, ny, nz = self.shape
-        return nx * ny * nz
-
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cell-center coordinates along each axis."""
         return tuple(

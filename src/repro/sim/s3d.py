@@ -48,15 +48,6 @@ class SolverParams:
     radical_decay: float = 5.0
     dt: float | None = None  # None -> CFL-derived at construction
     cfl_safety: float = 0.4
-    #: "euler" (default) or "rk2" (Heun's method — S3D itself uses a
-    #: multi-stage explicit RK; rk2 exercises the same multi-exchange
-    #: structure at laptop scale).
-    integrator: str = "euler"
-
-    def __post_init__(self) -> None:
-        if self.integrator not in ("euler", "rk2"):
-            raise ValueError(
-                f"integrator must be 'euler' or 'rk2', got {self.integrator!r}")
 
     def resolve_dt(self, grid: StructuredGrid3D, max_speed: float) -> float:
         if self.dt is not None:
@@ -99,21 +90,6 @@ def _apply_update(state: dict[str, np.ndarray], rhs: dict[str, np.ndarray],
     for s in SPECIES_NAMES:
         state[s] += dt * rhs[s]
         np.clip(state[s], 0.0, 1.0, out=state[s])
-
-
-def _midpoint_state(state: dict[str, np.ndarray], rhs: dict[str, np.ndarray],
-                    dt: float) -> dict[str, np.ndarray]:
-    """Heun predictor: transported variables advanced by a full Euler step,
-    velocity carried frozen."""
-    mid = {c: state[c] for c in ("u", "v", "w")}
-    for name in _TRANSPORTED:
-        mid[name] = state[name] + dt * rhs[name]
-    return mid
-
-
-def _combine_heun(rhs1: dict[str, np.ndarray], rhs2: dict[str, np.ndarray]
-                  ) -> dict[str, np.ndarray]:
-    return {name: 0.5 * (rhs1[name] + rhs2[name]) for name in rhs1}
 
 
 class DecomposedS3D:
@@ -175,11 +151,9 @@ class DecomposedS3D:
                 views[rank] = {name: arr[k] for name, arr in stack.items()}
         return views
 
-    def _stage_rhs(self, stacks: list[dict[str, np.ndarray]],
-                   parts: list[dict[str, np.ndarray]]
-                   ) -> list[dict[str, np.ndarray]]:
-        """Halo exchange between the ranks (``parts``, the per-rank views
-        of ``stacks``), then every shape group's right-hand side.
+    def _stage_rhs(self) -> list[dict[str, np.ndarray]]:
+        """Halo exchange between the ranks, then every shape group's
+        right-hand side.
 
         Only the transported variables are exchanged: the stencils read
         the (frozen) velocity at the cell itself, never at a neighbour.
@@ -190,16 +164,17 @@ class DecomposedS3D:
             ghosted = [
                 {name: np.empty((n_ranks, nx + 2, ny + 2, nz + 2))
                  for name in _TRANSPORTED}
-                for n_ranks, nx, ny, nz in (s["T"].shape for s in stacks)]
+                for n_ranks, nx, ny, nz in (s["T"].shape
+                                            for s in self._stacks)]
             ghost_parts = self._rank_views(ghosted)
             for name in _TRANSPORTED:
-                pad_with_ghosts([p[name] for p in parts], self.decomp,
+                pad_with_ghosts([p[name] for p in self.parts], self.decomp,
                                 out=[g[name] for g in ghost_parts])
         with tracer.span("sim.rhs", lane="sim", category="sim"):
             return [
                 _rhs(stack, ghosts, self.grid.spacing, self.chemistry,
                      self.params)
-                for stack, ghosts in zip(stacks, ghosted)]
+                for stack, ghosts in zip(self._stacks, ghosted)]
 
     def step(self, n: int = 1) -> None:
         if n < 1:
@@ -210,19 +185,7 @@ class DecomposedS3D:
                              step=self.step_count, solver="decomposed"):
                 self._seed_kernels()
 
-                rhs_per_group = self._stage_rhs(self._stacks, self.parts)
-
-                if self.params.integrator == "rk2":
-                    # Predictor stacks, then a SECOND halo exchange before the
-                    # corrector RHS — the multi-exchange structure of S3D's
-                    # multi-stage RK.
-                    mid = [_midpoint_state(stack, rhs, self.dt)
-                           for stack, rhs in zip(self._stacks, rhs_per_group)]
-                    rhs_per_group = [
-                        _combine_heun(rhs1, rhs2) for rhs1, rhs2
-                        in zip(rhs_per_group,
-                               self._stage_rhs(mid, self._rank_views(mid)))]
-
+                rhs_per_group = self._stage_rhs()
                 with tracer.span("sim.update", lane="sim", category="sim"):
                     for stack, rhs in zip(self._stacks, rhs_per_group):
                         _apply_update(stack, rhs, self.dt)

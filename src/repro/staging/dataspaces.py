@@ -1,25 +1,17 @@
 """The DataSpaces shared-space service.
 
 Implements the "scalable, semantically specialized shared space
-abstraction" of §IV: versioned, geometry-aware put/get over a set of
-service cores (keys DHT-hashed via :class:`~repro.staging.hashing.ServiceRing`),
-plus the in-transit workflow wiring — data-ready RPCs, the task queue, and
-bucket management.
-
-Geometry semantics follow DataSpaces: a *put* inserts an n-D array tagged
-with its global index bounds; a *get* for any box of the same (name,
-version) assembles the request from every overlapping put, raising if the
-box is not fully covered.
+abstraction" of §IV: versioned puts over a set of service cores (keys
+DHT-hashed via :class:`~repro.staging.hashing.ServiceRing`), plus the
+in-transit workflow wiring — data-ready RPCs, the task queue, and bucket
+management.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from repro.costmodel.models import CostModel
 from repro.des import Engine, ProcessHandle
@@ -30,41 +22,6 @@ from repro.staging.hashing import ServiceRing
 from repro.staging.scheduler import AssignmentRecord, TaskScheduler
 from repro.transport.dart import DartTransport
 from repro.transport.messages import DataDescriptor
-
-Bounds = tuple[tuple[int, int], ...]  # ((lo, hi), ...) per axis, hi exclusive
-
-
-def _check_bounds(bounds: Bounds) -> None:
-    for lo, hi in bounds:
-        if hi <= lo:
-            raise ValueError(f"empty or inverted bounds {bounds}")
-
-
-def _intersect(a: Bounds, b: Bounds) -> Bounds | None:
-    if len(a) != len(b):
-        raise ValueError(f"rank mismatch: {a} vs {b}")
-    out = []
-    for (alo, ahi), (blo, bhi) in zip(a, b):
-        lo, hi = max(alo, blo), min(ahi, bhi)
-        if hi <= lo:
-            return None
-        out.append((lo, hi))
-    return tuple(out)
-
-
-def _volume(bounds: Bounds) -> int:
-    v = 1
-    for lo, hi in bounds:
-        v *= hi - lo
-    return v
-
-
-@dataclass
-class _StoredObject:
-    bounds: Bounds | None
-    data: Any
-    put_time: float
-
 
 class DataSpaces:
     """Shared space + in-transit workflow coordinator.
@@ -108,7 +65,7 @@ class DataSpaces:
             engine, lease_timeout=lease_timeout,
             lane=f"scheduler[{name}]" if name else "scheduler")
         self.buckets: list[StagingBucket] = []
-        self._store: dict[tuple[str, int], list[_StoredObject]] = {}
+        self._store: dict[tuple[str, int], list[Any]] = {}
         self._task_ids = itertools.count()
         self._rpc_counts = [0] * n_servers
         self._rpc_keys: list[str] = []  # not yet hashed onto the ring
@@ -146,8 +103,8 @@ class DataSpaces:
         #: flow (the driver sets this around each in-situ hand-off).
         self.flow_src: Any | None = None
         #: A pre-created flow to attach to the next submitted task (set
-        #: by drivers that start the flow at the in-situ stage so vmpi
-        #: collective hops land on it); consumed by one submit.
+        #: by drivers that start the flow at the in-situ stage); consumed
+        #: by one submit.
         self.next_flow: Any | None = None
 
     # -- tuple space --------------------------------------------------------
@@ -170,114 +127,19 @@ class DataSpaces:
         """RPCs filed so far: ``sum(server_rpc_counts)``, with no key hashed."""
         return sum(self._rpc_counts) + len(self._rpc_keys)
 
-    def put(self, name: str, version: int, data: Any,
-            bounds: Bounds | None = None) -> None:
-        """Insert an object (optionally geometry-tagged) into the space."""
-        if bounds is not None:
-            _check_bounds(bounds)
-            arr = np.asarray(data)
-            shape = tuple(hi - lo for lo, hi in bounds)
-            if arr.shape != shape:
-                raise ValueError(
-                    f"data shape {arr.shape} does not match bounds extent {shape}"
-                )
+    def put(self, name: str, version: int, data: Any) -> None:
+        """Insert an object into the space: one RPC to the service core
+        that owns ``name@version``."""
         self._rpc(f"{name}@{version}")
-        self._store.setdefault((name, version), []).append(
-            _StoredObject(bounds=bounds, data=data, put_time=self.engine.now))
-
-    def get(self, name: str, version: int, bounds: Bounds | None = None) -> Any:
-        """Retrieve an object or assemble a geometric sub-box.
-
-        Without ``bounds``: returns the most recent plain put. With
-        ``bounds``: assembles the requested box from all overlapping
-        geometry-tagged puts; raises ``KeyError`` if uncovered cells remain.
-        """
-        self._rpc(f"{name}@{version}")
-        objs = self._store.get((name, version))
-        if not objs:
-            raise KeyError(f"no object {name!r} at version {version}")
-        if bounds is None:
-            plain = [o for o in objs if o.bounds is None]
-            if not plain:
-                raise KeyError(
-                    f"{name!r}@{version} holds only geometric puts; pass bounds")
-            return plain[-1].data
-
-        _check_bounds(bounds)
-        pieces = [o for o in objs if o.bounds is not None]
-        if not pieces:
-            raise KeyError(f"{name!r}@{version} has no geometric puts")
-        shape = tuple(hi - lo for lo, hi in bounds)
-        sample = np.asarray(pieces[0].data)
-        out = np.zeros(shape, dtype=sample.dtype)
-        covered = 0
-        for obj in pieces:
-            inter = _intersect(obj.bounds, bounds)  # type: ignore[arg-type]
-            if inter is None:
-                continue
-            src = np.asarray(obj.data)
-            src_sl = tuple(slice(lo - olo, hi - olo)
-                           for (lo, hi), (olo, _ohi) in zip(inter, obj.bounds))
-            dst_sl = tuple(slice(lo - blo, hi - blo)
-                           for (lo, hi), (blo, _bhi) in zip(inter, bounds))
-            out[dst_sl] = src[src_sl]
-            covered += _volume(inter)
-        if covered < _volume(bounds):
-            raise KeyError(
-                f"requested box {bounds} of {name!r}@{version} is not fully "
-                f"covered ({covered}/{_volume(bounds)} cells)")
-        return out
-
-    def versions(self, name: str) -> list[int]:
-        """All stored versions of ``name`` (ascending)."""
-        return sorted(v for (n, v) in self._store if n == name)
-
-    def query(self, name: str, version_lo: int, version_hi: int
-              ) -> list[tuple[int, Any]]:
-        """All plain (non-geometric) objects of ``name`` with version in
-        ``[version_lo, version_hi]``, ascending — DataSpaces' flexible
-        version-range query used by consumers that lag the producer."""
-        if version_hi < version_lo:
-            raise ValueError(f"empty version range [{version_lo}, {version_hi}]")
-        out = []
-        for v in self.versions(name):
-            if version_lo <= v <= version_hi:
-                plain = [o for o in self._store[(name, v)] if o.bounds is None]
-                if plain:
-                    out.append((v, plain[-1].data))
-        return out
-
-    def stored_bytes(self) -> int:
-        """Approximate bytes held in the space (staging memory pressure)."""
-        total = 0
-        for objs in self._store.values():
-            for o in objs:
-                data = o.data
-                total += int(data.nbytes) if isinstance(data, np.ndarray) else 64
-        return total
-
-    def gc_versions(self, name: str, keep_latest: int) -> int:
-        """Drop all but the newest ``keep_latest`` versions of ``name``.
-
-        Staging memory is the binding constraint on the sustainable
-        analysis frequency (§III); consumers acknowledge versions and the
-        space garbage-collects behind them. Returns versions removed.
-        """
-        if keep_latest < 0:
-            raise ValueError(f"keep_latest must be >= 0, got {keep_latest}")
-        versions = self.versions(name)
-        doomed = versions[:max(0, len(versions) - keep_latest)]
-        for v in doomed:
-            del self._store[(name, v)]
-        return len(doomed)
+        self._store.setdefault((name, version), []).append(data)
 
     # -- workflow: in-situ side ------------------------------------------------
 
     def _task_flow(self, task: TaskDescriptor) -> Any | None:
         """Attach a causal flow to ``task`` (None when tracing is off).
 
-        A driver-provided :attr:`next_flow` is consumed first (it already
-        carries the in-situ collective hops); otherwise a fresh flow is
+        A driver-provided :attr:`next_flow` is consumed first (it starts
+        at the in-situ stage's span); otherwise a fresh flow is
         begun, anchored at :attr:`flow_src` when the driver set one.
         """
         tracer = self._tracer

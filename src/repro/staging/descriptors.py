@@ -103,13 +103,5 @@ class TaskResult:
         return self.assign_time - self.enqueue_time
 
     @property
-    def pull_duration(self) -> float:
-        return self.pull_done_time - self.assign_time
-
-    @property
-    def compute_duration(self) -> float:
-        return self.finish_time - self.pull_done_time
-
-    @property
     def total_latency(self) -> float:
         return self.finish_time - self.enqueue_time

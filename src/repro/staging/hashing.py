@@ -77,20 +77,6 @@ class ServiceRing:
             counts[self.server_for(k)] += 1
         return counts
 
-    def imbalance(self, keys: list[str]) -> float:
-        """Max-over-mean load ratio for ``keys`` (1.0 = perfectly even).
-
-        The service layer's shard-balance report uses this figure: with
-        enough virtual nodes the ratio stays bounded (a few tens of
-        percent), which is what makes DHT routing a load balancer and not
-        just a partitioner.
-        """
-        if not keys:
-            return 1.0
-        counts = self.load_histogram(keys)
-        mean = len(keys) / self.n_servers
-        return max(counts) / mean
-
     def moved_fraction(self, keys: list[str], other: "ServiceRing") -> float:
         """Fraction of ``keys`` whose assignment differs under ``other``.
 

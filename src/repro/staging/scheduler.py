@@ -277,6 +277,3 @@ class TaskScheduler:
     @property
     def idle_buckets(self) -> int:
         return len(self._free_buckets)
-
-    def max_queue_depth(self) -> int:
-        return max((depth for _, depth in self.queue_trace), default=0)

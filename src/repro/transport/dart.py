@@ -266,8 +266,3 @@ class DartTransport:
 
     def bytes_moved(self) -> int:
         return sum(t.nbytes for t in self.transfers)
-
-    def busy_time(self, node: str) -> float:
-        """Total wire time in which ``node`` was an endpoint."""
-        return sum(t.duration for t in self.transfers
-                   if node in (t.source_node, t.dest_node))

@@ -45,7 +45,3 @@ class TransferRecord:
     protocol: Protocol
     start_time: float
     end_time: float
-
-    @property
-    def duration(self) -> float:
-        return self.end_time - self.start_time

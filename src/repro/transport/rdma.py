@@ -52,9 +52,6 @@ class RdmaRegistry:
         self.ledger: Any = None
         self.ledger_shard = "shard0"
 
-    def __len__(self) -> int:
-        return len(self._regions)
-
     def __contains__(self, region_id: str) -> bool:
         return region_id in self._regions
 

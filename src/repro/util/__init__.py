@@ -12,7 +12,6 @@ export_lazily(__name__, {
     "GB": "units",
     "TB": "units",
     "bytes_to_mb": "units",
-    "bytes_to_gb": "units",
     "fmt_bytes": "units",
     "fmt_seconds": "units",
     "seeded_rng": "rng",

@@ -2,9 +2,7 @@
 
 Renders per-actor activity spans on a character timeline — used by the
 benchmark harness to visualise bucket occupancy in the Fig.-5 schedule
-replays (which bucket held which task, when). :func:`spans_from_trace`
-adapts :class:`repro.obs.Trace` span records so traced runs render the
-same way.
+replays (which bucket held which task, when).
 """
 
 from __future__ import annotations
@@ -29,31 +27,6 @@ class Span:
         if self.end < self.start:
             raise ValueError(f"span ends ({self.end}) before it starts "
                              f"({self.start})")
-
-
-def spans_from_trace(trace_or_spans, clock: str = "des") -> list[Span]:
-    """Adapt tracer span records to Gantt :class:`Span`s.
-
-    Accepts a :class:`repro.obs.Trace` (or any object with
-    ``closed_spans()``) or a plain iterable of closed span records; the
-    record's lane becomes the actor. ``clock`` is ``"des"``/``"trace"``
-    for the trace clock or ``"wall"`` for wall time.
-    """
-    if clock not in ("des", "trace", "wall"):
-        raise ValueError(f"clock must be 'des', 'trace' or 'wall', "
-                         f"got {clock!r}")
-    closed = getattr(trace_or_spans, "closed_spans", None)
-    records = closed() if callable(closed) else trace_or_spans
-    out = []
-    for rec in records:
-        if not rec.closed:
-            continue
-        if clock == "wall":
-            start, end = rec.wall_start, rec.wall_end
-        else:
-            start, end = rec.t_start, rec.t_end
-        out.append(Span(actor=rec.lane, start=start, end=end, label=rec.name))
-    return out
 
 
 def render_gantt(spans: list[Span], width: int = 72) -> str:

@@ -18,11 +18,6 @@ def bytes_to_mb(n: float) -> float:
     return n / MB
 
 
-def bytes_to_gb(n: float) -> float:
-    """Convert a byte count to gibibytes."""
-    return n / GB
-
-
 def fmt_bytes(n: float) -> str:
     """Human-readable byte count, e.g. ``fmt_bytes(98.5 * GB) == '98.50 GB'``."""
     if n < 0:

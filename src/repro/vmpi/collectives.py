@@ -22,27 +22,6 @@ def _check(p: int, nbytes: int) -> None:
         raise ValueError(f"nbytes must be >= 0, got {nbytes}")
 
 
-#: Critical-path message rounds per collective (p ranks) — the round
-#: count each ``*_time`` model below charges latency for. Exposed so
-#: causal-flow hops can annotate a collective hand-off with its depth.
-_ROUND_COUNTS = {
-    "reduce": lambda p: math.ceil(math.log2(p)),
-    "allreduce": lambda p: 2 * math.ceil(math.log2(p)),
-}
-
-
-def rounds(op: str, p: int) -> int:
-    """Critical-path rounds of collective ``op`` over ``p`` ranks.
-
-    Unknown ops cost one round — a point-to-point exchange.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if p == 1:
-        return 0
-    return int(_ROUND_COUNTS.get(op, lambda _p: 1)(p))
-
-
 def bcast_time(net: GeminiNetwork, p: int, nbytes: int) -> float:
     """Binomial-tree broadcast: ``ceil(log2 p)`` rounds of one message."""
     _check(p, nbytes)

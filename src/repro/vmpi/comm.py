@@ -17,7 +17,6 @@ from typing import Any
 import numpy as np
 
 from repro.machine.gemini import GeminiNetwork
-from repro.obs.flow import EDGE_COLLECTIVE, FlowContext
 from repro.obs.tracer import get_tracer
 from repro.vmpi import collectives as coll
 
@@ -50,9 +49,6 @@ class CommTracker:
     """Accumulates modeled communication costs for a VirtualComm."""
 
     records: list[CommRecord] = field(default_factory=list)
-    #: Causal flow the communicator's collectives currently feed (set by
-    #: the driver around an in-situ stage; None = untracked).
-    flow: FlowContext | None = None
 
     def __post_init__(self) -> None:
         self._tracer = get_tracer()
@@ -66,25 +62,13 @@ class CommTracker:
             self._tracer.metrics.histogram("vmpi.coll_time").observe(time)
             self._tracer.instant(f"vmpi.{op}", lane="vmpi", n_ranks=n_ranks,
                                  nbytes=nbytes, modeled_time=time)
-            if self.flow is not None:
-                self._tracer.flow_step(self.flow, EDGE_COLLECTIVE, "vmpi",
-                                       op=op, n_ranks=n_ranks, nbytes=nbytes,
-                                       modeled_time=time,
-                                       rounds=coll.rounds(op, n_ranks))
 
     @property
     def total_time(self) -> float:
         return sum(r.time for r in self.records)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.nbytes for r in self.records)
-
     def count(self, op: str) -> int:
         return sum(1 for r in self.records if r.op == op)
-
-    def clear(self) -> None:
-        self.records.clear()
 
 
 def _pairwise_reduce(values: list[Any], op: Callable[[Any, Any], Any]) -> Any:
@@ -122,16 +106,6 @@ class VirtualComm:
         self.n_ranks = n_ranks
         self.network = network or GeminiNetwork()
         self.tracker = CommTracker()
-
-    @property
-    def flow(self) -> FlowContext | None:
-        """Causal flow the next collectives charge their hops to
-        (stored on the tracker — the single recording chokepoint)."""
-        return self.tracker.flow
-
-    @flow.setter
-    def flow(self, flow: FlowContext | None) -> None:
-        self.tracker.flow = flow
 
     # -- collectives ----------------------------------------------------------
 

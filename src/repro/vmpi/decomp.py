@@ -9,7 +9,6 @@ and generalises to uneven divisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -30,11 +29,6 @@ class Block3D:
     @property
     def shape(self) -> tuple[int, int, int]:
         return tuple(h - l for l, h in zip(self.lo, self.hi))  # type: ignore[return-value]
-
-    @property
-    def n_cells(self) -> int:
-        sx, sy, sz = self.shape
-        return sx * sy * sz
 
     @property
     def slices(self) -> tuple[slice, slice, slice]:
@@ -84,13 +78,6 @@ class BlockDecomposition3D:
         px, py, pz = self.proc_grid
         return px * py * pz
 
-    def rank_of_coords(self, coords: tuple[int, int, int]) -> int:
-        px, py, pz = self.proc_grid
-        ix, iy, iz = coords
-        if not (0 <= ix < px and 0 <= iy < py and 0 <= iz < pz):
-            raise IndexError(f"coords {coords} out of process grid {self.proc_grid}")
-        return ix + px * (iy + py * iz)
-
     def coords_of_rank(self, rank: int) -> tuple[int, int, int]:
         if not 0 <= rank < self.n_ranks:
             raise IndexError(f"rank {rank} out of range [0, {self.n_ranks})")
@@ -123,28 +110,6 @@ class BlockDecomposition3D:
                 groups.setdefault(b.shape, []).append(b.rank)
             self._shape_groups = [tuple(ranks) for ranks in groups.values()]
         return list(self._shape_groups)
-
-    def rank_containing(self, point: tuple[int, int, int]) -> int:
-        """Rank owning a global grid point."""
-        coords = []
-        for a in range(3):
-            if not 0 <= point[a] < self.global_shape[a]:
-                raise IndexError(f"point {point} outside grid {self.global_shape}")
-            coords.append(int(np.searchsorted(self._starts[a], point[a], side="right")) - 1)
-        return self.rank_of_coords(tuple(coords))  # type: ignore[arg-type]
-
-    def neighbors(self, rank: int) -> list[int]:
-        """Face/edge/corner-adjacent ranks (26-neighborhood, no wraparound)."""
-        px, py, pz = self.proc_grid
-        ix, iy, iz = self.coords_of_rank(rank)
-        out = []
-        for dx, dy, dz in product((-1, 0, 1), repeat=3):
-            if dx == dy == dz == 0:
-                continue
-            jx, jy, jz = ix + dx, iy + dy, iz + dz
-            if 0 <= jx < px and 0 <= jy < py and 0 <= jz < pz:
-                out.append(self.rank_of_coords((jx, jy, jz)))
-        return out
 
     def scatter(self, field: np.ndarray) -> list[np.ndarray]:
         """Split a global field into per-rank copies (rank order)."""

@@ -17,7 +17,6 @@ from repro.sim import SPECIES_NAMES, ArrheniusChemistry, SolverParams
 from repro.util.rng import seeded_rng
 
 _RADICALS = ("H", "O", "OH", "HO2", "H2O2")
-_TRANSPORTED = ("T",) + SPECIES_NAMES
 
 
 def gradient(f, spacing):
@@ -125,12 +124,6 @@ class OracleS3D:
                 self.kernel_history.append((self.step_count, center))
             state = {name: self.fields[name] for name in self.fields.names}
             rhs = _rhs(state, spacing, self.chemistry, self.params)
-            if self.params.integrator == "rk2":
-                mid = {c: state[c] for c in ("u", "v", "w")}
-                for name in _TRANSPORTED:
-                    mid[name] = state[name] + dt * rhs[name]
-                rhs2 = _rhs(mid, spacing, self.chemistry, self.params)
-                rhs = {name: 0.5 * (rhs[name] + rhs2[name]) for name in rhs}
             state["T"] += dt * rhs["T"]
             np.maximum(state["T"], 1e-3, out=state["T"])
             for s in SPECIES_NAMES:

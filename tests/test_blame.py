@@ -196,14 +196,6 @@ class TestTraceDiff:
         for la, lb in diff.step_latencies.values():
             assert la == pytest.approx(lb)
 
-    def test_to_dict_round_trips_to_json(self):
-        import json
-
-        trace = _traced_schedule(n_steps=2)
-        diff = diff_traces(trace, trace)
-        payload = json.dumps(diff.to_dict())
-        assert "makespan_delta" in payload
-
 
 class TestDiffHtml:
     def test_render_contains_buckets_and_labels(self):

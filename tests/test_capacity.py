@@ -102,7 +102,7 @@ class TestLedgerAccounting:
         assert leak["nbytes"] == 4096
         assert leak["analysis"] == "injected-leak"
         assert rep.final_resident_bytes == 4096
-        assert not rep.clean
+        assert rep.leaks
         assert [e.op for e in led.entries].count("leak") == 1
 
     def test_inject_leak_rejects_nonpositive(self):
@@ -125,7 +125,7 @@ class TestReplayAccounting:
         assert rep.n_registers == rep.n_releases > 0
         assert rep.n_transfers > 0
         assert rep.nic_bytes_total == rep.registered_bytes_total
-        assert rep.clean
+        assert not rep.leaks and rep.headroom_violations == 0
 
     def test_sharded_scope_sums_are_exact(self):
         sched = _experiment().run_schedule(n_steps=6, n_buckets=4,
@@ -205,7 +205,7 @@ class TestCapacityScenario:
         assert merged.leaks == []
         assert merged.headroom_violations == 0
         for tenant, rep in out["tenants"].items():
-            assert rep.clean, tenant
+            assert not rep.leaks and rep.headroom_violations == 0, tenant
             assert rep.peak_resident_bytes <= rep.analytic_bound_bytes
         assert (sum(r.registered_bytes_total for r in out["tenants"].values())
                 == merged.registered_bytes_total)

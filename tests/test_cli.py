@@ -321,6 +321,23 @@ class TestReplayCli:
                 main(["replay", "--from", str(jsonl), "--out-dir",
                       str(tmp_path), *extra])
 
+    @pytest.mark.parametrize("content, message", [
+        ("", "in.jsonl: no spans to blame or diff"),
+        ('{"not": "a span"}\n', "in.jsonl:1: record type None is not span, "
+         "instant, flow or metrics"),
+        (None, "cannot read trace .*in.jsonl: No such file"),
+    ], ids=["no-spans", "not-a-trace-record", "missing"])
+    def test_from_and_diff_refuse_what_is_not_a_trace(self, tmp_path,
+                                                      content, message):
+        path = tmp_path / "in.jsonl"
+        if content is not None:
+            path.write_text(content)
+        for argv in (["--from", str(path), "--blame"],
+                     ["--steps", "2", "--diff", str(path)]):
+            with pytest.raises(SystemExit, match=message) as exc:
+                main(["replay", *argv, "--out-dir", str(tmp_path)])
+            assert "\n" not in exc.value.code
+
 
 @pytest.mark.parametrize("verb, flag, reason", [
     (verb, flag, reason)

@@ -216,7 +216,7 @@ class TestControlScenario:
 
     def test_decisions_recorded_to_shared_space(self, report):
         ctrl = report.controller
-        versions = ctrl._ds.versions("controller")
+        versions = [v for name, v in ctrl._ds._store if name == "controller"]
         assert len(versions) == len(ctrl.decisions) > 0
 
     def test_pool_trajectory_tracks_growth(self, report):
@@ -243,8 +243,8 @@ class TestControlScenario:
 
     def test_decision_log_byte_identical_across_same_seed_runs(self, report):
         again = run_control_scenario()
-        log_a = report.controller.decision_log_json()
-        log_b = again.controller.decision_log_json()
+        log_a = json.dumps(report.controller.decision_log(), sort_keys=True)
+        log_b = json.dumps(again.controller.decision_log(), sort_keys=True)
         assert log_a == log_b
         assert json.loads(log_a), "fault scenario must produce decisions"
         assert again.adaptive_makespan == report.adaptive_makespan
@@ -274,7 +274,7 @@ class TestControllerUnderTracing:
         traced = PlacementController()
         with tracing():
             exp.run_schedule(CONTROL_PLAN, controller=traced)
-        assert plain.decision_log_json() == traced.decision_log_json()
+        assert plain.decision_log() == traced.decision_log()
 
 
 class TestPlacementFlip:

@@ -104,7 +104,6 @@ class TestClosedFormMemo:
         for v in AnalyticsVariant:
             row = exp.analytics_timing(v)
             assert exp.analytics_timing(v) is row
-            assert exp.movement_time(v) == row.movement_time
             assert row == ScaledExperiment(
                 ExperimentConfig.paper_4896()).analytics_timing(v)
             with pytest.raises(dataclasses.FrozenInstanceError):

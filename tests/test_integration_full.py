@@ -18,8 +18,7 @@ def build(seed=77, streaming=False, steering=()):
     decomp = BlockDecomposition3D(SHAPE, (2, 2, 1))
     return HybridFramework(
         case, decomp,
-        analyses=("statistics", "topology", "visualization",
-                  "visualization_insitu", "autocorrelation"),
+        analyses=("statistics", "topology", "visualization"),
         stats_variables=("T", "H2"),
         n_buckets=3, keep_fields=True,
         streaming_topology=streaming,
@@ -39,13 +38,11 @@ class TestEverythingOn:
         assert set(res.statistics) == {0, 1, 2, 3}
         assert set(res.merge_trees) == {0, 1, 2, 3}
         assert set(res.hybrid_images) == {0, 1, 2, 3}
-        assert set(res.insitu_images) == {0, 1, 2, 3}
-        assert set(res.autocorrelation) == {1, 2, 3}
 
     def test_task_accounting_consistent(self, everything_run):
         _fw, res = everything_run
-        # 4 steps x (stats + topo + viz) + 1 autocorrelation
-        assert len(res.task_results) == 4 * 3 + 1
+        # 4 steps x (stats + topo + viz)
+        assert len(res.task_results) == 4 * 3
         assert res.bytes_moved == sum(t.bytes_pulled for t in res.task_results)
 
     def test_cross_analysis_consistency(self, everything_run):
@@ -64,8 +61,7 @@ class TestEverythingOn:
     def test_report_renders(self, everything_run):
         fw, res = everything_run
         text = run_report(fw, res)
-        for token in ("statistics", "topology", "visualization",
-                      "autocorrelation"):
+        for token in ("statistics", "topology", "visualization"):
             assert token in text
 
 
@@ -81,7 +77,6 @@ class TestDeterminism:
             assert a.merge_trees[step].signature() == \
                 b.merge_trees[step].signature()
             assert a.statistics[step]["T"].mean == b.statistics[step]["T"].mean
-        assert a.autocorrelation == b.autocorrelation
         assert a.bytes_moved == b.bytes_moved
 
     def test_different_seeds_differ(self):

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.io import BPFile, IOTimeModel, read_file_per_process, write_file_per_process
+from repro.io import BPFile, IOTimeModel
 from repro.machine.lustre import LustreModel
 from repro.util.units import GB
-from repro.vmpi import BlockDecomposition3D
 
 
 class TestBPFile:
@@ -71,48 +70,6 @@ class TestBPFile:
         with BPFile.create(path) as bp:
             bp.write("t", base.T)  # non-contiguous view
         np.testing.assert_array_equal(BPFile.open(path).read("t"), base.T)
-
-
-class TestFilePerProcess:
-    def test_write_read_roundtrip(self, tmp_path):
-        decomp = BlockDecomposition3D((8, 6, 4), (2, 3, 1))
-        field = np.random.default_rng(1).random((8, 6, 4))
-        parts = [{"T": piece} for piece in decomp.scatter(field)]
-        nbytes = write_file_per_process(tmp_path / "ckpt", decomp, parts, step=7)
-        assert nbytes > field.nbytes  # payload + headers
-        out = read_file_per_process(tmp_path / "ckpt", "T")
-        np.testing.assert_array_equal(out, field)
-
-    def test_multiple_variables(self, tmp_path):
-        decomp = BlockDecomposition3D((4, 4, 4), (2, 1, 1))
-        t = np.ones((4, 4, 4))
-        h2 = 2 * np.ones((4, 4, 4))
-        parts = [{"T": pt, "H2": ph}
-                 for pt, ph in zip(decomp.scatter(t), decomp.scatter(h2))]
-        write_file_per_process(tmp_path / "d", decomp, parts)
-        np.testing.assert_array_equal(read_file_per_process(tmp_path / "d", "H2"), h2)
-
-    def test_missing_variable_raises(self, tmp_path):
-        decomp = BlockDecomposition3D((4, 4, 4), (1, 1, 1))
-        parts = [{"T": np.zeros((4, 4, 4))}]
-        write_file_per_process(tmp_path / "d", decomp, parts)
-        with pytest.raises(KeyError):
-            read_file_per_process(tmp_path / "d", "nope")
-
-    def test_missing_index_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            read_file_per_process(tmp_path, "T")
-
-    def test_wrong_part_count_raises(self, tmp_path):
-        decomp = BlockDecomposition3D((4, 4, 4), (2, 1, 1))
-        with pytest.raises(ValueError):
-            write_file_per_process(tmp_path / "d", decomp, [{"T": np.zeros((2, 4, 4))}])
-
-    def test_wrong_block_shape_raises(self, tmp_path):
-        decomp = BlockDecomposition3D((4, 4, 4), (2, 1, 1))
-        parts = [{"T": np.zeros((3, 4, 4))}, {"T": np.zeros((2, 4, 4))}]
-        with pytest.raises(ValueError):
-            write_file_per_process(tmp_path / "d", decomp, parts)
 
 
 class TestIOTimeModel:

@@ -200,15 +200,15 @@ class TestTracerContextAndBus:
         # Context is restored on exit.
         tracer.instant("after", lane="x")
         assert "tenant" not in tracer.trace.instants[-1].tags
-        assert tracer.context_tags() == {}
+        assert tracer.ctx == {}
 
     def test_context_nesting_shadows_and_skips_none(self):
         tracer = Tracer()
         with tracer.context(tenant="outer", job=None):
-            assert tracer.context_tags() == {"tenant": "outer"}
+            assert tracer.ctx == {"tenant": "outer"}
             with tracer.context(tenant="inner"):
                 tracer.instant("i", lane="x")
-            assert tracer.context_tags() == {"tenant": "outer"}
+            assert tracer.ctx == {"tenant": "outer"}
         assert tracer.trace.instants[0].tags["tenant"] == "inner"
 
     def test_explicit_tags_win_over_context(self):
@@ -257,7 +257,7 @@ class TestTracerContextAndBus:
         assert NULL_TRACER.bus is None
         with NULL_TRACER.context(tenant="a"):
             pass
-        assert NULL_TRACER.context_tags() == {}
+        assert not NULL_TRACER.ctx
 
 
 class TestGaugeMirrorWithLiveSubscribers:
@@ -290,7 +290,8 @@ class TestGaugeMirrorWithLiveSubscribers:
         assert gauge.value == series[-1][1]
         assert gauge.vmin == min(v for _t, v in series)
         assert gauge.vmax == max(v for _t, v in series)
-        assert gauge.series == series  # timestamped parity, not just envelope
+        # timestamped parity, not just the envelope
+        assert list(zip(gauge.times, gauge.values)) == series
         # Every sample was also streamed; finalize's mirror must not
         # republish samples the subscriber already saw.
         probe_events = [e for e in sub.poll() if e.kind == "probe"]
@@ -460,7 +461,7 @@ class TestServiceLivePlane:
             report = service.run_batch(_specs()[:1])
             # After the last job the tracer clock must read the service
             # engine again, not the drained inner replay engine.
-            assert tracer.now() == service.engine.now
+            assert tracer._clock() == service.engine.now
         assert report.all_done
         assert service.monitor.alerts == []
         assert service.bus is None

@@ -31,7 +31,7 @@ class TestJaguar:
         assert m.n_nodes == 18688
         assert m.node.cores == 16
         assert m.total_cores == 18688 * 16
-        assert 500 * TB < m.total_memory_bytes < 700 * TB
+        assert 500 * TB < m.n_nodes * m.node.memory_bytes < 700 * TB
 
     def test_allocation_validation(self):
         m = jaguar_xk6()

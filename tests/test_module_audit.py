@@ -119,53 +119,80 @@ def test_no_module_is_kept_alive_by_its_tests_alone():
 
 # -- name granularity ---------------------------------------------------------
 
-_REFERENCE = ("reference body or invariant check that tests compare kept "
+_REFERENCE = ("reference body or invariant check that a test compares kept "
               "code against")
-_TUPLE_SPACE = ("paper §IV / Table I: read, query or GC half of a write half "
-                "every replay reaches")
-_FAULT_PATH = ("fault, crash or elastic-shrink primitive of reached code and "
-               "a script of the order-contract oracle (tests/test_des.py)")
-_PAPER = ("part of a paper-backed stage or extension (DESIGN.md §11: "
-          "§V steering, §III linked views, Fig. 1 segmentation)")
-_ACCESSOR = ("read-only accessor of a reached object documented in "
-             "docs/API.md; tests observe kept behaviour through it")
+_ACCESSOR = ("read-only accessor documented in docs/API.md through which a "
+             "digest or golden test reads kept state")
+_FAULT_PATH = ("fault, crash or elastic-shrink leg of reached code that no "
+               "front door drives yet (ROADMAP item 6 decides it)")
+_NO_OP = ("the disabled tracer's no-op interface: every tracer call site "
+          "reaches it when tracing is off")
+
+
+def _why(kind: str, *needed_by: str) -> str:
+    """One allow-list reason: its kind and the tests or runs that need it."""
+    return f"{kind} ({'; '.join(needed_by)})"
+
 
 #: "module:qualname" -> why the definition stays although nothing in
-#: src/, examples/ or benchmarks/ refers to its name.
-ALLOWED_NAMES = {
-    "repro.analysis.statistics.autocorrelation:reference_autocorrelation":
-        _REFERENCE,
-    "repro.analysis.statistics.autocorrelation:LagAccumulator.accumulate":
-        _REFERENCE,
-    "repro.analysis.topology.local_tree:BoundaryTree.validate": _REFERENCE,
-    "repro.analysis.topology.merge_tree:MergeTree.validate": _REFERENCE,
-    "repro.analysis.topology.merge_tree:sweep_order": _REFERENCE,
-    "repro.staging.hashing:ServiceRing.moved_fraction": _REFERENCE,
-    "repro.staging.dataspaces:DataSpaces.query": _TUPLE_SPACE,
-    "repro.staging.dataspaces:DataSpaces.stored_bytes": _TUPLE_SPACE,
-    "repro.staging.dataspaces:DataSpaces.gc_versions": _TUPLE_SPACE,
-    "repro.io.fpp:write_file_per_process": _TUPLE_SPACE,
-    "repro.io.fpp:read_file_per_process": _TUPLE_SPACE,
-    "repro.des.engine:Engine.any_of": _FAULT_PATH,
-    "repro.des.engine:Engine.run_until_done": _FAULT_PATH,
-    "repro.des.resources:Store": _FAULT_PATH,
-    "repro.des.resources:Store.items_snapshot": _FAULT_PATH,
-    "repro.core.steering:coarsen_cadence_when_quiet": _PAPER,
-    "repro.analysis.topology.merge_tree:MergeTree.deepest_at_or_above":
-        _PAPER,
-    "repro.analysis.visualization.transfer_function:TransferFunction.grayscale":
-        _PAPER,
-    "repro.analysis.visualization.views:ViewSession.remove_view": _PAPER,
-    "repro.backend:kernel_names": _ACCESSOR,
-    "repro.control.controller:PlacementController.decision_log_json":
-        _ACCESSOR,
-    "repro.obs.perf:RegressionReport.by_status": _ACCESSOR,
-    "repro.staging.scheduler:TaskScheduler.max_queue_depth": _ACCESSOR,
-    "repro.util.gantt:spans_from_trace": _ACCESSOR,
-    "repro.util.units:bytes_to_gb": _ACCESSOR,
-    "repro.vmpi.decomp:BlockDecomposition3D.rank_containing": _ACCESSOR,
-    "repro.vmpi.decomp:BlockDecomposition3D.neighbors": _ACCESSOR,
-}
+#: src/, examples/ or benchmarks/ refers to its name (this scan), or no
+#: front door enters it (``tests/front_door_census.py`` reads this table
+#: too). A class entry covers every method of the class.
+ALLOWED_NAMES = {f"repro.{name}": _why(kind, *needed_by)
+                 for name, kind, *needed_by in [
+    ("analysis.statistics.autocorrelation:reference_autocorrelation",
+     _REFERENCE, "tests/test_extensions.py::TestAutocorrelationLearner"),
+    ("analysis.statistics.autocorrelation:LagAccumulator.accumulate",
+     _REFERENCE, "tests/test_extensions.py::TestLagAccumulator"),
+    ("analysis.statistics.autocorrelation:_autocorr_cross_sums_reference",
+     _REFERENCE, "tests/test_backends.py ORACLE_CASES"),
+    ("analysis.topology.local_tree:BoundaryTree.validate", _REFERENCE,
+     "tests/test_topology_distributed.py"),
+    ("analysis.topology.merge_tree:MergeTree.validate", _REFERENCE,
+     "tests/test_topology_merge_tree.py", "tests/test_topology_features.py"),
+    ("analysis.topology.merge_tree:sweep_order", _REFERENCE,
+     "tests/test_topology_merge_tree.py"),
+    ("analysis.topology.stream_merge:compute_merge_tree_graph", _REFERENCE,
+     "StreamingGlue's property in tests/test_topology_distributed.py"),
+    ("analysis.topology.stream_merge:_graph_merge_tree_reference",
+     _REFERENCE, "tests/test_backends.py ORACLE_CASES"),
+    ("analysis.topology.distributed:_glue_batch_ordered",
+     "the glue kernel's input-error path, which names the first offender",
+     "tests/test_backends.py::"
+     "test_glue_batch_raises_what_the_streaming_glue_raises"),
+    ("backend:kernel_names", _REFERENCE, "tests/test_backends.py "
+     "ORACLE_CASES has one builder per entry", "tests/test_lazy_imports.py"),
+    ("io.bp:BPFile.open", _REFERENCE, "the decoder tests/test_io.py and "
+     "tests/test_steering_failures.py check the writer with"),
+    ("io.bp:BPFile.attrs", _REFERENCE, "tests/test_io.py"),
+    ("io.bp:BPFile.variables", _REFERENCE, "tests/test_io.py"),
+    ("io.bp:BPFile.shape", _REFERENCE, "tests/test_io.py"),
+    ("io.bp:BPFile._var_meta", _REFERENCE, "tests/test_io.py"),
+    ("io.bp:BPFile.read", _REFERENCE, "tests/test_io.py"),
+    ("staging.hashing:ServiceRing.moved_fraction", _REFERENCE,
+     "tests/test_staging.py"),
+    ("obs.capacity:CapacityLedger.entries", _ACCESSOR,
+     "tests/test_obs_golden.py"),
+    ("staging.dataspaces:DataSpaces.server_rpc_counts", _ACCESSOR,
+     "tests/test_replay_digest.py"),
+    ("obs.tracer:NullTracer", _NO_OP,
+     "tests/test_obs.py::test_null_tracer_is_inert"),
+    ("obs.tracer:_NullSpan.tags", _NO_OP, "tests/test_obs.py"),
+    ("des.engine:Engine.any_of", _FAULT_PATH, "tests/test_des.py"),
+    ("des.engine:Engine.run_until_done", _FAULT_PATH, "tests/test_des.py",
+     "tests/test_transport.py"),
+    ("des.resources:Store", _FAULT_PATH, "tests/test_des.py"),
+    ("des.resources:Store.items_snapshot", _FAULT_PATH, "tests/test_des.py"),
+    ("des.resources:Resource.cancel", _FAULT_PATH, "tests/test_des.py"),
+    ("staging.scheduler:TaskScheduler.retire_bucket", _FAULT_PATH,
+     "DataSpaces.scale_to's shrink in tests/test_control.py"),
+    ("staging.scheduler:TaskScheduler._retire", _FAULT_PATH,
+     "tests/test_control.py"),
+    ("staging.descriptors:retire_sentinel", _FAULT_PATH,
+     "tests/test_control.py"),
+    ("staging.buckets:_FailedPull", _FAULT_PATH,
+     "terminal pull failures in tests/test_faults.py"),
+]}
 
 #: Decorators whose functions are reached without their name being
 #: written: backend dispatch and attribute access.
@@ -217,7 +244,10 @@ def _code_trees() -> dict[Path, ast.AST]:
     return {p: ast.parse(p.read_text(encoding="utf-8")) for p in code}
 
 
-def test_no_name_is_kept_alive_by_its_tests_alone():
+def statically_unused() -> set[str]:
+    """``module:qualname`` of every non-exempt definition under src/repro
+    whose bare name nothing in src/, examples/ or benchmarks/ names
+    outside its own definition."""
     trees = _code_trees()
     uses: Counter = Counter()
     for tree in trees.values():
@@ -228,33 +258,42 @@ def test_no_name_is_kept_alive_by_its_tests_alone():
             if (not _is_exempt(node)
                     and uses[node.name] == _name_uses(node)[node.name]):
                 unused.add(f"{module}:{qualname}")
+    return unused
+
+
+def test_no_name_is_kept_alive_by_its_tests_alone():
+    unused = statically_unused()
     orphans = sorted(unused - set(ALLOWED_NAMES))
     assert not orphans, (
         "defined under src/repro but named nowhere in src/, examples/ or "
         "benchmarks/ outside their own definition (delete with their "
         "tests, or allow-list with a reason):\n  " + "\n  ".join(orphans))
-    stale = sorted(set(ALLOWED_NAMES) - unused)
-    assert not stale, f"allow-list entries no longer needed: {stale}"
+    # An entry this scan does not need may still be one the front-door
+    # census needs (it names what no run enters); the census flags the
+    # entries neither check needs. Here: every entry names a definition.
+    defined = {f"{m}:{q}" for m, p in SOURCES.items()
+               for q, _ in _definitions(ast.parse(
+                   p.read_text(encoding="utf-8")))}
+    stale = sorted(set(ALLOWED_NAMES) - defined)
+    assert not stale, f"allow-list entries naming nothing: {stale}"
 
 
 # -- parameter granularity ----------------------------------------------------
 
 #: "module:qualname(param)" -> why it stays settable although no call sets it.
 ALLOWED_PARAMS = {
-    # S3D's multi-stage RK and its second halo exchange (``integrator="rk2"``).
-    "repro.sim.s3d:S3DProxy.__init__(params)": _PAPER,
-    "repro.sim.s3d:DecomposedS3D.__init__(params)": _PAPER,
-    # §V steering: the hysteresis of a refine/coarsen rule pair.
-    "repro.core.steering:refine_cadence_on_topology(cooldown_steps)": _PAPER,
-    "repro.core.steering:coarsen_cadence_when_quiet(cooldown_steps)": _PAPER,
-    # The geometric half of put/get (§IV: index-bounds-tagged objects).
-    "repro.staging.dataspaces:DataSpaces.put(bounds)": _TUPLE_SPACE,
-    "repro.staging.dataspaces:DataSpaces.get(bounds)": _TUPLE_SPACE,
+    # The solver's transport and numerics (an explicit dt).
+    "repro.sim.s3d:S3DProxy.__init__(params)":
+        _why(_REFERENCE, "tests/test_sim.py::test_explicit_dt_respected"),
+    "repro.sim.s3d:DecomposedS3D.__init__(params)":
+        _why(_REFERENCE, "tests/test_sim.py::test_explicit_dt_respected"),
     # run_resilience_experiment hands on its own default (4 attempts, not 1).
     "repro.transport.dart:DartTransport.__init__(pull_max_attempts)":
-        _FAULT_PATH,
+        _why(_FAULT_PATH, "tests/test_faults.py"),
     # The fields the serial reference analyses are run on.
-    "repro.core.framework:HybridFramework.__init__(keep_fields)": _REFERENCE,
+    "repro.core.framework:HybridFramework.__init__(keep_fields)":
+        _why(_REFERENCE, "tests/test_core_framework.py",
+             "tests/test_integration_full.py"),
     # The controller's one tuning input: `run_control_scenario(controller=
     # PlacementController(ControlPolicy(...)))` runs another policy, and
     # tests/test_control.py reaches the grow, shrink and flip thresholds
@@ -357,3 +396,34 @@ def test_no_parameter_is_settable_by_its_tests_alone():
         "allow-list with a reason):\n  " + "\n  ".join(orphans))
     stale = sorted(set(ALLOWED_PARAMS) - unset)
     assert not stale, f"allow-list entries no longer needed: {stale}"
+
+
+# -- the front-door census's recorder ----------------------------------------
+
+
+def test_census_recorder_sees_calls_under_a_profiler(tmp_path):
+    """The census records with ``sys.settrace``, which a profiler a run
+    enables (cProfile, as the e2e probes do) leaves alone: of two
+    functions, one decorated, exactly the uncalled one is unreached."""
+    import cProfile
+    import importlib.util
+
+    from tests import front_door_census as census
+
+    path = tmp_path / "two.py"
+    path.write_text("import functools\n\n\n@functools.cache\n"
+                    "def called():\n    return 1\n\n\n"
+                    "def uncalled():\n    return 2\n")
+    spec = importlib.util.spec_from_file_location("two", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with census.record_calls(tmp_path) as seen:
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            module.called()
+        finally:
+            profiler.disable()
+    missed = census.unreached(census.outermost_functions(path, "two"),
+                              seen)
+    assert [f.key for f in missed] == ["two:uncalled"]

@@ -20,7 +20,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.util.gantt import Span, spans_from_trace
+from repro.util.gantt import Span
 
 
 class TestTracerSpans:
@@ -168,7 +168,7 @@ class TestMetricsRegistry:
         c.inc()
         times[0] = 2.0
         c.inc(3)
-        assert c.series == [(0.0, 1), (2.0, 4)]
+        assert list(zip(c.times, c.values)) == [(0.0, 1), (2.0, 4)]
 
     def test_snapshot_and_summary(self):
         reg = MetricsRegistry()
@@ -385,23 +385,3 @@ class TestGanttAdapter:
             Span(actor="a", start=0.0, end=math.inf)
         with pytest.raises(ValueError):
             Span(actor="a", start=2.0, end=1.0)
-
-    def test_spans_from_trace_skips_open_spans(self):
-        tracer = Tracer()
-        tracer.add_span("done", lane="bucket-0", t_start=1.0, t_end=4.0)
-        tracer.begin("still-open", lane="bucket-0")
-        spans = spans_from_trace(tracer.trace)
-        assert len(spans) == 1
-        assert spans[0].actor == "bucket-0"
-        assert (spans[0].start, spans[0].end) == (1.0, 4.0)
-        assert spans[0].label == "done"
-        with pytest.raises(ValueError):
-            spans_from_trace(tracer.trace, clock="cpu")
-
-    def test_spans_from_trace_wall_clock_and_iterable(self):
-        with tracing() as tracer:
-            with tracer.span("w", lane="l"):
-                pass
-        records = tracer.trace.closed_spans()
-        spans = spans_from_trace(records, clock="wall")
-        assert len(spans) == 1 and spans[0].end >= spans[0].start

@@ -101,8 +101,8 @@ def _observed_replay() -> dict[str, str]:
             probe_interval=0.25 * experiment.simulation_step_time())
     digests = _view_digests(tracer, sub.poll())
     digests["ledger_entries"] = _sha(
-        [e.to_dict() for e in ledger.entries]
-        + [t.to_dict() for t in ledger.transfers])
+        [e._asdict() for e in ledger.entries]
+        + [t._asdict() for t in ledger.transfers])
     digests["capacity"] = _sha(result.capacity.to_dict(series_cap=None))
     return digests
 

@@ -42,7 +42,6 @@ class TestRunStore:
             store.append(_record({"v": float(i)}))
         assert [r.metrics["v"] for r in store.records()] == [0, 1, 2, 3]
         assert len(store) == 4
-        assert [r.metrics["v"] for r in store.last(2)] == [2, 3]
 
     def test_torn_lines_are_skipped(self, tmp_path):
         store = RunStore(tmp_path / "store")
@@ -87,26 +86,26 @@ class TestCompareRecord:
 
     def test_identical_value_is_ok(self):
         report = compare_record(_record({"m": 100.0}), self._base())
-        (v,) = report.by_status("ok")
+        (v,) = [v for v in report.verdicts if v.status == "ok"]
         assert v.metric == "m" and report.ok
 
     def test_regression_beyond_tolerance_fails(self):
         report = compare_record(_record({"m": 103.0}), self._base())
-        (v,) = report.by_status("regressed")
+        (v,) = [v for v in report.verdicts if v.status == "regressed"]
         assert v.metric == "m"
         assert not report.ok
         assert v.failed
 
     def test_improvement_is_not_a_failure(self):
         report = compare_record(_record({"m": 90.0}), self._base())
-        (v,) = report.by_status("improved")
+        (v,) = [v for v in report.verdicts if v.status == "improved"]
         assert v.metric == "m" and report.ok
 
     def test_mad_band_absorbs_baseline_noise(self):
         # spread=4 -> MAD 4; band = 3 * 1.4826 * 4 ≈ 17.8 > 2% tolerance
         noisy = self._base(spread=4.0)
         report = compare_record(_record({"m": 110.0}), noisy)
-        (v,) = report.by_status("ok")
+        (v,) = [v for v in report.verdicts if v.status == "ok"]
         assert v.metric == "m"
 
     def test_tolerance_override_first_match_wins(self):
@@ -123,11 +122,11 @@ class TestCompareRecord:
                     ) + DEFAULT_POLICIES
         report = compare_record(_record({"m": 80.0}), self._base(),
                                 policies)
-        (v,) = report.by_status("regressed")
+        (v,) = [v for v in report.verdicts if v.status == "regressed"]
         assert v.metric == "m"
         report = compare_record(_record({"m": 120.0}), self._base(),
                                 policies)
-        (v,) = report.by_status("improved")
+        (v,) = [v for v in report.verdicts if v.status == "improved"]
         assert v.metric == "m"
 
     def test_direction_both_flags_any_drift(self):
@@ -141,20 +140,20 @@ class TestCompareRecord:
     def test_new_metric_is_informational(self):
         report = compare_record(_record({"m": 100.0, "fresh": 1.0}),
                                 self._base())
-        (v,) = report.by_status("new")
+        (v,) = [v for v in report.verdicts if v.status == "new"]
         assert v.metric == "fresh" and not v.failed and report.ok
 
     def test_missing_gated_metric_fails(self):
         base = Baseline.from_records(
             [_record({"m": 100.0, "gone.s": 5.0})])
         report = compare_record(_record({"m": 100.0}), base)
-        (v,) = report.by_status("missing")
+        (v,) = [v for v in report.verdicts if v.status == "missing"]
         assert v.metric == "gone.s" and not report.ok
 
     def test_wall_metrics_never_gate(self):
         base = Baseline.from_records([_record({"wall.t": 1.0})])
         report = compare_record(_record({"wall.t": 50.0}), base)
-        (v,) = report.by_status("info")
+        (v,) = [v for v in report.verdicts if v.status == "info"]
         assert v.metric == "wall.t" and report.ok
 
     def test_report_table_renders(self):
@@ -191,7 +190,8 @@ class TestCollectRunRecord:
         slowed = collect_run_record(_SMALL, perturb={"topo.subtree": 1.5})
         report = compare_record(slowed, base)
         assert not report.ok
-        regressed = {v.metric for v in report.by_status("regressed")}
+        regressed = {v.metric for v in report.verdicts
+                     if v.status == "regressed"}
         assert "trace.insitu_s" in regressed
 
 

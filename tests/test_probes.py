@@ -105,7 +105,7 @@ class TestProbeSampler:
         # count is the series length (not the 3 envelope writes the old
         # mirror left behind) and the timestamped series is reproduced.
         assert gauge.n_samples == len(sampler.series["v"]) == 3
-        assert gauge.series == sampler.series["v"]
+        assert list(zip(gauge.times, gauge.values)) == sampler.series["v"]
 
     def test_summary_slo_evaluated_at_finalize(self):
         tracer = Tracer(clock=lambda: 0.0)
@@ -137,7 +137,7 @@ class TestProbeSampler:
         assert sampler.finalize(tracer.trace) is sampler.alerts
         assert sampler.alerts == alerts
         assert tracer.metrics.snapshot() == snapshot
-        assert gauge.n_samples == len(gauge.series) == 81
+        assert gauge.n_samples == len(gauge.times) == 81
         assert len(to_chrome_trace(tracer.trace,
                                    tracer.metrics)["traceEvents"]) == n_events
 

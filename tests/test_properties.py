@@ -6,16 +6,12 @@ of the library's load-bearing contracts.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.statistics.moments import MomentAccumulator
 from repro.analysis.topology import compute_merge_tree
-from repro.des import Engine
 from repro.io.bp import BPFile
 from repro.machine.gemini import GeminiNetwork, Protocol
-from repro.staging import DataSpaces
-from repro.transport import DartTransport
-from repro.vmpi import BlockDecomposition3D
 
 DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8, np.complex128]
 
@@ -54,32 +50,6 @@ class TestBPFormatProperties:
             got = r.read(name)
             assert got.dtype == arr.dtype
             np.testing.assert_array_equal(got, arr)
-
-
-class TestDataSpacesGeometryProperties:
-    @given(
-        st.tuples(st.integers(2, 10), st.integers(2, 8), st.integers(2, 6)),
-        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2)),
-        st.integers(0, 10**6),
-        st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_distributed_puts_assemble_any_box(self, shape, grid, seed, data):
-        assume(all(g <= s for s, g in zip(shape, grid)))
-        field = np.random.default_rng(seed).random(shape)
-        decomp = BlockDecomposition3D(shape, grid)
-        eng = Engine()
-        ds = DataSpaces(eng, DartTransport(eng), n_servers=2)
-        for b in decomp.blocks():
-            ds.put("f", 0, field[b.slices],
-                   bounds=tuple((lo, hi) for lo, hi in zip(b.lo, b.hi)))
-        # query a random sub-box
-        lo = [data.draw(st.integers(0, s - 1)) for s in shape]
-        hi = [data.draw(st.integers(lo[a] + 1, shape[a])) for a in range(3)]
-        box = tuple((lo[a], hi[a]) for a in range(3))
-        got = ds.get("f", 0, bounds=box)
-        np.testing.assert_array_equal(
-            got, field[tuple(slice(lo[a], hi[a]) for a in range(3))])
 
 
 class TestNetworkProperties:

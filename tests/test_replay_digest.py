@@ -97,7 +97,7 @@ def test_rpc_counts_fold_equals_the_ring_histogram():
 
     def send_rpcs(step: int) -> None:
         ds.put("field", step, np.zeros(3))
-        ds.get("field", step)
+        ds.put("field", step, np.ones(3))
         keys.extend([f"field@{step}"] * 2)
         desc = ds.transport.register(f"sim-{step}", None, nbytes=4096)
         keys.append(ds.submit_grouped_result("STATS", step, [desc]).task_id)

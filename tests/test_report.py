@@ -16,7 +16,7 @@ def run():
     decomp = BlockDecomposition3D((12, 10, 8), (2, 1, 1))
     fw = HybridFramework(
         case, decomp,
-        analyses=("statistics", "topology", "autocorrelation"),
+        analyses=("statistics", "topology"),
         stats_variables=("T",), n_buckets=2,
         steering=(refine_cadence_on_topology(1, 1),))
     result = fw.run(4, analysis_interval=2)
@@ -38,8 +38,6 @@ class TestRunReport:
         fw, result = run
         text = run_report(fw, result)
         assert "statistics" in text and "topology" in text
-        assert "autocorrelation" in text
-        assert "rho(1)=" in text
 
     def test_reports_steering(self, run):
         fw, result = run

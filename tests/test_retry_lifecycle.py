@@ -25,7 +25,7 @@ def _space(n_buckets=2, pull_max_attempts=1, **ds_kw):
 
 def _assert_no_leaks(tr):
     """No retained regions, no stuck NIC channels."""
-    assert len(tr.registry) == 0
+    assert tr.registry.region_ids() == []
     for node, nic in tr._nics.items():
         assert nic.in_use == 0, f"NIC {node} leaked {nic.in_use} channels"
 

@@ -168,9 +168,9 @@ class TestJobQueue:
         from repro.service.quota import Denial
 
         q = JobQueue()
-        q.push(self._job("a", "j0"))
+        job = self._job("a", "j0")
+        q.push(job)
         assert q.pop_runnable(lambda job: Denial("over quota")) is None
-        job = q.pending()[0]
         assert job.held == 1
         assert job.held_reasons == ["over quota"]
         assert q.pop_runnable(lambda job: None) is job
@@ -315,9 +315,9 @@ class TestScheduleCache:
         # A fresh cache over the same store warms up from disk, and the
         # JSON round trip preserves every float exactly.
         warm = ScheduleCache(tmp_path / "cache")
-        assert "k1" in warm
+        assert "k1" in warm._mem
         assert warm.lookup("k1").results == sched.results
-        assert warm.hit_rate == 1.0
+        assert (warm.hits, warm.misses) == (1, 0)
         # Cache records ride the RunStore contract.
         recs = RunStore(tmp_path / "cache").records()
         assert [r.source for r in recs] == ["schedule-cache"]
@@ -360,11 +360,11 @@ class TestScheduleCache:
         cache.insert("k", new)
         hit = cache.lookup("k")
         assert hit.results == new.results and hit.n_steps == 3
-        assert len(cache) == 1
-        assert (cache.hits, cache.misses, cache.hit_rate) == (2, 0, 1.0)
+        assert len(cache._mem) == 1
+        assert (cache.hits, cache.misses) == (2, 0)
 
         reopened = ScheduleCache(tmp_path / "cache")
-        assert len(reopened) == 1
+        assert len(reopened._mem) == 1
         assert reopened.lookup("k").results == new.results
         assert (reopened.hits, reopened.misses) == (1, 0)
 
@@ -392,7 +392,7 @@ class TestScheduleCache:
         store.path.write_text(json.dumps(doc) + "\n")
 
         cache = ScheduleCache(store)
-        assert spec.cache_key() in cache  # opens without decoding
+        assert spec.cache_key() in cache._mem  # opens without decoding
         svc = CampaignService(workers=1, cache=cache)
         report = svc.run_batch([spec, _spec(name="again", n_steps=2)])
         assert report.all_done, [j.error for j in report.jobs]
@@ -558,7 +558,7 @@ class TestCampaignService:
                 report = svc.run_batch(self._batch())
                 assert report.all_done and report.cache_hit_rate == 1.0
                 report.to_dict(), report.table()
-        assert len(cache) == len(summaries) == 6
+        assert len(cache._mem) == len(summaries) == 6
         for key, summary in summaries.items():
             served = cache._mem[key]
             assert served.capacity is not None

@@ -175,13 +175,6 @@ class TestServiceRing:
             if old.server_for(k) != 3:
                 assert new.server_for(k) == old.server_for(k)
 
-    def test_imbalance_bounded(self):
-        keys = [f"region-{i}" for i in range(4000)]
-        assert ServiceRing(8, virtual_nodes=256).imbalance(keys) < 1.35
-        assert ServiceRing(4, virtual_nodes=128).imbalance(keys) < 1.35
-        assert ServiceRing(1).imbalance(keys) == 1.0
-        assert ServiceRing(4).imbalance([]) == 1.0
-
     def test_moved_fraction_identical_rings(self):
         keys = [f"k{i}" for i in range(100)]
         ring = ServiceRing(4)
@@ -269,10 +262,10 @@ class TestScheduler:
         sched = TaskScheduler(eng)
         for i in range(4):
             sched.data_ready(_make_task(f"t{i}"))
-        assert sched.max_queue_depth() == 4
+        assert max(d for _, d in sched.queue_trace) == 4
 
     def test_queue_accounting_out_of_order_arrivals(self):
-        """pending_tasks / idle_buckets / max_queue_depth stay consistent
+        """pending_tasks / idle_buckets / the peak queue depth stay consistent
         when data-ready and bucket-ready events arrive in bursts and out
         of phase with each other."""
         eng = Engine()
@@ -284,7 +277,7 @@ class TestScheduler:
             sched.data_ready(_make_task(f"t{i}"))
         assert sched.pending_tasks == 5
         assert sched.idle_buckets == 0
-        assert sched.max_queue_depth() == 5
+        assert max(d for _, d in sched.queue_trace) == 5
 
         # Three late buckets each drain exactly one task.
         for b in range(3):
@@ -303,7 +296,7 @@ class TestScheduler:
         sched.data_ready(_make_task("t6"))
         assert sched.pending_tasks == 0
         assert sched.idle_buckets == 0
-        assert sched.max_queue_depth() == 5  # the early burst stays the peak
+        assert max(d for _, d in sched.queue_trace) == 5  # the early peak
         assert len(sched.assignments) == 7
 
     def test_queue_accounting_alternating_interleave(self):
@@ -316,7 +309,7 @@ class TestScheduler:
                 sched.data_ready(_make_task(f"t{i}"))
             else:
                 sched.bucket_ready(f"b{i}")
-        assert sched.max_queue_depth() == 1
+        assert max(d for _, d in sched.queue_trace) == 1
         assert sched.pending_tasks + len(sched.assignments) == 3
         for rec in sched.assignments:
             assert rec.assign_time >= rec.data_ready_time
@@ -327,50 +320,6 @@ class TestDataSpacesTupleSpace:
     def setup_method(self):
         self.eng = Engine()
         self.ds = DataSpaces(self.eng, DartTransport(self.eng), n_servers=4)
-
-    def test_plain_put_get(self):
-        self.ds.put("model", 3, {"mean": 1.0})
-        assert self.ds.get("model", 3) == {"mean": 1.0}
-
-    def test_missing_key_raises(self):
-        with pytest.raises(KeyError):
-            self.ds.get("nope", 0)
-
-    def test_geometric_put_get_roundtrip(self):
-        data = np.arange(24, dtype=np.float64).reshape(4, 6)
-        self.ds.put("field", 0, data, bounds=((10, 14), (0, 6)))
-        out = self.ds.get("field", 0, bounds=((10, 14), (0, 6)))
-        np.testing.assert_array_equal(out, data)
-
-    def test_geometric_subbox(self):
-        data = np.arange(24, dtype=np.float64).reshape(4, 6)
-        self.ds.put("field", 0, data, bounds=((0, 4), (0, 6)))
-        out = self.ds.get("field", 0, bounds=((1, 3), (2, 5)))
-        np.testing.assert_array_equal(out, data[1:3, 2:5])
-
-    def test_assemble_from_multiple_puts(self):
-        """A get spanning two ranks' puts assembles both pieces."""
-        left = np.ones((4, 3))
-        right = 2 * np.ones((4, 3))
-        self.ds.put("f", 0, left, bounds=((0, 4), (0, 3)))
-        self.ds.put("f", 0, right, bounds=((0, 4), (3, 6)))
-        out = self.ds.get("f", 0, bounds=((0, 4), (0, 6)))
-        np.testing.assert_array_equal(out[:, :3], left)
-        np.testing.assert_array_equal(out[:, 3:], right)
-
-    def test_uncovered_get_raises(self):
-        self.ds.put("f", 0, np.ones((2, 2)), bounds=((0, 2), (0, 2)))
-        with pytest.raises(KeyError, match="not fully covered"):
-            self.ds.get("f", 0, bounds=((0, 4), (0, 4)))
-
-    def test_bounds_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            self.ds.put("f", 0, np.ones((2, 2)), bounds=((0, 3), (0, 2)))
-
-    def test_versions_listing(self):
-        for v in (3, 1, 2):
-            self.ds.put("x", v, v)
-        assert self.ds.versions("x") == [1, 2, 3]
 
     def test_rpcs_spread_over_servers(self):
         for i in range(400):
@@ -421,7 +370,7 @@ class TestEndToEndStaging:
         ds.shutdown_buckets()
         eng.run()
         r = ds.all_results()[0]
-        assert r.compute_duration == pytest.approx(5.0, rel=0.01)
+        assert r.finish_time - r.pull_done_time == pytest.approx(5.0, rel=0.01)
 
     def test_cost_op_without_model_raises(self):
         eng, _tr, ds = self._setup(n_buckets=1, cost_model=None)

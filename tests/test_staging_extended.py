@@ -1,73 +1,10 @@
-"""Tests for DataSpaces extensions (version queries, GC) and the torus."""
+"""Tests for the torus topology."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.des import Engine
 from repro.machine import TorusTopology
-from repro.staging import DataSpaces
-from repro.transport import DartTransport
-
-
-@pytest.fixture
-def space():
-    eng = Engine()
-    return DataSpaces(eng, DartTransport(eng), n_servers=2)
-
-
-class TestVersionQueries:
-    def test_range_query_ascending(self, space):
-        for v in (5, 1, 3, 9):
-            space.put("model", v, {"v": v})
-        out = space.query("model", 2, 8)
-        assert [v for v, _ in out] == [3, 5]
-        assert out[0][1] == {"v": 3}
-
-    def test_empty_range_raises(self, space):
-        with pytest.raises(ValueError):
-            space.query("model", 5, 2)
-
-    def test_query_unknown_name_empty(self, space):
-        assert space.query("nope", 0, 10) == []
-
-    def test_query_skips_geometric_puts(self, space):
-        space.put("field", 1, np.ones((2, 2)), bounds=((0, 2), (0, 2)))
-        space.put("field", 2, "plain")
-        out = space.query("field", 0, 10)
-        assert out == [(2, "plain")]
-
-
-class TestGarbageCollection:
-    def test_gc_keeps_latest(self, space):
-        for v in range(10):
-            space.put("x", v, v)
-        removed = space.gc_versions("x", keep_latest=3)
-        assert removed == 7
-        assert space.versions("x") == [7, 8, 9]
-
-    def test_gc_all(self, space):
-        for v in range(4):
-            space.put("x", v, v)
-        assert space.gc_versions("x", keep_latest=0) == 4
-        assert space.versions("x") == []
-
-    def test_gc_noop_when_few(self, space):
-        space.put("x", 0, 0)
-        assert space.gc_versions("x", keep_latest=5) == 0
-
-    def test_gc_validation(self, space):
-        with pytest.raises(ValueError):
-            space.gc_versions("x", keep_latest=-1)
-
-    def test_stored_bytes_shrink_after_gc(self, space):
-        for v in range(8):
-            space.put("big", v, np.zeros(1000))
-        before = space.stored_bytes()
-        space.gc_versions("big", keep_latest=1)
-        after = space.stored_bytes()
-        assert after < before / 4
-        assert after >= 8000
 
 
 class TestTorus:

@@ -52,18 +52,6 @@ class TestMomentAccumulator:
         with pytest.raises(ValueError):
             MomentAccumulator.from_data(np.array([1.0, np.nan]))
 
-    def test_streaming_update_matches_batch(self):
-        x = np.random.default_rng(1).normal(size=200)
-        acc = MomentAccumulator()
-        for v in x:
-            acc.update(float(v))
-        batch = MomentAccumulator.from_data(x)
-        assert acc.n == batch.n
-        assert acc.mean == pytest.approx(batch.mean, rel=1e-12)
-        assert acc.M2 == pytest.approx(batch.M2, rel=1e-9)
-        assert acc.M3 == pytest.approx(batch.M3, rel=1e-6, abs=1e-8)
-        assert acc.M4 == pytest.approx(batch.M4, rel=1e-8)
-
     def test_merge_matches_concatenation(self):
         rng = np.random.default_rng(2)
         a = rng.normal(0, 1, 300)

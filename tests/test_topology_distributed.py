@@ -41,7 +41,7 @@ def _blobby_field(shape, n_blobs, seed):
 class TestBoundaryMask:
     def test_interior_block_all_faces(self):
         d = BlockDecomposition3D((9, 9, 9), (3, 3, 3))
-        center = d.rank_of_coords((1, 1, 1))
+        center = 13  # process-grid coordinates (1, 1, 1)
         mask = block_boundary_mask(d.block(center), d.global_shape)
         # all 6 faces marked; the 3x3x3 block has only 1 interior cell
         assert mask.sum() == 26
@@ -135,7 +135,7 @@ class TestBoundaryTree:
             assert all(type(x) is int for e in bt.edges for x in e)
             assert all(type(k) is int and type(v) is float
                        for k, v in bt.nodes.items())
-            assert bt.n_block_cells == b.n_cells
+            assert bt.n_block_cells == np.prod(b.shape)
 
     def test_nodes_include_criticals_and_boundary(self):
         d = BlockDecomposition3D((8, 8, 8), (2, 1, 1))
@@ -173,8 +173,8 @@ class TestBoundaryTree:
         b = d.block(0)
         bt = compute_boundary_tree(
             f[b.slices], ids[b.slices], block_boundary_mask(b, d.global_shape))
-        assert len(bt.nodes) < b.n_cells / 2
-        assert bt.nbytes < b.n_cells * 8
+        assert len(bt.nodes) < np.prod(b.shape) / 2
+        assert bt.nbytes < np.prod(b.shape) * 8
 
 
 class TestStreamingGlue:

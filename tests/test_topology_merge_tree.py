@@ -175,16 +175,6 @@ class TestMergeTreeStructure:
         assert sorted(red.value) == [5, 10, 20]
         assert red.roots() == [5]
 
-    def test_deepest_at_or_above(self):
-        t = self._tree()
-        t.add_node(2, 1.0)
-        t.set_parent(5, 2)
-        assert t.deepest_at_or_above(10, 4.5) == 10
-        assert t.deepest_at_or_above(10, 2.0) == 5
-        assert t.deepest_at_or_above(10, 0.5) == 2
-        with pytest.raises(ValueError):
-            t.deepest_at_or_above(5, 3.0)
-
 
 class TestComputeMergeTree1D:
     """Hand-checkable 1-D cases (a 1-D array is a valid grid)."""

@@ -173,7 +173,6 @@ class TestPull:
             eng.process(proc())
         eng.run()
         assert t.bytes_moved() == 3 * 800
-        assert t.busy_time("staging-0") > 0
 
     @pytest.mark.parametrize("late", [False, True],
                              ids=["at-dst-grant", "at-src-grant"])

@@ -9,7 +9,6 @@ from repro.util import (
     KB,
     MB,
     TextTable,
-    bytes_to_gb,
     bytes_to_mb,
     fmt_bytes,
     fmt_seconds,
@@ -27,9 +26,6 @@ class TestUnits:
 
     def test_bytes_to_mb(self):
         assert bytes_to_mb(5 * MB) == 5.0
-
-    def test_bytes_to_gb(self):
-        assert bytes_to_gb(98.5 * GB) == pytest.approx(98.5)
 
     def test_fmt_bytes_ranges(self):
         assert fmt_bytes(512) == "512 B"

@@ -44,20 +44,14 @@ class TestViewSpec:
 
 
 class TestSessionManagement:
-    def test_add_remove(self, session):
+    def test_add_view(self, session):
         session.add_view(ViewSpec(name="zoom", variable="T",
                                   camera=Camera(image_shape=(8, 8), zoom=2.0)))
         assert "zoom" in session.view_names
-        session.remove_view("zoom")
-        assert "zoom" not in session.view_names
 
     def test_duplicate_name_rejected(self, session):
         with pytest.raises(ValueError):
             session.add_view(ViewSpec(name="temperature", variable="T"))
-
-    def test_remove_unknown_raises(self, session):
-        with pytest.raises(KeyError, match="have"):
-            session.remove_view("nope")
 
     def test_empty_session_cannot_render(self):
         s = ViewSession(BlockDecomposition3D(SHAPE, (1, 1, 1)))
@@ -122,7 +116,8 @@ class TestRendering:
     def test_custom_transfer_function_respected(self):
         from repro.analysis.visualization import TransferFunction
         decomp = BlockDecomposition3D(SHAPE, (1, 1, 1))
-        tf = TransferFunction.grayscale(0.0, 2.0)
+        tf = TransferFunction(((0.0, 0.0, 0.0, 0.0, 0.0),
+                               (2.0, 1.0, 1.0, 1.0, 0.4)))
         s = ViewSession(decomp, views=[
             ViewSpec(name="gray", variable="T", transfer_function=tf,
                      camera=Camera(image_shape=(8, 8)))])

@@ -277,12 +277,6 @@ class TestBlockLUT:
         np.testing.assert_allclose(
             sample(pts), [f[0, 0, 0], f[2, 4, 6], f[6, 6, 2]])
 
-    def test_lut_is_small(self):
-        """"This small look-up table" — metadata, not data."""
-        f, blocks = self._blocks()
-        lut = BlockLUT(blocks, f.shape)
-        assert lut.nbytes < sum(b.nbytes for b in blocks)
-
     def test_stride_disagreement_raises(self):
         f, blocks = self._blocks()
         bad = downsample_block(np.zeros((4, 4, 8)), blocks[0].lo,

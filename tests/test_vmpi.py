@@ -33,8 +33,9 @@ class TestDecomposition:
 
     def test_rank_coords_roundtrip(self):
         d = BlockDecomposition3D((40, 30, 20), (4, 3, 2))
-        for rank in range(d.n_ranks):
-            assert d.rank_of_coords(d.coords_of_rank(rank)) == rank
+        coords = [d.coords_of_rank(rank) for rank in range(d.n_ranks)]
+        assert coords == [(x, y, z) for z in range(2) for y in range(3)
+                          for x in range(4)]
 
     def test_blocks_tile_domain_exactly(self):
         d = BlockDecomposition3D((17, 11, 7), (3, 2, 2))  # uneven split
@@ -67,28 +68,6 @@ class TestDecomposition:
         field = np.random.default_rng(0).random((6, 6, 6, 4))
         np.testing.assert_array_equal(d.gather(d.scatter(field)), field)
 
-    def test_rank_containing(self):
-        d = BlockDecomposition3D((10, 10, 10), (2, 2, 2))
-        for b in d.blocks():
-            lo = b.lo
-            hi_inside = tuple(h - 1 for h in b.hi)
-            assert d.rank_containing(lo) == b.rank
-            assert d.rank_containing(hi_inside) == b.rank
-
-    def test_rank_containing_out_of_range(self):
-        d = BlockDecomposition3D((10, 10, 10), (2, 2, 2))
-        with pytest.raises(IndexError):
-            d.rank_containing((10, 0, 0))
-
-    def test_neighbors_interior_has_26(self):
-        d = BlockDecomposition3D((30, 30, 30), (3, 3, 3))
-        center = d.rank_of_coords((1, 1, 1))
-        assert len(d.neighbors(center)) == 26
-
-    def test_neighbors_corner_has_7(self):
-        d = BlockDecomposition3D((30, 30, 30), (3, 3, 3))
-        assert len(d.neighbors(0)) == 7
-
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             BlockDecomposition3D((4, 4, 4), (5, 1, 1))
@@ -104,7 +83,7 @@ class TestDecomposition:
         if any(p > n for n, p in zip(shape, grid)):
             return
         d = BlockDecomposition3D(shape, grid)
-        total = sum(b.n_cells for b in d.blocks())
+        total = sum(np.prod(b.shape) for b in d.blocks())
         assert total == shape[0] * shape[1] * shape[2]
 
 
@@ -162,9 +141,7 @@ class TestVirtualComm:
         assert tracker.count("allreduce") == 1
         assert tracker.count("reduce") == 1
         assert tracker.total_time > 0
-        assert tracker.total_bytes > 0
-        tracker.clear()
-        assert tracker.total_time == 0
+        assert sum(r.nbytes for r in tracker.records) > 0
 
 
 class TestCollectiveCosts:
