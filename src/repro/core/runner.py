@@ -499,7 +499,11 @@ class ScaledExperiment:
         # Each analysed step charges the in-situ stages on the sim cores;
         # submissions happen at the end of the stretched step.
         insitu_total = self._insitu_total(analyses)
-        nbytes = {v: self.analytics_timing(v).movement_bytes for v in analyses}
+        # What every analysed step submits, built once per replay: the
+        # per-task loop then neither hashes the enum nor reads its fields.
+        table = [(variant, variant.value,
+                  self.analytics_timing(variant).movement_bytes,
+                  f"service.{variant.name}") for variant in analyses]
         tracer = get_tracer()
         insitu_results: list[TaskResult] = []
 
@@ -508,17 +512,18 @@ class ScaledExperiment:
             # Anchor each submitted task's causal flow at the producing
             # in-situ span (sim span if no in-situ work).
             ds.flow_src = src
+            source = f"sim-agg-{step}"
             try:
-                for variant in analyses:
-                    if variant in placed_insitu:
+                for variant, name, nbytes, cost_op in table:
+                    if placed_insitu and variant in placed_insitu:
                         continue
                     ds.submit_insitu_result(
-                        analysis=variant.value,
+                        analysis=name,
                         timestep=step,
-                        source_node=f"sim-agg-{step}",
+                        source_node=source,
                         payload=None,
-                        nbytes=nbytes[variant],
-                        cost_op=f"service.{variant.name}",
+                        nbytes=nbytes,
+                        cost_op=cost_op,
                         cost_elements=1,
                     )
             finally:

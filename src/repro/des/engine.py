@@ -37,7 +37,7 @@ class EventHandle:
     """
 
     __slots__ = ("engine", "triggered", "cancelled", "value", "_waiters",
-                 "callbacks")
+                 "_callbacks")
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -46,7 +46,16 @@ class EventHandle:
         self.value: Any = None
         #: Allocated by the first waiter: most events have one or none.
         self._waiters: list[ProcessHandle] | None = None
-        self.callbacks: list[Callable[[Any], None]] = []
+        #: Allocated on first use: most events never get a callback.
+        self._callbacks: list[Callable[[Any], None]] | None = None
+
+    @property
+    def callbacks(self) -> list[Callable[[Any], None]]:
+        """Functions called with the value when the event triggers, in
+        order and before any waiter resumes."""
+        if self._callbacks is None:
+            self._callbacks = []
+        return self._callbacks
 
     def succeed(self, value: Any = None) -> "EventHandle":
         """Trigger the event now, resuming all waiters.
@@ -66,7 +75,7 @@ class EventHandle:
             c.value += 1
             c.times.append(c.clock())
             c.values.append(c.value)
-        callbacks = self.callbacks
+        callbacks = self._callbacks
         if callbacks:
             for cb in callbacks:
                 cb(value)
@@ -262,7 +271,7 @@ class Engine:
         """Schedule ``fn(arg)`` at exactly ``when``; ``when == now`` (not a
         zero delay: one below an ulp of the clock counts) means the FIFO."""
         now = self.now
-        if when < now:
+        if not when >= now:  # also refuses NaN, which compares false
             raise ValueError(f"cannot schedule at {when}, before now ({now})")
         self._seq += 1
         if when == now:
@@ -276,13 +285,13 @@ class Engine:
 
     def timeout(self, delay: float, value: Any = None) -> EventHandle:
         """Event that triggers ``delay`` simulated seconds from now."""
-        if self._traced:
+        ev = EventHandle(self)
+        self._schedule_at(self.now + delay, ev.succeed, value)
+        if self._traced:  # counted once scheduled: a refused one is not
             c = self._timeouts  # stamped in place: Counter.inc(1)
             c.value += 1
             c.times.append(c.clock())
             c.values.append(c.value)
-        ev = EventHandle(self)
-        self._schedule_at(self.now + delay, ev.succeed, value)
         return ev
 
     def schedule_event(self, ev: EventHandle, delay: float, value: Any = None) -> None:
@@ -345,7 +354,7 @@ class Engine:
         Returns the final simulated time. ``until`` may not lie before
         ``now``: the clock never goes backwards.
         """
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:  # NaN too
             raise ValueError(f"run(until={until}) is before now ({self.now})")
         dispatches = self._dispatches if self._traced else None
         if dispatches is not None:

@@ -72,10 +72,19 @@ class Resource:
 
     def acquire(self) -> EventHandle:
         """Event that triggers once a unit of capacity is granted."""
-        ev = EventHandle(self.engine)
+        engine = self.engine
+        ev = EventHandle(engine)
         if self.in_use < self.capacity:
             self.in_use += 1
-            ev.succeed(self)
+            # ``ev.succeed(self)`` on an event with no waiter and no
+            # callback yet: the two fields and the trigger stamp.
+            ev.triggered = True
+            ev.value = self
+            if engine._traced:
+                c = engine._triggers  # stamped in place: Counter.inc(1)
+                c.value += 1
+                c.times.append(c.clock())
+                c.values.append(c.value)
         else:
             self._waiters.append(ev)
         return ev

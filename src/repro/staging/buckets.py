@@ -190,8 +190,7 @@ class StagingBucket:
                 payloads = []
                 for desc in task.data:
                     payloads.append((yield from self.transport.pull(
-                        desc, self.name, release=not retain,
-                        flow=task.flow)))
+                        desc, self.name, not retain, task.flow)))
                 pull_done_t = self.engine.now
                 value = (task.compute(payloads)
                          if task.compute is not None else None)
@@ -203,8 +202,11 @@ class StagingBucket:
         except Exception as exc:  # noqa: BLE001 — fault isolation boundary
             self._handle_failure(task, exc)
             return
-        release_regions(self.transport, task)
+        if retain or task.stream_compute is not None:
+            # A buffered pull without retention released its own region.
+            release_regions(self.transport, task)
         finish_t = self.engine.now
+        nbytes = task.total_bytes
 
         if self._tracer.enabled:
             # Compute charge (real compute + cost-model time) as an
@@ -219,17 +221,13 @@ class StagingBucket:
             if task.flow is not None:
                 self._tracer.flow_end(task.flow, EDGE_SERVICE, sp)
             self._count_tasks_done()
-            self._count_bytes_consumed(task.total_bytes)
+            self._count_bytes_consumed(nbytes)
             self._observe_task_time(finish_t - assign_t)
 
         self.busy_time += finish_t - assign_t
-        result = TaskResult(
-            task_id=task.task_id, analysis=task.analysis, timestep=task.timestep,
-            bucket=self.name, value=value,
-            enqueue_time=enqueue_t, assign_time=assign_t,
-            pull_done_time=pull_done_t, finish_time=finish_t,
-            bytes_pulled=task.total_bytes,
-        )
+        result = TaskResult(task.task_id, task.analysis, task.timestep,
+                            self.name, value, enqueue_t, assign_t,
+                            pull_done_t, finish_t, nbytes)
         self.results.append(result)
         self.scheduler.task_done(task.task_id)
         if self.on_task_done is not None:

@@ -135,16 +135,14 @@ class DataSpaces:
 
     # -- workflow: in-situ side ------------------------------------------------
 
-    def _task_flow(self, task: TaskDescriptor) -> Any | None:
-        """Attach a causal flow to ``task`` (None when tracing is off).
+    def _task_flow(self, task: TaskDescriptor) -> None:
+        """Attach a causal flow to ``task``; called only when traced.
 
         A driver-provided :attr:`next_flow` is consumed first (it starts
         at the in-situ stage's span); otherwise a fresh flow is
         begun, anchored at :attr:`flow_src` when the driver set one.
         """
         tracer = self._tracer
-        if not tracer.enabled:
-            return None
         flow = self.next_flow
         if flow is not None:
             self.next_flow = None
@@ -154,7 +152,6 @@ class DataSpaces:
         flow.tags.setdefault("analysis", task.analysis)
         flow.tags.setdefault("step", task.timestep)
         task.flow = flow
-        return flow
 
     def submit_insitu_result(self, analysis: str, timestep: int,
                              source_node: str, payload: Any,
@@ -171,17 +168,15 @@ class DataSpaces:
         whose in-transit stage consumes *many* regions in one task (e.g.
         the serial merge-tree glue), use :meth:`submit_grouped_result`.
         """
-        desc = self.transport.register(source_node, payload,
-                                       meta={"analysis": analysis,
-                                             "timestep": timestep,
-                                             **(meta or {})},
-                                       nbytes=nbytes)
+        # Hot path: records are filled positionally (DESIGN.md §4).
+        desc = self.transport.register(
+            source_node, payload,
+            {"analysis": analysis, "timestep": timestep, **(meta or {})},
+            nbytes)
         task = TaskDescriptor(
-            task_id=f"{analysis}/t{timestep}/#{next(self._task_ids)}",
-            analysis=analysis, timestep=timestep, data=[desc],
-            compute=compute, cost_op=cost_op, cost_elements=cost_elements,
-            max_retries=max_retries,
-        )
+            f"{analysis}/t{timestep}/#{next(self._task_ids)}", analysis,
+            timestep, [desc], compute, cost_op, cost_elements, None, None,
+            0.0, max_retries)
         self._data_ready(task, desc.descriptor_bytes())
         return desc
 
@@ -216,12 +211,13 @@ class DataSpaces:
     def _data_ready(self, task: TaskDescriptor, message_bytes: int) -> None:
         """Account one submitted task and send its descriptor to the
         scheduler as a short message (the *data-ready* RPC)."""
-        self._task_flow(task)
-        self._rpc(task.task_id)
+        if self._tracer.enabled:
+            self._task_flow(task)
+        self._rpc_keys.append(task.task_id)  # what _rpc does, minus the call
         self._outstanding += 1
         self.submitted += 1
-        self.transport.notify("scheduler", task, nbytes=message_bytes,
-                              on_delivery=self.scheduler.data_ready)
+        self.transport.notify("scheduler", task, message_bytes,
+                              self.scheduler.data_ready)
 
     # -- workflow: staging side ---------------------------------------------------
 

@@ -19,7 +19,7 @@ SHUTDOWN_TASK_ID = "__shutdown__"
 RETIRE_TASK_ID = "__retire__"
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskDescriptor:
     """One in-transit task: pull these regions, run this computation.
 
@@ -65,8 +65,15 @@ class TaskDescriptor:
             raise ValueError("task_id must be non-empty")
         if self.cost_elements < 0:
             raise ValueError(f"cost_elements must be >= 0, got {self.cost_elements}")
-        if self.compute is not None and self.stream_compute is not None:
-            raise ValueError("compute and stream_compute are mutually exclusive")
+        if self.stream_compute is not None:
+            if self.compute is not None:
+                raise ValueError(
+                    "compute and stream_compute are mutually exclusive")
+        elif (self.stream_finalize is not None
+              or self.stream_cost_per_payload):
+            # A buffered task would silently never run either of them.
+            raise ValueError("stream_finalize and stream_cost_per_payload "
+                             "need stream_compute")
         if self.stream_cost_per_payload < 0:
             raise ValueError("stream_cost_per_payload must be >= 0")
         if self.max_retries < 0:

@@ -42,7 +42,7 @@ class ReassignmentRecord:
     requeue_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignmentRecord:
     """One task-to-bucket assignment, for event-trace validation."""
 
@@ -154,10 +154,7 @@ class TaskScheduler:
     def _assign(self, task: TaskDescriptor, data_t: float,
                 bucket: str, ev: EventHandle, bucket_t: float) -> None:
         self.assignments.append(AssignmentRecord(
-            task_id=task.task_id, bucket=bucket,
-            data_ready_time=data_t, bucket_ready_time=bucket_t,
-            assign_time=self.engine.now,
-        ))
+            task.task_id, bucket, data_t, bucket_t, self.engine.now))
         if self._tracer.enabled:
             self._count_assign()
             self._tracer.instant("sched.assign", lane=self.lane,

@@ -85,10 +85,8 @@ class DartTransport:
                  nbytes: int | None = None) -> DataDescriptor:
         """Register a payload; returns the descriptor to advertise."""
         region = self.registry.register(source_node, payload, meta, nbytes)
-        return DataDescriptor(region_id=region.region_id,
-                              source_node=source_node,
-                              nbytes=region.nbytes,
-                              meta=region.meta)
+        return DataDescriptor(region.region_id, source_node, region.nbytes,
+                              region.meta)
 
     def release(self, descriptor: DataDescriptor) -> None:
         self.registry.release(descriptor.region_id)
@@ -107,17 +105,19 @@ class DartTransport:
             self._tracer.instant("dart.notify", lane=dest_node, nbytes=size)
         ev = EventHandle(self.engine)
         if on_delivery is not None:
-            ev.callbacks.append(on_delivery)
+            ev._callbacks = [on_delivery]  # a fresh event has none yet
         self.engine.schedule_event(ev, delay, payload)
         return ev
 
     # -- bulk pulls ---------------------------------------------------------------
 
     def _nic(self, node: str) -> Resource:
-        if node not in self._nics:
+        nic = self._nics.get(node)
+        if nic is None:
             # One channel per node: concurrent pulls into it serialise.
-            self._nics[node] = Resource(self.engine, 1, name=f"nic:{node}")
-        return self._nics[node]
+            nic = self._nics[node] = Resource(self.engine, 1,
+                                              name=f"nic:{node}")
+        return nic
 
     def nic_busy_channels(self) -> int:
         """NIC channels currently occupied by in-flight pulls, across all
@@ -249,14 +249,8 @@ class DartTransport:
                                     analysis=region.meta.get("analysis"))
 
         self.transfers.append(TransferRecord(
-            region_id=region.region_id,
-            source_node=region.source_node,
-            dest_node=dest_node,
-            nbytes=region.nbytes,
-            protocol=protocol,
-            start_time=start,
-            end_time=self.engine.now,
-        ))
+            region.region_id, region.source_node, dest_node, region.nbytes,
+            protocol, start, self.engine.now))
         region.pull_count += 1
         if release:
             self.registry.release(descriptor.region_id)

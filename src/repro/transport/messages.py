@@ -8,7 +8,7 @@ from typing import Any
 from repro.machine.gemini import Protocol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataDescriptor:
     """Handle to an RDMA-registered data region.
 
@@ -34,7 +34,7 @@ class DataDescriptor:
         return 128 + 32 * len(self.meta)
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferRecord:
     """Completed transfer, for tracing and the benchmark harness."""
 

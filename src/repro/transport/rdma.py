@@ -17,7 +17,7 @@ from repro.obs.tracer import get_tracer
 from repro.vmpi.comm import payload_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class RdmaRegion:
     """One registered region with its live payload."""
 
@@ -69,8 +69,8 @@ class RdmaRegistry:
         size = payload_bytes(payload) if nbytes is None else nbytes
         if size < 0:
             raise ValueError(f"nbytes must be >= 0, got {size}")
-        region = RdmaRegion(region_id=region_id, source_node=source_node,
-                            payload=payload, nbytes=size, meta=dict(meta or {}))
+        region = RdmaRegion(region_id, source_node, payload, size, False, 0,
+                            dict(meta or {}))
         self._regions[region_id] = region
         self._live_bytes += size
         if self._tracer.enabled:

@@ -233,3 +233,70 @@ class TestScheduleReplay:
                                                core_gflops=1.0))
         with pytest.raises(ValueError):
             ScaledExperiment(ExperimentConfig.paper_4896(), machine=tiny)
+
+
+class TestReplayTaskPath:
+    """Guards for the per-task replay path: the event count it dispatches
+    and the field order its records are filled in."""
+
+    @pytest.mark.parametrize("config, fields, events", [
+        (ExperimentConfig.paper_4896, {"n_steps": 40}, 2267),
+        (ExperimentConfig.paper_9440, {"n_steps": 16, "n_buckets": 8}, 531),
+    ], ids=["paper_4896", "paper_9440"])
+    def test_event_count_pinned(self, monkeypatch, config, fields, events):
+        """An untraced replay schedules exactly the events a traced one
+        dispatches, and as many as before the per-task path was slimmed:
+        a change to that path may not add, drop or merge an event."""
+        from repro.des import Engine
+        from repro.obs.tracer import tracing
+
+        scheduled = []
+        run = Engine.run
+
+        def counting_run(engine, until=None):
+            now = run(engine, until)
+            scheduled.append(engine._seq)
+            return now
+
+        monkeypatch.setattr(Engine, "run", counting_run)
+        ScaledExperiment(config()).run_schedule(**fields)
+        with tracing() as tracer:
+            ScaledExperiment(config()).run_schedule(**fields)
+        dispatched = tracer.metrics.counter("des.dispatch").value
+        assert scheduled == [events, events]
+        assert dispatched == events
+
+    @pytest.mark.parametrize("record, names", [
+        ("repro.transport.rdma.RdmaRegion",
+         ("region_id", "source_node", "payload", "nbytes", "released",
+          "pull_count", "meta")),
+        ("repro.transport.messages.DataDescriptor",
+         ("region_id", "source_node", "nbytes", "meta")),
+        ("repro.transport.messages.TransferRecord",
+         ("region_id", "source_node", "dest_node", "nbytes", "protocol",
+          "start_time", "end_time")),
+        ("repro.staging.descriptors.TaskDescriptor",
+         ("task_id", "analysis", "timestep", "data", "compute", "cost_op",
+          "cost_elements", "stream_compute", "stream_finalize",
+          "stream_cost_per_payload", "max_retries", "meta", "attempts",
+          "flow")),
+        ("repro.staging.scheduler.AssignmentRecord",
+         ("task_id", "bucket", "data_ready_time", "bucket_ready_time",
+          "assign_time")),
+        ("repro.staging.descriptors.TaskResult",
+         ("task_id", "analysis", "timestep", "bucket", "value",
+          "enqueue_time", "assign_time", "pull_done_time", "finish_time",
+          "bytes_pulled")),
+    ], ids=lambda v: v.rsplit(".", 1)[-1] if isinstance(v, str) else None)
+    def test_positional_field_order_pinned(self, record, names):
+        """The hot sites fill these records positionally: a reordered
+        field would silently swap two values of the same type."""
+        import dataclasses
+        import importlib
+
+        module, _, name = record.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        # Slotted instances have no __dict__; TaskResult keeps its own
+        # because result digests walk vars().
+        assert ("__dict__" in vars(cls)) == (name == "TaskResult")

@@ -705,6 +705,31 @@ class TestStepping:
         eng.run()
         assert fired == [5.0, 7.0, 9.0]
 
+    @pytest.mark.parametrize("schedule", [
+        lambda eng: eng.timeout(float("nan")),
+        lambda eng: eng.call_at(float("nan"), lambda: None),
+        lambda eng: eng.schedule_event(eng.event(), float("nan")),
+    ], ids=["timeout", "call_at", "schedule_event"])
+    def test_nan_time_refused(self, schedule):
+        """A NaN time compares false to everything: on the heap it made
+        ``run`` spin for ever, its timestamp never equal to the clock."""
+        eng = Engine()
+        with pytest.raises(ValueError, match="cannot schedule at nan"):
+            schedule(eng)
+        assert eng.idle()
+        assert eng.run() == 0.0
+
+    def test_run_until_nan_refused(self):
+        """``run(until=nan)`` used to leave the clock at NaN, so every
+        later schedule was wrong."""
+        eng = Engine()
+        fired = []
+        eng._schedule(1.0, fired.append, 1.0)
+        with pytest.raises(ValueError, match="before now"):
+            eng.run(until=float("nan"))
+        assert eng.now == 0.0
+        assert eng.run() == 1.0 and fired == [1.0]
+
     def test_run_until_done_advances_probe_once_per_timestamp(self):
         eng = Engine()
         advances = []

@@ -234,6 +234,18 @@ class TestStreamingInTransit:
                            compute=lambda p: p,
                            stream_compute=lambda s, p: p)
 
+    @pytest.mark.parametrize("streaming", [
+        {"stream_finalize": lambda state: state},
+        {"stream_cost_per_payload": 5.0},
+    ], ids=["stream_finalize", "stream_cost_per_payload"])
+    def test_streaming_fields_need_stream_compute(self, streaming):
+        """Without ``stream_compute`` the task runs buffered: a finalizer
+        would never run and a per-payload charge never be paid."""
+        from repro.staging.descriptors import TaskDescriptor
+        with pytest.raises(ValueError, match="need stream_compute"):
+            TaskDescriptor(task_id="t", analysis="a", timestep=0, data=[],
+                           compute=lambda p: p, **streaming)
+
     def test_streaming_overlaps_compute_with_pulls(self):
         """On the DES, a streaming task with per-payload compute finishes
         earlier than the equivalent buffered task because compute overlaps
