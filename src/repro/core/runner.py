@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Any
 
@@ -44,6 +44,9 @@ if TYPE_CHECKING:
     from repro.service.shards import ShardBalanceReport, ShardedDataSpaces
 
 PAPER_GLOBAL_SHAPE = (1600, 1372, 430)
+
+#: The default machine: a frozen spec, so every experiment shares it.
+_JAGUAR = jaguar_xk6()
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,7 @@ class ScaledExperiment:
                  machine: MachineSpec | None = None,
                  cost_model: CostModel | None = None) -> None:
         self.config = config
-        self.machine = machine or jaguar_xk6()
+        self.machine = machine or _JAGUAR
         self.machine.validate_allocation(config.n_cores)
         self.cost = cost_model or jaguar_cost_model()
         self.workload = config.workload()
@@ -370,12 +373,18 @@ class ScaledExperiment:
         """
         if analysis_interval < 1 or n_buckets < 1:
             raise ValueError("analysis_interval and n_buckets must be >= 1")
-        rows = [self.analytics_timing(v) for v in HYBRID_VARIANTS]
-        per_step = sum(row.movement_bytes for row in rows)
-        slowest = max(row.movement_time + row.intransit_time for row in rows)
-        cadence = analysis_interval * self.simulation_step_time()
-        in_flight = min(math.ceil(slowest / cadence), n_buckets)
+        per_step, slowest, step_time = self._staging_terms
+        in_flight = min(math.ceil(slowest / (analysis_interval * step_time)),
+                        n_buckets)
         return per_step * max(1, in_flight)
+
+    @cached_property
+    def _staging_terms(self) -> tuple[int, float, float]:
+        """Bytes per analysed step, slowest hybrid task, step time."""
+        rows = [self.analytics_timing(v) for v in HYBRID_VARIANTS]
+        return (sum(row.movement_bytes for row in rows),
+                max(row.movement_time + row.intransit_time for row in rows),
+                self.simulation_step_time())
 
     # -- DES schedule replay (Fig. 5, temporal multiplexing) ---------------------
 

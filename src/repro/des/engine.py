@@ -341,10 +341,13 @@ class Engine:
         self._schedule_at(self.now, proc._resume, None)
         return proc
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run a plain callback at absolute simulated time ``when``: the
-        clock reads exactly ``when`` while it runs."""
-        self._schedule_at(when, lambda _: fn(), None)
+    def call_at(self, when: float, fn: Callable[..., None], *arg: Any) -> None:
+        """Run ``fn()``, or ``fn(arg)``, at absolute simulated time
+        ``when``: the clock reads exactly ``when`` while it runs."""
+        if arg:  # the heap entry calls fn(arg) itself: no closure
+            self._schedule_at(when, fn, *arg)
+        else:
+            self._schedule_at(when, lambda _: fn(), None)
 
     # -- main loop -----------------------------------------------------------
 

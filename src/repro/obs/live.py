@@ -37,7 +37,7 @@ of a same-seed campaign is byte-identical across runs.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -401,12 +401,23 @@ class Alert:
                 "job_id": self.job_id, "message": self.message}
 
 
+class _BurnWindows:
+    """One (tenant, objective)'s two windows of ``(t, bad)``, with bad counts."""
+
+    __slots__ = ("last_t", "fast", "fast_bad", "slow", "slow_bad")
+
+    def __init__(self) -> None:
+        self.last_t = float("-inf")
+        self.fast, self.slow = deque(), deque()
+        self.fast_bad = self.slow_bad = 0
+
+
 class BurnRateMonitor:
     """Rolling per-tenant burn-rate evaluation over SLO objectives.
 
-    Feed it observations with :meth:`observe`; it keeps one
-    ``(t, value)`` window per (tenant, objective), evaluates both burn
-    windows on every observation, and fires a structured :class:`Alert`
+    Feed it observations with :meth:`observe` in time order per (tenant,
+    objective), so each costs O(1) (an earlier one raises ``ValueError``);
+    it evaluates both burn windows and fires a structured :class:`Alert`
     on the healthy->unhealthy transition only — a sustained violation is
     one alert, and the objective must recover (both windows below their
     thresholds) before it can page again. Alerts are appended to
@@ -422,7 +433,8 @@ class BurnRateMonitor:
         self.bus = bus
         self.tracer = tracer
         self.alerts: list[Alert] = []
-        self._samples: dict[tuple[str, str], deque[tuple[float, bool]]] = {}
+        self._windows: defaultdict[tuple[str, str], _BurnWindows] = (
+            defaultdict(_BurnWindows))
         self._firing: dict[tuple[str, str], Alert] = {}
         self._by_metric: dict[str, list[SloObjective]] = {}
         for obj in self.objectives:
@@ -436,12 +448,26 @@ class BurnRateMonitor:
         fired: list[Alert] = []
         for obj in self._by_metric.get(metric, ()):
             key = (tenant, obj.name)
-            window = self._samples.setdefault(key, deque())
-            window.append((t, value > obj.target))
-            while window and window[0][0] < t - obj.slow_window:
-                window.popleft()
-            burn_fast = self._burn(window, t - obj.fast_window, obj.budget)
-            burn_slow = self._burn(window, t - obj.slow_window, obj.budget)
+            windows = self._windows[key]
+            if not t >= windows.last_t:  # NaN too
+                raise ValueError(f"{tenant}/{obj.name}: t={t} is before the "
+                                 f"previous one at t={windows.last_t}")
+            windows.last_t = t
+            # Time only moves forward: the windows evict from their heads.
+            bad = value > obj.target
+            fast, slow = windows.fast, windows.slow
+            fast.append((t, bad))
+            slow.append((t, bad))
+            windows.fast_bad += bad
+            windows.slow_bad += bad
+            cutoff = t - obj.fast_window
+            while fast[0][0] < cutoff:
+                windows.fast_bad -= fast.popleft()[1]
+            cutoff = t - obj.slow_window
+            while slow[0][0] < cutoff:
+                windows.slow_bad -= slow.popleft()[1]
+            burn_fast = (windows.fast_bad / len(fast)) / obj.budget
+            burn_slow = (windows.slow_bad / len(slow)) / obj.budget
             unhealthy = (burn_fast >= obj.fast_burn
                          and burn_slow >= obj.slow_burn)
             if unhealthy and key not in self._firing:
@@ -460,16 +486,6 @@ class BurnRateMonitor:
             elif not unhealthy and key in self._firing:
                 del self._firing[key]
         return fired
-
-    @staticmethod
-    def _burn(window: deque[tuple[float, bool]], cutoff: float,
-              budget: float) -> float:
-        total = bad = 0
-        for t, is_bad in window:
-            if t >= cutoff:
-                total += 1
-                bad += is_bad
-        return (bad / total) / budget if total else 0.0
 
     def _emit(self, alert: Alert) -> None:
         bus = self.bus

@@ -176,14 +176,11 @@ class _NullInstrument:
     series = None
     values: list[float] = []
 
-    def inc(self, delta: float = 1) -> None:
+    def set(self, value: float = 1) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
+    #: ``Counter.inc`` and ``Histogram.observe``: the same no-op.
+    inc = observe = set
 
 
 _NULL_INSTRUMENT = _NullInstrument()
@@ -276,17 +273,12 @@ class MetricsRegistry:
 class _NullMetricsRegistry(MetricsRegistry):
     """Registry whose instruments are shared no-ops (disabled tracing)."""
 
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str) -> Counter:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
     def gauge(self, name: str) -> Gauge:  # type: ignore[override]
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
-    def histogram(self, name: str) -> Histogram:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
+    #: Every kind of instrument is the one shared no-op, so no lookup on
+    #: the null registry ever creates one.
+    counter = histogram = gauge  # type: ignore[assignment]
 
 
 NULL_METRICS = _NullMetricsRegistry()

@@ -32,6 +32,7 @@ but never gated (they vary per host).
 from __future__ import annotations
 
 import fnmatch
+import functools
 import json
 import os
 import statistics
@@ -66,10 +67,16 @@ SCHEMA_VERSION = 1
 
 
 def git_sha() -> str | None:
-    """Current git HEAD SHA, or ``None`` outside a repository."""
+    """Current git HEAD SHA, or ``None`` outside a repository (read once
+    per process and working directory, not once per record)."""
+    return _git_sha(os.getcwd())
+
+
+@functools.cache
+def _git_sha(cwd: str) -> str | None:
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "rev-parse", "HEAD"], cwd=cwd,
             capture_output=True, text=True, timeout=10, check=False)
     except (OSError, subprocess.SubprocessError):
         return None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -47,6 +48,9 @@ if TYPE_CHECKING:
     from repro.obs.perf import RunStore
 
 JOBS_SOURCE = "service-job"
+
+#: Every service's objectives (frozen, so the services share them).
+_OBJECTIVES = default_objectives() + capacity_objectives()
 
 
 class JobExecutor:
@@ -243,11 +247,8 @@ class CampaignService:
         #: even without a bus so `repro serve` gates on alerts in every
         #: mode.
         self.bus = bus
-        # Queue-wait/slowdown QoS plus the capacity plane's
-        # estimated-vs-measured staging and NIC objectives.
-        self.monitor = BurnRateMonitor(
-            default_objectives() + capacity_objectives(), bus=bus,
-            tracer=get_tracer())
+        self.monitor = BurnRateMonitor(_OBJECTIVES, bus=bus,
+                                       tracer=get_tracer())
         if jobs_store is not None:
             from repro.obs.perf import RunStore
 
@@ -276,27 +277,30 @@ class CampaignService:
 
     def submit(self, spec: JobSpec) -> Job:
         """Register one job; it enters the queue at ``spec.submit_at``."""
+        if self.pool.closed:
+            raise RuntimeError("this service has drained; submit the next "
+                               "batch to a new one (it may share the cache)")
         job = Job(spec=spec,
                   job_id=f"{spec.tenant}/{spec.name}#{next(self._job_ids)}")
         self.jobs.append(job)
         at = max(spec.submit_at, self.engine.now)
-        self.engine.call_at(at, lambda: self._enqueue(job))
+        self.engine.call_at(at, self._enqueue, job)
         return job
 
     def _enqueue(self, job: Job) -> None:
         job.submit_t = self.engine.now
         self.queue.push(job)
-        self._publish("job.queued", job,
-                      queue_depth=self.queue.pending_for(job.tenant))
+        if self.bus is not None:
+            self._publish("job.queued", job,
+                          queue_depth=self.queue.pending_for(job.tenant))
         self._pump()
 
     # -- live telemetry ------------------------------------------------------
 
     def _publish(self, name: str, job: Job, **data: Any) -> None:
-        """One job-lifecycle event on the bus (service clock, tenant-tagged)."""
-        if self.bus is not None:
-            self.bus.publish("job", name, t=self.engine.now, lane="service",
-                             tenant=job.tenant, job_id=job.job_id, **data)
+        """One job-lifecycle event on the bus (callers check there is one)."""
+        self.bus.publish("job", name, t=self.engine.now, lane="service",
+                         tenant=job.tenant, job_id=job.job_id, **data)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -304,9 +308,8 @@ class CampaignService:
         if job.demand is None:
             job.demand = self.executor.demand(job.spec)
         denial = self.quota.check(job.tenant, job.demand)
-        if denial is not None:
-            name = ("job.failed" if getattr(denial, "permanent", False)
-                    else "job.held")
+        if denial is not None and self.bus is not None:
+            name = "job.failed" if denial.permanent else "job.held"
             self._publish(name, job, reason=denial.reason)
         return denial
 
@@ -317,7 +320,7 @@ class CampaignService:
         return job
 
     def _pump(self) -> None:
-        while self.pool.has_idle():
+        while self.pool.idle_count():
             job = self._next_job()
             if job is None:
                 break
@@ -326,37 +329,46 @@ class CampaignService:
     def _run_job(self, job: Job, worker: str) -> float:
         job.state = JobState.RUNNING
         job.worker = worker
-        job.start_t = self.engine.now
+        job.start_t = now = self.engine.now
+        wait = job.queue_wait
+        # The null tracer's calls are no-ops: an untraced hit skips them.
         tracer = get_tracer()
-        metrics = tracer.metrics
-        metrics.histogram("service.queue_wait_s").observe(job.queue_wait)
-        self._publish("job.start", job, worker=worker,
-                      queue_wait=job.queue_wait)
-        self.monitor.observe(job.tenant, "queue_wait_s", t=self.engine.now,
-                             value=job.queue_wait or 0.0, job_id=job.job_id)
+        traced = tracer.enabled
+        if traced:
+            tracer.metrics.histogram("service.queue_wait_s").observe(wait)
+        if self.bus is not None:
+            self._publish("job.start", job, worker=worker, queue_wait=wait)
+        self.monitor.observe(job.tenant, "queue_wait_s", t=now, value=wait,
+                             job_id=job.job_id)
         try:
-            # Ambient tenant/job context: every span, instant and probe
-            # sample the inner replay engine records carries these tags,
-            # so bus events stay attributable across the DES boundary.
-            with tracer.context(tenant=job.tenant, job=job.job_id):
+            if traced:
+                # Ambient tenant/job context: every span, instant and probe
+                # sample the inner replay engine records carries these tags,
+                # so bus events stay attributable across the DES boundary.
+                with tracer.context(tenant=job.tenant, job=job.job_id):
+                    sched, hit = self.executor.execute(job.spec)
+            else:
                 sched, hit = self.executor.execute(job.spec)
         except Exception as exc:  # noqa: BLE001 — job isolation boundary
             job.state = JobState.FAILED
             job.error = repr(exc)
-            metrics.counter("service.jobs_failed").inc()
+            if traced:
+                tracer.metrics.counter("service.jobs_failed").inc()
             return 0.0
         finally:
             # The inner replay engine stole the tracer clock ("last
             # engine wins"); later service events must read service time.
-            tracer.attach_engine(self.engine)
+            if traced:
+                tracer.attach_engine(self.engine)
         job.result = sched
         job.cache_hit = hit
         if hit:
             self.cache_hits += 1
-            metrics.counter("service.cache_hits").inc()
         else:
             self.cache_misses += 1
-            metrics.counter("service.cache_misses").inc()
+        if traced:
+            tracer.metrics.counter("service.cache_hits" if hit
+                                   else "service.cache_misses").inc()
         # A hit serves from memory (free on the service clock); a miss
         # occupies the worker's allocation for the replay's makespan.
         return 0.0 if hit else sched.makespan
@@ -400,21 +412,24 @@ class CampaignService:
             sched = job.result
             slowdown = (sched.makespan / (sched.n_steps * sched.sim_step_time)
                         if sched.n_steps and sched.sim_step_time else 0.0)
-            self._publish("job.done", job, makespan=sched.makespan,
-                          slowdown=slowdown, cache_hit=job.cache_hit)
+            if self.bus is not None:
+                self._publish("job.done", job, makespan=sched.makespan,
+                              slowdown=slowdown, cache_hit=job.cache_hit)
             self.monitor.observe(job.tenant, "makespan_slowdown",
                                  t=self.engine.now, value=slowdown,
                                  job_id=job.job_id)
             if sched.capacity is not None and job.demand is not None:
                 self._true_up(job, sched.capacity)
-        elif job.state is JobState.FAILED:
+        elif job.state is JobState.FAILED and self.bus is not None:
             self._publish("job.failed", job, error=job.error)
-        metrics = get_tracer().metrics
+        tracer = get_tracer()
+        metrics = tracer.metrics
         served = self.cache_hits + self.cache_misses
-        if served:
+        if tracer.enabled and served:
             metrics.gauge("service.cache_hit_rate").set(
                 self.cache_hits / served)
-        if job.result is not None and job.result.shard_balance is not None:
+        if (tracer.enabled and job.result is not None
+                and job.result.shard_balance is not None):
             for load in job.result.shard_balance.loads:
                 metrics.gauge(f"service.shard.{load.shard}.tasks").set(
                     float(load.tasks))
@@ -436,8 +451,9 @@ class CampaignService:
     # -- draining ------------------------------------------------------------
 
     def run(self) -> ServiceReport:
-        """Drain the service: run until no runnable work remains."""
+        """Drain the service, then release its pool: it takes no new jobs."""
         self.engine.run()
+        self.pool.close()
         return self.report()
 
     def run_batch(self, specs: list[JobSpec]) -> ServiceReport:
@@ -450,11 +466,14 @@ class CampaignService:
     def report(self) -> ServiceReport:
         tenants: dict[str, TenantReport] = {}
         balances: list[ShardBalanceReport] = []
+        held_events = 0
         for job in self.jobs:
-            rep = tenants.setdefault(job.tenant,
-                                     TenantReport(tenant=job.tenant))
+            rep = tenants.get(job.tenant)
+            if rep is None:
+                rep = tenants[job.tenant] = TenantReport(tenant=job.tenant)
             rep.submitted += 1
             rep.held_events += job.held
+            held_events += job.held
             if job.state is JobState.DONE:
                 rep.done += 1
                 rep.cache_hits += int(job.cache_hit)
@@ -464,8 +483,8 @@ class CampaignService:
                 rep.queue_waits.append(wait)
                 if job.result is not None:
                     rep.makespan_total += job.result.makespan
-                    rep.bytes_pulled += sum(r.bytes_pulled
-                                            for r in job.result.results)
+                    rep.bytes_pulled += sum(map(attrgetter("bytes_pulled"),
+                                                job.result.results))
                     rep.failed_tasks += job.result.failed_tasks
                     if job.result.shard_balance is not None:
                         balances.append(job.result.shard_balance)
@@ -487,7 +506,7 @@ class CampaignService:
             duration=self.engine.now,
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
-            held_events=sum(job.held for job in self.jobs),
+            held_events=held_events,
             shard_balance=(ShardBalanceReport.merge(balances)
                            if balances else None),
             quotas={**self.quota.quotas, "*": self.quota.default},

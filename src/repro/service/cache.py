@@ -32,13 +32,15 @@ if TYPE_CHECKING:
 
 CACHE_SOURCE = "schedule-cache"
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def schedule_cache_key(machine: dict[str, Any], workload: dict[str, Any],
                        placement: dict[str, Any]) -> str:
     """Stable key over (machine fingerprint, workload spec, placement)."""
-    payload = json.dumps(
-        {"machine": machine, "workload": workload, "placement": placement},
-        sort_keys=True, separators=(",", ":"))
+    payload = _KEY_ENCODER.encode(
+        {"machine": machine, "workload": workload, "placement": placement})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -73,13 +75,8 @@ def schedule_to_dict(sched: ScheduleResult) -> dict[str, Any]:
 
 def schedule_from_dict(d: dict[str, Any]) -> ScheduleResult:
     """Rebuild a :class:`ScheduleResult` from its cached summary."""
-    results = [
-        TaskResult(task_id=row[0], analysis=row[1], timestep=row[2],
-                   bucket=row[3], value=None, enqueue_time=row[4],
-                   assign_time=row[5], pull_done_time=row[6],
-                   finish_time=row[7], bytes_pulled=row[8])
-        for row in d["results"]
-    ]
+    # A row is TaskResult's fields in order, less ``value``.
+    results = [TaskResult(*row[:4], None, *row[4:]) for row in d["results"]]
     balance = d.get("shard_balance")
     capacity = d.get("capacity")
     return ScheduleResult(

@@ -128,10 +128,10 @@ class Job:
     held_reasons: list[str] = field(default_factory=list)
     #: Resource demand, attached at first admission check.
     demand: Any | None = None
+    tenant: str = field(init=False, repr=False)  # the spec's, copied once
 
-    @property
-    def tenant(self) -> str:
-        return self.spec.tenant
+    def __post_init__(self) -> None:
+        self.tenant = self.spec.tenant
 
     @property
     def queue_wait(self) -> float | None:
@@ -166,8 +166,6 @@ class JobQueue:
     def __init__(self) -> None:
         self._queues: dict[str, deque[Job]] = {}
         self._rr: list[str] = []   # tenant service order (rotates)
-        self.pushed = 0
-        self.popped = 0
 
     def push(self, job: Job) -> None:
         tenant = job.tenant
@@ -176,7 +174,6 @@ class JobQueue:
             self._rr.append(tenant)
         job.state = JobState.QUEUED
         self._queues[tenant].append(job)
-        self.pushed += 1
 
     def pending_for(self, tenant: str) -> int:
         return len(self._queues.get(tenant, ()))
@@ -199,10 +196,10 @@ class JobQueue:
                 denial = admit(job)
                 if denial is None:
                     queue.popleft()
-                    self.popped += 1
                     # Rotate: tenants after the served one go first next time.
-                    self._rr = (self._rr[offset + 1:]
-                                + self._rr[:offset + 1])
+                    if offset != len(self._rr) - 1:
+                        self._rr = (self._rr[offset + 1:]
+                                    + self._rr[:offset + 1])
                     return job
                 if getattr(denial, "permanent", False):
                     # Unsatisfiable job: fail it and let the tenant's

@@ -20,6 +20,7 @@ and holding it would deadlock the drain).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 
@@ -107,28 +108,17 @@ class QuotaManager:
             else:
                 self.quotas[q.tenant] = q
         self.default = default or TenantQuota("*", max_concurrent=2)
-        self._usage: dict[str, TenantUsage] = {}
-        #: (tenant, reason) admission refusals, in check order.
-        self.denials: list[tuple[str, str]] = []
+        self._usage: defaultdict[str, TenantUsage] = defaultdict(TenantUsage)
         #: Completed jobs' estimated-vs-measured reconciliations,
         #: appended by :meth:`true_up` in completion order.
         self.true_ups: list[TrueUp] = []
-
-    def quota_for(self, tenant: str) -> TenantQuota:
-        return self.quotas.get(tenant, self.default)
-
-    def usage(self, tenant: str) -> TenantUsage:
-        return self._usage.setdefault(tenant, TenantUsage())
 
     # -- admission -----------------------------------------------------------
 
     def check(self, tenant: str, demand: JobDemand) -> Denial | None:
         """None to admit ``demand`` for ``tenant`` now, else a Denial."""
-        quota = self.quota_for(tenant)
-        denial = self._check(quota, self.usage(tenant), demand)
-        if denial is not None:
-            self.denials.append((tenant, denial.reason))
-        return denial
+        return self._check(self.quotas.get(tenant, self.default),
+                           self._usage[tenant], demand)
 
     @staticmethod
     def _check(quota: TenantQuota, usage: TenantUsage,
@@ -164,13 +154,13 @@ class QuotaManager:
     # -- ledger --------------------------------------------------------------
 
     def acquire(self, tenant: str, demand: JobDemand) -> None:
-        usage = self.usage(tenant)
+        usage = self._usage[tenant]
         usage.running += 1
         usage.staging_bytes += demand.staging_bytes
         usage.cores += demand.cores
 
     def release(self, tenant: str, demand: JobDemand) -> None:
-        usage = self.usage(tenant)
+        usage = self._usage[tenant]
         if usage.running < 1:
             raise RuntimeError(
                 f"release without acquire for tenant {tenant!r}")

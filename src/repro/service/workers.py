@@ -31,7 +31,7 @@ class WorkerPool:
     Idle workers park on an engine event; :meth:`dispatch` hands a job
     straight to a parked worker. The engine drains naturally once no
     work remains — held-forever jobs simply stay queued and surface in
-    the service report.
+    the service report — and :meth:`close` then releases the pool.
     """
 
     def __init__(self, engine: Engine, n_workers: int,
@@ -45,39 +45,39 @@ class WorkerPool:
         self._next_job = next_job
         self._run_job = run_job
         self._on_done = on_done
-        self._idle: deque[tuple[str, EventHandle]] = deque()
-        #: worker name -> job_id currently held (introspection).
-        self.busy: dict[str, str] = {}
-        self.jobs_run = 0
-        for i in range(n_workers):
-            name = f"worker-{i}"
-            engine.process(self._worker(name), name=f"service:{name}")
+        self._idle: deque[EventHandle] = deque()
+        self._workers = [
+            engine.process(self._worker(f"worker-{i}"),
+                           name=f"service:worker-{i}")
+            for i in range(n_workers)]
 
     def idle_count(self) -> int:
         return len(self._idle)
 
-    def has_idle(self) -> bool:
-        return bool(self._idle)
+    @property
+    def closed(self) -> bool:
+        return self._next_job is None
 
-    def dispatch(self, job: Any) -> bool:
-        """Hand ``job`` to a parked worker; False if none is idle."""
-        if not self._idle:
-            return False
-        _name, ev = self._idle.popleft()
-        ev.succeed(job)
-        return True
+    def close(self) -> None:
+        """Release the pool once its engine drained (every worker parked):
+        it leaves no cycle, and runs no more jobs."""
+        for proc in self._workers:
+            proc.generator.close()
+        self._idle.clear()
+        self._next_job = self._run_job = self._on_done = None
+
+    def dispatch(self, job: Any) -> None:
+        """Hand ``job`` to a parked worker (the caller checks one idles)."""
+        self._idle.popleft().succeed(job)
 
     def _worker(self, name: str):
         while True:
             job = self._next_job()
             if job is None:
                 ev = self.engine.event()
-                self._idle.append((name, ev))
+                self._idle.append(ev)
                 job = yield ev
-            self.busy[name] = job.job_id
             hold = self._run_job(job, name)
-            self.jobs_run += 1
             if hold > 0:
                 yield self.engine.timeout(hold)
-            del self.busy[name]
             self._on_done(job)

@@ -2,8 +2,10 @@
 `repro serve --follow` view."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.live import (
     Alert,
@@ -19,6 +21,7 @@ from repro.obs.metrics import Gauge
 from repro.obs.probes import ProbeSampler, SloRule
 from repro.obs.tracer import NULL_TRACER, Tracer, tracing
 from repro.service import CampaignService, JobSpec, TenantQuota
+from tests.burn_oracle import ScanMonitor
 
 
 class TestTelemetryBus:
@@ -175,6 +178,19 @@ class TestBurnRateMonitor:
             self._objective(fast_window=20.0, slow_window=10.0)
         with pytest.raises(ValueError):
             self._objective(fast_burn=0.0)
+
+    def test_out_of_order_observation_is_refused(self):
+        """Each (tenant, objective) window only moves forward; an earlier
+        observation would count later samples inside its window."""
+        mon = BurnRateMonitor((self._objective(),))
+        mon.observe("t", "m", t=5.0, value=2.0)
+        mon.observe("t", "m", t=5.0, value=0.5)  # the same time is in order
+        with pytest.raises(ValueError, match="before the previous one"):
+            mon.observe("t", "m", t=4.0, value=9.0)
+        with pytest.raises(ValueError, match="before the previous one"):
+            mon.observe("t", "m", t=math.nan, value=9.0)
+        mon.observe("u", "m", t=1.0, value=0.5)  # another tenant's clock
+        assert [(a.tenant, a.t) for a in mon.alerts] == [("t", 5.0)]
 
     def test_alert_round_trips_to_dict(self):
         alert = Alert(tenant="t", objective="o", metric="m", severity="page",
@@ -518,3 +534,54 @@ class TestJobSpecFaultKnobs:
             # faults require the single-shard replay path
             JobSpec(tenant="t", name="j", n_steps=2, n_buckets=4,
                     n_shards=2, pull_stall_rate=0.1)
+
+
+_METRICS = ("m0", "m1")
+
+
+@st.composite
+def _objectives(draw):
+    objectives = []
+    for i in range(draw(st.integers(1, 3))):
+        fast = draw(st.sampled_from((0.5, 1.0, 2.5, 10.0)))
+        objectives.append(SloObjective(
+            name=f"o{i}", metric=draw(st.sampled_from(_METRICS)),
+            target=draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+            budget=draw(st.sampled_from((0.05, 0.25, 0.5, 1.0))),
+            fast_window=fast,
+            slow_window=fast * draw(st.sampled_from((1.0, 2.0, 4.0))),
+            fast_burn=draw(st.sampled_from((0.5, 1.0, 2.0, 4.0))),
+            slow_burn=draw(st.sampled_from((0.5, 1.0, 2.0)))))
+    return tuple(objectives)
+
+
+_STREAMS = st.lists(st.tuples(
+    st.sampled_from(("a", "b", "c")), st.sampled_from(_METRICS),
+    st.sampled_from((0.0, 0.0, 0.1, 0.5, 1.0, 3.0, 12.0)),
+    st.floats(0.0, 3.0)), max_size=120)
+
+
+@settings(max_examples=200, deadline=None)
+@given(objectives=_objectives(), stream=_STREAMS)
+def test_monitor_matches_the_window_scan_oracle(objectives, stream):
+    """Over time-ordered streams for several tenants, every burn rate,
+    alert and firing state equals a full window rescan's, bit for bit."""
+    mon = BurnRateMonitor(objectives)
+    oracle = ScanMonitor(objectives)
+    budgets = {obj.name: obj.budget for obj in objectives}
+    t = 0.0
+    for tenant, metric, dt, value in stream:
+        t += dt
+        fired = mon.observe(tenant, metric, t=t, value=value)
+        expected = oracle.observe(tenant, metric, t, value)
+        assert ([(a.tenant, a.objective) for a in fired]
+                == [key for key, _, _, hit in expected if hit])
+        for key, burn_fast, burn_slow, _ in expected:
+            windows = mon._windows[key]
+            budget = budgets[key[1]]
+            assert windows.fast_bad / len(windows.fast) / budget == burn_fast
+            assert windows.slow_bad / len(windows.slow) / budget == burn_slow
+        assert ({(a.tenant, a.objective) for a in mon.active()}
+                == oracle.firing)
+    assert [(a.tenant, a.objective, a.t, a.value, a.burn_fast, a.burn_slow)
+            for a in mon.alerts] == oracle.alerts

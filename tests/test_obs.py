@@ -116,7 +116,11 @@ class TestNullTracerAndInstall:
         NULL_TRACER.instant("i")
         NULL_TRACER.counter("c", 5)
         NULL_TRACER.metrics.counter("c").inc()
+        NULL_TRACER.metrics.histogram("h").observe(1.0)
         assert NULL_TRACER.trace.spans == []
+        # The null registry hands out its one no-op; it registers nothing.
+        metrics = NULL_TRACER.metrics
+        assert not (metrics.counters or metrics.gauges or metrics.histograms)
 
     def test_tracing_context_installs_and_restores(self):
         assert get_tracer() is NULL_TRACER

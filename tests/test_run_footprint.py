@@ -4,8 +4,8 @@ A replay builds only what it reads: no front door reads a DHT ring's
 per-server RPC counts, so a fresh interpreter running the benchmark's
 Fig. 5 replays hashes no ring point. And a finished run is freed by
 reference counting alone: it leaves no reference cycle for the cyclic
-collector (traced replays and the campaign service are outside this
-rule; DESIGN.md §4 records their counts).
+collector. That holds for a campaign service batch, cold or warm, too;
+traced replays are outside this rule (DESIGN.md §4 records their count).
 """
 
 import gc
@@ -76,6 +76,32 @@ def test_controller_driven_replay_leaves_no_cycle():
 
     assert _cyclic_garbage(_replay("paper_4896", CONTROL_PLAN,
                                    controller=PlacementController)) == 0
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_service_batch_leaves_no_cycle(warm):
+    """A drained service releases its worker pool: no parked worker or
+    bound callback keeps the service, its engine and its jobs alive."""
+    from repro.service import (
+        CampaignService,
+        JobSpec,
+        ScheduleCache,
+        TenantQuota,
+    )
+
+    specs = [JobSpec(tenant=tenant, name=f"job-{i}", n_steps=2 + i,
+                     n_buckets=3, n_shards=2 if i == 4 else 1)
+             for i, tenant in enumerate("aabbc")]
+    cache = ScheduleCache()
+    if warm:
+        CampaignService(cache=cache).run_batch(specs)
+
+    def run():
+        CampaignService(
+            workers=2, quotas=[TenantQuota("b", max_concurrent=1)],
+            cache=cache if warm else ScheduleCache()).run_batch(specs)
+
+    assert _cyclic_garbage(run) == 0
 
 
 def test_functional_run_leaves_no_cycle():
