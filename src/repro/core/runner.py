@@ -31,7 +31,7 @@ from repro.des import Engine
 from repro.machine.specs import MachineSpec, jaguar_xk6
 from repro.obs.probes import ProbeSampler, default_slos
 from repro.obs.tracer import get_tracer
-from repro.staging.dataspaces import DataSpaces
+from repro.staging.dataspaces import DataSpaces, ShardBalanceReport
 from repro.staging.descriptors import TaskResult
 from repro.staging.scheduler import AssignmentRecord
 from repro.transport.dart import DartTransport
@@ -41,7 +41,6 @@ if TYPE_CHECKING:
     from repro.faults.injector import FaultConfig, FaultInjector
     from repro.obs.capacity import CapacityLedger, CapacityReport
     from repro.obs.tracer import SpanRecord
-    from repro.service.shards import ShardBalanceReport, ShardedDataSpaces
 
 PAPER_GLOBAL_SHAPE = (1600, 1372, 430)
 
@@ -164,8 +163,6 @@ class ReplayPlan:
         if (self.fault_seed or self.crash_times or self.pull_failure_rate
                 or self.pull_stall_rate or self.pull_stall_seconds):
             self._faults()
-        if self.has_faults() and self.n_shards != 1:
-            raise ValueError("fault injection requires n_shards == 1")
         if self.crash_times and self.lease_timeout is None:
             raise ValueError(
                 "crash_times require lease_timeout (crash recovery runs "
@@ -415,14 +412,14 @@ class ScaledExperiment:
         service time. Distinct timesteps land on distinct buckets — the
         paper's temporal multiplexing.
 
-        With ``n_shards > 1`` the staging area is a
-        :class:`~repro.service.shards.ShardedDataSpaces`: N independent
-        tuple-space shards with region keys DHT-routed across them;
-        buckets are split over the shards and
-        :attr:`ScheduleResult.shard_balance` carries the per-shard load
-        report. A plan that injects faults attaches a deterministic
-        :class:`~repro.faults.FaultInjector`; tasks that fail terminally
-        are counted on :attr:`ScheduleResult.failed_tasks`.
+        With ``n_shards > 1`` the staging area is N independent
+        tuple-space shards (:class:`DataSpaces` with ``n_shards``) with
+        region keys DHT-routed across them; buckets are dealt round-robin
+        over the shards and :attr:`ScheduleResult.shard_balance` carries
+        the per-shard load report. A plan that injects faults attaches a
+        deterministic :class:`~repro.faults.FaultInjector` to every
+        shard; tasks that fail terminally are counted on
+        :attr:`ScheduleResult.failed_tasks`.
 
         The keywords say how the replay is observed or driven, never what
         is replayed. With tracing enabled and ``probe_interval`` given, a
@@ -461,20 +458,13 @@ class ScaledExperiment:
         n_buckets = plan.buckets(self.config)
 
         engine = Engine()
-        if plan.n_shards == 1:
-            staging = partial(DataSpaces, engine,
-                              DartTransport(engine, self.machine.network))
-        else:
-            # Lazy import: repro.service depends on this module.
-            from repro.service.shards import ShardedDataSpaces
-            staging = partial(ShardedDataSpaces, engine,
-                              self.machine.network, n_shards=plan.n_shards)
-        ds: DataSpaces | ShardedDataSpaces = staging(
-            n_servers=max(1, self.config.n_service_cores),
-            cost_model=self._service_cost_model(),
-            lease_timeout=plan.lease_timeout,
-            bucket_restart_delay=plan.bucket_restart_delay,
-            max_bucket_restarts=plan.max_bucket_restarts)
+        ds = DataSpaces(engine, DartTransport(engine, self.machine.network),
+                        n_servers=max(1, self.config.n_service_cores),
+                        cost_model=self._service_cost_model(),
+                        lease_timeout=plan.lease_timeout,
+                        bucket_restart_delay=plan.bucket_restart_delay,
+                        max_bucket_restarts=plan.max_bucket_restarts,
+                        n_shards=plan.n_shards)
         probe_map = ds.probe_map()
         ds.spawn_buckets([f"staging-{i}" for i in range(n_buckets)])
 

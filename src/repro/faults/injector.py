@@ -120,7 +120,8 @@ class FaultInjector:
                 "unrecoverable")
         self._attached = True
         if cfg.injects_pull_faults:
-            dataspaces.transport.pull_fault_hook = self._pull_hook
+            for transport in dataspaces.transports:
+                transport.pull_fault_hook = self._pull_hook
         # Only the pending crash callbacks hold the space: the injector
         # itself does not, so the transport's hook back to the injector
         # closes no reference cycle once the last crash has fired.
@@ -144,7 +145,8 @@ class FaultInjector:
     # -- delivery -------------------------------------------------------------
 
     def _crash_one(self, ds: DataSpaces, when: float) -> None:
-        alive = [b for b in ds.buckets if not b.dead]
+        alive = [b for shard in ds.shards for b in shard.buckets
+                 if not b.dead]
         if not alive:
             return  # staging already fully down
         victim = alive[int(self.rng.integers(len(alive)))]

@@ -569,7 +569,7 @@ def render_top(service: "CampaignService", bus: TelemetryBus | None = None,
     balances = [j.result.shard_balance for j in service.jobs
                 if j.result is not None and j.result.shard_balance is not None]
     if balances:
-        from repro.service.shards import ShardBalanceReport
+        from repro.staging.dataspaces import ShardBalanceReport
         bal = ShardBalanceReport.merge(balances)
         lines.append(f"shards: {bal.n_shards} shard(s), imbalance "
                      f"{bal.imbalance('tasks'):.2f}x tasks / "

@@ -9,9 +9,9 @@ campaign service:
 * :mod:`repro.service.quota` — per-tenant resource quotas (concurrent
   jobs, staging-bytes budget, core allocation) with admission control;
 * :mod:`repro.service.workers` — the DES worker pool draining the queue;
-* :mod:`repro.service.shards` — sharded DataSpaces: N independent
-  tuple-space shards with :class:`~repro.staging.hashing.ServiceRing`
-  DHT routing of region keys;
+* a job with ``n_shards > 1`` replays on N DataSpaces shards, region
+  keys DHT-routed and buckets dealt round-robin (``staging-i`` to shard
+  ``i mod N``);
 * :mod:`repro.service.cache` — the memoized schedule/cost-model cache
   keyed by (machine fingerprint, workload spec, placement), persisted
   through the RunStore contract;
@@ -30,8 +30,6 @@ export_lazily(__name__, {
     "QuotaManager": "quota",
     "ScheduleCache": "cache",
     "ServiceReport": "api",
-    "ShardBalanceReport": "shards",
-    "ShardedDataSpaces": "shards",
     "TenantQuota": "quota",
     "TenantReport": "api",
     "WorkerPool": "workers",

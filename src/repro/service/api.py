@@ -9,8 +9,8 @@ Composition (one batch, end to end)::
                                                       hit  -> cached result
                                                       miss -> ScaledExperiment
                                                               .run_schedule
-                                                              (ShardedDataSpaces
-                                                               when n_shards>1)
+                                                              (DataSpaces; n_shards>1
+                                                               deals buckets round-robin)
 
 The service clock is a dedicated DES engine: queue waits, quota holds
 and worker occupancy play out in simulated service time, so every batch
@@ -41,8 +41,8 @@ from repro.obs.tracer import get_tracer
 from repro.service.cache import ScheduleCache
 from repro.service.queue import Job, JobQueue, JobSpec, JobState
 from repro.service.quota import Denial, JobDemand, QuotaManager, TenantQuota
-from repro.service.shards import ShardBalanceReport
 from repro.service.workers import WorkerPool
+from repro.staging.dataspaces import ShardBalanceReport
 
 if TYPE_CHECKING:
     from repro.obs.perf import RunStore

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.runner import ScheduleResult
 from repro.obs.capacity import CapacityReport
-from repro.service.shards import ShardBalanceReport
+from repro.staging.dataspaces import ShardBalanceReport
 from repro.staging.descriptors import TaskResult
 
 if TYPE_CHECKING:

@@ -4,7 +4,8 @@ Components mirror Fig. 5 of the paper:
 
 * :class:`~repro.staging.dataspaces.DataSpaces` — the shared-space service:
   versioned put/get keyed by (name, version), DHT-hashed over service
-  cores, plus the in-transit task queue and free-bucket list;
+  cores, plus the in-transit task queue and free-bucket list (with
+  ``n_shards > 1``, N shards whose spread ``ShardBalanceReport`` reports);
 * :class:`~repro.staging.descriptors.TaskDescriptor` — an in-transit task:
   which data regions to pull and what computation to run on them;
 * :class:`~repro.staging.scheduler.TaskScheduler` — matches *data-ready*
@@ -26,4 +27,6 @@ export_lazily(__name__, {
     "TaskScheduler": "scheduler",
     "StagingBucket": "buckets",
     "DataSpaces": "dataspaces",
+    "ShardBalanceReport": "dataspaces",
+    "ShardLoad": "dataspaces",
 })

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.costmodel.models import CostModel
@@ -22,6 +23,70 @@ from repro.staging.hashing import ServiceRing
 from repro.staging.scheduler import AssignmentRecord, TaskScheduler
 from repro.transport.dart import DartTransport
 from repro.transport.messages import DataDescriptor
+
+
+@dataclass
+class ShardLoad:
+    """Traffic landed on one shard."""
+
+    shard: int
+    tasks: int = 0
+    bytes: int = 0
+    rpcs: int = 0
+    #: Buckets dealt to the shard at spawn (crash replacements not counted).
+    buckets: int = 0
+
+
+@dataclass
+class ShardBalanceReport:
+    """How evenly the DHT spread staging traffic across shards."""
+
+    loads: list[ShardLoad]
+    virtual_nodes: int = 0
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.loads)
+
+    def imbalance(self, attr: str = "tasks") -> float:
+        """Max-over-mean ratio of per-shard ``attr`` (1.0 = perfectly even)."""
+        values = [getattr(load, attr) for load in self.loads]
+        total = sum(values)
+        if not values or total == 0:
+            return 1.0
+        return max(values) / (total / len(values))
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "n_shards": self.n_shards,
+            "virtual_nodes": self.virtual_nodes,
+            "imbalance_tasks": self.imbalance("tasks"),
+            "imbalance_bytes": self.imbalance("bytes"),
+            "loads": [asdict(load) for load in self.loads],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "ShardBalanceReport":
+        return cls(loads=[ShardLoad(**x) for x in d.get("loads", [])],
+                   virtual_nodes=d.get("virtual_nodes", 0))
+
+    @classmethod
+    def merge(cls, reports: Sequence["ShardBalanceReport"]
+              ) -> "ShardBalanceReport":
+        """Aggregate several reports by shard index (service-level view
+        over many jobs; jobs with fewer shards fold into the low indices)."""
+        n = max((r.n_shards for r in reports), default=0)
+        loads = [ShardLoad(shard=i) for i in range(n)]
+        for report in reports:
+            for load in report.loads:
+                agg = loads[load.shard]
+                agg.tasks += load.tasks
+                agg.bytes += load.bytes
+                agg.rpcs += load.rpcs
+                agg.buckets = max(agg.buckets, load.buckets)
+        return cls(loads=loads, virtual_nodes=max(
+            (r.virtual_nodes for r in reports), default=0))
+
 
 class DataSpaces:
     """Shared space + in-transit workflow coordinator.
@@ -38,6 +103,12 @@ class DataSpaces:
     When the staging area is *fully* down (every bucket dead, no restart
     pending), queued and future tasks run in-situ at the task's modeled
     cost instead of hanging.
+
+    With ``n_shards > 1`` this instance is shard 0 of N independent
+    shards — the paper's DHT applied one level up. It builds shards
+    1…N-1 on their own transports over ``transport``'s network and routes
+    each in-situ result by its region key; the aggregate reads cover
+    every shard, and faults stay within one.
     """
 
     def __init__(self, engine: Engine, transport: DartTransport,
@@ -45,9 +116,15 @@ class DataSpaces:
                  lease_timeout: float | None = None,
                  bucket_restart_delay: float | None = None,
                  max_bucket_restarts: int = 0,
-                 name: str | None = None) -> None:
+                 name: str | None = None, n_shards: int = 1) -> None:
         if n_servers < 1:
             raise ValueError(f"n_servers must be >= 1, got {n_servers}")
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+        if n_shards > 1:
+            # Each shard hashes its keyspace over its slice of the servers.
+            n_servers = max(1, n_servers // n_shards)
+            name = "shard0"
         if max_bucket_restarts < 0:
             raise ValueError(
                 f"max_bucket_restarts must be >= 0, got {max_bucket_restarts}")
@@ -58,9 +135,8 @@ class DataSpaces:
         self.transport = transport
         self.ring = ServiceRing(n_servers)
         self.cost_model = cost_model
-        #: Optional instance identity; sharded staging names each shard so
-        #: per-shard scheduler events stay separable in trace exports.
-        self.name = name
+        # A sharded area names each shard so per-shard scheduler events
+        # stay separable in trace exports.
         self.scheduler = TaskScheduler(
             engine, lease_timeout=lease_timeout,
             lane=f"scheduler[{name}]" if name else "scheduler")
@@ -106,6 +182,21 @@ class DataSpaces:
         #: by drivers that start the flow at the in-situ stage); consumed
         #: by one submit.
         self.next_flow: Any | None = None
+        # -- shards 1..N-1: kept apart from ``self`` (see :attr:`shards`) --
+        self._peers = [
+            DataSpaces(engine, DartTransport(engine, transport.network),
+                       n_servers, cost_model, lease_timeout,
+                       bucket_restart_delay, max_bucket_restarts, f"shard{i}")
+            for i in range(1, n_shards)]
+        self._router = ServiceRing(n_shards) if n_shards > 1 else None
+        self._routed_bytes = [0] * n_shards
+        self._dealt_buckets = [0] * n_shards
+
+    @property
+    def shards(self) -> list["DataSpaces"]:
+        """Shard 0 (this instance) then its peers, in shard order. Built
+        on read: a list holding ``self`` would be a reference cycle."""
+        return [self, *self._peers]
 
     # -- tuple space --------------------------------------------------------
 
@@ -128,8 +219,8 @@ class DataSpaces:
         return sum(self._rpc_counts) + len(self._rpc_keys)
 
     def put(self, name: str, version: int, data: Any) -> None:
-        """Insert an object into the space: one RPC to the service core
-        that owns ``name@version``."""
+        """Insert an object into shard 0's space: one RPC to the service
+        core that owns ``name@version``."""
         self._rpc(f"{name}@{version}")
         self._store.setdefault((name, version), []).append(data)
 
@@ -167,7 +258,17 @@ class DataSpaces:
         the scheduler as a short message (one task per call). For analyses
         whose in-transit stage consumes *many* regions in one task (e.g.
         the serial merge-tree glue), use :meth:`submit_grouped_result`.
+        With several shards the shard owning the region key takes it.
         """
+        if self._peers:
+            shard = self._router.server_for(f"{analysis}/t{timestep}")
+            self._routed_bytes[shard] += int(nbytes or 0)
+            if shard:
+                peer = self._peers[shard - 1]
+                peer.flow_src = self.flow_src
+                return peer.submit_insitu_result(
+                    analysis, timestep, source_node, payload, nbytes,
+                    compute, cost_op, cost_elements, meta, max_retries)
         # Hot path: records are filled positionally (DESIGN.md §4).
         desc = self.transport.register(
             source_node, payload,
@@ -222,10 +323,20 @@ class DataSpaces:
     # -- workflow: staging side ---------------------------------------------------
 
     def spawn_buckets(self, names: Sequence[str]) -> list[StagingBucket]:
-        """Create and start one bucket process per staging core name."""
-        for name in names:
-            self._spawn_bucket(name)
-        return self.buckets
+        """Create and start one bucket process per staging core name,
+        dealt round-robin over the shards (shard ``i`` gets
+        ``names[i::n_shards]``); a shard with no bucket would never drain."""
+        shards = self.shards
+        if len(names) < len(shards):
+            raise ValueError(
+                f"need at least one bucket per shard: got {len(names)} "
+                f"buckets for {len(shards)} shards")
+        for i, shard in enumerate(shards):
+            dealt = names[i::len(shards)]
+            self._dealt_buckets[i] = len(dealt)
+            for name in dealt:
+                shard._spawn_bucket(name)
+        return [b for shard in shards for b in shard.buckets]
 
     def _spawn_bucket(self, name: str) -> StagingBucket:
         bucket = StagingBucket(name, self.engine, self.scheduler,
@@ -238,18 +349,19 @@ class DataSpaces:
         return bucket
 
     def live_buckets(self) -> int:
-        """Number of staging cores currently alive (retired ones left)."""
+        """Number of shard 0's staging cores currently alive (retired
+        ones left)."""
         return sum(1 for b in self.buckets if not b.dead and not b.retired)
 
     def committed_buckets(self) -> int:
-        """Pool size the supervisor is committed to: live workers minus
-        pending retirements, plus respawns already scheduled."""
+        """Pool size shard 0's supervisor is committed to: live workers
+        minus pending retirements, plus respawns already scheduled."""
         alive = sum(1 for b in self.buckets
                     if not b.dead and not b.retired and not b.retiring)
         return alive + self._pending_restarts
 
     def scale_to(self, target: int) -> dict[str, list[str]]:
-        """Elastically resize the bucket pool to ``target`` workers.
+        """Elastically resize shard 0's bucket pool to ``target`` workers.
 
         Growth spawns fresh workers immediately (DES time); shrinkage
         retires surplus workers, newest first, through
@@ -300,7 +412,8 @@ class DataSpaces:
         restart budget is configured, or degrades to in-situ execution
         when the whole staging area is down.
         """
-        proc = self._bucket_procs.get(name)
+        proc = next((shard._bucket_procs[name] for shard in self.shards
+                     if name in shard._bucket_procs), None)
         if proc is None:
             raise KeyError(f"no bucket named {name!r}")
         if proc.finished:
@@ -429,23 +542,25 @@ class DataSpaces:
                 ev.succeed(None)
 
     def task_accounting(self) -> dict[str, int]:
-        """Exact task ledger: every submitted task is completed, failed,
-        or still outstanding — nothing is silently lost."""
+        """Exact task ledger over every shard: each submitted task is
+        completed, failed, or still outstanding — nothing is silently
+        lost."""
+        shards = self.shards
         return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "outstanding": self._outstanding,
+            "submitted": sum(s.submitted for s in shards),
+            "completed": sum(s.completed for s in shards),
+            "failed": sum(s.failed for s in shards),
+            "outstanding": sum(s._outstanding for s in shards),
         }
 
     def failed_task_ids(self) -> list[str]:
-        """Ids of terminally failed tasks (buckets + fallback)."""
-        out = [tid for b in self.buckets for tid in b.terminal_failures]
-        out.extend(self.fallback_failures)
-        return out
+        """Ids of terminally failed tasks (buckets + fallback), by shard."""
+        return [tid for s in self.shards for tid in itertools.chain(
+            *(b.terminal_failures for b in s.buckets), s.fallback_failures)]
 
     def drained(self):
-        """Event triggering once every submitted task has completed."""
+        """Event triggering once every task submitted to shard 0 has
+        completed."""
         ev = self.engine.event()
         if self._outstanding == 0:
             ev.succeed(None)
@@ -454,51 +569,79 @@ class DataSpaces:
         return ev
 
     def shutdown_buckets(self) -> None:
-        """Queue one shutdown sentinel per bucket once all work drains.
+        """Queue one shutdown sentinel per bucket once all work drains,
+        through one drain-then-shutdown process per shard, in shard order.
 
         Safe to call immediately after the last submit: sentinels are only
         inserted after every outstanding task has completed, so they cannot
         overtake data-ready notifications still in flight.
         """
-        def drain_then_shutdown():
-            yield self.drained()
-            self._shutting_down = True
-            for bucket in self.buckets:
-                # Retired workers already left; a retiring one takes the
-                # retire sentinel at its next announcement instead.
-                if not bucket.dead and not bucket.retired and not bucket.retiring:
-                    self.scheduler.data_ready(StagingBucket.SHUTDOWN)
+        for shard in self.shards:
+            self.engine.process(shard._drain_then_shutdown(), name="shutdown")
 
-        self.engine.process(drain_then_shutdown(), name="shutdown")
+    def _drain_then_shutdown(self):
+        yield self.drained()
+        self._shutting_down = True
+        for bucket in self.buckets:
+            # Retired workers already left; a retiring one takes the
+            # retire sentinel at its next announcement instead.
+            if not bucket.dead and not bucket.retired and not bucket.retiring:
+                self.scheduler.data_ready(StagingBucket.SHUTDOWN)
 
     def all_results(self) -> list:
         """All completed in-transit task results (buckets + degraded-mode
-        fallback), by finish time."""
-        out = [r for b in self.buckets for r in b.results]
-        out.extend(self.fallback_results)
+        fallback) of every shard, by finish time."""
+        out = [r for s in self.shards for r in itertools.chain(
+            *(b.results for b in s.buckets), s.fallback_results)]
         out.sort(key=lambda r: r.finish_time)
         return out
 
     # -- what a replay reads off its staging area --------------------------------
-    # (``ShardedDataSpaces`` answers the same four over its shards.)
 
     @property
     def transports(self) -> list[DartTransport]:
-        return [self.transport]
+        """Every shard's transport, in shard order."""
+        return [shard.transport for shard in self.shards]
 
     def assignment_records(self) -> list[AssignmentRecord]:
-        """The scheduler's assignment log (Fig. 5 event-trace validation)."""
-        return list(self.scheduler.assignments)
+        """The schedulers' assignment logs (Fig. 5 event-trace
+        validation), by assign time."""
+        out = [rec for shard in self.shards
+               for rec in shard.scheduler.assignments]
+        out.sort(key=lambda rec: rec.assign_time)
+        return out
 
-    def balance_report(self) -> None:
-        """One space has no shards to balance."""
-        return None
+    def balance_report(self) -> ShardBalanceReport | None:
+        """Per-shard traffic — tasks and bytes routed, RPCs filed, buckets
+        dealt at spawn: the DHT load-balance evidence; None for one shard.
+        Reading it hashes no RPC key onto a shard's server ring."""
+        if not self._peers:
+            return None
+        return ShardBalanceReport(
+            loads=[ShardLoad(i, s.submitted, self._routed_bytes[i],
+                             s.rpc_total, self._dealt_buckets[i])
+                   for i, s in enumerate(self.shards)],
+            virtual_nodes=self._router.virtual_nodes)
 
     def probe_map(self) -> dict[str, Callable[[], float]]:
         """The canonical gauge set for a live
         :class:`~repro.obs.probes.ProbeSampler`: scheduler queue depth,
         idle/busy buckets, NIC channel occupancy, and live RDMA-registered
-        bytes."""
+        bytes. With several shards each gauge sums the shards', and
+        ``shard.{i}.queue_depth`` reads shard ``i``'s queue."""
+        maps = [shard._gauges() for shard in self.shards]
+        if len(maps) == 1:
+            return maps[0]
+        probes: dict[str, Callable[[], float]] = {
+            name: lambda fns=[m[name] for m in maps]: float(
+                sum(fn() for fn in fns))
+            for name in maps[0]}
+        for i, m in enumerate(maps):
+            probes[f"shard.{i}.queue_depth"] = m["sched.queue_depth"]
+        return probes
+
+    def _gauges(self) -> dict[str, Callable[[], float]]:
+        """This shard's own gauges."""
         sched, transport = self.scheduler, self.transport
         return {
             "sched.queue_depth": lambda: float(sched.pending_tasks),

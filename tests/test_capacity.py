@@ -21,7 +21,7 @@ from repro.obs.perf import DEFAULT_POLICIES
 from repro.obs.tracer import tracing
 from repro.service import CampaignService, JobSpec, QuotaManager
 from repro.service.cache import schedule_from_dict, schedule_to_dict
-from repro.service.shards import ShardBalanceReport, ShardLoad
+from repro.staging import ShardBalanceReport, ShardLoad
 from repro.transport.rdma import RdmaRegistry
 
 
@@ -279,10 +279,12 @@ class TestShardBalanceReport:
         """A shard's ``rpcs`` is counted without hashing a key, and equals
         the sum of its per-server fold."""
         from repro.des import Engine
-        from repro.service.shards import ShardedDataSpaces
+        from repro.staging.dataspaces import DataSpaces
+        from repro.transport.dart import DartTransport
 
         engine = Engine()
-        sharded = ShardedDataSpaces(engine, None, n_shards=3, n_servers=9)
+        sharded = DataSpaces(engine, DartTransport(engine), n_servers=9,
+                             n_shards=3)
         sharded.spawn_buckets([f"staging-{i}" for i in range(3)])
         for step in range(12):
             sharded.submit_insitu_result("STATS", step, f"sim-{step}", None,

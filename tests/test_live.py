@@ -530,10 +530,10 @@ class TestJobSpecFaultKnobs:
             # crashes without a lease: recovery path would never fire
             JobSpec(tenant="t", name="j", n_steps=2, n_buckets=3,
                     crash_times=(1.0,))
-        with pytest.raises(ValueError):
-            # faults require the single-shard replay path
-            JobSpec(tenant="t", name="j", n_steps=2, n_buckets=4,
-                    n_shards=2, pull_stall_rate=0.1)
+        # Faults on a sharded area are a plan like any other.
+        sharded = JobSpec(tenant="t", name="j", n_steps=2, n_buckets=4,
+                          n_shards=2, pull_stall_rate=0.1)
+        assert sharded.fault_config() is not None
 
 
 _METRICS = ("m0", "m1")

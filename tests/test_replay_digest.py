@@ -8,6 +8,9 @@ record: a reordered dispatch, a lost wake or a dropped record moves a
 digest. The literals hold under both kernel backends (the replay calls
 no kernel). A digest that moves is a behaviour change and must be
 explained, not re-recorded.
+
+The faulted plan also runs on a sharded area, where each shard keeps its
+own supervisor and degraded mode: every task is still accounted for.
 """
 
 import hashlib
@@ -44,8 +47,9 @@ DIGESTS = {
 
 @pytest.fixture
 def spaces(monkeypatch):
-    """Every :class:`DataSpaces` built while the test runs (a sharded
-    replay builds one per shard), in construction order."""
+    """Every :class:`DataSpaces` built while the test runs, in the order
+    their constructors return: a sharded area's peers return before
+    shard 0, which builds them, so the area is the last one."""
     made = []
     init = DataSpaces.__init__
 
@@ -62,7 +66,7 @@ def replay(plan, spaces):
     result = ScaledExperiment(
         getattr(ExperimentConfig, config)()).run_schedule(**fields)
     records = [result.assignments, result.results, result.failed_tasks]
-    for ds in spaces:
+    for ds in spaces[-1].shards:
         records += [ds.transport.transfers, ds.server_rpc_counts,
                     ds.scheduler.queue_trace]
     return result, hashlib.sha256(repr(records).encode()).hexdigest()
@@ -84,6 +88,46 @@ def test_faulted_plan_exercises_every_fault(spaces):
     (ds,) = spaces
     assert ds.restarts_used == 2
     assert ds.scheduler.reassignments
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+def test_faulted_plan_accounts_every_task_on_shards(n_shards, spaces):
+    fields = dict(FAULTED, n_buckets=6, n_shards=n_shards)
+    result = ScaledExperiment(
+        ExperimentConfig.paper_4896()).run_schedule(**fields)
+    assert len(result.results) + result.failed_tasks == 12 * 3
+    assert spaces[-1].task_accounting()["outstanding"] == 0
+    kinds = {fault.kind for fault in result.faults.injected}
+    assert kinds == {"crash", "pull_failure", "pull_stall"}
+
+
+def test_balance_counts_buckets_dealt_not_restarted(spaces):
+    """Crash replacements join a shard's pool but not its ``buckets``."""
+    result = ScaledExperiment(ExperimentConfig.paper_4896()).run_schedule(
+        **dict(FAULTED, n_buckets=6, n_shards=2))
+    shards = spaces[-1].shards
+    assert sum(shard.restarts_used for shard in shards) > 0
+    assert sum(len(shard.buckets) for shard in shards) > 6
+    assert [load.buckets for load in result.shard_balance.loads] == [3, 3]
+
+
+def test_a_crash_degrades_only_its_shard(spaces):
+    """Two shards of one bucket each: the crash takes one shard's whole
+    pool, so that shard finishes in-situ while its peer keeps staging."""
+    result = ScaledExperiment(ExperimentConfig.paper_4896()).run_schedule(
+        n_steps=12, n_buckets=2, n_shards=2, lease_timeout=5.0,
+        crash_times=(20.0,))
+    assert len(result.results) == 12 * 3 and result.failed_tasks == 0
+    down, up = sorted(spaces[-1].shards, key=lambda s: not s.degraded)
+    assert down.degraded and not up.degraded
+    # Past the crash and its lease, the lost shard's tasks run in-situ ...
+    staged = [r for b in down.buckets for r in b.results]
+    assert down.fallback_results
+    assert all(r.finish_time < 20.0 + 5.0 for r in staged)
+    # ... while its peer stages to the end, on its own bucket only.
+    assert not up.fallback_results
+    assert max(r.finish_time for r in up.buckets[0].results) > 20.0
+    assert len(up.buckets) == 1
 
 
 def test_rpc_counts_fold_equals_the_ring_histogram():

@@ -32,7 +32,7 @@ def plan_fields(draw) -> dict:
         analysis_interval=draw(st.integers(1, 3)),
         analyses=tuple(draw(st.lists(st.sampled_from(_HYBRID), min_size=1,
                                      unique=True))))
-    if n_shards == 1 and draw(st.booleans()):
+    if draw(st.booleans()):
         fields.update(
             lease_timeout=draw(st.sampled_from((2.0, 5.0, 30.0))),
             fault_seed=draw(st.integers(0, 3)),

@@ -51,16 +51,20 @@ def _replay(config, plan, controller=None):
     return run
 
 
+_FAULTS = dict(lease_timeout=5.0, bucket_restart_delay=1.5,
+               max_bucket_restarts=2, crash_times=(30.0, 55.0),
+               pull_failure_rate=0.2, pull_stall_rate=0.1,
+               pull_stall_seconds=2.0, fault_seed=3)
+
 REPLAYS = {
     "plain": ("paper_4896", ReplayPlan(n_steps=30)),
     "starved": ("paper_9440", ReplayPlan(n_steps=20, n_buckets=8)),
     "sharded": ("paper_4896", ReplayPlan(n_steps=12, n_buckets=6,
                                          n_shards=2)),
-    "faulted": ("paper_4896", ReplayPlan(
-        n_steps=12, n_buckets=4, lease_timeout=5.0, bucket_restart_delay=1.5,
-        max_bucket_restarts=2, crash_times=(30.0, 55.0),
-        pull_failure_rate=0.2, pull_stall_rate=0.1, pull_stall_seconds=2.0,
-        fault_seed=3)),
+    "faulted": ("paper_4896", ReplayPlan(n_steps=12, n_buckets=4,
+                                         **_FAULTS)),
+    "sharded-faulted": ("paper_4896", ReplayPlan(n_steps=12, n_buckets=6,
+                                                 n_shards=2, **_FAULTS)),
 }
 
 

@@ -15,12 +15,13 @@ from repro.service import (
     JobState,
     QuotaManager,
     ScheduleCache,
-    ShardedDataSpaces,
     TenantQuota,
     schedule_cache_key,
 )
 from repro.service.cache import schedule_from_dict, schedule_to_dict
 from repro.service.quota import JobDemand
+from repro.staging.dataspaces import DataSpaces
+from repro.transport.dart import DartTransport
 
 
 def _spec(**kw):
@@ -240,8 +241,8 @@ class TestQuota:
 class TestShardedDataSpaces:
     def _make(self, n_shards=2, **kw):
         engine = Engine()
-        sds = ShardedDataSpaces(engine, jaguar_xk6().network,
-                                n_shards=n_shards, **kw)
+        sds = DataSpaces(engine, DartTransport(engine, jaguar_xk6().network),
+                         n_shards=n_shards, **kw)
         return engine, sds
 
     def test_spawn_requires_bucket_per_shard(self):

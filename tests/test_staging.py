@@ -111,14 +111,13 @@ class TestServiceRing:
         untraced replay, hashes no ring point and no key: nothing reads
         a ring there."""
         from repro.core.runner import ExperimentConfig, ScaledExperiment
-        from repro.service.shards import ShardedDataSpaces
         from repro.staging.hashing import _ring_geometry
 
         eng = Engine()
         ServiceRing(160)
         ServiceRing(7, virtual_nodes=3)
         DataSpaces(eng, DartTransport(eng), n_servers=256)
-        ShardedDataSpaces(eng, None, n_shards=3, n_servers=12)
+        DataSpaces(eng, DartTransport(eng), n_servers=12, n_shards=3)
         result = ScaledExperiment(
             ExperimentConfig.paper_4896()).run_schedule(n_steps=20)
         assert len(result.results) == 60
