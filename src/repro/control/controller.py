@@ -382,21 +382,18 @@ class PlacementController:
         self.decisions.append(decision)
         # Shared-space decision history, the way steering events are kept.
         self._ds.put("controller", len(self.decisions), decision)
-        tracer = get_tracer()
-        tracer.counter("controller.decisions")
         if kind == "pool":
-            grew = int(after) > int(before)
-            tracer.counter("controller.pool_grow" if grew
-                           else "controller.pool_shrink")
+            action = ("pool_grow" if int(after) > int(before)
+                      else "pool_shrink")
         else:
-            tracer.counter("controller.push_intransit"
-                           if after == PLACE_INTRANSIT
-                           else "controller.pull_insitu")
-        tracer.instant("controller.decision", lane="controller",
-                       kind=kind, subject=subject, before=before,
-                       after=after, window=sig.window)
+            action = ("push_intransit" if after == PLACE_INTRANSIT
+                      else "pull_insitu")
+        tracer = get_tracer()
+        tracer.step("controller.decision", action=action, kind=kind,
+                    subject=subject, before=before, after=after,
+                    window=sig.window)
         if tracer.bus is not None:
-            ctx = tracer.context_tags()
+            ctx = tracer.ctx
             tracer.bus.publish(
                 "decision", f"controller.{kind}", t=sig.t_end,
                 lane="controller", tenant=ctx.get("tenant"),
@@ -406,12 +403,12 @@ class PlacementController:
                         f"({reason})")
 
     def _mirror_metrics(self, sig: WindowSignals) -> None:
-        m = get_tracer().metrics
-        m.gauge("controller.queue_wait_share").set(sig.queue_wait_share)
-        m.gauge("controller.transport_share").set(sig.transport_share)
-        m.gauge("controller.insitu_share").set(sig.insitu_share)
-        m.gauge("controller.pool_size").set(self._ds.committed_buckets())
-        m.gauge("controller.queue_depth").set(sig.queue_depth)
+        get_tracer().step(
+            "controller.window", queue_wait_share=sig.queue_wait_share,
+            transport_share=sig.transport_share,
+            insitu_share=sig.insitu_share,
+            pool_size=self._ds.committed_buckets(),
+            queue_depth=sig.queue_depth)
 
     # -- reporting -----------------------------------------------------------
 

@@ -253,7 +253,7 @@ class HybridFramework:
             if due:
                 last_analysed = step
                 if self._tracer.enabled:
-                    self._tracer.counter("framework.analysed_steps")
+                    self._tracer.step("framework.analysed_step")
                 if "statistics" in self.analyses:
                     self._traced_submit("statistics", step,
                                         self._submit_statistics)
@@ -302,7 +302,7 @@ class HybridFramework:
                     submit(step)
                 finally:
                     self.dataspaces.next_flow = None
-            self._tracer.counter(f"framework.submit.{analysis}")
+            self._tracer.step("framework.submit", analysis=analysis)
         else:
             submit(step)
 

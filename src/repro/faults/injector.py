@@ -152,9 +152,7 @@ class FaultInjector:
         victim = alive[int(self.rng.integers(len(alive)))]
         self.injected.append(InjectedFault("crash", self.engine.now,
                                            victim.name))
-        self._tracer.counter("faults.bucket_crashes")
-        self._tracer.instant("faults.crash", lane="faults",
-                             bucket=victim.name)
+        self._tracer.step("faults.crash", bucket=victim.name)
         ds.crash_bucket(victim.name, cause=f"injected crash @ {when:.6f}s")
 
     def _pull_hook(self, descriptor: DataDescriptor, dest_node: str,
@@ -164,7 +162,7 @@ class FaultInjector:
             self.injected.append(InjectedFault(
                 "pull_failure", self.engine.now, dest_node,
                 {"region": descriptor.region_id, "attempt": attempt}))
-            self._tracer.counter("faults.pull_failures")
+            self._tracer.step("faults.pull_failure")
             raise PullFault(
                 f"injected pull failure of {descriptor.region_id!r} "
                 f"into {dest_node!r} (attempt {attempt})")
@@ -173,7 +171,7 @@ class FaultInjector:
                 "pull_stall", self.engine.now, dest_node,
                 {"region": descriptor.region_id,
                  "stall": cfg.pull_stall_seconds}))
-            self._tracer.counter("faults.pull_stalls")
+            self._tracer.step("faults.pull_stall")
             return cfg.pull_stall_seconds
         return 0.0
 

@@ -38,7 +38,7 @@ import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Any
@@ -276,6 +276,8 @@ class Tracer:
         #: opened while a :meth:`context` block is active. Replaced, never
         #: mutated, so observers may read it without copying.
         self.ctx: dict[str, Any] = {}
+        #: Step kind -> its row's emitter (see :meth:`_bind`).
+        self._bound: dict[str, Callable[..., None]] = {}
 
     # -- clocks --------------------------------------------------------------
 
@@ -438,7 +440,7 @@ class Tracer:
         span.flow_in.append(flow.flow_id)
         return flow
 
-    # -- instants & counters -------------------------------------------------
+    # -- instants ------------------------------------------------------------
 
     def instant(self, name: str, lane: str = "main", **tags: Any
                 ) -> InstantRecord:
@@ -449,9 +451,120 @@ class Tracer:
         self._emit(rec)
         return rec
 
-    def counter(self, name: str, delta: float = 1) -> None:
-        """Shorthand for ``metrics.counter(name).inc(delta)``."""
-        self.metrics.counter(name).inc(delta)
+    # -- protocol steps ------------------------------------------------------
+
+    def step(self, kind: str, lane: str | None = None, /, task: Any = None,
+             span: SpanRecord | None = None, flow: FlowContext | None = None,
+             **tags: Any) -> None:
+        """Emit one protocol step: every counter, histogram, gauge,
+        instant and flow hop its :data:`~repro.obs.steps.STEPS` row names,
+        from the call's ``tags``.
+
+        ``lane`` overrides the row's lane; ``task`` supplies the flow
+        (unless ``flow`` is given) and its retry count; ``span`` is the
+        span the row's hop enters or ends in. ``kind`` and ``lane`` are
+        positional, so any name is a tag.
+        """
+        emit = self._bound.get(kind)
+        if emit is None:
+            emit = self._bound[kind] = self._bind(kind)
+        emit(self, lane, task, span, flow, tags)
+
+    def _bind(self, kind: str) -> Callable[..., None]:
+        """The row's emitter over its instruments in this tracer's
+        registry, bound on the kind's first step; a row whose instrument
+        names hold tags binds once per value of those tags."""
+        # Imported here: an untraced run never loads the table.
+        from repro.obs.steps import STEPS
+
+        row = STEPS[kind]
+        m = self.metrics
+
+        def bind(tags: dict[str, Any]) -> Callable[..., None]:
+            return _emitter(kind)(
+                *[m.counter(n.format_map(tags)) for n, _t in row.counters],
+                *[m.histogram(n.format_map(tags)) for n, _t in row.histograms],
+                *[m.gauge(n.format_map(tags)) for n, _t in row.gauges])
+
+        if row.fields is None:
+            return bind({})
+        by_value: dict[Any, Callable[..., None]] = {}
+
+        def emit(tracer, lane, task, span, flow, tags):
+            value = row.fields(tags)
+            emit_value = by_value.get(value)
+            if emit_value is None:
+                emit_value = by_value[value] = bind(tags)
+            emit_value(tracer, lane, task, span, flow, tags)
+
+        return emit
+
+
+@cache
+def _emitter(kind: str) -> Callable[..., Callable[..., None]]:
+    """``bind(*instruments)`` for one row of :data:`~repro.obs.steps.STEPS`:
+    it returns ``emit(tracer, lane, task, span, flow, tags)`` over the
+    row's instruments (counters, then histograms, then gauges).
+
+    The row is unrolled into straight-line code once per process (as
+    ``dataclasses`` writes an ``__init__``), so a step runs only its own
+    records' statements: a +1 counter is stamped in place, exactly as
+    ``Counter.inc(1)`` records it; the instant reuses the call's keyword
+    dict when the call passes only the instant's tags (a site passes
+    every tag in row order; the module audit checks it).
+    """
+    from repro.obs.steps import STEPS
+
+    row = STEPS[kind]
+    lines = []
+    for i, (_name, tag) in enumerate(row.counters):
+        lines += ([f"i{i}.value = v = i{i}.value + 1",
+                   f"i{i}.times.append(i{i}.clock())",
+                   f"i{i}.values.append(v)"]
+                  if tag is None else [f"i{i}.inc(tags[{tag!r}])"])
+    i = len(row.counters)
+    for method, group in (("observe", row.histograms), ("set", row.gauges)):
+        for _name, tag in group:
+            lines.append(f"i{i}.{method}(tags[{tag!r}])")
+            i += 1
+    if row.lane is not None:
+        lines.append(f"lane = {row.lane!r} if lane is None else lane")
+    now = "None"
+    if row.instant is not None:
+        name = (f"{row.instant!r}.format_map(tags)" if "{" in row.instant
+                else repr(row.instant))
+        picked = ", ".join(f"{k!r}: tags[{k!r}]" for k in row.tags)
+        lines += [f"itags = tags if len(tags) == {len(row.tags)} "
+                  f"else {{{picked}}}",
+                  "if tracer.ctx:", "    itags = {**tracer.ctx, **itags}",
+                  "now = tracer._clock()",
+                  f"tracer._emit(InstantRecord({name}, lane, now, "
+                  "perf_counter(), itags))"]
+        now = "now"
+    if row.edge is not None:
+        edge = (repr(row.edge) if row.retry_edge is None else
+                f"{row.retry_edge!r} if task.attempts else {row.edge!r}")
+        hop = "".join(f", {k}=tags[{k!r}]" for k in row.hop_tags)
+        lines += ["if flow is None:",
+                  "    if task is None or task.flow is None:",
+                  "        return",
+                  "    flow = task.flow"]
+        checkpoint = f"flow_step(tracer, flow, {edge}, lane, {now}{hop})"
+        through = f"flow_through(tracer, flow, {edge}, span{hop})"
+        lines += ([f"flow_end(tracer, flow, {edge}, span{hop})"] if row.closes
+                  else ["if span is None:", f"    {checkpoint}",
+                        "else:", f"    {through}"])
+    source = (f"def bind({''.join(f'i{k}, ' for k in range(i))}):\n"
+              "    def emit(tracer, lane, task, span, flow, tags):\n"
+              + "".join(f"        {line}\n" for line in lines or ["pass"])
+              + "    return emit\n")
+    namespace = {"InstantRecord": InstantRecord,
+                 "perf_counter": time.perf_counter,
+                 "flow_step": Tracer.flow_step,
+                 "flow_through": Tracer.flow_through,
+                 "flow_end": Tracer.flow_end}
+    exec(compile(source, f"<step {kind}>", "exec"), namespace)
+    return namespace["bind"]
 
 
 class _NullSpan:
@@ -538,7 +651,8 @@ class NullTracer:
     def instant(self, name: str, lane: str = "main", **tags: Any) -> None:
         return None
 
-    def counter(self, name: str, delta: float = 1) -> None:
+    def step(self, kind: str, lane: str | None = None, /, task: Any = None,
+             span: Any = None, flow: Any = None, **tags: Any) -> None:
         pass
 
     # Flow propagation compiles out: a None flow short-circuits every

@@ -335,7 +335,7 @@ class CampaignService:
         tracer = get_tracer()
         traced = tracer.enabled
         if traced:
-            tracer.metrics.histogram("service.queue_wait_s").observe(wait)
+            tracer.step("service.job_start", queue_wait=wait)
         if self.bus is not None:
             self._publish("job.start", job, worker=worker, queue_wait=wait)
         self.monitor.observe(job.tenant, "queue_wait_s", t=now, value=wait,
@@ -353,7 +353,7 @@ class CampaignService:
             job.state = JobState.FAILED
             job.error = repr(exc)
             if traced:
-                tracer.metrics.counter("service.jobs_failed").inc()
+                tracer.step("service.job_failed")
             return 0.0
         finally:
             # The inner replay engine stole the tracer clock ("last
@@ -367,8 +367,7 @@ class CampaignService:
         else:
             self.cache_misses += 1
         if traced:
-            tracer.metrics.counter("service.cache_hits" if hit
-                                   else "service.cache_misses").inc()
+            tracer.step("service.cache_hit" if hit else "service.cache_miss")
         # A hit serves from memory (free on the service clock); a miss
         # occupies the worker's allocation for the replay's makespan.
         return 0.0 if hit else sched.makespan
@@ -423,18 +422,17 @@ class CampaignService:
         elif job.state is JobState.FAILED and self.bus is not None:
             self._publish("job.failed", job, error=job.error)
         tracer = get_tracer()
-        metrics = tracer.metrics
-        served = self.cache_hits + self.cache_misses
-        if tracer.enabled and served:
-            metrics.gauge("service.cache_hit_rate").set(
-                self.cache_hits / served)
-        if (tracer.enabled and job.result is not None
-                and job.result.shard_balance is not None):
-            for load in job.result.shard_balance.loads:
-                metrics.gauge(f"service.shard.{load.shard}.tasks").set(
-                    float(load.tasks))
-                metrics.gauge(f"service.shard.{load.shard}.bytes").set(
-                    float(load.bytes))
+        if tracer.enabled:
+            served = self.cache_hits + self.cache_misses
+            if served:
+                tracer.step("service.hit_rate",
+                            hit_rate=self.cache_hits / served)
+            result = job.result
+            if result is not None and result.shard_balance is not None:
+                for load in result.shard_balance.loads:
+                    tracer.step("service.shard_load", shard=load.shard,
+                                tasks=float(load.tasks),
+                                bytes=float(load.bytes))
         if self.jobs_store is not None:
             from repro.obs.perf import RunRecord
 

@@ -61,7 +61,16 @@ def synthetic_turbulence(grid: StructuredGrid3D, rms_velocity: float = 1.0,
             continue
         a /= norm
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        envelope = k_vec[0] * x + k_vec[1] * y + k_vec[2] * z
+        # A mode with a zero wavenumber component is constant along that
+        # axis: leaving the axis out builds the envelope on one layer
+        # there (the sums broadcast it), so the cosine runs once per
+        # distinct phase. A zero term adds exactly nothing, so the sum
+        # keeps the full formula's bits.
+        envelope = None
+        for k, axis in zip(k_vec, (x, y, z)):
+            if k:
+                term = k * axis
+                envelope = term if envelope is None else envelope + term
         envelope += phase
         np.cos(envelope, out=envelope)
         u += a[0] * envelope

@@ -31,7 +31,6 @@ from typing import Any
 
 from repro.costmodel.models import CostModel
 from repro.des import Engine, Interrupt
-from repro.obs.flow import EDGE_SERVICE
 from repro.obs.tracer import get_tracer
 from repro.staging.descriptors import (RETIRE_TASK_ID, TaskDescriptor,
                                        TaskResult)
@@ -101,14 +100,6 @@ class StagingBucket:
         #: The task currently being executed (None while idle).
         self.current_task: TaskDescriptor | None = None
         self._tracer = get_tracer()
-        if self._tracer.enabled:
-            # Per-task instruments are bound once: an update is one call.
-            metrics = self._tracer.metrics
-            self._count_tasks_done = metrics.counter("bucket.tasks_done").inc
-            self._count_bytes_consumed = metrics.counter(
-                "bucket.bytes_consumed").inc
-            self._observe_task_time = metrics.histogram(
-                "bucket.task_time").observe
 
     def run(self) -> Generator[Any, Any, None]:
         """The bucket's DES process body."""
@@ -123,8 +114,7 @@ class StagingBucket:
                     # Pool scale-down: exit cleanly; completed results
                     # stay owned by this (now retired) worker.
                     self.retired = True
-                    self._tracer.counter("bucket.retirements")
-                    self._tracer.instant("bucket.retire", lane=self.name)
+                    self._tracer.step("bucket.retire", self.name)
                     return
                 self.current_task = task
                 tracer = self._tracer
@@ -136,12 +126,8 @@ class StagingBucket:
                                             analysis=task.analysis,
                                             step=task.timestep,
                                             attempt=task.attempts)
-                        if task.flow is not None:
-                            # Hand-off into the worker: the assign→pickup
-                            # gap (bucket-ready RPC) charges to service.
-                            tracer.flow_step(task.flow, EDGE_SERVICE,
-                                             self.name,
-                                             attempt=task.attempts)
+                        tracer.step("bucket.pickup", self.name, task,
+                                    attempt=task.attempts)
                         try:
                             yield from self._execute(task)
                         finally:
@@ -155,10 +141,8 @@ class StagingBucket:
             # in flight is recovered by its scheduler lease; the region
             # registrations it held stay live for the re-pull.
             self.dead = True
-            if self._tracer.enabled:
-                self._tracer.counter("bucket.crashes")
-                self._tracer.instant("bucket.crash", lane=self.name,
-                                     cause=repr(exc.cause))
+            self._tracer.step("bucket.crash", self.name,
+                              cause=repr(exc.cause))
             if self.on_death is not None:
                 self.on_death(self, exc.cause)
             return
@@ -218,11 +202,8 @@ class StagingBucket:
                                        analysis=task.analysis,
                                        step=task.timestep,
                                        task_id=task.task_id)
-            if task.flow is not None:
-                self._tracer.flow_end(task.flow, EDGE_SERVICE, sp)
-            self._count_tasks_done()
-            self._count_bytes_consumed(nbytes)
-            self._observe_task_time(finish_t - assign_t)
+            self._tracer.step("bucket.done", self.name, task, sp,
+                              nbytes=nbytes, task_time=finish_t - assign_t)
 
         self.busy_time += finish_t - assign_t
         result = TaskResult(task.task_id, task.analysis, task.timestep,
@@ -299,22 +280,18 @@ class StagingBucket:
         """Record a failed attempt: requeue (retries left) or settle as a
         terminal failure. The worker loop stays alive either way."""
         task.attempts += 1
-        self.failures.append((task.task_id, self.engine.now, repr(exc)))
-        if self._tracer.enabled:
-            self._tracer.counter("bucket.task_failures")
-            self._tracer.instant("bucket.failure", lane=self.name,
-                                 task_id=task.task_id, error=repr(exc),
-                                 attempt=task.attempts)
+        error = repr(exc)
+        self.failures.append((task.task_id, self.engine.now, error))
+        self._tracer.step("bucket.failure", self.name, task_id=task.task_id,
+                          error=error, attempt=task.attempts)
         self.scheduler.task_done(task.task_id)  # revoke this attempt's lease
         if task.attempts <= task.max_retries:
-            if self._tracer.enabled:
-                self._tracer.counter("bucket.retries")
+            self._tracer.step("bucket.retry")
             self.scheduler.data_ready(task)
             return
         release_regions(self.transport, task)
         self.terminal_failures.append(task.task_id)
-        if self._tracer.enabled:
-            self._tracer.counter("bucket.terminal_failures")
+        self._tracer.step("bucket.terminal_failure")
         if self.on_task_done is not None:
             self.on_task_done(None)
 

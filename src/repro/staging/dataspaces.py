@@ -24,6 +24,9 @@ from repro.staging.scheduler import AssignmentRecord, TaskScheduler
 from repro.transport.dart import DartTransport
 from repro.transport.messages import DataDescriptor
 
+#: Lane (and result ``bucket``) of the tasks a degraded area runs in-situ.
+FALLBACK_LANE = "insitu-fallback"
+
 
 @dataclass
 class ShardLoad:
@@ -398,10 +401,8 @@ class DataSpaces:
             retiring.append(bucket.name)
             surplus -= 1
         if spawned or retiring:
-            self._tracer.counter("dataspaces.pool_scalings")
-            self._tracer.instant("dataspaces.scale_to", lane="dataspaces",
-                                 target=target, spawned=len(spawned),
-                                 retiring=len(retiring))
+            self._tracer.step("dataspaces.scale_to", target=target,
+                              spawned=len(spawned), retiring=len(retiring))
         return {"spawned": spawned, "retiring": retiring}
 
     def crash_bucket(self, name: str, cause: Any = "injected crash") -> None:
@@ -422,7 +423,6 @@ class DataSpaces:
 
     def _on_bucket_death(self, bucket: StagingBucket, cause: Any) -> None:
         self.scheduler.mark_bucket_dead(bucket.name)
-        self._tracer.counter("dataspaces.bucket_deaths")
         if self._shutting_down or self.degraded:
             return
         if self.pool_target is not None:
@@ -432,25 +432,24 @@ class DataSpaces:
             if self.committed_buckets() < self.pool_target:
                 self.pool_respawns += 1
                 self._respawn(bucket, f"staging+{next(self._grow_ids)}",
-                              "pool_respawn")
+                              "dataspaces.pool_respawn")
         elif (self.bucket_restart_delay is not None
                 and self.restarts_used < self.max_bucket_restarts):
             self.restarts_used += 1
             self._respawn(bucket,
                           f"{bucket.name}~r{next(self._restart_ids)}",
-                          "bucket_restart")
+                          "dataspaces.bucket_restart")
         elif self.live_buckets() == 0 and self._pending_restarts == 0:
             self._enter_degraded_mode()
 
     def _respawn(self, dead: StagingBucket, replacement: str,
-                 event: str) -> None:
+                 step: str) -> None:
         """Replace ``dead`` by a worker named ``replacement`` after
         ``bucket_restart_delay`` (at once when None); whichever supervisor
-        policy decided to has counted it and chosen the name."""
+        policy decided to has counted it, chosen the name and the step
+        kind to emit."""
         self._pending_restarts += 1
-        self._tracer.counter(f"dataspaces.{event}s")
-        self._tracer.instant(f"dataspaces.{event}", lane="dataspaces",
-                             dead=dead.name, replacement=replacement)
+        self._tracer.step(step, dead=dead.name, replacement=replacement)
 
         def spawn() -> None:
             self._pending_restarts -= 1
@@ -471,8 +470,7 @@ class DataSpaces:
         is silently lost.
         """
         self.degraded = True
-        self._tracer.counter("dataspaces.degraded")
-        self._tracer.instant("dataspaces.degraded", lane="dataspaces")
+        self._tracer.step("dataspaces.degraded")
         self.scheduler.task_sink = self._fallback_submit
         for task in self.scheduler.steal_queue():
             self._fallback_submit(task)
@@ -487,7 +485,9 @@ class DataSpaces:
         """DES process: execute one task in-situ (no staging, no RDMA).
 
         The data never moves — the computation runs where it was produced,
-        charged at the task's ``cost_op``.
+        charged at the task's ``cost_op``. Traced, the run is one compute
+        span on the ``insitu-fallback`` lane, and the task's flow ends in
+        it.
         """
         start = self.engine.now
         try:
@@ -510,22 +510,21 @@ class DataSpaces:
         except Exception as exc:  # noqa: BLE001 — fault isolation boundary
             release_regions(self.transport, task)
             self.fallback_failures.append(task.task_id)
-            self._tracer.counter("dataspaces.fallback_failures")
-            self._tracer.instant("dataspaces.fallback_failure",
-                                 lane="dataspaces", task_id=task.task_id,
-                                 error=repr(exc))
+            self._tracer.step("dataspaces.fallback_failure",
+                              task_id=task.task_id, error=repr(exc))
             self._on_task_done(None)
             return
         release_regions(self.transport, task)
-        result = TaskResult(
-            task_id=task.task_id, analysis=task.analysis,
-            timestep=task.timestep, bucket="insitu-fallback", value=value,
-            enqueue_time=start, assign_time=start, pull_done_time=start,
-            finish_time=self.engine.now, bytes_pulled=0,
-        )
+        finish = self.engine.now
+        result = TaskResult(task.task_id, task.analysis, task.timestep,
+                            FALLBACK_LANE, value, start, start, start, finish,
+                            0)
         self.fallback_results.append(result)
-        if self._tracer.enabled:
-            self._tracer.counter("dataspaces.fallback_tasks")
+        sp = self._tracer.add_span(f"fallback:{task.analysis}", FALLBACK_LANE,
+                                   start, finish, category="compute",
+                                   stage="intransit", analysis=task.analysis,
+                                   step=task.timestep, task_id=task.task_id)
+        self._tracer.step("dataspaces.fallback", None, task, sp)
         self._on_task_done(result)
 
     # -- drain accounting -----------------------------------------------------

@@ -26,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.des import Engine, EventHandle
-from repro.obs.flow import EDGE_NOTIFY, EDGE_QUEUE, EDGE_RETRY
 from repro.obs.tracer import get_tracer
 from repro.staging.descriptors import (SHUTDOWN_TASK_ID, TaskDescriptor,
                                        retire_sentinel)
@@ -86,17 +85,6 @@ class TaskScheduler:
         #: and DataSpaces runs tasks in-situ instead).
         self.task_sink: Callable[[TaskDescriptor], None] | None = None
         self._tracer = get_tracer()
-        if self._tracer.enabled:
-            # Per-task instruments are bound once: an update is one call.
-            metrics = self._tracer.metrics
-            self._count_data_ready = metrics.counter("sched.data_ready").inc
-            self._count_bucket_ready = metrics.counter(
-                "sched.bucket_ready").inc
-            self._count_assign = metrics.counter("sched.assign").inc
-            self._observe_queue_wait = metrics.histogram(
-                "sched.queue_wait").observe
-            self._set_queue_depth = metrics.gauge("sched.queue_depth").set
-            self._set_idle_buckets = metrics.gauge("sched.idle_buckets").set
 
     # -- events -------------------------------------------------------------
 
@@ -104,15 +92,9 @@ class TaskScheduler:
         """An in-situ stage published a task (descriptor insert RPC)."""
         now = self.engine.now
         if self._tracer.enabled:
-            self._count_data_ready()
-            self._tracer.instant("sched.data_ready", lane=self.lane,
-                                 task_id=task.task_id, analysis=task.analysis,
-                                 step=task.timestep)
-        if task.flow is not None:
-            # A re-submitted task arrives via a retry, not a fresh notify.
-            self._tracer.flow_step(task.flow,
-                                   EDGE_RETRY if task.attempts else EDGE_NOTIFY,
-                                   self.lane, t=now)
+            self._tracer.step("sched.data_ready", self.lane, task,
+                              task_id=task.task_id, analysis=task.analysis,
+                              step=task.timestep)
         if self.task_sink is not None:
             self.task_sink(task)
             self._sample()
@@ -133,9 +115,7 @@ class TaskScheduler:
         ev = EventHandle(self.engine)
         now = self.engine.now
         if self._tracer.enabled:
-            self._count_bucket_ready()
-            self._tracer.instant("sched.bucket_ready", lane=self.lane,
-                                 bucket=bucket)
+            self._tracer.step("sched.bucket_ready", self.lane, bucket=bucket)
         if bucket in self._retiring:
             # Scale-down hand-off: the bucket just finished (and lease-
             # released) its previous task; it gets the retire sentinel
@@ -156,14 +136,9 @@ class TaskScheduler:
         self.assignments.append(AssignmentRecord(
             task.task_id, bucket, data_t, bucket_t, self.engine.now))
         if self._tracer.enabled:
-            self._count_assign()
-            self._tracer.instant("sched.assign", lane=self.lane,
-                                 task_id=task.task_id, bucket=bucket,
-                                 queue_wait=self.engine.now - data_t)
-            self._observe_queue_wait(self.engine.now - data_t)
-        if task.flow is not None:
-            self._tracer.flow_step(task.flow, EDGE_QUEUE, self.lane,
-                                   bucket=bucket)
+            self._tracer.step("sched.assign", self.lane, task,
+                              task_id=task.task_id, bucket=bucket,
+                              queue_wait=self.engine.now - data_t)
         ev.succeed(task)
         if (self.lease_timeout is not None
                 and task.task_id != SHUTDOWN_TASK_ID):
@@ -189,21 +164,10 @@ class TaskScheduler:
                 self.reassignments.append(ReassignmentRecord(
                     task_id=task.task_id, dead_bucket=bucket,
                     assign_time=assign_t, requeue_time=self.engine.now))
-                self._tracer.counter("sched.lease_reassign")
-                self._tracer.instant("sched.lease_reassign",
-                                     lane=self.lane,
-                                     task_id=task.task_id, bucket=bucket)
-                self._tracer.metrics.histogram(
-                    "sched.lease_detect_delay").observe(
-                    self.engine.now - assign_t)
-                if task.flow is not None:
-                    # The lease period burned on the dead bucket is a
-                    # retry cost; the follow-on data_ready hop lands at
-                    # the same instant and so charges nothing extra.
-                    self._tracer.flow_step(task.flow, EDGE_RETRY,
-                                           self.lane,
-                                           reason="lease_expired",
-                                           bucket=bucket)
+                self._tracer.step("sched.lease_reassign", self.lane, task,
+                                  task_id=task.task_id, reason="lease_expired",
+                                  bucket=bucket,
+                                  delay=self.engine.now - assign_t)
                 self.data_ready(task)
             else:
                 # The holder is alive and still working — renew the lease,
@@ -231,9 +195,7 @@ class TaskScheduler:
         return False
 
     def _retire(self, bucket: str, ev: EventHandle) -> None:
-        self._tracer.counter("sched.bucket_retired")
-        self._tracer.instant("sched.bucket_retire", lane=self.lane,
-                             bucket=bucket)
+        self._tracer.step("sched.bucket_retire", self.lane, bucket=bucket)
         ev.succeed(retire_sentinel())
         self._sample()
 
@@ -248,9 +210,7 @@ class TaskScheduler:
         """Record a staging-core death; its free-list entry (if any) is
         skipped and any lease it holds will expire into a reassignment."""
         self._dead_buckets.add(bucket)
-        self._tracer.counter("sched.bucket_dead")
-        self._tracer.instant("sched.bucket_dead", lane=self.lane,
-                             bucket=bucket)
+        self._tracer.step("sched.bucket_dead", self.lane, bucket=bucket)
 
     def steal_queue(self) -> list[TaskDescriptor]:
         """Drain and return every queued task (degraded-mode takeover)."""
@@ -262,8 +222,8 @@ class TaskScheduler:
     def _sample(self) -> None:
         self.queue_trace.append((self.engine.now, len(self._task_queue)))
         if self._tracer.enabled:
-            self._set_queue_depth(len(self._task_queue))
-            self._set_idle_buckets(len(self._free_buckets))
+            self._tracer.step("sched.queue", queue_depth=len(self._task_queue),
+                              idle_buckets=len(self._free_buckets))
 
     # -- introspection --------------------------------------------------------
 

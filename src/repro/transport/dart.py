@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.des import Engine, EventHandle, Resource
 from repro.machine.gemini import GeminiNetwork
-from repro.obs.flow import EDGE_GRANT, EDGE_RETRY, FlowContext
+from repro.obs.flow import FlowContext
 from repro.obs.tracer import get_tracer
 from repro.transport.messages import DataDescriptor, TransferRecord
 from repro.transport.rdma import RdmaRegion, RdmaRegistry
@@ -55,16 +55,6 @@ class DartTransport:
         #: ``sum(nic.in_use)`` over ``_nics``, kept by every pull.
         self._busy_channels = 0
         self._tracer = get_tracer()
-        if self._tracer.enabled:
-            # Per-message instruments are bound once: an update is one call.
-            metrics = self._tracer.metrics
-            self._count_notify = metrics.counter("dart.notify").inc
-            self._count_notify_bytes = metrics.counter(
-                "dart.notify_bytes").inc
-            self._count_bytes_pulled = metrics.counter(
-                "dart.bytes_pulled").inc
-            self._observe_pull_bytes = metrics.histogram(
-                "dart.pull_bytes").observe
         self.pull_max_attempts = pull_max_attempts
         #: Fault-injection hook called per pull attempt with
         #: ``(descriptor, dest_node, attempt)``; returns extra stall
@@ -100,9 +90,7 @@ class DartTransport:
         size = nbytes if nbytes is not None else 256
         delay = self.network.transfer_time(size)
         if self._tracer.enabled:
-            self._count_notify()
-            self._count_notify_bytes(size)
-            self._tracer.instant("dart.notify", lane=dest_node, nbytes=size)
+            self._tracer.step("dart.notify", dest_node, nbytes=size)
         ev = EventHandle(self.engine)
         if on_delivery is not None:
             ev._callbacks = [on_delivery]  # a fresh event has none yet
@@ -157,26 +145,19 @@ class DartTransport:
                          self.pull_fault_hook(descriptor, dest_node, attempt))
                 break
             except PullFault:
-                tracer.counter("dart.pull_faults")
                 if attempt >= self.pull_max_attempts:
-                    tracer.counter("dart.pull_exhausted")
-                    tracer.instant("dart.pull_exhausted", lane=dest_node,
-                                   region=descriptor.region_id,
-                                   attempts=attempt)
+                    tracer.step("dart.pull_exhausted", dest_node,
+                                region=descriptor.region_id, attempts=attempt)
                     raise
             delay = (self.pull_backoff_base
                      * self.pull_backoff_factor ** (attempt - 1))
-            tracer.counter("dart.pull_retries")
-            tracer.instant("dart.pull_retry", lane=dest_node,
-                           region=descriptor.region_id,
-                           attempt=attempt, backoff=delay)
+            tracer.step("dart.pull_retry", dest_node,
+                        region=descriptor.region_id, attempt=attempt,
+                        backoff=delay)
             yield self.engine.timeout(delay)
-            if flow is not None:
-                # The segment since the previous hop is the failed
-                # attempt plus its backoff — charged to retry.
-                tracer.flow_step(flow, EDGE_RETRY, dest_node,
-                                 region=descriptor.region_id,
-                                 attempt=attempt, backoff=delay)
+            tracer.step("dart.pull_backoff", dest_node, flow=flow,
+                        region=descriptor.region_id, attempt=attempt,
+                        backoff=delay)
             attempt += 1
 
         protocol = self.network.select_protocol(region.nbytes)
@@ -205,9 +186,8 @@ class DartTransport:
                 raise
             try:
                 wire = self.network.transfer_time(region.nbytes, protocol) + stall
-                if stall and tracer.enabled:
-                    tracer.counter("dart.pull_stalls")
-                    tracer.counter("dart.pull_stall_seconds", stall)
+                if stall:
+                    tracer.step("dart.pull_stall", stall=stall)
                 if tracer.enabled:
                     # The span covers only the wire time (NIC waits show up
                     # as gaps); tagged for per-analysis stage totals.
@@ -221,17 +201,13 @@ class DartTransport:
                                       protocol=protocol, nbytes=region.nbytes,
                                       src=region.source_node, **tags)
                     try:
-                        if flow is not None:
-                            # Gap since the previous hop is NIC queueing
-                            # (both endpoints' channel grants).
-                            tracer.flow_through(flow, EDGE_GRANT, sp,
-                                                region=region.region_id)
+                        tracer.step("dart.grant", span=sp, flow=flow,
+                                    region=region.region_id)
                         yield self.engine.timeout(wire)
                     finally:
                         tracer.end(sp)
-                    tracer.counter(f"dart.pull.{protocol.name.lower()}")
-                    self._count_bytes_pulled(region.nbytes)
-                    self._observe_pull_bytes(region.nbytes)
+                    tracer.step("dart.pull", protocol=protocol.name.lower(),
+                                nbytes=region.nbytes)
                 else:
                     yield self.engine.timeout(wire)
             finally:

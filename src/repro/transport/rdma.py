@@ -37,14 +37,6 @@ class RdmaRegistry:
         self._regions: dict[str, RdmaRegion] = {}
         self._ids = itertools.count()
         self._tracer = get_tracer()
-        if self._tracer.enabled:
-            # Per-region instruments are bound once: an update is one call.
-            metrics = self._tracer.metrics
-            self._count_register = metrics.counter("rdma.register").inc
-            self._count_registered_bytes = metrics.counter(
-                "rdma.registered_bytes").inc
-            self._count_release = metrics.counter("rdma.release").inc
-            self._set_live_bytes = metrics.gauge("rdma.live_bytes").set
         self._live_bytes = 0
         #: Capacity ledger (:class:`repro.obs.capacity.CapacityLedger`)
         #: observing this registry, or None — register/release pay one
@@ -74,9 +66,8 @@ class RdmaRegistry:
         self._regions[region_id] = region
         self._live_bytes += size
         if self._tracer.enabled:
-            self._count_register()
-            self._count_registered_bytes(size)
-            self._set_live_bytes(self._live_bytes)
+            self._tracer.step("rdma.register", nbytes=size,
+                              live_bytes=self._live_bytes)
         if self.ledger is not None:
             self.ledger.on_register(region, self.ledger_shard)
         return region
@@ -97,8 +88,7 @@ class RdmaRegistry:
         del self._regions[region_id]
         self._live_bytes -= region.nbytes
         if self._tracer.enabled:
-            self._count_release()
-            self._set_live_bytes(self._live_bytes)
+            self._tracer.step("rdma.release", live_bytes=self._live_bytes)
         if self.ledger is not None:
             self.ledger.on_release(region, self.ledger_shard)
 

@@ -57,11 +57,8 @@ class CommTracker:
         self.records.append(CommRecord(op, n_ranks, nbytes, time))
         if self._tracer.enabled:
             # Single chokepoint for every VirtualComm collective.
-            self._tracer.counter(f"vmpi.{op}")
-            self._tracer.counter("vmpi.coll_bytes", nbytes)
-            self._tracer.metrics.histogram("vmpi.coll_time").observe(time)
-            self._tracer.instant(f"vmpi.{op}", lane="vmpi", n_ranks=n_ranks,
-                                 nbytes=nbytes, modeled_time=time)
+            self._tracer.step("vmpi.collective", op=op, n_ranks=n_ranks,
+                              nbytes=nbytes, modeled_time=time)
 
     @property
     def total_time(self) -> float:

@@ -28,6 +28,7 @@ from repro.core import ExperimentConfig, ScaledExperiment
 from repro.core.workload import AnalyticsVariant
 from repro.des import Engine
 from repro.obs.blame import blame
+from repro.obs.live import TelemetryBus
 from repro.obs.tracer import tracing
 from repro.staging import DataSpaces
 from repro.transport import DartTransport
@@ -266,6 +267,19 @@ class TestControllerUnderTracing:
         counters = tracer.metrics.counters
         assert counters["controller.decisions"].value == len(ctrl.decisions)
         assert "controller.pool_size" in tracer.metrics.gauges
+
+    def test_decisions_reach_an_attached_bus_with_their_job(self):
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        ctrl = PlacementController()
+        bus = TelemetryBus()
+        sub = bus.subscribe("decisions")
+        with tracing() as tracer:
+            tracer.attach_bus(bus)
+            with tracer.context(tenant="a", job="j1"):
+                exp.run_schedule(CONTROL_PLAN, controller=ctrl)
+        events = [e for e in sub.poll() if e.kind == "decision"]
+        assert len(events) == len(ctrl.decisions) >= 1
+        assert {(e.tenant, e.job_id) for e in events} == {("a", "j1")}
 
     def test_tracing_does_not_perturb_decisions(self):
         exp = ScaledExperiment(ExperimentConfig.paper_4896())

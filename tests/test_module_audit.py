@@ -12,6 +12,7 @@ reason the scan cannot see, is allow-listed with that reason.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -178,6 +179,12 @@ ALLOWED_NAMES = {f"repro.{name}": _why(kind, *needed_by)
     ("obs.tracer:NullTracer", _NO_OP,
      "tests/test_obs.py::test_null_tracer_is_inert"),
     ("obs.tracer:_NullSpan.tags", _NO_OP, "tests/test_obs.py"),
+    # Sites emit through Tracer.step, which the null tracer answers
+    # itself; only code reading ``tracer.metrics`` reaches these.
+    ("obs.metrics:_NullMetricsRegistry", _NO_OP,
+     "tests/test_obs.py::test_null_tracer_is_inert"),
+    ("obs.metrics:_NullInstrument", _NO_OP,
+     "tests/test_obs.py::test_null_tracer_is_inert"),
     ("des.engine:Engine.any_of", _FAULT_PATH, "tests/test_des.py"),
     ("des.engine:Engine.run_until_done", _FAULT_PATH, "tests/test_des.py",
      "tests/test_transport.py"),
@@ -298,6 +305,13 @@ ALLOWED_PARAMS = {
     # PlacementController(ControlPolicy(...)))` runs another policy, and
     # tests/test_control.py reaches the grow, shrink and flip thresholds
     # through it.
+    # A pull carries its task's flow, not the task: DartTransport.pull
+    # hands its own ``flow`` parameter (the bucket's ``task.flow``) on to
+    # the retry and grant steps.
+    "repro.obs.tracer:Tracer.step(flow)":
+        "the pull's flow, handed on from DartTransport.pull(flow=task.flow)",
+    "repro.obs.tracer:NullTracer.step(flow)":
+        "the null twin of Tracer.step; same signature",
     "repro.control.controller:PlacementController.__init__(policy)":
         ("the adaptive controller's policy object (docs/API.md); the "
          "threshold branches it guards are each tested"),
@@ -395,6 +409,110 @@ def test_no_parameter_is_settable_by_its_tests_alone():
         "and delete the branch it guards with that branch's tests, or "
         "allow-list with a reason):\n  " + "\n  ".join(orphans))
     stale = sorted(set(ALLOWED_PARAMS) - unset)
+    assert not stale, f"allow-list entries no longer needed: {stale}"
+
+
+# -- the step table ------------------------------------------------------------
+
+#: Packages whose instrument sites emit through ``Tracer.step`` (DESIGN.md
+#: "One emission per step"). ``repro.des`` keeps its in-place counter
+#: stamping and ``repro.obs`` implements the records; both are outside.
+STEP_PACKAGES = ("staging", "transport", "core", "vmpi", "service",
+                 "control", "faults")
+#: Per-record tracer calls a step site no longer spells by hand.
+HAND_SPELLED = frozenset({"counter", "instant", "flow_step", "flow_through",
+                          "flow_end"})
+#: ``module:line`` -> why that site may still spell a record by hand.
+STEP_EXEMPT: dict[str, str] = {}
+
+
+def _step_trees() -> dict[str, ast.AST]:
+    return {m: ast.parse(SOURCES[m].read_text(encoding="utf-8"))
+            for m in sorted(SOURCES)
+            if m.split(".")[1:2] and m.split(".")[1] in STEP_PACKAGES}
+
+
+def _step_kinds(call: ast.Call) -> list[str]:
+    """The literal kinds a ``.step(...)`` call may pass (both arms of a
+    conditional included); empty when the kind is not spelled there."""
+    if not call.args:
+        return []
+    return [n.value for n in ast.walk(call.args[0])
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def test_every_step_site_names_a_row_and_every_row_a_site():
+    from repro.obs.steps import STEPS
+
+    passed: set[str] = set()
+    spelled: set[str] = set()
+    for tree in _step_trees().values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "step"):
+                passed.update(_step_kinds(node))
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                                str):
+                spelled.add(node.value)
+    unknown = sorted(passed - set(STEPS))
+    assert not unknown, f"step kinds with no STEPS row: {unknown}"
+    # A kind may travel as a literal argument to the helper that emits it
+    # (DataSpaces._respawn), so a row is used when some site spells it.
+    unused = sorted(set(STEPS) - spelled)
+    assert not unused, f"STEPS rows no site emits: {unused}"
+
+
+def test_every_step_site_passes_its_rows_tags_in_order():
+    """``Tracer.step`` reads a row's tags from the call and takes a call
+    that passes only the instant's (or hop's) tags as already in order,
+    so each literal site passes every tag its row reads, in row order."""
+    from repro.obs.steps import STEPS
+
+    wrong: list[str] = []
+    for module, tree in _step_trees().items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "step"):
+                continue
+            passed = [k.arg for k in node.keywords
+                      if k.arg not in ("task", "span", "flow")]
+            for kind in _step_kinds(node):
+                row = STEPS[kind]
+                instruments = [pair for group in (
+                    row.counters, row.histograms, row.gauges)
+                    for pair in group]
+                needs = {t for _n, t in instruments if t is not None}
+                needs.update(f for n, _t in instruments
+                             for f in re.findall(r"{(\w+)}", n))
+                orders = [row.tags, row.hop_tags if row.edge else ()]
+                if (not needs <= set(passed) or any(
+                        [k for k in passed if k in order] != list(order)
+                        for order in orders)):
+                    wrong.append(f"{module}:{node.lineno} {kind}")
+    assert not wrong, f"step calls whose tags do not match the row: {wrong}"
+
+
+def test_no_step_site_spells_its_records_by_hand():
+    """Counters, instants and flow hops go through ``Tracer.step``, and no
+    site binds the tracer's metrics registry for itself."""
+    found: list[str] = []
+    for module, tree in _step_trees().items():
+        for node in ast.walk(tree):
+            hand = (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in HAND_SPELLED)
+            registry = (isinstance(node, ast.Attribute)
+                        and node.attr == "metrics"
+                        and "tracer" in ast.unparse(node.value))
+            if hand or registry:
+                found.append(f"{module}:{node.lineno}")
+    bypass = sorted(set(found) - set(STEP_EXEMPT))
+    assert not bypass, (
+        "sites that emit records outside Tracer.step (add a STEPS row, or "
+        "allow-list with a reason):\n  " + "\n  ".join(bypass))
+    stale = sorted(set(STEP_EXEMPT) - set(found))
     assert not stale, f"allow-list entries no longer needed: {stale}"
 
 

@@ -114,7 +114,7 @@ class TestNullTracerAndInstall:
         with NULL_TRACER.span("y") as inert:
             assert inert.tags == {}
         NULL_TRACER.instant("i")
-        NULL_TRACER.counter("c", 5)
+        NULL_TRACER.step("sched.bucket_dead", "l", bucket="b")
         NULL_TRACER.metrics.counter("c").inc()
         NULL_TRACER.metrics.histogram("h").observe(1.0)
         assert NULL_TRACER.trace.spans == []
@@ -233,7 +233,7 @@ class TestChromeExport:
             with tracer.span("step", lane="sim", stage="simulation", step=0):
                 pass
             tracer.instant("ready", lane="sched", task="t0")
-            tracer.counter("pulls", 2)
+            tracer.metrics.counter("pulls").inc(2)
         doc = to_chrome_trace(tracer.trace, tracer.metrics)
         assert validate_chrome_trace(doc) == []
         phases = {e["ph"] for e in doc["traceEvents"]}
@@ -283,7 +283,7 @@ class TestChromeExport:
             with tracer.span("s", lane="l", step=1):
                 pass
             tracer.instant("i", lane="l")
-            tracer.counter("c")
+            tracer.metrics.counter("c").inc()
         out = tmp_path / "t.json"
         doc = write_chrome_trace(str(out), tracer.trace, tracer.metrics)
         assert json.loads(out.read_text()) == doc
