@@ -1,8 +1,9 @@
 """Shared fixture for the benchmark files outside ``e2e/``.
 
-The paper's tables and figures live in one registry, ``paper.py``
-(``python benchmarks/paper.py`` prints it; ``tests/test_paper_fidelity.py``
-asserts it in tier-1). What remains here for pytest is
+The paper's tables and figures live in one registry, ``repro.checks``
+(``python -m repro check paper`` prints it and writes
+``repro_out/repro_check.json``; ``tests/test_paper_fidelity.py`` asserts
+it in tier-1). What remains here for pytest is
 ``bench_backend.py``'s speed-up floors, which record their measured
 figures through the ``bench_json_writer`` fixture as
 ``benchmarks/results/BENCH_<name>.json`` (gitignored scratch; CI uploads

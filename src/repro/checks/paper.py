@@ -1,4 +1,4 @@
-"""The paper-fidelity registry: every EXPERIMENTS.md row, asserted once.
+"""The paper-fidelity rows: every EXPERIMENTS.md row, asserted once.
 
 Each entry pairs one EXPERIMENTS.md table row or shape claim with the
 model call that reproduces it, the paper's value (or, for a shape claim,
@@ -12,12 +12,11 @@ move when some fitted constant is scaled by 10 %, or it is an echo. A
 *first-principles* row follows from the geometry alone (98.5 GB). A
 *shape* row is a claim checked by a predicate.
 
-Run standalone:  python benchmarks/paper.py
-
-It prints the registry table (id, section, paper, repro, tolerance,
-relative error), one aggregate fit-error line and the sensitivity table
-(each constant scaled by +-10 % and the model rows that move), and exits
-1 if any entry fails.
+``python -m repro check paper`` prints the registry table (id, section,
+paper, repro, tolerance, relative error), one aggregate fit-error line and
+the sensitivity table (each constant scaled by +-10 % and the model rows
+that move), and exits 1 if any entry fails or a model row moves under no
+constant.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ import dataclasses
 import heapq
 import math
 import statistics
-import sys
-from dataclasses import dataclass
 from functools import cache
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -68,6 +65,16 @@ from repro.analysis.visualization import (
     render_intransit,
 )
 from repro.analysis.visualization.volume_render import render_volume
+from repro.checks import registry
+from repro.checks.registry import (
+    FIRST_PRINCIPLES,
+    FITTED,
+    MODEL,
+    PAPER,
+    SHAPE,
+    Entry,
+    Verdict,
+)
 from repro.core import (
     AnalyticsVariant as V,
     ExperimentConfig,
@@ -92,9 +99,6 @@ from repro.transport import DartTransport
 from repro.util import TextTable, image_rmse
 from repro.util.units import GB
 from repro.vmpi import BlockDecomposition3D, VirtualComm
-
-FITTED, MODEL, FIRST_PRINCIPLES, SHAPE = (
-    "fitted", "model", "first-principles", "shape")
 
 #: Calibration constants not taken from any published number.
 ASSUMED = {
@@ -146,55 +150,27 @@ class Calibration:
 DEFAULT = Calibration()
 
 
-@dataclass(frozen=True)
-class Entry:
-    """One EXPERIMENTS.md row or shape claim."""
-
-    id: str
-    section: str
-    claim: str
-    produce: Callable[[Calibration], Any]
-    #: The paper's number, or a predicate over the value for a shape claim.
-    paper: float | Callable[[Any], bool]
-    #: Relative tolerance of a numeric row.
-    tol: float | None = None
-    kind: str = MODEL
-    #: The one constant a fitted row was fitted from.
-    fitted_from: str | None = None
-    #: The asserted value where it knowingly differs from the paper's
-    #: (a Known deviation of EXPERIMENTS.md).
-    expect: float | None = None
-
-    @property
-    def numeric(self) -> bool:
-        return not callable(self.paper)
-
-    def rel_error(self, value: float) -> float:
-        return abs(value - self.paper) / abs(self.paper)
-
-    def holds(self, value: Any) -> bool:
-        if not self.numeric:
-            return bool(self.paper(value))
-        target = self.paper if self.expect is None else self.expect
-        return abs(value - target) <= self.tol * abs(target)
-
-
-REGISTRY: dict[str, Entry] = {}
-
-
 def register(id: str, section: str, paper, tol: float | None = None,
              kind: str | None = None, fitted_from: str | None = None,
              expect: float | None = None, claim: str | None = None):
-    """Decorator: file the decorated ``produce(cal)`` as entry ``id``;
-    its docstring is the claim."""
-    def deco(produce):
-        if id in REGISTRY:
-            raise ValueError(f"duplicate registry id {id!r}")
-        REGISTRY[id] = Entry(
-            id, section, claim or (produce.__doc__ or "").strip(), produce,
-            paper, tol, kind or (SHAPE if callable(paper) else MODEL),
-            fitted_from, expect)
-        return produce
+    """Decorator: file the decorated ``value(cal)`` as paper row ``id``,
+    held to ``paper`` (the paper's number, within relative ``tol`` of
+    ``expect`` where that is given, or a predicate over the value for a
+    shape claim); its docstring is the claim."""
+    def deco(value):
+        def produce(cal: Calibration = DEFAULT) -> Verdict:
+            measured = value(cal)
+            if callable(paper):
+                return Verdict(None, measured, None, bool(paper(measured)))
+            target = paper if expect is None else expect
+            return Verdict(paper, measured, tol,
+                           abs(measured - target) <= tol * abs(target),
+                           expect)
+        registry.register(
+            id, section, PAPER, kind or (SHAPE if callable(paper) else MODEL),
+            claim or value.__doc__, None if callable(paper) else paper,
+            fitted_from)(produce)
+        return value
     return deco
 
 
@@ -1276,16 +1252,14 @@ def _tradeoff_sustainable(cal):
 
 # -- the checks on the registry itself -----------------------------------------
 
-def evaluate(entry: Entry):
-    """``(value, holds)`` of ``entry`` under the Jaguar calibration."""
-    value = entry.produce(DEFAULT)
-    return value, entry.holds(value)
+def _rows() -> list[Entry]:
+    return [e for e in registry.REGISTRY.values() if e.group == PAPER]
 
 
 def fitted_constants() -> dict[str, str]:
     """constant -> the id of the one fitted row that names it."""
     out: dict[str, str] = {}
-    for e in REGISTRY.values():
+    for e in _rows():
         if e.kind == FITTED:
             if e.fitted_from in out:
                 raise ValueError(f"{e.fitted_from} fitted twice: "
@@ -1294,27 +1268,32 @@ def fitted_constants() -> dict[str, str]:
     return out
 
 
-def sensitivity() -> dict[str, dict[str, float]]:
+def sensitivity(rows: list[Entry] | None = None
+                ) -> dict[str, dict[str, float]]:
     """constant -> {fitted or model row id: relative change at +10 %}, for
-    the rows that move when the constant is scaled by +-10 %."""
-    rows = [e for e in REGISTRY.values() if e.kind in (FITTED, MODEL)]
-    base = {e.id: e.produce(DEFAULT) for e in rows}
+    the rows (of ``rows``, default every paper row) that move when the
+    constant is scaled by +-10 %."""
+    rows = [e for e in (_rows() if rows is None else rows)
+            if e.kind in (FITTED, MODEL)]
+    base = {e.id: e.produce(DEFAULT).measured for e in rows}
     out: dict[str, dict[str, float]] = {}
     for constant in PERTURBED:
         up = DEFAULT.scaled(constant, 1.1)
         down = DEFAULT.scaled(constant, 0.9)
         out[constant] = {}
         for e in rows:
-            high = e.produce(up)
-            if high != base[e.id] or e.produce(down) != base[e.id]:
+            high = e.produce(up).measured
+            if high != base[e.id] or e.produce(down).measured != base[e.id]:
                 out[constant][e.id] = high / base[e.id] - 1
     return out
 
 
-def unmoved_model_rows(table: dict[str, dict[str, float]]) -> list[str]:
-    """Model rows no constant moves: echoes, not outputs."""
-    moved = {rid for rows in table.values() for rid in rows}
-    return [e.id for e in REGISTRY.values()
+def unmoved_model_rows(table: dict[str, dict[str, float]],
+                       rows: list[Entry] | None = None) -> list[str]:
+    """Model rows (of ``rows``, default every paper row) no constant
+    moves: echoes, not outputs."""
+    moved = {rid for moves in table.values() for rid in moves}
+    return [e.id for e in (_rows() if rows is None else rows)
             if e.kind == MODEL and e.id not in moved]
 
 
@@ -1328,55 +1307,65 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def main() -> int:
+def report(rows: list[Entry], verdicts: dict[str, Verdict]
+           ) -> tuple[str, dict[str, Any], bool]:
+    """The registry table, the aggregate fit-error line and the
+    sensitivity table over paper ``rows``; the sensitivity record for
+    ``repro_check.json``; and whether every model row among them moves
+    under some constant."""
     table = TextTable(["id", "section", "paper", "repro", "tolerance",
                        "rel. error"], title="Paper fidelity registry")
     errors = {FITTED: [], MODEL: []}
     failed = []
-    for e in REGISTRY.values():
-        value, ok = evaluate(e)
-        if not ok:
+    for e in rows:
+        v = verdicts[e.id]
+        if not v.passed:
             failed.append(e.id)
-        if e.numeric:
-            err = e.rel_error(value)
+        if v.expected is not None:
+            err = abs(v.measured - v.expected) / abs(v.expected)
             if e.kind in errors:
                 errors[e.kind].append((err, e.id))
-            paper = f"{e.paper:g}" + ("*" if e.kind == FITTED else "")
-            tol = f"{e.tol:g}" + (f" of {e.expect:g}"
-                                  if e.expect is not None else "")
+            paper = f"{v.expected:g}" + ("*" if e.kind == FITTED else "")
+            tol = f"{v.tolerance:g}" + (f" of {v.target:g}"
+                                        if v.target is not None else "")
             status = f"{err:.2%}"
         else:
             paper, tol, status = "shape", "-", "holds"
-        table.add_row([e.id, e.section, paper, _fmt(value), tol,
-                       status if ok else "FAIL " + status])
-    print(table.render())
+        table.add_row([e.id, e.section, paper, _fmt(v.measured), tol,
+                       status if v.passed else "FAIL " + status])
+    lines = [table.render()]
     model_errs, fitted_errs = errors[MODEL], errors[FITTED]
-    worst = max(model_errs)
-    print(f"\naggregate fit error: model rows mean |rel. error| "
-          f"{statistics.mean(e for e, _ in model_errs):.1%} over "
-          f"{len(model_errs)} (max {worst[0]:.1%}, {worst[1]}); fitted rows "
-          f"{statistics.mean(e for e, _ in fitted_errs):.2%} over "
-          f"{len(fitted_errs)}; {len(REGISTRY) - len(failed)}/"
-          f"{len(REGISTRY)} entries hold")
+    parts = []
+    if model_errs:
+        worst = max(model_errs)
+        parts.append(f"model rows mean |rel. error| "
+                     f"{statistics.mean(e for e, _ in model_errs):.1%} over "
+                     f"{len(model_errs)} (max {worst[0]:.1%}, {worst[1]})")
+    if fitted_errs:
+        parts.append(f"fitted rows "
+                     f"{statistics.mean(e for e, _ in fitted_errs):.2%} over "
+                     f"{len(fitted_errs)}")
+    parts.append(f"{len(rows) - len(failed)}/{len(rows)} entries hold")
+    lines.append("\naggregate fit error: " + "; ".join(parts))
 
-    fitted = fitted_constants()
-    moves = sensitivity()
-    sens = TextTable(["constant (x1.1)", "fitted row", "model rows moved"],
-                     title="\nSensitivity: each constant scaled by +-10 %")
-    for constant, rows in moves.items():
-        moved = [f"{rid} {change:+.1%}" for rid, change in rows.items()
-                 if REGISTRY[rid].kind == MODEL]
-        sens.add_row([constant, fitted.get(constant) or
-                      f"assumed: {ASSUMED[constant]}",
-                      "; ".join(moved) or "-"])
-    print(sens.render())
-    unmoved = unmoved_model_rows(moves)
-    if unmoved:
-        print(f"model rows no constant moves: {unmoved}")
+    record: dict[str, Any] = {}
+    if model_errs or fitted_errs:
+        fitted = fitted_constants()
+        moves = sensitivity(rows)
+        sens = TextTable(["constant (x1.1)", "fitted row", "model rows moved"],
+                         title="\nSensitivity: each constant scaled by +-10 %")
+        for constant, moved_rows in moves.items():
+            moved = [f"{rid} {change:+.1%}"
+                     for rid, change in moved_rows.items()
+                     if registry.REGISTRY[rid].kind == MODEL]
+            sens.add_row([constant, fitted.get(constant) or
+                          f"assumed: {ASSUMED[constant]}",
+                          "; ".join(moved) or "-"])
+        lines.append(sens.render())
+        unmoved = unmoved_model_rows(moves, rows)
+        if unmoved:
+            lines.append(f"model rows no constant moves: {unmoved}")
+        record = {"sensitivity": moves, "unmoved_model_rows": unmoved}
     if failed:
-        print(f"FAILED: {failed}")
-    return 1 if failed or unmoved else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        lines.append(f"FAILED: {failed}")
+    return "\n".join(lines), record, not record.get("unmoved_model_rows")

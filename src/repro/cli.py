@@ -18,11 +18,9 @@ Commands:
   compute / transport / queue-wait / retry-and-backoff / scheduler-idle
   buckets that sum exactly to the window); ``--from FILE`` blames or
   diffs an exported trace without replaying;
-* ``check``     — run declared scenario checks, each against its
-  expectation: ``faults`` (seeded fault injection, every task
-  accounted), ``control`` (adaptive controller vs static split),
-  ``capacity`` (byte-accurate staging ledger: no leak, within the
-  analytic bound) and ``capacity-leak`` (a seeded leak is found);
+* ``check``     — hold the model to the declared expectations of
+  :mod:`repro.checks` (the paper's rows, the seeded fault, control and
+  capacity scenarios), selected by group, section or id prefix;
 * ``perf``      — cross-run performance: ``record`` appends the canonical
   run record to a store, ``compare`` gates a fresh run against the
   committed baseline (nonzero exit on regression), ``report`` renders the
@@ -55,8 +53,7 @@ def _anchor(dir_path: str | Path) -> Path:
 
     Every command anchors ``--out-dir``/``--state-dir`` through here, so
     a relative directory means the same place no matter which helper
-    later joins paths onto it (a verb's JSON used to scatter into the
-    bare CWD when invoked from a subdirectory).
+    later joins paths onto it.
     """
     path = Path(dir_path).expanduser()
     return path if path.is_absolute() else Path.cwd() / path
@@ -67,8 +64,7 @@ def _resolve_out(explicit: str | None, out_dir: str, default_name: str
     """Resolve an output path against ``--out-dir``.
 
     ``None`` -> ``<out-dir>/<default_name>``; a relative path lands under
-    ``--out-dir`` (so ``--out foo.json`` does not scatter artifacts into
-    the CWD); an absolute path is respected as given.
+    ``--out-dir`` too; an absolute path is respected as given.
     """
     base = _anchor(out_dir)
     if explicit is None:
@@ -254,19 +250,6 @@ def _input_trace(path: str):
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        blame,
-        critical_path,
-        kernel_table,
-        lane_summary,
-        reconcile_table,
-        reconcile_totals,
-        top_kernels,
-        validate_chrome_trace,
-        write_chrome_trace,
-        write_jsonl,
-    )
-
     want_blame = args.blame is not None or args.top_kernels
     rc, expected = 0, None
     if args.from_file:
@@ -309,6 +292,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         source = (f"paper_4896 schedule ({args.steps} steps, "
                   f"{args.buckets} buckets)")
         expected = exp.expected_stage_totals(plan)
+
+    from repro.obs import (
+        blame,
+        critical_path,
+        kernel_table,
+        lane_summary,
+        reconcile_table,
+        reconcile_totals,
+        top_kernels,
+        validate_chrome_trace,
+        write_chrome_trace,
+        write_jsonl,
+    )
 
     # Wall clock is the interesting axis of the functional pipeline —
     # in-situ Python work takes no DES time.
@@ -385,122 +381,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return rc
 
 
-def _check_faults(path: Path) -> bool:
-    """Six seeded fault scenarios (crashes, flaky pulls, stalls, staging
-    fully down): every task is accounted for and its value verified."""
-    from repro.faults import run_fault_sweep, sweep_table
-
-    reports = run_fault_sweep()
-    ok = all(r.verified for r in reports.values())
-    print(sweep_table(reports))
-    print("every task completed or terminally failed, drained() fired, "
-          "values verified" if ok
-          else "ACCOUNTING FAILED: tasks lost or values wrong")
-    _write_json(path, {name: {**r.to_metrics(), "accounted": r.verified}
-                       for name, r in reports.items()})
-    print(f"\nwrote {path}")
-    return ok
-
-
-def _check_control(path: Path) -> bool:
-    """The adaptive controller against the static split under
-    ``CONTROL_PLAN``'s crashes and stalls: adaptive makespan <= static."""
-    from repro.control import run_control_scenario
-
-    report = run_control_scenario()
-    print(report.table())
-    _write_json(path, report.summary())
-    print(f"\nwrote {path}")
-    if not report.improved:
-        print("control gate FAILED: adaptive makespan exceeds static")
-    return report.improved
-
-
-def _check_capacity(path: Path, inject_leak: bool) -> bool:
-    """The byte-accurate ledger over a two-tenant campaign: no leaked
-    region survives the drain and no measured peak exceeds the analytic
-    bound; with ``inject_leak``, the seeded leak is found as well. Writes
-    the ``kind=capacity`` event stream beside the JSON."""
-    from repro.obs.capacity import (
-        LEAK_INJECTOR_NODE,
-        headroom_table,
-        run_capacity_scenario,
-    )
-
-    outcome = run_capacity_scenario(inject_leak=inject_leak)
-    merged = outcome["merged"]
-    print(headroom_table(outcome["tenants"]))
-    print()
-    print(merged.watermark_table())
-    print()
-    print(merged.leak_table())
-
-    _write_json(path, {
-        "tenants": {t: r.to_dict() for t, r in outcome["tenants"].items()},
-        "merged": merged.to_dict(),
-        "makespans": outcome["makespans"],
-        "inject_leak": outcome["inject_leak"],
-        "n_events": len(outcome["events"]),
-    })
-    print(f"\nwrote {path}")
-    events_path = path.with_suffix(".jsonl")
-    events_path.write_text("\n".join(outcome["events"]) + "\n",
-                           encoding="utf-8")
-    print(f"wrote {events_path} ({len(outcome['events'])} capacity events)")
-
-    violations = sum(r.headroom_violations
-                     for r in outcome["tenants"].values())
-    injected = [leak for leak in merged.leaks
-                if leak["source"] == LEAK_INJECTOR_NODE]
-    genuine = [leak for leak in merged.leaks
-               if leak["source"] != LEAK_INJECTOR_NODE]
-    print(f"\n{merged.n_registers} registers / {merged.n_releases} "
-          f"releases across {len(outcome['tenants'])} tenant run(s); "
-          f"peak resident {merged.peak_resident_bytes} bytes, "
-          f"{len(merged.leaks)} leak(s), {violations} headroom "
-          f"violation(s)")
-    if genuine:
-        print(f"capacity gate FAILED: {len(genuine)} leaked region(s) "
-              f"survived the drain")
-    if violations:
-        print(f"capacity gate FAILED: measured peak exceeded the "
-              f"analytic staging_memory_needed bound in {violations} "
-              f"run(s)")
-    if inject_leak and not injected:
-        print("capacity gate FAILED: the injected retention fault was "
-              "not detected")
-    ok = not genuine and not violations and (injected or not inject_leak)
-    if ok:
-        print("capacity gate: PASS")
-    return bool(ok)
-
-
-#: ``repro check``'s declared scenarios, in run order: name -> a function
-#: that runs the scenario at its library defaults, prints its report,
-#: writes the JSON path it is given and says whether the scenario met its
-#: expectation. Each imports its scenario's modules only when it runs.
-CHECKS: dict[str, Callable[[Path], bool]] = {
-    "faults": _check_faults,
-    "control": _check_control,
-    "capacity": partial(_check_capacity, inject_leak=False),
-    "capacity-leak": partial(_check_capacity, inject_leak=True),
-}
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    unknown = [name for name in args.names if name not in CHECKS]
-    if unknown:
-        raise SystemExit(f"unknown check(s) {unknown}; choose from "
-                         f"{list(CHECKS)}")
-    passed = True
-    for i, name in enumerate(args.names or CHECKS):
-        if i:
-            print()
-        ok = CHECKS[name](_resolve_out(None, args.out_dir,
-                                       f"repro_{name}.json"))
-        print(f"check {name}: {'PASS' if ok else 'FAIL'}")
-        passed = passed and ok
-    return 0 if passed else 1
+    from repro.checks import run_checks, select
+
+    try:
+        entries = select(args.names)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    return 0 if run_checks(entries, _resolve_out(
+        None, args.out_dir, "repro_check.json")) else 1
 
 
 def _parse_kv_floats(pairs: list[str], option: str) -> dict[str, float]:
@@ -961,13 +850,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blame, and rank the top N kernels by wall time "
                         "(kernel-tagged spans from the backend seam)")
 
-    p = sub.add_parser("check", help="run declared scenario checks against "
-                                     "their expectations",
+    p = sub.add_parser("check", help="check the paper's rows and the seeded "
+                                     "scenarios against the model",
                        parents=[out_dir])
-    p.add_argument("names", nargs="*", metavar="NAME",
-                   help=f"checks to run (default: all of "
-                        f"{', '.join(CHECKS)}); each writes "
-                        f"<out-dir>/repro_<NAME>.json")
+    p.add_argument("names", nargs="*", metavar="SELECTOR",
+                   help="a group (paper, scenarios), a section or an id "
+                        "prefix (default: every entry); writes "
+                        "<out-dir>/repro_check.json")
 
     p = sub.add_parser("perf", help="cross-run records, regression gate, "
                                     "HTML dashboard",

@@ -74,7 +74,7 @@ class StagingBucket:
     def __init__(self, name: str, engine: Engine, scheduler: TaskScheduler,
                  transport: DartTransport, cost_model: CostModel | None = None,
                  on_task_done: "Any" = None,
-                 on_death: "Any" = None) -> None:
+                 on_death: "Any" = None, on_retire: "Any" = None) -> None:
         self.name = name
         self.engine = engine
         self.scheduler = scheduler
@@ -82,6 +82,7 @@ class StagingBucket:
         self.cost_model = cost_model
         self.on_task_done = on_task_done
         self.on_death = on_death
+        self.on_retire = on_retire
         self.results: list[TaskResult] = []
         #: (task_id, sim-time, exception repr) per failed task attempt.
         self.failures: list[tuple[str, float, str]] = []
@@ -115,6 +116,8 @@ class StagingBucket:
                     # stay owned by this (now retired) worker.
                     self.retired = True
                     self._tracer.step("bucket.retire", self.name)
+                    if self.on_retire is not None:
+                        self.on_retire(self)
                     return
                 self.current_task = task
                 tracer = self._tracer
@@ -150,7 +153,7 @@ class StagingBucket:
             # A finished worker lets go of its supervisor: the callbacks
             # are bound to the space that owns this bucket, so keeping
             # them would make the whole replay one reference cycle.
-            self.on_task_done = self.on_death = None
+            self.on_task_done = self.on_death = self.on_retire = None
 
     def _execute(self, task: TaskDescriptor) -> Generator[Any, Any, None]:
         assign_t = self.engine.now

@@ -144,6 +144,9 @@ class DataSpaces:
             engine, lease_timeout=lease_timeout,
             lane=f"scheduler[{name}]" if name else "scheduler")
         self.buckets: list[StagingBucket] = []
+        #: ``buckets`` neither dead nor retired, counted at spawn, death
+        #: and retirement so a probe tick reads it without a scan.
+        self._live = 0
         self._store: dict[tuple[str, int], list[Any]] = {}
         self._task_ids = itertools.count()
         self._rpc_counts = [0] * n_servers
@@ -345,8 +348,10 @@ class DataSpaces:
         bucket = StagingBucket(name, self.engine, self.scheduler,
                                self.transport, self.cost_model,
                                on_task_done=self._on_task_done,
-                               on_death=self._on_bucket_death)
+                               on_death=self._on_bucket_death,
+                               on_retire=self._on_bucket_retire)
         self.buckets.append(bucket)
+        self._live += 1
         self._bucket_procs[name] = self.engine.process(
             bucket.run(), name=f"bucket:{name}")
         return bucket
@@ -354,7 +359,7 @@ class DataSpaces:
     def live_buckets(self) -> int:
         """Number of shard 0's staging cores currently alive (retired
         ones left)."""
-        return sum(1 for b in self.buckets if not b.dead and not b.retired)
+        return self._live
 
     def committed_buckets(self) -> int:
         """Pool size shard 0's supervisor is committed to: live workers
@@ -421,7 +426,11 @@ class DataSpaces:
             return  # already dead or shut down
         proc.interrupt(cause)
 
+    def _on_bucket_retire(self, bucket: StagingBucket) -> None:
+        self._live -= 1
+
     def _on_bucket_death(self, bucket: StagingBucket, cause: Any) -> None:
+        self._live -= 1
         self.scheduler.mark_bucket_dead(bucket.name)
         if self._shutting_down or self.degraded:
             return

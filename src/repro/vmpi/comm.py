@@ -10,11 +10,10 @@ machine.
 from __future__ import annotations
 
 import pickle
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
-
-import numpy as np
 
 from repro.machine.gemini import GeminiNetwork
 from repro.obs.tracer import get_tracer
@@ -25,9 +24,12 @@ def payload_bytes(value: Any) -> int:
     """Byte size of a collective payload.
 
     NumPy arrays report their buffer size; other objects are costed at
-    their pickle size (mirroring mpi4py's lowercase-method semantics).
+    their pickle size (mirroring mpi4py's lowercase-method semantics),
+    including objects that merely carry an ``nbytes`` attribute. An array
+    exists only once numpy is loaded, so the model path never imports it.
     """
-    if isinstance(value, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
         return int(value.nbytes)
     if isinstance(value, (bytes, bytearray, memoryview)):
         return len(value)

@@ -9,8 +9,10 @@ and generalises to uneven divisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,14 @@ class BlockDecomposition3D:
             raise ValueError(
                 f"field shape {field.shape[:3]} != decomposition {self.global_shape}"
             )
+        import numpy as np
+
         return [np.ascontiguousarray(field[b.slices]) for b in self.blocks()]
 
     def gather(self, parts: list[np.ndarray]) -> np.ndarray:
         """Reassemble per-rank blocks into a global field."""
+        import numpy as np
+
         if len(parts) != self.n_ranks:
             raise ValueError(f"expected {self.n_ranks} parts, got {len(parts)}")
         trailing = parts[0].shape[3:]

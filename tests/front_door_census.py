@@ -65,7 +65,7 @@ INVOCATIONS: dict[str, list[tuple[int, str]]] = {
         (0, "repro replay --functional --steps 2 --jsonl f.jsonl "
             "--top-kernels 3"),
     ],
-    "check": [(0, "repro check --out-dir c")],
+    "check": [(0, "repro check scenarios --out-dir c")],
     "perf": [
         (0, "repro perf record --out-dir p --steps 10 --buckets 8 --seed 0 "
             "--source census"),
@@ -131,7 +131,7 @@ INVOCATIONS: dict[str, list[tuple[int, str]]] = {
     ],
     **{f"example {p.stem}": [(0, f"examples/{p.name}")]
        for p in sorted((ROOT / "examples").glob("*.py"))},
-    "paper registry": [(0, "benchmarks/paper.py")],
+    "paper registry": [(0, "repro check paper")],
     "e2e smoke": [(0, "benchmarks/e2e/run.py --smoke")],
     **{f"e2e {w}": [(0, f"benchmarks/e2e/run.py --workload {w} --seconds 3 "
                         "--trace 1")]

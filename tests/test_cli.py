@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import re
 import subprocess
@@ -7,7 +8,15 @@ import sys
 
 import pytest
 
-from repro.cli import CHECKS, build_parser, main
+from repro.cli import build_parser, main
+
+SCENARIOS = ["faults", "control", "capacity", "capacity-leak"]
+
+
+def _check_record(out_dir, entry_id):
+    """Entry ``entry_id``'s record in ``<out_dir>/repro_check.json``."""
+    doc = json.loads((out_dir / "repro_check.json").read_text())
+    return doc["entries"][entry_id]
 
 
 def _without_wall(path):
@@ -110,9 +119,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "adaptive" in out and "speedup" in out
         assert "decision log" in out
-        assert out.rstrip().endswith("check control: PASS")
-        artifact = json.loads(
-            (tmp_path / "repro_control.json").read_text())
+        assert "check control: PASS" in out.splitlines()
+        assert out.rstrip().endswith("check: PASS (1/1 entries hold)")
+        record = _check_record(tmp_path, "control")
+        artifact = record["payload"]
+        assert record["passed"] is True
+        assert record["measured"] == artifact["adaptive_makespan_s"]
         assert artifact["improved"] is True
         assert artifact["decisions"]
         assert artifact["adaptive_makespan_s"] <= artifact["static_makespan_s"]
@@ -399,14 +411,61 @@ def test_parse_time_refusals(argv, error, capsys):
 class TestCheckCli:
     def test_every_check_passes(self, tmp_path, capsys):
         assert main(["check", "--out-dir", str(tmp_path)]) == 0
-        verdicts = [line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("check ")]
-        assert verdicts == [f"check {name}: PASS" for name in CHECKS]
-        assert list(CHECKS) == ["faults", "control", "capacity",
-                                "capacity-leak"]
-        for name in CHECKS:
-            assert (tmp_path / f"repro_{name}.json").exists()
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        verdicts = [line for line in lines if line.startswith("check ")]
+        assert verdicts == [f"check {name}: PASS" for name in SCENARIOS]
+        assert lines[-1] == "check: PASS (99/99 entries hold)"
+        # the paper block leads: registry table, fit error, sensitivity
+        assert out.index("Paper fidelity registry") \
+            < out.index("aggregate fit error") \
+            < out.index("Sensitivity: each constant") \
+            < out.index("check faults: PASS")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "repro_capacity-leak.jsonl", "repro_capacity.jsonl",
+            "repro_check.json"]
+        doc = json.loads((tmp_path / "repro_check.json").read_text())
+        assert doc["passed"] is True
+        assert doc["unmoved_model_rows"] == []
+        assert len(doc["entries"]) == 99
+        assert all(r["passed"] for r in doc["entries"].values())
         assert (tmp_path / "repro_capacity.jsonl").read_text()
+
+    @pytest.mark.parametrize("selector, ids", [
+        ("Fig. 3", ["fig3.two_maxima_one_saddle", "fig3.isovalue_sweep",
+                    "fig3.branch_regions"]),
+        ("table1.sim_s", ["table1.sim_s.4896", "table1.sim_s.9440"]),
+        ("scaling.2240", ["scaling.2240"]),
+        ("Staging capacity", ["capacity", "capacity-leak"]),
+        ("capacity", ["capacity"]),  # a prefix ends at a dot
+    ], ids=["section", "id-prefix", "id", "scenario-section", "scenario"])
+    def test_a_selector_runs_only_what_it_names(self, selector, ids,
+                                                tmp_path, capsys):
+        assert main(["check", selector, "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith(
+            f"check: PASS ({len(ids)}/{len(ids)} entries hold)")
+        doc = json.loads((tmp_path / "repro_check.json").read_text())
+        assert list(doc["entries"]) == sorted(ids)
+
+    def test_paper_rows_fail_when_a_constant_moves(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """Scaling the streaming-glue rate by 1.5 pushes Table II's
+        topology rows out of tolerance: the check fails and names them."""
+        from repro.checks.paper import DEFAULT
+
+        glue = DEFAULT.cost.rate("topo.stream_glue")
+        monkeypatch.setattr(DEFAULT, "cost", DEFAULT.cost.with_rate(
+            "topo.stream_glue", 1.5 * glue))
+        monkeypatch.setattr(DEFAULT, "_experiments", {})
+        assert main(["check", "table2.topo_hybrid",
+                     "--out-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert ("FAILED: ['table2.topo_hybrid.intransit_s', "
+                "'table2.topo_hybrid.glue_fit_s']") in out
+        assert out.rstrip().endswith("check: FAIL (3/5 entries hold)")
+        assert _check_record(tmp_path, "table2.topo_hybrid.glue_fit_s")[
+            "passed"] is False
 
     @staticmethod
     def _break(name, monkeypatch):
@@ -451,19 +510,25 @@ class TestCheckCli:
             monkeypatch.setattr(capacity, "run_capacity_scenario",
                                 misreport)
 
-    @pytest.mark.parametrize("name", list(CHECKS))
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_a_check_fails_when_its_expectation_breaks(self, name, tmp_path,
                                                        monkeypatch, capsys):
         self._break(name, monkeypatch)
         assert main(["check", name, "--out-dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert out.rstrip().endswith(f"check {name}: FAIL")
+        assert f"check {name}: FAIL" in out.splitlines()
+        assert out.rstrip().endswith("check: FAIL (0/1 entries hold)")
         assert "FAILED" in out
+        assert _check_record(tmp_path, name)["passed"] is False
 
     def test_unknown_check_is_refused(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown check"):
+        with pytest.raises(SystemExit, match="unknown check") as exc:
             main(["check", "faults", "nope", "--out-dir", str(tmp_path)])
-        assert not (tmp_path / "repro_faults.json").exists()
+        # the refusal names the choices: groups, sections, id prefixes
+        assert "['nope']" in str(exc.value)
+        assert "['paper', 'scenarios']" in str(exc.value)
+        assert "'Table I'" in str(exc.value) and "id prefix" in str(exc.value)
+        assert not (tmp_path / "repro_check.json").exists()
 
 
 class TestServiceCli:
@@ -759,33 +824,29 @@ class TestTopCli:
         monkeypatch.chdir(tmp_path)
         rc = main(["check", "control", "--out-dir", "artifacts"])
         assert rc == 0
-        assert (tmp_path / "artifacts" / "repro_control.json").exists()
-        assert not (tmp_path / "repro_control.json").exists()
+        assert (tmp_path / "artifacts" / "repro_check.json").exists()
+        assert not (tmp_path / "repro_check.json").exists()
 
 
 class TestCapacityCli:
     def test_clean_gate_passes_and_writes_artifact(self, tmp_path, capsys):
-        import json
-
         rc = main(["check", "capacity", "--out-dir", str(tmp_path)])
         assert rc == 0
         assert "capacity gate: PASS" in capsys.readouterr().out
-        report = json.loads((tmp_path / "repro_capacity.json").read_text())
+        report = _check_record(tmp_path, "capacity")["payload"]
         assert report["merged"]["leaks"] == []
         assert not report["inject_leak"]
 
     def test_injected_leak_must_be_found(self, tmp_path, capsys):
         """`check capacity-leak` passes only because the leak scan finds
         the seeded region (and nothing beside it)."""
-        import json
-
         from repro.obs.capacity import LEAK_INJECTOR_NODE
 
         rc = main(["check", "capacity-leak", "--out-dir", str(tmp_path)])
         assert rc == 0
         assert "capacity gate: PASS" in capsys.readouterr().out
-        leaks = json.loads((tmp_path / "repro_capacity-leak.json").read_text()
-                           )["merged"]["leaks"]
+        leaks = _check_record(tmp_path, "capacity-leak")["payload"][
+            "merged"]["leaks"]
         assert leaks
         assert {leak["source"] for leak in leaks} == {LEAK_INJECTOR_NODE}
 

@@ -152,6 +152,30 @@ class TestScaleTo:
         with pytest.raises(ValueError):
             ds.scale_to(0)
 
+    def test_live_count_equals_the_scan_through_every_transition(self):
+        """``live_buckets`` is a count kept at spawn, death and retirement;
+        after a crash, a budgeted restart, growth, shrinkage with its
+        retirements and a respawn toward the target it equals a scan."""
+        eng = Engine()
+        ds = DataSpaces(eng, DartTransport(eng), n_servers=1,
+                        bucket_restart_delay=1.0, max_bucket_restarts=1)
+        ds.spawn_buckets(["b0", "b1", "b2"])
+        steps = [
+            (1.0, lambda: ds.crash_bucket("b0"), 2),      # crash
+            (2.0, lambda: None, 3),                       # restart lands
+            (3.0, lambda: ds.scale_to(5), 5),             # grow
+            (4.0, lambda: ds.scale_to(2), 2),             # shrink, retire
+            (6.0, lambda: ds.crash_bucket("b1"), 1),      # crash
+            (7.0, lambda: None, 2),                       # respawn lands
+        ]
+        for at, act, live in steps:
+            eng.call_at(at, act)
+            eng.run(until=at + 0.5)
+            scan = sum(1 for b in ds.buckets if not b.dead and not b.retired)
+            assert ds.live_buckets() == scan == live, at
+        assert ds.restarts_used == 1 and ds.pool_respawns == 1
+        assert sum(b.retired for b in ds.buckets) == 3
+
 
 class TestControllerNoOp:
     def test_healthy_run_takes_no_decisions_and_is_bit_identical(self):

@@ -1,9 +1,10 @@
 """Tests for the full-scale experiment replay: configs, breakdowns, schedule.
 
-Paper numbers are read from the benchmarks/paper.py registry."""
+Paper numbers are read from the ``repro.checks`` registry."""
 
 import pytest
 
+from repro.checks import REGISTRY
 from repro.core import (
     AnalyticsVariant,
     ExperimentConfig,
@@ -14,7 +15,11 @@ from repro.core import (
 from repro.core.campaign import Campaign
 from repro.core.workload import HYBRID_VARIANTS
 from repro.util.units import MB
-from tests.paper_registry import paper_value
+
+
+def paper_value(entry_id: str) -> float:
+    """The paper's number for registry row ``entry_id``."""
+    return REGISTRY[entry_id].expected
 
 
 class TestExperimentConfig:
@@ -44,7 +49,7 @@ class TestScaledWorkload:
 
     def test_hybrid_viz_movement_order_of_magnitude(self):
         """~2000x below the raw data (Table II's size is a registry row of
-        benchmarks/paper.py)."""
+        ``repro.checks.paper``)."""
         moved = self.w.movement_bytes_total(AnalyticsVariant.VIS_HYBRID)
         assert moved < self.w.checkpoint_bytes / 1000
 

@@ -1,11 +1,17 @@
 """Tests for the cost-model layer. Each Jaguar rate's fit to its Table
-I/II measurement is a fitted row of benchmarks/paper.py, which also
-holds the paper numbers the calibration tests read."""
+I/II measurement is a fitted row of ``repro.checks.paper``, whose
+registry also holds the paper numbers the calibration tests read."""
 
 import pytest
 
+from repro.checks import REGISTRY
 from repro.costmodel import CostModel, jaguar_cost_model
-from tests.paper_registry import paper_value
+
+
+def paper_value(entry_id: str) -> float:
+    """The paper's number for registry row ``entry_id``."""
+    return REGISTRY[entry_id].expected
+
 
 BLOCK_CELLS = 100 * 49 * 43  # per-rank block in the 4896-core run
 BLOCK_CELLS_9440 = 50 * 49 * 43

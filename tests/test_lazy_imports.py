@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "benchmarks" / "e2e"
 
@@ -64,11 +66,31 @@ def test_tables_loads_only_the_replay_model():
     assert len(modules) <= 45, modules
 
 
+@pytest.mark.parametrize("verbs", [
+    [("replay", "--steps", "2")],
+    [("tables",)],
+    [("submit", "--jobs", "b.jsonl", "--tenant", "a", "--name", "j",
+      "--steps", "2", "--buckets", "2"),
+     ("serve", "--jobs", "b.jsonl", "--out-dir", "out")],
+], ids=["replay", "tables", "submit-serve"])
+def test_the_model_path_leaves_numpy_unloaded(verbs, tmp_path, monkeypatch):
+    """The verbs that run only the DES model never touch an array, so
+    none of them imports numpy, and with no observer flag none loads the
+    trace exporters or the blame analysis."""
+    monkeypatch.chdir(tmp_path)
+    observers = ("repro.obs.blame", "repro.obs.export", "repro.obs.analysis")
+    for verb in verbs:
+        modules, numpy = _loaded(_cli(*verb))
+        assert not numpy, verb
+        assert not set(observers) & set(modules), verb
+
+
 def test_benchmark_workloads_skip_the_side_subsystems():
     modules, _ = _loaded("import workloads")
     assert len(modules) <= 78, modules
     side = ("repro.obs.perf", "repro.obs.report", "repro.control",
-            "repro.faults", "repro.io", "repro.core.steering")
+            "repro.faults", "repro.io", "repro.core.steering",
+            "repro.checks")
     assert not [m for m in modules if m.startswith(side)]
 
 

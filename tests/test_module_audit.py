@@ -193,6 +193,8 @@ ALLOWED_NAMES = {f"repro.{name}": _why(kind, *needed_by)
     ("des.resources:Resource.cancel", _FAULT_PATH, "tests/test_des.py"),
     ("staging.scheduler:TaskScheduler.retire_bucket", _FAULT_PATH,
      "DataSpaces.scale_to's shrink in tests/test_control.py"),
+    ("staging.dataspaces:DataSpaces._on_bucket_retire", _FAULT_PATH,
+     "the live count's retirement in tests/test_control.py"),
     ("staging.scheduler:TaskScheduler._retire", _FAULT_PATH,
      "tests/test_control.py"),
     ("staging.descriptors:retire_sentinel", _FAULT_PATH,

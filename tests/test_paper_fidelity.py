@@ -1,24 +1,33 @@
-"""The paper-fidelity gate: one test per ``benchmarks/paper.py`` entry.
+"""The fidelity gate: one test per ``repro.checks`` registry entry.
 
-Each EXPERIMENTS.md row or shape claim is asserted here, and each paper
-number is written down only in the registry. Two more tests hold the
-registry to its own rules: every fitted constant is named by exactly one
-fitted row (or listed as assumed), and every model row moves when some
-constant is scaled by 10 % — an output no constant moves is an echo, not
-a reproduction.
+Each EXPERIMENTS.md row or shape claim, and each seeded scenario, is
+asserted here, and each paper number is written down only in the
+registry. Two more tests hold the paper rows to their own rules: every
+fitted constant is named by exactly one fitted row (or listed as
+assumed), and every model row moves when some constant is scaled by
+10 % — an output no constant moves is an echo, not a reproduction.
 """
 
 import pytest
 
+from repro.checks import REGISTRY, paper, select
 from repro.costmodel.jaguar import JAGUAR_RATES
-from tests.paper_registry import paper
 
 
-@pytest.mark.parametrize("entry", paper.REGISTRY.values(),
-                         ids=lambda e: e.id)
+@pytest.mark.parametrize("entry", REGISTRY.values(), ids=lambda e: e.id)
 def test_entry(entry):
-    value, holds = paper.evaluate(entry)
-    assert holds, f"{entry.id}: {entry.claim} -> {value!r}"
+    v = entry.produce()
+    assert v.passed, f"{entry.id}: {entry.claim} -> {v.measured!r}"
+
+
+def test_the_registry_holds_every_paper_row_then_every_scenario():
+    rows, scenarios = select(["paper"]), select(["scenarios"])
+    assert len(rows) == 95 and {e.group for e in rows} == {"paper"}
+    assert [e.id for e in scenarios] == [
+        "faults", "control", "capacity", "capacity-leak"]
+    assert select([]) == list(REGISTRY.values()) == rows + scenarios
+    assert select(["table1", "Table I"]) == [
+        e for e in rows if e.section == "Table I"]
 
 
 def test_fitted_constants_named_once_or_assumed():

@@ -1,6 +1,8 @@
 """Tests for the virtual MPI layer: decomposition, communicator, collectives."""
 
 import operator
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +116,13 @@ class TestPayloadBytes:
 
     def test_generic_object_positive(self):
         assert payload_bytes({"a": 1}) > 0
+
+    def test_an_nbytes_attribute_is_not_an_array(self):
+        """Only an ndarray is costed at its ``nbytes``: any other object
+        that carries one (a boundary tree does) at its pickle size."""
+        payload = SimpleNamespace(nbytes=1 << 30)
+        assert payload_bytes(payload) == len(
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class TestVirtualComm:
