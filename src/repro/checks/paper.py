@@ -30,41 +30,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis.feature_stats import feature_statistics_hybrid
-from repro.analysis.statistics import (
-    StatisticsEngine,
-    assess,
-    derive,
-    learn,
-)
-from repro.analysis.statistics.autocorrelation import (
-    AutocorrelationLearner,
-    derive_autocorrelation,
-)
-from repro.analysis.statistics.stages import test_mean_zscore
-from repro.analysis.topology import (
-    compute_merge_tree,
-    segment_superlevel,
-    track_features,
-)
-from repro.analysis.topology.distributed import (
-    block_boundary_mask,
-    compute_block_boundary_trees,
-    cross_block_edges,
-    glue_boundary_trees,
-    global_id_array,
-)
-from repro.analysis.topology.local_tree import compute_boundary_tree
-from repro.analysis.topology.stream_merge import StreamingGlue
-from repro.analysis.topology.tracking import jaccard
-from repro.analysis.visualization import (
-    Camera,
-    TransferFunction,
-    downsample_decomposed,
-    render_blocks_insitu,
-    render_intransit,
-)
-from repro.analysis.visualization.volume_render import render_volume
 from repro.checks import registry
 from repro.checks.registry import (
     FIRST_PRINCIPLES,
@@ -78,7 +43,6 @@ from repro.checks.registry import (
 from repro.core import (
     AnalyticsVariant as V,
     ExperimentConfig,
-    HybridFramework,
     ReplayPlan,
     ScaledExperiment,
 )
@@ -93,7 +57,6 @@ from repro.io.aggregation import AggregationModel
 from repro.machine import GeminiNetwork, TorusTopology
 from repro.machine.gemini import Protocol
 from repro.machine.specs import MachineSpec, jaguar_xk6
-from repro.sim import LiftedFlameCase, S3DProxy, StructuredGrid3D
 from repro.staging import DataSpaces, ServiceRing
 from repro.transport import DartTransport
 from repro.util import TextTable, image_rmse
@@ -387,6 +350,9 @@ def _fig6_topology(cal):
 
 @cache
 def _fig1_segmentations(n_steps=12, threshold=1.6):
+    from repro.analysis.topology import segment_superlevel
+    from repro.sim import LiftedFlameCase, S3DProxy, StructuredGrid3D
+
     grid = StructuredGrid3D((32, 16, 12), lengths=(4.0, 2.0, 1.5))
     solver = S3DProxy(LiftedFlameCase(grid, seed=11, kernel_rate=1.2,
                                       kernel_amplitude=2.0))
@@ -402,6 +368,9 @@ def _fig1_segmentations(n_steps=12, threshold=1.6):
 def _fig1_overlap(cal):
     """A feature is tracked >= 5 consecutive steps and its 1st and 5th
     footprints overlap (Jaccard)."""
+    from repro.analysis.topology import track_features
+    from repro.analysis.topology.tracking import jaccard
+
     segs = _fig1_segmentations()
     track = max((t for t in track_features(segs) if t.lifetime >= 5),
                 key=lambda t: t.lifetime)
@@ -412,6 +381,8 @@ def _fig1_overlap(cal):
 @register("fig1.transient_tracks", "Fig. 1", lambda v: v > 0)
 def _fig1_transient(cal):
     """Transient kernels exist: tracks that live shorter than the run."""
+    from repro.analysis.topology import track_features
+
     segs = _fig1_segmentations()
     return sum(t.lifetime < len(segs) for t in track_features(segs))
 
@@ -421,6 +392,8 @@ def _fig1_transient(cal):
 def _fig1_coarse(cal):
     """Multi-step tracks at full cadence vs at every 8th step (standing in
     for stride 400): the coarse cadence keeps only single snapshots."""
+    from repro.analysis.topology import track_features
+
     segs = _fig1_segmentations()
     coarse = list(range(0, len(segs), 8))
     multi = [sum(t.lifetime > 1 for t in tracks) for tracks in (
@@ -433,6 +406,9 @@ def _fig1_coarse(cal):
 
 @cache
 def _fig2_scene():
+    from repro.analysis.visualization import Camera, TransferFunction
+    from repro.sim import LiftedFlameCase, S3DProxy, StructuredGrid3D
+
     grid = StructuredGrid3D((24, 16, 12), lengths=(3.0, 2.0, 1.5))
     solver = S3DProxy(LiftedFlameCase(grid, seed=5, kernel_rate=1.5))
     solver.step(5)
@@ -452,6 +428,12 @@ def _fig2_scene():
 @cache
 def _fig2_rows():
     """{(view, stride): (payload bytes, RMSE vs the in-situ render)}."""
+    from repro.analysis.visualization import (
+        downsample_decomposed,
+        render_blocks_insitu,
+        render_intransit,
+    )
+
     temperature, decomp, tf, cameras = _fig2_scene()
     rows = {}
     for view, cam in cameras.items():
@@ -493,6 +475,9 @@ def _fig2_payload(cal):
 def _fig2_exact(cal):
     """The block-composited in-situ image matches the serial reference
     renderer (exact visibility-order compositing)."""
+    from repro.analysis.visualization import render_blocks_insitu
+    from repro.analysis.visualization.volume_render import render_volume
+
     temperature, decomp, tf, cameras = _fig2_scene()
     cam = cameras["overview"]
     return image_rmse(render_blocks_insitu(temperature, decomp, cam, tf),
@@ -503,6 +488,8 @@ def _fig2_exact(cal):
 
 @cache
 def _fig3():
+    from repro.analysis.topology import compute_merge_tree
+
     n = 48
     x, y = np.meshgrid(np.linspace(0, 1, n), np.linspace(0, 1, n),
                        indexing="ij")
@@ -529,6 +516,8 @@ def _fig3_tree(cal):
 def _fig3_sweep(cal):
     """Sweeping the isovalue down: 1 contour, then 2, then 1 after the
     saddle."""
+    from repro.analysis.topology import segment_superlevel
+
     f, tree, arc, red = _fig3()
     hi, lo = sorted((red.value[n] for n in red.leaves()), reverse=True)
     saddle = red.value[red.saddles()[0]]
@@ -541,6 +530,8 @@ def _fig3_sweep(cal):
 def _fig3_regions(cal):
     """Above the saddle one region per branch, each labeled by its
     maximum; below it one."""
+    from repro.analysis.topology import segment_superlevel
+
     f, tree, arc, red = _fig3()
     saddle = red.value[red.saddles()[0]]
     above = segment_superlevel(f, saddle + 0.02, tree=tree, vertex_arc=arc)
@@ -562,6 +553,14 @@ def _fig4_blocks(n_ranks=8, n=4000, seed=17):
 def _fig4_insitu(cal):
     """In-situ: the only collectives are one allreduce per variable (2);
     derive, assess and test add none."""
+    from repro.analysis.statistics import (
+        StatisticsEngine,
+        assess,
+        derive,
+        learn,
+    )
+    from repro.analysis.statistics.stages import test_mean_zscore
+
     blocks = _fig4_blocks()
     comm = VirtualComm(len(blocks))
     result = StatisticsEngine(comm).run_insitu(blocks)
@@ -576,6 +575,8 @@ def _fig4_insitu(cal):
 @register("fig4.hybrid_no_collectives", "Fig. 4", lambda v: v == 0)
 def _fig4_hybrid(cal):
     """Hybrid: zero collectives; partials move point-to-point."""
+    from repro.analysis.statistics import StatisticsEngine
+
     blocks = _fig4_blocks()
     comm = VirtualComm(len(blocks))
     StatisticsEngine(comm).run_hybrid(blocks)
@@ -588,6 +589,9 @@ def _fig4_agree(cal):
     """Both deployments give the serial statistics (relative variance
     error in-situ, hybrid), and the test stage keeps an honest null
     (|z| at mean 2.0) and rejects a false one (|z| at 2.5)."""
+    from repro.analysis.statistics import StatisticsEngine, derive, learn
+    from repro.analysis.statistics.stages import test_mean_zscore
+
     blocks = _fig4_blocks()
     engine = StatisticsEngine(VirtualComm(len(blocks)))
     serial = derive(learn(np.concatenate([b["T"] for b in blocks])))
@@ -879,6 +883,14 @@ def _scheduler_tie(cal):
 @cache
 def _downsample_sweep(shape=(32, 32, 24)):
     """{stride: (moved bytes, raw bytes, RMSE vs the in-situ render)}."""
+    from repro.analysis.visualization import (
+        Camera,
+        TransferFunction,
+        downsample_decomposed,
+        render_blocks_insitu,
+        render_intransit,
+    )
+
     field = blob_field(shape, n_blobs=8, seed=9)
     decomp = BlockDecomposition3D(shape, (2, 2, 2))
     tf = TransferFunction.hot(float(field.min()), float(field.max()))
@@ -1003,6 +1015,12 @@ def _placement(cal):
 def _subtree_reductions():
     """Raw block bytes over its boundary-tree bytes for (n/2) x n x n
     blocks, n = 8 .. 32."""
+    from repro.analysis.topology.distributed import (
+        block_boundary_mask,
+        global_id_array,
+    )
+    from repro.analysis.topology.local_tree import compute_boundary_tree
+
     out = []
     for n in (8, 12, 16, 24, 32):
         shape = (n, n, n)
@@ -1038,6 +1056,15 @@ def _topology_paper_scale(cal):
 def _topology_ghosts(cal):
     """Gluing boundary trees reproduces the global tree; keeping only each
     block's own merge-tree vertices (no boundary set) breaks it."""
+    from repro.analysis.topology import compute_merge_tree
+    from repro.analysis.topology.distributed import (
+        compute_block_boundary_trees,
+        cross_block_edges,
+        global_id_array,
+        glue_boundary_trees,
+    )
+    from repro.analysis.topology.stream_merge import StreamingGlue
+
     shape = (12, 10, 8)
     field = blob_field(shape, 6, seed=77)
     decomp = BlockDecomposition3D(shape, (2, 2, 1))
@@ -1069,6 +1096,13 @@ def _topology_glue_memory(cal):
     """The streaming glue finalizes every vertex and its live-vertex
     high-water mark stays within the reduced input (over input nodes,
     over grid cells)."""
+    from repro.analysis.topology.distributed import (
+        compute_block_boundary_trees,
+        cross_block_edges,
+        glue_boundary_trees,
+    )
+    from repro.analysis.topology.stream_merge import StreamingGlue
+
     shape = (20, 16, 12)
     field = blob_field(shape, 8, seed=13)
     decomp = BlockDecomposition3D(shape, (2, 2, 2))
@@ -1141,6 +1175,11 @@ def _streaming_bound(cal):
 def _autocorrelation(cal):
     """rho(k) of an AR(1) series (rho = 0.8) recovered at lags 1-4 from
     hybrid partials: max |rho(k) - 0.8^k|, wire bytes, raw series bytes."""
+    from repro.analysis.statistics.autocorrelation import (
+        AutocorrelationLearner,
+        derive_autocorrelation,
+    )
+
     shape, n_steps = (8, 6, 4), 50
     rng = np.random.default_rng(6)
     series = [rng.normal(size=shape)]
@@ -1164,6 +1203,9 @@ def _feature_statistics(cal):
     """Per-feature conditional means match masked-numpy references, with
     features split across ranks: every feature has statistics, feature
     count, max relative error of the means."""
+    from repro.analysis.feature_stats import feature_statistics_hybrid
+    from repro.analysis.topology import segment_superlevel
+
     field = blob_field((20, 16, 12), n_blobs=4, seed=31)
     seg = segment_superlevel(field, 0.4)
     stats = feature_statistics_hybrid(
@@ -1179,6 +1221,9 @@ def _steering(cal):
     """The cadence-refinement rule fires on the first multi-feature merge
     tree and drops the interval from 3 to 1: firings, final interval,
     analysed steps of 6."""
+    from repro.core.framework import HybridFramework
+    from repro.sim import LiftedFlameCase, StructuredGrid3D
+
     grid = StructuredGrid3D((12, 10, 8))
     fw = HybridFramework(
         LiftedFlameCase(grid, seed=44, kernel_rate=2.0),

@@ -134,12 +134,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.vmpi import BlockDecomposition3D
 
     shape = tuple(args.grid)
-    grid = StructuredGrid3D(shape)
-    case = LiftedFlameCase(grid, seed=args.seed)
-    decomp = BlockDecomposition3D(shape, tuple(args.ranks))
-    fw = HybridFramework(case, decomp, n_buckets=args.buckets,
-                         streaming_topology=args.streaming)
-    result = fw.run(args.steps)
+    try:
+        case = LiftedFlameCase(StructuredGrid3D(shape), seed=args.seed)
+        decomp = BlockDecomposition3D(shape, tuple(args.ranks))
+        fw = HybridFramework(case, decomp, n_buckets=args.buckets,
+                             streaming_topology=args.streaming)
+        result = fw.run(args.steps)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     table = TextTable(["step", "mean T", "max T", "merge-tree maxima"])
     for step in result.analysed_steps:
         if step not in result.statistics or step not in result.merge_trees:
@@ -195,7 +197,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
     shape = (32, 24, 16)
     grid = StructuredGrid3D(shape, lengths=(4.0, 3.0, 2.0))
     solver = S3DProxy(LiftedFlameCase(grid, seed=args.seed, kernel_rate=2.0))
-    solver.step(args.steps)
+    try:
+        solver.step(args.steps)
+    except ValueError as exc:
+        raise SystemExit(f"--steps: {exc}") from None
     field = solver.fields["T"]
     decomp = BlockDecomposition3D(shape, (2, 2, 2))
     tf = TransferFunction.hot(float(field.min()), float(field.max()))
@@ -428,12 +433,24 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     store = RunStore(args.store if args.store else out_dir / "perf")
     baseline_store = RunStore(args.baseline)
     perturb = _parse_kv_floats(args.perturb, "--perturb") or None
+    if perturb:
+        from repro.costmodel.jaguar import jaguar_cost_model
+
+        cost = jaguar_cost_model()
+        try:
+            for op in perturb:
+                cost.rate(op)
+        except KeyError as exc:
+            raise SystemExit(f"--perturb: {exc.args[0]}") from None
     policies = DEFAULT_POLICIES
     if args.tolerance:
-        overrides = tuple(
-            MetricPolicy(pattern, tolerance=tol)
-            for pattern, tol in _parse_kv_floats(args.tolerance,
-                                                 "--tolerance").items())
+        try:
+            overrides = tuple(
+                MetricPolicy(pattern, tolerance=tol)
+                for pattern, tol in _parse_kv_floats(args.tolerance,
+                                                     "--tolerance").items())
+        except ValueError as exc:
+            raise SystemExit(f"--tolerance: {exc}") from None
         # Wall-clock metrics stay ungated even under a catch-all
         # override: they are host noise, and a '*=X' tolerance must not
         # silently re-gate them.
@@ -521,7 +538,7 @@ def _load_batch(path: Path) -> tuple[list, list]:
     from repro.service import JobSpec, TenantQuota
 
     specs, quotas = [], []
-    if not path.exists():
+    if not path.is_file():
         raise SystemExit(f"no such batch file: {path}")
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):

@@ -313,15 +313,6 @@ class ScaledExperiment:
         )
 
     def breakdown(self) -> TimingBreakdown:
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("breakdown.compute", lane="driver",
-                             category="model", config=self.config.name):
-                return self._breakdown()
-        return self._breakdown()
-
-    def _breakdown(self) -> TimingBreakdown:
-        """Uninstrumented breakdown body (the tracer-overhead baseline)."""
         from repro.io.fpp import IOTimeModel
 
         io = IOTimeModel(self.machine.filesystem)

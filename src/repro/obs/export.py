@@ -259,7 +259,7 @@ def validate_chrome_trace(doc: dict[str, Any]) -> list[str]:
     time order, and bind inside some slice on their row.
     """
     problems: list[str] = []
-    events = doc.get("traceEvents")
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
     if not isinstance(events, list):
         return ["document has no 'traceEvents' list"]
     stacks: dict[tuple[Any, Any], list[tuple[str, float]]] = {}
@@ -445,8 +445,10 @@ def load_trace(path: str) -> Trace:
     A Chrome trace document (``{"traceEvents": [...]}``) reconstructs
     spans from balanced ``B``/``E`` pairs and instants from ``i`` events
     (lane names from ``process_name`` metadata; flows are not
-    reconstructed — hop detail is only in the JSONL format). Anything
-    else is parsed as JSON lines via :func:`load_trace_jsonl`.
+    reconstructed — hop detail is only in the JSONL format); a document
+    :func:`validate_chrome_trace` faults raises ``ValueError`` naming its
+    first problem. Anything else is parsed as JSON lines via
+    :func:`load_trace_jsonl`.
     """
     with open(path, encoding="utf-8") as fh:
         head = fh.read(4096).lstrip()
@@ -455,9 +457,10 @@ def load_trace(path: str) -> Trace:
         return load_trace_jsonl(path)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError(f"{path}: neither a Chrome trace nor JSON lines")
+    problems = validate_chrome_trace(doc)
+    if problems:
+        raise ValueError(f"{path}: {problems[0]}")
+    events = doc["traceEvents"]
     lane_of_pid: dict[Any, str] = {}
     for event in events:
         if (event.get("ph") == "M" and event.get("name") == "process_name"):
@@ -466,8 +469,7 @@ def load_trace(path: str) -> Trace:
     trace = Trace()
     next_id = itertools.count(1)
     stacks: dict[tuple[Any, Any], list[SpanRecord]] = {}
-    for event in sorted((e for e in events if "ts" in e),
-                        key=lambda e: e["ts"]):
+    for event in sorted(events, key=lambda e: e["ts"]):
         ph = event.get("ph")
         pid = event.get("pid")
         lane = lane_of_pid.get(pid, f"pid-{pid}")

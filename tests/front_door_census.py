@@ -1,14 +1,20 @@
-"""Front-door census: which functions under ``src/repro`` does a run enter?
+"""Front-door census: which lines under ``src/repro`` does a run reach?
 
     python tests/front_door_census.py
 
-Runs each step of ``INVOCATIONS`` in a fresh interpreter under a call
-recorder and prints the outermost functions of ``src/repro`` that no step
-entered, as ``module:qualname  lines``. Exits 1 on such a function that
-``ALLOWED_NAMES`` (``tests/test_module_audit.py``) names neither itself
-nor by its class, on an entry neither this census nor the static audit
-needs, on a step that exits other than it states, and on a CLI flag no
-step sets. Not collected by tier-1 (no ``test_`` prefix); CI runs it.
+Runs each step of ``INVOCATIONS`` in a fresh interpreter under a line
+recorder. Prints the outermost functions of ``src/repro`` none of whose
+lines ran, as ``module:qualname  lines``, then, per file, the body lines
+that did not run inside functions that did, as ``file  count  lines``.
+Exits 1 on such a function that ``ALLOWED_NAMES``
+(``tests/test_module_audit.py``) names neither itself nor by its class,
+on an entry neither this census nor the static audit needs, on a file
+whose count is above its figure in ``tests/census_lines.json`` (or has
+none), on a step that exits other than it states or says other than it
+states, and on a CLI flag no step sets. A count below its figure is
+printed as ``lower census_lines.json: file: old -> new``; lowering the
+figure keeps the gain. Not collected by tier-1 (no ``test_`` prefix); CI
+runs it.
 """
 
 from __future__ import annotations
@@ -19,22 +25,228 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import partial
+from functools import lru_cache, partial
+from inspect import CO_NEWLOCALS
 from pathlib import Path
+from types import CodeType
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
+#: file under ``src/repro`` -> how many of its function-body lines no
+#: front door runs; the census fails when a count rises.
+RATCHET = ROOT / "tests" / "census_lines.json"
+
+
+def _ev(ph: str, name: str, ts: int, flow: int | None = None) -> str:
+    """One Chrome trace event on pid/tid 1/1, as JSON."""
+    return json.dumps({"name": name, "ph": ph, "ts": ts, "pid": 1, "tid": 1,
+                       **({} if flow is None else {"id": flow})})
+
+
+#: ``(file, its one line, what --from FILE must say)``: damaged JSON-lines
+#: exports, then Chrome documents each breaking one rule of
+#: :func:`repro.obs.validate_chrome_trace`.
+_BAD_TRACES = (
+    ("kind.jsonl", '{"type": "span?"}',
+     "kind.jsonl:1: record type 'span?' is not span"),
+    ("field.jsonl", '{"type": "span"}',
+     "field.jsonl:1: record is missing field 'name'"),
+    ("list.jsonl", "[1]", "list.jsonl:1: not a trace record"),
+    ("empty.jsonl", '{"type": "metrics"}',
+     "empty.jsonl: no spans to blame or diff"),
+    ("doc.json", '{"traceEvents": 1}',
+     "doc.json: document has no 'traceEvents' list"),
+    ("keys.json", '{"traceEvents": [{"ph": "B", "ts": 1}]}',
+     "keys.json: event 0 missing keys"),
+    ("open.json", '{"traceEvents": [' + _ev("E", "a", 1) + "]}",
+     "open.json: event 0: E 'a' on pid/tid (1, 1) with no open B"),
+    ("cross.json", '{"traceEvents": [' + _ev("B", "a", 1) + ", "
+     + _ev("E", "b", 2) + "]}",
+     "cross.json: event 1: E 'b' closes B 'a'"),
+    ("unclosed.json", '{"traceEvents": [' + _ev("B", "a", 1) + "]}",
+     "unclosed.json: pid/tid (1, 1) ends with unclosed spans ['a']"),
+    ("noid.json", '{"traceEvents": [' + _ev("s", "f", 1) + "]}",
+     "noid.json: event 0: flow event 'f' (s) has no 'id'"),
+    ("twice.json", '{"traceEvents": [' + _ev("B", "a", 1) + ", "
+     + _ev("s", "f", 1, 7) + ", " + _ev("s", "f", 1, 7) + ", "
+     + _ev("E", "a", 2) + "]}",
+     "twice.json: event 2: flow id 7 has a duplicate 's' event"),
+    ("loose.json", '{"traceEvents": [' + _ev("s", "f", 1, 7) + "]}",
+     "loose.json: event 0: flow event 'f' (s) at ts 1 binds to no "
+     "slice"),
+    ("nostart.json", '{"traceEvents": [' + _ev("B", "a", 1) + ", "
+     + _ev("f", "f", 1, 7) + ", " + _ev("E", "a", 2) + "]}",
+     "nostart.json: flow id 7 has no start (s) event"),
+    ("nofinish.json", '{"traceEvents": [' + _ev("B", "a", 1) + ", "
+     + _ev("s", "f", 1, 7) + ", " + _ev("E", "a", 2) + "]}",
+     "nofinish.json: flow id 7 has no finish (f) event"),
+    ("back.json", '{"traceEvents": [' + _ev("B", "a", 1) + ", "
+     + _ev("f", "f", 1, 7) + ", " + _ev("s", "f", 2, 7) + ", "
+     + _ev("E", "a", 2) + "]}",
+     "back.json: flow id 7 finishes (ts 1) before it starts (ts 2)"),
+)
+
+#: A partial JSON-lines export: a flow that never arrived and flows with
+#: no task id, and no kernel spans.
+_PARTIAL_TRACE = (
+    '{"type": "span", "name": "sim.step", "lane": "sim-timeline", '
+    '"span_id": 1, "t_start": 0, "t_end": 1, '
+    '"tags": {"stage": "simulation", "step": 0}}',
+    '{"type": "span", "name": "task", "lane": "bucket-0", "span_id": 2, '
+    '"t_start": 2, "t_end": 3, "tags": {"stage": "intransit"}}',
+    '{"type": "flow", "flow_id": 1, "kind": "task", "t_begin": 1, '
+    '"src_span_id": 1, "dst_span_id": 2, "tags": {"step": 0}, '
+    '"hops": [{"t": 2, "kind": "run", "lane": "bucket-0", "span_id": 2}]}',
+    '{"type": "flow", "flow_id": 2, "kind": "task", "t_begin": 1, '
+    '"src_span_id": 1, "tags": {"step": 0}, "hops": []}',
+)
 
 #: Groups run side by side, each in a fresh directory its steps share in
 #: order. A step is ``(exit code, argv split on spaces)``: ``repro ...``
 #: runs ``python -m repro``, a path runs that script (``{root}`` is the
-#: repository root), and ``@damage-cache FILE`` drops
-#: ``meta.schedule.results`` from the first line of a cache store.
-INVOCATIONS: dict[str, list[tuple[int, str]]] = {
+#: repository root), ``@append FILE TEXT`` adds the line TEXT to FILE,
+#: and ``@damage-cache FILE`` drops ``meta.schedule.results`` from the
+#: first line of a cache store. A hostile step, ``(exit code, argv,
+#: message)``, must print ``message`` and no traceback
+#: (``tests/test_hostile_inputs.py`` runs each in-process too).
+INVOCATIONS: dict[str, list[tuple]] = {
+    # Hostile flags: each is refused by its first check.
+    "bad flags": [
+        *[(1, f"repro submit --jobs b.jsonl --tenant a --name n {flags}", said)
+          for flags, said in (
+              ("--steps 0", "n_steps must be >= 1, got 0"),
+              ("--shards 2 --buckets 1", "need at least one bucket per shard"),
+              ("--lease-timeout 0", "lease_timeout must be > 0"),
+              ("--analyses VIS_INSITU",
+               "'VIS_INSITU' has no in-transit stage"),
+              ("--analyses TOPO_HYBRID TOPO_HYBRID",
+               "each analysis may be named once"),
+              ("--crash-times 20", "crash_times require lease_timeout"),
+              ("--pull-failure-rate 2", "pull_failure_rate must be in [0, 1]"),
+              ("--stall-rate 2", "pull_stall_rate must be in [0, 1]"),
+              ("--stall-seconds -1", "pull_stall_seconds must be >= 0"),
+              ("--lease-timeout 5 --crash-times -1",
+               "crash_times must be >= 0"),
+              ("--submit-at -1", "submit_at must be >= 0"))],
+        *[(1, f"repro simulate --grid 10 8 6 --ranks 2 1 1 {flags}", said)
+          for flags, said in (
+              ("--grid 1 8 6", "shape must be 3 axes of >= 2 cells"),
+              ("--ranks 20 1 1", "process grid (20, 1, 1) exceeds grid"),
+              ("--ranks 0 1 1", "invalid process grid (0, 1, 1)"),
+              ("--steps 0", "n_steps must be >= 1, got 0"),
+              ("--buckets 0", "n_buckets must be >= 1, got 0"))],
+        (1, "repro render --steps 0", "--steps: n must be >= 1, got 0"),
+        (2, "repro replay --top-kernels -1", "--top-kernels: must be >= 0"),
+        (2, "repro serve --jobs b.jsonl --min-cache-hit-rate 2",
+         "must be in [0.0, 1.0], got 2"),
+        (1, "repro check nosuch --out-dir c",
+         "unknown check selector(s) ['nosuch']"),
+        (1, "repro perf compare --out-dir p --tolerance sched.x",
+         "--tolerance expects KEY=VALUE, got 'sched.x'"),
+        (1, "repro perf compare --out-dir p --tolerance sched.x=y",
+         "--tolerance: value for 'sched.x' is not a number: 'y'"),
+        (1, "repro perf compare --out-dir p --tolerance sched.x=-1",
+         "--tolerance: tolerance must be >= 0, got -1.0"),
+        (1, "repro perf record --out-dir p --perturb nosuch=2",
+         "--perturb: cost model 'Jaguar-XK6' has no rate for operation "
+         "'nosuch'"),
+        (2, "repro perf compare --out-dir p --baseline none",
+         "no baseline records in none"),
+        (0, "repro perf report --out-dir p --baseline none"),
+        (0, "repro jobs --out-dir none"),
+    ],
+    # Hostile traces for --from: each exits 1 with one line.
+    "bad traces": [
+        (1, "repro replay --from none.jsonl --blame",
+         "cannot read trace none.jsonl"),
+        (1, "repro replay --from t.jsonl --trace",
+         "--from FILE blames (--blame) or diffs (--diff)"),
+        (1, "repro replay --functional --steps 2",
+         "--functional replays only to observe"),
+        (0, "@append bad.jsonl"),
+        (0, "@append bad.jsonl {"),
+        (1, "repro replay --from bad.jsonl --blame", "bad.jsonl:2: not JSON"),
+        *[(0, f"@append {name} {line}") for name, line, _ in _BAD_TRACES],
+        *[(1, f"repro replay --from {name} --diff {name}", said)
+          for name, _, said in _BAD_TRACES],
+        # A partial export still blames and diffs.
+        *[(0, f"@append part.jsonl {line}") for line in _PARTIAL_TRACE],
+        (0, "repro replay --from part.jsonl --blame --top-kernels 2"),
+        (0, "repro replay --from part.jsonl --diff part.jsonl"),
+    ],
+    # Hostile batch files: each exits 1 naming the file and line.
+    "bad batches": [
+        (1, "repro serve --jobs none.jsonl", "no such batch file: none.jsonl"),
+        (1, "repro serve --jobs .", "no such batch file: ."),
+        *[step for name, line, said in (
+            ("json.jsonl", "{", "json.jsonl:1: not valid JSON"),
+            ("list.jsonl", "[1]",
+             "list.jsonl:1: a job must be a JSON object, got list"),
+            ("field.jsonl", '{"tenant": "a", "name": "n", "bogus": 1}',
+             "field.jsonl:1: unknown job fields: ['bogus']"),
+            ("type.jsonl", '{"tenant": "a", "name": "n", "n_steps": "2"}',
+             "type.jsonl:1: n_steps must be an int, got '2'"),
+            ("none.jsonl", '{"tenant": "a", "name": "n", "analyses": []}',
+             "none.jsonl:1: need at least one analysis"),
+            ("tenant.jsonl", '{"tenant": "", "name": "n"}',
+             "tenant.jsonl:1: tenant must be non-empty"),
+            ("name.jsonl", '{"tenant": "a", "name": ""}',
+             "name.jsonl:1: job name must be non-empty"),
+            ("config.jsonl", '{"tenant": "a", "name": "n", "config": "p"}',
+             "config.jsonl:1: unknown config 'p'"),
+            ("q0.jsonl", '{"quota": {"tenant": ""}}',
+             "q0.jsonl:1: tenant must be non-empty"),
+            ("q1.jsonl", '{"quota": {"tenant": "a", "max_concurrent": 0}}',
+             "q1.jsonl:1: max_concurrent must be >= 1, got 0"),
+            ("q2.jsonl", '{"quota": {"tenant": "a", "staging_bytes": 0}}',
+             "q2.jsonl:1: staging_bytes must be > 0, got 0"),
+            ("q3.jsonl", '{"quota": {"tenant": "a", "max_cores": 0}}',
+             "q3.jsonl:1: max_cores must be > 0, got 0"),
+            ("q4.jsonl", '{"quota": {"tenant": "a", "cores": 1}}',
+             "q4.jsonl:1: TenantQuota.__init__() got an unexpected keyword "
+             "argument 'cores'"),
+            ("jobless.jsonl", '{"quota": {"tenant": "a"}}',
+             "batch file jobless.jsonl holds no jobs"),
+        ) for step in ((0, f"@append {name} {line}"),
+                       (1, f"repro serve --jobs {name}", said))],
+        (0, "repro submit --jobs b.jsonl --tenant a --name j1 --steps 2 "
+            "--buckets 3"),
+        (1, "repro serve --jobs b.jsonl --quota a",
+         "--quota expects TENANT=N, got 'a'"),
+        (1, "repro serve --jobs b.jsonl --quota a=x",
+         "--quota 'a=x': invalid literal for int()"),
+        # Cold: no cache hit, and no job held.
+        (1, "repro serve --jobs b.jsonl --out-dir s --min-cache-hit-rate 1.0 "
+            "--expect-quota-held",
+         "EXPECTED QUOTA ENFORCEMENT: no job was ever held"),
+    ],
+    # Quota budgets from batch lines: a (staging bytes) and b (cores) fit
+    # one job at a time, c takes the default of one; d and e never fit.
+    "quota": [
+        (0, "@append q.jsonl # budgets first, then a blank line"),
+        (0, "@append q.jsonl"),
+        (0, '@append q.jsonl {"quota": {"tenant": "a", '
+            '"staging_bytes": 500000000}}'),
+        (0, '@append q.jsonl {"quota": {"tenant": "b", "max_cores": 5000}}'),
+        (0, '@append q.jsonl {"quota": {"tenant": "*", "max_concurrent": 1}}'),
+        *[(0, f"repro submit --jobs q.jsonl --tenant {t} --name {t}{i} "
+              "--steps 2 --buckets 3")
+          for t in "abc" for i in (1, 2)],
+        (0, "repro serve --jobs q.jsonl --out-dir s --workers 3 "
+            "--expect-quota-held"),
+        (0, '@append d.jsonl {"quota": {"tenant": "d", "staging_bytes": 1}}'),
+        (0, '@append d.jsonl {"quota": {"tenant": "e", "max_cores": 1}}'),
+        (0, "repro submit --jobs d.jsonl --tenant d --name d1 --steps 2"),
+        (0, "repro submit --jobs d.jsonl --tenant e --name e1 --steps 2"),
+        (1, "repro serve --jobs d.jsonl --out-dir s --jsonl",
+         "FAILED d/d1#1: job needs 1154406400 staging bytes, over the "
+         "tenant budget of 1"),
+    ],
     "tables": [(0, "repro tables")],
     "simulate": [
         (0, "repro simulate --steps 2 --grid 10 8 6 --ranks 2 1 1 "
@@ -75,6 +287,13 @@ INVOCATIONS: dict[str, list[tuple[int, str]]] = {
         # A perturbed cost model must trip the gate.
         (1, "repro perf compare --out-dir p --baseline "
             "{root}/benchmarks/results/baseline --perturb topo.subtree=1.5"),
+        # A cheaper subtree op improves some metrics and trips others.
+        (1, "repro perf compare --out-dir p --baseline "
+            "{root}/benchmarks/results/baseline --perturb topo.subtree=0.5"),
+        # A slowed second record for the dashboard's deltas and failed
+        # gate, and a torn line.
+        (0, "repro perf record --out-dir p --perturb topo.subtree=1.5"),
+        (0, "@append p/perf/runs.jsonl {"),
         (0, "repro perf report --out-dir p --store p/perf --baseline "
             "{root}/benchmarks/results/baseline --html dash.html"),
     ],
@@ -91,6 +310,7 @@ INVOCATIONS: dict[str, list[tuple[int, str]]] = {
         (0, "repro serve --jobs b.jsonl --out-dir s --workers 3 --quota a=1 "
             "--default-quota 2 --expect-quota-held --report report.json"),
         (0, "repro serve --jobs b.jsonl --out-dir s --min-cache-hit-rate 1.0"),
+        (0, "@append s/service/jobs/runs.jsonl {"),
         (0, "repro jobs --out-dir s --state-dir s/service --tenant a "
             "--limit 1"),
         # A fresh state directory: the live stream, then the live view.
@@ -112,6 +332,15 @@ INVOCATIONS: dict[str, list[tuple[int, str]]] = {
             "--jsonl --expect-alerts beta --expect-clean alpha"),
         (0, "repro serve --jobs live.jsonl --workers 3 --out-dir serve "
             "--min-cache-hit-rate 1.0"),
+    ],
+    # A tenant that pages, then recovers: its burn-rate alert clears.
+    "recovery": [
+        (0, "repro submit --jobs r.jsonl --tenant beta --name b1 --steps 4 "
+            "--buckets 4 --lease-timeout 5 --fault-seed 3 --stall-rate 0.5 "
+            "--stall-seconds 40"),
+        (0, "repro submit --jobs r.jsonl --tenant beta --name b2 --steps 4 "
+            "--buckets 4 --submit-at 8000"),
+        (0, "repro serve --jobs r.jsonl --out-dir s --jsonl"),
     ],
     # Lost in-transit tasks: the job is done, its failed tasks counted.
     "lossy": [
@@ -146,30 +375,84 @@ WORKERS = 2  # groups side by side, one small interpreter each
 
 
 @contextmanager
-def record_calls(under: Path = PACKAGE):
-    """Collect ``(co_filename, co_firstlineno)`` of every function entered
-    under ``under`` while the block runs.
+def record_lines(under: Path = PACKAGE):
+    """Collect ``(co_filename, line)`` of every line run by a function
+    under ``under`` while the block runs (module and class bodies are
+    left out: importing runs them, whoever imports).
 
     ``sys.settrace``, not ``sys.setprofile``: a profiler that a run
     installs itself (``benchmarks/e2e/probes.profile_round`` enables
     cProfile) replaces a ``setprofile`` hook and blinds it for that
     stretch, but leaves a trace function alone. The trace function
-    returns ``None``, so it sees call events only, never lines."""
-    seen: set = set()
+    returns itself for the frames it watches, so it sees their lines; a
+    code object every line of which has run is not watched again."""
     prefix = str(under)
+    ran: dict[CodeType, set[int]] = {}
+    #: id(code) -> its line tracer, or None once it needs none; ``ran``
+    #: keeps each watched code alive, ``skipped`` every other, so no id
+    #: is reused while the block runs.
+    tracers: dict[int, object] = {}
+    skipped: list[CodeType] = []
 
-    def record(frame, event, arg):
-        seen.add(frame.f_code)
+    def tracer_for(code: CodeType):
+        lines = ran[code] = set()
+        add, need = lines.add, _lines(code)
+
+        def line(frame, event, arg):
+            if event == "line":
+                add(frame.f_lineno)
+            elif (event == "return" and len(lines) >= len(need)
+                  and lines >= need):
+                tracers[id(code)] = None
+            return line
+        return line
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        tracer = tracers.get(id(code), call)
+        if tracer is call:
+            if (code.co_flags & CO_NEWLOCALS
+                    and code.co_filename.startswith(prefix)):
+                tracer = tracer_for(code)
+            else:
+                skipped.append(code)
+                tracer = None
+            tracers[id(code)] = tracer
+        return tracer
 
     previous = sys.gettrace()
-    sys.settrace(record)
+    sys.settrace(call)
     out: set[tuple[str, int]] = set()
     try:
         yield out
     finally:
         sys.settrace(previous)
-        out.update((c.co_filename, c.co_firstlineno) for c in seen
-                   if c.co_filename.startswith(prefix))
+        out.update((c.co_filename, n) for c, lines in ran.items()
+                   for n in lines)
+
+
+@lru_cache(maxsize=None)
+def _lines(code: CodeType) -> frozenset[int]:
+    """The lines of one code object a run can report: every line of its
+    line table but the ``def`` (or first decorator) line, which only the
+    prologue carries, unless that is the code's only line."""
+    lines = {n for _, _, n in code.co_lines() if n is not None}
+    if len(lines) > 1:
+        lines.discard(code.co_firstlineno)
+    return frozenset(lines)
+
+
+def body_lines(path: Path) -> set[int]:
+    """The lines of ``path`` a function (closures, lambdas and
+    comprehensions included) can run."""
+    out: set[int] = set()
+    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        if code.co_flags & CO_NEWLOCALS:
+            out |= _lines(code)
+        todo += [c for c in code.co_consts if isinstance(c, CodeType)]
+    return out
 
 
 class Function(NamedTuple):
@@ -178,9 +461,12 @@ class Function(NamedTuple):
 
     key: str  # "module:qualname"
     path: str
-    def_line: int
     first_line: int
-    lines: int
+    last_line: int
+
+    @property
+    def lines(self) -> int:
+        return self.last_line - self.first_line + 1
 
 
 def outermost_functions(path: Path, module: str) -> list[Function]:
@@ -194,8 +480,7 @@ def outermost_functions(path: Path, module: str) -> list[Function]:
                 first = min([d.lineno for d in child.decorator_list]
                             + [child.lineno])
                 out.append(Function(f"{module}:{prefix}{child.name}",
-                                    str(path), child.lineno, first,
-                                    child.end_lineno - first + 1))
+                                    str(path), first, child.end_lineno))
             elif isinstance(child, ast.ClassDef):
                 walk(child, f"{prefix}{child.name}.")
             else:
@@ -205,21 +490,55 @@ def outermost_functions(path: Path, module: str) -> list[Function]:
     return out
 
 
+def _ran(function: Function, seen: set[tuple[str, int]]) -> bool:
+    return any((function.path, n) in seen
+               for n in range(function.first_line, function.last_line + 1))
+
+
 def unreached(functions: list[Function],
               seen: set[tuple[str, int]]) -> list[Function]:
-    """Those of ``functions`` no recorded call entered. On 3.11+ a
-    decorated function's ``co_firstlineno`` is its first decorator's
-    line, on 3.10 its ``def`` line: either matches."""
-    return [f for f in functions
-            if (f.path, f.first_line) not in seen
-            and (f.path, f.def_line) not in seen]
+    """Those of ``functions`` none of whose lines ran."""
+    return [f for f in functions if not _ran(f, seen)]
+
+
+def unreached_lines(functions: list[Function],
+                    seen: set[tuple[str, int]]) -> dict[str, list[int]]:
+    """``{path: lines}`` of the body lines that did not run inside the
+    functions of ``functions`` that did run (a function no line of which
+    ran is :func:`unreached`'s, not counted here)."""
+    body = {path: body_lines(Path(path))
+            for path in {f.path for f in functions}}
+    out: dict[str, list[int]] = {}
+    for f in functions:
+        if _ran(f, seen):
+            out.setdefault(f.path, []).extend(
+                n for n in range(f.first_line, f.last_line + 1)
+                if n in body[f.path] and (f.path, n) not in seen)
+    return {path: sorted(lines) for path, lines in out.items()}
+
+
+def ratchet(counts: dict[str, int], allowed: dict[str, int]
+            ) -> tuple[list[str], list[str]]:
+    """``(problems, lowered)`` of per-file unreached-line ``counts``
+    against the committed ``allowed`` figures: a count above its figure,
+    or a file with no figure, is a problem; a count below it is a figure
+    to lower."""
+    problems = [f"{name}: {n} unreached lines, {RATCHET.name} allows "
+                f"{allowed[name]}" if name in allowed else
+                f"{name}: {n} unreached lines, not in {RATCHET.name}"
+                for name, n in sorted(counts.items())
+                if n > allowed.get(name, 0)]
+    lowered = [f"{name}: {allowed[name]} -> {counts.get(name, 0)}"
+               for name in sorted(allowed)
+               if counts.get(name, 0) < allowed[name]]
+    return problems, lowered
 
 
 # -- one child ----------------------------------------------------------------
 
 
 def _child(out: str, argv: list[str]) -> int:
-    """Run one front door under the recorder; dump what it entered."""
+    """Run one front door under the recorder; dump the lines it ran."""
     import runpy
 
     # ``sys.argv`` and ``sys.path[0]`` as ``python -m repro`` or
@@ -235,7 +554,7 @@ def _child(out: str, argv: list[str]) -> int:
         sys.path[0] = str(Path(script).parent)
         run = partial(runpy.run_path, script, run_name="__main__")
     code = 0
-    with record_calls() as seen:
+    with record_lines() as seen:
         try:
             run()
         except SystemExit as exc:
@@ -248,7 +567,14 @@ def _child(out: str, argv: list[str]) -> int:
     return code
 
 
-def _damage_cache(path: Path) -> None:
+def _prepare(cwd: Path, step: str) -> None:
+    """Run one ``@`` step of :data:`INVOCATIONS` in ``cwd``."""
+    verb, name, *text = step.split(" ", 2)
+    path = cwd / name
+    if verb == "@append":
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("".join(text) + "\n")
+        return
     lines = path.read_text(encoding="utf-8").splitlines()
     entry = json.loads(lines[0])
     del entry["meta"]["schedule"]["results"]
@@ -256,34 +582,49 @@ def _damage_cache(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _run_group(name: str, steps: list[tuple[int, str]]
+def _run_group(name: str, steps: list[tuple]
                ) -> tuple[set[tuple[str, int]], list[str]]:
-    """Run one group's steps in order in a fresh directory; return what
-    they entered and every unexpected exit code."""
+    """Run one group's steps in order in a fresh directory; return the
+    lines they ran and every step that exits or speaks other than it
+    states."""
     seen: set[tuple[str, int]] = set()
     problems = []
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     with tempfile.TemporaryDirectory(prefix="census-") as cwd:
-        for i, (expected, step) in enumerate(steps):
-            argv = step.format(root=ROOT).split()
-            if argv[0] == "@damage-cache":
-                _damage_cache(Path(cwd, argv[1]))
+        for i, (expected, step, *said) in enumerate(steps):
+            if step.startswith("@"):
+                _prepare(Path(cwd), step)
                 continue
+            argv = step.format(root=ROOT).split()
             out = Path(cwd, f".census-{i}.json")
             proc = subprocess.run(
                 [sys.executable, __file__, "--child", str(out), *argv],
                 cwd=cwd, env=env, capture_output=True, text=True,
                 check=False)
-            if proc.returncode != expected:
+            if (proc.returncode != expected or "Traceback" in proc.stderr
+                    or not all(m in proc.stdout + proc.stderr for m in said)):
                 problems.append(
                     f"{name}: `{' '.join(argv)}` exited {proc.returncode}, "
-                    f"expected {expected}\n{proc.stderr.strip()[-2000:]}")
+                    f"expected {expected}"
+                    + "".join(f" saying {m!r}" for m in said)
+                    + f"\n{proc.stderr.strip()[-2000:]}")
             if out.exists():
                 seen.update(map(tuple, json.loads(out.read_text())))
     return seen, problems
 
 
 # -- the verdict --------------------------------------------------------------
+
+
+def _spans(lines: list[int]) -> str:
+    """``[3, 4, 5, 9]`` as ``3-5,9``."""
+    spans: list[list[int]] = []
+    for n in lines:
+        if spans and n == spans[-1][1] + 1:
+            spans[-1][1] = n
+        else:
+            spans.append([n, n])
+    return ",".join(f"{a}-{b}" if b > a else f"{a}" for a, b in spans)
 
 
 def unset_flags() -> list[str]:
@@ -295,7 +636,7 @@ def unset_flags() -> list[str]:
 
     given: dict[str, set[str]] = {}
     for steps in INVOCATIONS.values():
-        for _, step in steps:
+        for _, step, *_ in steps:
             verb, *argv = step.split()[1:] or [""]
             if step.startswith("repro "):
                 given.setdefault(verb, set()).update(
@@ -315,6 +656,7 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "tests"))
     from test_module_audit import ALLOWED_NAMES, SOURCES, statically_unused
 
+    start = time.monotonic()
     problems = [f"no invocation sets `{flag}`" for flag in unset_flags()]
     seen: set[tuple[str, int]] = set()
     with ThreadPoolExecutor(WORKERS) as pool:
@@ -341,10 +683,24 @@ def main() -> int:
     stale = sorted(set(ALLOWED_NAMES) - used_entries - statically_unused())
     problems += [f"allow-list entry no longer needed: {e}" for e in stale]
 
+    lines = {str(Path(path).relative_to(PACKAGE)): found for path, found
+             in unreached_lines(functions, seen).items() if found}
+    counts = {name: len(found) for name, found in lines.items()}
+    print(f"{sum(counts.values())} of "
+          f"{sum(len(body_lines(p)) for p in SOURCES.values())} "
+          "function-body lines run by no front door in functions that ran:")
+    for name, found in sorted(lines.items()):
+        print(f"  {name}  {len(found)}  {_spans(found)}")
+    rises, lowered = ratchet(counts, json.loads(RATCHET.read_text()))
+    problems += rises
+    for note in lowered:
+        print(f"lower {RATCHET.name}: {note}")
+
     for p in problems:
         print(f"FAIL {p}")
     print(f"census: {'FAIL' if problems else 'PASS'} "
-          f"({sum(len(s) for s in INVOCATIONS.values())} steps)")
+          f"({sum(len(s) for s in INVOCATIONS.values())} steps, "
+          f"{time.monotonic() - start:.0f} s)")
     return 1 if problems else 0
 
 

@@ -85,6 +85,16 @@ def test_the_model_path_leaves_numpy_unloaded(verbs, tmp_path, monkeypatch):
         assert not set(observers) & set(modules), verb
 
 
+def test_a_scenario_check_loads_no_paper_row_stack(tmp_path, monkeypatch):
+    """``check faults`` files every paper row but runs none, so the
+    analysis and simulation stacks the rows use stay unloaded."""
+    monkeypatch.chdir(tmp_path)
+    modules, _ = _loaded(_cli("check", "faults", "--out-dir", "c"))
+    assert "repro.checks.paper" in modules
+    assert not [m for m in modules
+                if m.startswith(("repro.analysis", "repro.sim"))]
+
+
 def test_benchmark_workloads_skip_the_side_subsystems():
     modules, _ = _loaded("import workloads")
     assert len(modules) <= 78, modules

@@ -524,7 +524,8 @@ def test_no_step_site_spells_its_records_by_hand():
 def test_census_recorder_sees_calls_under_a_profiler(tmp_path):
     """The census records with ``sys.settrace``, which a profiler a run
     enables (cProfile, as the e2e probes do) leaves alone: of two
-    functions, one decorated, exactly the uncalled one is unreached."""
+    functions, one decorated, exactly the uncalled one is unreached, and
+    every line of the called one ran."""
     import cProfile
     import importlib.util
 
@@ -537,13 +538,14 @@ def test_census_recorder_sees_calls_under_a_profiler(tmp_path):
     spec = importlib.util.spec_from_file_location("two", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    with census.record_calls(tmp_path) as seen:
+    with census.record_lines(tmp_path) as seen:
         profiler = cProfile.Profile()
         profiler.enable()
         try:
             module.called()
         finally:
             profiler.disable()
-    missed = census.unreached(census.outermost_functions(path, "two"),
-                              seen)
+    functions = census.outermost_functions(path, "two")
+    missed = census.unreached(functions, seen)
     assert [f.key for f in missed] == ["two:uncalled"]
+    assert census.unreached_lines(functions, seen) == {str(path): []}
