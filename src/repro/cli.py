@@ -427,6 +427,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         RunStore,
         collect_run_record,
         compare_record,
+        perturbed_cost_model,
     )
 
     out_dir = _anchor(args.out_dir)
@@ -434,13 +435,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     baseline_store = RunStore(args.baseline)
     perturb = _parse_kv_floats(args.perturb, "--perturb") or None
     if perturb:
-        from repro.costmodel.jaguar import jaguar_cost_model
-
-        cost = jaguar_cost_model()
         try:
-            for op in perturb:
-                cost.rate(op)
-        except KeyError as exc:
+            perturbed_cost_model(perturb)
+        except (KeyError, ValueError) as exc:
             raise SystemExit(f"--perturb: {exc.args[0]}") from None
     policies = DEFAULT_POLICIES
     if args.tolerance:

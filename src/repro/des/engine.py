@@ -71,7 +71,7 @@ class EventHandle:
         self.value = value
         engine = self.engine
         if engine._traced:
-            c = engine._triggers  # stamped in place: Counter.inc(1)
+            c = engine._triggers  # stamped in place: Counter.extend([1])
             c.value += 1
             c.times.append(c.clock())
             c.values.append(c.value)
@@ -136,7 +136,7 @@ class ProcessHandle:
             return
         engine = self.engine
         if engine._traced:
-            c = engine._resumes  # stamped in place: Counter.inc(1)
+            c = engine._resumes  # stamped in place: Counter.extend([1])
             c.value += 1
             c.times.append(c.clock())
             c.values.append(c.value)
@@ -221,10 +221,10 @@ class Engine:
         self._probe: Any = None
         # Capture the active tracer once; when tracing is enabled the
         # engine's clock becomes the tracer's trace clock and the des.*
-        # counters are bound here. Each site stamps its +1 in place (the
-        # two column appends of ``Counter.inc``, without its call); the
-        # sample reads the counter's own clock, which a later engine may
-        # have re-pointed at itself.
+        # counters are bound here. Each site stamps its +1 in place (what
+        # ``Counter.extend([1])`` records, without its call); the sample
+        # reads the counter's own clock, which a later engine may have
+        # re-pointed at itself.
         self._tracer = get_tracer()
         self._traced = self._tracer.enabled
         if self._traced:
@@ -288,7 +288,7 @@ class Engine:
         ev = EventHandle(self)
         self._schedule_at(self.now + delay, ev.succeed, value)
         if self._traced:  # counted once scheduled: a refused one is not
-            c = self._timeouts  # stamped in place: Counter.inc(1)
+            c = self._timeouts  # stamped in place: Counter.extend([1])
             c.value += 1
             c.times.append(c.clock())
             c.values.append(c.value)
@@ -332,7 +332,7 @@ class Engine:
         """Register and start a generator process at the current time."""
         proc = ProcessHandle(self, generator, name)
         if self._traced:
-            c = self._starts  # stamped in place: Counter.inc(1)
+            c = self._starts  # stamped in place: Counter.extend([1])
             c.value += 1
             c.times.append(c.clock())
             c.values.append(c.value)

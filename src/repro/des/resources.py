@@ -81,7 +81,7 @@ class Resource:
             ev.triggered = True
             ev.value = self
             if engine._traced:
-                c = engine._triggers  # stamped in place: Counter.inc(1)
+                c = engine._triggers  # stamped in place: Counter.extend([1])
                 c.value += 1
                 c.times.append(c.clock())
                 c.values.append(c.value)

@@ -2,21 +2,19 @@
 
 The registry is the numeric side of :mod:`repro.obs` — bytes moved,
 protocol picks, queue depths, bucket occupancy, retries. Instruments are
-created on first use (``registry.counter("dart.bytes_pulled")``) and are
-cheap enough to update from hot paths; when the registry is created with a
-clock and ``record_series=True`` every update also appends a
-``(time, value)`` sample — to a time column and a value column — so
-exporters can emit Chrome ``C`` (counter) events and queue-depth
-timelines.
-
-A :data:`NULL_METRICS` registry backs the disabled tracer: its instruments
-are shared no-op singletons, so instrumentation sites pay one attribute
-lookup and a no-op call when tracing is off.
+created on first use (``registry.counter("dart.bytes_pulled")``); with a
+clock, a counter or gauge keeps every ``(time, value)`` sample, so
+exporters can emit Chrome ``C`` (counter) events. A tracer's registry is
+a fold of its step records (:attr:`repro.obs.tracer.Tracer.metrics`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Sequence
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, lt
 from typing import Any
 
 from repro.util.tables import TextTable
@@ -26,43 +24,44 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
 ]
 
 
 class Counter:
     """Monotonically increasing count (events, bytes, retries).
 
-    A recording counter keeps its series as two columns, ``times`` and
-    ``values`` (sample ``k`` is ``(times[k], values[k])``), so an update
-    appends two scalars and builds no tuple. A hot site may stamp a +1
-    in place instead of calling :meth:`inc` — ``value += 1``, then
-    append ``clock()`` and ``value`` — which is exactly what ``inc(1)``
+    A counter with a clock keeps its series as two columns, ``times``
+    and ``values`` (sample ``k`` is ``(times[k], values[k])``). A hot
+    site may stamp a +1 in place — ``value += 1``, then append
+    ``clock()`` and ``value`` — which is exactly what ``extend([1])``
     records (DESIGN.md §4c).
     """
 
     __slots__ = ("name", "value", "times", "values", "clock")
 
-    def __init__(self, name: str, clock: Callable[[], float] | None = None,
-                 record_series: bool = False) -> None:
+    def __init__(self, name: str,
+                 clock: Callable[[], float] | None = None) -> None:
         self.name = name
         self.value: float = 0
-        recording = record_series and clock is not None
-        self.times: list[float] | None = [] if recording else None
-        self.values: list[float] | None = [] if recording else None
+        self.times: list[float] | None = None if clock is None else []
+        self.values: list[float] | None = None if clock is None else []
         #: The instrument's own clock; a registry re-points it
         #: (:meth:`MetricsRegistry.rebind_clock`), so read it per sample.
         self.clock = clock
 
-    def inc(self, delta: float = 1) -> None:
-        if delta < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease "
-                             f"(delta={delta})")
-        value = self.value = self.value + delta
-        times = self.times
-        if times is not None:
-            times.append(self.clock())
-            self.values.append(value)
+    def extend(self, deltas: Sequence[float],
+               times: Sequence[float] | None = None) -> None:
+        """Add each delta in turn, the ``k``-th sampled at ``times[k]``
+        (default: now on the clock); a negative delta refuses them all."""
+        if any(map(lt, deltas, repeat(0))):
+            raise ValueError(f"counter {self.name!r} cannot decrease (delta="
+                             f"{next(d for d in deltas if d < 0)})")
+        values = list(accumulate(deltas, initial=self.value))
+        self.value = values[-1]
+        del values[0]
+        if self.times is not None:
+            self.times.extend(times or [self.clock()] * len(values))
+            self.values.extend(values)
 
 
 class Gauge:
@@ -74,29 +73,31 @@ class Gauge:
     __slots__ = ("name", "value", "vmin", "vmax", "n_samples", "times",
                  "values", "clock")
 
-    def __init__(self, name: str, clock: Callable[[], float] | None = None,
-                 record_series: bool = False) -> None:
+    def __init__(self, name: str,
+                 clock: Callable[[], float] | None = None) -> None:
         self.name = name
         self.value: float = 0.0
-        self.vmin: float = float("inf")
-        self.vmax: float = float("-inf")
+        self.vmin: float = math.inf
+        self.vmax: float = -math.inf
         self.n_samples = 0
-        recording = record_series and clock is not None
-        self.times: list[float] | None = [] if recording else None
-        self.values: list[float] | None = [] if recording else None
+        self.times: list[float] | None = None if clock is None else []
+        self.values: list[float] | None = None if clock is None else []
         self.clock = clock
 
     def set(self, value: float) -> None:
-        self.value = value
-        if value < self.vmin:
-            self.vmin = value
-        if value > self.vmax:
-            self.vmax = value
-        self.n_samples += 1
-        times = self.times
-        if times is not None:
-            times.append(self.clock())
-            self.values.append(value)
+        self.extend((value,))
+
+    def extend(self, values: Sequence[float],
+               times: Sequence[float] | None = None) -> None:
+        """Write each value in turn, the ``k``-th sampled at ``times[k]``
+        (default: now on the clock), as the step and probe folds do."""
+        self.value = values[-1]
+        self.vmin = min(self.vmin, *values)
+        self.vmax = max(self.vmax, *values)
+        self.n_samples += len(values)
+        if self.times is not None:
+            self.times.extend(times or [self.clock()] * len(values))
+            self.values.extend(values)
 
 
 def nearest_rank(ordered: list[float], p: float) -> float:
@@ -109,52 +110,44 @@ def nearest_rank(ordered: list[float], p: float) -> float:
 class Histogram:
     """Distribution of observed values (transfer sizes, span durations).
 
-    Every observation is kept and backs the percentiles. The sorted view
-    is cached between observations, so repeated ``percentile()`` calls
-    (two per histogram per registry ``snapshot()``) cost one sort at most.
+    Every observation is kept, and the count, total, extremes and
+    percentiles are read from them. The sorted view is cached until the
+    next :meth:`extend`, so repeated ``percentile()`` calls (two per
+    histogram per registry ``snapshot()``) cost one sort at most.
     """
 
-    __slots__ = ("name", "values", "_count", "_total",
-                 "_vmin", "_vmax", "_sorted")
+    __slots__ = ("name", "values", "_sorted")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.values: list[float] = []
-        self._count = 0
-        self._total = 0.0
-        self._vmin = float("inf")
-        self._vmax = float("-inf")
         self._sorted: list[float] | None = None
 
-    def observe(self, value: float) -> None:
-        self._count += 1
-        self._total += value
-        if value < self._vmin:
-            self._vmin = value
-        if value > self._vmax:
-            self._vmax = value
-        self.values.append(value)
+    def extend(self, values: Sequence[float],
+               times: Sequence[float] | None = None) -> None:
+        """Keep each value (``times`` is not: there is no series)."""
+        self.values.extend(values)
         self._sorted = None
 
     @property
     def count(self) -> int:
-        return self._count
+        return len(self.values)
 
     @property
     def total(self) -> float:
-        return self._total
+        return reduce(add, self.values, 0.0)  # in observation order
 
     @property
     def mean(self) -> float:
-        return self._total / self._count if self._count else 0.0
+        return self.total / len(self.values) if self.values else 0.0
 
     @property
     def vmin(self) -> float:
-        return self._vmin if self._count else 0.0
+        return min(math.inf, *self.values) if self.values else 0.0
 
     @property
     def vmax(self) -> float:
-        return self._vmax if self._count else 0.0
+        return max(-math.inf, *self.values) if self.values else 0.0
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile, ``p`` in [0, 100]."""
@@ -167,32 +160,11 @@ class Histogram:
         return nearest_rank(self._sorted, p)
 
 
-class _NullInstrument:
-    """Shared no-op counter/gauge/histogram for the disabled tracer."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-    series = None
-    values: list[float] = []
-
-    def set(self, value: float = 1) -> None:
-        pass
-
-    #: ``Counter.inc`` and ``Histogram.observe``: the same no-op.
-    inc = observe = set
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
 class MetricsRegistry:
     """Name-keyed collection of instruments, created on first use."""
 
-    def __init__(self, clock: Callable[[], float] | None = None,
-                 record_series: bool = False) -> None:
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock
-        self._record_series = record_series
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
@@ -211,15 +183,13 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         inst = self.counters.get(name)
         if inst is None:
-            inst = self.counters[name] = Counter(name, self._clock,
-                                                 self._record_series)
+            inst = self.counters[name] = Counter(name, self._clock)
         return inst
 
     def gauge(self, name: str) -> Gauge:
         inst = self.gauges.get(name)
         if inst is None:
-            inst = self.gauges[name] = Gauge(name, self._clock,
-                                             self._record_series)
+            inst = self.gauges[name] = Gauge(name, self._clock)
         return inst
 
     def histogram(self, name: str) -> Histogram:
@@ -269,16 +239,3 @@ class MetricsRegistry:
             parts.append(t.render())
         return "\n\n".join(parts) if parts else "(no metrics)"
 
-
-class _NullMetricsRegistry(MetricsRegistry):
-    """Registry whose instruments are shared no-ops (disabled tracing)."""
-
-    def gauge(self, name: str) -> Gauge:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    #: Every kind of instrument is the one shared no-op, so no lookup on
-    #: the null registry ever creates one.
-    counter = histogram = gauge  # type: ignore[assignment]
-
-
-NULL_METRICS = _NullMetricsRegistry()

@@ -34,6 +34,7 @@ from __future__ import annotations
 import fnmatch
 import functools
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -48,6 +49,7 @@ from repro.util.tables import TextTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runner import ReplayPlan
+    from repro.costmodel.models import CostModel
 
 __all__ = [
     "RunRecord",
@@ -414,6 +416,21 @@ def _downsample(series: list[tuple[float, float]], cap: int = 120
     return [[t, v] for t, v in picked]
 
 
+def perturbed_cost_model(perturb: dict[str, float] | None) -> CostModel:
+    """The Jaguar cost model, each named operation's rate times its factor
+    (``KeyError``: no such operation; ``ValueError``: not a factor > 0)."""
+    from repro.costmodel.jaguar import jaguar_cost_model
+
+    cost = jaguar_cost_model()
+    for op, factor in (perturb or {}).items():
+        rate = cost.rate(op)
+        if not 0 < factor < math.inf:  # refuses NaN too
+            raise ValueError(f"factor for {op!r} must be a finite number "
+                             f"> 0, got {factor}")
+        cost = cost.with_rate(op, rate * factor)
+    return cost
+
+
 def collect_run_record(plan: ReplayPlan | None = None,
                        source: str = "cli",
                        perturb: dict[str, float] | None = None) -> RunRecord:
@@ -433,18 +450,15 @@ def collect_run_record(plan: ReplayPlan | None = None,
     """
     from repro.backend import get_backend
     from repro.core import ExperimentConfig, ReplayPlan, ScaledExperiment
-    from repro.costmodel.jaguar import jaguar_cost_model
     from repro.faults import FaultConfig, run_resilience_experiment
     from repro.obs.analysis import critical_path
     from repro.core.framework import traced_functional_run
     from repro.obs.blame import top_kernels
     from repro.obs.tracer import tracing
 
+    cost = perturbed_cost_model(perturb)
     wall_start = time.perf_counter()
     plan = plan or ReplayPlan(n_steps=10, n_buckets=8)
-    cost = jaguar_cost_model()
-    for op, factor in (perturb or {}).items():
-        cost = cost.with_rate(op, cost.rate(op) * factor)
     exp = ScaledExperiment(ExperimentConfig.paper_4896(), cost_model=cost)
     sim_dt = exp.simulation_step_time()
     probe_interval = max(sim_dt * 0.25, 1e-9)

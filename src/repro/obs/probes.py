@@ -216,12 +216,10 @@ class ProbeSampler:
         """Fold the rows into the ``probe.<name>`` gauges and evaluate
         summary SLOs over the finished trace's stage totals.
 
-        A tick only appends its row; here, once, each gauge is brought to
-        the end-state of a ``set()`` per sample at the sample's own time
-        (last value, min/max envelope, sample count, series), on top of
-        whatever an earlier sampler of the same tracer left in it.
-        Idempotent: a second call folds nothing and returns the alerts
-        already raised.
+        A tick only appends its row; here, once, each gauge is extended
+        by its samples at their own times, on top of whatever an earlier
+        sampler of the same tracer left in it. Idempotent: a second call
+        folds nothing and returns the alerts already raised.
         """
         if self._finalized:
             return self.alerts
@@ -231,15 +229,8 @@ class ProbeSampler:
             metrics = self.tracer.metrics
             times = [row.t for row in rows]
             for i, name in enumerate(self._names):
-                values = [row.values[i] for row in rows]
-                gauge = metrics.gauge("probe." + name)
-                gauge.vmin = min(gauge.vmin, min(values))
-                gauge.vmax = max(gauge.vmax, max(values))
-                gauge.value = values[-1]
-                gauge.n_samples += len(values)
-                if gauge.times is not None:
-                    gauge.times.extend(times)
-                    gauge.values.extend(values)
+                metrics.gauge("probe." + name).extend(
+                    [row.values[i] for row in rows], times)
         totals = trace.stage_totals()
         end = max([s.t_end for s in trace.closed_spans()], default=0.0)
         for rule in self._summary_rules:

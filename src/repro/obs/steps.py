@@ -54,9 +54,12 @@ class StepKind:
     hop_tags: str = ""
     #: With a span, the hop ends the flow in it (else it enters it).
     closes: bool = False
-    #: Reads the tags the instrument names hold (their values key the
-    #: instruments a tracer binds for the row); None when they hold none.
-    fields: Callable[[dict], object] | None = field(init=False)
+    #: The tags the instruments read: name fields (sorted), then values.
+    reads: tuple[str, ...] = field(init=False)
+    n_fields: int = field(init=False)  # how many reads are name fields
+    #: ``tags -> their reads' values`` (a tuple), kept by a step record;
+    #: None when the row has no instruments (its step keeps no record).
+    read: Callable[[dict], tuple] | None = field(init=False)
 
     def __post_init__(self) -> None:
         # Parsed once: a step reads tuples, never the spec strings.
@@ -65,11 +68,21 @@ class StepKind:
             set_(name, _pairs(getattr(self, name)))
         for name in ("tags", "hop_tags"):
             set_(name, tuple(getattr(self, name).split()))
-        names = [n for group in (self.counters, self.histograms, self.gauges)
-                 for n, _tag in group]
-        fields = sorted({part.split("}")[0] for n in names
+        instruments = (*self.counters, *self.histograms, *self.gauges)
+        fields = sorted({part.split("}")[0] for n, _tag in instruments
                          for part in n.split("{")[1:]})
-        set_("fields", itemgetter(*fields) if fields else None)
+        reads = tuple(dict.fromkeys(
+            [*fields, *(tag for _n, tag in instruments if tag is not None)]))
+        set_("reads", reads)
+        set_("n_fields", len(fields))
+        set_("read", None if not instruments else _reader(reads))
+
+
+def _reader(reads: tuple[str, ...]) -> Callable[[dict], tuple]:
+    """``tags -> tuple(tags[r] for r in reads)``, at C speed for two+."""
+    if len(reads) > 1:
+        return itemgetter(*reads)
+    return (lambda tags: (tags[reads[0]],)) if reads else (lambda tags: ())
 
 
 STEPS: dict[str, StepKind] = {

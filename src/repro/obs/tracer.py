@@ -38,13 +38,13 @@ import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Any
 
 from repro.obs.flow import FlowContext, FlowHop
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "SpanRecord",
@@ -257,9 +257,21 @@ class Tracer:
     enabled = True
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
+        # Imported here: an untraced run never loads the table.
+        from repro.obs.steps import STEPS
+
+        self._rows = STEPS
         self._wall_epoch = time.perf_counter()
         self._clock = clock or (lambda: time.perf_counter() - self._wall_epoch)
-        self.metrics = MetricsRegistry(clock=self._clock, record_series=True)
+        self._metrics = MetricsRegistry(clock=self._clock)
+        #: ``(kind, t, *values of row.reads)`` per step whose row has
+        #: instruments, in step order; :attr:`metrics` folds it. Atoms
+        #: only, so the collector soon stops tracking a record.
+        self.steps: list[tuple] = []
+        self._n_folded = 0
+        self._routes: dict[Any, list] = {}  # see _route
+        #: Instrument -> the ``(times, values)`` the fold files for it.
+        self._pending: dict[Any, tuple[list, list]] = {}
         #: The run's event log (:mod:`repro.obs.events`): closed spans,
         #: instants, sample rows, ledger deltas and bus events, in emit
         #: order. Append-only; never trimmed.
@@ -276,14 +288,12 @@ class Tracer:
         #: opened while a :meth:`context` block is active. Replaced, never
         #: mutated, so observers may read it without copying.
         self.ctx: dict[str, Any] = {}
-        #: Step kind -> its row's emitter (see :meth:`_bind`).
-        self._bound: dict[str, Callable[..., None]] = {}
 
     # -- clocks --------------------------------------------------------------
 
     def attach_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self.metrics.rebind_clock(clock)
+        self._metrics.rebind_clock(clock)
 
     def attach_engine(self, engine: Any) -> None:
         """Use ``engine.now`` as the trace clock (the DES engine calls this
@@ -385,8 +395,8 @@ class Tracer:
         """Open a causal flow, optionally anchored at a producer span.
 
         The returned context is carried by value through every hand-off;
-        downstream layers append hops with :meth:`flow_step` /
-        :meth:`flow_through` and close it with :meth:`flow_end`.
+        :meth:`step` appends its hops (a checkpoint at a lane, or
+        :meth:`flow_through` a span) and :meth:`flow_end` closes it.
         """
         flow = FlowContext(
             next(self._flow_ids), kind, self._clock() if t is None else t,
@@ -397,17 +407,6 @@ class Tracer:
             src_span.flow_out.append(flow.flow_id)
         self.trace.flows.append(flow)
         return flow
-
-    def flow_step(self, flow: FlowContext | None, kind: str, lane: str,
-                  t: float | None = None, **tags: Any) -> FlowHop | None:
-        """Record a checkpoint hop: the flow reached ``lane`` at ``t``,
-        and the time since the previous hop is explained by ``kind``."""
-        if flow is None:
-            return None
-        hop = FlowHop(self._clock() if t is None else t, kind, lane, None,
-                      tags)
-        flow.hops.append(hop)
-        return hop
 
     def flow_through(self, flow: FlowContext | None, kind: str,
                      span: SpanRecord, **tags: Any) -> FlowHop | None:
@@ -456,115 +455,99 @@ class Tracer:
     def step(self, kind: str, lane: str | None = None, /, task: Any = None,
              span: SpanRecord | None = None, flow: FlowContext | None = None,
              **tags: Any) -> None:
-        """Emit one protocol step: every counter, histogram, gauge,
-        instant and flow hop its :data:`~repro.obs.steps.STEPS` row names,
-        from the call's ``tags``.
+        """Record one protocol step: the instant and flow hop its
+        :data:`~repro.obs.steps.STEPS` row names, from the call's
+        ``tags``, and the step record :attr:`metrics` folds.
 
         ``lane`` overrides the row's lane; ``task`` supplies the flow
         (unless ``flow`` is given) and its retry count; ``span`` is the
         span the row's hop enters or ends in. ``kind`` and ``lane`` are
         positional, so any name is a tag.
         """
-        emit = self._bound.get(kind)
-        if emit is None:
-            emit = self._bound[kind] = self._bind(kind)
-        emit(self, lane, task, span, flow, tags)
+        row = self._rows[kind]
+        now = self._clock()
+        if row.read is not None:
+            self.steps.append((kind, now) + row.read(tags))
+        if lane is None:
+            lane = row.lane
+        if row.instant is not None:
+            # A call passing only the instant's tags passes them in row
+            # order (the module audit checks each site): reuse its dict.
+            itags = (tags if len(tags) == len(row.tags)
+                     else {k: tags[k] for k in row.tags})
+            if self.ctx:
+                itags = {**self.ctx, **itags}
+            name = row.instant
+            self._emit(InstantRecord(
+                name.format_map(tags) if "{" in name else name, lane, now,
+                time.perf_counter(), itags))
+        if row.edge is None:
+            return
+        if flow is None:
+            if task is None or task.flow is None:
+                return
+            flow = task.flow
+        edge = (row.retry_edge if row.retry_edge is not None and task.attempts
+                else row.edge)
+        hop_tags = row.hop_tags
+        hop = (tags if len(tags) == len(hop_tags)
+               else {k: tags[k] for k in hop_tags} if hop_tags else {})
+        if row.closes:
+            self.flow_end(flow, edge, span, **hop)
+        elif span is None:  # a checkpoint: the flow reached ``lane`` now
+            flow.hops.append(FlowHop(now, edge, lane, None, hop))
+        else:
+            self.flow_through(flow, edge, span, **hop)
 
-    def _bind(self, kind: str) -> Callable[..., None]:
-        """The row's emitter over its instruments in this tracer's
-        registry, bound on the kind's first step; a row whose instrument
-        names hold tags binds once per value of those tags."""
-        # Imported here: an untraced run never loads the table.
-        from repro.obs.steps import STEPS
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The run's metrics registry, every step record folded in.
 
-        row = STEPS[kind]
-        m = self.metrics
+        Each read folds the records appended since the last: it files
+        their samples per instrument in step order (two rows feed
+        ``dart.pull_faults``), then extends each instrument once; a
+        negative counter delta raises, dropping that counter's new
+        samples. ``des.*``, ``probe.*`` and ``capacity.*`` are written
+        into the registry directly."""
+        steps, routes = self.steps, self._routes
+        for record in itertools.islice(steps, self._n_folded, None):
+            t = record[1]
+            for add_time, add_value, i in (routes.get(record[0])
+                                           or self._route(record)):
+                add_time(t)
+                add_value(1 if i is None else record[i])
+        self._n_folded = len(steps)
+        for instrument, (times, values) in self._pending.items():
+            if times:
+                try:
+                    instrument.extend(values, times)
+                finally:
+                    times.clear()
+                    values.clear()
+        return self._metrics
 
-        def bind(tags: dict[str, Any]) -> Callable[..., None]:
-            return _emitter(kind)(
-                *[m.counter(n.format_map(tags)) for n, _t in row.counters],
-                *[m.histogram(n.format_map(tags)) for n, _t in row.histograms],
-                *[m.gauge(n.format_map(tags)) for n, _t in row.gauges])
-
-        if row.fields is None:
-            return bind({})
-        by_value: dict[Any, Callable[..., None]] = {}
-
-        def emit(tracer, lane, task, span, flow, tags):
-            value = row.fields(tags)
-            emit_value = by_value.get(value)
-            if emit_value is None:
-                emit_value = by_value[value] = bind(tags)
-            emit_value(tracer, lane, task, span, flow, tags)
-
-        return emit
-
-
-@cache
-def _emitter(kind: str) -> Callable[..., Callable[..., None]]:
-    """``bind(*instruments)`` for one row of :data:`~repro.obs.steps.STEPS`:
-    it returns ``emit(tracer, lane, task, span, flow, tags)`` over the
-    row's instruments (counters, then histograms, then gauges).
-
-    The row is unrolled into straight-line code once per process (as
-    ``dataclasses`` writes an ``__init__``), so a step runs only its own
-    records' statements: a +1 counter is stamped in place, exactly as
-    ``Counter.inc(1)`` records it; the instant reuses the call's keyword
-    dict when the call passes only the instant's tags (a site passes
-    every tag in row order; the module audit checks it).
-    """
-    from repro.obs.steps import STEPS
-
-    row = STEPS[kind]
-    lines = []
-    for i, (_name, tag) in enumerate(row.counters):
-        lines += ([f"i{i}.value = v = i{i}.value + 1",
-                   f"i{i}.times.append(i{i}.clock())",
-                   f"i{i}.values.append(v)"]
-                  if tag is None else [f"i{i}.inc(tags[{tag!r}])"])
-    i = len(row.counters)
-    for method, group in (("observe", row.histograms), ("set", row.gauges)):
-        for _name, tag in group:
-            lines.append(f"i{i}.{method}(tags[{tag!r}])")
-            i += 1
-    if row.lane is not None:
-        lines.append(f"lane = {row.lane!r} if lane is None else lane")
-    now = "None"
-    if row.instant is not None:
-        name = (f"{row.instant!r}.format_map(tags)" if "{" in row.instant
-                else repr(row.instant))
-        picked = ", ".join(f"{k!r}: tags[{k!r}]" for k in row.tags)
-        lines += [f"itags = tags if len(tags) == {len(row.tags)} "
-                  f"else {{{picked}}}",
-                  "if tracer.ctx:", "    itags = {**tracer.ctx, **itags}",
-                  "now = tracer._clock()",
-                  f"tracer._emit(InstantRecord({name}, lane, now, "
-                  "perf_counter(), itags))"]
-        now = "now"
-    if row.edge is not None:
-        edge = (repr(row.edge) if row.retry_edge is None else
-                f"{row.retry_edge!r} if task.attempts else {row.edge!r}")
-        hop = "".join(f", {k}=tags[{k!r}]" for k in row.hop_tags)
-        lines += ["if flow is None:",
-                  "    if task is None or task.flow is None:",
-                  "        return",
-                  "    flow = task.flow"]
-        checkpoint = f"flow_step(tracer, flow, {edge}, lane, {now}{hop})"
-        through = f"flow_through(tracer, flow, {edge}, span{hop})"
-        lines += ([f"flow_end(tracer, flow, {edge}, span{hop})"] if row.closes
-                  else ["if span is None:", f"    {checkpoint}",
-                        "else:", f"    {through}"])
-    source = (f"def bind({''.join(f'i{k}, ' for k in range(i))}):\n"
-              "    def emit(tracer, lane, task, span, flow, tags):\n"
-              + "".join(f"        {line}\n" for line in lines or ["pass"])
-              + "    return emit\n")
-    namespace = {"InstantRecord": InstantRecord,
-                 "perf_counter": time.perf_counter,
-                 "flow_step": Tracer.flow_step,
-                 "flow_through": Tracer.flow_through,
-                 "flow_end": Tracer.flow_end}
-    exec(compile(source, f"<step {kind}>", "exec"), namespace)
-    return namespace["bind"]
+    def _route(self, record: tuple) -> list:
+        """``(add time, add value, record index)`` per instrument of the
+        record's row, bound once per row (per name-field value when its
+        names hold tags); every feeder of an instrument shares its
+        pending columns."""
+        row = self._rows[record[0]]
+        key = ((record[0], record[2:2 + row.n_fields]) if row.n_fields
+               else record[0])
+        route = self._routes.get(key)
+        if route is None:
+            m, names = self._metrics, dict(zip(row.reads, record[2:]))
+            index = {tag: i for i, tag in enumerate(row.reads, 2)}
+            route = self._routes[key] = []
+            for make, group in ((m.counter, row.counters),
+                                (m.histogram, row.histograms),
+                                (m.gauge, row.gauges)):
+                for name, tag in group:
+                    times, values = self._pending.setdefault(
+                        make(name.format_map(names)), ([], []))
+                    route.append((times.append, values.append,
+                                  index.get(tag)))
+        return route
 
 
 class _NullSpan:
@@ -611,7 +594,6 @@ class NullTracer:
     """
 
     enabled = False
-    metrics = NULL_METRICS
     #: No bus and no ambient context under the null tracer.
     bus = None
     ctx: Any = MappingProxyType({})
@@ -619,6 +601,10 @@ class NullTracer:
     @property
     def trace(self) -> Trace:
         return Trace()
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        return MetricsRegistry()
 
     def attach_clock(self, clock: Callable[[], float]) -> None:
         pass
@@ -655,25 +641,12 @@ class NullTracer:
              span: Any = None, flow: Any = None, **tags: Any) -> None:
         pass
 
-    # Flow propagation compiles out: a None flow short-circuits every
-    # hop site, so hot paths pay one ``is None`` check at most.
+    # Flow propagation costs nothing: the null tracer opens no flow, so
+    # a task carries None and no step appends a hop.
 
     def flow_begin(self, kind: str, src_span: Any = None,
                    t: float | None = None, **tags: Any) -> None:
         return None
-
-    def flow_step(self, flow: Any, kind: str, lane: str,
-                  t: float | None = None, **tags: Any) -> None:
-        return None
-
-    def flow_through(self, flow: Any, kind: str, span: Any,
-                     **tags: Any) -> None:
-        return None
-
-    def flow_end(self, flow: Any, kind: str, span: Any,
-                 **tags: Any) -> None:
-        return None
-
 
 NULL_TRACER = NullTracer()
 

@@ -155,6 +155,9 @@ INVOCATIONS: dict[str, list[tuple]] = {
         (1, "repro perf record --out-dir p --perturb nosuch=2",
          "--perturb: cost model 'Jaguar-XK6' has no rate for operation "
          "'nosuch'"),
+        (1, "repro perf record --out-dir p --perturb topo.subtree=-1",
+         "--perturb: factor for 'topo.subtree' must be a finite number > 0, "
+         "got -1.0"),
         (2, "repro perf compare --out-dir p --baseline none",
          "no baseline records in none"),
         (0, "repro perf report --out-dir p --baseline none"),

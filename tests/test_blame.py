@@ -30,6 +30,7 @@ from repro.obs.flow import (
     EDGE_QUEUE,
     EDGE_RETRY,
     EDGE_SERVICE,
+    FlowHop,
 )
 
 
@@ -77,8 +78,8 @@ class TestBlameBreakdown:
         src = tracer.add_span("produce", lane="sim", t_start=0.0, t_end=1.0,
                               stage="insitu")
         flow = tracer.flow_begin("task", src_span=src, t=1.0)
-        tracer.flow_step(flow, EDGE_NOTIFY, "sched", t=1.2)
-        tracer.flow_step(flow, EDGE_QUEUE, "sched", t=2.0)
+        flow.hops.append(FlowHop(1.2, EDGE_NOTIFY, "sched"))
+        flow.hops.append(FlowHop(2.0, EDGE_QUEUE, "sched"))
         wire = tracer.add_span("pull", lane="b", t_start=2.0, t_end=3.0,
                                stage="movement")
         tracer.flow_through(flow, EDGE_SERVICE, wire)
@@ -129,8 +130,8 @@ class TestBlameBreakdown:
     def test_flow_edge_totals_excludes_span_residency(self):
         tracer = Tracer()
         flow = tracer.flow_begin("task", t=0.0)
-        tracer.flow_step(flow, EDGE_NOTIFY, "s", t=0.5)
-        tracer.flow_step(flow, EDGE_QUEUE, "s", t=2.0)
+        flow.hops.append(FlowHop(0.5, EDGE_NOTIFY, "s"))
+        flow.hops.append(FlowHop(2.0, EDGE_QUEUE, "s"))
         wire = tracer.add_span("pull", lane="b", t_start=2.0, t_end=3.0,
                                stage="movement")
         tracer.flow_through(flow, EDGE_GRANT, wire)

@@ -26,6 +26,7 @@ from repro.obs.flow import (
     EDGE_RETRY,
     EDGE_SERVICE,
     FlowContext,
+    FlowHop,
 )
 
 
@@ -47,8 +48,8 @@ class TestFlowRecording:
         assert src.flow_out == [flow.flow_id]
         assert not flow.closed
 
-        tracer.flow_step(flow, EDGE_NOTIFY, "scheduler", t=1.1)
-        tracer.flow_step(flow, EDGE_QUEUE, "scheduler", t=1.5)
+        flow.hops.append(FlowHop(1.1, EDGE_NOTIFY, "scheduler"))
+        flow.hops.append(FlowHop(1.5, EDGE_QUEUE, "scheduler"))
         wire = tracer.add_span("pull", lane="bucket", t_start=1.5, t_end=2.0,
                                stage="movement")
         tracer.flow_through(flow, EDGE_GRANT, wire)
@@ -67,14 +68,11 @@ class TestFlowRecording:
     def test_null_tracer_flow_methods_are_inert(self):
         flow = NULL_TRACER.flow_begin("task")
         assert flow is None
-        assert NULL_TRACER.flow_step(None, EDGE_QUEUE, "l") is None
-        assert NULL_TRACER.flow_through(None, EDGE_GRANT, None) is None
-        assert NULL_TRACER.flow_end(None, EDGE_SERVICE, None) is None
         assert NULL_TRACER.trace.flows == []
 
     def test_none_flow_short_circuits_on_real_tracer(self):
         tracer = Tracer()
-        assert tracer.flow_step(None, EDGE_QUEUE, "l") is None
+        assert tracer.flow_through(None, EDGE_GRANT, None) is None
         assert tracer.flow_end(None, EDGE_SERVICE, None) is None
         assert tracer.trace.flows == []
 

@@ -319,7 +319,7 @@ class TestGaugeMirrorWithLiveSubscribers:
         tracer = Tracer(clock=lambda: 0.0)
         depth = [0.0]
         sampler = self._sampler(tracer, depth)
-        reference = Gauge("ref", clock=lambda: 0.0, record_series=True)
+        reference = Gauge("ref", clock=lambda: 0.0)
         for t in range(8):
             depth[0] = float((t * 3) % 5)
             sampler.on_advance(float(t))

@@ -179,12 +179,6 @@ ALLOWED_NAMES = {f"repro.{name}": _why(kind, *needed_by)
     ("obs.tracer:NullTracer", _NO_OP,
      "tests/test_obs.py::test_null_tracer_is_inert"),
     ("obs.tracer:_NullSpan.tags", _NO_OP, "tests/test_obs.py"),
-    # Sites emit through Tracer.step, which the null tracer answers
-    # itself; only code reading ``tracer.metrics`` reaches these.
-    ("obs.metrics:_NullMetricsRegistry", _NO_OP,
-     "tests/test_obs.py::test_null_tracer_is_inert"),
-    ("obs.metrics:_NullInstrument", _NO_OP,
-     "tests/test_obs.py::test_null_tracer_is_inert"),
     ("des.engine:Engine.any_of", _FAULT_PATH, "tests/test_des.py"),
     ("des.engine:Engine.run_until_done", _FAULT_PATH, "tests/test_des.py",
      "tests/test_transport.py"),

@@ -115,11 +115,12 @@ class TestNullTracerAndInstall:
             assert inert.tags == {}
         NULL_TRACER.instant("i")
         NULL_TRACER.step("sched.bucket_dead", "l", bucket="b")
-        NULL_TRACER.metrics.counter("c").inc()
-        NULL_TRACER.metrics.histogram("h").observe(1.0)
+        NULL_TRACER.metrics.counter("c").extend([1])
+        NULL_TRACER.metrics.histogram("h").extend([1.0])
         assert NULL_TRACER.trace.spans == []
-        # The null registry hands out its one no-op; it registers nothing.
+        # Each read is a fresh empty registry: nothing written sticks.
         metrics = NULL_TRACER.metrics
+        assert metrics is not NULL_TRACER.metrics
         assert not (metrics.counters or metrics.gauges or metrics.histograms)
 
     def test_tracing_context_installs_and_restores(self):
@@ -137,12 +138,15 @@ class TestMetricsRegistry:
     def test_counter_monotone(self):
         reg = MetricsRegistry()
         c = reg.counter("bytes")
-        c.inc(10)
-        c.inc(2.5)
+        c.extend([10])
+        c.extend([2.5])
         assert c.value == pytest.approx(12.5)
         assert reg.counter("bytes") is c  # created once, reused
         with pytest.raises(ValueError):
-            c.inc(-1)
+            c.extend([-1])
+        with pytest.raises(ValueError):  # one negative refuses the batch
+            c.extend([1, -1])
+        assert c.value == pytest.approx(12.5)
 
     def test_gauge_tracks_min_max(self):
         reg = MetricsRegistry()
@@ -156,7 +160,7 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         h = reg.histogram("lat")
         for v in range(1, 101):
-            h.observe(float(v))
+            h.extend([float(v)])
         assert h.count == 100
         assert h.mean == pytest.approx(50.5)
         assert h.percentile(0) == 1.0
@@ -167,18 +171,18 @@ class TestMetricsRegistry:
 
     def test_series_recorded_with_clock(self):
         times = [0.0]
-        reg = MetricsRegistry(clock=lambda: times[0], record_series=True)
+        reg = MetricsRegistry(clock=lambda: times[0])
         c = reg.counter("events")
-        c.inc()
+        c.extend([1])
         times[0] = 2.0
-        c.inc(3)
+        c.extend([3])
         assert list(zip(c.times, c.values)) == [(0.0, 1), (2.0, 4)]
 
     def test_snapshot_and_summary(self):
         reg = MetricsRegistry()
-        reg.counter("n").inc(7)
+        reg.counter("n").extend([7])
         reg.gauge("q").set(3)
-        reg.histogram("t").observe(1.5)
+        reg.histogram("t").extend([1.5])
         snap = reg.snapshot()
         assert snap["counters"]["n"] == 7
         assert snap["gauges"]["q"]["max"] == 3
@@ -204,7 +208,7 @@ class TestMetricsRegistry:
 
     def test_histogram_percentile_bounds(self):
         h = MetricsRegistry().histogram("lat")
-        h.observe(5.0)
+        h.extend([5.0])
         for bad in (-0.1, 100.1):
             with pytest.raises(ValueError):
                 h.percentile(bad)
@@ -213,16 +217,16 @@ class TestMetricsRegistry:
     def test_histogram_sorted_view_invalidated_on_observe(self):
         h = MetricsRegistry().histogram("lat")
         for v in (3.0, 1.0):
-            h.observe(v)
+            h.extend([v])
         assert h.percentile(100) == 3.0  # caches the sorted view
-        h.observe(9.0)                   # must invalidate it
+        h.extend([9.0])                  # must invalidate it
         assert h.percentile(100) == 9.0
         assert h.percentile(0) == 1.0
 
     def test_histogram_uncapped_keeps_everything(self):
         h = MetricsRegistry().histogram("all")
         for v in range(500):
-            h.observe(float(v))
+            h.extend([float(v)])
         assert len(h.values) == 500
         assert h.percentile(50) == pytest.approx(249.5, abs=1.0)
 
@@ -233,7 +237,7 @@ class TestChromeExport:
             with tracer.span("step", lane="sim", stage="simulation", step=0):
                 pass
             tracer.instant("ready", lane="sched", task="t0")
-            tracer.metrics.counter("pulls").inc(2)
+            tracer.metrics.counter("pulls").extend([2])
         doc = to_chrome_trace(tracer.trace, tracer.metrics)
         assert validate_chrome_trace(doc) == []
         phases = {e["ph"] for e in doc["traceEvents"]}
@@ -283,7 +287,7 @@ class TestChromeExport:
             with tracer.span("s", lane="l", step=1):
                 pass
             tracer.instant("i", lane="l")
-            tracer.metrics.counter("c").inc()
+            tracer.metrics.counter("c").extend([1])
         out = tmp_path / "t.json"
         doc = write_chrome_trace(str(out), tracer.trace, tracer.metrics)
         assert json.loads(out.read_text()) == doc

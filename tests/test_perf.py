@@ -1,6 +1,7 @@
 """Tests for repro.obs.perf: run store, regression gate, dashboard, CLI."""
 
 import json
+import math
 
 import pytest
 
@@ -193,6 +194,12 @@ class TestCollectRunRecord:
         regressed = {v.metric for v in report.verdicts
                      if v.status == "regressed"}
         assert "trace.insitu_s" in regressed
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_a_perturbation_must_be_a_finite_positive_factor(self, factor):
+        with pytest.raises(ValueError, match="'topo.subtree' must be a "
+                                             "finite number > 0"):
+            collect_run_record(_SMALL, perturb={"topo.subtree": factor})
 
 
 class TestDashboard:

@@ -107,6 +107,18 @@ class TestProbeSampler:
         assert gauge.n_samples == len(sampler.series["v"]) == 3
         assert list(zip(gauge.times, gauge.values)) == sampler.series["v"]
 
+    def test_finalize_without_tracing_keeps_series_and_alerts(self):
+        """A sampler built with tracing off folds into no registry that
+        lasts; ``finalize`` used to raise on the null registry's shared
+        instrument instead of returning the alerts."""
+        rule = SloRule(name="backlog", probe="q", op="<=", threshold=2.0)
+        sampler = ProbeSampler(1.0, {"q": lambda: 5.0}, slos=(rule,))
+        assert sampler.tracer is NULL_TRACER
+        self._drive(sampler, [0.5, 2.0])
+        alerts = sampler.finalize(NULL_TRACER.trace)
+        assert [(a.rule, a.t) for a in alerts] == [("backlog", 0.0)]
+        assert sampler.series["q"] == [(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)]
+
     def test_summary_slo_evaluated_at_finalize(self):
         tracer = Tracer(clock=lambda: 0.0)
         span = tracer.begin("sim", lane="x", stage="simulation")

@@ -8,16 +8,20 @@ replay's blame must cover the fallback tasks: its window is the makespan
 and no finished task's flow stays open.
 """
 
+import math
+import re
 from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.runner import ExperimentConfig, ReplayPlan, ScaledExperiment
 from repro.des import Engine
 from repro.faults import FaultConfig, run_resilience_experiment
 from repro.obs.blame import blame
 from repro.obs.flow import EDGE_SERVICE
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.steps import STEPS
 from repro.obs.tracer import NULL_TRACER, Tracer, tracing
 from repro.staging import DataSpaces
@@ -189,3 +193,126 @@ class TestStep:
         assert NULL_TRACER.step("sched.assign", "x", None, bucket="b") is None
         assert NULL_TRACER.metrics.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {}}
+
+
+# -- the metrics fold ---------------------------------------------------------
+#
+# ``Tracer.metrics`` folds the step records into the registry on read.
+# The reference below is what a step used to do at emit time: one
+# single-sample update per instrument of the row (``extend([v])``, or
+# ``set(v)`` for a gauge), on a registry with the same clock. Every row is
+# drawn, the failure rows included (the golden digests cover only the happy
+# path), with templated names and the two rows that feed
+# ``dart.pull_faults``.
+
+#: Values of the tags that name instruments (``dart.pull.{protocol}``).
+_FIELD_VALUES = ("rdma", "tcp", "x")
+
+
+def _tag_strategy(row):
+    """Tags for one call of ``row``: every tag it reads, in row order.
+
+    Counter deltas are >= 0, gauges may read NaN, and the tags in
+    instrument names take a few values, so bound names repeat."""
+    instruments = (*row.counters, *row.histograms, *row.gauges)
+    fields = [f for n, _t in instruments for f in re.findall(r"{(\w+)}", n)]
+    number = st.one_of(st.integers(-5, 10**6), st.floats(-1e3, 1e9))
+    kinds = {tag: number for _n, tag in row.histograms}
+    kinds.update((tag, st.one_of(number, st.just(math.nan)))
+                 for _n, tag in row.gauges)
+    kinds.update((tag, st.one_of(st.integers(0, 10**6), st.floats(0, 1e9)))
+                 for _n, tag in row.counters if tag is not None)
+    kinds.update((f, st.sampled_from(_FIELD_VALUES)) for f in fields)
+    names = [*row.tags, *row.hop_tags, *fields, *kinds]
+    return st.fixed_dictionaries({name: kinds.get(name, st.integers())
+                                  for name in dict.fromkeys(names)})
+
+
+_STEP = st.sampled_from(sorted(STEPS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), _tag_strategy(STEPS[kind]),
+                           st.floats(0, 5)))
+#: Step sequences leaning on the two feeders of ``dart.pull_faults``.
+_SEQUENCES = st.lists(st.one_of(
+    _STEP, st.sampled_from(["dart.pull_retry", "dart.pull_exhausted"]).flatmap(
+        lambda kind: st.tuples(st.just(kind), _tag_strategy(STEPS[kind]),
+                               st.floats(0, 5)))), max_size=60)
+
+
+def _drive(steps, reads=()):
+    """Step a tracer through ``steps`` (each after its clock advance),
+    reading its metrics after the steps whose indexes are in ``reads``."""
+    now = [0.0]
+    tracer = Tracer(clock=lambda: now[0])
+    for i, (kind, tags, dt) in enumerate(steps):
+        now[0] += dt
+        tracer.step(kind, None, **tags)
+        if i in reads:
+            tracer.metrics
+    return tracer.metrics
+
+
+def _reference(steps):
+    now = [0.0]
+    registry = MetricsRegistry(clock=lambda: now[0])
+    for kind, tags, dt in steps:
+        now[0] += dt
+        row = STEPS[kind]
+        for name, tag in row.counters:
+            registry.counter(name.format_map(tags)).extend(
+                [1 if tag is None else tags[tag]])
+        for name, tag in row.histograms:
+            registry.histogram(name.format_map(tags)).extend([tags[tag]])
+        for name, tag in row.gauges:
+            registry.gauge(name.format_map(tags)).set(tags[tag])
+    return registry
+
+
+def _columns(registry):
+    """Everything a registry holds, as text (``repr`` tells 1 from 1.0
+    and keeps NaN comparable)."""
+    return repr((registry.snapshot(),
+                 {n: (c.value, c.times, c.values)
+                  for n, c in sorted(registry.counters.items())},
+                 {n: (g.value, g.vmin, g.vmax, g.n_samples, g.times, g.values)
+                  for n, g in sorted(registry.gauges.items())},
+                 {n: h.values
+                  for n, h in sorted(registry.histograms.items())}))
+
+
+class TestMetricsFold:
+    @settings(max_examples=150, deadline=None)
+    @given(_SEQUENCES)
+    # A gauge's envelope skips a NaN as a per-sample write does.
+    @example([("sched.queue", {"queue_depth": math.nan,
+                               "idle_buckets": 1.0}, 1.0),
+              ("sched.queue", {"queue_depth": 2.0,
+                               "idle_buckets": math.nan}, 1.0)])
+    def test_fold_equals_a_per_step_registry(self, steps):
+        assert _columns(_drive(steps)) == _columns(_reference(steps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SEQUENCES, st.sets(st.integers(0, 59)))
+    def test_reads_in_the_middle_change_nothing(self, steps, reads):
+        assert _columns(_drive(steps, reads)) == _columns(_drive(steps))
+
+    def test_a_plus_one_counter_stays_an_int(self):
+        metrics = _drive([("sched.bucket_ready", {"bucket": "b"}, 1.0)] * 2)
+        counter = metrics.counters["sched.bucket_ready"]
+        assert counter.values == [1, 2] and type(counter.value) is int
+
+    def test_two_rows_feed_one_counter_in_step_order(self):
+        metrics = _drive([
+            ("dart.pull_retry", {"region": "r", "attempt": 1,
+                                 "backoff": 0.1}, 1.0),
+            ("dart.pull_exhausted", {"region": "r", "attempts": 2}, 1.0),
+            ("dart.pull_retry", {"region": "r", "attempt": 1,
+                                 "backoff": 0.1}, 1.0)])
+        faults = metrics.counters["dart.pull_faults"]
+        assert list(zip(faults.times, faults.values)) == [
+            (1.0, 1), (2.0, 2), (3.0, 3)]
+
+    def test_a_negative_delta_raises_at_fold_time(self):
+        tracer = Tracer(clock=lambda: 0.0)
+        tracer.step("dart.pull", protocol="rdma", nbytes=-1)
+        with pytest.raises(ValueError, match="cannot decrease"):
+            tracer.metrics
