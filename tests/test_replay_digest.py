@@ -11,14 +11,28 @@ explained, not re-recorded.
 
 The faulted plan also runs on a sharded area, where each shard keeps its
 own supervisor and degraded mode: every task is still accounted for.
+
+Controlled replays are pinned the same way, over the task results, the
+assignment records, the controller's decision log and its pool
+trajectory: pool growth, placement flips both ways, a sparser analysis
+cadence, and two analyses in-situ at once, the last also under several
+hash seeds (the in-situ segments must not follow set iteration order).
 """
 
+import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.control import CONTROL_PLAN, ControlPolicy, PlacementController
 from repro.core.runner import ExperimentConfig, ScaledExperiment
+from repro.core.workload import HYBRID_VARIANTS, AnalyticsVariant
 from repro.des import Engine
 from repro.staging.dataspaces import DataSpaces
 from repro.transport.dart import DartTransport
@@ -160,3 +174,85 @@ def test_rpc_counts_fold_equals_the_ring_histogram():
     assert len(reads) == 7 and len(reads[-1][1]) == 36
     for counts, sent in reads:
         assert counts == ds.ring.load_histogram(sent)
+
+
+#: Heavier stalls under another seed: pressure enough to flip placement.
+STALLY = dataclasses.replace(CONTROL_PLAN, n_steps=10, fault_seed=1,
+                             pull_stall_rate=0.2, pull_stall_seconds=5.0)
+_STATS = (AnalyticsVariant.STATS_HYBRID.value,)
+
+#: name -> (plan, policy); every replay runs on the 4896-core set-up.
+CONTROLLED = {
+    "control": (CONTROL_PLAN, ControlPolicy()),
+    "pull": (STALLY, ControlPolicy(max_buckets=4, insitu_budget=0.9,
+                                   cooldown_windows=1, movable=_STATS)),
+    "push": (STALLY, ControlPolicy(max_buckets=4, insitu_budget=0.05,
+                                   cooldown_windows=1, movable=_STATS)),
+    "interval3": (dataclasses.replace(CONTROL_PLAN, n_steps=24,
+                                      analysis_interval=3), ControlPolicy()),
+    "two_insitu": (STALLY, ControlPolicy(
+        max_buckets=4, insitu_budget=0.9, cooldown_windows=1,
+        pull_threshold=0.5, movable=tuple(v.value for v in HYBRID_VARIANTS))),
+}
+
+CONTROLLED_DIGESTS = {
+    "control":
+        "ddd681c1e6bd09949525805fdfbc1c300c2c74ce44051ab99d025fead06cd8f4",
+    "pull":
+        "fb8fad8e68c0bebd509bd3888a5d1ad34736960b49e26bb8a2bc81f66cf2d5da",
+    "push":
+        "df544bf8d480a7e3ebe13171380ae464f04e969a064d8b80a9e1f5dccd38a311",
+    "interval3":
+        "e3934b41a444fb3e2d2f930bc538c1b4c13f8b08106c37555ab357c89d881d35",
+    "two_insitu":
+        "84334539befbce5cc6879cc965a4902893549735dba78af06209ce74880054d8",
+}
+
+
+def controlled_replay(name):
+    plan, policy = CONTROLLED[name]
+    ctrl = PlacementController(policy)
+    result = ScaledExperiment(ExperimentConfig.paper_4896()).run_schedule(
+        plan, controller=ctrl)
+    records = [result.results, result.assignments, ctrl.decision_log(),
+               ctrl.pool_trajectory]
+    return result, hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONTROLLED))
+def test_controlled_replay_is_pinned(name):
+    result, digest = controlled_replay(name)
+    assert result.controller.decisions
+    assert digest == CONTROLLED_DIGESTS[name]
+
+
+def _flips(name):
+    result, _digest = controlled_replay(name)
+    return {(d.before, d.after) for d in result.controller.decisions
+            if d.kind == "placement"}
+
+
+def test_controlled_digests_cover_what_their_names_say():
+    assert _flips("pull") == {("intransit", "insitu")}
+    assert _flips("push") == {("intransit", "insitu"),
+                              ("insitu", "intransit")}
+    result, _digest = controlled_replay("two_insitu")
+    per_step = Counter(r.timestep for r in result.results
+                       if r.bucket == "sim-insitu")
+    assert max(per_step.values()) == 2
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "4", "5"])
+def test_two_insitu_digest_holds_under_any_hash_seed(seed):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), str(root),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from tests.test_replay_digest import controlled_replay\n"
+         "print(controlled_replay('two_insitu')[1])"],
+        cwd=root, env={**os.environ, "PYTHONPATH": path,
+                       "PYTHONHASHSEED": seed},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == CONTROLLED_DIGESTS["two_insitu"]
