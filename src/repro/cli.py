@@ -42,6 +42,7 @@ under ``--out-dir`` too, while an absolute path is used as given.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Callable, Sequence
 from functools import partial
@@ -753,6 +754,17 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"  # "invalid float value: 'x'"
+
+
 def _at_least(least, cast=int, most=None):
     """argparse type: a ``cast`` number no smaller than ``least`` and, if
     ``most`` is given, no larger than ``most`` (NaN is neither)."""
@@ -822,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="feature tracking (Fig. 1)")
     p.add_argument("--steps", type=_at_least(1), default=12)
-    p.add_argument("--threshold", type=float, default=1.6)
+    p.add_argument("--threshold", type=_finite_float, default=1.6)
     p.add_argument("--seed", type=int, default=11)
 
     p = sub.add_parser("render", help="render both visualization modes",
@@ -938,7 +950,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit bus events as JSON lines (one per event) "
                            "plus a final summary line on stdout, for "
                            "collectors; everything else goes to stderr")
-    p.add_argument("--refresh", type=_at_least(0.0, float), default=1.0,
+    p.add_argument("--refresh", type=_at_least(0.0, _finite_float),
+                   default=1.0,
                    help="wall seconds between --follow frames (default: "
                         "1.0; 0 drains at machine speed)")
     p.add_argument("--out", default=None,

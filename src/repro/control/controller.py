@@ -5,8 +5,8 @@ analysis for the whole run; §V motivates concurrent analysis precisely
 because it enables steering. This module closes that loop: a
 :class:`PlacementController` rides a :meth:`ScaledExperiment.run_schedule
 <repro.core.runner.ScaledExperiment.run_schedule>` replay, samples the
-standard probes (queue depth, busy buckets, NIC occupancy) into windowed
-series, decomposes the window's completed in-transit tasks into
+standard probes (queue depth, busy buckets, NIC occupancy) at every
+window boundary, decomposes the window's completed in-transit tasks into
 queue-wait / transport / compute shares (the same axes as
 :func:`repro.obs.blame.blame`), and every ``window`` analysed steps
 re-decides
@@ -28,7 +28,6 @@ with the same seed produce byte-identical decision logs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -188,16 +187,12 @@ class PlacementController:
         self.placements: dict[Any, str] = {}
         #: (time, committed pool size) after every window and decision.
         self.pool_trajectory: list[tuple[float, int]] = []
-        #: Windowed probe series sampled at decision boundaries:
-        #: ``{probe name: [(t, value), ...]}``.
-        self.probe_series: dict[str, list[tuple[float, float]]] = {}
         self.signal_history: list[WindowSignals] = []
         self.max_buckets = 0
         self.min_buckets = 0
         self._ds: DataSpaces | None = None
         self._movable: tuple[Any, ...] = ()
         self.memory_budget_bytes = 0
-        self._probe_map: Mapping[str, Callable[[], float]] = {}
         self._window = 0
         self._t_prev = 0.0
         self._win_sim = 0.0
@@ -208,19 +203,15 @@ class PlacementController:
     # -- run binding ---------------------------------------------------------
 
     def begin_run(self, *, experiment: "ScaledExperiment",
-                  ds: "DataSpaces", plan: "ReplayPlan",
-                  probe_map: Mapping[str, Callable[[], float]] | None = None
-                  ) -> None:
+                  ds: "DataSpaces", plan: "ReplayPlan") -> None:
         """Reset all state and bind the controller to one replay."""
         pol = self.policy
         analyses = plan.variants()
         n_buckets = plan.buckets(experiment.config)
         analysis_interval = plan.analysis_interval
         self._ds = ds
-        self._probe_map = dict(probe_map or {})
         self.decisions = []
         self.signal_history = []
-        self.probe_series = {name: [] for name in self._probe_map}
         self.placements = {v: PLACE_INTRANSIT for v in analyses}
         self._movable = tuple(v for v in analyses if v.value in pol.movable)
         self._place_cd = {v: Cooldown(pol.cooldown_windows)
@@ -262,8 +253,6 @@ class PlacementController:
     def on_window(self, now: float) -> None:
         """Observe the closing window and apply any due decisions."""
         self._window += 1
-        for name, fn in self._probe_map.items():
-            self.probe_series[name].append((now, float(fn())))
         sig = self._signals(now)
         self.signal_history.append(sig)
         self._mirror_metrics(sig)
@@ -295,8 +284,7 @@ class PlacementController:
             queue_depth=float(ds.scheduler.pending_tasks),
             idle_buckets=float(ds.scheduler.idle_buckets),
             live_buckets=ds.live_buckets(),
-            nic_busy=float(self._probe_map["nic.busy_channels"]())
-            if "nic.busy_channels" in self._probe_map else 0.0,
+            nic_busy=float(ds.transport.nic_busy_channels()),
             n_results=len(results),
             queue_wait_share=qw / total if total > 0 else 0.0,
             transport_share=tr / total if total > 0 else 0.0,

@@ -294,14 +294,12 @@ class HybridFramework:
             with self._tracer.span(f"submit:{analysis}", lane="driver",
                                    category="insitu", stage="insitu",
                                    analysis=analysis, step=step) as sp:
-                # Start the causal flow at the in-situ stage; the
-                # submitted task adopts it via DataSpaces.next_flow.
-                self.dataspaces.next_flow = self._tracer.flow_begin(
-                    "task", src_span=sp, analysis=analysis, step=step)
+                # The submitted task's causal flow starts at this span.
+                self.dataspaces.flow_src = sp
                 try:
                     submit(step)
                 finally:
-                    self.dataspaces.next_flow = None
+                    self.dataspaces.flow_src = None
             self._tracer.step("framework.submit", analysis=analysis)
         else:
             submit(step)

@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from numbers import Integral, Real
@@ -102,9 +102,9 @@ class ReplayPlan:
     :meth:`ScaledExperiment.run_schedule` replays (a
     :class:`~repro.service.queue.JobSpec` is a plan with a tenant).
 
-    Counts are ``int`` (never ``bool``) and rates numbers; the five fault
-    fields are checked by the :class:`~repro.faults.FaultConfig` they
-    describe once one is set. ``analyses`` holds hybrid variant names,
+    Counts are ``int`` (never ``bool``) and rates finite numbers; the five
+    fault fields are checked by the :class:`~repro.faults.FaultConfig`
+    they describe once one is set. ``analyses`` holds hybrid variant names,
     each at most once (members are stored by name); lists become tuples.
     """
 
@@ -135,8 +135,9 @@ class ReplayPlan:
                                     for t in self.crash_times]:
             kind = Integral if name in _COUNTS else Real
             if not (value is None and name in _OPTIONAL) and (
-                    isinstance(value, bool) or not isinstance(value, kind)):
-                noun = "an int" if kind is Integral else "a number"
+                    isinstance(value, bool) or not isinstance(value, kind)
+                    or not -math.inf < value < math.inf):  # NaN too
+                noun = "an int" if kind is Integral else "a finite number"
                 raise ValueError(f"{name} must be {noun}, got {value!r}")
         for name, least in _LEAST.items():
             value = getattr(self, name)
@@ -421,13 +422,13 @@ class ScaledExperiment:
         live; the sampler is returned on :attr:`ScheduleResult.probes`.
 
         With ``controller`` (a :class:`repro.control.PlacementController`,
-        one shard only) the replay is driven by a DES process that
-        consults the controller every policy window: analyses the
-        controller has pulled in-situ are charged on the simulation
-        timeline instead of being submitted in-transit, and the staging
-        pool is elastically resized through :meth:`DataSpaces.scale_to`.
-        A controller that takes no decisions reproduces the static replay
-        bit-for-bit.
+        one shard only) the timeline pauses at the end of every policy
+        window for the controller: analyses it has pulled in-situ are
+        charged on the simulation timeline instead of being submitted
+        in-transit, and the staging pool is elastically resized through
+        :meth:`DataSpaces.scale_to`. Both runs lay their timeline with one
+        walk, so a controller that takes no decisions reproduces the
+        static replay bit-for-bit.
 
         ``capacity`` controls the byte-accurate capacity ledger
         (:class:`repro.obs.capacity.CapacityLedger`): ``True`` (or a
@@ -456,7 +457,6 @@ class ScaledExperiment:
                         bucket_restart_delay=plan.bucket_restart_delay,
                         max_bucket_restarts=plan.max_bucket_restarts,
                         n_shards=plan.n_shards)
-        probe_map = ds.probe_map()
         ds.spawn_buckets([f"staging-{i}" for i in range(n_buckets)])
 
         ledger = None
@@ -481,7 +481,7 @@ class ScaledExperiment:
 
         sampler: ProbeSampler | None = None
         if probe_interval is not None and get_tracer().enabled:
-            sampler = ProbeSampler(probe_interval, probe_map,
+            sampler = ProbeSampler(probe_interval, ds.probe_map(),
                                    slos=default_slos(n_buckets))
             engine.attach_probe(sampler)
 
@@ -498,7 +498,7 @@ class ScaledExperiment:
         insitu_results: list[TaskResult] = []
 
         def submit(step: int, src: SpanRecord | None,
-                   placed_insitu: frozenset = frozenset()) -> None:
+                   placed_insitu: tuple) -> None:
             # Anchor each submitted task's causal flow at the producing
             # in-situ span (sim span if no in-situ work).
             ds.flow_src = src
@@ -519,8 +519,16 @@ class ScaledExperiment:
             finally:
                 ds.flow_src = None
 
-        if controller is None:
+        if controller is not None:
+            controller.begin_run(experiment=self, ds=ds, plan=plan)
+
+        def lay() -> Iterator[None]:
+            # The replay's one timeline, laid ahead of the DES. A controller
+            # pauses it at each window's end until the DES gets there; its
+            # placement then shapes the steps laid after.
             t = 0.0
+            placed: tuple = ()
+            analysed = 0
             for step in range(n_steps):
                 sim_span = None
                 if tracer.enabled:
@@ -530,79 +538,45 @@ class ScaledExperiment:
                                                category="sim",
                                                stage="simulation", step=step)
                 t += sim_dt
-                if step % analysis_interval == 0:
-                    src_span = sim_span
-                    if tracer.enabled and insitu_total > 0.0:
-                        src_span = tracer.add_span("insitu",
-                                                   lane="sim-timeline",
-                                                   t_start=t,
-                                                   t_end=t + insitu_total,
-                                                   category="insitu",
-                                                   stage="insitu", step=step)
-                    t += insitu_total
-                    engine.call_at(t, partial(submit, step, src_span))
+                if step % analysis_interval:
+                    continue
+                t_in0 = t
+                t += insitu_total
+                # Analyses pulled in-situ run their completion stage on the
+                # simulation timeline, in placement order: no movement, no
+                # queue, but the full in-transit charge stretches the step.
+                for variant in placed:
+                    seg0 = t
+                    t += self.analytics_timing(variant).intransit_time
+                    insitu_results.append(TaskResult(
+                        task_id=f"{variant.value}/t{step}/insitu",
+                        analysis=variant.value, timestep=step,
+                        bucket="sim-insitu", value=None,
+                        enqueue_time=seg0, assign_time=seg0,
+                        pull_done_time=seg0, finish_time=t, bytes_pulled=0))
+                src_span = sim_span
+                if tracer.enabled and t > t_in0:
+                    src_span = tracer.add_span("insitu", lane="sim-timeline",
+                                               t_start=t_in0, t_end=t,
+                                               category="insitu",
+                                               stage="insitu", step=step)
+                engine.call_at(t, partial(submit, step, src_span, placed))
+                if controller is None:
+                    continue
+                controller.note_step(sim_seconds=sim_dt,
+                                     insitu_seconds=t - t_in0)
+                analysed += 1
+                if analysed % controller.policy.window == 0:
+                    engine.call_at(t, partial(next, walk, None))
+                    yield
+                    controller.on_window(t)
+                    placed = tuple(controller.insitu_placed())
             # Shutdown only after the last submission has been issued (the
             # drain logic then waits for outstanding tasks to finish).
             engine.call_at(t, ds.shutdown_buckets)
-        else:
-            # Adaptive replay: a DES driver process walks the same
-            # timeline step by step so the controller can re-place
-            # analyses and resize the pool *during* the run. With zero
-            # decisions the float accumulation order matches the static
-            # path exactly, so the results are bit-identical.
-            controller.begin_run(experiment=self, ds=ds, plan=plan,
-                                 probe_map=probe_map)
-            intransit_extra = {v: self.analytics_timing(v).intransit_time
-                               for v in analyses}
-            window = controller.policy.window
 
-            def drive():
-                analysed = 0
-                for step in range(n_steps):
-                    t0 = engine.now
-                    yield engine.timeout(sim_dt)
-                    sim_span = None
-                    if tracer.enabled:
-                        sim_span = tracer.add_span(
-                            "sim.step", lane="sim-timeline",
-                            t_start=t0, t_end=engine.now,
-                            category="sim", stage="simulation", step=step)
-                    if step % analysis_interval != 0:
-                        continue
-                    t_in0 = engine.now
-                    if insitu_total > 0.0:
-                        yield engine.timeout(insitu_total)
-                    # Analyses pulled in-situ run their completion stage
-                    # on the simulation timeline: no movement, no queue —
-                    # but the full in-transit compute charge stretches
-                    # the step.
-                    for variant in controller.insitu_placed():
-                        seg0 = engine.now
-                        if intransit_extra[variant] > 0.0:
-                            yield engine.timeout(intransit_extra[variant])
-                        insitu_results.append(TaskResult(
-                            task_id=f"{variant.value}/t{step}/insitu",
-                            analysis=variant.value, timestep=step,
-                            bucket="sim-insitu", value=None,
-                            enqueue_time=seg0, assign_time=seg0,
-                            pull_done_time=seg0, finish_time=engine.now,
-                            bytes_pulled=0))
-                    src_span = sim_span
-                    if tracer.enabled and engine.now > t_in0:
-                        src_span = tracer.add_span(
-                            "insitu", lane="sim-timeline",
-                            t_start=t_in0, t_end=engine.now,
-                            category="insitu", stage="insitu", step=step)
-                    controller.note_step(sim_seconds=sim_dt,
-                                         insitu_seconds=engine.now - t_in0)
-                    submit(step, src_span,
-                           frozenset(controller.insitu_placed()))
-                    analysed += 1
-                    if analysed % window == 0:
-                        controller.on_window(engine.now)
-                ds.shutdown_buckets()
-
-            engine.process(drive(), name="controller-driver")
+        walk = lay()
+        next(walk, None)
         engine.run()
         if sampler is not None:
             sampler.finalize(get_tracer().trace)

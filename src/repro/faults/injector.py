@@ -22,6 +22,7 @@ identical fault sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -53,20 +54,21 @@ class FaultConfig:
     pull_stall_seconds: float = 0.0
 
     def __post_init__(self) -> None:
+        # Each bound also refuses NaN and infinity (``not x < inf``).
         if not 0.0 <= self.pull_failure_rate <= 1.0:
             raise ValueError(
                 f"pull_failure_rate must be in [0, 1], got {self.pull_failure_rate}")
         if not 0.0 <= self.pull_stall_rate <= 1.0:
             raise ValueError(
                 f"pull_stall_rate must be in [0, 1], got {self.pull_stall_rate}")
-        if self.pull_stall_seconds < 0:
-            raise ValueError("pull_stall_seconds must be >= 0")
-        if self.crash_rate < 0:
-            raise ValueError("crash_rate must be >= 0")
-        if self.crash_rate > 0 and self.horizon <= 0:
-            raise ValueError("crash_rate > 0 needs a positive horizon")
-        if any(t < 0 for t in self.crash_times):
-            raise ValueError("crash_times must be >= 0")
+        if not 0 <= self.pull_stall_seconds < math.inf:
+            raise ValueError("pull_stall_seconds must be >= 0 and finite")
+        if not 0 <= self.crash_rate < math.inf:
+            raise ValueError("crash_rate must be >= 0 and finite")
+        if self.crash_rate > 0 and not 0 < self.horizon < math.inf:
+            raise ValueError("crash_rate > 0 needs a positive finite horizon")
+        if not all(0 <= t < math.inf for t in self.crash_times):
+            raise ValueError("crash_times must be >= 0 and finite")
 
     @property
     def injects_crashes(self) -> bool:

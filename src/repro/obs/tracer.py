@@ -73,10 +73,6 @@ class SpanRecord:
     tags: dict[str, Any] = field(default_factory=dict)
     t_end: float = math.nan
     wall_end: float = math.nan
-    #: Flow ids arriving at / leaving this span (None until a flow binds,
-    #: so untraced spans pay nothing for the causal layer).
-    flow_in: list[int] | None = None
-    flow_out: list[int] | None = None
 
     #: Bus kind of this record class (see :mod:`repro.obs.events`).
     kind = "span"
@@ -401,28 +397,17 @@ class Tracer:
         flow = FlowContext(
             next(self._flow_ids), kind, self._clock() if t is None else t,
             src_span.span_id if src_span is not None else None, tags=tags)
-        if src_span is not None:
-            if src_span.flow_out is None:
-                src_span.flow_out = []
-            src_span.flow_out.append(flow.flow_id)
         self.trace.flows.append(flow)
         return flow
 
     def flow_through(self, flow: FlowContext | None, kind: str,
                      span: SpanRecord, **tags: Any) -> FlowHop | None:
         """Record the flow entering ``span`` (a wire transfer, a bucket
-        task body): hop time is the span's start, and the span carries
-        the flow id both in and out."""
+        task body): hop time is the span's start."""
         if flow is None:
             return None
         hop = FlowHop(span.t_start, kind, span.lane, span.span_id, tags)
         flow.hops.append(hop)
-        if span.flow_in is None:
-            span.flow_in = []
-        span.flow_in.append(flow.flow_id)
-        if span.flow_out is None:
-            span.flow_out = []
-        span.flow_out.append(flow.flow_id)
         return hop
 
     def flow_end(self, flow: FlowContext | None, kind: str,
@@ -434,9 +419,6 @@ class Tracer:
         flow.hops.append(FlowHop(span.t_start, kind, span.lane,
                                  span.span_id, tags))
         flow.dst_span_id = span.span_id
-        if span.flow_in is None:
-            span.flow_in = []
-        span.flow_in.append(flow.flow_id)
         return flow
 
     # -- instants ------------------------------------------------------------
@@ -561,7 +543,6 @@ class _NullSpan:
     category = None
     closed = False
     stage = None
-    flow_in = flow_out = None
 
     @property
     def tags(self) -> dict[str, Any]:

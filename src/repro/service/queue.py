@@ -14,6 +14,7 @@ candidate and skips (holding) or fails (permanent denial) accordingly.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -76,8 +77,9 @@ class JobSpec(ReplayPlan):
             raise ValueError(
                 f"unknown config {self.config!r}; choose from "
                 f"{sorted(CONFIGS)}")
-        if self.submit_at < 0:
-            raise ValueError("submit_at must be >= 0")
+        if not 0 <= self.submit_at < math.inf:  # NaN too
+            raise ValueError(
+                f"submit_at must be >= 0 and finite, got {self.submit_at!r}")
 
     def experiment_config(self) -> ExperimentConfig:
         return CONFIGS[self.config]()

@@ -20,6 +20,7 @@ and holding it would deadlock the drain).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -52,6 +53,10 @@ class TenantQuota:
     def __post_init__(self) -> None:
         if not self.tenant:
             raise ValueError("tenant must be non-empty")
+        for name in ("max_concurrent", "staging_bytes", "max_cores"):
+            value = getattr(self, name)
+            if value is not None and not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_concurrent < 1:
             raise ValueError(
                 f"max_concurrent must be >= 1, got {self.max_concurrent}")

@@ -181,13 +181,10 @@ class DataSpaces:
         #: Task ids that failed terminally in the fallback path.
         self.fallback_failures: list[str] = []
         self._tracer = get_tracer()
-        #: Producer span anchoring the *next* submitted task's causal
-        #: flow (the driver sets this around each in-situ hand-off).
+        #: Producer span anchoring the causal flow of each task submitted
+        #: while it is set (the driver sets it around each in-situ
+        #: hand-off).
         self.flow_src: Any | None = None
-        #: A pre-created flow to attach to the next submitted task (set
-        #: by drivers that start the flow at the in-situ stage); consumed
-        #: by one submit.
-        self.next_flow: Any | None = None
         # -- shards 1..N-1: kept apart from ``self`` (see :attr:`shards`) --
         self._peers = [
             DataSpaces(engine, DartTransport(engine, transport.network),
@@ -233,22 +230,11 @@ class DataSpaces:
     # -- workflow: in-situ side ------------------------------------------------
 
     def _task_flow(self, task: TaskDescriptor) -> None:
-        """Attach a causal flow to ``task``; called only when traced.
-
-        A driver-provided :attr:`next_flow` is consumed first (it starts
-        at the in-situ stage's span); otherwise a fresh flow is
-        begun, anchored at :attr:`flow_src` when the driver set one.
-        """
-        tracer = self._tracer
-        flow = self.next_flow
-        if flow is not None:
-            self.next_flow = None
-        else:
-            flow = tracer.flow_begin("task", src_span=self.flow_src)
-        flow.tags.setdefault("task_id", task.task_id)
-        flow.tags.setdefault("analysis", task.analysis)
-        flow.tags.setdefault("step", task.timestep)
-        task.flow = flow
+        """Attach a causal flow to ``task``; called only when traced. The
+        flow begins at :attr:`flow_src` when the driver set one."""
+        task.flow = self._tracer.flow_begin(
+            "task", src_span=self.flow_src, task_id=task.task_id,
+            analysis=task.analysis, step=task.timestep)
 
     def submit_insitu_result(self, analysis: str, timestep: int,
                              source_node: str, payload: Any,

@@ -132,7 +132,14 @@ INVOCATIONS: dict[str, list[tuple]] = {
               ("--stall-seconds -1", "pull_stall_seconds must be >= 0"),
               ("--lease-timeout 5 --crash-times -1",
                "crash_times must be >= 0"),
-              ("--submit-at -1", "submit_at must be >= 0"))],
+              ("--submit-at -1", "submit_at must be >= 0"),
+              ("--submit-at inf", "submit_at must be >= 0 and finite, got inf"),
+              ("--lease-timeout nan",
+               "lease_timeout must be a finite number, got nan"),
+              ("--lease-timeout 5 --crash-times nan",
+               "crash_times must be a finite number, got nan"),
+              ("--stall-seconds nan",
+               "pull_stall_seconds must be a finite number, got nan"))],
         *[(1, f"repro simulate --grid 10 8 6 --ranks 2 1 1 {flags}", said)
           for flags, said in (
               ("--grid 1 8 6", "shape must be 3 axes of >= 2 cells"),
@@ -141,6 +148,9 @@ INVOCATIONS: dict[str, list[tuple]] = {
               ("--steps 0", "n_steps must be >= 1, got 0"),
               ("--buckets 0", "n_buckets must be >= 1, got 0"))],
         (1, "repro render --steps 0", "--steps: n must be >= 1, got 0"),
+        (2, "repro track --threshold nan", "--threshold: must be finite"),
+        (2, "repro serve --jobs b.jsonl --refresh inf",
+         "--refresh: must be finite"),
         (2, "repro replay --top-kernels -1", "--top-kernels: must be >= 0"),
         (2, "repro serve --jobs b.jsonl --min-cache-hit-rate 2",
          "must be in [0.0, 1.0], got 2"),
@@ -213,6 +223,18 @@ INVOCATIONS: dict[str, list[tuple]] = {
             ("q4.jsonl", '{"quota": {"tenant": "a", "cores": 1}}',
              "q4.jsonl:1: TenantQuota.__init__() got an unexpected keyword "
              "argument 'cores'"),
+            ("q5.jsonl", '{"quota": {"tenant": "a", "max_concurrent": NaN}}',
+             "q5.jsonl:1: max_concurrent must be finite, got nan"),
+            ("at.jsonl", '{"tenant": "a", "name": "n", "submit_at": NaN}',
+             "at.jsonl:1: submit_at must be >= 0 and finite, got nan"),
+            ("stall.jsonl",
+             '{"tenant": "a", "name": "n", "pull_stall_seconds": Infinity}',
+             "stall.jsonl:1: pull_stall_seconds must be a finite number, "
+             "got inf"),
+            ("delay.jsonl",
+             '{"tenant": "a", "name": "n", "bucket_restart_delay": NaN}',
+             "delay.jsonl:1: bucket_restart_delay must be a finite number, "
+             "got nan"),
             ("jobless.jsonl", '{"quota": {"tenant": "a"}}',
              "batch file jobless.jsonl holds no jobs"),
         ) for step in ((0, f"@append {name} {line}"),

@@ -191,6 +191,21 @@ class TestControllerNoOp:
         assert ([_result_key(r) for r in adaptive.results]
                 == [_result_key(r) for r in base.results])
 
+    def test_controller_costs_one_dispatch_per_window(self):
+        """A controlled replay lays the static replay's timeline: the same
+        processes and timeouts, plus one callback per window."""
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        counts = []
+        for ctrl in (None, PlacementController()):
+            with tracing() as tracer:
+                exp.run_schedule(n_steps=6, n_buckets=8, controller=ctrl)
+            counters = tracer.metrics.counters
+            counts.append([counters[name].value for name in (
+                "des.process_started", "des.timeout", "des.dispatch")])
+        assert ctrl.decisions == [] and len(ctrl.signal_history) == 3
+        (started, timeouts, dispatches), controlled = counts
+        assert controlled == [started, timeouts, dispatches + 3]
+
     def test_begin_run_derives_memory_bounded_cap(self):
         exp = ScaledExperiment(ExperimentConfig.paper_4896())
         ctrl = PlacementController()
@@ -249,12 +264,6 @@ class TestControlScenario:
         assert traj[0] == (0.0, 4)
         assert max(n for _, n in traj) > 4
         assert all(t2 >= t1 for (t1, _), (t2, _) in zip(traj, traj[1:]))
-
-    def test_windowed_probe_series_sampled(self, report):
-        series = report.controller.probe_series
-        assert "sched.queue_depth" in series
-        assert len(series["sched.queue_depth"]) == len(
-            report.controller.signal_history)
 
     def test_report_summary_and_metrics(self, report):
         summary = report.summary()

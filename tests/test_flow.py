@@ -45,7 +45,6 @@ class TestFlowRecording:
         flow = tracer.flow_begin("task", src_span=src, t=1.0, step=0)
         assert isinstance(flow, FlowContext)
         assert flow.src_span_id == src.span_id
-        assert src.flow_out == [flow.flow_id]
         assert not flow.closed
 
         flow.hops.append(FlowHop(1.1, EDGE_NOTIFY, "scheduler"))
@@ -58,9 +57,6 @@ class TestFlowRecording:
         tracer.flow_end(flow, EDGE_SERVICE, dst)
 
         assert flow.closed and flow.dst_span_id == dst.span_id
-        assert wire.flow_in == [flow.flow_id]
-        assert wire.flow_out == [flow.flow_id]
-        assert dst.flow_in == [flow.flow_id]
         assert flow.span_ids() == [src.span_id, wire.span_id, dst.span_id]
         assert [h.kind for h in flow.hops] == [
             EDGE_NOTIFY, EDGE_QUEUE, EDGE_GRANT, EDGE_SERVICE]
