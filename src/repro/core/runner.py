@@ -498,7 +498,7 @@ class ScaledExperiment:
         insitu_results: list[TaskResult] = []
 
         def submit(step: int, src: SpanRecord | None,
-                   placed_insitu: tuple) -> None:
+                   placed_insitu: tuple[AnalyticsVariant, ...]) -> None:
             # Anchor each submitted task's causal flow at the producing
             # in-situ span (sim span if no in-situ work).
             ds.flow_src = src
@@ -527,7 +527,7 @@ class ScaledExperiment:
             # pauses it at each window's end until the DES gets there; its
             # placement then shapes the steps laid after.
             t = 0.0
-            placed: tuple = ()
+            placed: tuple[AnalyticsVariant, ...] = ()
             analysed = 0
             for step in range(n_steps):
                 sim_span = None
