@@ -23,13 +23,14 @@ and every view below is a fold over it, run on read, ``poll()`` or
   (``python -m repro replay --blame``, ``... replay --diff OTHER``).
 * Cross-run performance — :class:`RunStore` append-only run records,
   :func:`compare_record` regression gating against a rolling
-  :class:`Baseline`, :class:`ProbeSampler` live DES-clock probes with SLO
-  rules, and :func:`write_dashboard` self-contained HTML reports
+  :class:`Baseline`, :class:`ProbeSampler` live DES-clock probes with
+  threshold SLOs, and :func:`write_dashboard` self-contained HTML reports
   (``python -m repro perf record|compare|report``).
 * Live plane — :class:`TelemetryBus` streaming spans/probes/alerts/job
   events in DES time with per-tenant attribution, :class:`BurnRateMonitor`
-  rolling SLO burn-rate alerting, and the live service view
-  (``python -m repro serve --follow``).
+  rolling SLO burn-rate alerting (the one SLO engine: a probe
+  sampler's threshold is a zero-window :class:`SloObjective`), and the
+  live service view (``python -m repro serve --follow``).
 * Capacity plane — :class:`CapacityLedger` byte-accurate staging-memory
   and NIC-bandwidth ledgers with per-tenant/shard/source attribution,
   leak detection, and headroom reconciliation against the analytic
@@ -109,10 +110,8 @@ export_lazily(__name__, {
     "compare_record": "perf",
     "machine_fingerprint": "perf",
     "ProbeSampler": "probes",
-    "SloAlert": "probes",
-    "SloRule": "probes",
     "default_slos": "probes",
-    "insitu_share_slo": "probes",
+    "insitu_share": "probes",
     "render_dashboard": "report",
     "render_trace_diff": "report",
     "write_dashboard": "report",

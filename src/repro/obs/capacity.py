@@ -220,10 +220,11 @@ class CapacityLedger:
     (:class:`~repro.obs.events.LedgerEntry` /
     :class:`~repro.obs.events.TransferEntry`) to the ledger's own delta
     list and, under a recording tracer, to the run's event log, and keeps
-    only the global resident bytes and their peak live. After the run drains,
+    only the global resident bytes live. After the run drains,
     :meth:`finalize` scans the registries for leaked regions and folds
-    the deltas into the :class:`CapacityReport`: totals, per-scope
-    accounts with watermarks, the resident series, NIC occupancy.
+    the deltas into the :class:`CapacityReport`: totals, the global peak,
+    per-scope accounts with watermarks, the resident series, NIC
+    occupancy.
     """
 
     def __init__(self) -> None:
@@ -236,8 +237,6 @@ class CapacityLedger:
         #: This ledger's deltas in emit order; the folds read only these.
         self._deltas: list[LedgerEntry | TransferEntry] = []
         self.resident_bytes = 0
-        self._peak: int | None = None
-        self._peak_t: float | None = None
         #: (shard, region_id) -> the register delta, so a release (or leak
         #: scan) outside the allocating context still credits the right
         #: tenant/shard. Keyed by shard too: region ids are minted per
@@ -251,11 +250,6 @@ class CapacityLedger:
 
     def now(self) -> float:
         return self._clock()
-
-    @property
-    def peak_resident_bytes(self) -> int:
-        """Running high-water mark of global resident staging bytes."""
-        return self._peak if self._peak is not None else 0
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Use the run's DES clock (``lambda: engine.now``)."""
@@ -299,17 +293,13 @@ class CapacityLedger:
             self._log.append(delta)
 
     def on_register(self, region: "RdmaRegion", shard: str) -> None:
-        t = self._clock()
         ctx = self._tracer.ctx
         meta = region.meta
         nbytes = int(region.nbytes)
         resident = self.resident_bytes = self.resident_bytes + nbytes
-        if self._peak is None or resident > self._peak:
-            self._peak = resident
-            self._peak_t = t
         entry = LedgerEntry(
-            t, "register", region.region_id, nbytes, resident, shard,
-            region.source_node, ctx.get("tenant") or UNATTRIBUTED,
+            self._clock(), "register", region.region_id, nbytes, resident,
+            shard, region.source_node, ctx.get("tenant") or UNATTRIBUTED,
             ctx.get("job") or UNATTRIBUTED, meta.get("analysis"),
             meta.get("timestep"))
         self._attribution[(shard, region.region_id)] = entry
@@ -388,7 +378,8 @@ class CapacityLedger:
                 leak["tenant"], leak["job"], leak["analysis"],
                 leak["timestep"]))
         nic_peak, nic_peak_t, nic_busy = _nic_occupancy(self.transfers)
-        peak = self.peak_resident_bytes
+        fold = _fold_deltas(self._deltas)
+        peak = fold["peak_resident_bytes"]
         bound = self.analytic_bound_bytes
         if self._tracer.enabled:
             metrics = self._tracer.metrics
@@ -399,33 +390,35 @@ class CapacityLedger:
             metrics.gauge("capacity.leaked_regions").set(len(leaks))
         self._report = CapacityReport(
             analytic_bound_bytes=bound,
-            peak_resident_bytes=peak,
-            peak_t=self._peak_t,
             final_resident_bytes=self.resident_bytes,
             nic_peak_bytes=nic_peak,
             nic_peak_t=nic_peak_t,
             nic_busy_seconds=nic_busy,
             leaks=leaks,
             headroom_violations=int(bound is not None and peak > bound),
-            **_fold_deltas(self._deltas),
+            **fold,
         )
         return self._report
 
 
 def _fold_deltas(deltas: list[LedgerEntry | TransferEntry]) -> dict[str, Any]:
-    """One pass over a ledger's deltas: the report's totals, resident
-    series and per-scope accounts (tenant / shard / source / analysis).
+    """One pass over a ledger's deltas: the report's totals, global peak,
+    resident series and per-scope accounts (tenant / shard / source /
+    analysis).
 
-    A scope account is integer resident-bytes accounting with the
-    watermark a live gauge would have kept: ``peak_bytes`` is the highest
-    resident value right after a register or release and ``peak_t`` the
-    first time it was reached.
+    The global peak is the first strict maximum of ``resident`` over the
+    register entries (a release never raises it). A scope account is
+    integer resident-bytes accounting with the watermark a live gauge
+    would have kept: ``peak_bytes`` is the highest resident value right
+    after a register or release and ``peak_t`` the first time it was
+    reached.
     """
     # Per scope kind: name -> [resident, registered, released, nic,
     # peak, peak_t].
     accounts: tuple[dict[str, list[Any]], ...] = ({}, {}, {}, {})
     series: list[tuple[float, int]] = []
-    registered = released = n_registers = n_releases = 0
+    registered = released = n_registers = n_releases = peak = 0
+    peak_t: float | None = None
     nic_bytes = n_transfers = 0
     for d in deltas:
         n = d.nbytes
@@ -448,6 +441,8 @@ def _fold_deltas(deltas: list[LedgerEntry | TransferEntry]) -> dict[str, Any]:
             n_registers += 1
             registered += n
             booked, move = 1, n
+            if peak_t is None or d.resident > peak:
+                peak, peak_t = d.resident, t
         else:
             n_releases += 1
             released += n
@@ -471,7 +466,8 @@ def _fold_deltas(deltas: list[LedgerEntry | TransferEntry]) -> dict[str, Any]:
                        for name, a in scope.items()}
         for kind, scope in zip(("tenant", "shard", "source", "analysis"),
                                accounts)}
-    fold.update(resident_series=series, registered_bytes_total=registered,
+    fold.update(peak_resident_bytes=peak, peak_t=peak_t,
+                resident_series=series, registered_bytes_total=registered,
                 released_bytes_total=released, n_registers=n_registers,
                 n_releases=n_releases, nic_bytes_total=nic_bytes,
                 n_transfers=n_transfers)

@@ -22,8 +22,8 @@ same probe/metric/flow machinery into a *live*, per-tenant ops surface:
   it exceeds the objective's target, the burn rate is the bad fraction
   over the window divided by the error budget, and a structured
   :class:`Alert` fires when both windows burn too hot. A sustained
-  violation is one alert until the objective recovers, replacing the
-  fire-once ``slo.breach`` instants as the alerting surface.
+  violation is one alert until the objective recovers. It is the one
+  SLO engine: the probe sampler's rules are zero-window objectives.
 * :func:`render_top` — the refreshing text frame behind ``repro serve
   --follow``: per-tenant queue depth, cache hit rate, worker occupancy,
   active alerts and a controller-decision ticker over a draining
@@ -329,7 +329,9 @@ class SloObjective:
     N times too fast. An :class:`Alert` fires when the fast window burns
     at ``>= fast_burn`` *and* the slow window at ``>= slow_burn``
     (the fast window catches the onset, the slow window keeps one
-    recovered blip from re-paging).
+    recovered blip from re-paging). Windows of 0 hold only the current
+    instant: with budget and burns of 1.0 that is a plain threshold that
+    pages on the first bad observation and re-arms on the first good one.
     """
 
     name: str
@@ -347,17 +349,17 @@ class SloObjective:
     fast_burn: float = 2.0
     slow_burn: float = 1.0
     severity: str = "page"
+    description: str = ""
 
     def __post_init__(self) -> None:
+        # Each bound is written so that NaN fails it.
         if not 0.0 < self.budget <= 1.0:
             raise ValueError(f"budget must be in (0, 1], got {self.budget}")
-        if self.fast_window <= 0 or self.slow_window <= 0:
-            raise ValueError("windows must be > 0")
-        if self.fast_window > self.slow_window:
+        if not 0.0 <= self.fast_window <= self.slow_window:
             raise ValueError(
-                f"fast_window ({self.fast_window}) must not exceed "
-                f"slow_window ({self.slow_window})")
-        if self.fast_burn <= 0 or self.slow_burn <= 0:
+                f"windows must satisfy 0 <= fast_window ({self.fast_window})"
+                f" <= slow_window ({self.slow_window})")
+        if not (self.fast_burn > 0 and self.slow_burn > 0):
             raise ValueError("burn thresholds must be > 0")
 
 
@@ -437,7 +439,11 @@ class BurnRateMonitor:
             defaultdict(_BurnWindows))
         self._firing: dict[tuple[str, str], Alert] = {}
         self._by_metric: dict[str, list[SloObjective]] = {}
+        names: set[str] = set()
         for obj in self.objectives:
+            if obj.name in names:  # windows and latch are keyed by name
+                raise ValueError(f"objective {obj.name!r} is named twice")
+            names.add(obj.name)
             self._by_metric.setdefault(obj.metric, []).append(obj)
 
     # -- feeding -------------------------------------------------------------
@@ -454,7 +460,7 @@ class BurnRateMonitor:
                                  f"previous one at t={windows.last_t}")
             windows.last_t = t
             # Time only moves forward: the windows evict from their heads.
-            bad = value > obj.target
+            bad = not value <= obj.target  # NaN is bad
             fast, slow = windows.fast, windows.slow
             fast.append((t, bad))
             slow.append((t, bad))

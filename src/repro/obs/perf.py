@@ -40,7 +40,7 @@ import statistics
 import subprocess
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -454,6 +454,7 @@ def collect_run_record(plan: ReplayPlan | None = None,
     from repro.obs.analysis import critical_path
     from repro.core.framework import traced_functional_run
     from repro.obs.blame import top_kernels
+    from repro.obs.probes import insitu_share
     from repro.obs.tracer import tracing
 
     cost = perturbed_cost_model(perturb)
@@ -470,15 +471,12 @@ def collect_run_record(plan: ReplayPlan | None = None,
     counters = snap["counters"]
     sampler = sched.probes
 
-    insitu = totals.get("insitu", 0.0)
-    simulation = totals.get("simulation", 0.0)
-    step_total = insitu + simulation
     metrics: dict[str, float] = {
-        "trace.simulation_s": simulation,
-        "trace.insitu_s": insitu,
+        "trace.simulation_s": totals.get("simulation", 0.0),
+        "trace.insitu_s": totals.get("insitu", 0.0),
         "trace.movement_intransit_s": (totals.get("movement", 0.0)
                                        + totals.get("intransit", 0.0)),
-        "trace.insitu_share": insitu / step_total if step_total else 0.0,
+        "trace.insitu_share": insitu_share(totals),
         "sched.makespan_s": sched.makespan,
         "sched.max_queue_wait_s": sched.max_queue_wait(),
         "cp.makespan_s": cp.makespan,
@@ -589,7 +587,7 @@ def collect_run_record(plan: ReplayPlan | None = None,
         "control_decisions": control.controller.decision_log(),
         "control_pool_trajectory": [[t, n] for t, n
                                     in control.controller.pool_trajectory],
-        "slo_rules": ([r.describe() for r in sampler.rules]
+        "slo_rules": ([asdict(obj) for obj in sampler.monitor.objectives]
                       if sampler is not None else []),
         "host": os.uname().sysname if hasattr(os, "uname") else "unknown",
     }

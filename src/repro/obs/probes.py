@@ -16,112 +16,42 @@ else. The per-probe :attr:`ProbeSampler.series`, the ``probe.<name>``
 gauges behind the Chrome counter track, and the ``kind=probe`` bus
 events are all folds over those rows, computed when read.
 
-An :class:`SloRule` rides on the sampler with one of two value sources:
-
-* a probe's value at every sample instant (e.g. *scheduler backlog stays
-  under 4x the bucket count*);
-* a reducer of the finished trace's stage totals, judged once (e.g. the
-  paper's headline budget: *in-situ work takes < 5% of the timestep*).
-
-A rule breach emits an ``slo.breach`` instant into the trace (visible in
-Perfetto) and an :class:`SloAlert` record; re-breaching only alerts again
-after the rule has recovered, so a sustained violation is one alert, not
-one per sample.
+Each sampler judges its SLO objectives with one silent
+:class:`~repro.obs.live.BurnRateMonitor` (no bus, no tracer): a rule is
+an :class:`~repro.obs.live.SloObjective` with zero-length windows, so it
+pages on the first bad observation and re-arms on the first good one. A
+probe whose name is an objective's metric is observed at every sample
+instant (e.g. *scheduler backlog stays within 4x the bucket count*);
+:func:`insitu_share` of the finished trace's stage totals is observed
+once (the paper's headline budget: *in-situ work takes <= 5% of the
+timestep*). Each :class:`~repro.obs.live.Alert` the monitor returns also
+emits an ``slo.breach`` instant into the trace (visible in Perfetto); a
+sustained violation is one alert, not one per sample.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.events import SampleRow
+from repro.obs.live import Alert, BurnRateMonitor, SloObjective
 from repro.obs.tracer import NullTracer, Tracer, get_tracer
 
 __all__ = [
-    "SloAlert",
-    "SloRule",
     "ProbeSampler",
     "default_slos",
-    "insitu_share_slo",
+    "insitu_share",
 ]
 
-_OPS: dict[str, Callable[[float, float], bool]] = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
-
-@dataclass
-class SloAlert:
-    """One rule breach at one instant of the run."""
-
-    rule: str
-    t: float
-    value: float
-    threshold: float
-    message: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"rule": self.rule, "t": self.t, "value": self.value,
-                "threshold": self.threshold, "message": self.message}
-
-
-@dataclass(frozen=True)
-class SloRule:
-    """A requirement on one figure of the run: healthy iff
-    ``value op threshold``.
-
-    The figure comes from exactly one source: ``probe`` names a sampled
-    probe, judged at every sample instant; ``value_of`` reduces the
-    finished trace's ``stage -> total seconds`` map, judged once.
-    """
-
-    name: str
-    op: str
-    threshold: float
-    probe: str | None = None
-    value_of: Callable[[dict[str, float]], float] | None = None
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise ValueError(f"op must be one of {sorted(_OPS)}, "
-                             f"got {self.op!r}")
-        if (self.probe is None) == (self.value_of is None):
-            raise ValueError("give exactly one of probe= and value_of=")
-
-    def healthy(self, value: float) -> bool:
-        return _OPS[self.op](value, self.threshold)
-
-    def describe(self) -> dict[str, Any]:
-        sampled = self.probe is not None
-        return {"name": self.name,
-                "kind": "sampled" if sampled else "summary",
-                **({"probe": self.probe} if sampled else {}),
-                "op": self.op, "threshold": self.threshold,
-                "description": self.description}
-
-
-def insitu_share_slo(budget: float = 0.05) -> SloRule:
-    """The paper's headline budget: in-situ work < 5% of the timestep."""
-
-    def share(totals: dict[str, float]) -> float:
-        insitu = totals.get("insitu", 0.0)
-        step = insitu + totals.get("simulation", 0.0)
-        return insitu / step if step else 0.0
-
-    return SloRule(
-        name="insitu-share",
-        value_of=share,
-        op="<",
-        threshold=budget,
-        description=f"in-situ share of the timestep stays under "
-                    f"{100 * budget:.0f}% (the paper's budget)",
-    )
+def insitu_share(totals: dict[str, float]) -> float:
+    """In-situ seconds over the timestep's (simulation + in-situ) seconds
+    in a trace's ``stage -> total seconds`` map; 0 for an empty one."""
+    insitu = totals.get("insitu", 0.0)
+    step = insitu + totals.get("simulation", 0.0)
+    return insitu / step if step else 0.0
 
 
 class ProbeSampler:
@@ -130,11 +60,11 @@ class ProbeSampler:
     Attach with ``engine.attach_probe(sampler)`` *before* ``engine.run``.
     Each tick is one :class:`~repro.obs.events.SampleRow` in the tracer's
     event log (a private list under the null tracer), kept on the
-    sampler's own row list too, and feeds the sampled SLO rules;
-    :attr:`series` folds the rows per probe. Call :meth:`finalize` once
-    the run has drained to fold them into the tracer's ``probe.<name>``
-    gauges (so they reach the Chrome counter track) and evaluate the
-    summary rules; later calls fold nothing.
+    sampler's own row list too, and observes the probes its objectives
+    judge; :attr:`series` folds the rows per probe. Call :meth:`finalize`
+    once the run has drained to fold them into the tracer's
+    ``probe.<name>`` gauges (so they reach the Chrome counter track) and
+    observe the trace's :func:`insitu_share`; later calls fold nothing.
     """
 
     #: Ticks after which sampling stops: bounds the log when an interval
@@ -143,32 +73,29 @@ class ProbeSampler:
 
     def __init__(self, interval: float,
                  probes: dict[str, Callable[[], float]],
-                 slos: tuple[SloRule, ...] = (),
+                 slos: tuple[SloObjective, ...] = (),
                  tracer: Tracer | NullTracer | None = None) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
+        if not 0 < interval < math.inf:  # NaN too
+            raise ValueError(f"interval must be a finite number > 0, "
+                             f"got {interval}")
         self.interval = interval
         self.probes = dict(probes)
-        self.rules: tuple[SloRule, ...] = tuple(slos)
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.alerts: list[SloAlert] = []
+        #: The one judge of this sampler's objectives; it only records.
+        self.monitor = BurnRateMonitor(tuple(slos))
+        self.alerts: list[Alert] = self.monitor.alerts
         self.n_samples = 0
         self._log: list[Any] = self.tracer.log if self.tracer.enabled else []
         #: This sampler's rows, in tick order: each is also in the log
         #: (one slot per probe), and the folds below read only these.
         self._rows: list[SampleRow] = []
         self._next = 0.0
-        self._breached: set[str] = set()
-        #: (rule id, instant) pairs already alerted — a sampled rule and
-        #: a summary rule sharing a name must not double-fire one window.
-        self._alerted: set[tuple[str, float]] = set()
         #: Probe names: shared by every row, and what marks a row as ours.
         self._names = tuple(self.probes)
         self._fns = tuple(self.probes.values())
-        self._checks = [(r, self._names.index(r.probe), _OPS[r.op])
-                        for r in self.rules if r.probe in self.probes]
-        self._summary_rules = [r for r in self.rules
-                               if r.value_of is not None]
+        metrics = {obj.metric for obj in self.monitor.objectives}
+        self._checks = [(name, i) for i, name in enumerate(self._names)
+                        if name in metrics]
         self._finalized = False
 
     # -- engine hook ---------------------------------------------------------
@@ -192,15 +119,8 @@ class ProbeSampler:
             self._rows.append(row)
             # One row, one slot per probe: log position stays bus sequence.
             log.extend((row,) * n_probes)
-            for rule, i, healthy in self._checks:
-                if healthy(values[i], rule.threshold):
-                    self._breached.discard(rule.name)
-                elif rule.name not in self._breached:
-                    self._breached.add(rule.name)
-                    self._alert(rule.name, t, values[i], rule.threshold,
-                                rule.description or
-                                f"{rule.probe} {rule.op} {rule.threshold} "
-                                f"violated")
+            for name, i in self._checks:
+                self._observe(name, t, values[i])
 
     # -- folds ---------------------------------------------------------------
 
@@ -212,9 +132,9 @@ class ProbeSampler:
         return {name: [(row.t, row.values[i]) for row in rows]
                 for i, name in enumerate(self._names)}
 
-    def finalize(self, trace: Any) -> list[SloAlert]:
-        """Fold the rows into the ``probe.<name>`` gauges and evaluate
-        summary SLOs over the finished trace's stage totals.
+    def finalize(self, trace: Any) -> list[Alert]:
+        """Fold the rows into the ``probe.<name>`` gauges and observe the
+        finished trace's :func:`insitu_share` at its last span's end.
 
         A tick only appends its row; here, once, each gauge is extended
         by its samples at their own times, on top of whatever an earlier
@@ -231,43 +151,38 @@ class ProbeSampler:
             for i, name in enumerate(self._names):
                 metrics.gauge("probe." + name).extend(
                     [row.values[i] for row in rows], times)
-        totals = trace.stage_totals()
         end = max([s.t_end for s in trace.closed_spans()], default=0.0)
-        for rule in self._summary_rules:
-            value = rule.value_of(totals)
-            if not rule.healthy(value):
-                self._alert(rule.name, end, value, rule.threshold,
-                            rule.description or f"summary SLO {rule.name} "
-                                                f"violated")
+        self._observe("insitu_share", end, insitu_share(trace.stage_totals()))
         return self.alerts
 
-    def _alert(self, rule: str, t: float, value: float, threshold: float,
-               message: str) -> None:
-        key = (rule, t)
-        if key in self._alerted:
-            # A sampled and a summary rule with the same id judging the
-            # same window alert once, not once per rule kind.
-            return
-        self._alerted.add(key)
-        self.alerts.append(SloAlert(rule=rule, t=t, value=value,
-                                    threshold=threshold, message=message))
-        if self.tracer.enabled:
-            self.tracer.instant("slo.breach", lane="slo", rule=rule,
-                                value=value, threshold=threshold)
+    def _observe(self, metric: str, t: float, value: float) -> None:
+        """Observe under the ambient tenant and job; each alert that fires
+        becomes an ``slo.breach`` instant."""
+        ctx = self.tracer.ctx
+        for alert in self.monitor.observe(ctx.get("tenant") or "-", metric,
+                                          t, value, ctx.get("job")):
+            if self.tracer.enabled:
+                self.tracer.instant("slo.breach", lane="slo",
+                                    rule=alert.objective, value=alert.value,
+                                    threshold=alert.target)
 
 
-def default_slos(n_buckets: int) -> tuple[SloRule, ...]:
-    """The default rule set for a staging replay: bounded scheduler
+def default_slos(n_buckets: int) -> tuple[SloObjective, ...]:
+    """The default objectives for a staging replay: bounded scheduler
     backlog (a queue deeper than 4x the bucket pool means staging has
-    stopped absorbing the arrival rate) plus the paper's in-situ budget."""
+    stopped absorbing the arrival rate) plus the paper's in-situ budget.
+    Each is a threshold: zero-length windows, budget and burns of 1."""
+    threshold = dict(budget=1.0, fast_window=0.0, slow_window=0.0,
+                     fast_burn=1.0, slow_burn=1.0)
     return (
-        SloRule(
-            name="queue-backlog",
-            probe="sched.queue_depth",
-            op="<=",
-            threshold=4.0 * n_buckets,
+        SloObjective(
+            name="queue-backlog", metric="sched.queue_depth",
+            target=4.0 * n_buckets, **threshold,
             description=f"scheduler backlog stays within 4x the "
-                        f"{n_buckets}-bucket pool",
-        ),
-        insitu_share_slo(),
+                        f"{n_buckets}-bucket pool"),
+        SloObjective(
+            name="insitu-share", metric="insitu_share", target=0.05,
+            **threshold,
+            description="in-situ share of the timestep stays within 5% "
+                        "(the paper's budget)"),
     )

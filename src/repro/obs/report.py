@@ -236,13 +236,17 @@ def _stage_breakdown_panel(breakdown: dict[str, dict[str, float]]
 def _slo_panel(slo_rules: list[dict[str, Any]],
                alerts: list[dict[str, Any]]) -> list[str]:
     parts = ['<div class="panel">']
-    breached = {a.get("rule") for a in alerts}
+    # Records written before the probe rules became objectives name an
+    # alert's objective ``rule`` and its target ``threshold``.
+    alerts = [{**a, "objective": a.get("objective", a.get("rule")),
+               "target": a.get("target", a.get("threshold"))}
+              for a in alerts]
+    breached = {a["objective"] for a in alerts}
     if slo_rules:
         for rule in slo_rules:
             name = rule.get("name", "?")
             desc = rule.get("description") or (
-                f"{rule.get('probe', 'summary')} {rule.get('op')} "
-                f"{rule.get('threshold')}")
+                f"{rule.get('metric')} <= {rule.get('target')}")
             if name in breached:
                 parts.append(f'<div class="alert"><span class="dot" '
                              f'style="background:var(--critical)"></span>'
@@ -256,15 +260,15 @@ def _slo_panel(slo_rules: list[dict[str, Any]],
                              f'<span class="ok-line">({_esc(desc)})</span>'
                              f'</div>')
     if alerts:
-        parts.append("<table><tr><th>rule</th><th class='num'>t (s)</th>"
-                     "<th class='num'>value</th><th class='num'>threshold"
+        parts.append("<table><tr><th>objective</th><th class='num'>t (s)"
+                     "</th><th class='num'>value</th><th class='num'>target"
                      "</th><th>message</th></tr>")
         for a in alerts:
             parts.append(
-                f"<tr><td>{_esc(a.get('rule'))}</td>"
+                f"<tr><td>{_esc(a['objective'])}</td>"
                 f"<td class='num'>{_fmt(a.get('t'))}</td>"
                 f"<td class='num'>{_fmt(a.get('value'))}</td>"
-                f"<td class='num'>{_fmt(a.get('threshold'))}</td>"
+                f"<td class='num'>{_fmt(a['target'])}</td>"
                 f"<td>{_esc(a.get('message', ''))}</td></tr>")
         parts.append("</table>")
     elif not slo_rules:

@@ -44,7 +44,7 @@ class ScanMonitor:
                 continue
             key = (tenant, obj.name)
             window = self.windows.setdefault(key, deque())
-            window.append((t, value > obj.target))
+            window.append((t, not value <= obj.target))
             while window and window[0][0] < t - obj.slow_window:
                 window.popleft()
             burn_fast = burn(window, t - obj.fast_window, obj.budget)

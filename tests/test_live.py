@@ -18,10 +18,17 @@ from repro.obs.live import (
     render_top,
 )
 from repro.obs.metrics import Gauge
-from repro.obs.probes import ProbeSampler, SloRule
+from repro.obs.probes import ProbeSampler, default_slos
 from repro.obs.tracer import NULL_TRACER, Tracer, tracing
 from repro.service import CampaignService, JobSpec, TenantQuota
 from tests.burn_oracle import ScanMonitor
+
+
+def _threshold(name, metric, target):
+    """A plain threshold rule: good iff value <= target, judged alone."""
+    return SloObjective(name=name, metric=metric, target=target, budget=1.0,
+                        fast_window=0.0, slow_window=0.0, fast_burn=1.0,
+                        slow_burn=1.0)
 
 
 class TestTelemetryBus:
@@ -178,6 +185,12 @@ class TestBurnRateMonitor:
             self._objective(fast_window=20.0, slow_window=10.0)
         with pytest.raises(ValueError):
             self._objective(fast_burn=0.0)
+        for bad in ({"fast_window": -1.0}, {"fast_window": math.nan},
+                    {"slow_window": math.nan}, {"budget": math.nan},
+                    {"fast_burn": math.nan}, {"slow_burn": math.nan}):
+            with pytest.raises(ValueError):
+                self._objective(**bad)
+        assert self._objective(fast_window=0.0, slow_window=0.0)
 
     def test_out_of_order_observation_is_refused(self):
         """Each (tenant, objective) window only moves forward; an earlier
@@ -280,7 +293,7 @@ class TestGaugeMirrorWithLiveSubscribers:
     def _sampler(self, tracer, depth):
         return ProbeSampler(
             interval=1.0, probes={"q": lambda: float(depth[0])},
-            slos=(SloRule(name="backlog", probe="q", op="<=", threshold=5.0),),
+            slos=(_threshold("backlog", "q", 5.0),),
             tracer=tracer)
 
     def test_mirror_parity_when_subscriber_reads_mid_finalize(self):
@@ -333,49 +346,36 @@ class TestGaugeMirrorWithLiveSubscribers:
 
 
 class TestProbeAlertDedupe:
-    def test_same_rule_and_window_alerts_once(self):
-        """A sampled rule and a summary rule sharing an id must not
-        double-fire one window (the duplicate `slo.breach` bug)."""
-        tracer = Tracer(clock=lambda: 0.0)
-        value = [10.0]
-        sampler = ProbeSampler(
-            interval=1.0, probes={"q": lambda: value[0]},
-            slos=(
-                SloRule(name="shared", probe="q", op="<=", threshold=5.0),
-                SloRule(name="shared",
-                        value_of=lambda totals: 10.0,
-                        op="<=", threshold=5.0),
-            ),
-            tracer=tracer)
-        # One sample at t=0 breaches the sampled rule; the trace's last
-        # closed span also ends at t=0, so the summary rule judges the
-        # same window instant.
-        sampler.on_advance(0.0)
-        tracer.add_span("s", lane="x", t_start=0.0, t_end=0.0)
-        sampler.finalize(tracer.trace)
-        assert len(sampler.alerts) == 1
-        breaches = [i for i in tracer.trace.instants
-                    if i.name == "slo.breach"]
-        assert len(breaches) == 1
+    def test_a_name_given_twice_is_refused(self):
+        """Windows and the firing latch are keyed by (tenant, name). Two
+        objectives named ``x`` on metrics ``a`` and ``b`` shared them: an
+        earlier ``b`` raised as out of order, and good ``b`` observations
+        diluted a bad ``a`` so that it never paged."""
+        with pytest.raises(ValueError, match="'x' is named twice"):
+            BurnRateMonitor((SloObjective(name="x", metric="a", target=1.0),
+                             SloObjective(name="x", metric="b", target=1.0)))
 
-    def test_distinct_windows_still_alert_separately(self):
+    def test_a_sampler_refuses_a_name_given_twice(self):
+        with pytest.raises(ValueError, match="'shared' is named twice"):
+            ProbeSampler(1.0, {"q": lambda: 10.0},
+                         slos=(_threshold("shared", "q", 5.0),
+                               _threshold("shared", "insitu_share", 0.05)))
+
+    def test_distinct_objectives_judge_one_instant_separately(self):
+        """A sampled objective and the in-situ share judged at the same
+        instant each alert once."""
         tracer = Tracer(clock=lambda: 0.0)
-        value = [10.0]
-        sampler = ProbeSampler(
-            interval=1.0, probes={"q": lambda: value[0]},
-            slos=(
-                SloRule(name="shared", probe="q", op="<=", threshold=5.0),
-                SloRule(name="shared",
-                        value_of=lambda totals: 10.0,
-                        op="<=", threshold=5.0),
-            ),
-            tracer=tracer)
+        sampler = ProbeSampler(1.0, {"sched.queue_depth": lambda: 10.0},
+                               slos=default_slos(1), tracer=tracer)
         sampler.on_advance(0.0)
-        # The summary judgement lands at t=3 (last span end), a
-        # different window than the sampled breach at t=0.
-        tracer.add_span("s", lane="x", t_start=0.0, t_end=3.0)
+        tracer.add_span("vis", lane="x", t_start=-1.0, t_end=0.0,
+                        stage="insitu")
         sampler.finalize(tracer.trace)
-        assert len(sampler.alerts) == 2
+        assert [(a.objective, a.t) for a in sampler.alerts] == [
+            ("queue-backlog", 0.0), ("insitu-share", 0.0)]
+        assert [i.tags["rule"] for i in tracer.trace.instants
+                if i.name == "slo.breach"] == ["queue-backlog",
+                                               "insitu-share"]
 
 
 def _specs():
@@ -585,3 +585,24 @@ def test_monitor_matches_the_window_scan_oracle(objectives, stream):
                 == oracle.firing)
     assert [(a.tenant, a.objective, a.t, a.value, a.burn_fast, a.burn_slow)
             for a in mon.alerts] == oracle.alerts
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-2.0, 2.0) | st.sampled_from(
+           (0.0, 0.5, 1.0, math.inf, -math.inf, math.nan)), max_size=60),
+       target=st.sampled_from((0.0, 0.5, 1.0)) | st.floats(-2.0, 2.0))
+def test_zero_window_objective_is_a_threshold_latch(values, target):
+    """A zero-window objective fires at exactly the samples where a plain
+    latch on ``value <= target`` does: the first bad sample of each run
+    of bad ones (NaN is bad)."""
+    mon = BurnRateMonitor((_threshold("x", "m", target),))
+    fired = [i for i, value in enumerate(values)
+             if mon.observe("t", "m", t=float(i), value=value)]
+    latched, expected = False, []
+    for i, value in enumerate(values):
+        if value <= target:
+            latched = False
+        elif not latched:
+            latched = True
+            expected.append(i)
+    assert fired == expected

@@ -316,16 +316,31 @@ class TestPerfCli:
 
 
 class TestCommittedBaseline:
-    def test_repo_baseline_gates_clean(self):
+    @pytest.fixture(scope="class")
+    def records(self):
+        records = RunStore("benchmarks/results/baseline").records()
+        assert records, "committed baseline store is missing"
+        return records
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return collect_run_record()
+
+    def test_repo_baseline_gates_clean(self, records, fresh):
         """The committed baseline must accept an unchanged tree: every
         deterministic metric of a fresh record matches it exactly."""
-        store = RunStore("benchmarks/results/baseline")
-        records = store.records()
-        assert records, "committed baseline store is missing"
-        base = Baseline.from_records(records)
-        fresh = collect_run_record()
-        report = compare_record(fresh, base)
+        report = compare_record(fresh, Baseline.from_records(records))
         assert report.ok, report.table()
+        assert fresh.metrics["slo.alerts"] == 1.0
+
+    def test_dashboard_marks_the_insitu_share_breach(self, records, fresh):
+        """The committed records name an alert's objective ``rule`` and
+        a fresh one ``objective``: the panel marks the breach from both
+        (reading only one of the two keys shows every rule as held)."""
+        for last in (records[-1], fresh):
+            html = render_dashboard([last])
+            assert "✕ insitu-share</strong> — breached" in html
+            assert "✓ queue-backlog" in html
 
     def test_baseline_records_are_schema_1(self):
         with open(RunStore("benchmarks/results/baseline").path) as fh:

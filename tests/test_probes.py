@@ -2,20 +2,25 @@
 
 import hashlib
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
 from repro.core import ExperimentConfig, ScaledExperiment
 from repro.des import Engine
 from repro.obs.export import to_chrome_trace
-from repro.obs.probes import (
-    ProbeSampler,
-    SloRule,
-    default_slos,
-    insitu_share_slo,
-)
+from repro.obs.live import SloObjective
+from repro.obs.probes import ProbeSampler, default_slos, insitu_share
 from repro.obs.tracer import NULL_TRACER, Tracer, tracing
 from repro.staging.dataspaces import DataSpaces
+
+
+def _threshold(name, metric, target):
+    """A plain threshold rule: good iff value <= target, judged alone."""
+    return SloObjective(name=name, metric=metric, target=target, budget=1.0,
+                        fast_window=0.0, slow_window=0.0, fast_burn=1.0,
+                        slow_burn=1.0)
 
 
 class TestProbeSampler:
@@ -60,7 +65,7 @@ class TestProbeSampler:
 
     def test_sampled_rule_alerts_once_per_breach_episode(self):
         depth = [0.0]
-        rule = SloRule(name="backlog", probe="q", op="<=", threshold=2.0)
+        rule = _threshold("backlog", "q", 2.0)
         sampler = ProbeSampler(1.0, {"q": lambda: depth[0]},
                                slos=(rule,), tracer=NULL_TRACER)
         engine = Engine()
@@ -77,11 +82,11 @@ class TestProbeSampler:
         engine.call_at(6.0, lambda: None)
         engine.run()
         assert [a.t for a in sampler.alerts] == [1.0, 5.0]
-        assert all(a.rule == "backlog" for a in sampler.alerts)
+        assert all(a.objective == "backlog" for a in sampler.alerts)
 
     def test_breach_emits_trace_instant(self):
         depth = [10.0]
-        rule = SloRule(name="backlog", probe="q", op="<=", threshold=2.0)
+        rule = _threshold("backlog", "q", 2.0)
         tracer = Tracer(clock=lambda: 0.0)
         sampler = ProbeSampler(1.0, {"q": lambda: depth[0]},
                                slos=(rule,), tracer=tracer)
@@ -89,7 +94,8 @@ class TestProbeSampler:
         breaches = [i for i in tracer.trace.instants
                     if i.name == "slo.breach"]
         assert len(breaches) == 1
-        assert breaches[0].tags["rule"] == "backlog"
+        assert breaches[0].tags == {"rule": "backlog", "value": 10.0,
+                                    "threshold": 2.0}
 
     def test_finalize_mirrors_gauge_envelope(self):
         values = iter([3.0, 9.0, 1.0])
@@ -111,24 +117,27 @@ class TestProbeSampler:
         """A sampler built with tracing off folds into no registry that
         lasts; ``finalize`` used to raise on the null registry's shared
         instrument instead of returning the alerts."""
-        rule = SloRule(name="backlog", probe="q", op="<=", threshold=2.0)
+        rule = _threshold("backlog", "q", 2.0)
         sampler = ProbeSampler(1.0, {"q": lambda: 5.0}, slos=(rule,))
         assert sampler.tracer is NULL_TRACER
         self._drive(sampler, [0.5, 2.0])
         alerts = sampler.finalize(NULL_TRACER.trace)
-        assert [(a.rule, a.t) for a in alerts] == [("backlog", 0.0)]
+        assert [(a.objective, a.t) for a in alerts] == [("backlog", 0.0)]
         assert sampler.series["q"] == [(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)]
 
     def test_summary_slo_evaluated_at_finalize(self):
+        """The trace's in-situ share is judged once, at the last closed
+        span's end."""
         tracer = Tracer(clock=lambda: 0.0)
-        span = tracer.begin("sim", lane="x", stage="simulation")
-        tracer.end(span)
-        slo = SloRule(name="nonzero-sim",
-                      value_of=lambda totals: totals.get("simulation", 0.0),
-                      op=">", threshold=10.0)
+        tracer.add_span("sim", lane="x", t_start=0.0, t_end=3.0,
+                        stage="simulation")
+        tracer.add_span("vis", lane="x", t_start=3.0, t_end=4.0,
+                        stage="insitu")
+        slo = _threshold("share", "insitu_share", 0.10)
         sampler = ProbeSampler(1.0, {}, slos=(slo,), tracer=tracer)
         alerts = sampler.finalize(tracer.trace)
-        assert [a.rule for a in alerts] == ["nonzero-sim"]
+        assert [(a.objective, a.t, a.value) for a in alerts] == [
+            ("share", 4.0, 0.25)]
 
     def test_finalize_is_idempotent(self):
         """``run_schedule`` finalizes its sampler already; a second call
@@ -154,10 +163,10 @@ class TestProbeSampler:
                                    tracer.metrics)["traceEvents"]) == n_events
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ProbeSampler(0.0, {})
-        with pytest.raises(ValueError):
-            SloRule(name="r", probe="p", op="!=", threshold=1.0)
+        for interval in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="interval must be a "
+                                                 "finite number > 0"):
+                ProbeSampler(interval, {})
 
 
 class TestScheduleIntegration:
@@ -190,26 +199,40 @@ class TestScheduleIntegration:
             sched = exp.run_schedule(
                 n_steps=4, n_buckets=4,
                 probe_interval=exp.simulation_step_time() * 0.25)
-        names = [a.rule for a in sched.probes.alerts]
+        names = [a.objective for a in sched.probes.alerts]
         # the full hybrid mix runs topology in-situ glue > 5% of the step
         assert "insitu-share" in names
 
     def test_default_slos_shapes(self):
-        rules = default_slos(8)
-        # describe() as the two rule types gave it before they were one.
-        assert [r.describe() for r in rules] == [
-            {"name": "queue-backlog", "kind": "sampled",
-             "probe": "sched.queue_depth", "op": "<=", "threshold": 32.0,
-             "description": "scheduler backlog stays within 4x the "
-                            "8-bucket pool"},
-            {"name": "insitu-share", "kind": "summary", "op": "<",
-             "threshold": 0.05,
-             "description": "in-situ share of the timestep stays under 5% "
-                            "(the paper's budget)"}]
-        share = insitu_share_slo(0.10)
-        assert share.healthy(0.05) and not share.healthy(0.20)
-        assert share.value_of({"insitu": 1.0, "simulation": 3.0}) == 0.25
-        assert share.value_of({}) == 0.0
+        backlog, share = default_slos(8)
+        assert backlog == replace(
+            _threshold("queue-backlog", "sched.queue_depth", 32.0),
+            description="scheduler backlog stays within 4x the 8-bucket "
+                        "pool")
+        assert share == replace(
+            _threshold("insitu-share", "insitu_share", 0.05),
+            description="in-situ share of the timestep stays within 5% "
+                        "(the paper's budget)")
+        assert insitu_share({"insitu": 1.0, "simulation": 3.0}) == 0.25
+        assert insitu_share({}) == 0.0
+
+    def test_a_share_of_exactly_the_budget_does_not_page(self):
+        tracer = Tracer(clock=lambda: 0.0)
+        tracer.add_span("sim", lane="x", t_start=0.0, t_end=19.0,
+                        stage="simulation")
+        tracer.add_span("vis", lane="x", t_start=19.0, t_end=20.0,
+                        stage="insitu")
+        assert insitu_share(tracer.trace.stage_totals()) == 0.05
+        sampler = ProbeSampler(1.0, {}, slos=default_slos(8), tracer=tracer)
+        assert sampler.finalize(tracer.trace) == []
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_non_finite_probe_interval_is_refused(self, interval):
+        """A NaN or infinite interval used to take one sample and stop."""
+        exp = ScaledExperiment(ExperimentConfig.paper_4896())
+        with tracing(), pytest.raises(ValueError, match="interval must be "
+                                                        "a finite number"):
+            exp.run_schedule(n_steps=4, n_buckets=2, probe_interval=interval)
 
     @pytest.mark.parametrize("n_shards, n_samples, digest, alert_t", [
         (1, 62, "0c774c653eb3d1ba", 306.47045155636124),
@@ -228,7 +251,7 @@ class TestScheduleIntegration:
         rows = json.dumps(sampler.series, sort_keys=True).encode()
         assert sampler.n_samples == n_samples
         assert hashlib.sha256(rows).hexdigest()[:16] == digest
-        assert [(a.rule, a.t, a.value, a.threshold)
+        assert [(a.objective, a.t, a.value, a.target)
                 for a in sampler.alerts] == [
             ("insitu-share", alert_t, 0.208548614372945, 0.05)]
 
