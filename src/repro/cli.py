@@ -23,8 +23,8 @@ Commands:
   capacity scenarios), selected by group, section or id prefix;
 * ``perf``      — cross-run performance: ``record`` appends the canonical
   run record to a store, ``compare`` gates a fresh run against the
-  committed baseline (nonzero exit on regression), ``report`` renders the
-  self-contained HTML dashboard;
+  baseline store's newest record (nonzero exit on regression), ``report``
+  renders the self-contained HTML dashboard;
 * ``serve``     — drain a multi-tenant JSONL campaign batch through the
   service layer (fair-share queue, per-tenant quotas, sharded staging,
   memoized schedule cache) and emit the per-tenant report; ``--follow``
@@ -422,9 +422,6 @@ def _report_skipped(store) -> None:
 
 def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.obs.perf import (
-        DEFAULT_POLICIES,
-        Baseline,
-        MetricPolicy,
         RunStore,
         collect_run_record,
         compare_record,
@@ -440,20 +437,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             perturbed_cost_model(perturb)
         except (KeyError, ValueError) as exc:
             raise SystemExit(f"--perturb: {exc.args[0]}") from None
-    policies = DEFAULT_POLICIES
-    if args.tolerance:
-        try:
-            overrides = tuple(
-                MetricPolicy(pattern, tolerance=tol)
-                for pattern, tol in _parse_kv_floats(args.tolerance,
-                                                     "--tolerance").items())
-        except ValueError as exc:
-            raise SystemExit(f"--tolerance: {exc}") from None
-        # Wall-clock metrics stay ungated even under a catch-all
-        # override: they are host noise, and a '*=X' tolerance must not
-        # silently re-gate them.
-        policies = ((MetricPolicy("wall.*", gate=False),)
-                    + overrides + DEFAULT_POLICIES)
 
     def fresh_record(source: str):
         return collect_run_record(_plan(args, fault_seed=args.seed),
@@ -478,9 +461,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                   f"`python -m repro perf record --store "
                   f"{baseline_store.root}` first")
             return 2
-        baseline = Baseline.from_records(base_records, window=args.window)
         record = fresh_record("compare")
-        report = compare_record(record, baseline, policies)
+        report = compare_record(record, base_records[-1])
         print(report.table())
         usages = record.meta.get("top_kernels") or []
         if usages:
@@ -499,16 +481,11 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     # committed baseline so a fresh checkout still gets a page).
     from repro.obs.report import write_dashboard
 
-    records = store.records()
-    which = store
-    if not records:
-        records = baseline_store.records()
-        which = baseline_store
-    report = None
+    which = store if len(store) else baseline_store
+    records = which.records()
     base_records = baseline_store.records()
-    if records and base_records:
-        baseline = Baseline.from_records(base_records, window=args.window)
-        report = compare_record(records[-1], baseline, policies)
+    report = (compare_record(records[-1], base_records[-1])
+              if records and base_records else None)
     out = _resolve_out(args.html, args.out_dir, "perf_dashboard.html")
     write_dashboard(out, records, report)
     print(f"wrote {out} ({len(records)} runs from {which.path}"
@@ -895,17 +872,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default=None,
                    help="run-store directory (default: <out-dir>/perf)")
     p.add_argument("--baseline", default="benchmarks/results/baseline",
-                   help="committed baseline store directory")
-    p.add_argument("--window", type=_at_least(1), default=5,
-                   help="baseline rolling window (last N records)")
+                   help="baseline store directory; compare and report "
+                        "judge against its newest record")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-injection seed for the recovery phase")
     p.add_argument("--source", default="cli",
                    help="source tag stored in the record")
-    p.add_argument("--tolerance", action="append", default=[],
-                   metavar="PATTERN=TOL",
-                   help="per-metric tolerance override (repeatable), e.g. "
-                        "--tolerance 'sched.*=0.10'")
     p.add_argument("--perturb", action="append", default=[],
                    metavar="OP=FACTOR",
                    help="multiply a cost-model op rate (repeatable), e.g. "

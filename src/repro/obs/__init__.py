@@ -22,8 +22,8 @@ and every view below is a fold over it, run on read, ``poll()`` or
   makespan), and :func:`diff_traces` run-vs-run comparison
   (``python -m repro replay --blame``, ``... replay --diff OTHER``).
 * Cross-run performance — :class:`RunStore` append-only run records,
-  :func:`compare_record` regression gating against a rolling
-  :class:`Baseline`, :class:`ProbeSampler` live DES-clock probes with
+  :func:`compare_record` regression gating against the baseline store's
+  newest record, :class:`ProbeSampler` live DES-clock probes with
   threshold SLOs, and :func:`write_dashboard` self-contained HTML reports
   (``python -m repro perf record|compare|report``).
 * Live plane — :class:`TelemetryBus` streaming spans/probes/alerts/job
@@ -100,7 +100,6 @@ export_lazily(__name__, {
     "Histogram": "metrics",
     "MetricsRegistry": "metrics",
     "DEFAULT_POLICIES": "perf",
-    "Baseline": "perf",
     "MetricPolicy": "perf",
     "MetricVerdict": "perf",
     "RegressionReport": "perf",

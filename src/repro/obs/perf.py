@@ -13,20 +13,20 @@ figures across runs. Three pieces:
   Fig.-6 stage breakdown). The same schema is written by the benchmark
   harness (``benchmarks/conftest.py``), the resilience experiment, and
   the ``python -m repro perf`` CLI.
-* :class:`Baseline` + :func:`compare_record` — the regression detector:
-  per-metric rolling median over the last *N* records with a MAD-based
-  noise band, per-metric tolerance/direction overrides via glob-matched
-  :class:`MetricPolicy` rules, and a table of per-metric verdicts
-  (``ok`` / ``improved`` / ``regressed`` / ``new`` / ``missing`` /
-  ``info``). CI gates on :attr:`RegressionReport.ok`.
+* :func:`compare_record` — the regression detector: every metric of a
+  fresh record against one baseline record (the baseline store's newest),
+  judged by the first glob-matched :class:`MetricPolicy` rule of
+  :data:`DEFAULT_POLICIES` (tolerance and good direction), in a table of
+  per-metric verdicts (``ok`` / ``improved`` / ``regressed`` / ``new`` /
+  ``missing`` / ``info``). CI gates on :attr:`RegressionReport.ok`.
 * :func:`collect_run_record` — the canonical probe workload: a traced
   DES replay of the staging schedule (with live probes and SLO rules)
   plus a seeded fault-recovery scenario, reduced to the metric map.
 
-Simulated-time metrics are deterministic for a given tree, so on an
-unchanged tree every gated metric compares exactly equal to the committed
-baseline; wall-clock metrics carry a ``wall.`` prefix and are recorded
-but never gated (they vary per host).
+Simulated-time metrics are deterministic, so one record is the whole
+reference: counts, capacity bytes, probe samples, SLO alerts and
+controller decisions must match it exactly, times within a 2 % band.
+Wall-clock metrics (``wall.*``) vary per host: recorded, never gated.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ import functools
 import json
 import math
 import os
-import statistics
 import subprocess
 import time
 import uuid
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -55,7 +55,6 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "MetricPolicy",
-    "Baseline",
     "MetricVerdict",
     "RegressionReport",
     "DEFAULT_POLICIES",
@@ -210,15 +209,6 @@ class MetricPolicy:
     tolerance: float = 0.05
     direction: str = "lower"
     gate: bool = True
-    #: MAD multiplier for the noise band (3 x scaled MAD ~ 3 sigma).
-    mad_k: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("lower", "higher", "both"):
-            raise ValueError(f"direction must be lower/higher/both, "
-                             f"got {self.direction!r}")
-        if self.tolerance < 0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 
     def matches(self, metric: str) -> bool:
         return fnmatch.fnmatchcase(metric, self.pattern)
@@ -247,63 +237,43 @@ DEFAULT_POLICIES: tuple[MetricPolicy, ...] = (
     MetricPolicy("*", tolerance=0.02, direction="lower"),
 )
 
-_MAD_SCALE = 1.4826  # scaled MAD estimates sigma under normal noise
-
-
-@dataclass
-class Baseline:
-    """Per-metric rolling statistics over the last *N* baseline records."""
-
-    stats: dict[str, tuple[float, float, int]]  # metric -> (median, MAD, n)
-    n_records: int = 0
-    window: int = 0
-
-    @classmethod
-    def from_records(cls, records: list[RunRecord],
-                     window: int = 5) -> "Baseline":
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        recent = records[-window:]
-        by_metric: dict[str, list[float]] = {}
-        for rec in recent:
-            for name, value in rec.metrics.items():
-                by_metric.setdefault(name, []).append(value)
-        stats: dict[str, tuple[float, float, int]] = {}
-        for name, values in by_metric.items():
-            med = statistics.median(values)
-            mad = statistics.median([abs(v - med) for v in values])
-            stats[name] = (med, mad, len(values))
-        return cls(stats=stats, n_records=len(recent), window=window)
-
-    def __contains__(self, metric: str) -> bool:
-        return metric in self.stats
+#: Verdict order of the gate table: failures first, informational last.
+_STATUS_ORDER = ("regressed", "missing", "improved", "new", "ok", "info")
 
 
 @dataclass
 class MetricVerdict:
-    """One metric's comparison against the baseline."""
+    """One metric's comparison against the baseline record."""
 
     metric: str
     status: str  # ok | improved | regressed | new | missing | info
     value: float | None
-    median: float | None
+    baseline: float | None
     band: float = 0.0
     gated: bool = True
 
     @property
     def delta(self) -> float | None:
-        if self.value is None or self.median is None:
+        if self.value is None or self.baseline is None:
             return None
-        return self.value - self.median
+        return self.value - self.baseline
 
     @property
     def rel_delta(self) -> float | None:
         d = self.delta
         if d is None:
             return None
-        if self.median == 0.0:
+        if self.baseline == 0.0:
             return float("inf") if d else 0.0
-        return d / abs(self.median)
+        return d / abs(self.baseline)
+
+    @property
+    def delta_text(self) -> str:
+        """The relative delta as a percentage (absolute off a zero base)."""
+        rel = self.rel_delta
+        return ("—" if rel is None
+                else f"{100 * rel:+.2f}%" if abs(rel) != float("inf")
+                else f"{self.delta:+.4g}")
 
     @property
     def failed(self) -> bool:
@@ -315,73 +285,67 @@ class RegressionReport:
     """Every metric's verdict for one record-vs-baseline comparison."""
 
     verdicts: list[MetricVerdict]
-    n_baseline_records: int = 0
+    #: ``run_id`` of the baseline record the verdicts were judged against.
+    baseline_id: str = ""
 
     @property
     def ok(self) -> bool:
         return not any(v.failed for v in self.verdicts)
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for v in self.verdicts:
-            out[v.status] = out.get(v.status, 0) + 1
-        return out
+        return dict(Counter(v.status for v in self.verdicts))
+
+    def ordered(self) -> list[MetricVerdict]:
+        """The verdicts, failures first, then by metric name."""
+        return sorted(self.verdicts, key=lambda v: (
+            _STATUS_ORDER.index(v.status), v.metric))
 
     def table(self) -> str:
         t = TextTable(["metric", "baseline", "value", "delta", "band",
                        "verdict"],
-                      title=f"regression gate vs baseline "
-                            f"({self.n_baseline_records} records)")
-        order = {"regressed": 0, "missing": 1, "improved": 2, "new": 3,
-                 "ok": 4, "info": 5}
-        for v in sorted(self.verdicts,
-                        key=lambda v: (order.get(v.status, 9), v.metric)):
-            rel = v.rel_delta
-            delta = ("—" if rel is None
-                     else f"{100 * rel:+.2f}%" if abs(rel) != float("inf")
-                     else f"{v.delta:+.4g}")
+                      title=f"regression gate vs baseline run "
+                            f"{self.baseline_id}")
+        for v in self.ordered():
             t.add_row([
                 v.metric,
-                "—" if v.median is None else f"{v.median:.6g}",
+                "—" if v.baseline is None else f"{v.baseline:.6g}",
                 "—" if v.value is None else f"{v.value:.6g}",
-                delta,
+                v.delta_text,
                 f"{v.band:.3g}",
                 v.status.upper() if v.failed else v.status,
             ])
         return t.render()
 
 
-def _policy_for(metric: str, policies: tuple[MetricPolicy, ...]
-                ) -> MetricPolicy:
-    for pol in policies:
-        if pol.matches(metric):
-            return pol
-    return MetricPolicy("*")
+def _policy_for(metric: str) -> MetricPolicy:
+    # The trailing ``*`` rule matches every metric.
+    return next(pol for pol in DEFAULT_POLICIES if pol.matches(metric))
 
 
-def compare_record(record: RunRecord, baseline: Baseline,
-                   policies: tuple[MetricPolicy, ...] = DEFAULT_POLICIES,
+def compare_record(record: RunRecord, baseline: RunRecord
                    ) -> RegressionReport:
-    """Judge every metric of ``record`` against the baseline statistics.
+    """Judge every metric of ``record`` against the ``baseline`` record.
 
-    The noise band per metric is ``max(tol * |median|, mad_k * 1.4826 *
-    MAD)``: the relative tolerance dominates for deterministic metrics
-    (MAD = 0), the MAD term widens the band where the baseline itself is
-    noisy. Values inside the band are ``ok``; outside, the policy's
-    direction decides ``improved`` vs ``regressed``.
+    The band per metric is ``tol * |baseline|``: values inside it are
+    ``ok``; outside, the policy's direction decides ``improved`` vs
+    ``regressed``. A gated metric whose value or baseline is not finite
+    is ``regressed`` (no comparison with NaN holds either way).
     """
     verdicts: list[MetricVerdict] = []
+    base = baseline.metrics
     for name, value in sorted(record.metrics.items()):
-        pol = _policy_for(name, policies)
-        if name not in baseline:
+        pol = _policy_for(name)
+        if name not in base:
             verdicts.append(MetricVerdict(name, "new", value, None,
                                           gated=False))
             continue
-        med, mad, _n = baseline.stats[name]
-        band = max(pol.tolerance * abs(med), pol.mad_k * _MAD_SCALE * mad)
-        delta = value - med
+        ref = base[name]
+        band = pol.tolerance * abs(ref)
+        delta = value - ref
         if not pol.gate:
             status = "info"
+        elif not (math.isfinite(value) and math.isfinite(ref)):
+            status = "regressed"
         elif abs(delta) <= band:
             status = "ok"
         elif pol.direction == "both":
@@ -390,15 +354,12 @@ def compare_record(record: RunRecord, baseline: Baseline,
             status = "regressed" if delta > 0 else "improved"
         else:  # higher is better
             status = "regressed" if delta < 0 else "improved"
-        verdicts.append(MetricVerdict(name, status, value, med, band=band,
+        verdicts.append(MetricVerdict(name, status, value, ref, band=band,
                                       gated=pol.gate))
-    for name in sorted(set(baseline.stats) - set(record.metrics)):
-        pol = _policy_for(name, policies)
-        med, _mad, _n = baseline.stats[name]
-        verdicts.append(MetricVerdict(name, "missing", None, med,
-                                      gated=pol.gate))
-    return RegressionReport(verdicts=verdicts,
-                            n_baseline_records=baseline.n_records)
+    for name in sorted(set(base) - set(record.metrics)):
+        verdicts.append(MetricVerdict(name, "missing", None, base[name],
+                                      gated=_policy_for(name).gate))
+    return RegressionReport(verdicts=verdicts, baseline_id=baseline.run_id)
 
 
 # -- the canonical probe workload --------------------------------------------

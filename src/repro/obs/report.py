@@ -124,7 +124,7 @@ def _fmt(value: float | None) -> str:
     if value is None:
         return "—"
     mag = abs(value)
-    if value == int(value) and mag < 1e15:
+    if mag < 1e15 and value == int(value):  # NaN and inf fail the first
         return f"{int(value):,}"
     if mag != 0 and (mag >= 1e6 or mag < 1e-3):
         return f"{value:.3e}"
@@ -189,37 +189,39 @@ def _trajectory_cards(records: list[RunRecord],
     return parts
 
 
-def _stage_breakdown_panel(breakdown: dict[str, dict[str, float]]
-                           ) -> list[str]:
-    """Stacked horizontal bars, one row per task, shared linear scale."""
+def _stacked_bars(rows: list[tuple[str, dict[str, float]]],
+                  series: tuple[tuple[str, str], ...], label: str,
+                  digits: int) -> list[str]:
+    """Stacked horizontal bars, one per ``(name, {series: value})`` row,
+    split into ``series`` (name, color) on a shared linear scale; hover
+    titles print ``digits`` decimals."""
     width, bar_h, gap = 560, 18, 2
     label_w, value_w = 150, 90
     plot_w = width - label_w - value_w
-    totals = {task: sum(bars.values()) for task, bars in breakdown.items()}
-    scale_max = max(totals.values(), default=0.0) or 1.0
+    totals = [sum(bars.values()) for _name, bars in rows]
+    scale_max = max(totals, default=0.0) or 1.0
     parts = ['<div class="panel">', '<div class="legend">']
-    for series, color in _STAGE_SERIES:
+    for name, color in series:
         parts.append(f'<span><span class="swatch" '
                      f'style="background:{color}"></span>'
-                     f'{_esc(series)}</span>')
+                     f'{_esc(name)}</span>')
     parts.append("</div>")
-    n = len(breakdown)
-    svg_h = n * (bar_h + 10) + 4
+    svg_h = len(rows) * (bar_h + 10) + 4
     parts.append(f'<svg width="{width}" height="{svg_h}" '
                  f'viewBox="0 0 {width} {svg_h}" role="img" '
-                 f'aria-label="per-timestep stage breakdown">')
+                 f'aria-label="{label}">')
     y = 2.0
-    for task, bars in breakdown.items():
+    for (row, bars), total in zip(rows, totals):
         parts.append(f'<text x="{label_w - 8}" y="{y + bar_h - 5}" '
                      f'text-anchor="end" fill="var(--text-2)" '
-                     f'font-size="12">{_esc(task)}</text>')
+                     f'font-size="12">{_esc(row)}</text>')
         x = float(label_w)
-        for series, color in _STAGE_SERIES:
-            value = bars.get(series, 0.0)
+        for name, color in series:
+            value = bars.get(name, 0.0)
             if value <= 0:
                 continue
             w = max(plot_w * value / scale_max - gap, 1.0)
-            title = f"{_esc(task)} — {_esc(series)}: {value:.3f} s"
+            title = f"{_esc(row)} — {_esc(name)}: {value:.{digits}f} s"
             parts.append(
                 f'<rect x="{x:.1f}" y="{y:.1f}" width="{w:.1f}" '
                 f'height="{bar_h}" rx="2" fill="{color}">'
@@ -227,7 +229,7 @@ def _stage_breakdown_panel(breakdown: dict[str, dict[str, float]]
             x += w + gap
         parts.append(f'<text x="{x + 6:.1f}" y="{y + bar_h - 5}" '
                      f'fill="var(--text-1)" font-size="12">'
-                     f'{totals[task]:.2f} s</text>')
+                     f'{total:.2f} s</text>')
         y += bar_h + 10
     parts.append("</svg></div>")
     return parts
@@ -290,25 +292,18 @@ def _verdict_panel(report: RegressionReport, max_rows: int = 60
     state = ("<span class='status ok'>PASS</span>" if report.ok
              else "<span class='status regressed'>FAIL</span>")
     parts = [f'<div class="panel"><p>Gate: {state} '
-             f'<span class="ok-line">({_esc(summary)}; baseline of '
-             f'{report.n_baseline_records} records)</span></p>']
-    order = {"regressed": 0, "missing": 1, "improved": 2, "new": 3,
-             "ok": 4, "info": 5}
-    rows = sorted(report.verdicts,
-                  key=lambda v: (order.get(v.status, 9), v.metric))
+             f'<span class="ok-line">({_esc(summary)}; baseline run '
+             f'{_esc(report.baseline_id)})</span></p>']
+    rows = report.ordered()
     parts.append("<table><tr><th>metric</th><th class='num'>baseline</th>"
                  "<th class='num'>value</th><th class='num'>delta</th>"
                  "<th>verdict</th></tr>")
     for v in rows[:max_rows]:
-        rel = v.rel_delta
-        delta = ("—" if rel is None
-                 else f"{100 * rel:+.2f}%" if abs(rel) != float("inf")
-                 else f"{v.delta:+.4g}")
         parts.append(
             f"<tr><td>{_esc(v.metric)}</td>"
-            f"<td class='num'>{_fmt(v.median)}</td>"
+            f"<td class='num'>{_fmt(v.baseline)}</td>"
             f"<td class='num'>{_fmt(v.value)}</td>"
-            f"<td class='num'>{delta}</td>"
+            f"<td class='num'>{v.delta_text}</td>"
             f"<td><span class='status {_esc(v.status)}'>{_esc(v.status)}"
             f"</span></td></tr>")
     parts.append("</table>")
@@ -420,11 +415,9 @@ def _runs_table(records: list[RunRecord], metrics: list[str],
     return parts
 
 
-def render_dashboard(records: list[RunRecord],
-                     report: RegressionReport | None = None) -> str:
-    """Render the store's records (oldest first) into one HTML page."""
-    title = "repro — cross-run performance"
-    parts: list[str] = [
+def _page(title: str, *body: str) -> str:
+    """One self-contained HTML page: the shared head, ``title`` and body."""
+    return "\n".join([
         "<!DOCTYPE html>", '<html lang="en"><head>',
         '<meta charset="utf-8">',
         '<meta name="viewport" content="width=device-width, '
@@ -433,21 +426,33 @@ def render_dashboard(records: list[RunRecord],
         f"<style>{_CSS}</style>", "</head>",
         '<body class="viz-root">',
         f"<h1>{_esc(title)}</h1>",
-    ]
+        *body,
+        "</body></html>",
+    ])
+
+
+def _footer(command: str) -> str:
+    return (f"<footer>generated by <code>python -m repro {command}</code> "
+            f"— self-contained, no external assets</footer>")
+
+
+def render_dashboard(records: list[RunRecord],
+                     report: RegressionReport | None = None) -> str:
+    """Render the store's records (oldest first) into one HTML page."""
+    title = "repro — cross-run performance"
     if not records:
-        parts.append('<p class="meta">No run records yet — run '
-                     '<code>python -m repro perf record</code> first.</p>')
-        parts.append("</body></html>")
-        return "\n".join(parts)
+        return _page(title, '<p class="meta">No run records yet — run '
+                            '<code>python -m repro perf record</code> '
+                            'first.</p>')
 
     last = records[-1]
     machine = last.machine.get("name", "unknown machine")
-    parts.append(
+    parts: list[str] = [
         f'<p class="meta">{len(records)} recorded runs · last: '
         f'<code>{_esc(last.run_id)}</code> at {_esc(last.created_at)} '
         f'(git <code>{_esc((last.git_sha or "n/a")[:12])}</code>, '
         f'source {_esc(last.source)}, modeled machine '
-        f'{_esc(machine)})</p>')
+        f'{_esc(machine)})</p>']
 
     if report is not None:
         parts.append("<h2>Regression gate</h2>")
@@ -460,7 +465,8 @@ def render_dashboard(records: list[RunRecord],
     breakdown = last.meta.get("stage_breakdown") or {}
     if breakdown:
         parts.append("<h2>Per-timestep stage breakdown (Fig. 6)</h2>")
-        parts.extend(_stage_breakdown_panel(breakdown))
+        parts.extend(_stacked_bars(list(breakdown.items()), _STAGE_SERIES,
+                                   "per-timestep stage breakdown", 3))
 
     parts.append("<h2>SLO rules &amp; alerts</h2>")
     parts.extend(_slo_panel(last.meta.get("slo_rules") or [],
@@ -482,60 +488,8 @@ def render_dashboard(records: list[RunRecord],
         parts.extend(_probe_cards(probe_series))
 
     parts.extend(_runs_table(records, metric_names))
-    parts.append("<footer>generated by <code>python -m repro perf "
-                 "report</code> — self-contained, no external assets"
-                 "</footer>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
-
-
-def _blame_stack_panel(diff: TraceDiff) -> list[str]:
-    """Two stacked bars (run A over run B), each split into the five
-    blame buckets on a shared linear scale — the visual answer to
-    "where did the extra time go"."""
-    width, bar_h, gap = 560, 18, 2
-    label_w, value_w = 150, 90
-    plot_w = width - label_w - value_w
-    rows = [
-        (diff.a_label, {k: v[0] for k, v in diff.blame_buckets.items()}),
-        (diff.b_label, {k: v[1] for k, v in diff.blame_buckets.items()}),
-    ]
-    totals = {label: sum(bars.values()) for label, bars in rows}
-    scale_max = max(totals.values(), default=0.0) or 1.0
-    parts = ['<div class="panel">', '<div class="legend">']
-    for bucket in BLAME_BUCKETS:
-        parts.append(f'<span><span class="swatch" '
-                     f'style="background:{_BUCKET_COLORS[bucket]}"></span>'
-                     f'{_esc(bucket)}</span>')
-    parts.append("</div>")
-    svg_h = len(rows) * (bar_h + 10) + 4
-    parts.append(f'<svg width="{width}" height="{svg_h}" '
-                 f'viewBox="0 0 {width} {svg_h}" role="img" '
-                 f'aria-label="blame bucket comparison">')
-    y = 2.0
-    for label, bars in rows:
-        parts.append(f'<text x="{label_w - 8}" y="{y + bar_h - 5}" '
-                     f'text-anchor="end" fill="var(--text-2)" '
-                     f'font-size="12">{_esc(label)}</text>')
-        x = float(label_w)
-        for bucket in BLAME_BUCKETS:
-            value = bars.get(bucket, 0.0)
-            if value <= 0:
-                continue
-            w = max(plot_w * value / scale_max - gap, 1.0)
-            title = f"{_esc(label)} — {_esc(bucket)}: {value:.4f} s"
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{w:.1f}" '
-                f'height="{bar_h}" rx="2" '
-                f'fill="{_BUCKET_COLORS[bucket]}">'
-                f'<title>{title}</title></rect>')
-            x += w + gap
-        parts.append(f'<text x="{x + 6:.1f}" y="{y + bar_h - 5}" '
-                     f'fill="var(--text-1)" font-size="12">'
-                     f'{totals[label]:.2f} s</text>')
-        y += bar_h + 10
-    parts.append("</svg></div>")
-    return parts
+    parts.append(_footer("perf report"))
+    return _page(title, *parts)
 
 
 def _diff_tables_panel(diff: TraceDiff, max_flows: int = 12) -> list[str]:
@@ -597,46 +551,39 @@ def _diff_tables_panel(diff: TraceDiff, max_flows: int = 12) -> list[str]:
 def render_trace_diff(diff: TraceDiff) -> str:
     """Render a :class:`~repro.obs.blame.TraceDiff` as a standalone HTML
     page in the dashboard's visual language (inline SVG, no JS)."""
-    title = "repro — trace diff"
     dominant = diff.dominant_bucket()
     delta = diff.makespan_delta
     cls = "up" if delta > 1e-12 else "down" if delta < -1e-12 else ""
-    parts: list[str] = [
-        "<!DOCTYPE html>", '<html lang="en"><head>',
-        '<meta charset="utf-8">',
-        '<meta name="viewport" content="width=device-width, '
-        'initial-scale=1">',
-        f"<title>{_esc(title)}</title>",
-        f"<style>{_CSS}</style>", "</head>",
-        '<body class="viz-root">',
-        f"<h1>{_esc(title)}</h1>",
+    # Run A over run B, each split into the five blame buckets: the
+    # visual answer to "where did the extra time go".
+    rows = [(diff.a_label, {k: v[0] for k, v in diff.blame_buckets.items()}),
+            (diff.b_label, {k: v[1] for k, v in diff.blame_buckets.items()})]
+    series = tuple((b, _BUCKET_COLORS[b]) for b in BLAME_BUCKETS)
+    return _page(
+        "repro — trace diff",
         f'<p class="meta">{_esc(diff.b_label)} vs {_esc(diff.a_label)} — '
         f'makespan {_fmt(diff.makespan_b)} s vs {_fmt(diff.makespan_a)} s '
         f'(<span class="delta {cls}">{delta:+.4g} s</span>)'
         + (f'; dominant bucket: <code>{_esc(dominant)}</code>'
            if dominant else "") + "</p>",
         "<h2>Blame buckets</h2>",
-    ]
-    parts.extend(_blame_stack_panel(diff))
-    parts.append("<h2>Deltas</h2>")
-    parts.extend(_diff_tables_panel(diff))
-    parts.append("<footer>generated by <code>python -m repro replay "
-                 "--diff</code> — self-contained, no external assets"
-                 "</footer>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
+        *_stacked_bars(rows, series, "blame bucket comparison", 4),
+        "<h2>Deltas</h2>",
+        *_diff_tables_panel(diff),
+        _footer("replay --diff"))
+
+
+def _write(path: str | Path, page: str) -> Path:
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(page, encoding="utf-8")
+    return out
 
 
 def write_trace_diff(path: str | Path, diff: TraceDiff) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_trace_diff(diff), encoding="utf-8")
-    return out
+    return _write(path, render_trace_diff(diff))
 
 
 def write_dashboard(path: str | Path, records: list[RunRecord],
                     report: RegressionReport | None = None) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_dashboard(records, report), encoding="utf-8")
-    return out
+    return _write(path, render_dashboard(records, report))

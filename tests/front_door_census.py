@@ -156,12 +156,10 @@ INVOCATIONS: dict[str, list[tuple]] = {
          "must be in [0.0, 1.0], got 2"),
         (1, "repro check nosuch --out-dir c",
          "unknown check selector(s) ['nosuch']"),
-        (1, "repro perf compare --out-dir p --tolerance sched.x",
-         "--tolerance expects KEY=VALUE, got 'sched.x'"),
-        (1, "repro perf compare --out-dir p --tolerance sched.x=y",
-         "--tolerance: value for 'sched.x' is not a number: 'y'"),
-        (1, "repro perf compare --out-dir p --tolerance sched.x=-1",
-         "--tolerance: tolerance must be >= 0, got -1.0"),
+        (1, "repro perf compare --out-dir p --perturb sched.x",
+         "--perturb expects KEY=VALUE, got 'sched.x'"),
+        (1, "repro perf compare --out-dir p --perturb sched.x=y",
+         "--perturb: value for 'sched.x' is not a number: 'y'"),
         (1, "repro perf record --out-dir p --perturb nosuch=2",
          "--perturb: cost model 'Jaguar-XK6' has no rate for operation "
          "'nosuch'"),
@@ -307,8 +305,7 @@ INVOCATIONS: dict[str, list[tuple]] = {
         (0, "repro perf record --out-dir p --steps 10 --buckets 8 --seed 0 "
             "--source census"),
         (0, "repro perf compare --out-dir p --baseline "
-            "{root}/benchmarks/results/baseline --window 5 "
-            "--tolerance sched.*=0.10"),
+            "{root}/benchmarks/results/baseline"),
         # A perturbed cost model must trip the gate.
         (1, "repro perf compare --out-dir p --baseline "
             "{root}/benchmarks/results/baseline --perturb topo.subtree=1.5"),

@@ -387,15 +387,12 @@ def test_a_bad_plan_flag_exits_with_the_plans_reason(tmp_path, monkeypatch,
     (["render", "--size", "0"], "--size: must be >= 1, got 0"),
     (["render", "--stride", "0"], "--stride: must be >= 1, got 0"),
     (["replay", "--top-kernels", "-3"], "--top-kernels: must be >= 0, got -3"),
-    (["perf", "compare", "--window", "0"], "--window: must be >= 1, got 0"),
-    (["perf", "report", "--window", "0"], "--window: must be >= 1, got 0"),
     (["jobs", "--limit", "-2"], "--limit: must be >= 0, got -2"),
     (["jobs", "--limit", "x"], "--limit: invalid int value: 'x'"),
 ], ids=["serve-refresh", "serve-workers", "serve-default-quota",
         "serve-min-hit-rate", "serve-min-hit-rate-nan", "serve-follow-jsonl",
         "track-steps", "render-size", "render-stride", "replay-top-kernels",
-        "perf-compare-window", "perf-report-window", "jobs-limit",
-        "jobs-limit-nan"])
+        "jobs-limit", "jobs-limit-nan"])
 def test_parse_time_refusals(argv, error, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)

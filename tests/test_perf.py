@@ -8,9 +8,6 @@ import pytest
 from repro.cli import main
 from repro.core import ExperimentConfig, ReplayPlan, ScaledExperiment
 from repro.obs.perf import (
-    DEFAULT_POLICIES,
-    Baseline,
-    MetricPolicy,
     RegressionReport,
     RunRecord,
     RunStore,
@@ -59,31 +56,13 @@ class TestRunStore:
         assert len(store) == 0
 
 
-class TestBaseline:
-    def test_median_and_mad(self, tmp_path):
-        records = [_record({"m": v}) for v in (10.0, 12.0, 11.0)]
-        base = Baseline.from_records(records)
-        med, mad, n = base.stats["m"]
-        assert med == 11.0
-        assert mad == 1.0  # |10-11|, |12-11|, |11-11| -> median 1
-        assert n == 3
-
-    def test_window_keeps_last_n(self):
-        records = [_record({"m": float(v)}) for v in range(10)]
-        base = Baseline.from_records(records, window=3)
-        med, _mad, n = base.stats["m"]
-        assert med == 8.0 and n == 3
-        assert base.n_records == 3
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Baseline.from_records([], window=0)
-
-
 class TestCompareRecord:
-    def _base(self, value=100.0, spread=0.0, n=5):
-        vals = [value + spread * (i - n // 2) for i in range(n)]
-        return Baseline.from_records([_record({"m": v}) for v in vals])
+    """Each metric against one baseline record, under the first matching
+    rule of ``DEFAULT_POLICIES``; ``m`` falls to the catch-all rule
+    (lower is better, 2 % band)."""
+
+    def _base(self, value=100.0, metric="m"):
+        return _record({metric: value})
 
     def test_identical_value_is_ok(self):
         report = compare_record(_record({"m": 100.0}), self._base())
@@ -102,40 +81,37 @@ class TestCompareRecord:
         (v,) = [v for v in report.verdicts if v.status == "improved"]
         assert v.metric == "m" and report.ok
 
-    def test_mad_band_absorbs_baseline_noise(self):
-        # spread=4 -> MAD 4; band = 3 * 1.4826 * 4 ≈ 17.8 > 2% tolerance
-        noisy = self._base(spread=4.0)
-        report = compare_record(_record({"m": 110.0}), noisy)
-        (v,) = [v for v in report.verdicts if v.status == "ok"]
-        assert v.metric == "m"
-
     def test_tolerance_override_first_match_wins(self):
-        policies = (MetricPolicy("m", tolerance=0.10),) + DEFAULT_POLICIES
-        report = compare_record(_record({"m": 108.0}), self._base(),
-                                policies)
-        assert report.ok
-        report = compare_record(_record({"m": 112.0}), self._base(),
-                                policies)
-        assert not report.ok
+        # ``count.*`` (exact) precedes the catch-all 2 % rule.
+        base = _record({"count.tasks_done": 100.0, "m": 100.0})
+        report = compare_record(
+            _record({"count.tasks_done": 101.0, "m": 101.0}), base)
+        assert {v.metric: v.status for v in report.verdicts} == {
+            "count.tasks_done": "regressed", "m": "ok"}
 
     def test_direction_higher_flags_drops(self):
-        policies = (MetricPolicy("m", direction="higher"),
-                    ) + DEFAULT_POLICIES
-        report = compare_record(_record({"m": 80.0}), self._base(),
-                                policies)
+        base = self._base(metric="controller.speedup")
+        report = compare_record(_record({"controller.speedup": 80.0}), base)
         (v,) = [v for v in report.verdicts if v.status == "regressed"]
-        assert v.metric == "m"
-        report = compare_record(_record({"m": 120.0}), self._base(),
-                                policies)
+        assert v.metric == "controller.speedup"
+        report = compare_record(_record({"controller.speedup": 120.0}),
+                                base)
         (v,) = [v for v in report.verdicts if v.status == "improved"]
-        assert v.metric == "m"
+        assert v.metric == "controller.speedup"
 
     def test_direction_both_flags_any_drift(self):
-        policies = (MetricPolicy("m", tolerance=0.0, direction="both"),
-                    ) + DEFAULT_POLICIES
+        base = self._base(metric="count.tasks_done")
         for value in (99.0, 101.0):
-            report = compare_record(_record({"m": value}), self._base(),
-                                    policies)
+            report = compare_record(_record({"count.tasks_done": value}),
+                                    base)
+            assert not report.ok
+
+    def test_non_finite_gated_value_regresses(self):
+        for value, base in ((math.nan, 100.0), (100.0, math.nan),
+                            (math.inf, 100.0), (-math.inf, 100.0)):
+            report = compare_record(_record({"m": value}),
+                                    self._base(base))
+            assert [v.status for v in report.verdicts] == ["regressed"]
             assert not report.ok
 
     def test_new_metric_is_informational(self):
@@ -145,28 +121,23 @@ class TestCompareRecord:
         assert v.metric == "fresh" and not v.failed and report.ok
 
     def test_missing_gated_metric_fails(self):
-        base = Baseline.from_records(
-            [_record({"m": 100.0, "gone.s": 5.0})])
+        base = _record({"m": 100.0, "gone.s": 5.0})
         report = compare_record(_record({"m": 100.0}), base)
         (v,) = [v for v in report.verdicts if v.status == "missing"]
         assert v.metric == "gone.s" and not report.ok
 
     def test_wall_metrics_never_gate(self):
-        base = Baseline.from_records([_record({"wall.t": 1.0})])
+        base = _record({"wall.t": 1.0})
         report = compare_record(_record({"wall.t": 50.0}), base)
         (v,) = [v for v in report.verdicts if v.status == "info"]
         assert v.metric == "wall.t" and report.ok
 
     def test_report_table_renders(self):
-        report = compare_record(_record({"m": 103.0}), self._base())
+        base = self._base()
+        report = compare_record(_record({"m": 103.0}), base)
         text = report.table()
         assert "REGRESSED" in text and "m" in text
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            MetricPolicy("m", direction="sideways")
-        with pytest.raises(ValueError):
-            MetricPolicy("m", tolerance=-0.1)
+        assert f"baseline run {base.run_id}" in text
 
 
 _SMALL = ReplayPlan(n_steps=4, n_buckets=4)
@@ -186,8 +157,7 @@ class TestCollectRunRecord:
             ScaledExperiment(ExperimentConfig.paper_4896()).machine)
 
     def test_perturbation_trips_the_gate(self):
-        base = Baseline.from_records(
-            [collect_run_record(_SMALL)])
+        base = collect_run_record(_SMALL)
         slowed = collect_run_record(_SMALL, perturb={"topo.subtree": 1.5})
         report = compare_record(slowed, base)
         assert not report.ok
@@ -229,10 +199,11 @@ class TestDashboard:
 
     def test_gate_panel_when_report_given(self):
         records = self._records()
-        base = Baseline.from_records(records[:-1])
+        base = _record(records[-1].metrics)
         report = compare_record(records[-1], base)
         html = render_dashboard(records, report)
         assert "Regression gate" in html and "PASS" in html
+        assert f"baseline run {base.run_id}" in html
 
     def test_empty_store_renders_hint(self):
         html = render_dashboard([])
@@ -242,6 +213,12 @@ class TestDashboard:
         out = write_dashboard(tmp_path / "deep" / "dash.html",
                               self._records())
         assert out.exists() and out.read_text().startswith("<!DOCTYPE")
+
+    def test_non_finite_metrics_render(self):
+        rec = _record({"sched.makespan_s": math.nan, "cp.wait_s": math.inf})
+        html = render_dashboard([rec], compare_record(rec, _record(
+            {"sched.makespan_s": 1.0, "cp.wait_s": 1.0})))
+        assert "FAIL" in html and ">nan<" in html and ">inf<" in html
 
     def test_escapes_hostile_names(self):
         rec = _record({"<script>alert(1)</script>": 1.0})
@@ -275,20 +252,6 @@ class TestPerfCli:
         assert code == 1
         assert "FAIL" in out
 
-    def test_compare_tolerance_override_absorbs(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        args = ["--store", store, "--baseline", store,
-                "--steps", "4", "--buckets", "4"]
-        assert main(["perf", "record", *args]) == 0
-        code = main(["perf", "compare", *args,
-                     "--perturb", "topo.subtree=1.5",
-                     "--tolerance", "*=0.60",
-                     "--tolerance", "count.*=0.60",
-                     "--tolerance", "probe.samples=0.60",
-                     "--tolerance", "slo.alerts=0.60"])
-        assert code == 0
-        capsys.readouterr()
-
     def test_compare_without_baseline_is_an_error(self, tmp_path, capsys):
         code = main(["perf", "compare",
                      "--baseline", str(tmp_path / "missing"),
@@ -302,7 +265,7 @@ class TestPerfCli:
                   "--perturb", "nonsense"])
         with pytest.raises(SystemExit):
             main(["perf", "record", "--store", str(tmp_path),
-                  "--tolerance", "m=abc"])
+                  "--perturb", "m=abc"])
 
     def test_report_falls_back_to_baseline_store(self, tmp_path, capsys):
         base = str(tmp_path / "base")
@@ -327,9 +290,10 @@ class TestCommittedBaseline:
         return collect_run_record()
 
     def test_repo_baseline_gates_clean(self, records, fresh):
-        """The committed baseline must accept an unchanged tree: every
-        deterministic metric of a fresh record matches it exactly."""
-        report = compare_record(fresh, Baseline.from_records(records))
+        """The committed baseline's newest record must accept an
+        unchanged tree: every gated metric of a fresh record lies within
+        its band."""
+        report = compare_record(fresh, records[-1])
         assert report.ok, report.table()
         assert fresh.metrics["slo.alerts"] == 1.0
 
@@ -349,8 +313,75 @@ class TestCommittedBaseline:
 
 
 def test_regression_report_counts_and_ok():
-    verdicts = compare_record(
-        _record({"m": 100.0}),
-        Baseline.from_records([_record({"m": 100.0})])).verdicts
-    report = RegressionReport(verdicts=verdicts, n_baseline_records=1)
+    verdicts = compare_record(_record({"m": 100.0}),
+                              _record({"m": 100.0})).verdicts
+    report = RegressionReport(verdicts=verdicts, baseline_id="base")
     assert report.ok and report.counts() == {"ok": 1}
+
+
+class TestGateBaselineRule:
+    """``perf compare`` judges a fresh record against the newest record
+    of the baseline store, and a non-finite gated figure never passes."""
+
+    #: A baseline re-recorded by appending: the newest record is the
+    #: reference even while older ones are the majority.
+    _RERECORDED = [{"count.tasks_done": 10.0}, {"count.tasks_done": 10.0},
+                   {"count.tasks_done": 12.0}]
+
+    @staticmethod
+    def _compare(tmp_path, monkeypatch, capsys, baseline, fresh):
+        store = RunStore(tmp_path / "base")
+        for metrics in baseline:
+            store.append(_record(metrics))
+        monkeypatch.setattr("repro.obs.perf.collect_run_record",
+                            lambda *args, **kwargs: _record(fresh))
+        code = main(["perf", "compare", "--baseline", str(store.root),
+                     "--out-dir", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        cells = ([c for c in line.split() if c != "|"]
+                 for line in out.splitlines())
+        return code, {row[0]: row for row in cells if row and row[0] in fresh}
+
+    def test_a_record_matching_the_newest_passes(self, tmp_path,
+                                                 monkeypatch, capsys):
+        code, rows = self._compare(
+            tmp_path, monkeypatch, capsys,
+            self._RERECORDED,
+            {"count.tasks_done": 12.0})
+        assert code == 0
+        assert rows["count.tasks_done"][-1] == "ok"
+
+    def test_a_record_matching_the_older_is_judged_against_the_newest(
+            self, tmp_path, monkeypatch, capsys):
+        code, rows = self._compare(
+            tmp_path, monkeypatch, capsys,
+            self._RERECORDED,
+            {"count.tasks_done": 10.0})
+        assert code == 1
+        metric, baseline, value, *_rest, verdict = rows["count.tasks_done"]
+        assert (baseline, value, verdict) == ("12", "10", "REGRESSED")
+
+    def test_a_nan_fresh_value_regresses(self, tmp_path, monkeypatch,
+                                         capsys):
+        code, rows = self._compare(
+            tmp_path, monkeypatch, capsys,
+            [{"sched.makespan_s": 100.0}], {"sched.makespan_s": math.nan})
+        assert code == 1
+        assert rows["sched.makespan_s"][-1] == "REGRESSED"
+
+    def test_a_nan_baseline_value_regresses(self, tmp_path, monkeypatch,
+                                            capsys):
+        # ``json.dumps`` writes the NaN and ``json.loads`` reads it back.
+        code, rows = self._compare(
+            tmp_path, monkeypatch, capsys,
+            [{"sched.makespan_s": math.nan}], {"sched.makespan_s": 100.0})
+        assert code == 1
+        assert rows["sched.makespan_s"][-1] == "REGRESSED"
+
+    def test_a_non_finite_ungated_value_stays_info(self, tmp_path,
+                                                   monkeypatch, capsys):
+        code, rows = self._compare(
+            tmp_path, monkeypatch, capsys,
+            [{"wall.record_s": 1.0}], {"wall.record_s": math.inf})
+        assert code == 0
+        assert rows["wall.record_s"][-1] == "info"
